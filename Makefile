@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet test race obs-overhead faults-smoke gateway-smoke tiers-smoke shard-smoke slo-smoke cluster-smoke bench figures results examples clean
+.PHONY: all build vet test race obs-overhead faults-smoke gateway-smoke tiers-smoke shard-smoke slo-smoke cluster-smoke results-check bench benchmark figures results examples clean
 
-all: build vet test race obs-overhead faults-smoke gateway-smoke tiers-smoke shard-smoke slo-smoke cluster-smoke
+all: build vet test race obs-overhead faults-smoke gateway-smoke tiers-smoke shard-smoke slo-smoke cluster-smoke results-check
 
 build:
 	$(GO) build ./...
@@ -41,12 +41,11 @@ obs-overhead:
 	if [ "$$n" -ne 2 ]; then \
 		echo "obs-overhead: tsdb sample path allocates"; exit 1; fi
 
-# SLO smoke: boot continuumd's gateway at dilation 0 and walk the alert
-# lifecycle — healthy traffic stays silent, a 100% trap-rate fault burst
-# fires the availability page (visible over /v1/slo), recovery clears it,
-# and the drain re-verifies the admission identity.
+# SLO smoke: the alert lifecycle over HTTP at dilation 0 — healthy traffic
+# stays silent, a 100% trap-rate fault burst fires the availability page
+# (visible over /v1/slo, /v1/cluster and /metrics), recovery clears it.
 slo-smoke:
-	$(GO) run ./cmd/continuumd -slo-smoke
+	$(GO) test -count=1 -run 'TestSLOBurnRateOverHTTP$$' ./internal/gateway
 
 # Chaos smoke: run the full fault-injection ablation grid once. Each cell
 # verifies the admission identity (Submitted == Completed+Rejected+Expired+
@@ -62,33 +61,52 @@ faults-smoke:
 tiers-smoke:
 	$(GO) run ./cmd/continuum -exp tiers > /dev/null
 
-# Gateway smoke: boot continuumd on a random loopback port, invoke a
-# function over HTTP, scrape /metrics for a populated latency histogram,
-# SIGTERM, and assert the drain completed with the admission identity
-# intact. Exercises the real-time DES bridge end to end outside the test
-# binary.
+# Gateway smoke: run continuumd's real serve loop on a random loopback port,
+# invoke over HTTP, scrape /metrics for a populated latency histogram,
+# SIGTERM, and assert exit code 0 with the admission identity reported true
+# for every function.
 gateway-smoke:
-	$(GO) run ./cmd/continuumd -smoke
+	$(GO) test -count=1 -run 'TestServeUntilSignal$$' ./cmd/continuumd
 
-# Shard smoke: boot continuumd with lazy function creation, invoke three
-# distinct modules over HTTP (two created on first request), assert the
-# per-module labeled router metrics appeared on /metrics, SIGTERM, and
-# assert the drain completed with every shard's admission identity intact.
+# Shard smoke: lazy function creation over HTTP (modules created on first
+# request), per-module labeled router metrics on /metrics, router stats on
+# /v1/cluster.
 shard-smoke:
-	$(GO) run ./cmd/continuumd -shard-smoke
+	$(GO) test -count=1 -run 'TestLazyFunctionCreation$$' ./internal/gateway
 
-# Cluster smoke: boot continuumd with three simulated nodes at dilation 0,
-# invoke over HTTP, kill the node the function is placed on via
-# POST /v1/cluster/nodes/{node}/fail mid-traffic, and assert the charge
-# re-homed to a survivor, invokes keep returning 200, /v1/cluster reports
-# the node dead, and the drain completes with the admission identity intact.
+# Cluster smoke: three simulated nodes at dilation 0 — kill the node the
+# function is placed on via POST /v1/cluster/nodes/{node}/fail, assert the
+# charge re-homed to a survivor and invokes keep returning 200; then the
+# one-node case (503 no_live_node, the pool keeps serving).
 cluster-smoke:
-	$(GO) run ./cmd/continuumd -cluster-smoke -dilation 0
+	$(GO) test -count=1 -run 'TestNodeFailover$$' ./internal/gateway
+
+# Byte-stability gate for the pure-virtual-clock experiments: regenerate them
+# into a temp dir and cmp against the committed results/. A refactor of the
+# serving path that moves any of these bytes changed behaviour, not just code.
+RESULTS_CHECK_FILES = serve.txt \
+	faults.txt faults.csv faults.json \
+	cluster.txt cluster.csv cluster.json \
+	slo.txt slo.csv slo.json \
+	tiers.txt tiers.csv tiers.json
+results-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/continuum" ./cmd/continuum && \
+	for e in serve faults cluster slo tiers; do \
+		"$$tmp/continuum" -exp $$e -outdir "$$tmp" > /dev/null || exit 1; done && \
+	for f in $(RESULTS_CHECK_FILES); do \
+		cmp "$$tmp/$$f" "results/$$f" || exit 1; done && \
+	echo "results-check: $(words $(RESULTS_CHECK_FILES)) files byte-identical to results/"
 
 # Run every benchmark once (tables, figures, ablations, microbenches,
 # interpreter hot-loop and engine instantiate benches).
 bench:
 	$(GO) test -run NONE -bench=. -benchmem -benchtime 1x ./...
+
+# The repo benchmark (BENCHMARK.json): every workload, timed; run files land
+# in benchmark/out/. See benchmark/README.md.
+benchmark:
+	$(GO) run ./benchmark -seed 1
 
 # Regenerate the paper's tables and figures on stdout.
 figures:

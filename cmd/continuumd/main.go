@@ -10,11 +10,7 @@
 //	continuumd -addr :9000 -dilation 0      # as-fast-as-possible virtual time
 //	continuumd -modules request-handler,cpu-bound -pool 8
 //	continuumd -lazy                        # create functions on first request
-//	continuumd -smoke                       # self-test: invoke, scrape, SIGTERM, drain
-//	continuumd -shard-smoke                 # self-test: 3 modules, per-module metrics, drain
 //	continuumd -slo -slo-window 5m          # burn-rate alerting over 1s sample windows
-//	continuumd -slo-smoke                   # self-test: silent -> fault burst fires page -> clears
-//	continuumd -cluster-smoke               # self-test: kill the serving node, assert re-home + 200s
 //	continuumd -log-format json             # structured access log (one JSON object per request)
 //	continuumd -debug-addr 127.0.0.1:6060   # pprof + Go runtime gauges in /metrics
 //
@@ -39,7 +35,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -75,9 +70,7 @@ func main() {
 		accessLog    = flag.Bool("access-log", true, "log one line per request to stderr")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
 		finalMetrics = flag.String("final-metrics", "", "write the final Prometheus snapshot to this path on shutdown")
-		smoke        = flag.Bool("smoke", false, "self-test: invoke, scrape /metrics, SIGTERM, assert clean drain")
 		lazy         = flag.Bool("lazy", false, "create functions on first request for any resolvable module (router shards added live)")
-		shardSmoke   = flag.Bool("shard-smoke", false, "self-test: invoke 3 distinct modules, assert per-module router metrics, SIGTERM, assert clean drain")
 		logFormat    = flag.String("log-format", "text", "access log format: text or json")
 		sampleInt    = flag.Duration("sample-interval", time.Second, "simulated window length for /v1/timeseries (0 = sampling off)")
 		sampleCap    = flag.Int("sample-capacity", 0, "retained time-series windows (0 = default)")
@@ -89,8 +82,6 @@ func main() {
 		tailSample   = flag.Bool("tail-sample", false, "tail-based trace sampling: keep span trees only for errors, breaker trips, and latency outliers")
 		tailLatency  = flag.Duration("tail-latency", 0, "simulated latency above which a healthy trace is still kept (0 = errors/breaker only)")
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof and sample Go runtime gauges on this address (empty = off)")
-		sloSmoke     = flag.Bool("slo-smoke", false, "self-test: healthy traffic stays silent, a fault burst fires the page alert, recovery clears it")
-		clusterSmoke = flag.Bool("cluster-smoke", false, "self-test: multi-node boot, kill the serving node mid-traffic, assert re-home + continued 200s + clean drain")
 	)
 	flag.Parse()
 
@@ -130,7 +121,7 @@ func main() {
 		cfg.Functions = append(cfg.Functions, fc)
 	}
 
-	if *lazy || *shardSmoke {
+	if *lazy {
 		// Unregistered modules spin up on demand with the same shape as the
 		// flag-configured functions; the router picks up one shard each.
 		tmpl := gateway.DefaultFunction()
@@ -138,25 +129,6 @@ func main() {
 			tmpl = cfg.Functions[0]
 		}
 		cfg.LazyTemplate = &tmpl
-	}
-
-	if *smoke {
-		cfg.AccessLog = nil // keep smoke output parseable
-		os.Exit(runSmoke(cfg, *drainTimeout))
-	}
-	if *shardSmoke {
-		cfg.AccessLog = nil
-		os.Exit(runShardSmoke(cfg, *drainTimeout))
-	}
-	if *sloSmoke {
-		os.Exit(runSLOSmoke(*drainTimeout))
-	}
-	if *clusterSmoke {
-		cfg.AccessLog = nil
-		if cfg.ClusterNodes < 3 {
-			cfg.ClusterNodes = 3
-		}
-		os.Exit(runClusterSmoke(cfg, *drainTimeout))
 	}
 
 	if *debugAddr != "" {
@@ -170,7 +142,7 @@ func main() {
 		}
 	}
 
-	code, err := serveUntilSignal(cfg, *addr, *drainTimeout, *finalMetrics, nil)
+	code, err := serveUntilSignal(cfg, *addr, *drainTimeout, *finalMetrics, os.Stderr, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 	}
@@ -178,9 +150,9 @@ func main() {
 }
 
 // serveUntilSignal runs the gateway until SIGTERM/SIGINT, then drains
-// gracefully and reports final stats. ready (if non-nil) receives the bound
-// address once the listener is up — the smoke path uses it.
-func serveUntilSignal(cfg gateway.Config, addr string, drainTimeout time.Duration, finalMetrics string, ready chan<- string) (int, error) {
+// gracefully and reports final stats on logw. ready (if non-nil) receives the
+// bound address once the listener is up and the signal handler is installed.
+func serveUntilSignal(cfg gateway.Config, addr string, drainTimeout time.Duration, finalMetrics string, logw io.Writer, ready chan<- string) (int, error) {
 	gw, err := gateway.New(cfg)
 	if err != nil {
 		return 1, err
@@ -189,21 +161,22 @@ func serveUntilSignal(cfg gateway.Config, addr string, drainTimeout time.Duratio
 	if err != nil {
 		return 1, err
 	}
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
+	defer signal.Stop(sigCh)
 	gw.Start()
 	srv := &http.Server{Handler: gw}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "continuumd: listening on %s (dilation %g, %d function(s))\n",
+	fmt.Fprintf(logw, "continuumd: listening on %s (dilation %g, %d function(s))\n",
 		ln.Addr(), cfg.Bridge.Dilation, len(cfg.Functions))
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case sig := <-sigCh:
-		fmt.Fprintf(os.Stderr, "continuumd: %s, draining (budget %s)\n", sig, drainTimeout)
+		fmt.Fprintf(logw, "continuumd: %s, draining (budget %s)\n", sig, drainTimeout)
 	case err := <-serveErr:
 		return 1, fmt.Errorf("continuumd: serve: %w", err)
 	}
@@ -215,13 +188,13 @@ func serveUntilSignal(cfg gateway.Config, addr string, drainTimeout time.Duratio
 
 	code := 0
 	if drainErr != nil {
-		fmt.Fprintf(os.Stderr, "continuumd: drain incomplete: %v\n", drainErr)
+		fmt.Fprintf(logw, "continuumd: drain incomplete: %v\n", drainErr)
 		code = 1
 	}
 	for _, fn := range gw.Functions() {
 		st := fn.Dispatcher().Stats()
 		ok := identityHolds(st)
-		fmt.Fprintf(os.Stderr,
+		fmt.Fprintf(logw,
 			"continuumd: %s submitted=%d completed=%d rejected=%d expired=%d failed=%d identity=%v\n",
 			fn.Module(), st.Submitted, st.Completed, st.Rejected, st.Expired, st.Failed, ok)
 		if !ok {
@@ -240,7 +213,7 @@ func serveUntilSignal(cfg gateway.Config, addr string, drainTimeout time.Duratio
 		if err := f.Close(); err != nil {
 			return 1, err
 		}
-		fmt.Fprintf(os.Stderr, "continuumd: final metrics written to %s\n", finalMetrics)
+		fmt.Fprintf(logw, "continuumd: final metrics written to %s\n", finalMetrics)
 	}
 	return code, nil
 }
@@ -248,306 +221,4 @@ func serveUntilSignal(cfg gateway.Config, addr string, drainTimeout time.Duratio
 // identityHolds checks the dispatcher's admission conservation identity.
 func identityHolds(st serve.DispatcherStats) bool {
 	return st.Submitted == st.Completed+st.Rejected+st.Expired+st.Failed
-}
-
-// runSmoke is the self-test behind `make gateway-smoke`: boot on a random
-// port, invoke a function over loopback, scrape /metrics for a non-empty
-// latency histogram, SIGTERM ourselves, and assert the drain completed with
-// the admission identity intact (serveUntilSignal exits non-zero otherwise).
-func runSmoke(cfg gateway.Config, drainTimeout time.Duration) int {
-	fail := func(format string, args ...any) int {
-		fmt.Fprintf(os.Stderr, "gateway-smoke: FAIL: "+format+"\n", args...)
-		return 1
-	}
-	ready := make(chan string, 1)
-	exit := make(chan int, 1)
-	go func() {
-		code, err := serveUntilSignal(cfg, "127.0.0.1:0", drainTimeout, "", ready)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-		exit <- code
-	}()
-	var base string
-	select {
-	case addr := <-ready:
-		base = "http://" + addr
-	case <-time.After(10 * time.Second):
-		return fail("server did not come up")
-	}
-	client := &http.Client{Timeout: 30 * time.Second}
-	module := cfg.Functions[0].Module
-	for i := 0; i < 5; i++ {
-		resp, err := client.Post(base+"/v1/functions/"+module, "application/octet-stream",
-			strings.NewReader("ping"))
-		if err != nil {
-			return fail("invoke: %v", err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fail("invoke status = %d", resp.StatusCode)
-		}
-	}
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return fail("scrape /metrics: %v", err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return fail("read /metrics: %v", err)
-	}
-	if !histogramNonEmpty(string(body), "dispatch_latency_ns") {
-		return fail("/metrics has no populated dispatch_latency_ns histogram")
-	}
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		return fail("self-SIGTERM: %v", err)
-	}
-	select {
-	case code := <-exit:
-		if code != 0 {
-			return fail("drain exited %d", code)
-		}
-	case <-time.After(drainTimeout + 10*time.Second):
-		return fail("drain did not complete")
-	}
-	fmt.Fprintln(os.Stderr, "gateway-smoke: ok")
-	return 0
-}
-
-// runShardSmoke is the self-test behind `make shard-smoke`: boot with lazy
-// creation on, invoke three distinct modules (two of them created on first
-// request), assert the per-module labeled router metrics appeared for all
-// three, SIGTERM ourselves, and assert the drain completed with every
-// shard's admission identity intact.
-func runShardSmoke(cfg gateway.Config, drainTimeout time.Duration) int {
-	fail := func(format string, args ...any) int {
-		fmt.Fprintf(os.Stderr, "shard-smoke: FAIL: "+format+"\n", args...)
-		return 1
-	}
-	ready := make(chan string, 1)
-	exit := make(chan int, 1)
-	go func() {
-		code, err := serveUntilSignal(cfg, "127.0.0.1:0", drainTimeout, "", ready)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-		exit <- code
-	}()
-	var base string
-	select {
-	case addr := <-ready:
-		base = "http://" + addr
-	case <-time.After(10 * time.Second):
-		return fail("server did not come up")
-	}
-	client := &http.Client{Timeout: 30 * time.Second}
-	modules := []string{cfg.Functions[0].Module, "request-handler-v1", "request-handler-v2"}
-	for _, m := range modules {
-		for i := 0; i < 3; i++ {
-			resp, err := client.Post(base+"/v1/functions/"+m, "application/octet-stream",
-				strings.NewReader("ping"))
-			if err != nil {
-				return fail("invoke %s: %v", m, err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return fail("invoke %s status = %d", m, resp.StatusCode)
-			}
-		}
-	}
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return fail("scrape /metrics: %v", err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return fail("read /metrics: %v", err)
-	}
-	text := string(body)
-	for _, m := range modules {
-		sample := fmt.Sprintf("router_completed_total{module=%q}", m)
-		if !samplePositive(text, sample) {
-			return fail("/metrics missing a positive %s", sample)
-		}
-	}
-	if !samplePositive(text, "router_batches_total") {
-		return fail("/metrics missing a positive router_batches_total")
-	}
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		return fail("self-SIGTERM: %v", err)
-	}
-	select {
-	case code := <-exit:
-		if code != 0 {
-			return fail("drain exited %d", code)
-		}
-	case <-time.After(drainTimeout + 10*time.Second):
-		return fail("drain did not complete")
-	}
-	fmt.Fprintln(os.Stderr, "shard-smoke: ok")
-	return 0
-}
-
-// runClusterSmoke is the self-test behind `make cluster-smoke`: boot a
-// multi-node cluster, invoke over loopback, kill the node the function is
-// placed on mid-traffic via POST /v1/cluster/nodes/{node}/fail, and assert
-// the charge re-homed to a survivor while invokes keep returning 200 and
-// /v1/cluster reports the node dead — then SIGTERM ourselves and assert the
-// drain completed with the admission identity intact.
-func runClusterSmoke(cfg gateway.Config, drainTimeout time.Duration) int {
-	fail := func(format string, args ...any) int {
-		fmt.Fprintf(os.Stderr, "cluster-smoke: FAIL: "+format+"\n", args...)
-		return 1
-	}
-	ready := make(chan string, 1)
-	exit := make(chan int, 1)
-	go func() {
-		code, err := serveUntilSignal(cfg, "127.0.0.1:0", drainTimeout, "", ready)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-		exit <- code
-	}()
-	var base string
-	select {
-	case addr := <-ready:
-		base = "http://" + addr
-	case <-time.After(10 * time.Second):
-		return fail("server did not come up")
-	}
-	client := &http.Client{Timeout: 30 * time.Second}
-	module := cfg.Functions[0].Module
-	invoke := func() error {
-		resp, err := client.Post(base+"/v1/functions/"+module, "application/octet-stream",
-			strings.NewReader("ping"))
-		if err != nil {
-			return err
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("status %d", resp.StatusCode)
-		}
-		return nil
-	}
-	getCluster := func() (gateway.ClusterStatus, error) {
-		var st gateway.ClusterStatus
-		resp, err := client.Get(base + "/v1/cluster")
-		if err != nil {
-			return st, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return st, fmt.Errorf("status %d", resp.StatusCode)
-		}
-		return st, json.NewDecoder(resp.Body).Decode(&st)
-	}
-
-	for i := 0; i < 3; i++ {
-		if err := invoke(); err != nil {
-			return fail("invoke before failover: %v", err)
-		}
-	}
-	st, err := getCluster()
-	if err != nil {
-		return fail("GET /v1/cluster: %v", err)
-	}
-	if len(st.Nodes) < 3 {
-		return fail("cluster has %d nodes, want >= 3", len(st.Nodes))
-	}
-	var home string
-	for _, f := range st.Functions {
-		if f.Module == module {
-			home = f.Node
-		}
-	}
-	if home == "" {
-		return fail("function %s has no placement in /v1/cluster", module)
-	}
-
-	resp, err := client.Post(base+"/v1/cluster/nodes/"+home+"/fail", "application/json", nil)
-	if err != nil {
-		return fail("fail node %s: %v", home, err)
-	}
-	var fr gateway.NodeFailResponse
-	decodeErr := json.NewDecoder(resp.Body).Decode(&fr)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fail("fail node %s: status %d", home, resp.StatusCode)
-	}
-	if decodeErr != nil {
-		return fail("fail node %s: decode: %v", home, decodeErr)
-	}
-	rehomed := false
-	for _, m := range fr.Rehomed {
-		rehomed = rehomed || m == module
-	}
-	if !rehomed {
-		return fail("node %s failed but %s not in rehomed set %v", home, module, fr.Rehomed)
-	}
-
-	for i := 0; i < 3; i++ {
-		if err := invoke(); err != nil {
-			return fail("invoke after failover: %v", err)
-		}
-	}
-	st, err = getCluster()
-	if err != nil {
-		return fail("GET /v1/cluster after failover: %v", err)
-	}
-	for _, n := range st.Nodes {
-		if n.Name == home && n.Alive {
-			return fail("node %s still reported alive after fail", home)
-		}
-	}
-	for _, f := range st.Functions {
-		if f.Module != module {
-			continue
-		}
-		if f.Node == home || f.Node == "" {
-			return fail("function %s still placed on %q after failover", module, f.Node)
-		}
-	}
-
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		return fail("self-SIGTERM: %v", err)
-	}
-	select {
-	case code := <-exit:
-		if code != 0 {
-			return fail("drain exited %d", code)
-		}
-	case <-time.After(drainTimeout + 10*time.Second):
-		return fail("drain did not complete")
-	}
-	fmt.Fprintln(os.Stderr, "cluster-smoke: ok")
-	return 0
-}
-
-// samplePositive reports whether the exposition text has a sample named
-// exactly `sample` (including any label set) with a positive value.
-func samplePositive(text, sample string) bool {
-	for _, line := range strings.Split(text, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 2 && fields[0] == sample && fields[1] != "0" {
-			return true
-		}
-	}
-	return false
-}
-
-// histogramNonEmpty reports whether the exposition text contains a
-// <name>_count sample with a positive value.
-func histogramNonEmpty(text, name string) bool {
-	for _, line := range strings.Split(text, "\n") {
-		if !strings.HasPrefix(line, name+"_count") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 2 && fields[1] != "0" {
-			return true
-		}
-	}
-	return false
 }

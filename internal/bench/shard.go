@@ -18,7 +18,8 @@ import (
 // (lock-free shard lookup, per-DES-event batch coalescing, lock-free stats
 // scrapes) versus the single-queue baseline (one global mutex across every
 // submission and every introspection read — the architecture the router
-// replaced). Two harnesses:
+// replaced, rebuilt below as singleQueue because no product path takes it
+// any more). Two harnesses:
 //
 //   - a wall-clock funnel: N client goroutines push module keys to the one
 //     DES goroutine and scrape router stats after every request, exactly the
@@ -63,12 +64,50 @@ const (
 	shardP99Ceiling = 10.0
 )
 
+// shardTarget is the submit path under test: what the funnel's DES goroutine
+// submits through and what its scrapers and clients read shard load from.
+type shardTarget interface {
+	Submit(key string, tid int64, done func(serve.RequestResult)) error
+	ShardLoad(key string) (queueLen, inFlight int, ok bool)
+}
+
+// singleQueue is the pre-sharding baseline: one mutex held across every
+// submission and every introspection read, and full per-request admission
+// (Dispatcher.Submit, no coalescing) behind it.
+type singleQueue struct {
+	mu sync.Mutex
+	rt *serve.Router
+}
+
+func (q *singleQueue) Submit(key string, _ int64, done func(serve.RequestResult)) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	d, ok := q.rt.Lookup(key)
+	if !ok {
+		return serve.ErrUnknownModule
+	}
+	d.Submit(done)
+	return nil
+}
+
+func (q *singleQueue) ShardLoad(key string) (int, int, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.rt.ShardLoad(key)
+}
+
+// Funnel cell names, as they appear in the table's mode column.
+const (
+	shardModeSharded     = "sharded"
+	shardModeSingleQueue = "single-queue"
+)
+
 // newShardRouter builds a router over n handler-variant modules on a fresh
 // DES engine: one compiled module, single-instance warm pool, and dispatcher
 // per shard.
-func newShardRouter(mode serve.RouterMode, n int) (*des.Engine, *serve.Router, []string, error) {
+func newShardRouter(n int) (*des.Engine, *serve.Router, []string, error) {
 	sim := des.NewEngine()
-	rt := serve.NewRouter(sim, serve.RouterConfig{Mode: mode})
+	rt := serve.NewRouter(sim, serve.RouterConfig{})
 	eng := engine.New(engine.WAMR)
 	modules := make([]string, 0, n)
 	for i := 0; i < n; i++ {
@@ -102,7 +141,7 @@ func newShardRouter(mode serve.RouterMode, n int) (*des.Engine, *serve.Router, [
 
 // shardFunnelResult is one wall-clock funnel cell.
 type shardFunnelResult struct {
-	Mode       serve.RouterMode
+	Mode       string
 	Clients    int
 	Requests   int
 	SubmitWall time.Duration // submission phase: all requests through the submit path
@@ -125,10 +164,14 @@ type shardFunnelResult struct {
 // the scrapers never block, and admission is amortized into per-shard
 // batches. The execution drain that follows retires identical work in both
 // modes and is reported separately.
-func runShardFunnel(mode serve.RouterMode, clients int) (shardFunnelResult, error) {
-	sim, rt, modules, err := newShardRouter(mode, shardModules)
+func runShardFunnel(mode string, clients int) (shardFunnelResult, error) {
+	sim, rt, modules, err := newShardRouter(shardModules)
 	if err != nil {
 		return shardFunnelResult{}, err
+	}
+	var target shardTarget = rt
+	if mode == shardModeSingleQueue {
+		target = &singleQueue{rt: rt}
 	}
 	perClient := shardFunnelRequests / clients
 	total := perClient * clients
@@ -151,7 +194,7 @@ func runShardFunnel(mode serve.RouterMode, clients int) (shardFunnelResult, erro
 			defer scrapeWG.Done()
 			for !scrapeStop.Load() {
 				for _, m := range modules {
-					q, f, _ := rt.ShardLoad(m)
+					q, f, _ := target.ShardLoad(m)
 					_ = q + f
 				}
 			}
@@ -172,7 +215,7 @@ func runShardFunnel(mode serve.RouterMode, clients int) (shardFunnelResult, erro
 				// The per-request introspection read the gateway performs for
 				// its response headers: lock-free in sharded mode, a
 				// global-mutex acquisition in the baseline.
-				q, f, _ := rt.ShardLoad(m)
+				q, f, _ := target.ShardLoad(m)
 				_ = q + f
 				if len(batch) == burst {
 					keyCh <- batch
@@ -196,7 +239,7 @@ func runShardFunnel(mode serve.RouterMode, clients int) (shardFunnelResult, erro
 	for batch := range keyCh {
 		t0 := time.Now()
 		for _, key := range batch {
-			if err := rt.Submit(key, 0, nil); err != nil {
+			if err := target.Submit(key, 0, nil); err != nil {
 				return shardFunnelResult{}, err
 			}
 		}
@@ -237,7 +280,7 @@ func runShardFunnel(mode serve.RouterMode, clients int) (shardFunnelResult, erro
 
 // bestShardFunnel runs a funnel cell shardFunnelReps times and keeps the
 // highest-throughput rep.
-func bestShardFunnel(mode serve.RouterMode, clients int) (shardFunnelResult, error) {
+func bestShardFunnel(mode string, clients int) (shardFunnelResult, error) {
 	var best shardFunnelResult
 	for rep := 0; rep < shardFunnelReps; rep++ {
 		r, err := runShardFunnel(mode, clients)
@@ -263,7 +306,7 @@ type shardLatencyCell struct {
 // runShardLatency sweeps RunMulti at one rate under the given popularity
 // distribution (zipfS 0 = uniform). Pure virtual time: deterministic.
 func runShardLatency(zipfS float64, rate float64) (shardLatencyCell, error) {
-	sim, rt, modules, err := newShardRouter(serve.RouterSharded, shardModules)
+	sim, rt, modules, err := newShardRouter(shardModules)
 	if err != nil {
 		return shardLatencyCell{}, err
 	}
@@ -309,7 +352,7 @@ func AblationShard() (*Table, error) {
 
 	// Wall-clock funnel grid: mode x clients.
 	funnel := map[string]shardFunnelResult{}
-	for _, mode := range []serve.RouterMode{serve.RouterSingleQueue, serve.RouterSharded} {
+	for _, mode := range []string{shardModeSingleQueue, shardModeSharded} {
 		for _, clients := range []int{1, shardFunnelClients} {
 			r, err := bestShardFunnel(mode, clients)
 			if err != nil {
@@ -317,7 +360,7 @@ func AblationShard() (*Table, error) {
 			}
 			funnel[fmt.Sprintf("%s/%d", mode, clients)] = r
 			t.Rows = append(t.Rows, []string{
-				"funnel", mode.String(), fmt.Sprintf("%d clients", clients),
+				"funnel", mode, fmt.Sprintf("%d clients", clients),
 				fmt.Sprintf("%d", r.Requests),
 				fmt.Sprintf("%.1f", float64(r.SubmitWall.Microseconds())/1000),
 				fmt.Sprintf("%.1f", float64(r.DrainWall.Microseconds())/1000),
@@ -328,8 +371,8 @@ func AblationShard() (*Table, error) {
 		}
 	}
 
-	base := funnel[fmt.Sprintf("%s/%d", serve.RouterSingleQueue, shardFunnelClients)]
-	shrd := funnel[fmt.Sprintf("%s/%d", serve.RouterSharded, shardFunnelClients)]
+	base := funnel[fmt.Sprintf("%s/%d", shardModeSingleQueue, shardFunnelClients)]
+	shrd := funnel[fmt.Sprintf("%s/%d", shardModeSharded, shardFunnelClients)]
 	speedup := shrd.Throughput / base.Throughput
 	if speedup < shardSpeedupFloor {
 		return nil, fmt.Errorf(

@@ -116,15 +116,14 @@ type ScaleStats struct {
 	Placed, RePlaced, Spills int
 }
 
-// nodeState is one worker node's serving surface: its router, its shared
-// compile cache (replicas of a module on one node compile once), and its
-// liveness. alive is only touched on the DES goroutine.
+// nodeState is one worker node's serving surface: its router and its shared
+// compile cache (replicas of a module on one node compile once). Liveness is
+// the k8s node's own (w.Alive).
 type nodeState struct {
 	idx    int
 	w      *k8s.WorkerNode
 	router *serve.Router
 	cache  *cache.Cache
-	alive  bool
 	routed int64
 
 	obsRouted   *obs.Counter
@@ -152,15 +151,11 @@ func (m *moduleState) on(n *nodeState) *replica {
 	return nil
 }
 
-// replica is one module instance on one node: engine, warm pool, dispatcher,
-// and the attachment charging it to the node.
+// replica is one placed Replica plus the cluster's bookkeeping about it.
 type replica struct {
+	*Replica
 	m         *moduleState
 	n         *nodeState
-	eng       *engine.Engine
-	pool      *serve.Pool
-	disp      *serve.Dispatcher
-	att       *k8s.WarmPoolAttachment
 	idleTicks int
 	obsRouted *obs.Counter
 }
@@ -223,7 +218,6 @@ func New(cfg Config) (*Serving, error) {
 			w:      w,
 			router: serve.NewRouter(s.eng, serve.RouterConfig{}),
 			cache:  cache.New(engine.DefaultModuleCacheBytes),
-			alive:  true,
 		}
 		if tele != nil {
 			n.router.SetObserver(tele)
@@ -295,7 +289,7 @@ func (s *Serving) route(m *moduleState) (*replica, error) {
 		for range s.nodes {
 			n := s.nodes[s.rr%len(s.nodes)]
 			s.rr++
-			if !n.alive {
+			if !n.w.Alive() {
 				continue
 			}
 			if r := m.on(n); r != nil {
@@ -329,38 +323,24 @@ func (s *Serving) route(m *moduleState) (*replica, error) {
 	return best, nil
 }
 
-// bestNode scores live nodes for m: resident shared artifacts first (cache
-// locality beats spreading), free memory as capacity tiebreak, then index
-// for determinism. excludeHosting skips nodes already running a replica
-// (the spill path wants a fresh node).
+// bestNode is PickNode over the cluster's nodes for m's artifacts;
+// excludeHosting skips nodes already running a replica (the spill path wants
+// a fresh node). nil when no candidate is alive.
 func (s *Serving) bestNode(m *moduleState, excludeHosting bool) *nodeState {
-	var best *nodeState
-	bestScore, bestFree := -1, int64(-1)
-	for _, n := range s.nodes {
-		if !n.alive {
-			continue
-		}
-		if excludeHosting && m.on(n) != nil {
-			continue
-		}
-		score := 0
-		for _, art := range m.artifacts {
-			if n.w.OS.HasSharedLib(art) {
-				score++
-			}
-		}
-		free := n.w.OS.Free().AvailableBytes
-		if score > bestScore || (score == bestScore && free > bestFree) {
-			best, bestScore, bestFree = n, score, free
-		}
+	var skip func(int) bool
+	if excludeHosting {
+		skip = func(i int) bool { return m.on(s.nodes[i]) != nil }
 	}
-	return best
+	i := PickNode(s.K.Nodes, m.artifacts, skip)
+	if i < 0 {
+		return nil
+	}
+	return s.nodes[i]
 }
 
-// place creates m's replica on n: compile through the node's shared cache,
-// pool, dispatcher, router shard, and the attachment that splits the pool's
-// charge into node-shared artifacts (SyncShared, one copy per node) and the
-// private remainder.
+// place creates m's replica on n — compiled through the node's shared cache,
+// built by NewReplica — and registers its dispatcher as a shard of the
+// node's router.
 func (s *Serving) place(m *moduleState, n *nodeState, replaced bool) (*replica, error) {
 	eng := engine.NewWithCache(s.cfg.Profile, n.cache)
 	if s.cfg.Telemetry != nil {
@@ -373,40 +353,17 @@ func (s *Serving) place(m *moduleState, n *nodeState, replaced bool) (*replica, 
 	if err != nil {
 		return nil, err
 	}
-	pool, err := serve.NewPool(eng, cm, serve.Config{Size: s.cfg.PoolSize, IdleTTL: s.cfg.IdleTTL})
-	if err != nil {
-		return nil, err
-	}
 	s.attSeq++
-	att, err := n.w.AttachWarmPool(fmt.Sprintf("%s-%d", m.name, s.attSeq))
+	rep, err := NewReplica(s.eng, eng, cm, n.w, fmt.Sprintf("%s-%d", m.name, s.attSeq),
+		serve.Config{Size: s.cfg.PoolSize, IdleTTL: s.cfg.IdleTTL}, s.cfg.Dispatcher, s.cfg.Telemetry)
 	if err != nil {
 		return nil, err
 	}
-	att.SetObserver(s.cfg.Telemetry)
-	pool.SetMemoryListener(func(total int64) {
-		var shared int64
-		for _, a := range pool.SharedArtifacts() {
-			att.SyncShared(a.Name, a.Bytes)
-			shared += a.Bytes
-		}
-		if total < shared {
-			total = shared // a just-published artifact the pool has not charged yet
-		}
-		att.Sync(total - shared)
-	})
-	att.SetDrainer(func() int { return pool.DrainIdle(s.eng.Now()) })
-	m.artifacts = m.artifacts[:0]
-	for _, a := range pool.SharedArtifacts() {
-		m.artifacts = append(m.artifacts, a.Name)
-	}
-	d := serve.NewDispatcher(s.eng, pool, s.cfg.Dispatcher)
-	if s.cfg.Telemetry != nil {
-		d.SetObserver(s.cfg.Telemetry)
-	}
-	if err := n.router.Register(m.name, m.name, d); err != nil {
+	m.artifacts = rep.Artifacts()
+	if err := n.router.Register(m.name, m.name, rep.disp); err != nil {
 		return nil, err
 	}
-	r := &replica{m: m, n: n, eng: eng, pool: pool, disp: d, att: att}
+	r := &replica{Replica: rep, m: m, n: n}
 	if s.cfg.Telemetry != nil {
 		r.obsRouted = s.cfg.Telemetry.Counter(
 			obs.Labeled2("cluster_routed_total", "module", m.name, "node", n.w.Name))
@@ -434,7 +391,7 @@ func (s *Serving) replicasOn(n *nodeState) []*replica {
 }
 
 // FailNode kills node idx fail-stop: the k8s node goes down, the node's
-// replicas drain (queued and in-flight requests finish, then the attachment
+// replicas Retire (queued and in-flight requests finish, then the attachment
 // detaches and the node's memory charge disappears), and every module whose
 // last replica died is immediately re-placed on a surviving node so traffic
 // re-routes without waiting for the next request.
@@ -443,14 +400,13 @@ func (s *Serving) FailNode(idx int) error {
 		return fmt.Errorf("cluster: FailNode: no node %d", idx)
 	}
 	n := s.nodes[idx]
-	if !n.alive {
+	if !n.w.Alive() {
 		return nil
 	}
-	n.alive = false
-	n.obsAlive.Set(0)
 	if err := s.K.FailNode(n.w.Name); err != nil {
 		return err
 	}
+	n.obsAlive.Set(0)
 	var lost []*moduleState
 	for _, name := range s.order {
 		m := s.modules[name]
@@ -464,7 +420,7 @@ func (s *Serving) FailNode(idx int) error {
 				break
 			}
 		}
-		s.drainReplica(r)
+		r.Retire()
 		if len(m.live) == 0 {
 			lost = append(lost, m)
 		}
@@ -480,27 +436,6 @@ func (s *Serving) FailNode(idx int) error {
 		}
 	}
 	return nil
-}
-
-// drainReplica retires one replica with connection-drain semantics: no new
-// work (the router no longer selects it), queued and in-flight requests run
-// to completion, then the pool's charge leaves the node.
-func (s *Serving) drainReplica(r *replica) {
-	r.disp.SetDraining(true)
-	pool, att, disp := r.pool, r.att, r.disp
-	finish := func() {
-		pool.SetMemoryListener(nil)
-		att.SetDrainer(nil)
-		att.Detach()
-	}
-	if disp.Quiesced() {
-		finish()
-		return
-	}
-	disp.SetQuiesceHook(func() {
-		disp.SetQuiesceHook(nil)
-		finish()
-	})
 }
 
 // MemoryPressure fires a memory-pressure episode on node idx, draining every
@@ -519,7 +454,7 @@ func (s *Serving) NodeCount() int { return len(s.nodes) }
 func (s *Serving) LiveNodes() int {
 	live := 0
 	for _, n := range s.nodes {
-		if n.alive {
+		if n.w.Alive() {
 			live++
 		}
 	}
@@ -528,7 +463,7 @@ func (s *Serving) LiveNodes() int {
 
 // NodeAlive reports node idx's liveness.
 func (s *Serving) NodeAlive(idx int) bool {
-	return idx >= 0 && idx < len(s.nodes) && s.nodes[idx].alive
+	return idx >= 0 && idx < len(s.nodes) && s.nodes[idx].w.Alive()
 }
 
 // RoutedByNode returns per-node routed-request counts, in node order.
@@ -651,7 +586,7 @@ func (s *Serving) ColdStarts() int64 {
 // placement minimizes (spread pays one copy of every artifact per node).
 func (s *Serving) SharedArtifactBytes() (bytes int64, copies int) {
 	for _, n := range s.nodes {
-		if !n.alive {
+		if !n.w.Alive() {
 			continue
 		}
 		for _, lib := range n.w.OS.SharedLibs() {
@@ -678,7 +613,7 @@ func (s *Serving) Quiesced() bool {
 // (live and retired), so the conservation identity spans failover.
 // Implements serve.MultiTarget.
 func (s *Serving) Stats() serve.RouterStats {
-	out := serve.RouterStats{Mode: serve.RouterSharded}
+	var out serve.RouterStats
 	for _, name := range s.order {
 		m := s.modules[name]
 		var st serve.DispatcherStats

@@ -392,9 +392,9 @@ func (t *Task) startRunwasi() (*TaskReport, error) {
 	podProc.MapShared(prof.ShimBinaryName, prof.ShimBinaryBytes)
 	// One node-wide copy of the compiled-module artifact and of the baseline
 	// memory image, shared by every shim running the same module digest.
-	podProc.MapShared(fmt.Sprintf("wasm-code:%x", cm.Digest[:8]), cm.CodeBytes())
+	podProc.MapShared(cm.ArtifactName(engine.ArtifactCode), cm.CodeBytes())
 	if b := cm.BaselineBytes(); b > 0 {
-		podProc.MapShared(fmt.Sprintf("wasm-data:%x", cm.Digest[:8]), b)
+		podProc.MapShared(cm.ArtifactName(engine.ArtifactData), b)
 	}
 	t.podProc = podProc
 

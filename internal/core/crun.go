@@ -218,9 +218,9 @@ func (c *Crun) startWasm(id string, ctr *oci.Container, cgPath string) (*oci.Sta
 	// same module charge the node one copy of compiled code. The baseline
 	// memory image (post-instantiation linear memory) is its data-side twin,
 	// mapped shared under the same digest.
-	proc.MapShared(fmt.Sprintf("wasm-code:%x", cm.Digest[:8]), cm.CodeBytes())
+	proc.MapShared(cm.ArtifactName(engine.ArtifactCode), cm.CodeBytes())
 	if b := cm.BaselineBytes(); b > 0 {
-		proc.MapShared(fmt.Sprintf("wasm-data:%x", cm.Digest[:8]), b)
+		proc.MapShared(cm.ArtifactName(engine.ArtifactData), b)
 	}
 	c.procs[id] = proc
 

@@ -312,6 +312,34 @@ type CompiledModule struct {
 	Code *exec.ModuleCode
 }
 
+// Artifact is one kind of node-shared, content-addressed read-only artifact
+// of a compiled module.
+type Artifact int
+
+// The three artifact kinds: compiled code, the baseline memory image, and
+// the tier-1 direct-threaded code.
+const (
+	ArtifactCode Artifact = iota
+	ArtifactData
+	ArtifactTier1
+)
+
+// artifactFormats is the one spelling of a shared artifact's name, indexed
+// by kind. Everything that maps, charges, or scores these artifacts on a
+// node keys them by ArtifactName, so the formats live nowhere else.
+var artifactFormats = [...]string{
+	ArtifactCode:  "wasm-code:%x",
+	ArtifactData:  "wasm-data:%x",
+	ArtifactTier1: "wasm-t1:%x",
+}
+
+// ArtifactName names the module's shared artifact of the given kind, keyed
+// by content digest like a shared library: a node maps one copy per name no
+// matter how many pools or container runtimes share the module.
+func (cm *CompiledModule) ArtifactName(kind Artifact) string {
+	return fmt.Sprintf(artifactFormats[kind], cm.Digest[:8])
+}
+
 // CodeBytes is the size of the compiled-code artifact: charged once per node
 // in the shared-code memory model, no matter how many instances run it.
 func (cm *CompiledModule) CodeBytes() int64 {

@@ -11,8 +11,9 @@
 // the wall clock, paces pending events against real time (configurable
 // dilation), and delivers each serve.RequestResult back to the blocked
 // handler. The bounded channel is the gateway's first backpressure stage:
-// when the loop cannot keep up, Submit fails fast with ErrBridgeBusy instead
-// of queueing unboundedly, and the HTTP layer maps that to 503 + Retry-After.
+// when the loop cannot keep up, SubmitRouted fails fast with ErrBridgeBusy
+// instead of queueing unboundedly, and the HTTP layer maps that to 503 +
+// Retry-After.
 package gateway
 
 import (
@@ -47,7 +48,7 @@ type BridgeConfig struct {
 	// bench harness use.
 	Dilation float64
 	// SubmitBuffer bounds the submission channel; 0 means 256. A full buffer
-	// fails Submit with ErrBridgeBusy.
+	// fails SubmitRouted with ErrBridgeBusy.
 	SubmitBuffer int
 	// Sampler, when set, is called on the loop goroutine with the virtual
 	// time about to become current — immediately before each event steps, so
@@ -65,7 +66,7 @@ type BridgeConfig struct {
 // submission is one handler-goroutine request waiting to enter the DES,
 // or (when run is set) a closure to execute on the loop goroutine. submit
 // runs inside a DES event at the request's virtual arrival time and hands
-// the request — dispatcher-direct or router-batched — its done callback.
+// the routed request its done callback.
 type submission struct {
 	submit func(done func(serve.RequestResult))
 	result chan serve.RequestResult // buffered(1): the loop never blocks
@@ -144,34 +145,18 @@ func (b *Bridge) InFlight() int {
 	return b.pending
 }
 
-// Submit carries one request into the DES world and blocks until its
-// RequestResult comes back (or ctx ends; the request still runs to
-// completion inside the simulation, its result is discarded). The returned
-// error is only a bridge-level refusal (ErrBridgeBusy, ErrBridgeDraining) or
-// ctx's error — dispatcher-level outcomes, including rejections, arrive
-// inside the RequestResult.
-func (b *Bridge) Submit(ctx context.Context, d *serve.Dispatcher, tid int64) (serve.RequestResult, error) {
-	return b.submit(ctx, func(done func(serve.RequestResult)) {
-		d.SubmitTID(tid, done)
-	})
-}
-
-// SubmitRouted is Submit through a serve.Router shard: the request joins
-// the shard's pending batch, so submissions injected within one DES event —
-// the greedy channel drain below makes concurrent arrivals land that way —
-// are admitted together by one batched pass. A key that matches no shard
-// comes back as a refused RequestResult carrying serve.ErrUnknownModule.
+// SubmitRouted carries one request into the DES world through a
+// serve.Router shard and blocks until its RequestResult comes back (or ctx
+// ends; the request still runs to completion inside the simulation, its
+// result is discarded). The request joins the shard's pending batch, so
+// submissions injected within one DES event — the greedy channel drain below
+// makes concurrent arrivals land that way — are admitted together by one
+// batched pass. The returned error is only a bridge-level refusal
+// (ErrBridgeBusy, ErrBridgeDraining) or ctx's error — dispatcher-level
+// outcomes, including rejections, arrive inside the RequestResult, and a key
+// that matches no shard comes back as a refused RequestResult carrying
+// serve.ErrUnknownModule.
 func (b *Bridge) SubmitRouted(ctx context.Context, rt *serve.Router, key string, tid int64) (serve.RequestResult, error) {
-	return b.submit(ctx, func(done func(serve.RequestResult)) {
-		if err := rt.Submit(key, tid, done); err != nil {
-			done(serve.RequestResult{Err: err})
-		}
-	})
-}
-
-// submit carries one request closure into the DES world and blocks until
-// its RequestResult comes back.
-func (b *Bridge) submit(ctx context.Context, fn func(done func(serve.RequestResult))) (serve.RequestResult, error) {
 	b.mu.Lock()
 	if b.draining {
 		b.mu.Unlock()
@@ -180,7 +165,14 @@ func (b *Bridge) submit(ctx context.Context, fn func(done func(serve.RequestResu
 	b.pending++
 	b.mu.Unlock()
 
-	sub := submission{submit: fn, result: make(chan serve.RequestResult, 1)}
+	sub := submission{
+		submit: func(done func(serve.RequestResult)) {
+			if err := rt.Submit(key, tid, done); err != nil {
+				done(serve.RequestResult{Err: err})
+			}
+		},
+		result: make(chan serve.RequestResult, 1),
+	}
 	select {
 	case b.subCh <- sub:
 	default:
@@ -200,7 +192,7 @@ func (b *Bridge) submit(ctx context.Context, fn func(done func(serve.RequestResu
 // and container endpoints) read or mutate simulation-side state without
 // violating the DES threading contract. Requires Start; after the loop has
 // exited, fn runs directly in the caller — the loop goroutine is gone, so
-// the caller is the only one left touching the engine. Unlike Submit, Do
+// the caller is the only one left touching the engine. Unlike SubmitRouted, Do
 // bypasses the draining gate: introspection stays available during a drain.
 func (b *Bridge) Do(ctx context.Context, fn func()) error {
 	done := make(chan struct{})

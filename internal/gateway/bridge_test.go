@@ -22,7 +22,7 @@ func TestBridgeBusy(t *testing.T) {
 		defer wg.Done()
 		// Occupies the one buffered slot, then blocks awaiting a result that
 		// never comes until ctx is canceled.
-		_, err := b.Submit(ctx, nil, 1)
+		_, err := b.SubmitRouted(ctx, nil, "k", 1)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("first submit err = %v, want context.Canceled", err)
 		}
@@ -35,7 +35,7 @@ func TestBridgeBusy(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	_, err := b.Submit(context.Background(), nil, 2)
+	_, err := b.SubmitRouted(context.Background(), nil, "k", 2)
 	if !errors.Is(err, ErrBridgeBusy) {
 		t.Fatalf("second submit err = %v, want ErrBridgeBusy", err)
 	}
@@ -43,7 +43,7 @@ func TestBridgeBusy(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBridgeDrainRefusesNew: after Drain begins, Submit is refused with
+// TestBridgeDrainRefusesNew: after Drain begins, SubmitRouted is refused with
 // ErrBridgeDraining before touching the channel.
 func TestBridgeDrainRefusesNew(t *testing.T) {
 	b := NewBridge(des.NewEngine(), BridgeConfig{})
@@ -51,7 +51,7 @@ func TestBridgeDrainRefusesNew(t *testing.T) {
 	if err := b.Drain(context.Background()); err != nil {
 		t.Fatalf("drain of idle bridge: %v", err)
 	}
-	_, err := b.Submit(context.Background(), nil, 1)
+	_, err := b.SubmitRouted(context.Background(), nil, "k", 1)
 	if !errors.Is(err, ErrBridgeDraining) {
 		t.Fatalf("submit err = %v, want ErrBridgeDraining", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	"wasmcontainers/internal/cluster"
 	"wasmcontainers/internal/serve"
 )
 
@@ -55,7 +56,7 @@ const defaultBusyRetry = 100 * time.Millisecond
 // (503, retry after the hinted cooldown) from deadline loss (504):
 //
 //	queue full / concurrency limit → 429 Too Many Requests
-//	breaker open / draining / bridge busy → 503 Service Unavailable
+//	breaker open / draining / bridge busy / no live node → 503 Service Unavailable
 //	queue expired / request timeout → 504 Gateway Timeout
 //	guest invoke failure → 500 Internal Server Error
 func MapError(err error, hints retryHints) ErrorMapping {
@@ -84,6 +85,10 @@ func MapError(err error, hints retryHints) ErrorMapping {
 		return ErrorMapping{http.StatusServiceUnavailable, "draining", 0}
 	case errors.Is(err, ErrBridgeBusy):
 		return ErrorMapping{http.StatusServiceUnavailable, "bridge_busy", defaultBusyRetry}
+	case errors.Is(err, cluster.ErrNoLiveNode):
+		// Node failure is fail-stop: there is nothing to wait for, so no
+		// Retry-After.
+		return ErrorMapping{http.StatusServiceUnavailable, "no_live_node", 0}
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		// The client went away mid-wait; the status is written into the void
 		// but keeps the access log honest.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"wasmcontainers/internal/cluster"
 	"wasmcontainers/internal/serve"
 )
 
@@ -48,6 +49,8 @@ func TestMapError(t *testing.T) {
 			http.StatusServiceUnavailable, "draining", 0},
 		{"bridge busy", ErrBridgeBusy, hints,
 			http.StatusServiceUnavailable, "bridge_busy", defaultBusyRetry},
+		{"no live node", fmt.Errorf("place f: %w", cluster.ErrNoLiveNode), hints,
+			http.StatusServiceUnavailable, "no_live_node", 0},
 		{"context canceled", context.Canceled, hints,
 			StatusClientClosedRequest, "client_closed_request", 0},
 		{"context deadline", context.DeadlineExceeded, hints,

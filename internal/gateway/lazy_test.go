@@ -102,9 +102,6 @@ func TestLazyFunctionCreation(t *testing.T) {
 	if st.Router.Shards != 2 {
 		t.Fatalf("cluster router shards = %d, want 2", st.Router.Shards)
 	}
-	if st.Router.Mode != "sharded" {
-		t.Fatalf("cluster router mode = %q", st.Router.Mode)
-	}
 	if st.Router.Batches == 0 || st.Router.BatchedRequests < 3 {
 		t.Fatalf("batch accounting empty: %+v", st.Router)
 	}

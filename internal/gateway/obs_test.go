@@ -361,8 +361,9 @@ func TestAccessLogFormats(t *testing.T) {
 	})
 }
 
-// TestSLOBurnRateOverHTTP drives an all-bad workload and asserts the page
-// alert is visible on every surface: /v1/slo, /v1/cluster, and /metrics.
+// TestSLOBurnRateOverHTTP walks the alert lifecycle over HTTP: healthy
+// traffic stays silent, an all-bad burst fires the page alert — visible on
+// every surface: /v1/slo, /v1/cluster, and /metrics — and recovery clears it.
 func TestSLOBurnRateOverHTTP(t *testing.T) {
 	fc := DefaultFunction()
 	fc.MaxRetries = 0
@@ -390,17 +391,35 @@ func TestSLOBurnRateOverHTTP(t *testing.T) {
 	fn, _ := gw.Function("request-handler")
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := gw.Bridge().Do(ctx, func() {
-		fn.Engine().SetFaultInjector(faults.New(faults.Config{Seed: 3, TrapRate: 1}))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		resp, _ := invoke(t, client, ts.URL+"/v1/functions/request-handler", nil)
-		if resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("invoke %d: status %d, want 500", i, resp.StatusCode)
+	// The injector is engine state, so arming it hops onto the bridge loop.
+	setFaults := func(in *faults.Injector) {
+		t.Helper()
+		if err := gw.Bridge().Do(ctx, func() { fn.Engine().SetFaultInjector(in) }); err != nil {
+			t.Fatal(err)
 		}
 	}
+	invokeN := func(n, want int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			resp, _ := invoke(t, client, ts.URL+"/v1/functions/request-handler", nil)
+			if resp.StatusCode != want {
+				t.Fatalf("invoke %d: status %d, want %d", i, resp.StatusCode, want)
+			}
+		}
+	}
+
+	// Healthy traffic stays silent: nothing firing, no alert ever transitioned.
+	invokeN(40, http.StatusOK)
+	for _, o := range gw.SLO().Status().Objectives {
+		for _, a := range o.Alerts {
+			if a.Firing || a.Transitions != 0 {
+				t.Fatalf("healthy traffic raised %s/%s: %+v", o.Name, a.Severity, a)
+			}
+		}
+	}
+
+	setFaults(faults.New(faults.Config{Seed: 3, TrapRate: 1}))
+	invokeN(40, http.StatusInternalServerError)
 
 	resp, body := get(t, client, ts.URL+"/v1/slo")
 	if resp.StatusCode != http.StatusOK {
@@ -438,6 +457,15 @@ func TestSLOBurnRateOverHTTP(t *testing.T) {
 	// And the burn-rate gauge reaches the Prometheus exposition.
 	if _, body := get(t, client, ts.URL+"/metrics"); !bytes.Contains(body, []byte("slo_burn_rate_milli")) {
 		t.Fatalf("/metrics lacks slo_burn_rate_milli:\n%s", body)
+	}
+
+	// Recovery clears the page once the short burn window goes clean.
+	setFaults(nil)
+	for i := 0; gw.SLO().Firing(slo.Page); i++ {
+		if i == 30 {
+			t.Fatalf("page alert never cleared after recovery: %+v", gw.SLO().Status())
+		}
+		invokeN(10, http.StatusOK)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"wasmcontainers/internal/cluster"
 	"wasmcontainers/internal/des"
 	"wasmcontainers/internal/engine"
 	"wasmcontainers/internal/k8s"
@@ -131,54 +132,33 @@ func DefaultSLOObjectives(target, latencyTarget float64, latencyThreshold time.D
 	}
 }
 
-// Function is one registered module: engine, pool, dispatcher, and the
-// node attachment charging pool memory to the simulated cluster. node and
-// att are rewritten when a node failure re-homes the function; both are
-// only touched on the bridge loop goroutine (or before Start).
+// Function is one registered module: its config, its router shard key, and
+// the cluster.Replica that owns the engine, pool, dispatcher and the node
+// attachment charging pool memory to the simulated cluster. The replica's
+// placement moves when a node failure re-homes the function; it is only
+// touched on the bridge loop goroutine (or before Start).
 type Function struct {
-	cfg  FunctionConfig
-	key  string // router shard key: the compiled module's content digest
-	eng  *engine.Engine
-	pool *serve.Pool
-	disp *serve.Dispatcher
-	att  *k8s.WarmPoolAttachment
-	node *k8s.WorkerNode
+	cfg FunctionConfig
+	key string // router shard key: the compiled module's content digest
+	rep *cluster.Replica
 }
 
 // Node names the cluster node currently charged for the function's pool.
-func (f *Function) Node() string { return f.node.Name }
-
-// syncMem pushes the pool's accounted memory to the current attachment,
-// splitting it into node-shared artifacts (code, baseline data image,
-// tier-1 code — charged once per node however many pools share them) and
-// the per-instance private remainder. Runs on the bridge loop via the
-// pool's memory listener.
-func (f *Function) syncMem(total int64) {
-	att := f.att
-	var shared int64
-	for _, a := range f.pool.SharedArtifacts() {
-		att.SyncShared(a.Name, a.Bytes)
-		shared += a.Bytes
-	}
-	if total < shared {
-		total = shared // an artifact published ahead of the pool's charge
-	}
-	att.Sync(total - shared)
-}
+func (f *Function) Node() string { return f.rep.Node().Name }
 
 // Dispatcher exposes the function's dispatcher (observer-safe accessors
 // only, per the DES threading contract).
-func (f *Function) Dispatcher() *serve.Dispatcher { return f.disp }
+func (f *Function) Dispatcher() *serve.Dispatcher { return f.rep.Dispatcher() }
 
 // Pool exposes the function's warm pool.
-func (f *Function) Pool() *serve.Pool { return f.pool }
+func (f *Function) Pool() *serve.Pool { return f.rep.Pool() }
 
 // Module names the function's workload module.
 func (f *Function) Module() string { return f.cfg.Module }
 
-// Engine exposes the function's wasm engine. Mutations (fault injection for
-// the slo smoke) must run on the bridge loop goroutine via Bridge.Do.
-func (f *Function) Engine() *engine.Engine { return f.eng }
+// Engine exposes the function's wasm engine. Mutations (fault injection in
+// tests) must run on the bridge loop goroutine via Bridge.Do.
+func (f *Function) Engine() *engine.Engine { return f.rep.Engine() }
 
 // Server is the gateway: it owns the simulated cluster (control plane, its
 // own DES engine driven synchronously under a mutex) and the serving bridge
@@ -220,8 +200,8 @@ type Server struct {
 	obsWindows    *obs.Counter
 }
 
-// New builds a gateway: simulated cluster, one engine+pool+dispatcher per
-// function (pool memory attached to cluster nodes round-robin), telemetry
+// New builds a gateway: simulated cluster, one cluster.Replica per function
+// (pool memory attached to the node artifact locality picks), telemetry
 // wired through every layer with the tracer on the serving DES clock. The
 // bridge loop is not yet running — call Start.
 func New(cfg Config) (*Server, error) {
@@ -236,11 +216,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ClusterNodes > 0 {
 		clusterCfg.NumNodes = cfg.ClusterNodes
 	}
-	cluster, err := k8s.NewCluster(clusterCfg)
+	kc, err := k8s.NewCluster(clusterCfg)
 	if err != nil {
 		return nil, err
 	}
-	cluster.SetObserver(tele)
+	kc.SetObserver(tele)
 
 	sim := des.NewEngine()
 	if tr := tele.Tracer(); tr != nil {
@@ -288,7 +268,7 @@ func New(cfg Config) (*Server, error) {
 		tele:       tele,
 		sim:        sim,
 		bridge:     NewBridge(sim, cfg.Bridge),
-		cluster:    cluster,
+		cluster:    kc,
 		router:     serve.NewRouter(sim, serve.RouterConfig{}),
 		containers: map[string]*k8s.Pod{},
 		started:    time.Now(),
@@ -342,8 +322,7 @@ func trackDefaultSeries(db *tsdb.DB, tele *obs.Telemetry) {
 }
 
 // addFunction builds one function, registers its dispatcher as a router
-// shard keyed by module digest, and publishes it in the snapshot map. The
-// node is chosen by artifact locality (see pickNode), not round-robin.
+// shard keyed by module digest, and publishes it in the snapshot map.
 // Serialized under regMu. With live set (lazy creation on a running
 // server), the engine/pool/attachment construction runs on the bridge loop
 // goroutine via Do, because pool pre-instantiation syncs node memory
@@ -369,7 +348,7 @@ func (s *Server) addFunction(ctx context.Context, fc FunctionConfig, live bool) 
 	if err != nil {
 		return nil, err
 	}
-	if err := s.router.Register(fn.key, fc.Module, fn.disp); err != nil {
+	if err := s.router.Register(fn.key, fc.Module, fn.Dispatcher()); err != nil {
 		return nil, err
 	}
 	next := make(map[string]*Function, len(old)+1)
@@ -381,36 +360,9 @@ func (s *Server) addFunction(ctx context.Context, fc FunctionConfig, live bool) 
 	return fn, nil
 }
 
-// pickNode scores live nodes for a module's shared artifacts: a node
-// already holding the module's wasm-code:/wasm-data: images beats an empty
-// one (the artifact is charged once per node, so stacking is free), free
-// memory breaks ties, and node order makes the choice deterministic.
-func (s *Server) pickNode(arts []string) (*k8s.WorkerNode, error) {
-	var best *k8s.WorkerNode
-	bestScore, bestFree := -1, int64(-1)
-	for _, n := range s.cluster.Nodes {
-		if !n.Alive() {
-			continue
-		}
-		score := 0
-		for _, a := range arts {
-			if n.OS.HasSharedLib(a) {
-				score++
-			}
-		}
-		free := n.OS.Free().AvailableBytes
-		if score > bestScore || (score == bestScore && free > bestFree) {
-			best, bestScore, bestFree = n, score, free
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("gateway: no live node to place on")
-	}
-	return best, nil
-}
-
 // newFunction wires one module end to end: compile, place by artifact
-// locality, warm pool, cluster memory attachment, dispatcher.
+// locality (cluster.PickNode), then the replica — warm pool, cluster memory
+// attachment, dispatcher.
 func (s *Server) newFunction(fc FunctionConfig) (*Function, error) {
 	if fc.Profile == "" {
 		fc.Profile = "wamr"
@@ -432,49 +384,34 @@ func (s *Server) newFunction(fc FunctionConfig) (*Function, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gateway: compile %s: %w", fc.Module, err)
 	}
-	node, err := s.pickNode([]string{
-		fmt.Sprintf("wasm-code:%x", cm.Digest[:8]),
-		fmt.Sprintf("wasm-data:%x", cm.Digest[:8]),
-		fmt.Sprintf("wasm-t1:%x", cm.Digest[:8]),
-	})
+	node := cluster.PickNode(s.cluster.Nodes, []string{
+		cm.ArtifactName(engine.ArtifactCode),
+		cm.ArtifactName(engine.ArtifactData),
+		cm.ArtifactName(engine.ArtifactTier1),
+	}, nil)
+	if node < 0 {
+		return nil, fmt.Errorf("gateway: place %s: %w", fc.Module, cluster.ErrNoLiveNode)
+	}
+	rep, err := cluster.NewReplica(s.sim, eng, cm, s.cluster.Nodes[node],
+		fmt.Sprintf("%s-%s", fc.Module, fc.Profile),
+		serve.Config{Size: fc.PoolSize, IdleTTL: fc.IdleTTL},
+		serve.DispatcherConfig{
+			MaxConcurrency:   fc.MaxConcurrency,
+			QueueDepth:       fc.QueueDepth,
+			Policy:           serve.PolicyQueue,
+			QueueDeadline:    fc.QueueDeadline,
+			Export:           fc.Export,
+			Arg:              fc.Arg,
+			MaxRetries:       fc.MaxRetries,
+			RetryBackoff:     fc.RetryBackoff,
+			RequestTimeout:   fc.RequestTimeout,
+			BreakerThreshold: fc.BreakerThreshold,
+			BreakerCooldown:  fc.BreakerCooldown,
+		}, s.tele)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("gateway: %s: %w", fc.Module, err)
 	}
-	pool, err := serve.NewPool(eng, cm, serve.Config{Size: fc.PoolSize, IdleTTL: fc.IdleTTL})
-	if err != nil {
-		return nil, fmt.Errorf("gateway: pool %s: %w", fc.Module, err)
-	}
-	att, err := node.AttachWarmPool(fmt.Sprintf("%s-%s", fc.Module, fc.Profile))
-	if err != nil {
-		return nil, err
-	}
-	att.SetObserver(s.tele)
-	disp := serve.NewDispatcher(s.sim, pool, serve.DispatcherConfig{
-		MaxConcurrency:   fc.MaxConcurrency,
-		QueueDepth:       fc.QueueDepth,
-		Policy:           serve.PolicyQueue,
-		QueueDeadline:    fc.QueueDeadline,
-		Export:           fc.Export,
-		Arg:              fc.Arg,
-		MaxRetries:       fc.MaxRetries,
-		RetryBackoff:     fc.RetryBackoff,
-		RequestTimeout:   fc.RequestTimeout,
-		BreakerThreshold: fc.BreakerThreshold,
-		BreakerCooldown:  fc.BreakerCooldown,
-	})
-	disp.SetObserver(s.tele)
-	fn := &Function{
-		cfg:  fc,
-		key:  fmt.Sprintf("%x", cm.Digest),
-		eng:  eng,
-		pool: pool,
-		disp: disp,
-		att:  att,
-		node: node,
-	}
-	pool.SetMemoryListener(fn.syncMem)
-	att.SetDrainer(func() int { return pool.DrainIdle(s.sim.Now()) })
-	return fn, nil
+	return &Function{cfg: fc, key: fmt.Sprintf("%x", cm.Digest), rep: rep}, nil
 }
 
 // Start launches the bridge event loop; the server is ready to serve once
@@ -698,8 +635,9 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Trace-Tid", fmt.Sprintf("%d", tid))
 	// Shard introspection for the access log: lock-free atomic reads, so
 	// sampling them per request cannot stall a dispatch burst.
-	w.Header().Set("X-Queue-Len", fmt.Sprintf("%d", fn.disp.QueueLen()))
-	w.Header().Set("X-In-Flight", fmt.Sprintf("%d", fn.disp.InFlight()))
+	disp := fn.Dispatcher()
+	w.Header().Set("X-Queue-Len", fmt.Sprintf("%d", disp.QueueLen()))
+	w.Header().Set("X-In-Flight", fmt.Sprintf("%d", disp.InFlight()))
 
 	res, err := s.bridge.SubmitRouted(r.Context(), s.router, fn.key, tid)
 	if err != nil {
@@ -823,17 +761,6 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.sloEng.Status())
 }
 
-// sharedArtifactBytes sums the pool's node-shared artifact sizes (charged
-// to the node once per artifact name, outside the attachment's private
-// charge).
-func sharedArtifactBytes(p *serve.Pool) int64 {
-	var total int64
-	for _, a := range p.SharedArtifacts() {
-		total += a.Bytes
-	}
-	return total
-}
-
 // NodeStatus is one node of GET /v1/cluster.
 type NodeStatus struct {
 	Name            string `json:"name"`
@@ -864,11 +791,10 @@ type FunctionStatus struct {
 
 // RouterStatus summarizes the sharded dispatch layer in GET /v1/cluster.
 type RouterStatus struct {
-	Mode            string `json:"mode"`
-	Shards          int    `json:"shards"`
-	Batches         int64  `json:"batches"`
-	BatchedRequests int64  `json:"batched_requests"`
-	MaxBatch        int64  `json:"max_batch"`
+	Shards          int   `json:"shards"`
+	Batches         int64 `json:"batches"`
+	BatchedRequests int64 `json:"batched_requests"`
+	MaxBatch        int64 `json:"max_batch"`
 }
 
 // ClusterStatus is the body of GET /v1/cluster.
@@ -913,28 +839,28 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		}
 		rs := s.router.Stats()
 		st.Router = RouterStatus{
-			Mode:            rs.Mode.String(),
 			Shards:          len(rs.Shards),
 			Batches:         rs.Batches,
 			BatchedRequests: rs.BatchedRequests,
 			MaxBatch:        rs.MaxBatch,
 		}
 		for _, fn := range *s.fns.Load() {
+			pool, disp := fn.Pool(), fn.Dispatcher()
 			st.Functions = append(st.Functions, FunctionStatus{
 				Module:          fn.cfg.Module,
 				Profile:         fn.cfg.Profile,
-				Node:            fn.node.Name,
+				Node:            fn.Node(),
 				PoolSize:        fn.cfg.PoolSize,
-				PoolIdle:        fn.pool.Idle(),
-				PoolLeased:      fn.pool.Leased(),
-				PoolMemoryBytes: fn.pool.MemoryBytes(),
-				ChargedBytes:    fn.att.ChargedBytes(),
-				SharedBytes:     sharedArtifactBytes(fn.pool),
-				QueueLen:        fn.disp.QueueLen(),
-				InFlight:        fn.disp.InFlight(),
-				Breaker:         fn.disp.BreakerState().String(),
-				Draining:        fn.disp.Draining(),
-				Stats:           fn.disp.Stats(),
+				PoolIdle:        pool.Idle(),
+				PoolLeased:      pool.Leased(),
+				PoolMemoryBytes: pool.MemoryBytes(),
+				ChargedBytes:    fn.rep.ChargedBytes(),
+				SharedBytes:     fn.rep.SharedBytes(),
+				QueueLen:        disp.QueueLen(),
+				InFlight:        disp.InFlight(),
+				Breaker:         disp.BreakerState().String(),
+				Draining:        disp.Draining(),
+				Stats:           disp.Stats(),
 			})
 		}
 	})
@@ -959,20 +885,23 @@ type NodeFailResponse struct {
 }
 
 // handleNodeFail kills one node fail-stop: the control plane marks it dead
-// and fails its pods, and every function charged to that node is re-homed —
-// a fresh warm-pool attachment on a surviving node picked by artifact
-// locality, the dead node's charge detached. The serving state (pool,
-// dispatcher, router shard) is untouched, so in-flight and subsequent
-// invokes keep completing across the failure; only the placement moves.
-// Idempotent: failing a dead node re-homes nothing and returns 200.
+// and fails its pods, and every function charged to that node is re-homed
+// (Replica.Rehome) to a surviving node picked by artifact locality. The
+// serving state (pool, dispatcher, router shard) is untouched, so in-flight
+// and subsequent invokes keep completing across the failure; only the
+// placement moves. Idempotent: failing a dead node re-homes nothing and
+// returns 200. An unknown node is 404; with no survivor to re-home to (the
+// last live node died) the answer is 503 no_live_node — the pools keep
+// serving, charged to the dead node.
 func (s *Server) handleNodeFail(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("node")
 	resp := NodeFailResponse{Node: name}
-	var failErr error
+	var unknownErr, rehomeErr error
 	err := s.bridge.Do(r.Context(), func() {
 		s.clusterMu.Lock()
 		defer s.clusterMu.Unlock()
-		if failErr = s.cluster.FailNode(name); failErr != nil {
+		// FailNode's only error is an unknown node name.
+		if unknownErr = s.cluster.FailNode(name); unknownErr != nil {
 			return
 		}
 		s.cluster.Run()
@@ -980,44 +909,33 @@ func (s *Server) handleNodeFail(w http.ResponseWriter, r *http.Request) {
 		fns := *s.fns.Load()
 		modules := make([]string, 0, len(fns))
 		for m, fn := range fns {
-			if fn.node.Name == name {
+			if fn.Node() == name {
 				modules = append(modules, m)
 			}
 		}
 		sort.Strings(modules)
 		for _, m := range modules {
-			fn := fns[m]
-			arts := make([]string, 0, 3)
-			for _, a := range fn.pool.SharedArtifacts() {
-				arts = append(arts, a.Name)
-			}
-			target, err := s.pickNode(arts)
-			if err != nil {
-				failErr = fmt.Errorf("gateway: re-home %s: %w", m, err)
+			rep := fns[m].rep
+			target := cluster.PickNode(s.cluster.Nodes, rep.Artifacts(), nil)
+			if target < 0 {
+				rehomeErr = fmt.Errorf("gateway: re-home %s: %w", m, cluster.ErrNoLiveNode)
 				return
 			}
-			att, err := target.AttachWarmPool(fmt.Sprintf("%s-%s", fn.cfg.Module, fn.cfg.Profile))
-			if err != nil {
-				failErr = fmt.Errorf("gateway: re-home %s: %w", m, err)
+			if err := rep.Rehome(s.cluster.Nodes[target]); err != nil {
+				rehomeErr = fmt.Errorf("gateway: re-home %s: %w", m, err)
 				return
 			}
-			att.SetObserver(s.tele)
-			old := fn.att
-			fn.att, fn.node = att, target
-			att.SetDrainer(func() int { return fn.pool.DrainIdle(s.sim.Now()) })
-			fn.syncMem(fn.pool.MemoryBytes())
-			old.SetDrainer(nil)
-			old.Detach()
 			resp.Rehomed = append(resp.Rehomed, m)
 		}
 	})
-	if err != nil {
+	switch {
+	case err != nil:
 		writeError(w, MapError(err, retryHints{}), err)
-		return
+	case unknownErr != nil:
+		writeError(w, ErrorMapping{http.StatusNotFound, "unknown_node", 0}, unknownErr)
+	case rehomeErr != nil:
+		writeError(w, MapError(rehomeErr, retryHints{}), rehomeErr)
+	default:
+		writeJSON(w, http.StatusOK, resp)
 	}
-	if failErr != nil {
-		writeError(w, ErrorMapping{http.StatusNotFound, "unknown_node", 0}, failErr)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

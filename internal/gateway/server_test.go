@@ -571,4 +571,51 @@ func TestNodeFailover(t *testing.T) {
 	if r4.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown node fail returned %d, want 404", r4.StatusCode)
 	}
+
+	// The one-node case — the daemon's default -nodes 1: failing the only live
+	// node is not "unknown node". There is no survivor to re-home to, so the
+	// fail call and a lazy create both answer 503 no_live_node, while the
+	// function already placed keeps serving from its pool.
+	t.Run("last node", func(t *testing.T) {
+		fc := DefaultFunction()
+		gw, err := New(Config{
+			Functions:    []FunctionConfig{fc},
+			LazyTemplate: &fc,
+			Bridge:       BridgeConfig{Dilation: 0},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gw.Start()
+		ts := httptest.NewServer(gw)
+		defer func() {
+			ts.Close()
+			gw.Bridge().Stop()
+		}()
+		client := ts.Client()
+		fn, _ := gw.Function(fc.Module)
+
+		wantNoLiveNode := func(what string, resp *http.Response, body []byte) {
+			t.Helper()
+			var e struct {
+				Error APIError `json:"error"`
+			}
+			if err := json.Unmarshal(body, &e); err != nil {
+				t.Fatalf("%s: decode envelope: %v: %s", what, err, body)
+			}
+			if resp.StatusCode != http.StatusServiceUnavailable || e.Error.Code != "no_live_node" {
+				t.Fatalf("%s: %d %q, want 503 no_live_node", what, resp.StatusCode, e.Error.Code)
+			}
+		}
+		// Twice: the second call finds the node already dead and must agree.
+		for i := 0; i < 2; i++ {
+			resp, body := invoke(t, client, ts.URL+"/v1/cluster/nodes/"+fn.Node()+"/fail", nil)
+			wantNoLiveNode(fmt.Sprintf("fail last node (call %d)", i), resp, body)
+		}
+		resp, body := invoke(t, client, ts.URL+"/v1/functions/request-handler-v1", nil)
+		wantNoLiveNode("lazy create", resp, body)
+		if resp, body := invoke(t, client, ts.URL+"/v1/functions/"+fc.Module, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("invoke on the surviving pool: %d: %s", resp.StatusCode, body)
+		}
+	})
 }

@@ -333,70 +333,20 @@ func (d *Dispatcher) SetObserver(t *obs.Telemetry) {
 	d.pool.SetObserver(t)
 }
 
-// Submit offers one request at the current simulated time. done runs exactly
-// once — immediately for rejections, at the simulated completion time
-// otherwise. done may be nil.
-func (d *Dispatcher) Submit(done func(RequestResult)) { d.SubmitTID(0, done) }
-
-// SubmitTID is Submit with an explicit trace track: spans of this request
-// carry tid instead of the dispatcher's own sequence number, so a front end
-// that assigns request IDs (the gateway's X-Request-Id) can correlate its
-// access log with the Chrome trace. tid 0 keeps the internal sequence.
-func (d *Dispatcher) SubmitTID(tid int64, done func(RequestResult)) {
-	if done == nil {
-		done = func(RequestResult) {}
-	}
-	now := d.eng.Now()
-	d.mu.Lock()
-	atomic.AddInt64(&d.stats.Submitted, 1)
-	d.obsSubmitted.Inc()
-	if d.draining.Load() {
-		atomic.AddInt64(&d.stats.Rejected, 1)
-		d.obsRejected.Inc()
-		d.mu.Unlock()
-		done(RequestResult{Err: ErrDraining})
-		return
-	}
-	// Lazy expiry at admission: drop dead queue heads before the depth
-	// check, so requests that already outlived QueueDeadline never hold a
-	// QueueDepth slot against fresh arrivals.
-	dead := d.expireHeadsLocked(now)
-	// Dispatch immediately only with free capacity, a willing breaker, and
-	// an empty queue (earlier arrivals keep FIFO priority).
-	if d.busy >= d.cfg.MaxConcurrency || !d.breakerReadyLocked() || len(d.queue) > 0 {
-		if d.cfg.Policy == PolicyQueue && len(d.queue) < d.cfg.QueueDepth {
-			d.queue = append(d.queue, queuedRequest{enqueued: now, tid: tid, done: done})
-			d.syncQueueLocked()
-			d.mu.Unlock()
-			finishAll(dead)
-			return
-		}
-		atomic.AddInt64(&d.stats.Rejected, 1)
-		d.obsRejected.Inc()
-		reason := ErrConcurrencyLimit
-		if d.cfg.Policy == PolicyQueue {
-			reason = ErrQueueFull
-		}
-		if !d.breakerReadyLocked() {
-			reason = ErrBreakerOpen
-			atomic.AddInt64(&d.stats.BreakerShortCircuits, 1)
-			d.obsShortCircuit.Inc()
-		}
-		d.mu.Unlock()
-		finishAll(dead)
-		done(RequestResult{Err: reason})
-		d.notifyQuiesced()
-		return
-	}
-	d.markProbeLocked()
-	d.mu.Unlock()
-	finishAll(dead)
-	d.start(done, 0, tid)
+// Submit offers one request at the current simulated time: a SubmitBatch of
+// one, so there is a single admission ladder. done runs exactly once —
+// immediately for rejections, at the simulated completion time otherwise.
+// done may be nil.
+func (d *Dispatcher) Submit(done func(RequestResult)) {
+	d.SubmitBatch([]BatchItem{{Done: done}})
 }
 
 // BatchItem is one request of a coalesced batch submission.
 type BatchItem struct {
-	// TID is the request's trace track; 0 keeps the internal sequence.
+	// TID is the request's trace track: spans of this request carry it, so a
+	// front end that assigns request IDs (the gateway's X-Request-Id) can
+	// correlate its access log with the Chrome trace. 0 keeps the
+	// dispatcher's internal sequence.
 	TID int64
 	// Done runs exactly once with the request's final outcome; may be nil.
 	Done func(RequestResult)
@@ -406,11 +356,11 @@ type BatchItem struct {
 // order, with the per-batch work amortized: the dispatcher lock is taken
 // once, the queue-deadline sweep runs once, and the submitted/queue-depth/
 // in-flight telemetry is recorded once for the whole batch instead of once
-// per request. Outcomes are the same as submitting the items one at a time
-// at the same instant, with one defined difference: admission decisions for
-// the whole batch are made before any attempt runs, so a synchronous
-// attempt failure (a cold-start fault opening the breaker) affects the next
-// batch, not later items of the same one. The router uses this to admit all
+// per request. This is the dispatcher's only admission ladder (Submit is a
+// batch of one), and its one ordering rule is that admission decisions for
+// the whole batch are made before any attempt runs: a synchronous attempt
+// failure (a cold-start fault opening the breaker) affects the next batch,
+// not later items of the same one. The router uses this to admit all
 // submissions that arrived within one DES event in a single pass.
 func (d *Dispatcher) SubmitBatch(items []BatchItem) {
 	if len(items) == 0 {

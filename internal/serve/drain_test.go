@@ -6,6 +6,7 @@ import (
 
 	"wasmcontainers/internal/des"
 	"wasmcontainers/internal/engine"
+	"wasmcontainers/internal/obs"
 )
 
 // TestDrainingRejectsNewWork: once SetDraining flips, every Submit is
@@ -103,22 +104,34 @@ func TestQuiesceHook(t *testing.T) {
 	}
 }
 
-// TestSubmitTIDFallback: tid 0 falls back to the internal sequence, so the
-// legacy Submit path keeps producing distinct span TIDs.
-func TestSubmitTIDFallback(t *testing.T) {
+// TestBatchItemTIDFallback: TID 0 falls back to the internal sequence, so
+// Submit (a batch of one with no TID) keeps producing distinct span tracks
+// next to explicitly numbered requests.
+func TestBatchItemTIDFallback(t *testing.T) {
 	pool := newTestPool(t, engine.WAMR, Config{Size: 1})
 	eng := des.NewEngine()
 	d := NewDispatcher(eng, pool, DispatcherConfig{MaxConcurrency: 2, Export: "handle"})
+	tele := obs.New(obs.Config{})
+	tele.Tracer().SetClock(func() int64 { return int64(eng.Now()) })
+	d.SetObserver(tele)
 
 	var errs []error
-	d.SubmitTID(0, func(r RequestResult) { errs = append(errs, r.Err) })
-	d.SubmitTID(42, func(r RequestResult) { errs = append(errs, r.Err) })
+	done := func(r RequestResult) { errs = append(errs, r.Err) }
+	d.SubmitBatch([]BatchItem{{Done: done}, {TID: 42, Done: done}})
 	eng.Run()
 	if len(errs) != 2 || errs[0] != nil || errs[1] != nil {
 		t.Fatalf("errs = %v, want two nils", errs)
 	}
-	st := d.Stats()
-	if st.Completed != 2 {
+	if st := d.Stats(); st.Completed != 2 {
 		t.Fatalf("completed = %d, want 2", st.Completed)
+	}
+	tids := map[int64]bool{}
+	for _, sp := range tele.Tracer().Spans() {
+		if sp.Name == "invoke" {
+			tids[sp.TID] = true
+		}
+	}
+	if !tids[1] || !tids[42] || len(tids) != 2 {
+		t.Fatalf("invoke span tracks = %v, want {1, 42}", tids)
 	}
 }

@@ -9,7 +9,6 @@
 package serve
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -471,17 +470,17 @@ type SharedArtifact struct {
 // been created.
 func (p *Pool) SharedArtifacts() []SharedArtifact {
 	arts := []SharedArtifact{
-		{Name: fmt.Sprintf("wasm-code:%x", p.cm.Digest[:8]), Bytes: p.cm.CodeBytes()},
+		{Name: p.cm.ArtifactName(engine.ArtifactCode), Bytes: p.cm.CodeBytes()},
 	}
 	if b := p.cm.BaselineBytes(); b > 0 {
 		arts = append(arts, SharedArtifact{
-			Name:  fmt.Sprintf("wasm-data:%x", p.cm.Digest[:8]),
+			Name:  p.cm.ArtifactName(engine.ArtifactData),
 			Bytes: b,
 		})
 	}
 	if b := p.cm.Tier1Bytes(); b > 0 {
 		arts = append(arts, SharedArtifact{
-			Name:  fmt.Sprintf("wasm-t1:%x", p.cm.Digest[:8]),
+			Name:  p.cm.ArtifactName(engine.ArtifactTier1),
 			Bytes: b,
 		})
 	}

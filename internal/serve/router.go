@@ -14,35 +14,10 @@ import (
 // shard. Detect it with errors.Is.
 var ErrUnknownModule = errors.New("serve: unknown module")
 
-// RouterMode selects the router's dispatch architecture.
-type RouterMode int
-
-const (
-	// RouterSharded is the production mode: per-module dispatchers behind a
-	// lock-free snapshot-map lookup, with submissions arriving within one
-	// DES event coalesced into per-shard batches (Dispatcher.SubmitBatch).
-	RouterSharded RouterMode = iota
-	// RouterSingleQueue is the pre-sharding baseline the shard ablation
-	// measures against: one global mutex serializes every submission and
-	// every Stats scrape, and each request pays full per-request admission —
-	// the "one mutex-guarded FIFO plus mutex introspection" architecture
-	// this router replaces.
-	RouterSingleQueue
-)
-
-// String names the mode for experiment tables.
-func (m RouterMode) String() string {
-	if m == RouterSingleQueue {
-		return "single-queue"
-	}
-	return "sharded"
-}
-
-// RouterConfig shapes one router.
-type RouterConfig struct {
-	// Mode selects sharded (default) or the single-queue baseline.
-	Mode RouterMode
-}
+// RouterConfig is NewRouter's (empty) configuration: the router has one
+// dispatch architecture — per-module shards, per-event batching — and
+// nothing to select. The type stays so NewRouter keeps its signature.
+type RouterConfig struct{}
 
 // shard is one registered module: its dispatcher plus the pending batch
 // being coalesced for the current DES event. pending and armed are touched
@@ -94,17 +69,11 @@ func (sh *shard) classify(r RequestResult) {
 // path.
 type Router struct {
 	eng *des.Engine
-	cfg RouterConfig
 
 	// shards is a copy-on-write snapshot map: lookups are one atomic load,
 	// registration (rare) copies under regMu and publishes a new map.
 	shards atomic.Pointer[map[string]*shard]
 	regMu  sync.Mutex
-
-	// globalMu is the RouterSingleQueue baseline's whole-router lock: held
-	// across every submission and every Stats scrape, it reproduces the
-	// contention profile of the pre-sharding single-FIFO dispatcher.
-	globalMu sync.Mutex
 
 	// Batch accounting (atomic: scraped by observers mid-run).
 	batches  atomic.Int64
@@ -118,15 +87,12 @@ type Router struct {
 }
 
 // NewRouter builds an empty router on eng.
-func NewRouter(eng *des.Engine, cfg RouterConfig) *Router {
-	r := &Router{eng: eng, cfg: cfg}
+func NewRouter(eng *des.Engine, _ RouterConfig) *Router {
+	r := &Router{eng: eng}
 	empty := map[string]*shard{}
 	r.shards.Store(&empty)
 	return r
 }
-
-// Mode returns the router's dispatch architecture.
-func (r *Router) Mode() RouterMode { return r.cfg.Mode }
 
 // SetObserver wires telemetry: aggregate batch counters plus, for every
 // shard registered from now on, per-module labeled outcome counters
@@ -188,13 +154,11 @@ func (r *Router) Lookup(key string) (*Dispatcher, bool) {
 
 // Submit routes one request to its shard at the current simulated time.
 // Must run on the DES goroutine (typically from inside a DES event — the
-// gateway bridge injects submissions that way). In sharded mode the request
-// joins the shard's pending batch and a flush event armed at the current
-// instant admits the whole batch once every same-instant arrival has been
-// appended; in single-queue mode it pays full per-request admission under
-// the global lock. done may be nil; it runs exactly once with the final
-// outcome. The only error is ErrUnknownModule, reported synchronously
-// before done could run.
+// gateway bridge injects submissions that way). The request joins the
+// shard's pending batch and a flush event armed at the current instant
+// admits the whole batch once every same-instant arrival has been appended.
+// done may be nil; it runs exactly once with the final outcome. The only
+// error is ErrUnknownModule, reported synchronously before done could run.
 func (r *Router) Submit(key string, tid int64, done func(RequestResult)) error {
 	return r.SubmitBatch(key, []BatchItem{{TID: tid, Done: done}})
 }
@@ -221,14 +185,6 @@ func (r *Router) SubmitBatch(key string, items []BatchItem) error {
 				}
 			}
 		}
-	}
-	if r.cfg.Mode == RouterSingleQueue {
-		r.globalMu.Lock()
-		for _, it := range items {
-			sh.d.SubmitTID(it.TID, it.Done)
-		}
-		r.globalMu.Unlock()
-		return nil
 	}
 	sh.pending = append(sh.pending, items...)
 	if !sh.armed {
@@ -281,7 +237,6 @@ func (s ShardStats) IdentityHolds() bool {
 // RouterStats is the router's introspection snapshot: per-shard outcome
 // counters plus their aggregate and the batch accounting.
 type RouterStats struct {
-	Mode            RouterMode
 	Shards          []ShardStats
 	Aggregate       DispatcherStats
 	Batches         int64
@@ -302,18 +257,11 @@ func (s RouterStats) IdentityHolds() bool {
 }
 
 // Stats snapshots every shard (sorted by module, then key, for
-// deterministic output) and the aggregate counters. In sharded mode the
-// scrape is lock-free end to end: an atomic map load plus the dispatchers'
-// atomic accessors. In single-queue mode it takes the global lock, exactly
-// like the pre-sharding introspection it models.
+// deterministic output) and the aggregate counters. The scrape is lock-free
+// end to end: an atomic map load plus the dispatchers' atomic accessors.
 func (r *Router) Stats() RouterStats {
-	if r.cfg.Mode == RouterSingleQueue {
-		r.globalMu.Lock()
-		defer r.globalMu.Unlock()
-	}
 	shards := *r.shards.Load()
 	out := RouterStats{
-		Mode:            r.cfg.Mode,
 		Shards:          make([]ShardStats, 0, len(shards)),
 		Batches:         r.batches.Load(),
 		BatchedRequests: r.batched.Load(),
@@ -350,15 +298,9 @@ func (r *Router) Stats() RouterStats {
 
 // ShardLoad is the hot-path introspection read: one shard's queue length
 // and in-flight count, the numbers the gateway stamps on every response
-// (X-Queue-Len, X-In-Flight). In sharded mode it is lock-free end to end —
-// an atomic map load plus two atomic counter reads. In single-queue mode it
-// takes the global lock, reproducing the pre-sharding cost where every
-// per-request introspection read serialized against admission.
+// (X-Queue-Len, X-In-Flight). Lock-free end to end — an atomic map load
+// plus two atomic counter reads.
 func (r *Router) ShardLoad(key string) (queueLen, inFlight int, ok bool) {
-	if r.cfg.Mode == RouterSingleQueue {
-		r.globalMu.Lock()
-		defer r.globalMu.Unlock()
-	}
 	sh, found := (*r.shards.Load())[key]
 	if !found {
 		return 0, 0, false

@@ -12,12 +12,44 @@ import (
 	"wasmcontainers/internal/workloads"
 )
 
+// RouterMode selects which admission path a test router's Submit takes.
+type RouterMode int
+
+const (
+	// RouterSharded is the router as shipped: per-shard batches flushed once
+	// per DES event.
+	RouterSharded RouterMode = iota
+	// RouterSingleQueue is the reference the batching semantics are checked
+	// against: no coalescing, one Dispatcher.Submit per request in arrival
+	// order, rebuilt here from Router.Lookup.
+	RouterSingleQueue
+)
+
+// testRouter is a Router whose Submit bypasses batching in
+// RouterSingleQueue mode; every other method is the router's own.
+type testRouter struct {
+	*Router
+	mode RouterMode
+}
+
+func (r *testRouter) Submit(key string, tid int64, done func(RequestResult)) error {
+	if r.mode == RouterSharded {
+		return r.Router.Submit(key, tid, done)
+	}
+	d, ok := r.Lookup(key)
+	if !ok {
+		return ErrUnknownModule
+	}
+	d.SubmitBatch([]BatchItem{{TID: tid, Done: done}})
+	return nil
+}
+
 // newTestRouter builds a router with n handler-variant shards (one
 // dispatcher + single-instance warm pool each) on a fresh DES engine.
-func newTestRouter(t *testing.T, mode RouterMode, n int, dcfg DispatcherConfig) (*des.Engine, *Router, []string) {
+func newTestRouter(t *testing.T, mode RouterMode, n int, dcfg DispatcherConfig) (*des.Engine, *testRouter, []string) {
 	t.Helper()
 	sim := des.NewEngine()
-	rt := NewRouter(sim, RouterConfig{Mode: mode})
+	rt := &testRouter{Router: NewRouter(sim, RouterConfig{}), mode: mode}
 	eng := engine.New(engine.WAMR)
 	seen := map[[32]byte]string{}
 	modules := make([]string, 0, n)
