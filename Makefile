@@ -27,7 +27,9 @@ race:
 
 # Telemetry overhead gate: the per-request instrumentation sequence with
 # telemetry disabled must not allocate. The anchored grep keeps "240
-# allocs/op" from matching "0 allocs/op".
+# allocs/op" from matching "0 allocs/op". The last leg pins the accounting
+# side of the same request: splitting a replica's charge into shared and
+# private on every memory event allocates nothing.
 obs-overhead:
 	@out=$$($(GO) test -run NONE -bench BenchmarkInvokeTelemetryDisabled \
 		-benchmem -benchtime 10000x ./internal/obs/); \
@@ -40,6 +42,7 @@ obs-overhead:
 	n=$$(echo "$$out" | grep -cE '[[:space:]]0 allocs/op'); \
 	if [ "$$n" -ne 2 ]; then \
 		echo "obs-overhead: tsdb sample path allocates"; exit 1; fi
+	$(GO) test -count=1 -run 'TestReplicaRequestAllocs$$' ./internal/cluster
 
 # SLO smoke: the alert lifecycle over HTTP at dilation 0 — healthy traffic
 # stays silent, a 100% trap-rate fault burst fires the availability page
@@ -82,17 +85,20 @@ cluster-smoke:
 	$(GO) test -count=1 -run 'TestNodeFailover$$' ./internal/gateway
 
 # Byte-stability gate for the pure-virtual-clock experiments: regenerate them
-# into a temp dir and cmp against the committed results/. A refactor of the
-# serving path that moves any of these bytes changed behaviour, not just code.
-RESULTS_CHECK_FILES = serve.txt \
-	faults.txt faults.csv faults.json \
-	cluster.txt cluster.csv cluster.json \
-	slo.txt slo.csv slo.json \
-	tiers.txt tiers.csv tiers.json
+# into a temp dir and cmp against the committed results/ — the paper's own
+# tables, figures and ablations (what crun/containerd map per container) and
+# the serving-plane experiments. A refactor that moves any of these bytes
+# changed behaviour, not just code. serve.csv/.json are left out: they carry
+# the wall-clock telemetry snapshot.
+PAPER_EXPERIMENTS = table1 table2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 \
+	ablation-dynload ablation-shim ablation-mode ablation-density \
+	ablation-multitenant startup-distribution
+SERVING_EXPERIMENTS = faults cluster slo tiers
+RESULTS_CHECK_FILES = serve.txt $(foreach e,$(PAPER_EXPERIMENTS) $(SERVING_EXPERIMENTS),$(e).txt $(e).csv $(e).json)
 results-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/continuum" ./cmd/continuum && \
-	for e in serve faults cluster slo tiers; do \
+	for e in serve $(PAPER_EXPERIMENTS) $(SERVING_EXPERIMENTS); do \
 		"$$tmp/continuum" -exp $$e -outdir "$$tmp" > /dev/null || exit 1; done && \
 	for f in $(RESULTS_CHECK_FILES); do \
 		cmp "$$tmp/$$f" "results/$$f" || exit 1; done && \

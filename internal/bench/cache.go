@@ -75,7 +75,7 @@ func AblationModuleCache() (*Table, error) {
 
 		cs := metrics.Summarize(cold)
 		ws := metrics.Summarize(cached)
-		codeKiB := float64(cm.CodeBytes()) / 1024
+		codeKiB := float64(cm.Code.CodeBytes()) / 1024
 		t.Rows = append(t.Rows, []string{
 			p.Name,
 			fmt.Sprintf("%.1f", cs.P50),

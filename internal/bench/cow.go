@@ -74,11 +74,11 @@ func AblationCoW() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			baseline := pool.SharedBaselineBytes()
+			baseline := cm.Code.BaselineBytes()
 
 			// Per-instance accounted bytes under CoW: total minus the shared
 			// artifacts, over the instance count.
-			perNew := (pool.MemoryBytes() - pool.SharedCodeBytes() - baseline) / int64(density)
+			perNew := (pool.MemoryBytes() - cm.Code.CodeBytes() - baseline) / int64(density)
 			// The snapshot-era instance privately held its whole linear
 			// memory plus a same-sized reset snapshot on top of engine state.
 			perOld := perNew + 2*baseline

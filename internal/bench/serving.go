@@ -30,11 +30,10 @@ type ServingMeasurement struct {
 	// right after pool creation: pooled instances occupy node memory before
 	// a single request arrives, exactly like idle pods in the density runs.
 	PoolKubeletMiB float64
-	// TierUps counts tier-0 -> tier-1 lowerings over the run (0 or 1 per
-	// module) and Tier1Bytes the artifact still published at the end.
-	TierUps    uint64
+	// Tier1Bytes is the tier-1 artifact the run published (0: never tiered
+	// up).
 	Tier1Bytes int64
-	// CacheStats is the engine module cache's final kind-split counters.
+	// CacheStats is the engine module cache's final counters.
 	CacheStats cache.Stats
 }
 
@@ -118,8 +117,7 @@ func MeasureServingTiered(p engine.Profile, poolSize int, ratePerSec float64, wi
 		RatePerSec:     ratePerSec,
 		Report:         rep,
 		PoolKubeletMiB: kubeletMiB,
-		TierUps:        cm.Code.TierUps(),
-		Tier1Bytes:     cm.Tier1Bytes(),
+		Tier1Bytes:     cm.Code.Tier1Bytes(),
 		CacheStats:     eng.CacheStats(),
 	}, nil
 }

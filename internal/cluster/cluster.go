@@ -136,7 +136,7 @@ type nodeState struct {
 type moduleState struct {
 	name      string
 	bin       []byte
-	artifacts []string
+	artifacts []engine.SharedArtifact
 	live      []*replica
 	all       []*replica
 }
@@ -359,7 +359,8 @@ func (s *Serving) place(m *moduleState, n *nodeState, replaced bool) (*replica, 
 	if err != nil {
 		return nil, err
 	}
-	m.artifacts = rep.Artifacts()
+	arts := rep.pool.SharedArtifacts()
+	m.artifacts = arts[:]
 	if err := n.router.Register(m.name, m.name, rep.disp); err != nil {
 		return nil, err
 	}

@@ -24,10 +24,12 @@ type Replica struct {
 	tele *obs.Telemetry
 
 	// name is the attachment name (cgroup /kubepods/warmpool-<name>); node
-	// and att are rewritten by Rehome.
-	name string
-	node *k8s.WorkerNode
-	att  *k8s.WarmPoolAttachment
+	// and att are rewritten by Rehome. mapped is the shared-artifact sum
+	// already mapped through att.
+	name   string
+	node   *k8s.WorkerNode
+	att    *k8s.WarmPoolAttachment
+	mapped int64
 }
 
 // NewReplica builds a replica of the compiled module on node: warm pool on
@@ -59,25 +61,31 @@ func (r *Replica) attach(node *k8s.WorkerNode) error {
 	}
 	att.SetObserver(r.tele)
 	att.SetDrainer(r.drainIdle)
-	r.node, r.att = node, att
+	r.node, r.att, r.mapped = node, att, 0
 	return nil
 }
 
 // syncCharge is the pool's memory listener: it splits the pool's accounted
 // bytes into node-shared artifacts (mapped once per node however many pools
 // share them) and the per-instance private remainder on the current
-// attachment. It runs with the pool lock held on every accounted-memory
-// change, so it must not call back into the locked pool surface.
+// attachment. Artifacts are write-once, so the shared mappings are touched
+// only when their sum grew or the attachment is new. It runs with the pool
+// lock held on every accounted-memory change, so it must not call back into
+// the locked pool surface.
 func (r *Replica) syncCharge(total int64) {
-	var shared int64
-	for _, a := range r.pool.SharedArtifacts() {
-		r.att.SyncShared(a.Name, a.Bytes)
-		shared += a.Bytes
-	}
-	if total < shared {
-		total = shared // an artifact published ahead of the pool's charge
+	arts := r.pool.SharedArtifacts()
+	shared := sumBytes(arts)
+	if shared != r.mapped {
+		for _, a := range arts {
+			r.att.SyncShared(a.Name, a.Bytes)
+		}
+		r.mapped = shared
 	}
 	r.att.Sync(total - shared)
+}
+
+func sumBytes(arts [3]engine.SharedArtifact) int64 {
+	return arts[0].Bytes + arts[1].Bytes + arts[2].Bytes
 }
 
 // drainIdle is the attachment's memory-pressure response.
@@ -135,24 +143,7 @@ func (r *Replica) ChargedBytes() int64 { return r.att.ChargedBytes() }
 
 // SharedBytes sums the replica's node-shared artifact sizes (charged to the
 // node once per artifact name, outside ChargedBytes).
-func (r *Replica) SharedBytes() int64 {
-	var total int64
-	for _, a := range r.pool.SharedArtifacts() {
-		total += a.Bytes
-	}
-	return total
-}
-
-// Artifacts names the replica's node-shared artifacts — the names PickNode
-// scores candidate nodes by.
-func (r *Replica) Artifacts() []string {
-	arts := r.pool.SharedArtifacts()
-	names := make([]string, len(arts))
-	for i, a := range arts {
-		names[i] = a.Name
-	}
-	return names
-}
+func (r *Replica) SharedBytes() int64 { return sumBytes(r.pool.SharedArtifacts()) }
 
 // PickNode scores live nodes for a module's shared artifacts and returns the
 // best one's index, or -1 when no candidate is alive: a node already holding
@@ -160,7 +151,7 @@ func (r *Replica) Artifacts() []string {
 // so stacking replicas is free), free memory breaks ties, and node order
 // makes the choice deterministic. skip, when non-nil, excludes candidates by
 // index.
-func PickNode(nodes []*k8s.WorkerNode, artifacts []string, skip func(i int) bool) int {
+func PickNode(nodes []*k8s.WorkerNode, artifacts []engine.SharedArtifact, skip func(i int) bool) int {
 	best, bestScore, bestFree := -1, -1, int64(-1)
 	for i, n := range nodes {
 		if !n.Alive() || (skip != nil && skip(i)) {
@@ -168,7 +159,7 @@ func PickNode(nodes []*k8s.WorkerNode, artifacts []string, skip func(i int) bool
 		}
 		score := 0
 		for _, a := range artifacts {
-			if n.OS.HasSharedLib(a) {
+			if n.OS.HasSharedLib(a.Name) {
 				score++
 			}
 		}

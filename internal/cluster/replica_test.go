@@ -11,6 +11,7 @@ import (
 	"wasmcontainers/internal/serve"
 	"wasmcontainers/internal/simos"
 	"wasmcontainers/internal/wasm/cache"
+	"wasmcontainers/internal/wasm/exec"
 	"wasmcontainers/internal/workloads"
 )
 
@@ -20,14 +21,19 @@ import (
 // exactly one copy of each shared artifact plus every hosted replica's
 // private remainder. A node a replica left is back at its pre-attach figure.
 // The second row stacks two replicas of one module on one node: the shared
-// artifacts must still be charged once.
+// artifacts must still be charged once. The third serves enough requests for
+// the default hotness policy to tier up mid-traffic: wasm-t1 joins the serving
+// node's mappings once, and Rehome re-maps all three artifacts on the target.
 func TestReplicaChargeLifecycle(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		replicas int
+		invokes  int // per replica per traffic step
+		tierUp   bool
 	}{
-		{"one replica", 1},
-		{"two replicas of one module on one node", 2},
+		{"one replica", 1, 3, false},
+		{"two replicas of one module on one node", 2, 3, false},
+		{"tier-up mid-traffic under the hotness policy", 1, 10, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			kc := k8s.DefaultClusterConfig()
@@ -80,8 +86,10 @@ func TestReplicaChargeLifecycle(t *testing.T) {
 					}
 					if i == 0 {
 						for _, a := range r.Pool().SharedArtifacts() {
-							want[a.Name] = simos.RoundPages(a.Bytes)
-							wantUsed += want[a.Name]
+							if a.Bytes > 0 {
+								want[a.Name] = simos.RoundPages(a.Bytes)
+								wantUsed += want[a.Name]
+							}
 						}
 					}
 					private := simos.RoundPages(r.Pool().MemoryBytes() - r.SharedBytes())
@@ -108,7 +116,7 @@ func TestReplicaChargeLifecycle(t *testing.T) {
 				t.Helper()
 				completed := 0
 				for _, r := range reps {
-					for i := 0; i < 3; i++ {
+					for i := 0; i < tc.invokes; i++ {
 						r.Dispatcher().Submit(func(res serve.RequestResult) {
 							if res.Err == nil {
 								completed++
@@ -117,7 +125,7 @@ func TestReplicaChargeLifecycle(t *testing.T) {
 					}
 				}
 				sim.Run()
-				if want := 3 * len(reps); completed != want {
+				if want := tc.invokes * len(reps); completed != want {
 					t.Fatalf("%s: %d of %d invokes completed", step, completed, want)
 				}
 			}
@@ -126,6 +134,9 @@ func TestReplicaChargeLifecycle(t *testing.T) {
 			check("build", dst, idle[1], nil)
 			invokeAll("invoke")
 			check("invoke", src, idle[0], reps)
+			if t1 := reps[0].Pool().SharedArtifacts()[engine.ArtifactTier1]; (t1.Bytes > 0) != tc.tierUp {
+				t.Fatalf("after traffic %s is %d bytes, want tiered up = %v", t1.Name, t1.Bytes, tc.tierUp)
+			}
 
 			for i, r := range reps {
 				if err := r.Rehome(dst); err != nil {
@@ -148,5 +159,52 @@ func TestReplicaChargeLifecycle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReplicaRequestAllocs pins the request path's accounting cost: after
+// tier-up, Acquire -> Invoke -> Release on a real Replica fires the memory
+// listener twice, and with the artifact names formatted once at Compile and
+// the shared mappings touched only when they grow, splitting the charge
+// allocates nothing — what remains is the invoke's own argument and result
+// slices.
+func TestReplicaRequestAllocs(t *testing.T) {
+	k, err := k8s.NewCluster(k8s.DefaultClusterConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err := workloads.Binary("request-handler")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(engine.WAMR)
+	cm, err := eng.Compile(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReplica(k.Engine, eng, cm, k.Nodes[0], "request-handler",
+		serve.Config{Size: 1}, serve.DispatcherConfig{MaxConcurrency: 1, Export: "handle"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := r.Pool()
+	request := func() {
+		wi, ok := pool.Acquire(0)
+		if !ok {
+			t.Fatal("pool dry")
+		}
+		if _, err := wi.Invoke("handle", exec.I32(64)); err != nil {
+			t.Fatal(err)
+		}
+		pool.Release(wi, 0)
+	}
+	for i := 0; i < 16; i++ {
+		request()
+	}
+	if pool.SharedArtifacts()[engine.ArtifactTier1].Bytes <= 0 {
+		t.Fatal("hotness policy did not tier up")
+	}
+	if got := testing.AllocsPerRun(200, request); got > 4 {
+		t.Fatalf("%.0f allocs per request, want <= 4", got)
 	}
 }

@@ -391,10 +391,13 @@ func (t *Task) startRunwasi() (*TaskReport, error) {
 	}
 	podProc.MapShared(prof.ShimBinaryName, prof.ShimBinaryBytes)
 	// One node-wide copy of the compiled-module artifact and of the baseline
-	// memory image, shared by every shim running the same module digest.
-	podProc.MapShared(cm.ArtifactName(engine.ArtifactCode), cm.CodeBytes())
-	if b := cm.BaselineBytes(); b > 0 {
-		podProc.MapShared(cm.ArtifactName(engine.ArtifactData), b)
+	// memory image, shared by every shim running the same module digest
+	// (tier-1 code is a warm-pool artifact, as in core/crun).
+	arts := cm.SharedArtifacts()
+	for _, a := range arts[:engine.ArtifactTier1] {
+		if a.Bytes > 0 {
+			podProc.MapShared(a.Name, a.Bytes)
+		}
 	}
 	t.podProc = podProc
 

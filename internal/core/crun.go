@@ -217,10 +217,14 @@ func (c *Crun) startWasm(id string, ctr *oci.Container, cgPath string) (*oci.Sta
 	// like the engine library it is mapped shared: N containers running the
 	// same module charge the node one copy of compiled code. The baseline
 	// memory image (post-instantiation linear memory) is its data-side twin,
-	// mapped shared under the same digest.
-	proc.MapShared(cm.ArtifactName(engine.ArtifactCode), cm.CodeBytes())
-	if b := cm.BaselineBytes(); b > 0 {
-		proc.MapShared(cm.ArtifactName(engine.ArtifactData), b)
+	// mapped shared under the same digest. A container runs its command
+	// once, so it maps what it started from; tier-1 code is charged by the
+	// long-lived warm pools that earn it.
+	arts := cm.SharedArtifacts()
+	for _, a := range arts[:engine.ArtifactTier1] {
+		if a.Bytes > 0 {
+			proc.MapShared(a.Name, a.Bytes)
+		}
 	}
 	c.procs[id] = proc
 

@@ -13,6 +13,7 @@
 package engine
 
 import (
+	"encoding/hex"
 	"fmt"
 	"time"
 
@@ -245,13 +246,6 @@ type Engine struct {
 // Prometheus dump. Pass nil to disable (the default).
 func (e *Engine) SetObserver(t *obs.Telemetry) {
 	e.obs = t
-	if t == nil {
-		e.obsInstantiates, e.obsInvokes, e.obsTraps = nil, nil, nil
-		e.obsInstWallNs, e.obsInvokeInstr, e.obsTracer = nil, nil, nil
-		e.obsTierUps, e.obsInvokeNsT0, e.obsInvokeNsT1 = nil, nil, nil
-		e.modCache.SetObserver(nil)
-		return
-	}
 	label := func(name string) string { return obs.Labeled(name, "engine", e.Profile.Name) }
 	e.obsInstantiates = t.Counter(label("engine_instantiates_total"))
 	e.obsInstWallNs = t.Histogram(label("engine_instantiate_wall_ns"))
@@ -300,9 +294,9 @@ func (e *Engine) TierPolicy() exec.TierPolicy { return e.tierPolicy }
 // CacheStats reports the module cache's counters.
 func (e *Engine) CacheStats() cache.Stats { return e.modCache.Stats() }
 
-// CompiledModule is a loaded, validated, and lowered module. The Code
-// artifact is immutable and typically shared with every other holder of the
-// same binary digest.
+// CompiledModule is a loaded, validated, and lowered module; Compile is its
+// only constructor. The Code artifact is typically shared with every other
+// holder of the same binary digest.
 type CompiledModule struct {
 	Module  *wasm.Module
 	BinSize int
@@ -310,74 +304,62 @@ type CompiledModule struct {
 	Digest cache.Digest
 	// Code holds the precompiled function bodies, shared by reference.
 	Code *exec.ModuleCode
+
+	// names are the module's shared-artifact names in SharedArtifacts order.
+	names [3]string
 }
 
-// Artifact is one kind of node-shared, content-addressed read-only artifact
-// of a compiled module.
-type Artifact int
+// SharedArtifact is one node-shared, content-addressed read-only artifact of
+// a compiled module, keyed by digest like a shared library: a node maps one
+// copy per Name no matter how many pools or container runtimes share the
+// module.
+type SharedArtifact struct {
+	Name  string
+	Bytes int64
+}
 
-// The three artifact kinds: compiled code, the baseline memory image, and
-// the tier-1 direct-threaded code.
+// Indexes into SharedArtifacts, in publication order.
 const (
-	ArtifactCode Artifact = iota
+	ArtifactCode = iota
 	ArtifactData
 	ArtifactTier1
 )
 
-// artifactFormats is the one spelling of a shared artifact's name, indexed
-// by kind. Everything that maps, charges, or scores these artifacts on a
-// node keys them by ArtifactName, so the formats live nowhere else.
-var artifactFormats = [...]string{
-	ArtifactCode:  "wasm-code:%x",
-	ArtifactData:  "wasm-data:%x",
-	ArtifactTier1: "wasm-t1:%x",
+// artifactNames is the one spelling of a module's shared-artifact names.
+// Everything that maps, charges, or scores these artifacts on a node gets
+// them from SharedArtifacts, so the formats live nowhere else. Compile runs
+// once per container start, so the three names share one allocation.
+func artifactNames(d cache.Digest) [3]string {
+	const code, data, t1 = "wasm-code:", "wasm-data:", "wasm-t1:"
+	var id [16]byte
+	hex.Encode(id[:], d[:8])
+	s := code + string(id[:]) + data + string(id[:]) + t1 + string(id[:])
+	i, j := len(code)+len(id), len(code)+len(data)+2*len(id)
+	return [3]string{ArtifactCode: s[:i], ArtifactData: s[i:j], ArtifactTier1: s[j:]}
 }
 
-// ArtifactName names the module's shared artifact of the given kind, keyed
-// by content digest like a shared library: a node maps one copy per name no
-// matter how many pools or container runtimes share the module.
-func (cm *CompiledModule) ArtifactName(kind Artifact) string {
-	return fmt.Sprintf(artifactFormats[kind], cm.Digest[:8])
-}
-
-// CodeBytes is the size of the compiled-code artifact: charged once per node
-// in the shared-code memory model, no matter how many instances run it.
-func (cm *CompiledModule) CodeBytes() int64 {
-	if cm.Code == nil {
-		return 0
+// SharedArtifacts is the one enumeration of what a compiled module shares
+// per node: compiled code, the baseline memory image (captured by the first
+// instantiate), and the tier-1 direct-threaded code (lowered at tier-up), in
+// that order. Each is write-once — Bytes is 0 until the artifact is published
+// and never changes afterwards — so the memory model charges each once per
+// node and only the private remainder per instance. Lock-free and
+// allocation-free.
+func (cm *CompiledModule) SharedArtifacts() [3]SharedArtifact {
+	return [3]SharedArtifact{
+		ArtifactCode:  {cm.names[ArtifactCode], cm.Code.CodeBytes()},
+		ArtifactData:  {cm.names[ArtifactData], cm.Code.BaselineBytes()},
+		ArtifactTier1: {cm.names[ArtifactTier1], cm.Code.Tier1Bytes()},
 	}
-	return cm.Code.CodeBytes()
-}
-
-// Tier1Bytes is the size of the tier-1 direct-threaded artifact currently
-// published for this module (0 before tier-up and after an eviction-driven
-// drop). Like CodeBytes it is charged once per node regardless of instance
-// count.
-func (cm *CompiledModule) Tier1Bytes() int64 {
-	if cm.Code == nil {
-		return 0
-	}
-	return cm.Code.Tier1Bytes()
-}
-
-// BaselineBytes is the size of the module's shared baseline memory image
-// (post-instantiation linear memory, captured from the first instance): like
-// CodeBytes, charged once per node no matter how many instances diverge from
-// it. Zero until something has been instantiated.
-func (cm *CompiledModule) BaselineBytes() int64 {
-	if cm.Code == nil {
-		return 0
-	}
-	return cm.Code.BaselineBytes()
 }
 
 // Compile decodes, validates, and lowers a binary module through the
 // engine's content-addressed cache: recompiling a binary the engine (or a
 // cache-sharing peer) has seen before is a cache hit and costs no work.
 // The engine's tier policy is installed on the compiled code, with a tier-up
-// listener that records the tier-1 artifact in the module cache (charged once
-// per node, LRU-evictable beside the module). Under the eager policy the
-// tier-1 body is lowered right here rather than on hotness.
+// listener that adds the tier-1 artifact to the module's cache charge. Under
+// the eager policy the tier-1 body is lowered right here rather than on
+// hotness.
 func (e *Engine) Compile(bin []byte) (*CompiledModule, error) {
 	ent, err := e.modCache.Load(bin)
 	if err != nil {
@@ -389,6 +371,7 @@ func (e *Engine) Compile(bin []byte) (*CompiledModule, error) {
 		BinSize: int(ent.BinSize),
 		Digest:  ent.Digest,
 		Code:    ent.Code,
+		names:   artifactNames(ent.Digest),
 	}, nil
 }
 
@@ -396,9 +379,6 @@ func (e *Engine) Compile(bin []byte) (*CompiledModule, error) {
 // entry and hooks tier-up into cache accounting and telemetry.
 func (e *Engine) installTierHooks(ent *cache.Entry) {
 	mc := ent.Code
-	if mc == nil {
-		return
-	}
 	mc.SetTierPolicy(e.tierPolicy)
 	c := e.modCache
 	mc.SetTierUpListener(func(tc *exec.Tier1Code, lowered time.Duration) {
@@ -412,7 +392,7 @@ func (e *Engine) installTierHooks(ent *cache.Entry) {
 				obs.I64("tier1_bytes", tc.Bytes()),
 				obs.I64("lower_wall_ns", lowered.Nanoseconds()))
 		}
-	}, nil)
+	})
 	if e.tierPolicy.Mode == exec.TierModeEager {
 		mc.EnsureTier1()
 	}
@@ -425,7 +405,7 @@ type RunResult struct {
 	GuestMemoryBytes int64
 	// GuestPrivateBytes is the linear memory the run actually dirtied: the
 	// copy-on-write private cost, with the clean remainder aliasing the
-	// module's shared baseline image (CompiledModule.BaselineBytes).
+	// module's shared baseline image.
 	GuestPrivateBytes int64
 	// SimulatedExecTime converts executed instructions to engine CPU time.
 	SimulatedExecTime time.Duration
@@ -441,14 +421,7 @@ func (e *Engine) Run(cm *CompiledModule, cfg wasi.Config) (RunResult, error) {
 	if e.obsTracer != nil {
 		spanStart = e.obsTracer.Now()
 	}
-	store := exec.NewStore(exec.Config{})
-	var res wasi.RunResult
-	var err error
-	if cm.Code != nil {
-		res, err = w.RunModule(store, cm.Code)
-	} else {
-		res, err = w.Run(store, cm.Module)
-	}
+	res, err := w.RunModule(exec.NewStore(exec.Config{}), cm.Code)
 	if err != nil {
 		return RunResult{}, fmt.Errorf("%s: %w", e.Profile.Name, err)
 	}
@@ -535,13 +508,7 @@ func (e *Engine) Instantiate(cm *CompiledModule) (*Instance, error) {
 		wallStart = time.Now()
 	}
 	store := exec.NewStore(exec.Config{})
-	var inst *exec.Instance
-	var err error
-	if cm.Code != nil {
-		inst, err = store.InstantiateCompiled(cm.Code, "")
-	} else {
-		inst, err = store.Instantiate(cm.Module, "")
-	}
+	inst, err := store.InstantiateCompiled(cm.Code, "")
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", e.Profile.Name, err)
 	}
@@ -560,13 +527,11 @@ func (e *Engine) Instantiate(cm *CompiledModule) (*Instance, error) {
 	}
 	// Copy-on-write setup: the first instance of a digest donates its
 	// post-instantiation memory as the shared baseline image; later instances
-	// attach the same image by reference and are charged only dirty pages.
-	// Without a shared artifact (no precompiled code) the instance still
-	// captures a private baseline so ResetToBaseline works uniformly.
-	if m := inst.Memory(); m != nil {
-		if cm.Code == nil || cm.Code.EnsureBaseline(m) == nil {
-			m.CaptureBaseline()
-		}
+	// attach the same image by reference and are charged only dirty pages. A
+	// memory the shared image no longer fits captures a private baseline so
+	// ResetToBaseline works uniformly.
+	if m := inst.Memory(); m != nil && cm.Code.EnsureBaseline(m) == nil {
+		m.CaptureBaseline()
 	}
 	return &Instance{e: e, store: store, inst: inst}, nil
 }
@@ -656,7 +621,7 @@ func (i *Instance) GuestMemoryBytes() int64 {
 // PrivateMemoryBytes is the instance's copy-on-write private linear-memory
 // cost: the pages it has dirtied since instantiation or the last reset. The
 // baseline image the clean pages alias is accounted separately, once per
-// module (CompiledModule.BaselineBytes).
+// module (CompiledModule.SharedArtifacts).
 func (i *Instance) PrivateMemoryBytes() int64 {
 	if m := i.inst.Memory(); m != nil {
 		return m.PrivateBytes()

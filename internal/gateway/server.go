@@ -384,11 +384,8 @@ func (s *Server) newFunction(fc FunctionConfig) (*Function, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gateway: compile %s: %w", fc.Module, err)
 	}
-	node := cluster.PickNode(s.cluster.Nodes, []string{
-		cm.ArtifactName(engine.ArtifactCode),
-		cm.ArtifactName(engine.ArtifactData),
-		cm.ArtifactName(engine.ArtifactTier1),
-	}, nil)
+	arts := cm.SharedArtifacts()
+	node := cluster.PickNode(s.cluster.Nodes, arts[:], nil)
 	if node < 0 {
 		return nil, fmt.Errorf("gateway: place %s: %w", fc.Module, cluster.ErrNoLiveNode)
 	}
@@ -916,7 +913,8 @@ func (s *Server) handleNodeFail(w http.ResponseWriter, r *http.Request) {
 		sort.Strings(modules)
 		for _, m := range modules {
 			rep := fns[m].rep
-			target := cluster.PickNode(s.cluster.Nodes, rep.Artifacts(), nil)
+			arts := rep.Pool().SharedArtifacts()
+			target := cluster.PickNode(s.cluster.Nodes, arts[:], nil)
 			if target < 0 {
 				rehomeErr = fmt.Errorf("gateway: re-home %s: %w", m, cluster.ErrNoLiveNode)
 				return

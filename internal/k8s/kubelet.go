@@ -87,10 +87,6 @@ type Kubelet struct {
 // gauge refreshed from the simulated node's beyond-idle memory at every pod
 // transition. Pass nil to disable (the default).
 func (k *Kubelet) SetObserver(t *obs.Telemetry) {
-	if t == nil {
-		k.obsPods, k.obsStarted, k.obsFailed, k.obsNodeMemory = nil, nil, nil, nil
-		return
-	}
 	node := k.node.Config().Name
 	k.obsPods = t.Gauge(obs.Labeled("kubelet_managed_pods", "node", node))
 	k.obsStarted = t.Counter(obs.Labeled("kubelet_pods_started_total", "node", node))

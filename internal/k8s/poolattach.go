@@ -45,12 +45,9 @@ func (n *WorkerNode) AttachWarmPool(name string) (*WarmPoolAttachment, error) {
 
 // SetObserver wires a warmpool_charged_bytes{pool=...} gauge tracking the
 // private bytes the attachment currently carries in the node's cgroup
-// hierarchy. Pass nil to disable (the default).
+// hierarchy, and a warmpool_pressure_evictions_total{pool=...} counter of
+// instances given up to pressure drains. Pass nil to disable (the default).
 func (a *WarmPoolAttachment) SetObserver(t *obs.Telemetry) {
-	if t == nil {
-		a.obsCharged = nil
-		return
-	}
 	a.obsCharged = t.Gauge(obs.Labeled("warmpool_charged_bytes", "pool", a.name))
 	a.obsCharged.Set(a.charged)
 	a.obsPressure = t.Counter(obs.Labeled("warmpool_pressure_evictions_total", "pool", a.name))

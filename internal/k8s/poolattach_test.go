@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wasmcontainers/internal/engine"
+	"wasmcontainers/internal/obs"
 	"wasmcontainers/internal/serve"
 	"wasmcontainers/internal/simos"
 	"wasmcontainers/internal/wasm/exec"
@@ -110,16 +111,10 @@ func TestWarmPoolSharedArtifactsCountedOncePerNode(t *testing.T) {
 
 	pool1, att1 := newAttachedPool("gw1")
 	arts := pool1.SharedArtifacts()
-	if len(arts) != 2 {
-		t.Fatalf("shared artifacts = %d, want code + baseline", len(arts))
+	if arts[engine.ArtifactCode].Bytes <= 0 || arts[engine.ArtifactData].Bytes <= 0 || arts[engine.ArtifactTier1].Bytes != 0 {
+		t.Fatalf("shared artifacts = %v, want code + baseline and no tier-1 yet", arts)
 	}
-	var sharedBytes int64
-	for _, a := range arts {
-		if a.Bytes <= 0 {
-			t.Fatalf("artifact %s has %d bytes", a.Name, a.Bytes)
-		}
-		sharedBytes += simos.RoundPages(a.Bytes)
-	}
+	sharedBytes := simos.RoundPages(arts[engine.ArtifactCode].Bytes) + simos.RoundPages(arts[engine.ArtifactData].Bytes)
 	used1 := node.OS.UsedBeyondIdle()
 	if used1 < sharedBytes+att1.ChargedBytes() {
 		t.Fatalf("free vantage %d misses artifacts (%d shared + %d private)",
@@ -156,7 +151,8 @@ func TestTier1ArtifactSharedOncePerNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cm.Tier1Bytes() <= 0 {
+	t1Bytes := cm.Code.Tier1Bytes()
+	if t1Bytes <= 0 {
 		t.Fatal("eager policy did not publish a tier-1 artifact")
 	}
 
@@ -170,23 +166,13 @@ func TestTier1ArtifactSharedOncePerNode(t *testing.T) {
 			t.Fatal(err)
 		}
 		arts := pool.SharedArtifacts()
-		if len(arts) != 3 {
-			t.Fatalf("shared artifacts = %v, want code + baseline + tier-1", arts)
+		if t1 := arts[engine.ArtifactTier1]; !strings.HasPrefix(t1.Name, "wasm-t1:") || t1.Bytes != t1Bytes {
+			t.Fatalf("shared artifacts = %v, want a %d-byte wasm-t1 after code + baseline", arts, t1Bytes)
 		}
-		sawT1 := false
 		var shared int64
 		for _, art := range arts {
-			if strings.HasPrefix(art.Name, "wasm-t1:") {
-				sawT1 = true
-				if art.Bytes != cm.Tier1Bytes() {
-					t.Fatalf("tier-1 artifact %d bytes, want %d", art.Bytes, cm.Tier1Bytes())
-				}
-			}
 			att.SyncShared(art.Name, art.Bytes)
 			shared += art.Bytes
-		}
-		if !sawT1 {
-			t.Fatalf("no wasm-t1 artifact in %v", arts)
 		}
 		att.Sync(pool.MemoryBytes() - shared)
 		return att
@@ -270,5 +256,47 @@ func TestWarmPoolAttachmentPageRounding(t *testing.T) {
 	att.Sync(0)
 	if got := att.ChargedBytes(); got != 0 {
 		t.Fatalf("charged %d after sync to zero", got)
+	}
+}
+
+// TestObserverHandlesFollowTelemetry: SetObserver resolves every handle from
+// the telemetry it is given — no hand-kept list beside it to drift. The
+// engine's cache exports the modcache_tier1_bytes gauge as soon as an eager
+// compile publishes the artifact, and an attachment whose observer was set
+// back to nil stops counting pressure evictions.
+func TestObserverHandlesFollowTelemetry(t *testing.T) {
+	tele := obs.New(obs.Config{})
+	eng := engine.New(engine.WAMR)
+	eng.SetObserver(tele)
+	eng.SetTierPolicy(exec.TierPolicy{Mode: exec.TierModeEager})
+	bin, err := workloads.Binary("request-handler")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := eng.Compile(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tele.Gauge("modcache_tier1_bytes").Value(), cm.Code.Tier1Bytes(); got != want || want <= 0 {
+		t.Fatalf("modcache_tier1_bytes = %d, want the published artifact's %d > 0", got, want)
+	}
+
+	c := newTestCluster(t)
+	att, err := c.Nodes[0].AttachWarmPool("gw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer att.Detach()
+	att.SetDrainer(func() int { return 3 })
+	evictions := tele.Counter(obs.Labeled("warmpool_pressure_evictions_total", "pool", "gw"))
+	att.SetObserver(tele)
+	att.Drain()
+	if got := evictions.Value(); got != 3 {
+		t.Fatalf("pressure evictions = %d with telemetry on, want 3", got)
+	}
+	att.SetObserver(nil)
+	att.Drain()
+	if got := evictions.Value(); got != 3 {
+		t.Fatalf("pressure evictions = %d after SetObserver(nil), want still 3", got)
 	}
 }

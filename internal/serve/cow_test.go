@@ -182,8 +182,8 @@ func TestPoolConcurrentSharedBaselineIsolation(t *testing.T) {
 	if n := bad.Load(); n != 0 {
 		t.Fatalf("%d requests observed foreign or stale dirty pages", n)
 	}
-	if pool.SharedBaselineBytes() != 4*64*1024 {
-		t.Fatalf("shared baseline = %d, want 4 pages", pool.SharedBaselineBytes())
+	if got := pool.SharedArtifacts()[engine.ArtifactData].Bytes; got != 4*64*1024 {
+		t.Fatalf("shared baseline = %d, want 4 pages", got)
 	}
 	// Every release copied back exactly the two dirtied pages.
 	if st := pool.Stats(); st.ResetPages != 2*goroutines*iterations {

@@ -304,31 +304,22 @@ func NewDispatcher(eng *des.Engine, pool *Pool, cfg DispatcherConfig) *Dispatche
 func (d *Dispatcher) SetObserver(t *obs.Telemetry) {
 	d.mu.Lock()
 	d.tele = t
-	if t == nil {
-		d.obsSubmitted, d.obsCompleted, d.obsRejected = nil, nil, nil
-		d.obsExpired, d.obsFailed = nil, nil
-		d.obsRetries, d.obsTimedOut, d.obsShortCircuit = nil, nil, nil
-		d.obsBreakerTrans, d.obsBreakerState = nil, nil
-		d.obsQueueDepth, d.obsInFlight = nil, nil
-		d.obsLatencyNs, d.obsQueueWaitNs, d.obsTracer = nil, nil, nil
-	} else {
-		d.obsSubmitted = t.Counter("dispatch_submitted_total")
-		d.obsCompleted = t.Counter("dispatch_completed_total")
-		d.obsRejected = t.Counter("dispatch_rejected_total")
-		d.obsExpired = t.Counter("dispatch_expired_total")
-		d.obsFailed = t.Counter("dispatch_failed_total")
-		d.obsRetries = t.Counter("dispatch_retries_total")
-		d.obsTimedOut = t.Counter("dispatch_timeouts_total")
-		d.obsShortCircuit = t.Counter("dispatch_breaker_short_circuits_total")
-		d.obsBreakerTrans = t.Counter("dispatch_breaker_transitions_total")
-		d.obsBreakerState = t.Gauge("dispatch_breaker_state")
-		d.obsQueueDepth = t.Gauge("dispatch_queue_depth")
-		d.obsInFlight = t.Gauge("dispatch_in_flight")
-		d.obsLatencyNs = t.Histogram("dispatch_latency_ns")
-		d.obsQueueWaitNs = t.Histogram("dispatch_queue_wait_ns")
-		d.obsTracer = t.Tracer()
-		d.obsBreakerState.Set(int64(d.brk))
-	}
+	d.obsSubmitted = t.Counter("dispatch_submitted_total")
+	d.obsCompleted = t.Counter("dispatch_completed_total")
+	d.obsRejected = t.Counter("dispatch_rejected_total")
+	d.obsExpired = t.Counter("dispatch_expired_total")
+	d.obsFailed = t.Counter("dispatch_failed_total")
+	d.obsRetries = t.Counter("dispatch_retries_total")
+	d.obsTimedOut = t.Counter("dispatch_timeouts_total")
+	d.obsShortCircuit = t.Counter("dispatch_breaker_short_circuits_total")
+	d.obsBreakerTrans = t.Counter("dispatch_breaker_transitions_total")
+	d.obsBreakerState = t.Gauge("dispatch_breaker_state")
+	d.obsQueueDepth = t.Gauge("dispatch_queue_depth")
+	d.obsInFlight = t.Gauge("dispatch_in_flight")
+	d.obsLatencyNs = t.Histogram("dispatch_latency_ns")
+	d.obsQueueWaitNs = t.Histogram("dispatch_queue_wait_ns")
+	d.obsTracer = t.Tracer()
+	d.obsBreakerState.Set(int64(d.brk))
 	d.mu.Unlock()
 	d.pool.SetObserver(t)
 }

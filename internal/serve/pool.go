@@ -10,6 +10,7 @@ package serve
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wasmcontainers/internal/des"
@@ -88,15 +89,13 @@ type Pool struct {
 	memBytes  int64
 	highWater int64
 	onMem     func(int64)
-	// baselineBytes is the one accounted copy of the shared baseline memory
-	// image, charged when the first instance captures it (0 until then — a
-	// cold-only pool that never instantiates charges no guest memory at all).
-	baselineBytes int64
-	// tier1Bytes is the one accounted copy of the tier-1 direct-threaded
-	// artifact, synced against the module's currently published artifact at
-	// instance creation and release: it appears after hotness tier-up and
-	// disappears again if cache pressure evicts the artifact.
-	tier1Bytes int64
+	// shared is the pool's charged view of cm.SharedArtifacts(): the bytes
+	// of each write-once artifact already in memBytes (code from the start,
+	// the baseline image once a first instance captured it — a cold-only
+	// pool that never instantiates charges no guest memory at all — and
+	// tier-1 code after tier-up). Written under mu; atomic so the memory
+	// listener (lock held) and outside observers read it without locking.
+	shared [3]atomic.Int64
 
 	stats Stats
 
@@ -123,13 +122,6 @@ type Pool struct {
 func (p *Pool) SetObserver(t *obs.Telemetry) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if t == nil {
-		p.obsWarmHits, p.obsColdStarts, p.obsRecycled = nil, nil, nil
-		p.obsDiscarded, p.obsEvicted = nil, nil
-		p.obsIdle, p.obsLeased, p.obsMemBytes = nil, nil, nil
-		p.obsResetPages, p.obsTracer = nil, nil
-		return
-	}
 	p.obsWarmHits = t.Counter("pool_warm_hits_total")
 	p.obsColdStarts = t.Counter("pool_cold_starts_total")
 	p.obsRecycled = t.Counter("pool_recycled_total")
@@ -156,7 +148,7 @@ func (p *Pool) SetObserver(t *obs.Telemetry) {
 func NewPool(eng *engine.Engine, cm *engine.CompiledModule, cfg Config) (*Pool, error) {
 	p := &Pool{eng: eng, cm: cm, cfg: cfg}
 	p.mu.Lock()
-	p.addMemLocked(cm.CodeBytes())
+	p.syncSharedLocked()
 	p.mu.Unlock()
 	for i := 0; i < cfg.Size; i++ {
 		wi, err := p.newInstance(false)
@@ -234,24 +226,23 @@ func (p *Pool) newInstance(cold bool) (*WarmInstance, error) {
 		cold:      cold,
 	}
 	p.mu.Lock()
-	if b := p.cm.BaselineBytes(); b > p.baselineBytes {
-		p.addMemLocked(b - p.baselineBytes)
-		p.baselineBytes = b
-	}
-	p.syncTier1Locked()
+	p.syncSharedLocked()
 	p.addMemLocked(wi.footprint)
 	p.mu.Unlock()
 	return wi, nil
 }
 
-// syncTier1Locked reconciles the pool's one-per-node tier-1 artifact charge
-// with what the module currently publishes: a tier-up charges the artifact
-// once (no matter how many instances pick it up), a cache-pressure drop
-// releases it.
-func (p *Pool) syncTier1Locked() {
-	if b := p.cm.Tier1Bytes(); b != p.tier1Bytes {
-		p.addMemLocked(b - p.tier1Bytes)
-		p.tier1Bytes = b
+// syncSharedLocked is the one place shared artifacts enter pool memory: it
+// charges whatever the module has published since the last look, once per
+// artifact no matter how many instances pick it up. Artifacts are write-once,
+// so the charge only ever grows.
+func (p *Pool) syncSharedLocked() {
+	var grown int64
+	for i, a := range p.cm.SharedArtifacts() {
+		grown += a.Bytes - p.shared[i].Swap(a.Bytes)
+	}
+	if grown != 0 {
+		p.addMemLocked(grown)
 	}
 }
 
@@ -331,7 +322,7 @@ func (p *Pool) Release(wi *WarmInstance, now des.Time) {
 	resetPages := wi.inst.ResetToBaseline()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.syncTier1Locked()
+	p.syncSharedLocked()
 	p.stats.ResetPages += int64(resetPages)
 	p.obsResetPages.Record(int64(resetPages))
 	if p.obsTracer != nil {
@@ -432,57 +423,17 @@ func (p *Pool) Leased() int {
 	return p.leased
 }
 
-// SharedCodeBytes is the one accounted copy of the compiled-module artifact
-// all pool instances share.
-func (p *Pool) SharedCodeBytes() int64 { return p.cm.CodeBytes() }
-
-// SharedBaselineBytes is the one accounted copy of the baseline memory image
-// all pool instances alias; 0 until a first instance has captured it.
-func (p *Pool) SharedBaselineBytes() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.baselineBytes
-}
-
-// SharedTier1Bytes is the one accounted copy of the tier-1 artifact all pool
-// instances share; 0 until hotness tier-up (and again after a cache-pressure
-// drop).
-func (p *Pool) SharedTier1Bytes() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.syncTier1Locked()
-	return p.tier1Bytes
-}
-
-// SharedArtifact names one node-shareable read-only artifact of the pool's
-// module, keyed by content digest like a shared library: compiled code as
-// wasm-code:<digest>, the baseline memory image as wasm-data:<digest>, and
-// the tier-1 direct-threaded code as wasm-t1:<digest>.
-// internal/k8s maps these as shared mappings so several pools (or container
-// runtimes) of one module on a node account each artifact once.
-type SharedArtifact struct {
-	Name  string
-	Bytes int64
-}
-
-// SharedArtifacts lists the pool's digest-keyed shared artifacts with their
-// current accounted sizes. The baseline entry appears once an instance has
-// been created.
-func (p *Pool) SharedArtifacts() []SharedArtifact {
-	arts := []SharedArtifact{
-		{Name: p.cm.ArtifactName(engine.ArtifactCode), Bytes: p.cm.CodeBytes()},
-	}
-	if b := p.cm.BaselineBytes(); b > 0 {
-		arts = append(arts, SharedArtifact{
-			Name:  p.cm.ArtifactName(engine.ArtifactData),
-			Bytes: b,
-		})
-	}
-	if b := p.cm.Tier1Bytes(); b > 0 {
-		arts = append(arts, SharedArtifact{
-			Name:  p.cm.ArtifactName(engine.ArtifactTier1),
-			Bytes: b,
-		})
+// SharedArtifacts is the pool's charged view of its module's node-shared
+// artifacts (engine.CompiledModule.SharedArtifacts): the same names, with the
+// bytes the pool has already folded into MemoryBytes — so a memory listener
+// can split every total it is handed into shared and private without ever
+// seeing an artifact the total does not cover yet. internal/k8s maps these
+// as shared mappings so several pools (or container runtimes) of one module
+// on a node account each artifact once. Lock-free and allocation-free.
+func (p *Pool) SharedArtifacts() [3]engine.SharedArtifact {
+	arts := p.cm.SharedArtifacts()
+	for i := range arts {
+		arts[i].Bytes = p.shared[i].Load()
 	}
 	return arts
 }

@@ -103,10 +103,6 @@ func (r *Router) SetObserver(t *obs.Telemetry) {
 	r.regMu.Lock()
 	defer r.regMu.Unlock()
 	r.tele = t
-	if t == nil {
-		r.obsBatches, r.obsBatched, r.obsShards = nil, nil, nil
-		return
-	}
 	r.obsBatches = t.Counter("router_batches_total")
 	r.obsBatched = t.Counter("router_batched_requests_total")
 	r.obsShards = t.Gauge("router_shards")

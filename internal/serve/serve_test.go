@@ -84,11 +84,11 @@ func TestPoolSizeZeroAlwaysCold(t *testing.T) {
 	}
 	// Only the shared artifacts remain accounted: the compiled code plus the
 	// baseline image the cold start captured.
-	if want := pool.SharedCodeBytes() + pool.SharedBaselineBytes(); pool.MemoryBytes() != want {
+	if want := sharedBytes(pool); pool.MemoryBytes() != want {
 		t.Fatalf("memory = %d after discard, want shared artifacts %d",
 			pool.MemoryBytes(), want)
 	}
-	if pool.SharedBaselineBytes() == 0 {
+	if pool.SharedArtifacts()[engine.ArtifactData].Bytes == 0 {
 		t.Fatal("cold start did not capture a shared baseline image")
 	}
 	st := pool.Stats()
@@ -97,16 +97,26 @@ func TestPoolSizeZeroAlwaysCold(t *testing.T) {
 	}
 }
 
+// sharedBytes sums the pool's charged shared artifacts (code, baseline
+// image, tier-1 code), each accounted exactly once.
+func sharedBytes(pool *Pool) int64 {
+	var sum int64
+	for _, a := range pool.SharedArtifacts() {
+		sum += a.Bytes
+	}
+	return sum
+}
+
 func TestPoolMemoryAccounting(t *testing.T) {
 	pool := newTestPool(t, engine.Wasmtime, Config{Size: 3})
 	// Copy-on-write accounting: an idle instance costs only its engine-side
 	// state — its whole linear memory aliases the shared baseline image,
 	// charged once alongside the compiled code.
 	per := engine.Wasmtime.WarmInstanceBytes
-	if got := pool.SharedBaselineBytes(); got != 64*1024 {
+	if got := pool.SharedArtifacts()[engine.ArtifactData].Bytes; got != 64*1024 {
 		t.Fatalf("shared baseline = %d, want one 64 KiB page", got)
 	}
-	shared := pool.SharedCodeBytes() + pool.SharedBaselineBytes() // charged exactly once
+	shared := sharedBytes(pool) // charged exactly once
 	if got := pool.MemoryBytes(); got != shared+3*per {
 		t.Fatalf("pool memory = %d, want %d", got, shared+3*per)
 	}
@@ -139,7 +149,7 @@ func TestPoolIdleTTLEviction(t *testing.T) {
 	if n := pool.EvictIdle(des.Time(2 * time.Second)); n != 2 {
 		t.Fatalf("evicted %d, want 2", n)
 	}
-	if shared := pool.SharedCodeBytes() + pool.SharedBaselineBytes(); pool.Idle() != 0 || pool.MemoryBytes() != shared {
+	if shared := sharedBytes(pool); pool.Idle() != 0 || pool.MemoryBytes() != shared {
 		t.Fatalf("idle=%d mem=%d after eviction, want shared artifacts %d",
 			pool.Idle(), pool.MemoryBytes(), shared)
 	}
@@ -325,7 +335,7 @@ func TestRunReportsPoolHighWater(t *testing.T) {
 	// Steady state: shared code + shared baseline + two idle instances at
 	// engine-state cost. Requests dirty pages on top, so the high-water mark
 	// must clear the steady state by at least one privatized page.
-	steady := pool.SharedCodeBytes() + pool.SharedBaselineBytes() +
+	steady := sharedBytes(pool) +
 		2*engine.WasmEdge.WarmInstanceBytes
 	if rep.PoolHighWaterBytes < steady+64*1024 {
 		t.Fatalf("high water %d below steady-state-plus-dirty-page %d",

@@ -50,23 +50,11 @@ func TestWarmPoolPicksUpTier1(t *testing.T) {
 	}
 
 	// The artifact is charged once, not per instance.
-	t1b := pool.SharedTier1Bytes()
-	if t1b <= 0 {
-		t.Fatal("no tier-1 bytes accounted")
+	t1 := pool.SharedArtifacts()[engine.ArtifactTier1]
+	if !strings.HasPrefix(t1.Name, "wasm-t1:") || t1.Bytes <= 0 {
+		t.Fatalf("no tier-1 artifact accounted: %v", pool.SharedArtifacts())
 	}
-	if delta := pool.MemoryBytes() - memBefore; delta != t1b {
-		t.Fatalf("pool memory grew %d, want exactly one tier-1 artifact %d", delta, t1b)
-	}
-	found := false
-	for _, art := range pool.SharedArtifacts() {
-		if strings.HasPrefix(art.Name, "wasm-t1:") {
-			found = true
-			if art.Bytes != t1b {
-				t.Fatalf("artifact bytes %d != accounted %d", art.Bytes, t1b)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("wasm-t1 artifact missing from %v", pool.SharedArtifacts())
+	if delta := pool.MemoryBytes() - memBefore; delta != t1.Bytes {
+		t.Fatalf("pool memory grew %d, want exactly one tier-1 artifact %d", delta, t1.Bytes)
 	}
 }

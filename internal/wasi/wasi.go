@@ -113,12 +113,9 @@ type P1 struct {
 
 // SetObserver wires telemetry counters for the WASI syscall surface: bytes
 // moved through fd_write/fd_read, random_get entropy served, and proc_exit
-// calls. Pass nil to disable (the default).
+// calls. Pass nil to disable (the default): a nil telemetry resolves every
+// handle to nil without allocating.
 func (w *P1) SetObserver(t *obs.Telemetry) {
-	if t == nil {
-		w.obsWriteBytes, w.obsReadBytes, w.obsRandBytes, w.obsExits = nil, nil, nil, nil
-		return
-	}
 	w.obsWriteBytes = t.Counter("wasi_fd_write_bytes_total")
 	w.obsReadBytes = t.Counter("wasi_fd_read_bytes_total")
 	w.obsRandBytes = t.Counter("wasi_random_bytes_total")

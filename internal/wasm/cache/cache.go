@@ -9,7 +9,8 @@
 // The cache is safe for concurrent use. Concurrent loads of the same binary
 // are deduplicated singleflight-style: one goroutine compiles while the rest
 // wait for its result. Resident entries are bounded by bytes with LRU
-// eviction; an evicted entry stays valid for holders of its pointer and is
+// eviction. Eviction only forgets: an evicted entry stays valid for holders
+// of its pointer — code, baseline image and tier-1 artifact included — and is
 // simply recompiled on the next load.
 package cache
 
@@ -27,66 +28,39 @@ import (
 // Digest is the content address of a module binary.
 type Digest = [sha256.Size]byte
 
-// Entry is one immutable cached compilation artifact.
+// Entry is one cached compilation: the decoded module and its compiled code.
+// The code's shared artifacts are write-once, so an Entry never loses
+// anything a holder can observe.
 type Entry struct {
 	Digest  Digest
 	BinSize int64
 	Module  *wasm.Module
 	Code    *exec.ModuleCode
+
+	// t1 is the tier-1 bytes this entry charges, 0 until NoteTier1; guarded
+	// by the owning cache's mutex so charge and discharge always match.
+	t1 int64
 }
 
-// Cost is the bytes this entry charges against the cache bound: the compiled
-// code plus the decoded module (approximated by its binary size, which the
-// decoded structures reference).
+// Cost is the bytes a freshly compiled entry charges against the cache
+// bound: the compiled code plus the decoded module (approximated by its
+// binary size, which the decoded structures reference). Tier-up adds the
+// tier-1 artifact to the same LRU node (NoteTier1).
 func (e *Entry) Cost() int64 { return e.Code.CodeBytes() + e.BinSize }
 
-// Kind distinguishes the artifact kinds the cache accounts: the compiled
-// (tier-0) module, and the optional tier-1 direct-threaded code lowered from
-// it after tier-up.
-type Kind int
-
-// Artifact kinds.
-const (
-	KindModule Kind = iota
-	KindTier1
-	numKinds
-)
-
-// KindStats is one artifact kind's slice of the counters. For modules a hit
-// is a Load served without compiling and a miss is a compile; for tier-1
-// artifacts a miss is a tier-up recorded (the artifact was lowered) and a hit
-// is a re-record of an already-resident artifact.
-type KindStats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-}
-
-// Stats is a snapshot of cache counters. The flat Hits/Misses/Evictions are
-// totals across artifact kinds; Module and Tier1 carry the per-kind split.
+// Stats is a snapshot of cache counters: a hit is a Load served without
+// compiling, a miss is a compile.
 type Stats struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
 
-	Module KindStats
-	Tier1  KindStats
-
-	// Entries counts resident artifacts of both kinds; Bytes is their total
-	// charged cost, of which Tier1Bytes is the tier-1 share.
+	// Entries counts resident modules; Bytes is their total charged cost, of
+	// which Tier1Bytes is the tier-1 share.
 	Entries    int
 	Bytes      int64
 	Tier1Bytes int64
 	MaxBytes   int64
-}
-
-// node is one LRU-resident artifact: a compiled module entry or the tier-1
-// code lowered from one. cost is frozen at insert time so the charge and the
-// discharge always match.
-type node struct {
-	e    *Entry
-	kind Kind
-	cost int64
 }
 
 // slot is an in-flight compile other loaders can wait on.
@@ -102,14 +76,11 @@ type Cache struct {
 	maxBytes int64
 	bytes    int64
 	t1bytes  int64
-	entries  map[Digest]*list.Element // module nodes; value: *node
-	t1       map[Digest]*list.Element // tier-1 nodes; value: *node
-	lru      *list.List               // both kinds; front = most recently used
+	entries  map[Digest]*list.Element // value: *Entry
+	lru      *list.List               // front = most recently used
 	slots    map[Digest]*slot
 
-	hits      [numKinds]uint64
-	misses    [numKinds]uint64
-	evictions [numKinds]uint64
+	hits, misses, evictions uint64
 
 	// Telemetry handles, nil when observation is disabled (the handle
 	// methods then no-op without allocating). The tracer needs an explicit
@@ -129,29 +100,25 @@ func New(maxBytes int64) *Cache {
 	return &Cache{
 		maxBytes: maxBytes,
 		entries:  make(map[Digest]*list.Element),
-		t1:       make(map[Digest]*list.Element),
 		lru:      list.New(),
 		slots:    make(map[Digest]*slot),
 	}
 }
 
-// SetObserver wires telemetry into the cache: hit/miss/eviction counters, a
-// resident-bytes gauge, a compile-time histogram, and module-load spans with
-// the decode/validate/lower phase split. Pass nil to disable (the default);
-// the disabled path costs a nil check per counter and no allocations.
+// SetObserver wires telemetry into the cache: hit/miss/eviction counters,
+// resident-bytes gauges (total and the tier-1 share), a compile-time
+// histogram, and module-load spans with the decode/validate/lower phase
+// split. Pass nil to disable (the default): a nil telemetry resolves every
+// handle to nil, and the disabled path costs a nil check per counter and no
+// allocations.
 func (c *Cache) SetObserver(t *obs.Telemetry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t == nil {
-		c.obsHits, c.obsMisses, c.obsEvictions = nil, nil, nil
-		c.obsBytes, c.obsT1Bytes = nil, nil
-		c.obsCompileNs, c.obsTracer = nil, nil
-		return
-	}
 	c.obsHits = t.Counter("modcache_hits_total")
 	c.obsMisses = t.Counter("modcache_misses_total")
 	c.obsEvictions = t.Counter("modcache_evictions_total")
 	c.obsBytes = t.Gauge("modcache_resident_bytes")
+	c.obsT1Bytes = t.Gauge("modcache_tier1_bytes")
 	c.obsCompileNs = t.Histogram("modcache_compile_wall_ns")
 	c.obsTracer = t.Tracer()
 }
@@ -164,8 +131,8 @@ func (c *Cache) Load(bin []byte) (*Entry, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[digest]; ok {
 		c.lru.MoveToFront(el)
-		c.hits[KindModule]++
-		e := el.Value.(*node).e
+		c.hits++
+		e := el.Value.(*Entry)
 		hitTracer := c.obsTracer
 		c.mu.Unlock()
 		c.obsHits.Inc()
@@ -177,7 +144,7 @@ func (c *Cache) Load(bin []byte) (*Entry, error) {
 	}
 	if sl, ok := c.slots[digest]; ok {
 		// Someone is compiling this binary right now: wait for their result.
-		c.hits[KindModule]++
+		c.hits++
 		c.mu.Unlock()
 		c.obsHits.Inc()
 		<-sl.done
@@ -185,176 +152,106 @@ func (c *Cache) Load(bin []byte) (*Entry, error) {
 	}
 	sl := &slot{done: make(chan struct{})}
 	c.slots[digest] = sl
-	c.misses[KindModule]++
+	c.misses++
 	tracer := c.obsTracer
 	c.mu.Unlock()
 	c.obsMisses.Inc()
 
-	e, err := c.compileObserved(bin, digest, tracer)
+	// Span timestamps come from the tracer clock (simulated time under the
+	// DES); the wall-clock nanoseconds ride along as span attributes and a
+	// histogram sample, since compilation is real work even when the
+	// surrounding timeline is simulated.
+	var start int64
+	if tracer != nil {
+		start = tracer.Now()
+	}
+	e, ph, err := compile(bin, digest)
+	if err == nil && tracer != nil {
+		wall := ph.decode + ph.validate + ph.lower
+		c.obsCompileNs.Record(wall.Nanoseconds())
+		tracer.Span("module-load", "cache", 0, start, tracer.Now(),
+			obs.I64("cache_hit", 0),
+			obs.I64("decode_wall_ns", ph.decode.Nanoseconds()),
+			obs.I64("validate_wall_ns", ph.validate.Nanoseconds()),
+			obs.I64("lower_wall_ns", ph.lower.Nanoseconds()),
+			obs.I64("wall_ns", wall.Nanoseconds()),
+			obs.I64("bin_bytes", int64(len(bin))))
+	}
 
 	c.mu.Lock()
 	delete(c.slots, digest)
 	sl.entry, sl.err = e, err
-	var drops []*Entry
 	if err == nil {
-		drops = c.insertLocked(e)
-		c.obsBytes.Set(c.bytes)
-		c.obsT1Bytes.Set(c.t1bytes)
+		c.entries[digest] = c.lru.PushFront(e)
+		c.bytes += e.Cost()
+		c.evictLocked()
 	}
 	c.mu.Unlock()
 	close(sl.done)
-	dropTier1(drops)
 	return e, err
 }
 
-// NoteTier1 records e's tier-1 artifact as a resident cache artifact. Like
-// compiled code and the baseline image, tier-1 code is charged once per node
-// against the same byte bound no matter how many instances run it, and is
-// LRU-evictable beside the module entries. Evicting a tier-1 node unpublishes
-// the artifact (exec.ModuleCode.DropTier1): instances fall back to tier 0 on
-// their next invoke, without error, and the module must re-earn tier-up.
-// Call it from a tier-up listener or after an eager EnsureTier1.
+// NoteTier1 re-costs e's LRU node after tier-up: like compiled code and the
+// baseline image, tier-1 code is charged once per node against the same byte
+// bound no matter how many instances run it. An entry the cache has already
+// evicted is left alone — its holders keep running at tier 1, the cache just
+// no longer accounts it. Call it from a tier-up listener.
 func (c *Cache) NoteTier1(e *Entry) {
-	cost := e.Code.Tier1Bytes()
-	if cost <= 0 {
+	t1 := e.Code.Tier1Bytes()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[e.Digest]
+	if !ok || el.Value.(*Entry) != e {
 		return
 	}
-	c.mu.Lock()
-	if el, ok := c.t1[e.Digest]; ok {
-		n := el.Value.(*node)
-		c.bytes += cost - n.cost
-		c.t1bytes += cost - n.cost
-		n.cost = cost
-		c.lru.MoveToFront(el)
-		c.hits[KindTier1]++
-	} else {
-		el := c.lru.PushFront(&node{e: e, kind: KindTier1, cost: cost})
-		c.t1[e.Digest] = el
-		c.bytes += cost
-		c.t1bytes += cost
-		c.misses[KindTier1]++
-	}
-	drops := c.evictLocked()
-	c.obsBytes.Set(c.bytes)
-	c.obsT1Bytes.Set(c.t1bytes)
-	c.mu.Unlock()
-	dropTier1(drops)
+	c.bytes += t1 - e.t1
+	c.t1bytes += t1 - e.t1
+	e.t1 = t1
+	c.lru.MoveToFront(el)
+	c.evictLocked()
 }
 
-// dropTier1 unpublishes evicted tier-1 artifacts. It runs strictly outside
-// the cache lock: DropTier1 takes the module's tier mutex, under which
-// tier-up listeners may call back into the cache.
-func dropTier1(drops []*Entry) {
-	for _, e := range drops {
-		e.Code.DropTier1()
-	}
-}
+// phases is the wall time of each compile stage.
+type phases struct{ decode, validate, lower time.Duration }
 
-// compileObserved runs the full pipeline outside the cache lock, timing each
-// phase when a tracer is attached. Span timestamps come from the tracer
-// clock (simulated time under the DES); the wall-clock nanoseconds of the
-// whole compile ride along as a span attribute and histogram sample, since
-// compilation is real work even when the surrounding timeline is simulated.
-func (c *Cache) compileObserved(bin []byte, digest Digest, tracer *obs.Tracer) (*Entry, error) {
-	if tracer == nil {
-		return compile(bin, digest)
-	}
-	start := tracer.Now()
-	wallStart := time.Now()
-	t0 := wallStart
+// compile runs the full pipeline outside the cache lock, timing each phase.
+func compile(bin []byte, digest Digest) (*Entry, phases, error) {
+	var ph phases
+	t0 := time.Now()
 	m, err := wasm.Decode(bin)
-	decodeNs := time.Since(t0).Nanoseconds()
+	ph.decode = time.Since(t0)
 	if err != nil {
-		return nil, err
+		return nil, ph, err
 	}
 	t0 = time.Now()
 	err = wasm.Validate(m)
-	validateNs := time.Since(t0).Nanoseconds()
+	ph.validate = time.Since(t0)
 	if err != nil {
-		return nil, err
+		return nil, ph, err
 	}
 	t0 = time.Now()
 	mc, err := exec.Precompile(m)
-	lowerNs := time.Since(t0).Nanoseconds()
+	ph.lower = time.Since(t0)
 	if err != nil {
-		return nil, err
+		return nil, ph, err
 	}
-	wallNs := time.Since(wallStart).Nanoseconds()
-	c.obsCompileNs.Record(wallNs)
-	tracer.Span("module-load", "cache", 0, start, tracer.Now(),
-		obs.I64("cache_hit", 0),
-		obs.I64("decode_wall_ns", decodeNs),
-		obs.I64("validate_wall_ns", validateNs),
-		obs.I64("lower_wall_ns", lowerNs),
-		obs.I64("wall_ns", wallNs),
-		obs.I64("bin_bytes", int64(len(bin))))
-	return &Entry{Digest: digest, BinSize: int64(len(bin)), Module: m, Code: mc}, nil
+	return &Entry{Digest: digest, BinSize: int64(len(bin)), Module: m, Code: mc}, ph, nil
 }
 
-// compile runs the full pipeline outside the cache lock.
-func compile(bin []byte, digest Digest) (*Entry, error) {
-	m, err := wasm.Decode(bin)
-	if err != nil {
-		return nil, err
-	}
-	if err := wasm.Validate(m); err != nil {
-		return nil, err
-	}
-	mc, err := exec.Precompile(m)
-	if err != nil {
-		return nil, err
-	}
-	return &Entry{Digest: digest, BinSize: int64(len(bin)), Module: m, Code: mc}, nil
-}
-
-// insertLocked adds e and evicts least-recently-used artifacts while over the
-// bound — but never the entry just inserted, so oversized modules still
-// cache. It returns entries whose tier-1 artifact must be dropped; the caller
-// does so after releasing the lock.
-func (c *Cache) insertLocked(e *Entry) []*Entry {
-	el := c.lru.PushFront(&node{e: e, kind: KindModule, cost: e.Cost()})
-	c.entries[e.Digest] = el
-	c.bytes += e.Cost()
-	return c.evictLocked()
-}
-
-// evictLocked walks the LRU tail while over the byte bound. Evicting a module
-// also evicts its tier-1 sibling (tier-1 code is useless without the module
-// it was lowered from); evicting a tier-1 node alone leaves the module
-// resident and execution falls back to tier 0. Returns the entries whose
-// tier-1 artifact the caller must unpublish outside the lock.
-func (c *Cache) evictLocked() []*Entry {
-	if c.maxBytes <= 0 {
-		return nil
-	}
-	var drops []*Entry
-	for c.bytes > c.maxBytes && c.lru.Len() > 1 {
-		back := c.lru.Back()
-		n := back.Value.(*node)
-		c.lru.Remove(back)
-		c.bytes -= n.cost
-		c.evictions[n.kind]++
+// evictLocked forgets least-recently-used entries while over the byte bound
+// — but never the most recently used one, so an oversized module still
+// caches — and publishes the resident-bytes gauges.
+func (c *Cache) evictLocked() {
+	for c.maxBytes > 0 && c.bytes > c.maxBytes && c.lru.Len() > 1 {
+		e := c.lru.Remove(c.lru.Back()).(*Entry)
+		delete(c.entries, e.Digest)
+		c.bytes -= e.Cost() + e.t1
+		c.t1bytes -= e.t1
+		c.evictions++
 		c.obsEvictions.Inc()
-		switch n.kind {
-		case KindModule:
-			delete(c.entries, n.e.Digest)
-			if t1el, ok := c.t1[n.e.Digest]; ok {
-				t1n := t1el.Value.(*node)
-				c.lru.Remove(t1el)
-				delete(c.t1, n.e.Digest)
-				c.bytes -= t1n.cost
-				c.t1bytes -= t1n.cost
-				c.evictions[KindTier1]++
-				c.obsEvictions.Inc()
-				drops = append(drops, n.e)
-			}
-		case KindTier1:
-			delete(c.t1, n.e.Digest)
-			c.t1bytes -= n.cost
-			drops = append(drops, n.e)
-		}
 	}
-	return drops
+	c.obsBytes.Set(c.bytes)
+	c.obsT1Bytes.Set(c.t1bytes)
 }
 
 // Stats returns a consistent snapshot of the counters.
@@ -362,19 +259,9 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Hits:      c.hits[KindModule] + c.hits[KindTier1],
-		Misses:    c.misses[KindModule] + c.misses[KindTier1],
-		Evictions: c.evictions[KindModule] + c.evictions[KindTier1],
-		Module: KindStats{
-			Hits:      c.hits[KindModule],
-			Misses:    c.misses[KindModule],
-			Evictions: c.evictions[KindModule],
-		},
-		Tier1: KindStats{
-			Hits:      c.hits[KindTier1],
-			Misses:    c.misses[KindTier1],
-			Evictions: c.evictions[KindTier1],
-		},
+		Hits:       c.hits,
+		Misses:     c.misses,
+		Evictions:  c.evictions,
 		Entries:    c.lru.Len(),
 		Bytes:      c.bytes,
 		Tier1Bytes: c.t1bytes,

