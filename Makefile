@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet test race obs-overhead faults-smoke gateway-smoke tiers-smoke shard-smoke slo-smoke cluster-smoke results-check bench benchmark figures results examples clean
+.PHONY: all build vet test race obs-overhead faults-smoke gateway-smoke tiers-smoke shard-smoke slo-smoke cluster-smoke metrics-smoke results-check bench benchmark figures results examples clean
 
-all: build vet test race obs-overhead faults-smoke gateway-smoke tiers-smoke shard-smoke slo-smoke cluster-smoke results-check
+all: build vet test race obs-overhead faults-smoke gateway-smoke tiers-smoke shard-smoke slo-smoke cluster-smoke metrics-smoke results-check
 
 build:
 	$(GO) build ./...
@@ -27,9 +27,12 @@ race:
 
 # Telemetry overhead gate: the per-request instrumentation sequence with
 # telemetry disabled must not allocate. The anchored grep keeps "240
-# allocs/op" from matching "0 allocs/op". The last leg pins the accounting
-# side of the same request: splitting a replica's charge into shared and
-# private on every memory event allocates nothing.
+# allocs/op" from matching "0 allocs/op". The tsdb leg covers the disabled
+# and the same-window sample path; a window close may allocate, for its one
+# registry read. The last leg pins the accounting side of the same
+# request: splitting a replica's charge into shared and private on every
+# memory event allocates nothing, and observing a router costs a request no
+# allocation (its series are read from the shards' stats when scraped).
 obs-overhead:
 	@out=$$($(GO) test -run NONE -bench BenchmarkInvokeTelemetryDisabled \
 		-benchmem -benchtime 10000x ./internal/obs/); \
@@ -43,6 +46,7 @@ obs-overhead:
 	if [ "$$n" -ne 2 ]; then \
 		echo "obs-overhead: tsdb sample path allocates"; exit 1; fi
 	$(GO) test -count=1 -run 'TestReplicaRequestAllocs$$' ./internal/cluster
+	$(GO) test -count=1 -run 'TestRouterRequestAllocsTelemetryParity$$' ./internal/serve
 
 # SLO smoke: the alert lifecycle over HTTP at dilation 0 — healthy traffic
 # stays silent, a 100% trap-rate fault burst fires the availability page
@@ -83,6 +87,16 @@ shard-smoke:
 # one-node case (503 no_live_node, the pool keeps serving).
 cluster-smoke:
 	$(GO) test -count=1 -run 'TestNodeFailover$$' ./internal/gateway
+
+# Metrics smoke: on a gateway with two functions of different pool sizes,
+# every unlabeled dispatch_*/pool_*/modcache_* series on /metrics is the sum
+# of what the functions' own Stats() report, the per-module router series are
+# the shards' DispatcherStats, and the tsdb's gauges are the same sums at the
+# window boundary; and a request through an observed router allocates what
+# one through an unobserved router does.
+metrics-smoke:
+	$(GO) test -count=1 -run 'TestMetricsSumOverFunctions$$' ./internal/gateway
+	$(GO) test -count=1 -run 'TestRouterRequestAllocsTelemetryParity$$' ./internal/serve
 
 # Byte-stability gate for the pure-virtual-clock experiments: regenerate them
 # into a temp dir and cmp against the committed results/ — the paper's own

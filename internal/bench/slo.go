@@ -80,7 +80,7 @@ func MeasureSLOServing(faulted bool, ratePerSec float64, window time.Duration) (
 
 	var sloEng *slo.Engine // set below; Evaluate is nil-safe
 	firstFire := int64(-1)
-	db := tsdb.New(tsdb.Config{
+	db := tsdb.New(tele, tsdb.Config{
 		Interval: sloSampleInterval,
 		OnWindow: func(w *tsdb.Window) {
 			sloEng.Evaluate(w)
@@ -93,7 +93,7 @@ func MeasureSLOServing(faulted bool, ratePerSec float64, window time.Duration) (
 		"dispatch_submitted_total", "dispatch_completed_total",
 		"dispatch_failed_total", "dispatch_rejected_total", "dispatch_expired_total",
 	} {
-		db.TrackCounter(n, tele.Counter(n))
+		db.TrackCounter(n)
 	}
 	db.TrackHistogram("dispatch_latency_ns", tele.Histogram("dispatch_latency_ns"))
 	sloEng = slo.New(slo.Config{

@@ -124,11 +124,6 @@ type nodeState struct {
 	w      *k8s.WorkerNode
 	router *serve.Router
 	cache  *cache.Cache
-	routed int64
-
-	obsRouted   *obs.Counter
-	obsReplicas *obs.Gauge
-	obsAlive    *obs.Gauge
 }
 
 // moduleState is one deployed module and its replicas. all keeps retired
@@ -151,13 +146,15 @@ func (m *moduleState) on(n *nodeState) *replica {
 	return nil
 }
 
-// replica is one placed Replica plus the cluster's bookkeeping about it.
+// replica is one placed Replica plus the cluster's bookkeeping about it;
+// routed is the one count every routed total (per node, per {module, node})
+// is summed from.
 type replica struct {
 	*Replica
 	m         *moduleState
 	n         *nodeState
 	idleTicks int
-	obsRouted *obs.Counter
+	routed    int64
 }
 
 // Serving is the cluster front door. All request-path and control-loop
@@ -175,10 +172,6 @@ type Serving struct {
 	rr       int
 	attSeq   int
 	scale    ScaleStats
-
-	obsScaleUps   *obs.Counter
-	obsScaleDowns *obs.Counter
-	obsRePlaced   *obs.Counter
 }
 
 // New builds an idle serving cluster: nodes up, no modules deployed.
@@ -219,25 +212,40 @@ func New(cfg Config) (*Serving, error) {
 			router: serve.NewRouter(s.eng, serve.RouterConfig{}),
 			cache:  cache.New(engine.DefaultModuleCacheBytes),
 		}
-		if tele != nil {
-			n.router.SetObserver(tele)
-			n.obsRouted = tele.Counter(obs.Labeled("cluster_routed_total", "node", w.Name))
-			n.obsReplicas = tele.Gauge(obs.Labeled("cluster_replicas", "node", w.Name))
-			n.obsAlive = tele.Gauge(obs.Labeled("cluster_node_alive", "node", w.Name))
-			n.obsAlive.Set(1)
-		}
+		n.router.SetObserver(tele)
 		s.nodes = append(s.nodes, n)
 	}
-	if tele != nil {
-		s.obsScaleUps = tele.Counter("cluster_scale_ups_total")
-		s.obsScaleDowns = tele.Counter("cluster_scale_downs_total")
-		s.obsRePlaced = tele.Counter("cluster_replaced_total")
-		if cfg.Autoscale.Interval > 0 && cfg.Autoscale.P99High > 0 {
-			s.db = tsdb.New(tsdb.Config{Interval: cfg.Autoscale.Interval})
-			s.db.TrackHistogram("dispatch_latency_ns", tele.Histogram("dispatch_latency_ns"))
-		}
+	tele.Metrics().SetSource(s, s.collect)
+	if tele != nil && cfg.Autoscale.Interval > 0 && cfg.Autoscale.P99High > 0 {
+		s.db = tsdb.New(tele, tsdb.Config{Interval: cfg.Autoscale.Interval})
+		s.db.TrackHistogram("dispatch_latency_ns", tele.Histogram("dispatch_latency_ns"))
 	}
 	return s, nil
+}
+
+// collect is the serving tier's metric source: routed totals (retired
+// replicas included), live replicas and liveness per node, and ScaleStats.
+// Like every read of Serving it belongs on the goroutine driving the DES
+// engine, or after Run returns.
+func (s *Serving) collect(counter, gauge func(string, int64)) {
+	routed := s.RoutedByNode()
+	for i, n := range s.nodes {
+		alive := int64(0)
+		if n.w.Alive() {
+			alive = 1
+		}
+		counter(obs.Labeled("cluster_routed_total", "node", n.w.Name), routed[i])
+		gauge(obs.Labeled("cluster_replicas", "node", n.w.Name), int64(len(s.replicasOn(n))))
+		gauge(obs.Labeled("cluster_node_alive", "node", n.w.Name), alive)
+	}
+	for _, name := range s.order {
+		for _, r := range s.modules[name].all {
+			counter(obs.Labeled2("cluster_routed_total", "module", name, "node", r.n.w.Name), r.routed)
+		}
+	}
+	counter("cluster_scale_ups_total", int64(s.scale.Ups))
+	counter("cluster_scale_downs_total", int64(s.scale.Downs))
+	counter("cluster_replaced_total", int64(s.scale.RePlaced))
 }
 
 // Engine exposes the DES engine driving the cluster.
@@ -274,9 +282,7 @@ func (s *Serving) Submit(key string, tid int64, done func(serve.RequestResult)) 
 	if err != nil {
 		return err
 	}
-	r.n.routed++
-	r.n.obsRouted.Inc()
-	r.obsRouted.Inc()
+	r.routed++
 	return r.n.router.Submit(key, tid, done)
 }
 
@@ -343,9 +349,7 @@ func (s *Serving) bestNode(m *moduleState, excludeHosting bool) *nodeState {
 // node's router.
 func (s *Serving) place(m *moduleState, n *nodeState, replaced bool) (*replica, error) {
 	eng := engine.NewWithCache(s.cfg.Profile, n.cache)
-	if s.cfg.Telemetry != nil {
-		eng.SetObserver(s.cfg.Telemetry)
-	}
+	eng.SetObserver(s.cfg.Telemetry)
 	if s.injector != nil {
 		eng.SetFaultInjector(s.injector)
 	}
@@ -365,17 +369,11 @@ func (s *Serving) place(m *moduleState, n *nodeState, replaced bool) (*replica, 
 		return nil, err
 	}
 	r := &replica{Replica: rep, m: m, n: n}
-	if s.cfg.Telemetry != nil {
-		r.obsRouted = s.cfg.Telemetry.Counter(
-			obs.Labeled2("cluster_routed_total", "module", m.name, "node", n.w.Name))
-	}
 	m.live = append(m.live, r)
 	m.all = append(m.all, r)
-	n.obsReplicas.Set(int64(len(s.replicasOn(n))))
 	s.scale.Placed++
 	if replaced {
 		s.scale.RePlaced++
-		s.obsRePlaced.Inc()
 	}
 	return r, nil
 }
@@ -407,7 +405,6 @@ func (s *Serving) FailNode(idx int) error {
 	if err := s.K.FailNode(n.w.Name); err != nil {
 		return err
 	}
-	n.obsAlive.Set(0)
 	var lost []*moduleState
 	for _, name := range s.order {
 		m := s.modules[name]
@@ -426,7 +423,6 @@ func (s *Serving) FailNode(idx int) error {
 			lost = append(lost, m)
 		}
 	}
-	n.obsReplicas.Set(0)
 	for _, m := range lost {
 		tgt := s.bestNode(m, false)
 		if tgt == nil {
@@ -470,8 +466,10 @@ func (s *Serving) NodeAlive(idx int) bool {
 // RoutedByNode returns per-node routed-request counts, in node order.
 func (s *Serving) RoutedByNode() []int64 {
 	out := make([]int64, len(s.nodes))
-	for i, n := range s.nodes {
-		out[i] = n.routed
+	for _, name := range s.order {
+		for _, r := range s.modules[name].all {
+			out[r.n.idx] += r.routed
+		}
 	}
 	return out
 }
@@ -544,7 +542,6 @@ func (s *Serving) tick() {
 				if next > target {
 					if _, err := r.pool.Resize(next); err == nil {
 						s.scale.Ups++
-						s.obsScaleUps.Inc()
 					}
 				}
 			case q == 0 && r.disp.InFlight() == 0:
@@ -556,7 +553,6 @@ func (s *Serving) tick() {
 					}
 					if _, err := r.pool.Resize(next); err == nil {
 						s.scale.Downs++
-						s.obsScaleDowns.Inc()
 					}
 					r.idleTicks = 0
 				}
@@ -620,31 +616,14 @@ func (s *Serving) Stats() serve.RouterStats {
 		var st serve.DispatcherStats
 		q, inf := 0, 0
 		for _, r := range m.all {
-			d := r.disp.Stats()
-			st.Submitted += d.Submitted
-			st.Completed += d.Completed
-			st.Rejected += d.Rejected
-			st.Expired += d.Expired
-			st.Failed += d.Failed
-			st.Retries += d.Retries
-			st.TimedOut += d.TimedOut
-			st.BreakerOpens += d.BreakerOpens
-			st.BreakerShortCircuits += d.BreakerShortCircuits
+			st.Add(r.disp.Stats())
 			q += r.disp.QueueLen()
 			inf += r.disp.InFlight()
 		}
 		out.Shards = append(out.Shards, serve.ShardStats{
 			Key: name, Module: name, Stats: st, QueueLen: q, InFlight: inf,
 		})
-		out.Aggregate.Submitted += st.Submitted
-		out.Aggregate.Completed += st.Completed
-		out.Aggregate.Rejected += st.Rejected
-		out.Aggregate.Expired += st.Expired
-		out.Aggregate.Failed += st.Failed
-		out.Aggregate.Retries += st.Retries
-		out.Aggregate.TimedOut += st.TimedOut
-		out.Aggregate.BreakerOpens += st.BreakerOpens
-		out.Aggregate.BreakerShortCircuits += st.BreakerShortCircuits
+		out.Aggregate.Add(st)
 	}
 	for _, n := range s.nodes {
 		rs := n.router.Stats()

@@ -47,9 +47,7 @@ func NewReplica(sim *des.Engine, eng *engine.Engine, cm *engine.CompiledModule, 
 	}
 	pool.SetMemoryListener(r.syncCharge)
 	r.disp = serve.NewDispatcher(sim, pool, dcfg)
-	if tele != nil {
-		r.disp.SetObserver(tele)
-	}
+	r.disp.SetObserver(tele)
 	return r, nil
 }
 
@@ -108,10 +106,14 @@ func (r *Replica) Rehome(node *k8s.WorkerNode) error {
 
 // Retire takes the replica out of service with connection-drain semantics:
 // new submissions are refused, queued and in-flight requests run to
-// completion, then the pool's charge leaves the node.
+// completion, then the pool gives up its idle instances through the
+// still-attached listener and its charge leaves the node. The replica's
+// counters keep reporting (its metric sources stay registered); its
+// instances must not.
 func (r *Replica) Retire() {
 	r.disp.SetDraining(true)
 	finish := func() {
+		_, _ = r.pool.Resize(0) // shrinking never instantiates, so it cannot fail
 		r.pool.SetMemoryListener(nil)
 		r.att.SetDrainer(nil)
 		r.att.Detach()

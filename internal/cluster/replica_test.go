@@ -24,6 +24,8 @@ import (
 // artifacts must still be charged once. The third serves enough requests for
 // the default hotness policy to tier up mid-traffic: wasm-t1 joins the serving
 // node's mappings once, and Rehome re-maps all three artifacts on the target.
+// A retired replica keeps its counters but not its instances: the pool is
+// left holding only the shared artifacts.
 func TestReplicaChargeLifecycle(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -152,6 +154,10 @@ func TestReplicaChargeLifecycle(t *testing.T) {
 			for i, r := range reps {
 				r.Retire()
 				check("retire", dst, idle[1], reps[i+1:])
+				if idle, mem := r.Pool().Idle(), r.Pool().MemoryBytes(); idle != 0 || mem != r.SharedBytes() {
+					t.Fatalf("retired replica %d keeps %d idle instances and %d bytes, want 0 and the shared artifacts' %d",
+						i, idle, mem, r.SharedBytes())
+				}
 				var refused error
 				r.Dispatcher().Submit(func(res serve.RequestResult) { refused = res.Err })
 				if refused == nil {

@@ -237,7 +237,7 @@ func New(cfg Config) (*Server, error) {
 	obsWindows := tele.Counter("tsdb_windows_total")
 	if cfg.SampleInterval > 0 {
 		var hook func(*tsdb.Window)
-		db = tsdb.New(tsdb.Config{
+		db = tsdb.New(tele, tsdb.Config{
 			Interval: cfg.SampleInterval,
 			Capacity: cfg.SampleCapacity,
 			OnWindow: func(w *tsdb.Window) {
@@ -301,9 +301,9 @@ func New(cfg Config) (*Server, error) {
 }
 
 // trackDefaultSeries registers the aggregate serving series with the tsdb.
-// Dispatcher metrics are registry-shared across every function's dispatcher
-// (same names resolve the same handles), so these windows describe the whole
-// gateway — which is also what the default SLO objectives consume.
+// The unlabeled dispatch_* series are sums over every function's dispatcher
+// (same-name emissions add), so these windows describe the whole gateway —
+// which is also what the default SLO objectives consume.
 func trackDefaultSeries(db *tsdb.DB, tele *obs.Telemetry) {
 	for _, name := range []string{
 		"dispatch_submitted_total", "dispatch_completed_total",
@@ -311,10 +311,10 @@ func trackDefaultSeries(db *tsdb.DB, tele *obs.Telemetry) {
 		"dispatch_failed_total", "dispatch_retries_total",
 		"gateway_http_requests_total", "gateway_http_errors_total",
 	} {
-		db.TrackCounter(name, tele.Counter(name))
+		db.TrackCounter(name)
 	}
 	for _, name := range []string{"dispatch_queue_depth", "dispatch_in_flight"} {
-		db.TrackGauge(name, tele.Gauge(name))
+		db.TrackGauge(name)
 	}
 	for _, name := range []string{"dispatch_latency_ns", "dispatch_queue_wait_ns"} {
 		db.TrackHistogram(name, tele.Histogram(name))

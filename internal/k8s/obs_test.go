@@ -60,19 +60,35 @@ func TestWarmPoolAttachmentTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	att.SetObserver(tele)
-	g := tele.Metrics().Gauge(obs.Labeled("warmpool_charged_bytes", "pool", "gw"))
+	charged := func() int64 {
+		v, ok := scraped(tele)[obs.Labeled("warmpool_charged_bytes", "pool", "gw")]
+		if !ok {
+			t.Fatal("warmpool_charged_bytes{pool=\"gw\"} not scraped")
+		}
+		return v
+	}
 	att.Sync(3 * simos.MiB)
-	if g.Value() != 3*simos.MiB {
-		t.Fatalf("gauge = %d after sync, want %d", g.Value(), 3*simos.MiB)
+	if got := charged(); got != 3*simos.MiB {
+		t.Fatalf("gauge = %d after sync, want %d", got, 3*simos.MiB)
 	}
 	att.Sync(1 * simos.MiB)
-	if g.Value() != 1*simos.MiB {
-		t.Fatalf("gauge = %d after shrink, want %d", g.Value(), 1*simos.MiB)
+	if got := charged(); got != 1*simos.MiB {
+		t.Fatalf("gauge = %d after shrink, want %d", got, 1*simos.MiB)
 	}
 	att.Detach()
-	if g.Value() != 0 {
-		t.Fatalf("gauge = %d after detach, want 0", g.Value())
+	if got := charged(); got != 0 {
+		t.Fatalf("gauge = %d after detach, want 0", got)
 	}
+}
+
+// scraped is every counter and gauge of one snapshot of t, by name.
+func scraped(t *obs.Telemetry) map[string]int64 {
+	out := map[string]int64{}
+	snap := t.Snapshot()
+	for _, v := range append(snap.Counters, snap.Gauges...) {
+		out[v.Name] = v.Value
+	}
+	return out
 }
 
 // TestKubeletFailureCounter drives pods into a kubelet-level failure (runC

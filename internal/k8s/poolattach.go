@@ -2,6 +2,7 @@ package k8s
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"wasmcontainers/internal/obs"
 	"wasmcontainers/internal/simos"
@@ -15,19 +16,22 @@ import (
 // see pooled instances exactly like they see pod memory in the density
 // experiments.
 type WarmPoolAttachment struct {
-	node    *WorkerNode
-	proc    *simos.Process
-	name    string
-	charged int64
+	node *WorkerNode
+	proc *simos.Process
+
+	// charged is the private bytes currently mapped; pressureEvicted counts
+	// instances given up to pressure drains. Both are written on the pool's
+	// goroutine and atomic so the metric source can read them from a scrape.
+	charged         atomic.Int64
+	pressureEvicted atomic.Int64
 
 	// drain is the pool's memory-pressure response; nil until SetDrainer.
 	drain func() int
 
-	// obsCharged mirrors charged bytes into telemetry; obsPressure counts
-	// instances evicted by pressure drains. Both nil (and free) when
-	// observation is disabled.
-	obsCharged  *obs.Gauge
-	obsPressure *obs.Counter
+	tele *obs.Telemetry
+	// chargedName and evictedName are the two series names, labeled with the
+	// pool's name once.
+	chargedName, evictedName string
 }
 
 // AttachWarmPool spawns the gateway process that will carry the pool's
@@ -38,19 +42,32 @@ func (n *WorkerNode) AttachWarmPool(name string) (*WarmPoolAttachment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("k8s: attach warm pool %s: %w", name, err)
 	}
-	a := &WarmPoolAttachment{node: n, proc: proc, name: name}
+	a := &WarmPoolAttachment{
+		node: n, proc: proc,
+		chargedName: obs.Labeled("warmpool_charged_bytes", "pool", name),
+		evictedName: obs.Labeled("warmpool_pressure_evictions_total", "pool", name),
+	}
 	n.attachments = append(n.attachments, a)
 	return a, nil
 }
 
-// SetObserver wires a warmpool_charged_bytes{pool=...} gauge tracking the
-// private bytes the attachment currently carries in the node's cgroup
-// hierarchy, and a warmpool_pressure_evictions_total{pool=...} counter of
-// instances given up to pressure drains. Pass nil to disable (the default).
+// SetObserver registers a metric source reporting the private bytes the
+// attachment carries in the node's cgroup hierarchy as the
+// warmpool_charged_bytes{pool=...} gauge and the instances given up to
+// pressure drains as warmpool_pressure_evictions_total{pool=...}. A detached
+// attachment keeps reporting (zero bytes, its final count), so a re-homed
+// pool's counter under the same name never steps back. A second call moves
+// the source; nil removes it (the default).
 func (a *WarmPoolAttachment) SetObserver(t *obs.Telemetry) {
-	a.obsCharged = t.Gauge(obs.Labeled("warmpool_charged_bytes", "pool", a.name))
-	a.obsCharged.Set(a.charged)
-	a.obsPressure = t.Counter(obs.Labeled("warmpool_pressure_evictions_total", "pool", a.name))
+	a.tele.Metrics().SetSource(a, nil)
+	a.tele = t
+	t.Metrics().SetSource(a, a.collect)
+}
+
+// collect is the attachment's metric source.
+func (a *WarmPoolAttachment) collect(counter, gauge func(string, int64)) {
+	gauge(a.chargedName, a.charged.Load())
+	counter(a.evictedName, a.pressureEvicted.Load())
 }
 
 // Sync sets the attachment's charge to the pool's current accounted bytes,
@@ -58,19 +75,18 @@ func (a *WarmPoolAttachment) SetObserver(t *obs.Telemetry) {
 // serve.Pool.SetMemoryListener so every pool change lands in the cgroup
 // hierarchy as it happens.
 func (a *WarmPoolAttachment) Sync(bytes int64) {
-	t := simos.RoundPages(bytes)
+	t, charged := simos.RoundPages(bytes), a.charged.Load()
 	switch {
-	case t > a.charged:
-		if err := a.proc.MapPrivate(t - a.charged); err != nil {
+	case t > charged:
+		if err := a.proc.MapPrivate(t - charged); err != nil {
 			// Node out of memory: carry what fits; the shortfall stays
 			// uncharged, mirroring an over-committed host.
 			return
 		}
-	case t < a.charged:
-		a.proc.UnmapPrivate(a.charged - t)
+	case t < charged:
+		a.proc.UnmapPrivate(charged - t)
 	}
-	a.charged = t
-	a.obsCharged.Set(a.charged)
+	a.charged.Store(t)
 }
 
 // SyncShared maps a digest-keyed read-only artifact of the pool's module —
@@ -91,7 +107,7 @@ func (a *WarmPoolAttachment) SyncShared(name string, bytes int64) {
 // ChargedBytes returns the private bytes currently mapped for the pool
 // (shared artifacts mapped via SyncShared are accounted node-wide, not
 // here).
-func (a *WarmPoolAttachment) ChargedBytes() int64 { return a.charged }
+func (a *WarmPoolAttachment) ChargedBytes() int64 { return a.charged.Load() }
 
 // Process exposes the carrier process (tests and metrics).
 func (a *WarmPoolAttachment) Process() *simos.Process { return a.proc }
@@ -111,9 +127,7 @@ func (a *WarmPoolAttachment) Drain() int {
 		return 0
 	}
 	n := a.drain()
-	if n > 0 {
-		a.obsPressure.Add(int64(n))
-	}
+	a.pressureEvicted.Add(int64(n))
 	return n
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"wasmcontainers/internal/des"
 	"wasmcontainers/internal/engine"
 	"wasmcontainers/internal/obs"
 	"wasmcontainers/internal/serve"
@@ -259,15 +260,15 @@ func TestWarmPoolAttachmentPageRounding(t *testing.T) {
 	}
 }
 
-// TestObserverHandlesFollowTelemetry: SetObserver resolves every handle from
-// the telemetry it is given — no hand-kept list beside it to drift. The
-// engine's cache exports the modcache_tier1_bytes gauge as soon as an eager
-// compile publishes the artifact, and an attachment whose observer was set
-// back to nil stops counting pressure evictions.
+// TestObserverHandlesFollowTelemetry: what a component reports follows the
+// telemetry SetObserver was last given — there is no handle list beside
+// Stats() to drift. Wiring a dispatcher (and through it its pool), a cache, a
+// router and an attachment twice to the same telemetry doubles nothing,
+// re-wiring to a second telemetry moves every series there, and
+// SetObserver(nil) removes them. The cache reports the tier-1 share as soon
+// as an eager compile publishes the artifact.
 func TestObserverHandlesFollowTelemetry(t *testing.T) {
-	tele := obs.New(obs.Config{})
 	eng := engine.New(engine.WAMR)
-	eng.SetObserver(tele)
 	eng.SetTierPolicy(exec.TierPolicy{Mode: exec.TierModeEager})
 	bin, err := workloads.Binary("request-handler")
 	if err != nil {
@@ -277,26 +278,70 @@ func TestObserverHandlesFollowTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := tele.Gauge("modcache_tier1_bytes").Value(), cm.Code.Tier1Bytes(); got != want || want <= 0 {
-		t.Fatalf("modcache_tier1_bytes = %d, want the published artifact's %d > 0", got, want)
+	pool, err := serve.NewPool(eng, cm, serve.Config{Size: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	c := newTestCluster(t)
-	att, err := c.Nodes[0].AttachWarmPool("gw")
+	sim := des.NewEngine()
+	disp := serve.NewDispatcher(sim, pool, serve.DispatcherConfig{Export: "handle", Arg: 64})
+	router := serve.NewRouter(sim, serve.RouterConfig{})
+	if err := router.Register("key", "request-handler", disp); err != nil {
+		t.Fatal(err)
+	}
+	att, err := newTestCluster(t).Nodes[0].AttachWarmPool("gw")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer att.Detach()
 	att.SetDrainer(func() int { return 3 })
-	evictions := tele.Counter(obs.Labeled("warmpool_pressure_evictions_total", "pool", "gw"))
-	att.SetObserver(tele)
-	att.Drain()
-	if got := evictions.Value(); got != 3 {
-		t.Fatalf("pressure evictions = %d with telemetry on, want 3", got)
+	pool.SetMemoryListener(att.Sync)
+	wire := func(tele *obs.Telemetry) {
+		eng.SetObserver(tele) // the engine wires its cache
+		disp.SetObserver(tele)
+		router.SetObserver(tele)
+		att.SetObserver(tele)
 	}
-	att.SetObserver(nil)
-	att.Drain()
-	if got := evictions.Value(); got != 3 {
-		t.Fatalf("pressure evictions = %d after SetObserver(nil), want still 3", got)
+
+	first, second := obs.New(obs.Config{}), obs.New(obs.Config{})
+	wire(first)
+	wire(first)
+	if err := router.Submit("key", 0, nil); err != nil {
+		t.Fatal(err)
 	}
+	sim.Run()
+	att.Drain()
+	want := map[string]int64{
+		"dispatch_submitted_total": 1,
+		"dispatch_completed_total": 1,
+		"dispatch_in_flight":       0,
+		"pool_warm_hits_total":     1,
+		"pool_idle_instances":      2,
+		"pool_memory_bytes":        pool.MemoryBytes(),
+		"modcache_misses_total":    1,
+		"modcache_tier1_bytes":     cm.Code.Tier1Bytes(),
+		"router_batches_total":     1,
+		"router_shards":            1,
+		obs.Labeled("router_completed_total", "module", "request-handler"): 1,
+		obs.Labeled("warmpool_pressure_evictions_total", "pool", "gw"):     3,
+		obs.Labeled("warmpool_charged_bytes", "pool", "gw"):                att.ChargedBytes(),
+	}
+	if want["modcache_tier1_bytes"] <= 0 || want["pool_memory_bytes"] <= 0 {
+		t.Fatalf("fixture reports nothing to mirror: %+v", want)
+	}
+	check := func(stage string, tele *obs.Telemetry, present bool) {
+		t.Helper()
+		got := scraped(tele)
+		for name, v := range want {
+			g, ok := got[name]
+			if ok != present || (present && g != v) {
+				t.Errorf("%s: %s = %d (present %v), want %d (present %v)", stage, name, g, ok, v, present)
+			}
+		}
+	}
+	check("wired twice", first, true)
+	wire(second)
+	check("re-wired, old telemetry", first, false)
+	check("re-wired, new telemetry", second, true)
+	wire(nil)
+	check("unwired", second, false)
 }

@@ -101,7 +101,8 @@ func bucketBounds(idx int) (lo, hi int64) {
 // into fixed log-linear buckets. Record is lock-free and allocation-free:
 // one atomic add per bucket plus count/sum/min/max maintenance, ~ns cost.
 // Negative samples clamp to zero. Histograms with identical layout (all of
-// them — the layout is fixed) merge by bucket-wise addition.
+// them — the layout is fixed) merge by bucket-wise addition of their
+// ReadBuckets copies, which is what the tsdb's windows do.
 type Histogram struct {
 	counts [histBuckets]atomic.Int64
 	count  atomic.Int64
@@ -156,38 +157,6 @@ func (h *Histogram) Sum() int64 {
 		return 0
 	}
 	return h.sum.Load()
-}
-
-// Merge adds o's buckets into h (o may be nil). Both histograms share the
-// fixed layout, so the merge is exact: quantile estimates over the merged
-// histogram carry the same one-bucket error bound as over the parts.
-func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil {
-		return
-	}
-	for i := range o.counts {
-		if n := o.counts[i].Load(); n != 0 {
-			h.counts[i].Add(n)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-	if v := o.min.Load(); v != math.MaxInt64 {
-		for {
-			cur := h.min.Load()
-			if v >= cur || h.min.CompareAndSwap(cur, v) {
-				break
-			}
-		}
-	}
-	if v := o.max.Load(); v != math.MinInt64 {
-		for {
-			cur := h.max.Load()
-			if v <= cur || h.max.CompareAndSwap(cur, v) {
-				break
-			}
-		}
-	}
 }
 
 // Quantile estimates the q-quantile (0 <= q <= 1) as the midpoint of the
@@ -327,15 +296,26 @@ type Snapshot struct {
 	Histograms []HistogramSnapshot `json:"histograms"`
 }
 
-// Registry holds named metrics. Lookup methods get-or-create under a mutex;
-// hot paths resolve handles once and then touch only atomics. A nil registry
-// returns nil handles, which in turn no-op — the disabled fast path.
+// Registry holds named metrics of two kinds. Stored metrics are handles a
+// component resolves once (get-or-create under a mutex) and then writes with
+// atomics: histograms, and the counters and gauges of components that keep no
+// books of their own. A component whose Stats() already counts registers a
+// source instead: one function reporting those numbers when someone looks. A
+// nil registry returns nil handles, which in turn no-op — the disabled path.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	sources  map[any]source
+	// sourceList is sources' values for readers to range over after they
+	// unlock: dropped by SetSource, rebuilt (never edited) by the next reader,
+	// so registering stays O(1) however many sources there are.
+	sourceList []source
 }
+
+// source reports one component's counters and gauges through two callbacks.
+type source = func(counter, gauge func(name string, v int64))
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
@@ -343,6 +323,66 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
+		sources:  make(map[any]source),
+	}
+}
+
+// SetSource registers collect as owner's metric source, replacing whatever
+// owner registered before; a nil collect removes it. Every Snapshot and Read
+// calls each source once, outside the registry's mutex (so collect may take
+// its component's locks, including one held around this call), and adds up
+// emissions that share a name: an unlabeled series is the sum over every
+// live instance that emits it, and a source may emit labeled names
+// (Labeled). collect runs on the reading goroutine and must only read what
+// is safe to read from there. No-op on a nil registry.
+func (r *Registry) SetSource(owner any, collect func(counter, gauge func(name string, v int64))) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	delete(r.sources, owner)
+	if collect != nil {
+		r.sources[owner] = collect
+	}
+	r.sourceList = nil
+}
+
+// sourcesLocked returns the registered sources; callers hold r.mu.
+func (r *Registry) sourcesLocked() []source {
+	if r.sourceList == nil {
+		r.sourceList = make([]source, 0, len(r.sources))
+		for _, src := range r.sources {
+			r.sourceList = append(r.sourceList, src)
+		}
+	}
+	return r.sourceList
+}
+
+// Read sets out[i] to the value of the counter or gauge names[i] — stored
+// handle plus every source's emissions under that name, 0 when there is none
+// — without building a Snapshot: the tsdb's per-window read of the few series
+// it tracks. A nil registry reads all zeros.
+func (r *Registry) Read(names []string, out []int64) {
+	if r == nil {
+		clear(out)
+		return
+	}
+	r.mu.Lock()
+	for i, name := range names {
+		out[i] = r.counters[name].Value() + r.gauges[name].Value()
+	}
+	sources := r.sourcesLocked()
+	r.mu.Unlock()
+	add := func(name string, v int64) {
+		for i, n := range names {
+			if n == name {
+				out[i] += v
+			}
+		}
+	}
+	for _, src := range sources {
+		src(add, add)
 	}
 }
 
@@ -391,16 +431,16 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Snapshot dumps every metric, sorted by name. Values are read with the
-// registration mutex held, but individual metrics keep being written
-// concurrently; each value is an atomic read, so the snapshot is per-metric
-// consistent (the usual scrape semantics).
+// Snapshot dumps every metric, sorted by name: the stored handles plus one
+// evaluation of every source, same-name values added. Stored values are read
+// with the registration mutex held, sources after it is released; metrics
+// keep being written concurrently, so the snapshot is per-metric consistent
+// (the usual scrape semantics).
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{Counters: []NamedValue{}, Gauges: []NamedValue{}, Histograms: []HistogramSnapshot{}}
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	s := Snapshot{
 		Counters:   make([]NamedValue, 0, len(r.counters)),
 		Gauges:     make([]NamedValue, 0, len(r.gauges)),
@@ -432,8 +472,30 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		s.Histograms = append(s.Histograms, hs)
 	}
-	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
+	sources := r.sourcesLocked()
+	r.mu.Unlock()
+
+	counter := func(name string, v int64) { s.Counters = append(s.Counters, NamedValue{Name: name, Value: v}) }
+	gauge := func(name string, v int64) { s.Gauges = append(s.Gauges, NamedValue{Name: name, Value: v}) }
+	for _, src := range sources {
+		src(counter, gauge)
+	}
+	s.Counters = sumByName(s.Counters)
+	s.Gauges = sumByName(s.Gauges)
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
+}
+
+// sumByName sorts vs by name and folds entries that share one into their sum.
+func sumByName(vs []NamedValue) []NamedValue {
+	sort.Slice(vs, func(i, j int) bool { return vs[i].Name < vs[j].Name })
+	out := vs[:0]
+	for _, v := range vs {
+		if n := len(out); n > 0 && out[n-1].Name == v.Name {
+			out[n-1].Value += v.Value
+			continue
+		}
+		out = append(out, v)
+	}
+	return out
 }

@@ -9,6 +9,11 @@
 // exposition (WritePrometheus) and Chrome trace-event JSON
 // (WriteChromeTrace, loadable in chrome://tracing or Perfetto).
 //
+// A component that already counts in a Stats() struct does not count again
+// here: it registers one source (Registry.SetSource) reporting those numbers
+// when a snapshot is taken, and same-name reports add up. Stored handles
+// remain for histograms and for components with no books of their own.
+//
 // The disabled path is free by construction: every instrumented component
 // holds pre-resolved handles (possibly nil) and each handle method no-ops on
 // a nil receiver with zero allocations — enforced by
@@ -73,12 +78,16 @@ func (t *Telemetry) Histogram(name string) *Histogram { return t.Metrics().Histo
 // Snapshot dumps the registry (empty when disabled).
 func (t *Telemetry) Snapshot() Snapshot { return t.Metrics().Snapshot() }
 
+// labelEscaper is built once: metric sources format their labeled names on
+// every scrape.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // Labeled renders a metric name with one label pair in Prometheus form:
 // Labeled("pool_warm_hits_total", "engine", "wamr") →
 // `pool_warm_hits_total{engine="wamr"}`. Additional pairs append to an
 // already-labeled name.
 func Labeled(name, key, value string) string {
-	value = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace(value)
+	value = labelEscaper.Replace(value)
 	if i := strings.LastIndexByte(name, '}'); i >= 0 && strings.HasSuffix(name, "}") {
 		return name[:i] + `,` + key + `="` + value + `"}`
 	}

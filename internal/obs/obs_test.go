@@ -60,6 +60,33 @@ func TestCounterGaugeRegistry(t *testing.T) {
 	if len(snap.Gauges) != 1 || snap.Gauges[0].Value != 3 {
 		t.Fatalf("snapshot gauges = %+v", snap.Gauges)
 	}
+
+	// Sources are read per snapshot and same-name values add up — with each
+	// other and with a stored handle; re-registering replaces, nil removes.
+	a, b := new(int), new(int)
+	emit := func(n int64) func(counter, gauge func(string, int64)) {
+		return func(counter, gauge func(string, int64)) {
+			counter("requests_total", n)
+			gauge("idle", n)
+		}
+	}
+	reg := tele.Metrics()
+	reg.SetSource(a, emit(1))
+	reg.SetSource(b, emit(2))
+	reg.SetSource(b, emit(5))
+	snap = tele.Snapshot()
+	if len(snap.Counters) != 1 || snap.Counters[0].Value != 16 {
+		t.Fatalf("counters with sources = %+v, want requests_total 16", snap.Counters)
+	}
+	if len(snap.Gauges) != 2 || snap.Gauges[1].Name != "idle" || snap.Gauges[1].Value != 6 {
+		t.Fatalf("gauges with sources = %+v, want depth 3, idle 6", snap.Gauges)
+	}
+	reg.SetSource(a, nil)
+	reg.SetSource(b, nil)
+	if snap = tele.Snapshot(); snap.Counters[0].Value != 10 || len(snap.Gauges) != 1 {
+		t.Fatalf("after removing the sources: %+v", snap)
+	}
+	(*Registry)(nil).SetSource(a, emit(1)) // disabled: no-op
 }
 
 func TestHistogramBucketLayout(t *testing.T) {
@@ -135,36 +162,6 @@ func TestHistogramQuantileErrorBound(t *testing.T) {
 		if diff > float64(tol) {
 			t.Errorf("q%.2f: histogram %d vs exact %.0f, |diff| %.0f > bucket width %d",
 				tc.q, got, tc.exact, diff, tol)
-		}
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a, b := newHistogram(), newHistogram()
-	merged := newHistogram()
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 5000; i++ {
-		v := rng.Int63n(1 << 30)
-		if i%2 == 0 {
-			a.Record(v)
-		} else {
-			b.Record(v)
-		}
-		merged.Record(v)
-	}
-	sum := newHistogram()
-	sum.Merge(a)
-	sum.Merge(b)
-	sum.Merge(nil) // no-op
-	if sum.Count() != merged.Count() || sum.Sum() != merged.Sum() {
-		t.Fatalf("merge count/sum %d/%d, want %d/%d", sum.Count(), sum.Sum(), merged.Count(), merged.Sum())
-	}
-	if sum.min.Load() != merged.min.Load() || sum.max.Load() != merged.max.Load() {
-		t.Fatalf("merge min/max %d/%d, want %d/%d", sum.min.Load(), sum.max.Load(), merged.min.Load(), merged.max.Load())
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-		if sum.Quantile(q) != merged.Quantile(q) {
-			t.Fatalf("q%.2f: merged %d, direct %d", q, sum.Quantile(q), merged.Quantile(q))
 		}
 	}
 }

@@ -28,9 +28,15 @@ var (
 		"dispatch_retries_total":          "Retry attempts scheduled after failures.",
 		"dispatch_latency_ns":             "End-to-end simulated request latency.",
 		"dispatch_queue_wait_ns":          "Simulated time spent parked in the wait queue.",
-		"dispatch_queue_depth":            "Requests currently parked in the wait queue.",
-		"dispatch_in_flight":              "Requests currently holding a concurrency slot.",
-		"dispatch_breaker_state":          "Circuit breaker position (0 closed, 1 half-open, 2 open).",
+		"dispatch_breaker_opens_total":    "Circuit breaker transitions into the open state.",
+		"dispatch_queue_depth":            "Requests parked in wait queues, summed over dispatchers.",
+		"dispatch_in_flight":              "Requests holding a concurrency slot, summed over dispatchers.",
+		"dispatch_breaker_state":          "Circuit breaker position per module (0 closed, 1 half-open, 2 open); unlabeled: their sum, 0 iff all are closed.",
+		"pool_idle_instances":             "Warm instances waiting in pools, summed over pools.",
+		"pool_leased_instances":           "Instances out serving requests, summed over pools.",
+		"pool_memory_bytes":               "Accounted pool memory, summed over pools (an artifact two pools share counts in each).",
+		"modcache_resident_bytes":         "Charged cost of resident compiled modules, summed over caches.",
+		"modcache_tier1_bytes":            "Tier-1 share of modcache_resident_bytes.",
 		"gateway_http_requests_total":     "HTTP requests served by the gateway front door.",
 		"gateway_http_errors_total":       "HTTP responses with status >= 400.",
 		"gateway_wall_latency_ns":         "Wall-clock HTTP request latency.",

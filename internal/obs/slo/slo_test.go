@@ -24,11 +24,11 @@ type harness struct {
 func newHarness(t *testing.T, objs []Objective) *harness {
 	t.Helper()
 	h := &harness{tele: obs.New(obs.Config{})}
-	h.db = tsdb.New(tsdb.Config{Interval: time.Second})
+	h.db = tsdb.New(h.tele, tsdb.Config{Interval: time.Second})
 	h.total = h.tele.Counter("total")
 	h.bad = h.tele.Counter("bad")
-	h.db.TrackCounter("total", h.total)
-	h.db.TrackCounter("bad", h.bad)
+	h.db.TrackCounter("total")
+	h.db.TrackCounter("bad")
 	if objs == nil {
 		objs = []Objective{{
 			Name: "availability", Kind: Availability, Target: 0.99,
@@ -150,7 +150,7 @@ func TestBudgetAccounting(t *testing.T) {
 
 func TestLatencyObjective(t *testing.T) {
 	tele := obs.New(obs.Config{})
-	db := tsdb.New(tsdb.Config{Interval: time.Second})
+	db := tsdb.New(tele, tsdb.Config{Interval: time.Second})
 	lat := tele.Histogram("lat")
 	db.TrackHistogram("lat", lat)
 	eng := New(Config{DB: db, Telemetry: tele, Objectives: []Objective{{
@@ -249,7 +249,7 @@ func TestDisabledEngine(t *testing.T) {
 	if New(Config{}) != nil {
 		t.Fatal("missing DB must disable")
 	}
-	if New(Config{DB: tsdb.New(tsdb.Config{Interval: time.Second}),
+	if New(Config{DB: tsdb.New(nil, tsdb.Config{Interval: time.Second}),
 		Objectives: []Objective{{Name: "x", Target: 1.5}}}) != nil {
 		t.Fatal("invalid targets must disable")
 	}

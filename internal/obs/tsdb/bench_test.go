@@ -25,9 +25,9 @@ func BenchmarkAdvanceDisabled(b *testing.B) {
 // compare. This is the per-event cost sampling adds to the bridge loop; it
 // must also stay allocation-free.
 func BenchmarkAdvanceSameWindow(b *testing.B) {
-	db := New(Config{Interval: time.Hour})
 	tele := obs.New(obs.Config{})
-	db.TrackCounter("c", tele.Counter("c"))
+	db := New(tele, Config{Interval: time.Hour})
+	db.TrackCounter("c")
 	db.TrackHistogram("h", tele.Histogram("h"))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -40,12 +40,13 @@ func BenchmarkAdvanceSameWindow(b *testing.B) {
 // set: the O(series) cost paid once per SampleInterval, amortized across
 // every event inside the window.
 func BenchmarkCloseWindow(b *testing.B) {
-	db := New(Config{Interval: 1, Capacity: 64})
 	tele := obs.New(obs.Config{})
+	db := New(tele, Config{Interval: 1, Capacity: 64})
 	for _, n := range []string{"a", "b", "c", "d"} {
-		db.TrackCounter(n, tele.Counter(n))
+		tele.Counter(n).Inc()
+		db.TrackCounter(n)
 	}
-	db.TrackGauge("g", tele.Gauge("g"))
+	db.TrackGauge("g")
 	h := tele.Histogram("h")
 	h.Record(100)
 	db.TrackHistogram("h", h)

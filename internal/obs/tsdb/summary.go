@@ -117,46 +117,3 @@ func (db *DB) Summary() *Summary {
 	}
 	return s
 }
-
-// P99Drift compares one histogram series' p99 trajectory between a baseline
-// summary and a current one — the regression check successive bench runs
-// apply to their `timeseries` blocks. Windows align from the end (the tails
-// of both runs), windows where the baseline saw no samples are skipped, and
-// the worst relative increase is returned alongside the overall-p99 ratio.
-// ok is false when either summary lacks the series or the baseline's overall
-// p99 is zero.
-func P99Drift(base, cur *Summary, series string) (maxWindowIncrease, overallRatio float64, ok bool) {
-	b := findHistogram(base, series)
-	c := findHistogram(cur, series)
-	if b == nil || c == nil || b.P99 == 0 {
-		return 0, 0, false
-	}
-	overallRatio = float64(c.P99) / float64(b.P99)
-	n := len(b.P99PerWindow)
-	if len(c.P99PerWindow) < n {
-		n = len(c.P99PerWindow)
-	}
-	for i := 1; i <= n; i++ {
-		bw := b.P99PerWindow[len(b.P99PerWindow)-i]
-		cw := c.P99PerWindow[len(c.P99PerWindow)-i]
-		if bw == 0 {
-			continue
-		}
-		if inc := float64(cw)/float64(bw) - 1; inc > maxWindowIncrease {
-			maxWindowIncrease = inc
-		}
-	}
-	return maxWindowIncrease, overallRatio, true
-}
-
-func findHistogram(s *Summary, series string) *HistogramSummary {
-	if s == nil {
-		return nil
-	}
-	for i := range s.Histograms {
-		if s.Histograms[i].Name == series {
-			return &s.Histograms[i]
-		}
-	}
-	return nil
-}

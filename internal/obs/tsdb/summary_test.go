@@ -9,15 +9,15 @@ import (
 
 // TestSummaryRollsUpWindows drives a DB through three windows and checks the
 // rollup: counter totals and rates, gauge ranges, and the per-window p99
-// series the comparator consumes.
+// series.
 func TestSummaryRollsUpWindows(t *testing.T) {
 	tele := obs.New(obs.Config{})
-	db := New(Config{Interval: time.Second})
+	db := New(tele, Config{Interval: time.Second})
 	c := tele.Counter("reqs")
 	g := tele.Gauge("depth")
 	h := tele.Histogram("lat")
-	db.TrackCounter("reqs", c)
-	db.TrackGauge("depth", g)
+	db.TrackCounter("reqs")
+	db.TrackGauge("depth")
 	db.TrackHistogram("lat", h)
 
 	if db.Summary() != nil {
@@ -65,52 +65,11 @@ func TestSummaryRollsUpWindows(t *testing.T) {
 	}
 }
 
-// TestP99Drift checks the comparator on hand-built summaries: tail-aligned
-// windows, zero-baseline windows skipped, and missing series rejected.
-func TestP99Drift(t *testing.T) {
-	base := &Summary{Histograms: []HistogramSummary{{
-		Name: "lat", P99: 100, P99PerWindow: []int64{0, 100, 100, 100},
-	}}}
-	cur := &Summary{Histograms: []HistogramSummary{{
-		Name: "lat", P99: 150, P99PerWindow: []int64{100, 100, 300},
-	}}}
-	maxInc, ratio, ok := P99Drift(base, cur, "lat")
-	if !ok {
-		t.Fatal("comparator rejected matching series")
-	}
-	if ratio != 1.5 {
-		t.Fatalf("overall ratio = %v, want 1.5", ratio)
-	}
-	// Tail alignment: base [100,100,100] vs cur [100,100,300] -> worst
-	// window increase is 3x-1 = 2.0; the base's leading 0 window is ignored
-	// by alignment, not treated as an infinite regression.
-	if maxInc != 2.0 {
-		t.Fatalf("max window increase = %v, want 2.0", maxInc)
-	}
-
-	// Zero-p99 windows in the aligned range are skipped, not divided by.
-	base.Histograms[0].P99PerWindow = []int64{0, 100}
-	cur.Histograms[0].P99PerWindow = []int64{500, 100}
-	if maxInc, _, ok = P99Drift(base, cur, "lat"); !ok || maxInc != 0 {
-		t.Fatalf("zero-baseline window not skipped: inc=%v ok=%v", maxInc, ok)
-	}
-
-	if _, _, ok := P99Drift(base, cur, "missing"); ok {
-		t.Fatal("missing series must not compare")
-	}
-	if _, _, ok := P99Drift(nil, cur, "lat"); ok {
-		t.Fatal("nil baseline must not compare")
-	}
-	if _, _, ok := P99Drift(&Summary{Histograms: []HistogramSummary{{Name: "lat", P99: 0}}}, cur, "lat"); ok {
-		t.Fatal("zero overall baseline must not compare")
-	}
-}
-
 // TestSLOTableTimeSeriesSchema pins the JSON key the bench tables emit, so
 // results/<id>.json consumers can rely on the v3 `timeseries` block shape.
 func TestSLOTableTimeSeriesSchema(t *testing.T) {
 	tele := obs.New(obs.Config{})
-	db := New(Config{Interval: time.Second})
+	db := New(tele, Config{Interval: time.Second})
 	h := tele.Histogram("lat")
 	db.TrackHistogram("lat", h)
 	h.Record(int64(time.Millisecond))

@@ -1,8 +1,7 @@
 // Package tsdb turns the obs registry's monotonic totals into windowed time
 // series: a fixed-capacity ring of periodic snapshots storing counter deltas,
-// gauge values, and mergeable histogram windows, with the query primitives
-// (Rate, QuantileOver, EWMA) the ROADMAP's autoscaler and predictive pool
-// sizing need.
+// gauge values, and mergeable histogram windows, with the windowed-quantile
+// query (QuantileOver) the cluster autoscaler's p99 signal reads.
 //
 // # Sampling discipline
 //
@@ -18,9 +17,12 @@
 //
 // # Concurrency contract
 //
-// Advance is single-writer and lock-free: it touches only atomic loads of the
-// tracked handles (obs counters/gauges/histograms are plain atomics) and
-// publishes each completed, immutable Window through an atomic pointer ring.
+// Advance is single-writer. Inside a window it is one atomic load; a window
+// close reads the tracked histogram handles (plain atomics) and every tracked
+// counter and gauge in one obs.Registry.Read — which runs the registered
+// metric sources, so the sampling goroutine must not hold a component lock a
+// source takes — then publishes the completed, immutable Window through an
+// atomic pointer ring.
 // Readers (HTTP handlers, the SLO engine, bench summaries) never block the
 // sampler and never see a torn window. A nil *DB is the disabled state: every
 // method no-ops at zero cost, enforced by the obs-overhead benchmark gate.
@@ -102,17 +104,11 @@ type Window struct {
 	Histograms []HistogramWindow `json:"histograms,omitempty"`
 }
 
-// counterSeries through histSeries hold per-series sampler state. The prev*
+// counterSeries and histSeries hold per-series sampler state. The prev*
 // fields belong exclusively to the sampling goroutine.
 type counterSeries struct {
 	name string
-	c    *obs.Counter
 	prev int64
-}
-
-type gaugeSeries struct {
-	name string
-	g    *obs.Gauge
 }
 
 type histSeries struct {
@@ -127,13 +123,29 @@ type histSeries struct {
 // with one atomic pointer read.
 type seriesSet struct {
 	counters []*counterSeries
-	gauges   []*gaugeSeries
+	gauges   []string
 	hists    []*histSeries
+	// names lists the counter names, then the gauge names: what a window close
+	// asks the registry for in one Read into vals (the sampling goroutine's).
+	names []string
+	vals  []int64
+}
+
+// named rebuilds names and vals after a counter or gauge registration.
+func (ss *seriesSet) named() *seriesSet {
+	ss.names = make([]string, 0, len(ss.counters)+len(ss.gauges))
+	for _, s := range ss.counters {
+		ss.names = append(ss.names, s.name)
+	}
+	ss.names = append(ss.names, ss.gauges...)
+	ss.vals = make([]int64, len(ss.names))
+	return ss
 }
 
 // DB is the windowed time-series store. The zero value is not usable; New
 // constructs one. A nil *DB is the disabled state.
 type DB struct {
+	reg      *obs.Registry
 	interval int64
 	capacity int
 	onWindow func(*Window)
@@ -149,8 +161,10 @@ type DB struct {
 	head atomic.Int64 // windows ever published
 }
 
-// New creates a DB. A non-positive interval returns nil (disabled).
-func New(cfg Config) *DB {
+// New creates a DB over t's metrics: counter and gauge series are read from
+// it by name, so t may be nil only if every such series may read zero. A
+// non-positive interval returns nil (disabled).
+func New(t *obs.Telemetry, cfg Config) *DB {
 	if cfg.Interval <= 0 {
 		return nil
 	}
@@ -159,6 +173,7 @@ func New(cfg Config) *DB {
 		cap = DefaultCapacity
 	}
 	db := &DB{
+		reg:      t.Metrics(),
 		interval: int64(cfg.Interval),
 		capacity: cap,
 		onWindow: cfg.OnWindow,
@@ -184,31 +199,33 @@ func (db *DB) track(mut func(old *seriesSet) *seriesSet) {
 	db.series.Store(mut(db.series.Load()))
 }
 
-// TrackCounter registers a counter series. The handle may be nil (disabled
-// telemetry): the series then reads as permanently zero. Registering while
-// sampling runs is safe; the series joins at the next window.
-func (db *DB) TrackCounter(name string, c *obs.Counter) {
+// TrackCounter registers the counter series the telemetry reports under name
+// (a stored handle, metric sources' emissions, or both — hence by name); an
+// unknown name reads as zero. Registering while sampling runs is safe: the
+// series joins at the next window, and earlier traffic is not a delta.
+func (db *DB) TrackCounter(name string) {
 	if db == nil {
 		return
 	}
+	var now [1]int64
+	db.reg.Read([]string{name}, now[:])
 	db.track(func(old *seriesSet) *seriesSet {
 		ns := &seriesSet{gauges: old.gauges, hists: old.hists}
 		ns.counters = append(append([]*counterSeries{}, old.counters...),
-			&counterSeries{name: name, c: c, prev: c.Value()})
-		return ns
+			&counterSeries{name: name, prev: now[0]})
+		return ns.named()
 	})
 }
 
-// TrackGauge registers a gauge series.
-func (db *DB) TrackGauge(name string, g *obs.Gauge) {
+// TrackGauge registers the gauge series the telemetry reports under name.
+func (db *DB) TrackGauge(name string) {
 	if db == nil {
 		return
 	}
 	db.track(func(old *seriesSet) *seriesSet {
 		ns := &seriesSet{counters: old.counters, hists: old.hists}
-		ns.gauges = append(append([]*gaugeSeries{}, old.gauges...),
-			&gaugeSeries{name: name, g: g})
-		return ns
+		ns.gauges = append(append([]string{}, old.gauges...), name)
+		return ns.named()
 	})
 }
 
@@ -225,7 +242,7 @@ func (db *DB) TrackHistogram(name string, h *obs.Histogram) {
 			scratch: make([]int64, obs.NumBuckets()),
 		}
 		hs.prevCount, hs.prevSum = h.ReadBuckets(hs.prev)
-		ns := &seriesSet{counters: old.counters, gauges: old.gauges}
+		ns := &seriesSet{counters: old.counters, gauges: old.gauges, names: old.names, vals: old.vals}
 		ns.hists = append(append([]*histSeries{}, old.hists...), hs)
 		return ns
 	})
@@ -265,18 +282,22 @@ func (db *DB) closeWindow(end int64) {
 	ss := db.series.Load()
 	w := &Window{Seq: db.seq, Start: end - db.interval, End: end}
 	db.seq++
+	// One collection per window, shared by every counter and gauge series.
+	if len(ss.names) > 0 {
+		db.reg.Read(ss.names, ss.vals)
+	}
 	if n := len(ss.counters); n > 0 {
 		w.Counters = make([]CounterWindow, n)
 		for i, s := range ss.counters {
-			v := s.c.Value()
+			v := ss.vals[i]
 			w.Counters[i] = CounterWindow{Name: s.name, Delta: v - s.prev, Total: v}
 			s.prev = v
 		}
 	}
 	if n := len(ss.gauges); n > 0 {
 		w.Gauges = make([]GaugeWindow, n)
-		for i, s := range ss.gauges {
-			w.Gauges[i] = GaugeWindow{Name: s.name, Value: s.g.Value()}
+		for i, name := range ss.gauges {
+			w.Gauges[i] = GaugeWindow{Name: name, Value: ss.vals[len(ss.counters)+i]}
 		}
 	}
 	if n := len(ss.hists); n > 0 {
@@ -390,33 +411,6 @@ func (db *DB) lookback(span int64) []*Window {
 	return ws[lo:]
 }
 
-// Rate returns a counter's average increase per second over the trailing
-// `span` (all history when span <= 0). Unknown series and empty histories
-// read as 0.
-func (db *DB) Rate(name string, span time.Duration) float64 {
-	if db == nil {
-		return 0
-	}
-	ws := db.lookback(int64(span))
-	if len(ws) == 0 {
-		return 0
-	}
-	var delta int64
-	for _, w := range ws {
-		for _, c := range w.Counters {
-			if c.Name == name {
-				delta += c.Delta
-				break
-			}
-		}
-	}
-	covered := ws[len(ws)-1].End - ws[0].Start
-	if covered <= 0 {
-		return 0
-	}
-	return float64(delta) / (float64(covered) / 1e9)
-}
-
 // QuantileOver estimates a histogram's q-quantile over the samples recorded
 // in the trailing `span` by merging window bucket deltas — the mergeability
 // that point-in-time histogram snapshots cannot offer.
@@ -440,47 +434,6 @@ func (db *DB) QuantileOver(name string, q float64, span time.Duration) int64 {
 		}
 	}
 	return obs.QuantileOf(merged, q)
-}
-
-// EWMA returns the exponentially-weighted moving average over the retained
-// windows, oldest to newest, seeded with the first observation. For a counter
-// series the per-window observation is its rate per second; for a gauge it is
-// the sampled value. alpha outside (0, 1] reads as 0.
-func (db *DB) EWMA(name string, alpha float64) float64 {
-	if db == nil || alpha <= 0 || alpha > 1 {
-		return 0
-	}
-	ws := db.Windows(0)
-	winSec := float64(db.interval) / 1e9
-	var ewma float64
-	seeded := false
-	for _, w := range ws {
-		var x float64
-		found := false
-		for _, c := range w.Counters {
-			if c.Name == name {
-				x, found = float64(c.Delta)/winSec, true
-				break
-			}
-		}
-		if !found {
-			for _, g := range w.Gauges {
-				if g.Name == name {
-					x, found = float64(g.Value), true
-					break
-				}
-			}
-		}
-		if !found {
-			continue
-		}
-		if !seeded {
-			ewma, seeded = x, true
-			continue
-		}
-		ewma = alpha*x + (1-alpha)*ewma
-	}
-	return ewma
 }
 
 // Stats reports sampler totals.

@@ -14,30 +14,31 @@ func newTestDB(t *testing.T, cfg Config) (*DB, *obs.Telemetry) {
 	if cfg.Interval == 0 {
 		cfg.Interval = 100 * time.Nanosecond
 	}
-	db := New(cfg)
+	tele := obs.New(obs.Config{})
+	db := New(tele, cfg)
 	if db == nil {
 		t.Fatal("New returned nil for a valid config")
 	}
-	return db, obs.New(obs.Config{})
+	return db, tele
 }
 
 func TestDisabledNilDB(t *testing.T) {
 	var db *DB
-	db.TrackCounter("c", nil)
-	db.TrackGauge("g", nil)
+	db.TrackCounter("c")
+	db.TrackGauge("g")
 	db.TrackHistogram("h", nil)
 	db.Advance(1e9)
 	db.ArmDES(des.NewEngine(), 1e9)
 	if db.Windows(0) != nil || db.Last() != nil || db.Summary() != nil {
 		t.Fatal("nil DB reads must be zero values")
 	}
-	if db.Rate("c", 0) != 0 || db.QuantileOver("h", 0.99, 0) != 0 || db.EWMA("c", 0.5) != 0 {
+	if db.QuantileOver("h", 0.99, 0) != 0 {
 		t.Fatal("nil DB queries must be zero")
 	}
 	if db.Stats() != (Stats{}) || db.Interval() != 0 {
 		t.Fatal("nil DB stats must be zero")
 	}
-	if New(Config{}) != nil {
+	if New(nil, Config{}) != nil {
 		t.Fatal("zero interval must construct the disabled state")
 	}
 }
@@ -46,7 +47,7 @@ func TestCounterDeltasAcrossWindows(t *testing.T) {
 	db, tele := newTestDB(t, Config{})
 	c := tele.Counter("reqs_total")
 	c.Add(5)
-	db.TrackCounter("reqs_total", c) // prev seeds at 5: pre-tracking traffic is not a delta
+	db.TrackCounter("reqs_total") // prev seeds at 5: pre-tracking traffic is not a delta
 	c.Add(3)
 	db.Advance(100) // closes [0,100)
 	c.Add(7)
@@ -68,7 +69,7 @@ func TestCounterDeltasAcrossWindows(t *testing.T) {
 
 func TestAdvanceFastPathAndMultiClose(t *testing.T) {
 	db, tele := newTestDB(t, Config{})
-	db.TrackGauge("depth", tele.Gauge("depth"))
+	db.TrackGauge("depth")
 	db.Advance(50) // no boundary crossed
 	if db.Stats().Published != 0 {
 		t.Fatal("no window may close before the first boundary")
@@ -123,52 +124,9 @@ func obsBucketOf(v int64) int {
 	return -1
 }
 
-func TestRate(t *testing.T) {
-	db, tele := newTestDB(t, Config{Interval: time.Second})
-	c := tele.Counter("reqs_total")
-	db.TrackCounter("reqs_total", c)
-	c.Add(10)
-	db.Advance(1e9)
-	c.Add(30)
-	db.Advance(2e9)
-	if got := db.Rate("reqs_total", 0); got != 20 {
-		t.Fatalf("rate over 2s = %v, want 20", got)
-	}
-	if got := db.Rate("reqs_total", time.Second); got != 30 {
-		t.Fatalf("rate over trailing 1s = %v, want 30", got)
-	}
-	if db.Rate("unknown", 0) != 0 {
-		t.Fatal("unknown series rate must be 0")
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	db, tele := newTestDB(t, Config{Interval: time.Second})
-	c := tele.Counter("reqs_total")
-	g := tele.Gauge("depth")
-	db.TrackCounter("reqs_total", c)
-	db.TrackGauge("depth", g)
-	c.Add(10)
-	g.Set(100)
-	db.Advance(1e9)
-	c.Add(20)
-	g.Set(0)
-	db.Advance(2e9)
-	// Counter: rates 10, 20 → ewma(0.5) = 15. Gauge: values 100, 0 → 50.
-	if got := db.EWMA("reqs_total", 0.5); got != 15 {
-		t.Fatalf("counter EWMA = %v, want 15", got)
-	}
-	if got := db.EWMA("depth", 0.5); got != 50 {
-		t.Fatalf("gauge EWMA = %v, want 50", got)
-	}
-	if db.EWMA("reqs_total", 0) != 0 || db.EWMA("reqs_total", 1.5) != 0 {
-		t.Fatal("invalid alpha must read 0")
-	}
-}
-
 func TestRingEvictionAndWindowsMax(t *testing.T) {
-	db, tele := newTestDB(t, Config{Capacity: 4})
-	db.TrackCounter("c", tele.Counter("c"))
+	db, _ := newTestDB(t, Config{Capacity: 4})
+	db.TrackCounter("c")
 	for i := int64(1); i <= 10; i++ {
 		db.Advance(i * 100)
 	}
@@ -210,9 +168,9 @@ func TestArmDESClosesWindowsDeterministically(t *testing.T) {
 	run := func() []byte {
 		eng := des.NewEngine()
 		tele := obs.New(obs.Config{})
-		db := New(Config{Interval: 100 * time.Nanosecond})
+		db := New(tele, Config{Interval: 100 * time.Nanosecond})
 		c := tele.Counter("reqs_total")
-		db.TrackCounter("reqs_total", c)
+		db.TrackCounter("reqs_total")
 		// Workload: one increment every 30ns until t=1000.
 		for t := int64(0); t <= 1000; t += 30 {
 			eng.At(des.Time(t), func() { c.Inc() })
@@ -253,7 +211,7 @@ func TestLateRegistrationJoinsNextWindow(t *testing.T) {
 	db.Advance(100)
 	c := tele.Counter("late_total")
 	c.Add(4)
-	db.TrackCounter("late_total", c)
+	db.TrackCounter("late_total")
 	c.Add(2)
 	db.Advance(200)
 	last := db.Last()
@@ -270,8 +228,8 @@ func TestSummary(t *testing.T) {
 	c := tele.Counter("reqs_total")
 	g := tele.Gauge("depth")
 	h := tele.Histogram("lat")
-	db.TrackCounter("reqs_total", c)
-	db.TrackGauge("depth", g)
+	db.TrackCounter("reqs_total")
+	db.TrackGauge("depth")
 	db.TrackHistogram("lat", h)
 	if db.Summary() != nil {
 		t.Fatal("summary before any window must be nil")
@@ -310,7 +268,7 @@ func TestSummary(t *testing.T) {
 func TestConcurrentReadersDoNotTear(t *testing.T) {
 	db, tele := newTestDB(t, Config{Capacity: 4})
 	c := tele.Counter("c")
-	db.TrackCounter("c", c)
+	db.TrackCounter("c")
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -320,7 +278,6 @@ func TestConcurrentReadersDoNotTear(t *testing.T) {
 					panic("torn window")
 				}
 			}
-			db.Rate("c", 0)
 			db.Summary()
 		}
 	}()

@@ -156,9 +156,25 @@ type DispatcherStats struct {
 	TimedOut int64
 	// BreakerOpens counts transitions into the open state.
 	BreakerOpens int64
+	// BreakerTransitions counts every breaker move (open, half-open, close).
+	BreakerTransitions int64
 	// BreakerShortCircuits counts rejections issued while the breaker denied
 	// admission (a subset of Rejected).
 	BreakerShortCircuits int64
+}
+
+// Add folds o into s, field by field: the aggregate over shards or replicas.
+func (s *DispatcherStats) Add(o DispatcherStats) {
+	s.Submitted += o.Submitted
+	s.Completed += o.Completed
+	s.Rejected += o.Rejected
+	s.Expired += o.Expired
+	s.Failed += o.Failed
+	s.Retries += o.Retries
+	s.TimedOut += o.TimedOut
+	s.BreakerOpens += o.BreakerOpens
+	s.BreakerTransitions += o.BreakerTransitions
+	s.BreakerShortCircuits += o.BreakerShortCircuits
 }
 
 // queuedRequest is one request parked behind the concurrency limit.
@@ -264,25 +280,14 @@ type Dispatcher struct {
 	brkProbe bool
 	brkGen   uint64
 
-	// Telemetry handles, nil when observation is disabled (nil handles no-op
-	// without allocating; the tracer needs an explicit nil check at span
-	// call sites).
-	tele            *obs.Telemetry
-	obsSubmitted    *obs.Counter
-	obsCompleted    *obs.Counter
-	obsRejected     *obs.Counter
-	obsExpired      *obs.Counter
-	obsFailed       *obs.Counter
-	obsRetries      *obs.Counter
-	obsTimedOut     *obs.Counter
-	obsShortCircuit *obs.Counter
-	obsBreakerTrans *obs.Counter
-	obsBreakerState *obs.Gauge
-	obsQueueDepth   *obs.Gauge
-	obsInFlight     *obs.Gauge
-	obsLatencyNs    *obs.Histogram
-	obsQueueWaitNs  *obs.Histogram
-	obsTracer       *obs.Tracer
+	// Telemetry. Counters and gauges are stats and the mirrors above, read
+	// by the source SetObserver registers; what has no second copy is a
+	// handle, nil when observation is disabled (nil handles no-op without
+	// allocating; the tracer needs an explicit nil check at span call sites).
+	tele           *obs.Telemetry
+	obsLatencyNs   *obs.Histogram
+	obsQueueWaitNs *obs.Histogram
+	obsTracer      *obs.Tracer
 }
 
 // NewDispatcher wires a dispatcher to a DES engine and a pool.
@@ -293,35 +298,45 @@ func NewDispatcher(eng *des.Engine, pool *Pool, cfg DispatcherConfig) *Dispatche
 	return &Dispatcher{eng: eng, pool: pool, cfg: cfg}
 }
 
-// SetObserver wires telemetry into the dispatcher: outcome counters,
-// queue-depth/in-flight/breaker gauges, latency/queue-wait histograms, and
-// the per-request lifecycle spans (queue-wait → acquire → invoke, plus
-// retry-wait and breaker transitions) on the simulated timeline, one trace
-// track (TID) per request. It also wires the pool so the request timeline
-// and the pool's reset spans land in one trace. Pass nil to disable (the
-// default); the disabled path costs a nil check per event and no
-// allocations.
+// SetObserver wires telemetry into the dispatcher: a metric source reporting
+// Stats() and the queue-depth/in-flight/breaker accessors as the dispatch_*
+// counters and gauges (summed over every dispatcher on one telemetry),
+// latency/queue-wait histograms, and the per-request lifecycle spans
+// (queue-wait → acquire → invoke, plus retry-wait and breaker transitions)
+// on the simulated timeline, one trace track (TID) per request. It also
+// wires the pool so the request timeline and the pool's reset spans land in
+// one trace. A second call moves the source; nil disables (the default),
+// and the disabled path costs a nil check per event and no allocations.
 func (d *Dispatcher) SetObserver(t *obs.Telemetry) {
 	d.mu.Lock()
+	d.tele.Metrics().SetSource(d, nil)
 	d.tele = t
-	d.obsSubmitted = t.Counter("dispatch_submitted_total")
-	d.obsCompleted = t.Counter("dispatch_completed_total")
-	d.obsRejected = t.Counter("dispatch_rejected_total")
-	d.obsExpired = t.Counter("dispatch_expired_total")
-	d.obsFailed = t.Counter("dispatch_failed_total")
-	d.obsRetries = t.Counter("dispatch_retries_total")
-	d.obsTimedOut = t.Counter("dispatch_timeouts_total")
-	d.obsShortCircuit = t.Counter("dispatch_breaker_short_circuits_total")
-	d.obsBreakerTrans = t.Counter("dispatch_breaker_transitions_total")
-	d.obsBreakerState = t.Gauge("dispatch_breaker_state")
-	d.obsQueueDepth = t.Gauge("dispatch_queue_depth")
-	d.obsInFlight = t.Gauge("dispatch_in_flight")
+	t.Metrics().SetSource(d, d.collect)
 	d.obsLatencyNs = t.Histogram("dispatch_latency_ns")
 	d.obsQueueWaitNs = t.Histogram("dispatch_queue_wait_ns")
 	d.obsTracer = t.Tracer()
-	d.obsBreakerState.Set(int64(d.brk))
 	d.mu.Unlock()
 	d.pool.SetObserver(t)
+}
+
+// collect is the dispatcher's metric source. Breaker positions do not add
+// meaningfully, so the unlabeled dispatch_breaker_state is a sum that is 0
+// iff every breaker is closed; the router reports the per-module position.
+func (d *Dispatcher) collect(counter, gauge func(string, int64)) {
+	st := d.Stats()
+	counter("dispatch_submitted_total", st.Submitted)
+	counter("dispatch_completed_total", st.Completed)
+	counter("dispatch_rejected_total", st.Rejected)
+	counter("dispatch_expired_total", st.Expired)
+	counter("dispatch_failed_total", st.Failed)
+	counter("dispatch_retries_total", st.Retries)
+	counter("dispatch_timeouts_total", st.TimedOut)
+	counter("dispatch_breaker_opens_total", st.BreakerOpens)
+	counter("dispatch_breaker_transitions_total", st.BreakerTransitions)
+	counter("dispatch_breaker_short_circuits_total", st.BreakerShortCircuits)
+	gauge("dispatch_queue_depth", int64(d.QueueLen()))
+	gauge("dispatch_in_flight", int64(d.InFlight()))
+	gauge("dispatch_breaker_state", int64(d.BreakerState()))
 }
 
 // Submit offers one request at the current simulated time: a SubmitBatch of
@@ -345,9 +360,9 @@ type BatchItem struct {
 
 // SubmitBatch offers a batch of requests at the current simulated time, in
 // order, with the per-batch work amortized: the dispatcher lock is taken
-// once, the queue-deadline sweep runs once, and the submitted/queue-depth/
-// in-flight telemetry is recorded once for the whole batch instead of once
-// per request. This is the dispatcher's only admission ladder (Submit is a
+// once, the queue-deadline sweep runs once, and the submitted count and the
+// queue-depth/in-flight mirrors are written once for the whole batch instead
+// of once per request. This is the only admission ladder (Submit is a
 // batch of one), and its one ordering rule is that admission decisions for
 // the whole batch are made before any attempt runs: a synchronous attempt
 // failure (a cold-start fault opening the breaker) affects the next batch,
@@ -370,10 +385,8 @@ func (d *Dispatcher) SubmitBatch(items []BatchItem) {
 	var refused []refusal
 	d.mu.Lock()
 	atomic.AddInt64(&d.stats.Submitted, int64(len(items)))
-	d.obsSubmitted.Add(int64(len(items)))
 	if d.draining.Load() {
 		atomic.AddInt64(&d.stats.Rejected, int64(len(items)))
-		d.obsRejected.Add(int64(len(items)))
 		d.mu.Unlock()
 		for _, it := range items {
 			if it.Done != nil {
@@ -403,10 +416,8 @@ func (d *Dispatcher) SubmitBatch(items []BatchItem) {
 			if !d.breakerReadyLocked() {
 				reason = ErrBreakerOpen
 				atomic.AddInt64(&d.stats.BreakerShortCircuits, 1)
-				d.obsShortCircuit.Inc()
 			}
 			atomic.AddInt64(&d.stats.Rejected, 1)
-			d.obsRejected.Inc()
 			refused = append(refused, refusal{done: done, reason: reason})
 			continue
 		}
@@ -423,7 +434,6 @@ func (d *Dispatcher) SubmitBatch(items []BatchItem) {
 	}
 	d.syncQueueLocked()
 	d.busyA.Store(int64(d.busy))
-	d.obsInFlight.Set(int64(d.busy))
 	d.mu.Unlock()
 	finishAll(dead)
 	for _, rf := range refused {
@@ -448,7 +458,6 @@ func (d *Dispatcher) expireHeadsLocked(now des.Time) []func(RequestResult) {
 		dead = append(dead, d.queue[0].done)
 		d.queue = d.queue[1:]
 		atomic.AddInt64(&d.stats.Expired, 1)
-		d.obsExpired.Inc()
 	}
 	if len(dead) > 0 {
 		d.syncQueueLocked()
@@ -457,12 +466,8 @@ func (d *Dispatcher) expireHeadsLocked(now des.Time) []func(RequestResult) {
 }
 
 // syncQueueLocked mirrors the queue length into the lock-free observer
-// mirror and the queue-depth gauge after a queue mutation.
-func (d *Dispatcher) syncQueueLocked() {
-	n := int64(len(d.queue))
-	d.qlenA.Store(n)
-	d.obsQueueDepth.Set(n)
-}
+// mirror after a queue mutation.
+func (d *Dispatcher) syncQueueLocked() { d.qlenA.Store(int64(len(d.queue))) }
 
 // finishAll invokes expired-request callbacks (outside the dispatcher lock).
 func finishAll(dead []func(RequestResult)) {
@@ -483,7 +488,6 @@ func (d *Dispatcher) start(done func(RequestResult), queueWait time.Duration, ti
 		tid = d.reqSeq
 	}
 	d.busyA.Store(int64(d.busy))
-	d.obsInFlight.Set(int64(d.busy))
 	d.mu.Unlock()
 	d.run(done, queueWait, tid)
 }
@@ -605,7 +609,6 @@ func (d *Dispatcher) scheduleRetry(r *inflight, cause error) bool {
 	}
 	d.mu.Lock()
 	atomic.AddInt64(&d.stats.Retries, 1)
-	d.obsRetries.Inc()
 	tracer := d.obsTracer
 	d.mu.Unlock()
 	r.retryWait += backoff
@@ -630,17 +633,13 @@ func (d *Dispatcher) finish(r *inflight, err error) {
 	d.busy--
 	if err != nil {
 		atomic.AddInt64(&d.stats.Failed, 1)
-		d.obsFailed.Inc()
 		if r.timedOut {
 			atomic.AddInt64(&d.stats.TimedOut, 1)
-			d.obsTimedOut.Inc()
 		}
 	} else {
 		atomic.AddInt64(&d.stats.Completed, 1)
-		d.obsCompleted.Inc()
 	}
 	d.busyA.Store(int64(d.busy))
-	d.obsInFlight.Set(int64(d.busy))
 	tracer := d.obsTracer
 	// Breaker involvement for tail sampling: this request's failure opened
 	// it, or it ran as the half-open probe. noteSuccess/noteFailure run
@@ -772,8 +771,8 @@ func (d *Dispatcher) openBreakerLocked() {
 	})
 }
 
-// setBreakerLocked moves the breaker and mirrors the transition into
-// telemetry: the state gauge, the transition counter, and an instant span.
+// setBreakerLocked moves the breaker, counts the transition, and marks it
+// with an instant span.
 func (d *Dispatcher) setBreakerLocked(s BreakerState) {
 	if d.brk == s {
 		return
@@ -781,8 +780,7 @@ func (d *Dispatcher) setBreakerLocked(s BreakerState) {
 	d.brk = s
 	d.brkProbe = false
 	d.brkA.Store(int64(s))
-	d.obsBreakerState.Set(int64(s))
-	d.obsBreakerTrans.Inc()
+	atomic.AddInt64(&d.stats.BreakerTransitions, 1)
 	if d.obsTracer != nil {
 		now := int64(d.eng.Now())
 		d.obsTracer.Span("breaker", "serve", 0, now, now, obs.Str("state", s.String()))
@@ -875,6 +873,7 @@ func (d *Dispatcher) Stats() DispatcherStats {
 		Retries:              atomic.LoadInt64(&d.stats.Retries),
 		TimedOut:             atomic.LoadInt64(&d.stats.TimedOut),
 		BreakerOpens:         atomic.LoadInt64(&d.stats.BreakerOpens),
+		BreakerTransitions:   atomic.LoadInt64(&d.stats.BreakerTransitions),
 		BreakerShortCircuits: atomic.LoadInt64(&d.stats.BreakerShortCircuits),
 	}
 }

@@ -99,42 +99,45 @@ type Pool struct {
 
 	stats Stats
 
-	// Telemetry handles, nil when observation is disabled (nil handles no-op
-	// without allocating; the tracer needs an explicit nil check at span
-	// call sites).
-	obsWarmHits   *obs.Counter
-	obsColdStarts *obs.Counter
-	obsRecycled   *obs.Counter
-	obsDiscarded  *obs.Counter
-	obsEvicted    *obs.Counter
-	obsIdle       *obs.Gauge
-	obsLeased     *obs.Gauge
-	obsMemBytes   *obs.Gauge
+	// Telemetry. Counters and gauges are the fields above, read by the source
+	// SetObserver registers; the histogram and the tracer have no second copy
+	// and stay handles, nil when observation is disabled (nil handles no-op
+	// without allocating; the tracer needs an explicit nil check at span call
+	// sites).
+	tele          *obs.Telemetry
 	obsResetPages *obs.Histogram
 	obsTracer     *obs.Tracer
 }
 
-// SetObserver wires telemetry into the pool: warm-hit/cold-start/recycle
-// counters, idle/leased/memory gauges, a reset-dirty-pages histogram, and a
-// "reset" span per Release carrying the dirty-page count. Pass nil to disable
-// (the default); the disabled path costs a nil check per event and no
-// allocations.
+// SetObserver wires telemetry into the pool: a metric source reporting
+// Stats() as the pool_*_total counters and the idle/leased/memory figures as
+// gauges (summed over every pool on one telemetry), a reset-dirty-pages
+// histogram, and a "reset" span per Release carrying the dirty-page count. A
+// second call moves the source; nil disables (the default), and the disabled
+// path costs a nil check per event and no allocations.
 func (p *Pool) SetObserver(t *obs.Telemetry) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.obsWarmHits = t.Counter("pool_warm_hits_total")
-	p.obsColdStarts = t.Counter("pool_cold_starts_total")
-	p.obsRecycled = t.Counter("pool_recycled_total")
-	p.obsDiscarded = t.Counter("pool_discarded_total")
-	p.obsEvicted = t.Counter("pool_evicted_total")
-	p.obsIdle = t.Gauge("pool_idle_instances")
-	p.obsLeased = t.Gauge("pool_leased_instances")
-	p.obsMemBytes = t.Gauge("pool_memory_bytes")
+	p.tele.Metrics().SetSource(p, nil)
+	p.tele = t
+	t.Metrics().SetSource(p, p.collect)
 	p.obsResetPages = t.Histogram("pool_reset_dirty_pages")
 	p.obsTracer = t.Tracer()
-	p.obsIdle.Set(int64(len(p.idle)))
-	p.obsLeased.Set(int64(p.leased))
-	p.obsMemBytes.Set(p.memBytes)
+}
+
+// collect is the pool's metric source: one consistent read under the lock.
+func (p *Pool) collect(counter, gauge func(string, int64)) {
+	p.mu.Lock()
+	st, idle, leased, mem := p.stats, len(p.idle), p.leased, p.memBytes
+	p.mu.Unlock()
+	counter("pool_warm_hits_total", st.WarmHits)
+	counter("pool_cold_starts_total", st.ColdStarts)
+	counter("pool_recycled_total", st.Recycled)
+	counter("pool_discarded_total", st.Discarded)
+	counter("pool_evicted_total", st.Evicted)
+	gauge("pool_idle_instances", int64(idle))
+	gauge("pool_leased_instances", int64(leased))
+	gauge("pool_memory_bytes", mem)
 }
 
 // NewPool compiles nothing itself: cm must come from eng.Compile. It
@@ -184,18 +187,11 @@ func (p *Pool) Resize(n int) (int, error) {
 	}
 	p.mu.Lock()
 	p.cfg.Size = n
-	delta := 0
-	for len(p.idle) > n {
-		wi := p.idle[len(p.idle)-1]
-		p.idle = p.idle[:len(p.idle)-1]
-		p.stats.Evicted++
-		p.obsEvicted.Inc()
-		p.addMemLocked(-wi.footprint)
-		delta--
-	}
-	if delta < 0 {
-		p.obsIdle.Set(int64(len(p.idle)))
-	}
+	kept := 0
+	delta := -p.dropIdleLocked(func(*WarmInstance) bool {
+		kept++
+		return kept <= n
+	})
 	want := n - len(p.idle) - p.leased
 	p.mu.Unlock()
 	for i := 0; i < want; i++ {
@@ -205,7 +201,6 @@ func (p *Pool) Resize(n int) (int, error) {
 		}
 		p.mu.Lock()
 		p.idle = append(p.idle, wi)
-		p.obsIdle.Set(int64(len(p.idle)))
 		p.mu.Unlock()
 		delta++
 	}
@@ -257,7 +252,6 @@ func (p *Pool) addMemLocked(delta int64) {
 	if p.onMem != nil {
 		p.onMem(p.memBytes)
 	}
-	p.obsMemBytes.Set(p.memBytes)
 }
 
 // SetMemoryListener registers fn to observe every accounted-memory change
@@ -288,9 +282,6 @@ func (p *Pool) Acquire(now des.Time) (*WarmInstance, bool) {
 	p.idle = p.idle[:len(p.idle)-1]
 	p.leased++
 	p.stats.WarmHits++
-	p.obsWarmHits.Inc()
-	p.obsIdle.Set(int64(len(p.idle)))
-	p.obsLeased.Set(int64(p.leased))
 	return wi, true
 }
 
@@ -305,8 +296,6 @@ func (p *Pool) ColdStart() (*WarmInstance, error) {
 	p.mu.Lock()
 	p.leased++
 	p.stats.ColdStarts++
-	p.obsColdStarts.Inc()
-	p.obsLeased.Set(int64(p.leased))
 	p.mu.Unlock()
 	return wi, nil
 }
@@ -337,18 +326,14 @@ func (p *Pool) Release(wi *WarmInstance, now des.Time) {
 		p.addMemLocked(-private)
 	}
 	p.leased--
-	p.obsLeased.Set(int64(p.leased))
 	wi.lastUsed = now
 	if len(p.idle) < p.cfg.Size {
 		wi.cold = false
 		p.idle = append(p.idle, wi)
 		p.stats.Recycled++
-		p.obsRecycled.Inc()
-		p.obsIdle.Set(int64(len(p.idle)))
 		return
 	}
 	p.stats.Discarded++
-	p.obsDiscarded.Inc()
 	p.addMemLocked(-wi.footprint)
 }
 
@@ -365,22 +350,25 @@ func (p *Pool) evictIdleLocked(now des.Time) int {
 		return 0
 	}
 	cutoff := now - des.Time(p.cfg.IdleTTL)
+	return p.dropIdleLocked(func(wi *WarmInstance) bool { return wi.lastUsed >= cutoff })
+}
+
+// dropIdleLocked is the pool's one eviction loop: every idle instance keep
+// turns down (asked oldest first) leaves the pool, is counted Evicted, and
+// gives its footprint back. Returns how many were dropped.
+func (p *Pool) dropIdleLocked(keep func(*WarmInstance) bool) int {
 	kept := p.idle[:0]
-	evicted := 0
 	for _, wi := range p.idle {
-		if wi.lastUsed < cutoff {
-			evicted++
-			p.stats.Evicted++
-			p.obsEvicted.Inc()
-			p.addMemLocked(-wi.footprint)
+		if keep(wi) {
+			kept = append(kept, wi)
 			continue
 		}
-		kept = append(kept, wi)
+		p.stats.Evicted++
+		p.addMemLocked(-wi.footprint)
 	}
+	evicted := len(p.idle) - len(kept)
+	clear(p.idle[len(kept):])
 	p.idle = kept
-	if evicted > 0 {
-		p.obsIdle.Set(int64(len(p.idle)))
-	}
 	return evicted
 }
 
@@ -392,19 +380,10 @@ func (p *Pool) evictIdleLocked(now des.Time) int {
 func (p *Pool) DrainIdle(now des.Time) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	evicted := len(p.idle)
-	for _, wi := range p.idle {
-		p.stats.Evicted++
-		p.obsEvicted.Inc()
-		p.addMemLocked(-wi.footprint)
-	}
-	p.idle = p.idle[:0]
-	if evicted > 0 {
-		p.obsIdle.Set(0)
-		if p.obsTracer != nil {
-			p.obsTracer.Span("pressure-drain", "pool", 0, int64(now), int64(now),
-				obs.I64("evicted", int64(evicted)))
-		}
+	evicted := p.dropIdleLocked(func(*WarmInstance) bool { return false })
+	if evicted > 0 && p.obsTracer != nil {
+		p.obsTracer.Span("pressure-drain", "pool", 0, int64(now), int64(now),
+			obs.I64("evicted", int64(evicted)))
 	}
 	return evicted
 }

@@ -12,6 +12,7 @@ import (
 	"wasmcontainers/internal/engine"
 	"wasmcontainers/internal/faults"
 	"wasmcontainers/internal/obs"
+	"wasmcontainers/internal/obs/tsdb"
 	"wasmcontainers/internal/wasm/exec"
 )
 
@@ -376,19 +377,30 @@ func TestChaosDeterminismAndAccounting(t *testing.T) {
 
 // TestChaosObserversRaceFree runs the chaos scenario while 8 goroutines
 // hammer every cross-goroutine read surface — dispatcher stats and breaker
-// state, pool stats, injector stats. Only meaningful under -race; it asserts
-// the observer contract, not determinism (which is single-goroutine).
+// state, pool stats, injector stats, and telemetry snapshots, which run the
+// dispatcher's, pool's and cache's metric sources (the last two take their
+// component's lock) — and one of them also closes tsdb windows over the same
+// sources. Only meaningful under -race; it asserts the observer contract and
+// the lock order between a scrape and the dispatch path, not determinism
+// (which is single-goroutine).
 func TestChaosObserversRaceFree(t *testing.T) {
 	eng := des.NewEngine()
 	pool := newTestPool(t, engine.Wasmtime, Config{Size: 2})
 	in := faults.New(faults.Config{Seed: 9, InstantiateFailRate: 0.2, TrapRate: 0.2})
 	pool.Engine().SetFaultInjector(in)
+	tele := obs.New(obs.Config{})
+	pool.Engine().SetObserver(tele)
 	d := NewDispatcher(eng, pool, DispatcherConfig{
 		MaxConcurrency: 2, QueueDepth: 16, Policy: PolicyQueue,
 		QueueDeadline: time.Second, Export: "handle", Arg: 100,
 		MaxRetries: 2, RetryBackoff: time.Millisecond,
 		BreakerThreshold: 4, BreakerCooldown: 10 * time.Millisecond,
 	})
+	d.SetObserver(tele)
+	db := tsdb.New(tele, tsdb.Config{Interval: time.Nanosecond})
+	db.TrackCounter("dispatch_submitted_total")
+	db.TrackGauge("pool_idle_instances")
+	var windows int64 // owned by poller 0 until wg.Wait: the tsdb is single-writer
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -400,6 +412,11 @@ func TestChaosObserversRaceFree(t *testing.T) {
 				case <-stop:
 					return
 				default:
+					_ = tele.Snapshot()
+					if g == 0 {
+						windows++
+						db.Advance(windows)
+					}
 					_ = d.Stats()
 					_ = d.QueueLen()
 					_ = d.InFlight()
@@ -418,5 +435,9 @@ func TestChaosObserversRaceFree(t *testing.T) {
 	st := d.Stats()
 	if st.Submitted != st.Completed+st.Rejected+st.Expired+st.Failed {
 		t.Fatalf("accounting identity broken under observers: %+v", st)
+	}
+	db.Advance(windows + 1)
+	if w := db.Last(); w.Counters[0].Total != st.Submitted || w.Gauges[0].Value != int64(pool.Idle()) {
+		t.Fatalf("last window %+v %+v, want submitted %d and %d idle", w.Counters, w.Gauges, st.Submitted, pool.Idle())
 	}
 }

@@ -21,7 +21,7 @@ type RouterConfig struct{}
 
 // shard is one registered module: its dispatcher plus the pending batch
 // being coalesced for the current DES event. pending and armed are touched
-// only on the DES goroutine; the obs handles are written at registration.
+// only on the DES goroutine.
 type shard struct {
 	key    string
 	module string
@@ -29,28 +29,20 @@ type shard struct {
 
 	pending []BatchItem
 	armed   bool
-
-	obsSubmitted *obs.Counter
-	obsCompleted *obs.Counter
-	obsRejected  *obs.Counter
-	obsExpired   *obs.Counter
-	obsFailed    *obs.Counter
+	// flushEv is the shard's flush event, built once at registration so
+	// arming a batch allocates nothing.
+	flushEv func()
+	// names are shardSeries labeled with the module: formatted by the first
+	// scrape, not per function at registration, then kept, so a tsdb window
+	// close allocates nothing per shard.
+	names atomic.Pointer[[len(shardSeries)]string]
 }
 
-// classify lands one request outcome on the shard's per-module counters.
-// Registered only when telemetry is enabled, so the disabled path never
-// pays the wrapper closure.
-func (sh *shard) classify(r RequestResult) {
-	switch {
-	case !r.Admitted && errors.Is(r.Err, ErrQueueExpired):
-		sh.obsExpired.Inc()
-	case !r.Admitted:
-		sh.obsRejected.Inc()
-	case r.Err != nil:
-		sh.obsFailed.Inc()
-	default:
-		sh.obsCompleted.Inc()
-	}
+// shardSeries are the per-module series, in the order Router.collect reports
+// them: five counters, then the breaker-position gauge.
+var shardSeries = [...]string{
+	"router_submitted_total", "router_completed_total", "router_rejected_total",
+	"router_expired_total", "router_failed_total", "dispatch_breaker_state",
 }
 
 // Router is the sharded multi-function dispatch layer: it owns one
@@ -58,8 +50,8 @@ func (sh *shard) classify(r RequestResult) {
 // queue/retry/breaker semantics, independently per shard), routes
 // submissions by key through a lock-free snapshot-map lookup, and coalesces
 // submissions arriving within one DES event into per-shard batches so queue
-// push, deadline-expiry sweep, slot pre-claim, and obs recording run once
-// per batch instead of once per request.
+// push, deadline-expiry sweep, and slot pre-claim run once per batch instead
+// of once per request.
 //
 // Threading follows the dispatcher's contract: Submit and SubmitBatch run
 // on the one goroutine driving the DES engine. Registration and the Stats/
@@ -80,10 +72,7 @@ type Router struct {
 	batched  atomic.Int64
 	maxBatch atomic.Int64
 
-	tele       *obs.Telemetry
-	obsBatches *obs.Counter
-	obsBatched *obs.Counter
-	obsShards  *obs.Gauge
+	tele *obs.Telemetry
 }
 
 // NewRouter builds an empty router on eng.
@@ -94,19 +83,41 @@ func NewRouter(eng *des.Engine, _ RouterConfig) *Router {
 	return r
 }
 
-// SetObserver wires telemetry: aggregate batch counters plus, for every
-// shard registered from now on, per-module labeled outcome counters
-// (router_submitted_total{module="..."} and friends) alongside the
-// dispatchers' shared unlabeled metrics. Call it before Register; shards
-// registered earlier keep their previous handles.
+// SetObserver wires telemetry: a metric source reporting the batch counters,
+// the shard count and, for every shard in the live shard map — whenever it
+// was registered — the per-module series router_*_total{module="..."} and
+// dispatch_breaker_state{module="..."}, read from the shard's dispatcher. A
+// second call moves the source; nil removes it.
 func (r *Router) SetObserver(t *obs.Telemetry) {
 	r.regMu.Lock()
 	defer r.regMu.Unlock()
+	r.tele.Metrics().SetSource(r, nil)
 	r.tele = t
-	r.obsBatches = t.Counter("router_batches_total")
-	r.obsBatched = t.Counter("router_batched_requests_total")
-	r.obsShards = t.Gauge("router_shards")
-	r.obsShards.Set(int64(len(*r.shards.Load())))
+	t.Metrics().SetSource(r, r.collect)
+}
+
+// collect is the router's metric source. Shards sharing a module name add
+// up, like every same-name emission.
+func (r *Router) collect(counter, gauge func(string, int64)) {
+	shards := *r.shards.Load()
+	counter("router_batches_total", r.batches.Load())
+	counter("router_batched_requests_total", r.batched.Load())
+	gauge("router_shards", int64(len(shards)))
+	for _, sh := range shards {
+		names := sh.names.Load()
+		if names == nil { // racing first scrapes format the same strings twice
+			names = new([len(shardSeries)]string)
+			for i, base := range shardSeries {
+				names[i] = obs.Labeled(base, "module", sh.module)
+			}
+			sh.names.Store(names)
+		}
+		st := sh.d.Stats()
+		for i, v := range [...]int64{st.Submitted, st.Completed, st.Rejected, st.Expired, st.Failed} {
+			counter(names[i], v)
+		}
+		gauge(names[len(names)-1], int64(sh.d.BreakerState()))
+	}
 }
 
 // Register adds one shard: key is the routing key (the gateway uses the
@@ -120,21 +131,14 @@ func (r *Router) Register(key, module string, d *Dispatcher) error {
 	if _, dup := old[key]; dup {
 		return errors.New("serve: duplicate router key " + key)
 	}
-	sh := &shard{key: key, module: module, d: d}
-	if r.tele != nil {
-		sh.obsSubmitted = r.tele.Counter(obs.Labeled("router_submitted_total", "module", module))
-		sh.obsCompleted = r.tele.Counter(obs.Labeled("router_completed_total", "module", module))
-		sh.obsRejected = r.tele.Counter(obs.Labeled("router_rejected_total", "module", module))
-		sh.obsExpired = r.tele.Counter(obs.Labeled("router_expired_total", "module", module))
-		sh.obsFailed = r.tele.Counter(obs.Labeled("router_failed_total", "module", module))
-	}
 	next := make(map[string]*shard, len(old)+1)
 	for k, v := range old {
 		next[k] = v
 	}
+	sh := &shard{key: key, module: module, d: d}
+	sh.flushEv = func() { r.flush(sh) }
 	next[key] = sh
 	r.shards.Store(&next)
-	r.obsShards.Set(int64(len(next)))
 	return nil
 }
 
@@ -170,25 +174,13 @@ func (r *Router) SubmitBatch(key string, items []BatchItem) error {
 	if len(items) == 0 {
 		return nil
 	}
-	if sh.obsSubmitted != nil {
-		sh.obsSubmitted.Add(int64(len(items)))
-		for i, it := range items {
-			prev := it.Done
-			items[i].Done = func(res RequestResult) {
-				sh.classify(res)
-				if prev != nil {
-					prev(res)
-				}
-			}
-		}
-	}
 	sh.pending = append(sh.pending, items...)
 	if !sh.armed {
 		sh.armed = true
 		// Same-instant events run in schedule order, so every submission
 		// injected during the current event lands before this flush and
 		// coalesces into one batch.
-		r.eng.At(r.eng.Now(), func() { r.flush(sh) })
+		r.eng.At(r.eng.Now(), sh.flushEv)
 	}
 	return nil
 }
@@ -209,8 +201,6 @@ func (r *Router) flush(sh *shard) {
 	if n := int64(len(items)); n > r.maxBatch.Load() {
 		r.maxBatch.Store(n)
 	}
-	r.obsBatches.Inc()
-	r.obsBatched.Add(int64(len(items)))
 	sh.d.SubmitBatch(items)
 }
 
@@ -273,15 +263,7 @@ func (r *Router) Stats() RouterStats {
 			InFlight: sh.d.InFlight(),
 			Breaker:  sh.d.BreakerState(),
 		})
-		out.Aggregate.Submitted += st.Submitted
-		out.Aggregate.Completed += st.Completed
-		out.Aggregate.Rejected += st.Rejected
-		out.Aggregate.Expired += st.Expired
-		out.Aggregate.Failed += st.Failed
-		out.Aggregate.Retries += st.Retries
-		out.Aggregate.TimedOut += st.TimedOut
-		out.Aggregate.BreakerOpens += st.BreakerOpens
-		out.Aggregate.BreakerShortCircuits += st.BreakerShortCircuits
+		out.Aggregate.Add(st)
 	}
 	sort.Slice(out.Shards, func(i, j int) bool {
 		if out.Shards[i].Module != out.Shards[j].Module {

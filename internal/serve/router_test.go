@@ -9,6 +9,7 @@ import (
 
 	"wasmcontainers/internal/des"
 	"wasmcontainers/internal/engine"
+	"wasmcontainers/internal/obs"
 	"wasmcontainers/internal/workloads"
 )
 
@@ -300,5 +301,50 @@ func TestRouterUnknownModule(t *testing.T) {
 	}
 	if got := rt.Stats().Aggregate.Submitted; got != 0 {
 		t.Fatalf("submitted = %d, want 0", got)
+	}
+}
+
+// TestRouterRequestAllocsTelemetryParity pins what observing a router costs
+// a request: nothing. Submit → flush → admission → completion on a warm pool
+// allocates the same with the router's telemetry wired as without, because
+// the per-module series it exports are read from the shard's DispatcherStats
+// when someone scrapes — no per-request wrapper re-derives the outcome class.
+// (The dispatcher is left unobserved: its spans are the tracer's cost, and
+// they keep their attributes.)
+func TestRouterRequestAllocsTelemetryParity(t *testing.T) {
+	measure := func(tele *obs.Telemetry) float64 {
+		eng := des.NewEngine()
+		pool := newTestPool(t, engine.WAMR, Config{Size: 1})
+		d := NewDispatcher(eng, pool, DispatcherConfig{MaxConcurrency: 1, Export: "handle", Arg: 64})
+		r := NewRouter(eng, RouterConfig{})
+		r.SetObserver(tele)
+		if err := r.Register("key", "request-handler", d); err != nil {
+			t.Fatal(err)
+		}
+		completed := 0
+		done := func(res RequestResult) {
+			if res.Err == nil {
+				completed++
+			}
+		}
+		request := func() {
+			if err := r.Submit("key", 0, done); err != nil {
+				t.Fatal(err)
+			}
+			eng.Run()
+		}
+		for i := 0; i < 16; i++ { // past the hotness tier-up
+			request()
+		}
+		allocs := testing.AllocsPerRun(200, request)
+		if st := pool.Stats(); completed != 16+1+200 || st.ColdStarts != 0 {
+			t.Fatalf("completed %d requests with %d cold starts, want 217 warm ones", completed, st.ColdStarts)
+		}
+		return allocs
+	}
+	off := measure(nil)
+	on := measure(obs.New(obs.Config{}))
+	if on != off {
+		t.Fatalf("%.0f allocs per request with telemetry, %.0f without", on, off)
 	}
 }

@@ -82,14 +82,11 @@ type Cache struct {
 
 	hits, misses, evictions uint64
 
-	// Telemetry handles, nil when observation is disabled (the handle
-	// methods then no-op without allocating). The tracer needs an explicit
-	// nil check at span call sites.
-	obsHits      *obs.Counter
-	obsMisses    *obs.Counter
-	obsEvictions *obs.Counter
-	obsBytes     *obs.Gauge
-	obsT1Bytes   *obs.Gauge
+	// Telemetry. Counters and gauges are Stats(), read by the source
+	// SetObserver registers; the histogram and the tracer stay handles, nil
+	// when observation is disabled (a nil histogram no-ops without
+	// allocating; the tracer needs an explicit nil check at span call sites).
+	tele         *obs.Telemetry
 	obsCompileNs *obs.Histogram
 	obsTracer    *obs.Tracer
 }
@@ -105,22 +102,30 @@ func New(maxBytes int64) *Cache {
 	}
 }
 
-// SetObserver wires telemetry into the cache: hit/miss/eviction counters,
-// resident-bytes gauges (total and the tier-1 share), a compile-time
-// histogram, and module-load spans with the decode/validate/lower phase
-// split. Pass nil to disable (the default): a nil telemetry resolves every
-// handle to nil, and the disabled path costs a nil check per counter and no
-// allocations.
+// SetObserver wires telemetry into the cache: a metric source reporting
+// Stats() as the modcache_* hit/miss/eviction counters and resident-bytes
+// gauges (total and the tier-1 share), a compile-time histogram, and
+// module-load spans with the decode/validate/lower phase split. A cache
+// several engines share is wired by each and still reports once: a second
+// call replaces (or moves) the source. Pass nil to disable (the default).
 func (c *Cache) SetObserver(t *obs.Telemetry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.obsHits = t.Counter("modcache_hits_total")
-	c.obsMisses = t.Counter("modcache_misses_total")
-	c.obsEvictions = t.Counter("modcache_evictions_total")
-	c.obsBytes = t.Gauge("modcache_resident_bytes")
-	c.obsT1Bytes = t.Gauge("modcache_tier1_bytes")
+	c.tele.Metrics().SetSource(c, nil)
+	c.tele = t
+	t.Metrics().SetSource(c, c.collect)
 	c.obsCompileNs = t.Histogram("modcache_compile_wall_ns")
 	c.obsTracer = t.Tracer()
+}
+
+// collect is the cache's metric source.
+func (c *Cache) collect(counter, gauge func(string, int64)) {
+	st := c.Stats()
+	counter("modcache_hits_total", int64(st.Hits))
+	counter("modcache_misses_total", int64(st.Misses))
+	counter("modcache_evictions_total", int64(st.Evictions))
+	gauge("modcache_resident_bytes", st.Bytes)
+	gauge("modcache_tier1_bytes", st.Tier1Bytes)
 }
 
 // Load returns the compiled entry for bin, compiling it at most once no
@@ -135,7 +140,6 @@ func (c *Cache) Load(bin []byte) (*Entry, error) {
 		e := el.Value.(*Entry)
 		hitTracer := c.obsTracer
 		c.mu.Unlock()
-		c.obsHits.Inc()
 		if hitTracer != nil {
 			now := hitTracer.Now()
 			hitTracer.Span("module-load", "cache", 0, now, now, obs.I64("cache_hit", 1))
@@ -146,7 +150,6 @@ func (c *Cache) Load(bin []byte) (*Entry, error) {
 		// Someone is compiling this binary right now: wait for their result.
 		c.hits++
 		c.mu.Unlock()
-		c.obsHits.Inc()
 		<-sl.done
 		return sl.entry, sl.err
 	}
@@ -155,7 +158,6 @@ func (c *Cache) Load(bin []byte) (*Entry, error) {
 	c.misses++
 	tracer := c.obsTracer
 	c.mu.Unlock()
-	c.obsMisses.Inc()
 
 	// Span timestamps come from the tracer clock (simulated time under the
 	// DES); the wall-clock nanoseconds ride along as span attributes and a
@@ -240,7 +242,7 @@ func compile(bin []byte, digest Digest) (*Entry, phases, error) {
 
 // evictLocked forgets least-recently-used entries while over the byte bound
 // — but never the most recently used one, so an oversized module still
-// caches — and publishes the resident-bytes gauges.
+// caches.
 func (c *Cache) evictLocked() {
 	for c.maxBytes > 0 && c.bytes > c.maxBytes && c.lru.Len() > 1 {
 		e := c.lru.Remove(c.lru.Back()).(*Entry)
@@ -248,10 +250,7 @@ func (c *Cache) evictLocked() {
 		c.bytes -= e.Cost() + e.t1
 		c.t1bytes -= e.t1
 		c.evictions++
-		c.obsEvictions.Inc()
 	}
-	c.obsBytes.Set(c.bytes)
-	c.obsT1Bytes.Set(c.t1bytes)
 }
 
 // Stats returns a consistent snapshot of the counters.
