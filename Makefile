@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet test race obs-overhead faults-smoke gateway-smoke tiers-smoke shard-smoke slo-smoke cluster-smoke metrics-smoke results-check bench benchmark figures results examples clean
+.PHONY: all build vet test race obs-overhead fuzz-smoke faults-smoke gateway-smoke tiers-smoke shard-smoke slo-smoke cluster-smoke metrics-smoke results-check bench benchmark figures results examples clean
 
-all: build vet test race obs-overhead faults-smoke gateway-smoke tiers-smoke shard-smoke slo-smoke cluster-smoke metrics-smoke results-check
+all: build vet test race obs-overhead fuzz-smoke faults-smoke gateway-smoke tiers-smoke shard-smoke slo-smoke cluster-smoke metrics-smoke results-check
 
 build:
 	$(GO) build ./...
@@ -32,7 +32,11 @@ race:
 # registry read. The last leg pins the accounting side of the same
 # request: splitting a replica's charge into shared and private on every
 # memory event allocates nothing, and observing a router costs a request no
-# allocation (its series are read from the shards' stats when scraped).
+# allocation (its series are read from the shards' stats when scraped). The
+# heap test is the memory side of the same request: an idle warm instance
+# pins no linear memory, and the buffer a request materialised is recycled
+# (which is also why the replica test's acquire/invoke/release stays at 2
+# allocations).
 obs-overhead:
 	@out=$$($(GO) test -run NONE -bench BenchmarkInvokeTelemetryDisabled \
 		-benchmem -benchtime 10000x ./internal/obs/); \
@@ -46,7 +50,15 @@ obs-overhead:
 	if [ "$$n" -ne 2 ]; then \
 		echo "obs-overhead: tsdb sample path allocates"; exit 1; fi
 	$(GO) test -count=1 -run 'TestReplicaRequestAllocs$$' ./internal/cluster
-	$(GO) test -count=1 -run 'TestRouterRequestAllocsTelemetryParity$$' ./internal/serve
+	$(GO) test -count=1 -run 'TestRouterRequestAllocsTelemetryParity$$|TestIdleInstancesHoldNoPrivatePages$$' ./internal/serve
+
+# Fuzz smoke: ten seconds of the copy-on-write memory oracle (random write /
+# grow / bulk-op / reset programs over two memories sharing one image, against
+# a full-copy model, through the Memory API and guest code at both tiers). A
+# failing input lands in internal/wasm/exec/testdata/fuzz/ and then fails
+# plain `go test` until fixed.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzMemoryCoW -fuzztime 10s ./internal/wasm/exec
 
 # SLO smoke: the alert lifecycle over HTTP at dilation 0 — healthy traffic
 # stays silent, a 100% trap-rate fault burst fires the availability page

@@ -98,19 +98,21 @@ func AblationCoW() (*Table, error) {
 				pool.Release(wi, 0)
 				dirty = append(dirty, float64(time.Since(start).Nanoseconds())/1e3)
 			}
-			// Legacy full-memory restore on the same workload.
-			inst, err := eng.Instantiate(cm)
+			// The full-copy reference on the same workload: the reset the
+			// pool performed before CoW, rebuilt here from Memory.Write.
+			inst, err := exec.NewStore(exec.Config{}).InstantiateCompiled(cm.Code, "")
 			if err != nil {
 				return nil, err
 			}
-			snapshot := inst.MemorySnapshot()
+			mem := inst.Memory()
+			snapshot, _ := mem.Read(0, uint32(mem.Size()))
 			full := make([]float64, 0, cowReps)
 			for i := 0; i < cowReps; i++ {
-				if _, err := inst.Invoke("handle", exec.I32(cowTouchPages)); err != nil {
+				if _, err := inst.Call("handle", exec.I32(cowTouchPages)); err != nil {
 					return nil, err
 				}
 				start := time.Now()
-				inst.ResetMemory(snapshot)
+				mem.Write(0, snapshot)
 				full = append(full, float64(time.Since(start).Nanoseconds())/1e3)
 			}
 

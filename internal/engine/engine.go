@@ -527,9 +527,10 @@ func (e *Engine) Instantiate(cm *CompiledModule) (*Instance, error) {
 	}
 	// Copy-on-write setup: the first instance of a digest donates its
 	// post-instantiation memory as the shared baseline image; later instances
-	// attach the same image by reference and are charged only dirty pages. A
-	// memory the shared image no longer fits captures a private baseline so
-	// ResetToBaseline works uniformly.
+	// are instantiated aliasing it (or attach after a byte-for-byte check) and
+	// are charged only dirty pages. A memory that differs from the shared
+	// image — a start function wrote something host-dependent — captures a
+	// private baseline so ResetToBaseline works uniformly.
 	if m := inst.Memory(); m != nil && cm.Code.EnsureBaseline(m) == nil {
 		m.CaptureBaseline()
 	}
@@ -632,15 +633,19 @@ func (i *Instance) PrivateMemoryBytes() int64 {
 // FootprintBytes is what one live instance costs in the engine's memory
 // model: per-instance runtime state plus the private (dirty) linear-memory
 // pages. A freshly instantiated or freshly reset instance costs exactly
-// WarmInstanceBytes — its whole memory aliases the shared baseline.
+// WarmInstanceBytes — its whole memory aliases the shared baseline. The
+// model and the process agree on the idle case (an aliased exec.Memory holds
+// no buffer); a written instance's real buffer is whole-memory-sized while
+// the model charges its dirty pages, as an mmap'd CoW mapping would.
 func (i *Instance) FootprintBytes() int64 {
 	return i.e.Profile.WarmInstanceBytes + i.PrivateMemoryBytes()
 }
 
-// ResetToBaseline rewinds linear memory to the module's baseline image by
-// copying back only dirty pages (releasing pages grown during the request),
-// and returns how many pages were copied. This is the warm pool's
-// between-requests reset: cost scales with pages touched, not memory size.
+// ResetToBaseline rewinds linear memory to the module's baseline image
+// (releasing pages grown during the request) and returns how many baseline
+// pages were rewound — copied back, or dropped with the private buffer when
+// all of them were dirty. This is the warm pool's between-requests reset:
+// cost scales with pages touched, not memory size.
 func (i *Instance) ResetToBaseline() int {
 	if m := i.inst.Memory(); m != nil {
 		if n := m.ResetToBaseline(); n >= 0 {
@@ -648,24 +653,4 @@ func (i *Instance) ResetToBaseline() int {
 		}
 	}
 	return 0
-}
-
-// MemorySnapshot copies the current linear memory. This is the legacy
-// full-copy reset image (superseded by the shared baseline + dirty-page
-// reset); it is kept as the comparison baseline for the CoW benchmarks.
-func (i *Instance) MemorySnapshot() []byte {
-	if m := i.inst.Memory(); m != nil {
-		return append([]byte(nil), m.Bytes()...)
-	}
-	return nil
-}
-
-// ResetMemory restores linear memory to a snapshot with a full-memory copy,
-// releasing any pages the guest grew since it was taken. Legacy counterpart
-// of ResetToBaseline, kept for the benchmarks that measure what the old
-// reset cost.
-func (i *Instance) ResetMemory(snapshot []byte) {
-	if m := i.inst.Memory(); m != nil {
-		m.Restore(snapshot)
-	}
 }

@@ -32,25 +32,27 @@ const benchTouchWAT = `
 // >=5x reset speedup in exactly this regime.
 const touchedPages = 6
 
-// BenchmarkPoolReleaseFull measures the legacy between-requests reset: a
-// full-memory copy from a per-instance snapshot, costing O(memory size) no
-// matter how little a request touched.
+// BenchmarkPoolReleaseFull measures the full-copy reference: the reset the
+// pool performed before copy-on-write, a whole-memory copy from a snapshot
+// (rebuilt here from Memory.Write), costing O(memory size) no matter how
+// little a request touched.
 func BenchmarkPoolReleaseFull(b *testing.B) {
 	pool := newWATPool(b, engine.WAMR, benchTouchWAT, Config{Size: 1})
-	wi, ok := pool.Acquire(0)
-	if !ok {
-		b.Fatal("pool dry")
+	inst, err := exec.NewStore(exec.Config{}).InstantiateCompiled(pool.cm.Code, "")
+	if err != nil {
+		b.Fatal(err)
 	}
-	snapshot := wi.inst.MemorySnapshot()
+	mem := inst.Memory()
+	snapshot, _ := mem.Read(0, uint32(mem.Size()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		if _, err := wi.Invoke("touch", exec.I32(touchedPages)); err != nil {
+		if _, err := inst.Call("touch", exec.I32(touchedPages)); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		wi.inst.ResetMemory(snapshot)
+		mem.Write(0, snapshot)
 	}
 }
 

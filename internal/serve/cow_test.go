@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,19 +27,21 @@ const growHandlerWAT = `
     (memory.size)))
 `
 
-// isolationHandlerWAT stores the request's value at two spots (a low page
-// and a high page), spins to widen any race window, then verifies both spots
+// isolationHandlerWAT stores the request's value at two spots (a low one and
+// a high one), spins to widen any race window, then verifies both spots
 // still read the request's own value. Address 16 doubles as a stale-state
 // detector: it must read 0 on entry, so any missed reset or cross-instance
 // bleed is observable.
-const isolationHandlerWAT = `
+func isolationHandlerWAT(pages, highAddr int) string {
+	return fmt.Sprintf(`
 (module
-  (memory (export "memory") 4)
+  (memory (export "memory") %d)
   (func (export "handle") (param $v i32) (result i32)
     (local $i i32)
     (if (i32.load (i32.const 16)) (then (return (i32.const -1))))
+    (if (i32.load (i32.const %[2]d)) (then (return (i32.const -1))))
     (i32.store (i32.const 16) (local.get $v))
-    (i32.store (i32.const 131072) (local.get $v))
+    (i32.store (i32.const %[2]d) (local.get $v))
     block $done
       loop $spin
         local.get $i
@@ -50,10 +54,11 @@ const isolationHandlerWAT = `
     end
     (if (i32.ne (i32.load (i32.const 16)) (local.get $v))
       (then (return (i32.const -2))))
-    (if (i32.ne (i32.load (i32.const 131072)) (local.get $v))
+    (if (i32.ne (i32.load (i32.const %[2]d)) (local.get $v))
       (then (return (i32.const -3))))
     (i32.const 1)))
-`
+`, pages, highAddr)
+}
 
 func newWATPool(t testing.TB, p engine.Profile, src string, cfg Config) *Pool {
 	t.Helper()
@@ -135,17 +140,30 @@ func TestPoolGrowThenReset(t *testing.T) {
 	}
 }
 
-// TestPoolConcurrentSharedBaselineIsolation hammers one shared baseline
-// image from 8 goroutines under -race: every request writes its own value
-// into pages of an instance aliasing the same BaselineImage as 7 other
-// goroutines' instances, and verifies no instance ever observes another's
-// dirty pages (and no dirty page survives a release).
+// TestPoolConcurrentSharedBaselineIsolation hammers shared baseline images
+// from 8 goroutines under -race: every request writes its own value into
+// pages of an instance aliasing the same BaselineImage as other goroutines'
+// instances, and verifies no instance ever observes another's dirty pages
+// (and no dirty page survives a release). The three pools cover both reset
+// rules and interleave them: the 4-page module dirties 2 of 4 pages (dirty
+// pages copied back, the buffer stays), the 1- and 2-page modules dirty
+// every page (each release re-aliases and parks the buffer, each request's
+// first store materialises again — from a free-list the goroutines share and
+// that holds two buffer sizes).
 func TestPoolConcurrentSharedBaselineIsolation(t *testing.T) {
 	const (
 		goroutines = 8
-		iterations = 40
+		iterations = 60
 	)
-	pool := newWATPool(t, engine.WAMR, isolationHandlerWAT, Config{Size: 4})
+	shapes := []struct{ pages, highAddr, dirty int }{
+		{4, 2 * 65536, 2},
+		{1, 32768, 1},
+		{2, 65536 + 8, 2},
+	}
+	pools := make([]*Pool, len(shapes))
+	for i, sh := range shapes {
+		pools[i] = newWATPool(t, engine.WAMR, isolationHandlerWAT(sh.pages, sh.highAddr), Config{Size: 4})
+	}
 	var wg sync.WaitGroup
 	var bad atomic.Int64
 	var errs atomic.Int64
@@ -154,6 +172,7 @@ func TestPoolConcurrentSharedBaselineIsolation(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iterations; i++ {
+				pool := pools[(g+i)%len(pools)]
 				wi, ok := pool.Acquire(0)
 				if !ok {
 					var err error
@@ -182,11 +201,76 @@ func TestPoolConcurrentSharedBaselineIsolation(t *testing.T) {
 	if n := bad.Load(); n != 0 {
 		t.Fatalf("%d requests observed foreign or stale dirty pages", n)
 	}
-	if got := pool.SharedArtifacts()[engine.ArtifactData].Bytes; got != 4*64*1024 {
-		t.Fatalf("shared baseline = %d, want 4 pages", got)
+	for i, sh := range shapes {
+		if got := pools[i].SharedArtifacts()[engine.ArtifactData].Bytes; got != int64(sh.pages)*64*1024 {
+			t.Fatalf("%d-page module: shared baseline = %d", sh.pages, got)
+		}
+		// Every release rewound exactly the dirtied pages, by copy-back or by
+		// re-aliasing.
+		requests := goroutines * iterations / len(shapes)
+		if st := pools[i].Stats(); st.ResetPages != int64(sh.dirty*requests) {
+			t.Fatalf("%d-page module: reset pages = %d, want %d", sh.pages, st.ResetPages, sh.dirty*requests)
+		}
 	}
-	// Every release copied back exactly the two dirtied pages.
-	if st := pool.Stats(); st.ResetPages != 2*goroutines*iterations {
-		t.Fatalf("reset pages = %d, want %d", st.ResetPages, 2*goroutines*iterations)
+}
+
+// heapAfterGC is the live Go heap once garbage is gone.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// idlePagesWAT has the shape of the cow ablation's workload: a 16-page
+// (1 MiB) linear memory an idle instance never touches.
+const idlePagesWAT = `
+(module
+  (memory (export "memory") 16)
+  (func (export "handle") (param $n i32) (result i32) (memory.size)))
+`
+
+// TestIdleInstancesHoldNoPrivatePages is the paper's sharing claim measured
+// on our own process: the Go heap an idle warm instance pins does not
+// include its linear memory — that is the shared image, held once — and an
+// instance that served a request gives its private buffer back on release.
+func TestIdleInstancesHoldNoPrivatePages(t *testing.T) {
+	// 64 idle instances of a 1 MiB memory: one image, not 64 buffers (65 MiB
+	// when every instance held its own bytes plus the image copy).
+	before := heapAfterGC()
+	big := newWATPool(t, engine.WAMR, idlePagesWAT, Config{Size: 64})
+	grew := int64(heapAfterGC()) - int64(before)
+	if grew > 2<<20 {
+		t.Errorf("64 idle instances of a 16-page module pin %d KiB of heap, want under 2 MiB", grew>>10)
 	}
+	if big.Idle() != 64 {
+		t.Fatalf("idle = %d, want 64", big.Idle())
+	}
+
+	// The cold-deploy shape: 100 separately compiled request-handler
+	// modules, a pool of 4 each, one request each. Per instance that is a
+	// quarter of an image plus engine-side state; the one buffer a request
+	// materialised is recycled by the next pool's request.
+	const pools, size = 100, 4
+	before = heapAfterGC()
+	live := make([]*Pool, pools)
+	for i := range live {
+		live[i] = newTestPool(t, engine.WAMR, Config{Size: size})
+		wi, ok := live[i].Acquire(0)
+		if !ok {
+			t.Fatal("pool dry")
+		}
+		if res, err := wi.Invoke("handle", exec.I32(64)); err != nil || exec.AsI32(res.Values[0]) != 1 {
+			t.Fatalf("handle(64) = %v, %v", res.Values, err)
+		}
+		live[i].Release(wi, 0)
+	}
+	perInstance := float64(int64(heapAfterGC())-int64(before)) / 1024 / (pools * size)
+	if perInstance > 24 {
+		t.Errorf("%.1f KiB of heap per warm instance, want under 24", perInstance)
+	}
+	t.Logf("16-page pool of 64: %d KiB; request-handler: %.1f KiB per warm instance", grew>>10, perInstance)
+	runtime.KeepAlive(big)
+	runtime.KeepAlive(live)
 }

@@ -18,15 +18,15 @@ func TestDirtyTrackingMutationPaths(t *testing.T) {
 		t.Fatalf("dirty after capture = %d, want 0", n)
 	}
 
-	// store marks the written page; a store straddling a page boundary marks
+	// storeAt marks the written page; a store straddling a page boundary marks
 	// both pages it touches.
-	if !m.store(100, 0, 4, 0xdeadbeef) {
+	if !m.storeAt(100, 4, 0xdeadbeef) {
 		t.Fatal("store failed")
 	}
 	if n := m.DirtyPages(); n != 1 {
 		t.Fatalf("dirty after store = %d, want 1", n)
 	}
-	if !m.store(wasm.PageSize-2, 0, 4, 1) { // spans pages 0 and 1
+	if !m.storeAt(wasm.PageSize-2, 4, 1) { // spans pages 0 and 1
 		t.Fatal("spanning store failed")
 	}
 	if n := m.DirtyPages(); n != 2 {
@@ -83,7 +83,7 @@ func TestResetToBaselineCopiesOnlyDirtyPages(t *testing.T) {
 	}
 
 	// Dirty two of eight pages.
-	m.store(3*wasm.PageSize+17, 0, 1, 0xff)
+	m.storeAt(3*wasm.PageSize+17, 1, 0xff)
 	m.WriteUint32(6*wasm.PageSize, 0xffffffff)
 	if copied := m.ResetToBaseline(); copied != 2 {
 		t.Fatalf("reset copied %d pages, want 2", copied)
@@ -118,7 +118,7 @@ func TestGrowThenResetShrinksToBaseline(t *testing.T) {
 	if m.PrivateBytes() != 3*wasm.PageSize {
 		t.Fatalf("private after grow = %d", m.PrivateBytes())
 	}
-	m.store(2*wasm.PageSize, 0, 8, 42) // write into a grown page
+	m.storeAt(2*wasm.PageSize, 8, 42) // write into a grown page
 
 	if copied := m.ResetToBaseline(); copied != 0 {
 		t.Fatalf("reset copied %d pages, want 0 (grown pages are dropped, not copied)", copied)
@@ -204,17 +204,5 @@ func TestAttachBaselineSharesOneImage(t *testing.T) {
 	c := newCowMemory(3)
 	if c.AttachBaseline(img) {
 		t.Fatal("attach accepted a size-mismatched image")
-	}
-}
-
-func TestRestoreMarksAllDirty(t *testing.T) {
-	m := newCowMemory(2)
-	snap := append([]byte(nil), m.Bytes()...)
-	m.CaptureBaseline()
-	m.Restore(snap)
-	// Restore's relation to the baseline is unknown: conservatively every
-	// page is dirty, so a later CoW reset rewrites them all.
-	if n := m.DirtyPages(); n != 2 {
-		t.Fatalf("dirty after Restore = %d, want 2", n)
 	}
 }

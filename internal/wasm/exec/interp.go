@@ -422,23 +422,17 @@ func (inst *Instance) execMisc(in *instr, stack []Value, mem *Memory) ([]Value, 
 		src := AsU32(stack[len(stack)-2])
 		dst := AsU32(stack[len(stack)-3])
 		stack = stack[:len(stack)-3]
-		if uint64(src)+uint64(n) > uint64(mem.Size()) || uint64(dst)+uint64(n) > uint64(mem.Size()) {
+		if !mem.copyWithin(dst, src, n) {
 			return nil, newTrap(TrapMemoryOutOfBounds)
 		}
-		copy(mem.data[dst:dst+n], mem.data[src:src+n])
-		mem.markRange(uint64(dst), uint64(n))
 	case wasm.MiscMemoryFill:
 		n := AsU32(stack[len(stack)-1])
 		val := byte(stack[len(stack)-2])
 		dst := AsU32(stack[len(stack)-3])
 		stack = stack[:len(stack)-3]
-		if uint64(dst)+uint64(n) > uint64(mem.Size()) {
+		if !mem.fill(dst, val, n) {
 			return nil, newTrap(TrapMemoryOutOfBounds)
 		}
-		for i := uint32(0); i < n; i++ {
-			mem.data[dst+i] = val
-		}
-		mem.markRange(uint64(dst), uint64(n))
 	}
 	return stack, nil
 }
@@ -601,7 +595,7 @@ func execNumericOrMem(in *instr, stack []Value, mem *Memory) ([]Value, error) {
 		wasm.OpI32Store8, wasm.OpI32Store16, wasm.OpI64Store8, wasm.OpI64Store16, wasm.OpI64Store32:
 		val := stack[n-1]
 		addr := AsU32(stack[n-2])
-		if !mem.store(addr, uint32(in.a), int(in.misc), val) {
+		if !mem.storeAt(uint64(addr)+uint64(uint32(in.a)), int(in.misc), val) {
 			return nil, newTrap(TrapMemoryOutOfBounds)
 		}
 		return stack[:n-2], nil

@@ -1,24 +1,40 @@
 package exec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/bits"
+	"sync"
 
 	"wasmcontainers/internal/wasm"
 )
 
-// Memory is a linear memory instance. Data is always a multiple of the
-// 64 KiB page size long.
+// Memory is a linear memory instance. Its size is always a multiple of the
+// 64 KiB page size.
 //
-// Every mutation path sets a bit in a per-page dirty bitmap. Together with a
-// shared immutable BaselineImage (the post-instantiation memory contents,
-// typically held by the module's ModuleCode and shared by every instance of
-// that digest on the node) this gives copy-on-write semantics at page
-// granularity: an instance's private cost is its dirty pages, and resetting
-// between requests copies back only those pages instead of the whole memory.
+// Memory is copy-on-write against a shared immutable BaselineImage (the
+// post-instantiation contents, held by the module's ModuleCode and shared by
+// every instance of that digest on the node). While no page has been written
+// since the image was attached the memory is *aliased*: data is the image's
+// own bytes and wr is empty, so the instance holds no linear memory at all.
+// The first write materialises a private buffer (data and wr then name the
+// same bytes), every mutation path sets a bit in a per-page dirty bitmap, and
+// ResetToBaseline rewinds either by copying the dirty pages back or — when
+// that would be every baseline page — by dropping back to the alias.
+//
+// Every write goes through wr, which never names image bytes, so the shared
+// image is structurally unreachable from a store; reads go through data. A
+// slice obtained from View, Bytes or WritableView is invalidated by the next
+// write, Grow or reset: no view may be held across one.
 type Memory struct {
 	Type wasm.MemoryType
+	// data is what loads see: the image's bytes while aliased, the private
+	// buffer once materialised.
 	data []byte
+	// wr is what stores bounds-check against and write through: empty while
+	// aliased (so every store falls into its out-of-bounds slow path, which is
+	// where materialisation happens), identical to data otherwise.
+	wr []byte
 	// maxPages caps growth; defaults to the type's max or the engine limit.
 	maxPages uint32
 	// grows counts successful memory.grow calls (telemetry for the
@@ -32,9 +48,9 @@ type Memory struct {
 	baseline *BaselineImage
 }
 
-// NewMemory allocates a memory instance for the given type. limitPages is an
-// engine-imposed cap applied on top of the type's own maximum.
-func NewMemory(t wasm.MemoryType, limitPages uint32) *Memory {
+// memoryMaxPages is the growth cap: the type's own maximum under the
+// engine-imposed limitPages (0 = none).
+func memoryMaxPages(t wasm.MemoryType, limitPages uint32) uint32 {
 	max := uint32(wasm.MaxMemoryPages)
 	if t.Limits.HasMax && t.Limits.Max < max {
 		max = t.Limits.Max
@@ -42,12 +58,34 @@ func NewMemory(t wasm.MemoryType, limitPages uint32) *Memory {
 	if limitPages > 0 && limitPages < max {
 		max = limitPages
 	}
+	return max
+}
+
+// NewMemory allocates a memory instance for the given type. limitPages is an
+// engine-imposed cap applied on top of the type's own maximum.
+func NewMemory(t wasm.MemoryType, limitPages uint32) *Memory {
 	pages := uint64(t.Limits.Min)
+	buf := make([]byte, int(pages)*wasm.PageSize)
 	return &Memory{
 		Type:     t,
-		data:     make([]byte, int(pages)*wasm.PageSize),
-		maxPages: max,
+		data:     buf,
+		wr:       buf,
+		maxPages: memoryMaxPages(t, limitPages),
 		dirty:    make([]uint64, (pages+63)/64),
+	}
+}
+
+// newAliasedMemory is NewMemory for a module whose baseline image is already
+// published and fully determines a fresh instance's memory: no buffer is
+// allocated, zeroed or initialised — the memory reads the image until its
+// first write.
+func newAliasedMemory(t wasm.MemoryType, limitPages uint32, b *BaselineImage) *Memory {
+	return &Memory{
+		Type:     t,
+		data:     b.data,
+		maxPages: memoryMaxPages(t, limitPages),
+		dirty:    make([]uint64, (uint64(b.Pages())+63)/64),
+		baseline: b,
 	}
 }
 
@@ -60,11 +98,101 @@ func (m *Memory) Size() int { return len(m.data) }
 // Grows returns how many times the memory has grown since instantiation.
 func (m *Memory) Grows() int { return m.grows }
 
-// markPage flags the page containing byte offset ea as dirty. ea must be in
-// bounds (callers mark after their bounds check).
-func (m *Memory) markPage(ea uint64) {
-	p := ea >> 16
-	m.dirty[p>>6] |= 1 << (p & 63)
+// aliased reports whether the memory currently reads the shared image and
+// holds no private buffer.
+func (m *Memory) aliased() bool { return len(m.wr) < len(m.data) }
+
+// freeBuffers is the package's one free-list of private page buffers.
+// ResetToBaseline parks a buffer here when it re-aliases, and the next first
+// write anywhere in the process takes it back, so a steady request stream
+// recycles a handful of buffers instead of allocating one per request.
+// Nothing else parks: a run-to-completion instance never resets, and its
+// buffer goes to the collector with it. Parked bytes are stale guest data;
+// takers overwrite or clear every byte they expose.
+var freeBuffers struct {
+	sync.Mutex
+	bufs  [][]byte
+	bytes int
+}
+
+// freeBuffersMaxBytes bounds the capacity the free-list retains; a buffer
+// that would exceed it is left to the collector.
+const freeBuffersMaxBytes = 16 << 20
+
+func parkBuffer(buf []byte) {
+	if cap(buf) == 0 {
+		return
+	}
+	freeBuffers.Lock()
+	if freeBuffers.bytes+cap(buf) <= freeBuffersMaxBytes {
+		freeBuffers.bufs = append(freeBuffers.bufs, buf[:0])
+		freeBuffers.bytes += cap(buf)
+	}
+	freeBuffers.Unlock()
+}
+
+// takeBuffer returns the most recently parked buffer with capacity for n
+// bytes, or nil.
+func takeBuffer(n int) []byte {
+	freeBuffers.Lock()
+	defer freeBuffers.Unlock()
+	bufs := freeBuffers.bufs
+	for i := len(bufs) - 1; i >= 0; i-- {
+		if buf := bufs[i]; cap(buf) >= n {
+			last := len(bufs) - 1
+			copy(bufs[i:], bufs[i+1:])
+			bufs[last] = nil
+			freeBuffers.bufs = bufs[:last]
+			freeBuffers.bytes -= cap(buf)
+			return buf
+		}
+	}
+	return nil
+}
+
+// privatise replaces the backing store with a private buffer of n >= Size()
+// bytes holding the current contents followed by zeroes. A recycled buffer is
+// preferred; a fresh one gets capacity capHint.
+func (m *Memory) privatise(n, capHint int) {
+	buf := takeBuffer(n)
+	if buf == nil {
+		buf = make([]byte, n, capHint)
+	} else {
+		buf = buf[:n]
+		clear(buf[len(m.data):])
+	}
+	copy(buf, m.data)
+	m.data, m.wr = buf, buf
+}
+
+// materialise is the slow path behind every failed bounds check against wr:
+// if the memory is aliased and a write ending at end would be in bounds, it
+// takes a private copy of the image and reports true; otherwise the access is
+// genuinely out of bounds.
+func (m *Memory) materialise(end uint64) bool {
+	if end > uint64(len(m.data)) || !m.aliased() {
+		return false
+	}
+	m.privatise(len(m.data), len(m.data))
+	return true
+}
+
+// writable returns the private bytes [ea, ea+n) for a host or bulk write,
+// materialising first if needed and marking the covered pages dirty. A
+// zero-length write leaves an aliased memory aliased.
+func (m *Memory) writable(ea, n uint64) ([]byte, bool) {
+	end := ea + n
+	if end > uint64(len(m.wr)) {
+		if end > uint64(len(m.data)) {
+			return nil, false
+		}
+		if n == 0 {
+			return nil, true
+		}
+		m.materialise(end)
+	}
+	m.markRange(ea, n)
+	return m.wr[ea:end:end], true
 }
 
 // markRange flags every page overlapping [ea, ea+n).
@@ -77,20 +205,13 @@ func (m *Memory) markRange(ea, n uint64) {
 	}
 }
 
-// markAll conservatively flags every current page dirty.
-func (m *Memory) markAll() {
-	pages := uint64(m.Pages())
-	for p := uint64(0); p < pages; p++ {
-		m.dirty[p>>6] |= 1 << (p & 63)
-	}
-}
-
 // Grow extends the memory by delta pages, returning the previous page count
 // or -1 (as per memory.grow semantics) if the limit would be exceeded.
 // Reallocation keeps capacity headroom (amortized doubling up to maxPages),
 // so a guest growing one page at a time pays O(n) total copying, not O(n²).
 // New pages are zero and marked dirty: relative to any baseline they are
-// private memory, released again by ResetToBaseline.
+// private memory, released again by ResetToBaseline. Growing an aliased
+// memory materialises it straight into the larger buffer.
 func (m *Memory) Grow(delta uint32) int32 {
 	cur := m.Pages()
 	if delta == 0 {
@@ -101,24 +222,21 @@ func (m *Memory) Grow(delta uint32) int32 {
 		return -1
 	}
 	newLen := int(newPages) * wasm.PageSize
-	if newLen <= cap(m.data) {
-		// Reslice within existing capacity. Pages in [cur, newPages) may hold
-		// stale bytes from before a shrink (ResetToBaseline reslices down
-		// without clearing); memory.grow must expose zeroes.
-		oldLen := len(m.data)
-		m.data = m.data[:newLen]
-		clear(m.data[oldLen:])
+	if newLen <= cap(m.wr) {
+		// Reslice within the private buffer's capacity (an aliased memory has
+		// none). Pages in [cur, newPages) may hold stale bytes from before a
+		// shrink (ResetToBaseline reslices down without clearing);
+		// memory.grow must expose zeroes.
+		oldLen := len(m.wr)
+		m.wr = m.wr[:newLen]
+		clear(m.wr[oldLen:])
+		m.data = m.wr
 	} else {
-		newCap := 2 * cap(m.data)
-		if newCap < newLen {
-			newCap = newLen
-		}
+		newCap := max(2*cap(m.wr), 2*len(m.data), newLen)
 		if maxLen := int(m.maxPages) * wasm.PageSize; newCap > maxLen {
 			newCap = maxLen
 		}
-		grown := make([]byte, newLen, newCap)
-		copy(grown, m.data)
-		m.data = grown
+		m.privatise(newLen, newCap)
 	}
 	for need := int(newPages+63) / 64; len(m.dirty) < need; {
 		m.dirty = append(m.dirty, 0)
@@ -130,33 +248,17 @@ func (m *Memory) Grow(delta uint32) int32 {
 	return int32(cur)
 }
 
-// Bytes exposes the backing store. Callers must not resize it, and must not
-// write through it (writes bypass dirty tracking; use Write or WritableView).
+// Bytes exposes the current contents for reading. Callers must not resize the
+// slice or write through it: while the memory is aliased these are the shared
+// image's bytes (use Write or WritableView to mutate).
 func (m *Memory) Bytes() []byte { return m.data }
 
-// Restore rewinds the memory to a previously captured snapshot of its
-// backing bytes: contents are copied back and the size snaps to the
-// snapshot's length, releasing pages acquired by memory.grow since the
-// snapshot. This is the legacy full-copy reset (kept as the baseline the
-// CoW benchmarks compare against); warm pools now use ResetToBaseline. The
-// snapshot length must be a page multiple (as returned by Bytes on a live
-// memory). Because the snapshot's relation to any attached baseline is
-// unknown, every page is conservatively marked dirty.
-func (m *Memory) Restore(snapshot []byte) {
-	if len(m.data) != len(snapshot) {
-		m.data = make([]byte, len(snapshot))
-	}
-	copy(m.data, snapshot)
-	for need := (len(snapshot)/wasm.PageSize + 63) / 64; len(m.dirty) < need; {
-		m.dirty = append(m.dirty, 0)
-	}
-	m.markAll()
-}
-
-// BaselineImage is an immutable copy of a memory's post-instantiation
-// contents, shared by reference between every instance of a module digest.
-// It is the memory-side twin of the shared compiled-code artifact: accounted
-// once per node, with instances charged only their private dirty pages.
+// BaselineImage is the immutable post-instantiation contents of a module's
+// memory, shared by reference between every instance of a module digest:
+// idle instances read these very bytes, written ones diverge from them page
+// by page. It is the memory-side twin of the shared compiled-code artifact:
+// accounted once per node, with instances charged only their private dirty
+// pages. Nothing writes data after the image is built.
 type BaselineImage struct {
 	data []byte
 }
@@ -167,26 +269,39 @@ func (b *BaselineImage) Bytes() int64 { return int64(len(b.data)) }
 // Pages returns the image size in 64 KiB pages.
 func (b *BaselineImage) Pages() uint32 { return uint32(len(b.data) / wasm.PageSize) }
 
-// CaptureBaseline snapshots the current contents as a new shared baseline,
-// attaches it, and clears the dirty bitmap: from here on the memory's
-// private cost is the pages it diverges by.
+// CaptureBaseline makes the current contents a new shared baseline and
+// attaches it: the memory donates its buffer as the image (no copy), drops
+// back to aliasing it, and clears the dirty bitmap — from here on its private
+// cost is the pages it diverges by.
 func (m *Memory) CaptureBaseline() *BaselineImage {
-	b := &BaselineImage{data: append([]byte(nil), m.data...)}
+	b := &BaselineImage{data: m.data[:len(m.data):len(m.data)]}
 	m.baseline = b
+	m.data, m.wr = b.data, nil
 	clear(m.dirty)
 	return b
 }
 
-// AttachBaseline adopts an existing shared baseline. The memory's current
-// contents must already equal the image byte-for-byte (instantiation of a
-// given module is deterministic, so every fresh instance reaches the same
-// state); only the length is checked. Returns false on length mismatch, in
-// which case the memory is left untouched.
+// AttachBaseline adopts an existing shared baseline: the memory drops its own
+// buffer and aliases the image. A memory that already aliases b (the
+// instantiation fast path) is left as it is. One that arrives with its own
+// bytes — instantiated by replaying data segments and the start function —
+// must equal the image byte for byte; instantiation is normally
+// deterministic, but a start function may write host-dependent values, and
+// adopting the image then would silently replace them. Returns false on any
+// mismatch, in which case the memory is left untouched (callers capture a
+// private baseline instead).
 func (m *Memory) AttachBaseline(b *BaselineImage) bool {
-	if b == nil || len(b.data) != len(m.data) {
+	if b == nil {
+		return false
+	}
+	if m.baseline == b {
+		return true
+	}
+	if !bytes.Equal(m.data, b.data) {
 		return false
 	}
 	m.baseline = b
+	m.data, m.wr = b.data, nil
 	clear(m.dirty)
 	return true
 }
@@ -204,6 +319,21 @@ func (m *Memory) DirtyPages() int {
 	return n
 }
 
+// dirtyBelow counts dirty pages with index < pages.
+func (m *Memory) dirtyBelow(pages uint64) int {
+	n := 0
+	for wi, w := range m.dirty {
+		if lo := uint64(wi) * 64; lo+64 > pages {
+			if lo >= pages {
+				break
+			}
+			w &= 1<<(pages-lo) - 1
+		}
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // PrivateBytes is the memory's copy-on-write private cost: dirty pages when
 // a baseline is attached, the whole memory otherwise.
 func (m *Memory) PrivateBytes() int64 {
@@ -213,21 +343,37 @@ func (m *Memory) PrivateBytes() int64 {
 	return int64(m.DirtyPages()) * wasm.PageSize
 }
 
-// ResetToBaseline rewinds the memory to the attached baseline by copying
-// back only dirty pages, releasing pages grown beyond the baseline and
-// clearing the dirty bitmap. Cost is proportional to pages touched since the
-// last reset, not memory size. Returns the number of pages copied, or -1 if
-// no baseline is attached (the memory is left unchanged).
+// ResetToBaseline rewinds the memory to the attached baseline, releasing
+// pages grown beyond it and clearing the dirty bitmap. Normally it copies
+// back only the dirty pages, so cost is proportional to pages touched since
+// the last reset, not memory size, and a large lightly-dirtied memory keeps
+// its buffer. When every baseline page is dirty the copy-back would rewrite
+// the whole buffer anyway: the memory re-aliases the image instead and parks
+// the buffer on the free-list, deferring that copy to the next first write —
+// and skipping it if the instance idles. Returns the number of baseline pages
+// rewound either way, or -1 if no baseline is attached (the memory is left
+// unchanged).
 func (m *Memory) ResetToBaseline() int {
 	b := m.baseline
 	if b == nil {
 		return -1
 	}
-	if len(m.data) > len(b.data) {
-		// Drop grown pages: their dirty bits are discarded with them.
-		m.data = m.data[:len(b.data)]
+	if m.aliased() {
+		return 0
 	}
 	basePages := uint64(len(b.data)) / wasm.PageSize
+	if n := m.dirtyBelow(basePages); uint64(n) == basePages {
+		parkBuffer(m.wr)
+		m.data, m.wr = b.data, nil
+		m.dirty = m.dirty[:(basePages+63)/64]
+		clear(m.dirty)
+		return n
+	}
+	if len(m.wr) > len(b.data) {
+		// Drop grown pages: their dirty bits are discarded with them.
+		m.wr = m.wr[:len(b.data)]
+		m.data = m.wr
+	}
 	copied := 0
 	for wi, w := range m.dirty {
 		for w != 0 {
@@ -238,7 +384,7 @@ func (m *Memory) ResetToBaseline() int {
 				continue
 			}
 			off := p * wasm.PageSize
-			copy(m.data[off:off+wasm.PageSize], b.data[off:off+wasm.PageSize])
+			copy(m.wr[off:off+wasm.PageSize], b.data[off:off+wasm.PageSize])
 			copied++
 		}
 		m.dirty[wi] = 0
@@ -268,50 +414,37 @@ func (m *Memory) Read(addr, n uint32) ([]byte, bool) {
 }
 
 // View returns a slice aliasing memory [addr, addr+n), or false on OOB.
-// The view is for reading; writing through it would bypass dirty tracking
-// (use WritableView for that).
+// The view is for reading only — it may be the shared image's bytes — and is
+// invalidated by the next write to the memory (use WritableView to mutate).
 func (m *Memory) View(addr, n uint32) ([]byte, bool) {
-	ea := uint64(addr)
-	if ea+uint64(n) > uint64(len(m.data)) {
+	ea, end := uint64(addr), uint64(addr)+uint64(n)
+	if end > uint64(len(m.data)) {
 		return nil, false
 	}
-	return m.data[ea : ea+uint64(n)], true
+	return m.data[ea:end:end], true
 }
 
 // WritableView is View for host functions that fill guest memory in place
-// (avoiding a staging allocation): the covered pages are marked dirty up
-// front, so writes through the returned slice stay visible to the
-// copy-on-write reset.
+// (avoiding a staging allocation): the memory is materialised and the covered
+// pages are marked dirty up front, so writes through the returned slice land
+// in private bytes and stay visible to the copy-on-write reset.
 func (m *Memory) WritableView(addr, n uint32) ([]byte, bool) {
-	ea := uint64(addr)
-	if ea+uint64(n) > uint64(len(m.data)) {
-		return nil, false
-	}
-	m.markRange(ea, uint64(n))
-	return m.data[ea : ea+uint64(n)], true
+	return m.writable(uint64(addr), uint64(n))
 }
 
 // Write copies b into memory at addr, returning false on OOB.
 func (m *Memory) Write(addr uint32, b []byte) bool {
-	ea := uint64(addr)
-	if ea+uint64(len(b)) > uint64(len(m.data)) {
-		return false
-	}
-	copy(m.data[ea:], b)
-	m.markRange(ea, uint64(len(b)))
-	return true
+	w, ok := m.writable(uint64(addr), uint64(len(b)))
+	copy(w, b)
+	return ok
 }
 
 // WriteString copies s into memory at addr without an intermediate []byte
 // allocation, returning false on OOB.
 func (m *Memory) WriteString(addr uint32, s string) bool {
-	ea := uint64(addr)
-	if ea+uint64(len(s)) > uint64(len(m.data)) {
-		return false
-	}
-	copy(m.data[ea:], s)
-	m.markRange(ea, uint64(len(s)))
-	return true
+	w, ok := m.writable(uint64(addr), uint64(len(s)))
+	copy(w, s)
+	return ok
 }
 
 // ReadUint32 reads a little-endian u32, returning false on OOB.
@@ -324,13 +457,7 @@ func (m *Memory) ReadUint32(addr uint32) (uint32, bool) {
 
 // WriteUint32 writes a little-endian u32, returning false on OOB.
 func (m *Memory) WriteUint32(addr uint32, v uint32) bool {
-	if ea, ok := m.inBounds(addr, 0, 4); ok {
-		binary.LittleEndian.PutUint32(m.data[ea:], v)
-		m.markPage(ea)
-		m.markPage(ea + 3)
-		return true
-	}
-	return false
+	return m.storeAt(uint64(addr), 4, uint64(v))
 }
 
 // ReadUint64 reads a little-endian u64, returning false on OOB.
@@ -343,13 +470,7 @@ func (m *Memory) ReadUint64(addr uint32) (uint64, bool) {
 
 // WriteUint64 writes a little-endian u64, returning false on OOB.
 func (m *Memory) WriteUint64(addr uint32, v uint64) bool {
-	if ea, ok := m.inBounds(addr, 0, 8); ok {
-		binary.LittleEndian.PutUint64(m.data[ea:], v)
-		m.markPage(ea)
-		m.markPage(ea + 7)
-		return true
-	}
-	return false
+	return m.storeAt(uint64(addr), 8, v)
 }
 
 // ReadString reads n bytes at addr as a string, returning false on OOB.
@@ -380,23 +501,24 @@ func (m *Memory) load(addr, offset uint32, width int) (uint64, bool) {
 	}
 }
 
-// store writes width bytes for the interpreter. The hot-loop dirty marking
-// is one shift/or on the first page plus a compare for the (rare) access
-// that straddles a page boundary.
-func (m *Memory) store(addr, offset uint32, width int, v uint64) bool {
-	ea, ok := m.inBounds(addr, offset, width)
-	if !ok {
+// storeAt writes the low width bytes of v at effective address ea: tier 0's
+// store, and the slow path of tier 1's inlined ones. The bounds check is
+// against wr, so an aliased memory lands in materialise. The hot-loop dirty
+// marking is one shift/or on the first page plus a compare for the (rare)
+// access that straddles a page boundary.
+func (m *Memory) storeAt(ea uint64, width int, v uint64) bool {
+	if ea+uint64(width) > uint64(len(m.wr)) && !m.materialise(ea+uint64(width)) {
 		return false
 	}
 	switch width {
 	case 1:
-		m.data[ea] = byte(v)
+		m.wr[ea] = byte(v)
 	case 2:
-		binary.LittleEndian.PutUint16(m.data[ea:], uint16(v))
+		binary.LittleEndian.PutUint16(m.wr[ea:], uint16(v))
 	case 4:
-		binary.LittleEndian.PutUint32(m.data[ea:], uint32(v))
+		binary.LittleEndian.PutUint32(m.wr[ea:], uint32(v))
 	default:
-		binary.LittleEndian.PutUint64(m.data[ea:], v)
+		binary.LittleEndian.PutUint64(m.wr[ea:], v)
 	}
 	p := ea >> 16
 	m.dirty[p>>6] |= 1 << (p & 63)
@@ -404,6 +526,36 @@ func (m *Memory) store(addr, offset uint32, width int, v uint64) bool {
 		m.dirty[last>>6] |= 1 << (last & 63)
 	}
 	return true
+}
+
+// fill is memory.fill for both tiers: n bytes of val at dst, false on OOB.
+func (m *Memory) fill(dst uint32, val byte, n uint32) bool {
+	w, ok := m.writable(uint64(dst), uint64(n))
+	if !ok || len(w) == 0 {
+		return ok
+	}
+	if val == 0 {
+		clear(w)
+		return true
+	}
+	w[0] = val
+	for done := 1; done < len(w); done *= 2 {
+		copy(w[done:], w[:done])
+	}
+	return true
+}
+
+// copyWithin is memory.copy for both tiers: n bytes from src to dst (the
+// ranges may overlap), false if either range is out of bounds.
+func (m *Memory) copyWithin(dst, src, n uint32) bool {
+	from, end := uint64(src), uint64(src)+uint64(n)
+	if end > uint64(len(m.data)) {
+		return false
+	}
+	w, ok := m.writable(uint64(dst), uint64(n))
+	// writable may have materialised: read the source from the current data.
+	copy(w, m.data[from:end])
+	return ok
 }
 
 // Table is a table instance holding function references.

@@ -28,6 +28,12 @@ type ModuleCode struct {
 
 	baseMu   sync.Mutex // serializes capture and attach; readers load baseline without it
 	baseline atomic.Pointer[BaselineImage]
+	// imageIsMemory: instantiation writes the module's own memory from
+	// constants only (no start function, no imported memory, no data offset
+	// read from an imported global), so once the baseline image exists a fresh
+	// instance's memory is the image and InstantiateCompiled aliases it
+	// instead of allocating and replaying data segments.
+	imageIsMemory bool
 
 	// Tier-1 state. The published artifact is an atomic pointer so the
 	// single-threaded stores sharing this ModuleCode pick it up without
@@ -92,9 +98,15 @@ func Precompile(m *wasm.Module) (*ModuleCode, error) {
 		}
 	}
 	mc := &ModuleCode{
-		m:     m,
-		codes: make([]*compiledCode, len(m.Functions)),
-		hot:   make([]hotCount, len(m.Functions)),
+		m:             m,
+		codes:         make([]*compiledCode, len(m.Functions)),
+		hot:           make([]hotCount, len(m.Functions)),
+		imageIsMemory: !m.StartSet && len(m.Memories) > 0,
+	}
+	for _, seg := range m.Data {
+		if seg.Offset.Op == wasm.ConstGlobalGet {
+			mc.imageIsMemory = false
+		}
 	}
 	for i, ti := range m.Functions {
 		ft := m.Types[ti]
@@ -119,13 +131,13 @@ func (mc *ModuleCode) CodeBytes() int64 { return mc.codeBytes }
 // NumFuncs returns the number of module-defined (non-imported) functions.
 func (mc *ModuleCode) NumFuncs() int { return len(mc.codes) }
 
-// EnsureBaseline gives mem the module's shared baseline memory image. The
-// first call captures mem's current (post-instantiation) contents as the
-// image; later calls attach the same image by reference, so N instances of
-// one digest share one copy and are individually charged only their dirty
-// pages. Instantiation is deterministic, so every fresh instance arrives
-// here with identical contents. Returns the shared image, or nil when mem is
-// nil or its size no longer matches the captured image (the memory then
+// EnsureBaseline gives mem, a freshly instantiated memory, the module's
+// shared baseline image. The first call donates mem's post-instantiation
+// buffer as the image; later calls attach the same image by reference (a
+// no-op for a memory InstantiateCompiled already aliased to it), so N
+// instances of one digest share one copy and are individually charged only
+// their dirty pages. Returns the shared image, or nil when mem is nil or its
+// contents differ from the image (the memory is then left untouched and
 // keeps its own private baseline semantics).
 func (mc *ModuleCode) EnsureBaseline(mem *Memory) *BaselineImage {
 	if mem == nil {
@@ -141,6 +153,19 @@ func (mc *ModuleCode) EnsureBaseline(mem *Memory) *BaselineImage {
 	}
 	if !mem.AttachBaseline(img) {
 		return nil
+	}
+	return img
+}
+
+// freshImage returns the published baseline image if a fresh instance's
+// memory is exactly that image, else nil.
+func (mc *ModuleCode) freshImage() *BaselineImage {
+	if !mc.imageIsMemory {
+		return nil
+	}
+	img := mc.baseline.Load()
+	if img == nil || img.Pages() != mc.m.Memories[0].Limits.Min {
+		return nil // not published yet, or captured from a memory that had grown
 	}
 	return img
 }

@@ -306,8 +306,15 @@ func (s *Store) InstantiateCompiled(mc *ModuleCode, name string) (*Instance, err
 	}
 
 	// Memories, tables, globals.
+	// With a published baseline image that is exactly a fresh memory, the
+	// instance aliases it: nothing to allocate, zero or replay.
+	img := mc.freshImage()
 	for _, mt := range m.Memories {
-		inst.mem = NewMemory(mt, s.cfg.MemoryLimitPages)
+		if img != nil {
+			inst.mem = newAliasedMemory(mt, s.cfg.MemoryLimitPages, img)
+		} else {
+			inst.mem = NewMemory(mt, s.cfg.MemoryLimitPages)
+		}
 	}
 	for _, tt := range m.Tables {
 		inst.table = NewTable(tt)
@@ -343,7 +350,11 @@ func (s *Store) InstantiateCompiled(mc *ModuleCode, name string) (*Instance, err
 		data []byte
 	}
 	var dataPatches []dataPatch
-	for i, seg := range m.Data {
+	segs := m.Data
+	if img != nil {
+		segs = nil // the image already holds every segment
+	}
+	for i, seg := range segs {
 		offVal, err := inst.evalConst(seg.Offset)
 		if err != nil {
 			return nil, err

@@ -604,28 +604,35 @@ func (b *t1builder) buildLoad(in *instr, ht, pc int) t1op {
 
 // buildStore lowers a memory store: value in regs[v] (the top slot, or a
 // local slot when fused with a preceding local.get), address in regs[c].
-// own is the original instruction count. The inline dirty-page marking
-// (first page plus the rare straddle) is byte-for-byte the Memory.store hot
-// path.
+// own is the original instruction count. The inline bounds check is against
+// the memory's writable slice and the dirty-page marking (first page plus the
+// rare straddle) is byte-for-byte the Memory.storeAt hot path.
 func (b *t1builder) buildStore(in *instr, v, c int, own uint64, pc int) t1op {
 	off := in.a
 	width := uint64(in.misc)
 	next, crF := b.fall(pc)
 	cnt := own + crF
-	oob := func(fr *t1frame) int {
-		fr.executed += own
-		fr.err = newTrap(TrapMemoryOutOfBounds)
-		return t1Trapped
+	// slow takes every store that fails the inline check against wr: the
+	// first write to an aliased memory (storeAt materialises and stores) or a
+	// genuine out-of-bounds access.
+	slow := func(fr *t1frame, ea, val uint64) int {
+		if !fr.mem.storeAt(ea, int(width), val) {
+			fr.executed += own
+			fr.err = newTrap(TrapMemoryOutOfBounds)
+			return t1Trapped
+		}
+		fr.executed += cnt
+		return next
 	}
 	switch width {
 	case 1:
 		return func(fr *t1frame) int {
 			m := fr.mem
 			ea := uint64(AsU32(fr.regs[c])) + off
-			if ea+1 > uint64(len(m.data)) {
-				return oob(fr)
+			if ea+1 > uint64(len(m.wr)) {
+				return slow(fr, ea, fr.regs[v])
 			}
-			m.data[ea] = byte(fr.regs[v])
+			m.wr[ea] = byte(fr.regs[v])
 			p := ea >> 16
 			m.dirty[p>>6] |= 1 << (p & 63)
 			fr.executed += cnt
@@ -635,10 +642,10 @@ func (b *t1builder) buildStore(in *instr, v, c int, own uint64, pc int) t1op {
 		return func(fr *t1frame) int {
 			m := fr.mem
 			ea := uint64(AsU32(fr.regs[c])) + off
-			if ea+2 > uint64(len(m.data)) {
-				return oob(fr)
+			if ea+2 > uint64(len(m.wr)) {
+				return slow(fr, ea, fr.regs[v])
 			}
-			binary.LittleEndian.PutUint16(m.data[ea:], uint16(fr.regs[v]))
+			binary.LittleEndian.PutUint16(m.wr[ea:], uint16(fr.regs[v]))
 			p := ea >> 16
 			m.dirty[p>>6] |= 1 << (p & 63)
 			if last := (ea + 1) >> 16; last != p {
@@ -651,10 +658,10 @@ func (b *t1builder) buildStore(in *instr, v, c int, own uint64, pc int) t1op {
 		return func(fr *t1frame) int {
 			m := fr.mem
 			ea := uint64(AsU32(fr.regs[c])) + off
-			if ea+4 > uint64(len(m.data)) {
-				return oob(fr)
+			if ea+4 > uint64(len(m.wr)) {
+				return slow(fr, ea, fr.regs[v])
 			}
-			binary.LittleEndian.PutUint32(m.data[ea:], uint32(fr.regs[v]))
+			binary.LittleEndian.PutUint32(m.wr[ea:], uint32(fr.regs[v]))
 			p := ea >> 16
 			m.dirty[p>>6] |= 1 << (p & 63)
 			if last := (ea + 3) >> 16; last != p {
@@ -667,10 +674,10 @@ func (b *t1builder) buildStore(in *instr, v, c int, own uint64, pc int) t1op {
 		return func(fr *t1frame) int {
 			m := fr.mem
 			ea := uint64(AsU32(fr.regs[c])) + off
-			if ea+8 > uint64(len(m.data)) {
-				return oob(fr)
+			if ea+8 > uint64(len(m.wr)) {
+				return slow(fr, ea, fr.regs[v])
 			}
-			binary.LittleEndian.PutUint64(m.data[ea:], fr.regs[v])
+			binary.LittleEndian.PutUint64(m.wr[ea:], fr.regs[v])
 			p := ea >> 16
 			m.dirty[p>>6] |= 1 << (p & 63)
 			if last := (ea + 7) >> 16; last != p {
@@ -695,16 +702,13 @@ func (b *t1builder) buildMisc(pc int, in *instr, ht int) t1op {
 		c3 := b.slot(ht, 3) // dst
 		return func(fr *t1frame) int {
 			fr.executed++
-			m := fr.mem
 			nn := AsU32(fr.regs[c1])
 			src := AsU32(fr.regs[c2])
 			dst := AsU32(fr.regs[c3])
-			if uint64(src)+uint64(nn) > uint64(len(m.data)) || uint64(dst)+uint64(nn) > uint64(len(m.data)) {
+			if !fr.mem.copyWithin(dst, src, nn) {
 				fr.err = newTrap(TrapMemoryOutOfBounds)
 				return t1Trapped
 			}
-			copy(m.data[dst:dst+nn], m.data[src:src+nn])
-			m.markRange(uint64(dst), uint64(nn))
 			fr.executed += crF
 			return next
 		}
@@ -714,18 +718,13 @@ func (b *t1builder) buildMisc(pc int, in *instr, ht int) t1op {
 		c3 := b.slot(ht, 3) // dst
 		return func(fr *t1frame) int {
 			fr.executed++
-			m := fr.mem
 			nn := AsU32(fr.regs[c1])
 			val := byte(fr.regs[c2])
 			dst := AsU32(fr.regs[c3])
-			if uint64(dst)+uint64(nn) > uint64(len(m.data)) {
+			if !fr.mem.fill(dst, val, nn) {
 				fr.err = newTrap(TrapMemoryOutOfBounds)
 				return t1Trapped
 			}
-			for i := uint32(0); i < nn; i++ {
-				m.data[dst+i] = val
-			}
-			m.markRange(uint64(dst), uint64(nn))
 			fr.executed += crF
 			return next
 		}
