@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet test race obs-overhead fuzz-smoke faults-smoke gateway-smoke tiers-smoke shard-smoke slo-smoke cluster-smoke metrics-smoke results-check bench benchmark figures results examples clean
+.PHONY: all build vet test race obs-overhead fuzz-smoke faults-smoke tiers-smoke http-smoke results-check bench benchmark figures results examples clean
 
-all: build vet test race obs-overhead fuzz-smoke faults-smoke gateway-smoke tiers-smoke shard-smoke slo-smoke cluster-smoke metrics-smoke results-check
+all: build vet test race obs-overhead fuzz-smoke faults-smoke tiers-smoke http-smoke results-check
 
 build:
 	$(GO) build ./...
@@ -60,12 +60,6 @@ obs-overhead:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMemoryCoW -fuzztime 10s ./internal/wasm/exec
 
-# SLO smoke: the alert lifecycle over HTTP at dilation 0 — healthy traffic
-# stays silent, a 100% trap-rate fault burst fires the availability page
-# (visible over /v1/slo, /v1/cluster and /metrics), recovery clears it.
-slo-smoke:
-	$(GO) test -count=1 -run 'TestSLOBurnRateOverHTTP$$' ./internal/gateway
-
 # Chaos smoke: run the full fault-injection ablation grid once. Each cell
 # verifies the admission identity (Submitted == Completed+Rejected+Expired+
 # Failed) and that no request stalls, so a dispatcher liveness regression
@@ -80,35 +74,34 @@ faults-smoke:
 tiers-smoke:
 	$(GO) run ./cmd/continuum -exp tiers > /dev/null
 
-# Gateway smoke: run continuumd's real serve loop on a random loopback port,
-# invoke over HTTP, scrape /metrics for a populated latency histogram,
-# SIGTERM, and assert exit code 0 with the admission identity reported true
-# for every function.
-gateway-smoke:
-	$(GO) test -count=1 -run 'TestServeUntilSignal$$' ./cmd/continuumd
-
-# Shard smoke: lazy function creation over HTTP (modules created on first
-# request), per-module labeled router metrics on /metrics, router stats on
-# /v1/cluster.
-shard-smoke:
-	$(GO) test -count=1 -run 'TestLazyFunctionCreation$$' ./internal/gateway
-
-# Cluster smoke: three simulated nodes at dilation 0 — kill the node the
-# function is placed on via POST /v1/cluster/nodes/{node}/fail, assert the
-# charge re-homed to a survivor and invokes keep returning 200; then the
-# one-node case (503 no_live_node, the pool keeps serving).
-cluster-smoke:
-	$(GO) test -count=1 -run 'TestNodeFailover$$' ./internal/gateway
-
-# Metrics smoke: on a gateway with two functions of different pool sizes,
-# every unlabeled dispatch_*/pool_*/modcache_* series on /metrics is the sum
-# of what the functions' own Stats() report, the per-module router series are
-# the shards' DispatcherStats, and the tsdb's gauges are the same sums at the
-# window boundary; and a request through an observed router allocates what
-# one through an unobserved router does.
-metrics-smoke:
-	$(GO) test -count=1 -run 'TestMetricsSumOverFunctions$$' ./internal/gateway
-	$(GO) test -count=1 -run 'TestRouterRequestAllocsTelemetryParity$$' ./internal/serve
+# HTTP smoke: the daemon's stories over a real socket, fresh (-count=1), in
+# one go test line.
+#   TestServeUntilSignal: run continuumd's real serve loop on a random
+#     loopback port, invoke over HTTP, scrape /metrics for a populated latency
+#     histogram, SIGTERM, and assert exit code 0 with the admission identity
+#     reported true for every function.
+#   TestLazyFunctionCreation: lazy function creation over HTTP (modules
+#     created on first request), per-module labeled router metrics on
+#     /metrics, router stats on /v1/cluster.
+#   TestSLOBurnRateOverHTTP: the alert lifecycle at dilation 0 — healthy
+#     traffic stays silent, a 100% trap-rate fault burst fires the
+#     availability page (visible over /v1/slo, /v1/cluster and /metrics),
+#     recovery clears it.
+#   TestNodeFailover: three simulated nodes at dilation 0 — kill the node the
+#     function is placed on via POST /v1/cluster/nodes/{node}/fail, assert the
+#     charge re-homed to a survivor and invokes keep returning 200; then the
+#     one-node case (503 no_live_node, the pool keeps serving).
+#   TestMetricsSumOverFunctions: on a gateway with two functions of different
+#     pool sizes, every unlabeled dispatch_*/pool_*/modcache_* series on
+#     /metrics is the sum of what the functions' own Stats() report (the cache
+#     once per engine), the per-module router series are the shards'
+#     DispatcherStats, and the tsdb's gauges are the same sums at the window
+#     boundary.
+#   TestRouterRequestAllocsTelemetryParity: a request through an observed
+#     router allocates what one through an unobserved router does.
+http-smoke:
+	$(GO) test -count=1 -run 'TestServeUntilSignal$$|TestLazyFunctionCreation$$|TestSLOBurnRateOverHTTP$$|TestNodeFailover$$|TestMetricsSumOverFunctions$$|TestRouterRequestAllocsTelemetryParity$$' \
+		./cmd/continuumd ./internal/gateway ./internal/serve
 
 # Byte-stability gate for the pure-virtual-clock experiments: regenerate them
 # into a temp dir and cmp against the committed results/ — the paper's own

@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"wasmcontainers/internal/des"
 	"wasmcontainers/internal/engine"
 	"wasmcontainers/internal/faults"
-	"wasmcontainers/internal/k8s"
 	"wasmcontainers/internal/serve"
-	"wasmcontainers/internal/workloads"
+	"wasmcontainers/internal/wasm/exec"
 )
 
 // faultSeed fixes the injector PRNG for every cell so the whole ablation is
@@ -52,42 +50,16 @@ func resilientDispatcherConfig(cfg serve.DispatcherConfig) serve.DispatcherConfi
 // Submitted == Completed + Rejected + Expired + Failed is verified before
 // returning — a violation is an error, not a table cell.
 func MeasureFaultServing(p engine.Profile, faultRate float64, resilient bool, ratePerSec float64, window time.Duration) (FaultMeasurement, error) {
-	cluster, err := k8s.NewCluster(k8s.DefaultClusterConfig())
-	if err != nil {
-		return FaultMeasurement{}, err
-	}
-	node := cluster.Nodes[0]
-	att, err := node.AttachWarmPool(fmt.Sprintf("%s-faults", p.Name))
-	if err != nil {
-		return FaultMeasurement{}, err
-	}
-	defer att.Detach()
-
-	sim := des.NewEngine()
-	tele := Telemetry()
-	if tr := tele.Tracer(); tr != nil {
-		tr.SetClock(func() int64 { return int64(sim.Now()) })
-		tr.SetPID(nextRunPID())
-	}
-
-	eng := engine.New(p)
-	eng.SetObserver(tele)
-	att.SetObserver(tele)
-	bin, err := workloads.Binary(ServingWorkload)
-	if err != nil {
-		return FaultMeasurement{}, err
-	}
-	cm, err := eng.Compile(bin)
-	if err != nil {
-		return FaultMeasurement{}, err
-	}
 	const poolSize = 8
-	pool, err := serve.NewPool(eng, cm, serve.Config{Size: poolSize, IdleTTL: 2 * time.Second})
+	cfg := servingDispatcherConfig(poolSize)
+	if resilient {
+		cfg = resilientDispatcherConfig(cfg)
+	}
+	g, err := newServingRig(p, exec.DefaultTierPolicy(), p.Name+"-faults", poolSize, cfg)
 	if err != nil {
 		return FaultMeasurement{}, err
 	}
-	pool.SetMemoryListener(att.Sync)
-	att.SetDrainer(func() int { return pool.DrainIdle(sim.Now()) })
+	defer g.rep.Retire()
 
 	// Armed only after pool pre-warming: standby instances must exist so the
 	// pressure episodes have something to reclaim, and only request-path work
@@ -100,30 +72,16 @@ func MeasureFaultServing(p engine.Profile, faultRate float64, resilient bool, ra
 		SlowColdFactor:      4,
 		PressureAt:          []time.Duration{window / 3, 2 * window / 3},
 	})
-	eng.SetFaultInjector(in)
+	g.eng.SetFaultInjector(in)
 	evictions := 0
-	in.ArmPressure(sim, func() { evictions += node.MemoryPressure() })
+	in.ArmPressure(g.sim, func() { evictions += g.node.MemoryPressure() })
 
-	cfg := serve.DispatcherConfig{
-		MaxConcurrency: poolSize,
-		QueueDepth:     64,
-		Policy:         serve.PolicyQueue,
-		QueueDeadline:  time.Second,
-		Export:         "handle",
-		Arg:            servingArg,
-	}
-	if resilient {
-		cfg = resilientDispatcherConfig(cfg)
-	}
-	d := serve.NewDispatcher(sim, pool, cfg)
-	d.SetObserver(tele)
-	rep := serve.Run(sim, d, serve.LoadConfig{
+	d := g.rep.Dispatcher()
+	rep := serve.Run(g.sim, d, serve.LoadConfig{
 		RatePerSec: ratePerSec,
 		Duration:   window,
 		Seed:       1,
 	})
-	pool.SetMemoryListener(nil)
-	att.SetDrainer(nil)
 
 	st := rep.Dispatcher
 	if st.Submitted != st.Completed+st.Rejected+st.Expired+st.Failed {

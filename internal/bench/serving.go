@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"wasmcontainers/internal/cluster"
 	"wasmcontainers/internal/des"
 	"wasmcontainers/internal/engine"
 	"wasmcontainers/internal/k8s"
@@ -20,6 +21,77 @@ const ServingWorkload = "request-handler"
 // simulated milliseconds warm versus whole simulated seconds cold.
 const servingArg = 500
 
+// servingDispatcherConfig is the dispatcher shape every serving experiment
+// starts from: bounded queue, one-second queue deadline, the standard request.
+func servingDispatcherConfig(concurrency int) serve.DispatcherConfig {
+	return serve.DispatcherConfig{
+		MaxConcurrency: concurrency,
+		QueueDepth:     64,
+		Policy:         serve.PolicyQueue,
+		QueueDeadline:  time.Second,
+		Export:         "handle",
+		Arg:            servingArg,
+	}
+}
+
+// servingRig is the one-node serving stack the serve and faults experiments
+// run on: the serving workload compiled on one engine, and a replica on a
+// simulated worker node built by the daemon's own recipe (cluster.NewReplica:
+// pool, node attachment with the shared/private charge split and the
+// memory-pressure drainer, dispatcher), so an experiment reports the charge
+// the daemon would.
+type servingRig struct {
+	node *k8s.WorkerNode
+	sim  *des.Engine
+	eng  *engine.Engine
+	cm   *engine.CompiledModule
+	rep  *cluster.Replica
+	// kubeletBytes and nodeBytes are what the pool costs while merely standing
+	// by, sampled before any traffic: on the metrics-server vantage (the
+	// replica's cgroup charge: its instances' private bytes) and on the
+	// node's `free` vantage (that charge plus each shared artifact — compiled
+	// code, baseline image — once), as in Fig 3 against Fig 4.
+	kubeletBytes, nodeBytes int64
+}
+
+// newServingRig builds the rig; name is the replica's attachment name. The
+// DES engine exists before any instrumented work so the tracer can run on
+// simulated time for the whole lifecycle: module compile and pool
+// pre-instantiation land at t=0, the request phases at their simulated
+// instants. Real compile/instantiate nanoseconds ride along as span
+// attributes and histograms.
+func newServingRig(p engine.Profile, policy exec.TierPolicy, name string, poolSize int, dcfg serve.DispatcherConfig) (*servingRig, error) {
+	kc, err := k8s.NewCluster(k8s.DefaultClusterConfig())
+	if err != nil {
+		return nil, err
+	}
+	sim := des.NewEngine()
+	g := &servingRig{node: kc.Nodes[0], sim: sim, eng: engine.New(p)}
+	tele := Telemetry()
+	if tr := tele.Tracer(); tr != nil {
+		tr.SetClock(func() int64 { return int64(sim.Now()) })
+		tr.SetPID(nextRunPID())
+	}
+	g.eng.SetTierPolicy(policy)
+	g.eng.SetObserver(tele)
+	bin, err := workloads.Binary(ServingWorkload)
+	if err != nil {
+		return nil, err
+	}
+	if g.cm, err = g.eng.Compile(bin); err != nil {
+		return nil, err
+	}
+	idleBytes := g.node.OS.UsedBeyondIdle()
+	g.rep, err = cluster.NewReplica(g.sim, g.eng, g.cm, g.node, name,
+		serve.Config{Size: poolSize, IdleTTL: 2 * time.Second}, dcfg, tele)
+	if err != nil {
+		return nil, err
+	}
+	g.kubeletBytes = kc.Metrics.TotalWorkloadBytes()
+	g.nodeBytes = g.node.OS.UsedBeyondIdle() - idleBytes
+	return g, nil
+}
+
 // ServingMeasurement is one cell of the serving sweep.
 type ServingMeasurement struct {
 	Engine     string
@@ -30,6 +102,8 @@ type ServingMeasurement struct {
 	// right after pool creation: pooled instances occupy node memory before
 	// a single request arrives, exactly like idle pods in the density runs.
 	PoolKubeletMiB float64
+	// poolNodeBytes is the same standing pool on the node's `free` vantage.
+	poolNodeBytes int64
 	// Tier1Bytes is the tier-1 artifact the run published (0: never tiered
 	// up).
 	Tier1Bytes int64
@@ -49,76 +123,29 @@ func MeasureServing(p engine.Profile, poolSize int, ratePerSec float64, window t
 // MeasureServingTiered is MeasureServing with an explicit tier policy — the
 // knob the tiers ablation turns (off / hotness / eager).
 func MeasureServingTiered(p engine.Profile, poolSize int, ratePerSec float64, window time.Duration, policy exec.TierPolicy) (ServingMeasurement, error) {
-	cluster, err := k8s.NewCluster(k8s.DefaultClusterConfig())
-	if err != nil {
-		return ServingMeasurement{}, err
-	}
-	att, err := cluster.Nodes[0].AttachWarmPool(fmt.Sprintf("%s-%d", p.Name, poolSize))
-	if err != nil {
-		return ServingMeasurement{}, err
-	}
-	defer att.Detach()
-
-	// The DES engine exists before any instrumented work so the tracer can
-	// run on simulated time for the whole lifecycle: module compile and pool
-	// pre-instantiation land at t=0, the request phases at their simulated
-	// instants. Real compile/instantiate nanoseconds ride along as span
-	// attributes and histograms.
-	sim := des.NewEngine()
-	tele := Telemetry()
-	if tr := tele.Tracer(); tr != nil {
-		tr.SetClock(func() int64 { return int64(sim.Now()) })
-		tr.SetPID(nextRunPID())
-	}
-
-	eng := engine.New(p)
-	eng.SetTierPolicy(policy)
-	eng.SetObserver(tele)
-	att.SetObserver(tele)
-	bin, err := workloads.Binary(ServingWorkload)
-	if err != nil {
-		return ServingMeasurement{}, err
-	}
-	cm, err := eng.Compile(bin)
-	if err != nil {
-		return ServingMeasurement{}, err
-	}
-	pool, err := serve.NewPool(eng, cm, serve.Config{Size: poolSize, IdleTTL: 2 * time.Second})
-	if err != nil {
-		return ServingMeasurement{}, err
-	}
-	pool.SetMemoryListener(att.Sync)
-	// Sample the kubelet vantage before any traffic: this is what the pool
-	// costs the node while merely standing by.
-	kubeletMiB := mib(cluster.Metrics.TotalWorkloadBytes())
-
 	conc := poolSize
 	if conc == 0 {
 		conc = 8
 	}
-	d := serve.NewDispatcher(sim, pool, serve.DispatcherConfig{
-		MaxConcurrency: conc,
-		QueueDepth:     64,
-		Policy:         serve.PolicyQueue,
-		QueueDeadline:  time.Second,
-		Export:         "handle",
-		Arg:            servingArg,
-	})
-	d.SetObserver(tele)
-	rep := serve.Run(sim, d, serve.LoadConfig{
+	g, err := newServingRig(p, policy, fmt.Sprintf("%s-%d", p.Name, poolSize), poolSize, servingDispatcherConfig(conc))
+	if err != nil {
+		return ServingMeasurement{}, err
+	}
+	defer g.rep.Retire()
+	rep := serve.Run(g.sim, g.rep.Dispatcher(), serve.LoadConfig{
 		RatePerSec: ratePerSec,
 		Duration:   window,
 		Seed:       1,
 	})
-	pool.SetMemoryListener(nil)
 	return ServingMeasurement{
 		Engine:         p.Name,
 		PoolSize:       poolSize,
 		RatePerSec:     ratePerSec,
 		Report:         rep,
-		PoolKubeletMiB: kubeletMiB,
-		Tier1Bytes:     cm.Code.Tier1Bytes(),
-		CacheStats:     eng.CacheStats(),
+		PoolKubeletMiB: mib(g.kubeletBytes),
+		poolNodeBytes:  g.nodeBytes,
+		Tier1Bytes:     g.cm.Code.Tier1Bytes(),
+		CacheStats:     g.eng.CacheStats(),
 	}, nil
 }
 

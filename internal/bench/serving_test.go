@@ -9,15 +9,24 @@ import (
 
 	"wasmcontainers/internal/engine"
 	"wasmcontainers/internal/obs"
+	"wasmcontainers/internal/simos"
+	"wasmcontainers/internal/workloads"
 )
 
 // The serving acceptance claim: for every engine profile, warm p50 latency
-// is at least 10x below cold p50, and standing pool memory is visible to
-// the kubelet/metrics-server vantage.
+// is at least 10x below cold p50, and standing pool memory is charged the way
+// the daemon's replica charges it — instances to the pod cgroup (the
+// kubelet/metrics-server vantage), the module's shared artifacts once to the
+// node (the `free` vantage only).
 func TestServingWarmBeatsColdTenXPerEngine(t *testing.T) {
 	const window = 500 * time.Millisecond
+	const poolSize = 2
+	bin, err := workloads.Binary(ServingWorkload)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range engine.Profiles() {
-		warm, err := MeasureServing(p, 2, 50, window)
+		warm, err := MeasureServing(p, poolSize, 50, window)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,15 +42,39 @@ func TestServingWarmBeatsColdTenXPerEngine(t *testing.T) {
 		if w.P50*10 > c.P50 {
 			t.Errorf("%s: warm p50 %.6fs not 10x under cold p50 %.6fs", p.Name, w.P50, c.P50)
 		}
-		if warm.PoolKubeletMiB <= 0 {
-			t.Errorf("%s: pool memory invisible to kubelet vantage", p.Name)
+
+		// The module's artifact sizes, from a compile and a first instantiate
+		// of our own.
+		eng := engine.New(p)
+		cm, err := eng.Compile(bin)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// A cold-only pool holds no instances; its only standby memory is the
-		// single shared compiled-code artifact, far below one warm instance.
-		coldBytes := cold.PoolKubeletMiB * 1024 * 1024
-		if coldBytes <= 0 || coldBytes >= float64(p.WarmInstanceBytes) {
-			t.Errorf("%s: cold-only pool standby memory %.0f B, want shared code only (0 < b < %d)",
-				p.Name, coldBytes, p.WarmInstanceBytes)
+		if _, err := eng.Instantiate(cm); err != nil {
+			t.Fatal(err)
+		}
+		arts := cm.SharedArtifacts()
+		code := simos.RoundPages(arts[engine.ArtifactCode].Bytes)
+		image := simos.RoundPages(arts[engine.ArtifactData].Bytes)
+		if code <= 0 || image <= 0 {
+			t.Fatalf("%s: artifacts %+v", p.Name, arts)
+		}
+
+		// A cold-only pool holds no instances: nothing in the pod cgroup, and
+		// on the node exactly the one shared compiled-code artifact.
+		if cold.PoolKubeletMiB != 0 || cold.poolNodeBytes != code {
+			t.Errorf("%s: cold-only pool standby memory: kubelet %.0f B, node %d B, want 0 and the shared code (%d B)",
+				p.Name, cold.PoolKubeletMiB*(1<<20), cold.poolNodeBytes, code)
+		}
+		// A warm pool charges its instances to the cgroup; the node
+		// additionally holds code and baseline image once.
+		instances := simos.RoundPages(poolSize * p.WarmInstanceBytes)
+		if got := int64(warm.PoolKubeletMiB * (1 << 20)); got != instances {
+			t.Errorf("%s: kubelet vantage %d B, want the %d instances only (%d B)", p.Name, got, poolSize, instances)
+		}
+		if warm.poolNodeBytes != instances+code+image {
+			t.Errorf("%s: free vantage %d B, want instances + code + image once (%d B)",
+				p.Name, warm.poolNodeBytes, instances+code+image)
 		}
 	}
 }

@@ -68,14 +68,7 @@ func MeasureSLOServing(faulted bool, ratePerSec float64, window time.Duration) (
 	if err != nil {
 		return SLOMeasurement{}, err
 	}
-	d := serve.NewDispatcher(sim, pool, serve.DispatcherConfig{
-		MaxConcurrency: poolSize,
-		QueueDepth:     64,
-		Policy:         serve.PolicyQueue,
-		QueueDeadline:  time.Second,
-		Export:         "handle",
-		Arg:            servingArg,
-	})
+	d := serve.NewDispatcher(sim, pool, servingDispatcherConfig(poolSize))
 	d.SetObserver(tele)
 
 	var sloEng *slo.Engine // set below; Evaluate is nil-safe

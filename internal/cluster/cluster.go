@@ -24,7 +24,6 @@ import (
 	"wasmcontainers/internal/obs"
 	"wasmcontainers/internal/obs/tsdb"
 	"wasmcontainers/internal/serve"
-	"wasmcontainers/internal/wasm/cache"
 )
 
 // ErrNoLiveNode refuses work when every node has failed.
@@ -116,14 +115,14 @@ type ScaleStats struct {
 	Placed, RePlaced, Spills int
 }
 
-// nodeState is one worker node's serving surface: its router and its shared
-// compile cache (replicas of a module on one node compile once). Liveness is
-// the k8s node's own (w.Alive).
+// nodeState is one worker node's serving surface: its router and its engine
+// (replicas of a module on one node compile once). Liveness is the k8s
+// node's own (w.Alive).
 type nodeState struct {
 	idx    int
 	w      *k8s.WorkerNode
 	router *serve.Router
-	cache  *cache.Cache
+	eng    *engine.Engine
 }
 
 // moduleState is one deployed module and its replicas. all keeps retired
@@ -161,17 +160,16 @@ type replica struct {
 // methods run on the one goroutine driving the DES engine, like the
 // dispatcher they feed.
 type Serving struct {
-	eng      *des.Engine
-	cfg      Config
-	K        *k8s.Cluster
-	nodes    []*nodeState
-	modules  map[string]*moduleState
-	order    []string
-	db       *tsdb.DB
-	injector *faults.Injector
-	rr       int
-	attSeq   int
-	scale    ScaleStats
+	eng     *des.Engine
+	cfg     Config
+	K       *k8s.Cluster
+	nodes   []*nodeState
+	modules map[string]*moduleState
+	order   []string
+	db      *tsdb.DB
+	rr      int
+	attSeq  int
+	scale   ScaleStats
 }
 
 // New builds an idle serving cluster: nodes up, no modules deployed.
@@ -210,9 +208,10 @@ func New(cfg Config) (*Serving, error) {
 			idx:    i,
 			w:      w,
 			router: serve.NewRouter(s.eng, serve.RouterConfig{}),
-			cache:  cache.New(engine.DefaultModuleCacheBytes),
+			eng:    engine.New(cfg.Profile),
 		}
 		n.router.SetObserver(tele)
+		n.eng.SetObserver(tele)
 		s.nodes = append(s.nodes, n)
 	}
 	tele.Metrics().SetSource(s, s.collect)
@@ -254,8 +253,12 @@ func (s *Serving) Engine() *des.Engine { return s.eng }
 // Run drives the simulation until quiescent.
 func (s *Serving) Run() des.Time { return s.eng.Run() }
 
-// SetFaultInjector wires in onto every replica engine created from now on.
-func (s *Serving) SetFaultInjector(in *faults.Injector) { s.injector = in }
+// SetFaultInjector arms in on every node's engine.
+func (s *Serving) SetFaultInjector(in *faults.Injector) {
+	for _, n := range s.nodes {
+		n.eng.SetFaultInjector(in)
+	}
+}
 
 // Deploy registers a module for serving. Placement is lazy: the first routed
 // request creates the first replica.
@@ -344,21 +347,15 @@ func (s *Serving) bestNode(m *moduleState, excludeHosting bool) *nodeState {
 	return s.nodes[i]
 }
 
-// place creates m's replica on n — compiled through the node's shared cache,
-// built by NewReplica — and registers its dispatcher as a shard of the
-// node's router.
+// place creates m's replica on n — compiled on the node's engine, built by
+// NewReplica — and registers its dispatcher as a shard of the node's router.
 func (s *Serving) place(m *moduleState, n *nodeState, replaced bool) (*replica, error) {
-	eng := engine.NewWithCache(s.cfg.Profile, n.cache)
-	eng.SetObserver(s.cfg.Telemetry)
-	if s.injector != nil {
-		eng.SetFaultInjector(s.injector)
-	}
-	cm, err := eng.Compile(m.bin)
+	cm, err := n.eng.Compile(m.bin)
 	if err != nil {
 		return nil, err
 	}
 	s.attSeq++
-	rep, err := NewReplica(s.eng, eng, cm, n.w, fmt.Sprintf("%s-%d", m.name, s.attSeq),
+	rep, err := NewReplica(s.eng, n.eng, cm, n.w, fmt.Sprintf("%s-%d", m.name, s.attSeq),
 		serve.Config{Size: s.cfg.PoolSize, IdleTTL: s.cfg.IdleTTL}, s.cfg.Dispatcher, s.cfg.Telemetry)
 	if err != nil {
 		return nil, err
@@ -446,17 +443,6 @@ func (s *Serving) MemoryPressure(idx int) int {
 
 // NodeCount is the configured node count, dead nodes included.
 func (s *Serving) NodeCount() int { return len(s.nodes) }
-
-// LiveNodes counts nodes still up.
-func (s *Serving) LiveNodes() int {
-	live := 0
-	for _, n := range s.nodes {
-		if n.w.Alive() {
-			live++
-		}
-	}
-	return live
-}
 
 // NodeAlive reports node idx's liveness.
 func (s *Serving) NodeAlive(idx int) bool {

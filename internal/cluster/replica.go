@@ -18,7 +18,6 @@ import (
 // goroutine driving sim.
 type Replica struct {
 	sim  *des.Engine
-	eng  *engine.Engine
 	pool *serve.Pool
 	disp *serve.Dispatcher
 	tele *obs.Telemetry
@@ -41,7 +40,7 @@ func NewReplica(sim *des.Engine, eng *engine.Engine, cm *engine.CompiledModule, 
 	if err != nil {
 		return nil, err
 	}
-	r := &Replica{sim: sim, eng: eng, pool: pool, tele: tele, name: name}
+	r := &Replica{sim: sim, pool: pool, tele: tele, name: name}
 	if err := r.attach(node); err != nil {
 		return nil, err
 	}
@@ -127,9 +126,6 @@ func (r *Replica) Retire() {
 		finish()
 	})
 }
-
-// Engine exposes the replica's wasm engine.
-func (r *Replica) Engine() *engine.Engine { return r.eng }
 
 // Pool exposes the replica's warm pool.
 func (r *Replica) Pool() *serve.Pool { return r.pool }

@@ -42,15 +42,6 @@ const (
 	HandlerShimWasmer   RuntimeHandler = "io.containerd.wasmer.v1"
 )
 
-// AllHandlers lists every handler in the benchmark order of Figure 10.
-func AllHandlers() []RuntimeHandler {
-	return []RuntimeHandler{
-		HandlerCrunWAMR, HandlerCrunWasmtime, HandlerCrunWasmer, HandlerCrunWasmEdge,
-		HandlerShimWasmtime, HandlerShimWasmEdge, HandlerShimWasmer,
-		HandlerCrun, HandlerRunc,
-	}
-}
-
 // IsRunwasi reports whether the handler is a runwasi shim.
 func (h RuntimeHandler) IsRunwasi() bool {
 	switch h {
@@ -126,7 +117,10 @@ type Client struct {
 	daemon *simos.Process
 
 	lowlevel map[RuntimeHandler]oci.Runtime
-	ctrs     map[string]*Container
+	// shimEngines is the runwasi counterpart of lowlevel: one engine per
+	// profile, shared by every shim start on that profile.
+	shimEngines map[string]*engine.Engine
+	ctrs        map[string]*Container
 	// modCache is the node-level compiled-module cache: every runwasi shim
 	// and crun handler this client constructs resolves module digests against
 	// it, so a module binary compiles once per node regardless of how many
@@ -141,21 +135,19 @@ func NewClient(node *simos.Node, images *ImageStore) (*Client, error) {
 		return nil, err
 	}
 	return &Client{
-		node:     node,
-		images:   images,
-		snap:     NewSnapshotter(),
-		daemon:   daemon,
-		lowlevel: make(map[RuntimeHandler]oci.Runtime),
-		ctrs:     make(map[string]*Container),
-		modCache: cache.New(engine.DefaultModuleCacheBytes),
+		node:        node,
+		images:      images,
+		snap:        NewSnapshotter(),
+		daemon:      daemon,
+		lowlevel:    make(map[RuntimeHandler]oci.Runtime),
+		shimEngines: make(map[string]*engine.Engine),
+		ctrs:        make(map[string]*Container),
+		modCache:    cache.New(engine.DefaultModuleCacheBytes),
 	}, nil
 }
 
 // Node returns the client's node.
 func (c *Client) Node() *simos.Node { return c.node }
-
-// Images returns the image store.
-func (c *Client) Images() *ImageStore { return c.images }
 
 // runtimeFor lazily constructs the low-level runtime behind a handler.
 func (c *Client) runtimeFor(h RuntimeHandler) (oci.Runtime, error) {
@@ -178,6 +170,18 @@ func (c *Client) runtimeFor(h RuntimeHandler) (oci.Runtime, error) {
 	}
 	c.lowlevel[h] = rt
 	return rt, nil
+}
+
+// shimEngineFor lazily constructs the engine the shims of a runwasi handler
+// share (every runwasi handler has a profile).
+func (c *Client) shimEngineFor(h RuntimeHandler) *engine.Engine {
+	prof, _ := h.engineFor()
+	eng, ok := c.shimEngines[prof.Name]
+	if !ok {
+		eng = engine.NewWithCache(prof, c.modCache)
+		c.shimEngines[prof.Name] = eng
+	}
+	return eng
 }
 
 // Container is a containerd container record.
@@ -349,11 +353,8 @@ func (t *Task) startRuncShim() (*TaskReport, error) {
 // and executes the module, bypassing low-level OCI runtimes entirely.
 func (t *Task) startRunwasi() (*TaskReport, error) {
 	c := t.ctr.client
-	prof, ok := t.ctr.Handler.engineFor()
-	if !ok {
-		return nil, fmt.Errorf("containerd: handler %q has no engine", t.ctr.Handler)
-	}
-	eng := engine.NewWithCache(prof, c.modCache)
+	eng := c.shimEngineFor(t.ctr.Handler)
+	prof := eng.Profile
 	spec := t.ctr.Spec
 	modulePath := spec.Process.Args[0]
 	bin, err := t.ctr.Bundle.Rootfs.ReadFile(modulePath)

@@ -100,9 +100,6 @@ func (c *Crun) Name() string { return "crun" }
 // Version implements oci.Runtime.
 func (c *Crun) Version() string { return Version }
 
-// EngineName returns the embedded engine's name.
-func (c *Crun) EngineName() string { return c.cfg.Engine.Name }
-
 // Create implements oci.Runtime.
 func (c *Crun) Create(id string, bundle *oci.Bundle) error {
 	if err := bundle.Spec.Validate(); err != nil {

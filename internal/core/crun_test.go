@@ -168,9 +168,6 @@ func TestCrunEngineSelection(t *testing.T) {
 	for _, prof := range engine.Profiles() {
 		node := testNode()
 		crun := New(Config{Node: node, Engine: prof})
-		if crun.EngineName() != prof.Name {
-			t.Fatalf("engine name = %s", crun.EngineName())
-		}
 		b := wasmBundle(t, "minimal-service", "/pods/x/app")
 		if err := crun.Create("c", b); err != nil {
 			t.Fatal(err)

@@ -144,14 +144,6 @@ func (p *CPUPool) SubmitAt(ready Time, cpuTime Duration, done func()) {
 	p.eng.At(finish, done)
 }
 
-// Utilization returns mean core utilization over [0, until].
-func (p *CPUPool) Utilization(until Time) float64 {
-	if until == 0 {
-		return 0
-	}
-	return float64(p.BusyTime) / float64(int64(until)*int64(len(p.freeAt)))
-}
-
 // Resource models a serially-held resource (e.g. the containerd task-service
 // lock). Acquisitions queue FCFS.
 type Resource struct {

@@ -86,8 +86,9 @@ func TestCPUPoolParallelism(t *testing.T) {
 	if first != 4 {
 		t.Fatalf("%d tasks finished in the first wave, want 4", first)
 	}
-	if u := pool.Utilization(end); u != 1.0 {
-		t.Fatalf("utilization = %v, want 1.0", u)
+	// Both waves kept all four cores busy.
+	if pool.BusyTime != int64(end)*4 {
+		t.Fatalf("busy time = %d, want %d", pool.BusyTime, int64(end)*4)
 	}
 }
 

@@ -204,10 +204,12 @@ func ByName(name string) (Profile, bool) {
 	return Profile{}, false
 }
 
-// DefaultModuleCacheBytes bounds the per-engine compiled-module cache. Real
-// engines size their artifact caches similarly (WAMR's loaded-module table,
-// Wasmtime's on-disk AOT cache); the exact figure only matters under heavy
-// multi-tenancy, and eviction + recompile keeps it correct regardless.
+// DefaultModuleCacheBytes bounds a compiled-module cache — one per node's
+// worth of engines (a gateway server, a serving-cluster node, a containerd
+// client), not one per function. Real engines size their artifact caches
+// similarly (WAMR's loaded-module table, Wasmtime's on-disk AOT cache); the
+// exact figure only matters under heavy multi-tenancy, and eviction +
+// recompile keeps it correct regardless.
 const DefaultModuleCacheBytes = 256 * mib
 
 // Engine executes WebAssembly modules under a profile.
@@ -267,15 +269,14 @@ func (e *Engine) SetObserver(t *obs.Telemetry) {
 // request-path work is subjected to faults.
 func (e *Engine) SetFaultInjector(in *faults.Injector) { e.faults = in }
 
-// FaultInjector returns the armed injector, nil when injection is disabled.
-func (e *Engine) FaultInjector() *faults.Injector { return e.faults }
-
-// New creates an engine for the profile with its own module cache.
+// New creates an engine for the profile with its own module cache: for an
+// owner that runs one profile (a serving-cluster node, an experiment).
 func New(p Profile) *Engine { return NewWithCache(p, cache.New(DefaultModuleCacheBytes)) }
 
 // NewWithCache creates an engine sharing a compiled-module cache with other
-// engines — the node-level arrangement, where every container runtime on a
-// host resolves module digests against one artifact store.
+// engines — the node-level arrangement, where every profile and container
+// runtime on a host resolves module digests against one artifact store. The
+// owner of the cache builds one engine per profile and keeps it.
 func NewWithCache(p Profile, c *cache.Cache) *Engine {
 	if c == nil {
 		c = cache.New(DefaultModuleCacheBytes)
@@ -287,9 +288,6 @@ func NewWithCache(p Profile, c *cache.Cache) *Engine {
 // now on (already-compiled modules keep the policy they got). The tiers
 // ablation uses it to compare tier-0-only, hotness, and eager lowering.
 func (e *Engine) SetTierPolicy(p exec.TierPolicy) { e.tierPolicy = p }
-
-// TierPolicy returns the policy installed on newly compiled modules.
-func (e *Engine) TierPolicy() exec.TierPolicy { return e.tierPolicy }
 
 // CacheStats reports the module cache's counters.
 func (e *Engine) CacheStats() cache.Stats { return e.modCache.Stats() }

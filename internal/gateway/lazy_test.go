@@ -128,3 +128,65 @@ func grepLines(text, sub string) string {
 	}
 	return strings.Join(out, "\n")
 }
+
+// TestFunctionsShareEngineAndCache: functions on one profile — static or
+// lazily created — run on the server's one engine for that profile, compile
+// into the server's one module cache, and /metrics reads that cache once; a
+// second profile gets its own engine over the same cache.
+func TestFunctionsShareEngineAndCache(t *testing.T) {
+	a, b := DefaultFunction(), DefaultFunction()
+	b.Module = "request-handler-vb"
+	tmpl := DefaultFunction()
+	gw, err := New(Config{
+		Functions:    []FunctionConfig{a, b},
+		LazyTemplate: &tmpl,
+		Bridge:       BridgeConfig{Dilation: 0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw.Start()
+	ts := httptest.NewServer(gw)
+	defer func() {
+		ts.Close()
+		gw.Bridge().Stop()
+	}()
+	client := &http.Client{Timeout: 30 * time.Second}
+	for _, m := range []string{"request-handler-vc", "request-handler-vd"} {
+		if resp, body := invoke(t, client, ts.URL+"/v1/functions/"+m, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("lazy invoke %s: status %d body %s", m, resp.StatusCode, body)
+		}
+	}
+
+	fns := gw.Functions()
+	if len(fns) != 4 {
+		t.Fatalf("functions = %d, want 4", len(fns))
+	}
+	eng := fns[0].Engine()
+	for _, fn := range fns {
+		if fn.Engine() != eng {
+			t.Fatalf("%s runs on its own engine", fn.Module())
+		}
+	}
+	if st := eng.CacheStats(); st.Entries != 4 || st.Misses != 4 || st.Hits != 0 {
+		t.Fatalf("cache after four modules: %+v, want 4 entries from 4 misses", st)
+	}
+	_, body := get(t, client, ts.URL+"/metrics")
+	if got := grepLines(string(body), "modcache_misses_total"); !strings.Contains(got, "modcache_misses_total 4") {
+		t.Fatalf("/metrics: %s, want modcache_misses_total 4", got)
+	}
+
+	gw.regMu.Lock()
+	other, err := gw.engineFor("wasmtime")
+	again, _ := gw.engineFor("wasmtime")
+	gw.regMu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == eng || other != again {
+		t.Fatal("a second profile must get one engine of its own")
+	}
+	if st := other.CacheStats(); st.Entries != 4 {
+		t.Fatalf("second engine's cache holds %d entries, want the shared cache's 4", st.Entries)
+	}
+}

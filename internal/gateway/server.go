@@ -9,6 +9,7 @@ import (
 	"log"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,6 +23,7 @@ import (
 	"wasmcontainers/internal/obs/slo"
 	"wasmcontainers/internal/obs/tsdb"
 	"wasmcontainers/internal/serve"
+	"wasmcontainers/internal/wasm/cache"
 	"wasmcontainers/internal/workloads"
 )
 
@@ -59,8 +61,8 @@ type Config struct {
 	Functions []FunctionConfig
 	// LazyTemplate, when non-nil, turns POST /v1/functions/{module} into a
 	// resolver for any workload module: the first request for an
-	// unregistered module creates its engine, warm pool, node attachment,
-	// and dispatcher shard from this template (Module is overwritten per
+	// unregistered module creates its warm pool, node attachment, and
+	// dispatcher shard from this template (Module is overwritten per
 	// request). nil keeps the fixed-function behaviour: unknown modules 404.
 	LazyTemplate *FunctionConfig
 	// Bridge is the real-time run layer (dilation, submission buffer).
@@ -133,8 +135,8 @@ func DefaultSLOObjectives(target, latencyTarget float64, latencyThreshold time.D
 }
 
 // Function is one registered module: its config, its router shard key, and
-// the cluster.Replica that owns the engine, pool, dispatcher and the node
-// attachment charging pool memory to the simulated cluster. The replica's
+// the cluster.Replica that owns the pool, dispatcher and the node attachment
+// charging pool memory to the simulated cluster. The replica's
 // placement moves when a node failure re-homes the function; it is only
 // touched on the bridge loop goroutine (or before Start).
 type Function struct {
@@ -156,9 +158,11 @@ func (f *Function) Pool() *serve.Pool { return f.rep.Pool() }
 // Module names the function's workload module.
 func (f *Function) Module() string { return f.cfg.Module }
 
-// Engine exposes the function's wasm engine. Mutations (fault injection in
-// tests) must run on the bridge loop goroutine via Bridge.Do.
-func (f *Function) Engine() *engine.Engine { return f.rep.Engine() }
+// Engine exposes the wasm engine the function runs on: the server's one
+// engine for the function's profile, shared with every other function on that
+// profile. Mutations must run on the bridge loop goroutine via Bridge.Do, and
+// reach all of them — arming a fault injector arms the whole profile.
+func (f *Function) Engine() *engine.Engine { return f.rep.Pool().Engine() }
 
 // Server is the gateway: it owns the simulated cluster (control plane, its
 // own DES engine driven synchronously under a mutex) and the serving bridge
@@ -178,6 +182,10 @@ type Server struct {
 	// copies under regMu and publishes a new map.
 	fns   atomic.Pointer[map[string]*Function]
 	regMu sync.Mutex
+	// modCache is the node-level compiled-module cache and engines the one
+	// engine per profile over it, each created on first use under regMu.
+	modCache *cache.Cache
+	engines  map[string]*engine.Engine
 
 	// clusterMu serializes control-surface calls: each one mutates API
 	// objects and then drives the cluster's engine to quiescence.
@@ -271,6 +279,8 @@ func New(cfg Config) (*Server, error) {
 		cluster:    kc,
 		router:     serve.NewRouter(sim, serve.RouterConfig{}),
 		containers: map[string]*k8s.Pod{},
+		modCache:   cache.New(engine.DefaultModuleCacheBytes),
+		engines:    map[string]*engine.Engine{},
 		started:    time.Now(),
 		db:         db,
 		sloEng:     sloEng,
@@ -321,14 +331,21 @@ func trackDefaultSeries(db *tsdb.DB, tele *obs.Telemetry) {
 	}
 }
 
-// addFunction builds one function, registers its dispatcher as a router
-// shard keyed by module digest, and publishes it in the snapshot map.
+// addFunction resolves the function's workload module (once, before building
+// anything: an unknown name is the common failure — a typo in a lazy URL —
+// and must stay a cheap *workloads.UnknownWorkloadError), builds the
+// function, registers its dispatcher as a router shard keyed by module
+// digest, and publishes it in the snapshot map.
 // Serialized under regMu. With live set (lazy creation on a running
 // server), the engine/pool/attachment construction runs on the bridge loop
 // goroutine via Do, because pool pre-instantiation syncs node memory
 // accounting that in-flight requests of co-located pools are mutating on
 // that goroutine.
 func (s *Server) addFunction(ctx context.Context, fc FunctionConfig, live bool) (*Function, error) {
+	bin, err := workloads.Binary(fc.Module)
+	if err != nil {
+		return nil, fmt.Errorf("gateway: %w", err)
+	}
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
 	old := *s.fns.Load()
@@ -336,8 +353,7 @@ func (s *Server) addFunction(ctx context.Context, fc FunctionConfig, live bool) 
 		return fn, nil
 	}
 	var fn *Function
-	var err error
-	build := func() { fn, err = s.newFunction(fc) }
+	build := func() { fn, err = s.newFunction(fc, bin) }
 	if live {
 		if doErr := s.bridge.Do(ctx, build); doErr != nil {
 			return nil, doErr
@@ -360,26 +376,36 @@ func (s *Server) addFunction(ctx context.Context, fc FunctionConfig, live bool) 
 	return fn, nil
 }
 
-// newFunction wires one module end to end: compile, place by artifact
-// locality (cluster.PickNode), then the replica — warm pool, cluster memory
-// attachment, dispatcher.
-func (s *Server) newFunction(fc FunctionConfig) (*Function, error) {
+// engineFor returns the server's engine for a profile, building and observing
+// it on first use. Callers hold regMu.
+func (s *Server) engineFor(profile string) (*engine.Engine, error) {
+	if eng, ok := s.engines[profile]; ok {
+		return eng, nil
+	}
+	prof, ok := engine.ByName(profile)
+	if !ok {
+		return nil, fmt.Errorf("gateway: unknown engine profile %q", profile)
+	}
+	eng := engine.NewWithCache(prof, s.modCache)
+	eng.SetObserver(s.tele)
+	s.engines[profile] = eng
+	return eng, nil
+}
+
+// newFunction wires one module end to end: compile on the profile's engine,
+// place by artifact locality (cluster.PickNode), then the replica — warm
+// pool, cluster memory attachment, dispatcher.
+func (s *Server) newFunction(fc FunctionConfig, bin []byte) (*Function, error) {
 	if fc.Profile == "" {
 		fc.Profile = "wamr"
 	}
 	if fc.Export == "" {
 		fc.Export = "handle"
 	}
-	prof, ok := engine.ByName(fc.Profile)
-	if !ok {
-		return nil, fmt.Errorf("gateway: unknown engine profile %q", fc.Profile)
-	}
-	bin, err := workloads.Binary(fc.Module)
+	eng, err := s.engineFor(fc.Profile)
 	if err != nil {
-		return nil, fmt.Errorf("gateway: %w", err)
+		return nil, err
 	}
-	eng := engine.New(prof)
-	eng.SetObserver(s.tele)
 	cm, err := eng.Compile(bin)
 	if err != nil {
 		return nil, fmt.Errorf("gateway: compile %s: %w", fc.Module, err)
@@ -477,14 +503,60 @@ func (s *Server) routes() {
 	s.mux = mux
 }
 
-// statusWriter captures the response code for the access log.
+// invokeRecord is the per-request facts of one invoke, filled by handleInvoke
+// stage by stage; the response headers, the body and both access-log formats
+// are rendered from it.
+type invokeRecord struct {
+	stage int
+	reqID string
+	tid   int64
+	// Shard pressure as sampled at admission (lock-free accessors).
+	queueLen, inFlight int
+	res                serve.RequestResult
+}
+
+// How far an invoke got; each stage adds fields to the record.
+const (
+	invokeIdentified = iota + 1 // reqID, tid, queueLen, inFlight
+	invokeSettled               // res: the bridge returned a result
+	invokeCompleted             // res is a success
+)
+
+// simLatencyMs renders the simulated latency the way the X-Sim-Latency-Ms
+// header carries it: milliseconds to three decimals.
+func (r *invokeRecord) simLatencyMs() string {
+	return strconv.FormatFloat(float64(r.res.Latency)/1e6, 'f', 3, 64)
+}
+
+// setHeaders renders the record as the invoke response headers.
+func (r *invokeRecord) setHeaders(h http.Header) {
+	switch r.stage {
+	case invokeCompleted:
+		h.Set("X-Cold", strconv.FormatBool(r.res.Cold))
+		h.Set("X-Sim-Latency-Ms", r.simLatencyMs())
+		fallthrough
+	case invokeSettled:
+		h.Set("X-Trace-Sampled", strconv.FormatBool(r.res.TraceSampled))
+		fallthrough
+	case invokeIdentified:
+		h.Set("X-Request-Id", r.reqID)
+		h.Set("X-Trace-Tid", strconv.FormatInt(r.tid, 10))
+		h.Set("X-Queue-Len", strconv.Itoa(r.queueLen))
+		h.Set("X-In-Flight", strconv.Itoa(r.inFlight))
+	}
+}
+
+// statusWriter captures the response code for the access log and carries the
+// invoke record; the record's headers go out with the status line.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	invoke invokeRecord
 }
 
 func (sw *statusWriter) WriteHeader(code int) {
 	sw.status = code
+	sw.invoke.setHeaders(sw.Header())
 	sw.ResponseWriter.WriteHeader(code)
 }
 
@@ -499,25 +571,21 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if sw.status >= 400 {
 		s.obsHTTPErrs.Inc()
 	}
-	if s.logger != nil {
-		if s.cfg.AccessLogFormat == "json" {
-			s.logger.Print(jsonAccessLine(r, sw, wall))
-		} else {
-			reqID := sw.Header().Get("X-Request-Id")
-			tid := sw.Header().Get("X-Trace-Tid")
-			line := fmt.Sprintf("%s %s %d req_id=%s tid=%s wall=%s",
-				r.Method, r.URL.Path, sw.status, reqID, tid, wall)
-			// Shard pressure as sampled at admission (lock-free accessors).
-			if q := sw.Header().Get("X-Queue-Len"); q != "" {
-				line += " q=" + q + " in_flight=" + sw.Header().Get("X-In-Flight")
-			}
-			s.logger.Print(line)
-		}
+	switch inv := &sw.invoke; {
+	case s.logger == nil:
+	case s.cfg.AccessLogFormat == "json":
+		s.logger.Print(jsonAccessLine(r, sw, wall))
+	case inv.stage < invokeIdentified:
+		s.logger.Printf("%s %s %d req_id= tid= wall=%s", r.Method, r.URL.Path, sw.status, wall)
+	default:
+		s.logger.Printf("%s %s %d req_id=%s tid=%d wall=%s q=%d in_flight=%d",
+			r.Method, r.URL.Path, sw.status, inv.reqID, inv.tid, wall, inv.queueLen, inv.inFlight)
 	}
 }
 
-// accessRecord is one JSON access-log line. Invoke-only fields stay pointers
-// so non-invoke requests (introspection, metrics) log compact objects.
+// accessRecord is one JSON access-log line. Invoke-only fields are pointers
+// into the invoke record, nil for the stages the request did not reach, so
+// non-invoke requests (introspection, metrics) log compact objects.
 type accessRecord struct {
 	Method       string   `json:"method"`
 	Path         string   `json:"path"`
@@ -533,36 +601,29 @@ type accessRecord struct {
 	TraceSampled *bool    `json:"trace_sampled,omitempty"`
 }
 
-// jsonAccessLine renders one request as a JSON object, reading the
-// per-request facts the invoke handler mirrored into response headers.
+// jsonAccessLine renders one request as a JSON object.
 func jsonAccessLine(r *http.Request, sw *statusWriter, wall time.Duration) string {
+	inv := &sw.invoke
 	rec := accessRecord{
-		Method:    r.Method,
-		Path:      r.URL.Path,
-		Status:    sw.status,
-		WallMs:    float64(wall) / 1e6,
-		RequestID: sw.Header().Get("X-Request-Id"),
-		TraceTID:  sw.Header().Get("X-Trace-Tid"),
+		Method: r.Method,
+		Path:   r.URL.Path,
+		Status: sw.status,
+		WallMs: float64(wall) / 1e6,
 	}
 	if rest, ok := strings.CutPrefix(r.URL.Path, "/v1/functions/"); ok {
 		rec.Module = rest
 	}
-	if q := sw.Header().Get("X-Queue-Len"); q != "" {
-		var ql, fl int
-		fmt.Sscanf(q, "%d", &ql)
-		fmt.Sscanf(sw.Header().Get("X-In-Flight"), "%d", &fl)
-		rec.QueueLen, rec.InFlight = &ql, &fl
+	if inv.stage >= invokeIdentified {
+		rec.RequestID, rec.TraceTID = inv.reqID, strconv.FormatInt(inv.tid, 10)
+		rec.QueueLen, rec.InFlight = &inv.queueLen, &inv.inFlight
 	}
-	if v := sw.Header().Get("X-Sim-Latency-Ms"); v != "" {
-		var ms float64
-		fmt.Sscanf(v, "%f", &ms)
-		rec.SimLatencyMs = &ms
-		cold := sw.Header().Get("X-Cold") == "true"
-		rec.Cold = &cold
+	if inv.stage >= invokeSettled {
+		rec.TraceSampled = &inv.res.TraceSampled
 	}
-	if v := sw.Header().Get("X-Trace-Sampled"); v != "" {
-		sampled := v == "true"
-		rec.TraceSampled = &sampled
+	if inv.stage >= invokeCompleted {
+		// The log carries the header's three decimals, not the full latency.
+		ms, _ := strconv.ParseFloat(inv.simLatencyMs(), 64)
+		rec.SimLatencyMs, rec.Cold = &ms, &inv.res.Cold
 	}
 	b, err := json.Marshal(rec)
 	if err != nil {
@@ -600,18 +661,13 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	module := r.PathValue("module")
 	fn, ok := s.Function(module)
 	if !ok && s.cfg.LazyTemplate != nil {
-		lazy, err := s.lazyFunction(r.Context(), module)
-		if err != nil {
-			var unknown *workloads.UnknownWorkloadError
-			if errors.As(err, &unknown) {
-				writeError(w, ErrorMapping{http.StatusNotFound, "unknown_function", 0},
-					fmt.Errorf("gateway: unknown function %q", module))
-				return
-			}
+		var err error
+		var unknown *workloads.UnknownWorkloadError
+		if fn, err = s.lazyFunction(r.Context(), module); err != nil && !errors.As(err, &unknown) {
 			writeError(w, MapError(err, retryHints{}), err)
 			return
 		}
-		fn, ok = lazy, true
+		ok = err == nil
 	}
 	if !ok {
 		writeError(w, ErrorMapping{http.StatusNotFound, "unknown_function", 0},
@@ -623,20 +679,19 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		writeError(w, ErrorMapping{http.StatusRequestEntityTooLarge, "payload_too_large", 0}, err)
 		return
 	}
-	tid := s.reqSeq.Add(1)
-	reqID := r.Header.Get("X-Request-Id")
-	if reqID == "" {
-		reqID = fmt.Sprintf("req-%08d", tid)
+	inv := &w.(*statusWriter).invoke
+	inv.tid = s.reqSeq.Add(1)
+	inv.reqID = r.Header.Get("X-Request-Id")
+	if inv.reqID == "" {
+		inv.reqID = fmt.Sprintf("req-%08d", inv.tid)
 	}
-	w.Header().Set("X-Request-Id", reqID)
-	w.Header().Set("X-Trace-Tid", fmt.Sprintf("%d", tid))
 	// Shard introspection for the access log: lock-free atomic reads, so
 	// sampling them per request cannot stall a dispatch burst.
 	disp := fn.Dispatcher()
-	w.Header().Set("X-Queue-Len", fmt.Sprintf("%d", disp.QueueLen()))
-	w.Header().Set("X-In-Flight", fmt.Sprintf("%d", disp.InFlight()))
+	inv.queueLen, inv.inFlight = disp.QueueLen(), disp.InFlight()
+	inv.stage = invokeIdentified
 
-	res, err := s.bridge.SubmitRouted(r.Context(), s.router, fn.key, tid)
+	res, err := s.bridge.SubmitRouted(r.Context(), s.router, fn.key, inv.tid)
 	if err != nil {
 		if err == ErrBridgeBusy {
 			s.obsBridgeBusy.Inc()
@@ -647,16 +702,15 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	// Sampled-trace flag before the error branch: failed invocations are
 	// exactly the ones the tail sampler keeps, and the access log wants the
 	// flag either way.
-	w.Header().Set("X-Trace-Sampled", fmt.Sprintf("%t", res.TraceSampled))
+	inv.res, inv.stage = res, invokeSettled
 	if res.Err != nil {
 		writeError(w, MapError(res.Err, fn.hints()), res.Err)
 		return
 	}
-	w.Header().Set("X-Cold", fmt.Sprintf("%t", res.Cold))
-	w.Header().Set("X-Sim-Latency-Ms", fmt.Sprintf("%.3f", float64(res.Latency)/1e6))
+	inv.stage = invokeCompleted
 	writeJSON(w, http.StatusOK, InvokeResponse{
 		Module:       module,
-		RequestID:    reqID,
+		RequestID:    inv.reqID,
 		Cold:         res.Cold,
 		Attempts:     res.Attempts,
 		LatencyMs:    float64(res.Latency) / 1e6,
@@ -667,17 +721,12 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// lazyFunction resolves module against the lazy template, creating its
-// function on first use. Unknown workload names surface as
-// *workloads.UnknownWorkloadError so the caller can 404 them.
+// lazyFunction creates module's function from the lazy template. Unknown
+// workload names surface as *workloads.UnknownWorkloadError so the caller can
+// 404 them.
 func (s *Server) lazyFunction(ctx context.Context, module string) (*Function, error) {
 	if s.draining.Load() {
 		return nil, ErrBridgeDraining
-	}
-	// Validate the workload before building anything: unknown names are the
-	// common case (a typo in the URL) and must stay a cheap 404.
-	if _, err := workloads.Binary(module); err != nil {
-		return nil, err
 	}
 	fc := *s.cfg.LazyTemplate
 	fc.Module = module

@@ -301,7 +301,8 @@ func TestNodeUtilizationDuringStartup(t *testing.T) {
 		t.Fatal(err)
 	}
 	end := c.Run()
-	util := c.Nodes[0].Kubelet.CPUPool().Utilization(end)
+	node := c.Nodes[0]
+	util := float64(node.Kubelet.CPUPool().BusyTime) / float64(int64(end)*int64(node.OS.Config().Cores))
 	if util < 0.3 || util > 1.0 {
 		t.Fatalf("utilization = %.2f, expected busy cores during 100-pod startup", util)
 	}

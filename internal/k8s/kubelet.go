@@ -126,9 +126,6 @@ func (k *Kubelet) setDown() { k.down.Store(true) }
 // CPUPool exposes the node's core pool (used by benchmarks for utilization).
 func (k *Kubelet) CPUPool() *des.CPUPool { return k.cpu }
 
-// TaskLock exposes the containerd task-service serialization point.
-func (k *Kubelet) TaskLock() *des.Resource { return k.taskLock }
-
 // HandlePod reacts to a pod bound to this node: it schedules the full CRI
 // start sequence on the discrete-event engine.
 func (k *Kubelet) HandlePod(p *Pod) {

@@ -109,9 +109,6 @@ func (a *WarmPoolAttachment) SyncShared(name string, bytes int64) {
 // here).
 func (a *WarmPoolAttachment) ChargedBytes() int64 { return a.charged.Load() }
 
-// Process exposes the carrier process (tests and metrics).
-func (a *WarmPoolAttachment) Process() *simos.Process { return a.proc }
-
 // SetDrainer registers the pool's memory-pressure response — typically a
 // closure over serve.Pool.DrainIdle — so node-level pressure episodes can
 // reclaim the pool's idle instances through the attachment. Pass nil to

@@ -195,16 +195,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.max.Load()
 }
 
-// BucketWidth returns the width of the bucket that would hold v: the
-// resolution (and hence the quantile error bound) at that magnitude.
-func BucketWidth(v int64) int64 {
-	if v < 0 {
-		v = 0
-	}
-	lo, hi := bucketBounds(bucketIdx(uint64(v)))
-	return hi - lo + 1
-}
-
 // NumBuckets is the fixed bucket count shared by every Histogram. Windowed
 // consumers (the tsdb sampler) size their per-window copies with it.
 func NumBuckets() int { return histBuckets }

@@ -25,7 +25,7 @@ func TestNilHandlesNoOp(t *testing.T) {
 	g.Add(1)
 	h.Record(42)
 	tr.Span("x", "y", 0, 0, 1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || tr.Recorded() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || recorded(tr) != 0 {
 		t.Fatal("nil handles must read as zero")
 	}
 	if got := tele.Snapshot(); len(got.Counters) != 0 || len(got.Gauges) != 0 || len(got.Histograms) != 0 {
@@ -154,7 +154,10 @@ func TestHistogramQuantileErrorBound(t *testing.T) {
 		exact float64
 	}{{0.50, exact.P50}, {0.99, exact.P99}} {
 		got := h.Quantile(tc.q)
-		tol := BucketWidth(int64(tc.exact))
+		// The quantile error bound is the width of the bucket holding the
+		// exact value.
+		lo, hi := bucketBounds(bucketIdx(uint64(tc.exact)))
+		tol := hi - lo + 1
 		diff := float64(got) - tc.exact
 		if diff < 0 {
 			diff = -diff
@@ -228,8 +231,8 @@ func TestTracerRingAndSpans(t *testing.T) {
 	for i := int64(1); i <= 6; i++ {
 		tr.Span("s", "c", i, i*10, i*10+5)
 	}
-	if tr.Recorded() != 6 || tr.Dropped() != 2 {
-		t.Fatalf("recorded=%d dropped=%d, want 6/2", tr.Recorded(), tr.Dropped())
+	if recorded(tr) != 6 || tr.Dropped() != 2 {
+		t.Fatalf("recorded=%d dropped=%d, want 6/2", recorded(tr), tr.Dropped())
 	}
 	spans := tr.Spans()
 	if len(spans) != 4 {
@@ -307,3 +310,7 @@ func TestSnapshotHistograms(t *testing.T) {
 		t.Fatalf("bucket counts sum to %d, want 3", total)
 	}
 }
+
+// recorded is how many spans tr ever recorded: the retained ones plus the
+// ones the ring has since overwritten.
+func recorded(tr *Tracer) int64 { return int64(len(tr.Spans())) + tr.Dropped() }

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Version is the exposition-level build version stamped into
@@ -14,66 +13,47 @@ import (
 // release tag.
 const Version = "0.9"
 
-// helpMu guards the help registry; RegisterHelp is called at init time by
-// instrumented packages and (rarely) by tests.
-var (
-	helpMu   sync.Mutex
-	helpText = map[string]string{
-		"continuum_build_info":            "Build metadata; value is always 1.",
-		"dispatch_submitted_total":        "Requests offered to a dispatcher.",
-		"dispatch_completed_total":        "Requests that ran to completion.",
-		"dispatch_rejected_total":         "Requests refused at admission.",
-		"dispatch_expired_total":          "Queued requests dropped past their deadline.",
-		"dispatch_failed_total":           "Requests whose every attempt errored.",
-		"dispatch_retries_total":          "Retry attempts scheduled after failures.",
-		"dispatch_latency_ns":             "End-to-end simulated request latency.",
-		"dispatch_queue_wait_ns":          "Simulated time spent parked in the wait queue.",
-		"dispatch_breaker_opens_total":    "Circuit breaker transitions into the open state.",
-		"dispatch_queue_depth":            "Requests parked in wait queues, summed over dispatchers.",
-		"dispatch_in_flight":              "Requests holding a concurrency slot, summed over dispatchers.",
-		"dispatch_breaker_state":          "Circuit breaker position per module (0 closed, 1 half-open, 2 open); unlabeled: their sum, 0 iff all are closed.",
-		"pool_idle_instances":             "Warm instances waiting in pools, summed over pools.",
-		"pool_leased_instances":           "Instances out serving requests, summed over pools.",
-		"pool_memory_bytes":               "Accounted pool memory, summed over pools (an artifact two pools share counts in each).",
-		"modcache_resident_bytes":         "Charged cost of resident compiled modules, summed over caches.",
-		"modcache_tier1_bytes":            "Tier-1 share of modcache_resident_bytes.",
-		"gateway_http_requests_total":     "HTTP requests served by the gateway front door.",
-		"gateway_http_errors_total":       "HTTP responses with status >= 400.",
-		"gateway_wall_latency_ns":         "Wall-clock HTTP request latency.",
-		"router_submitted_total":          "Requests routed to a module shard.",
-		"router_completed_total":          "Routed requests that ran to completion.",
-		"router_batches_total":            "Coalesced submission batches flushed.",
-		"router_batched_requests_total":   "Requests admitted through coalesced batches.",
-		"router_shards":                   "Registered module shards.",
-		"slo_burn_rate_milli":             "Long-window error-budget burn rate x1000 per objective.",
-		"slo_alert_firing":                "1 while the objective's alert at this severity fires.",
-		"slo_alert_transitions_total":     "Alert state transitions (fire + clear).",
-		"slo_budget_remaining_milli":      "Error budget remaining x1000 per objective.",
-		"trace_tail_kept_tracks_total":    "Request trace tracks committed by the tail sampler.",
-		"trace_tail_sampled_out_total":    "Healthy request trace tracks dropped at finish.",
-		"trace_tail_evicted_tracks_total": "Pending trace tracks evicted under the memory bound.",
-		"tsdb_windows_total":              "Time-series windows sampled.",
-		"go_goroutines":                   "Live goroutines in the continuumd process.",
-		"go_heap_alloc_bytes":             "Bytes of allocated heap objects.",
-		"go_heap_sys_bytes":               "Bytes of heap obtained from the OS.",
-		"go_gc_pause_total_ns":            "Cumulative GC stop-the-world pause time.",
-		"go_gc_cycles_total":              "Completed GC cycles.",
-	}
-)
-
-// RegisterHelp attaches a # HELP line to a metric base name; subsequent
-// WritePrometheus calls emit it. Re-registration overwrites.
-func RegisterHelp(base, text string) {
-	helpMu.Lock()
-	helpText[base] = text
-	helpMu.Unlock()
-}
-
-// helpFor returns the registered help text for base ("" when none).
-func helpFor(base string) string {
-	helpMu.Lock()
-	defer helpMu.Unlock()
-	return helpText[base]
+// helpText is the # HELP line of each documented metric base name.
+var helpText = map[string]string{
+	"continuum_build_info":            "Build metadata; value is always 1.",
+	"dispatch_submitted_total":        "Requests offered to a dispatcher.",
+	"dispatch_completed_total":        "Requests that ran to completion.",
+	"dispatch_rejected_total":         "Requests refused at admission.",
+	"dispatch_expired_total":          "Queued requests dropped past their deadline.",
+	"dispatch_failed_total":           "Requests whose every attempt errored.",
+	"dispatch_retries_total":          "Retry attempts scheduled after failures.",
+	"dispatch_latency_ns":             "End-to-end simulated request latency.",
+	"dispatch_queue_wait_ns":          "Simulated time spent parked in the wait queue.",
+	"dispatch_breaker_opens_total":    "Circuit breaker transitions into the open state.",
+	"dispatch_queue_depth":            "Requests parked in wait queues, summed over dispatchers.",
+	"dispatch_in_flight":              "Requests holding a concurrency slot, summed over dispatchers.",
+	"dispatch_breaker_state":          "Circuit breaker position per module (0 closed, 1 half-open, 2 open); unlabeled: their sum, 0 iff all are closed.",
+	"pool_idle_instances":             "Warm instances waiting in pools, summed over pools.",
+	"pool_leased_instances":           "Instances out serving requests, summed over pools.",
+	"pool_memory_bytes":               "Accounted pool memory, summed over pools (an artifact two pools share counts in each).",
+	"modcache_resident_bytes":         "Charged cost of resident compiled modules, summed over caches.",
+	"modcache_tier1_bytes":            "Tier-1 share of modcache_resident_bytes.",
+	"gateway_http_requests_total":     "HTTP requests served by the gateway front door.",
+	"gateway_http_errors_total":       "HTTP responses with status >= 400.",
+	"gateway_wall_latency_ns":         "Wall-clock HTTP request latency.",
+	"router_submitted_total":          "Requests routed to a module shard.",
+	"router_completed_total":          "Routed requests that ran to completion.",
+	"router_batches_total":            "Coalesced submission batches flushed.",
+	"router_batched_requests_total":   "Requests admitted through coalesced batches.",
+	"router_shards":                   "Registered module shards.",
+	"slo_burn_rate_milli":             "Long-window error-budget burn rate x1000 per objective.",
+	"slo_alert_firing":                "1 while the objective's alert at this severity fires.",
+	"slo_alert_transitions_total":     "Alert state transitions (fire + clear).",
+	"slo_budget_remaining_milli":      "Error budget remaining x1000 per objective.",
+	"trace_tail_kept_tracks_total":    "Request trace tracks committed by the tail sampler.",
+	"trace_tail_sampled_out_total":    "Healthy request trace tracks dropped at finish.",
+	"trace_tail_evicted_tracks_total": "Pending trace tracks evicted under the memory bound.",
+	"tsdb_windows_total":              "Time-series windows sampled.",
+	"go_goroutines":                   "Live goroutines in the continuumd process.",
+	"go_heap_alloc_bytes":             "Bytes of allocated heap objects.",
+	"go_heap_sys_bytes":               "Bytes of heap obtained from the OS.",
+	"go_gc_pause_total_ns":            "Cumulative GC stop-the-world pause time.",
+	"go_gc_cycles_total":              "Completed GC cycles.",
 }
 
 // StampBuildInfo sets the conventional continuum_build_info gauge (value 1,
@@ -162,7 +142,7 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 			return nil
 		}
 		typed[base] = true
-		if h := helpFor(base); h != "" {
+		if h := helpText[base]; h != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", base, h); err != nil {
 				return err
 			}

@@ -51,7 +51,7 @@ func TestConcurrentRecordAndSnapshot(t *testing.T) {
 	if got := tele.Histogram("h").Count(); got != workers*iters {
 		t.Fatalf("histogram count = %d, want %d", got, workers*iters)
 	}
-	if got := tele.Tracer().Recorded(); got != workers*iters {
+	if got := recorded(tele.Tracer()); got != workers*iters {
 		t.Fatalf("spans recorded = %d, want %d", got, workers*iters)
 	}
 }

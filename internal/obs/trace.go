@@ -356,17 +356,6 @@ func (t *Tracer) Spans() []Span {
 	return out
 }
 
-// Recorded returns how many spans were ever recorded (including ones the
-// ring has since overwritten).
-func (t *Tracer) Recorded() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
 // Dropped returns how many spans the ring overwrote.
 func (t *Tracer) Dropped() int64 {
 	if t == nil {

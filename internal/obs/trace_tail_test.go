@@ -17,7 +17,7 @@ func TestTailSamplingKeepsErrorsDropsHealthy(t *testing.T) {
 		tr.Span("queue-wait", "serve", tid, 0, 10)
 		tr.Span("invoke", "serve", tid, 10, 20)
 	}
-	if got := tr.Recorded(); got != 0 {
+	if got := recorded(tr); got != 0 {
 		t.Fatalf("undecided spans must not hit the ring, recorded = %d", got)
 	}
 	if !tr.FinishTrack(1, TrackOutcome{Err: true}) {
@@ -58,7 +58,7 @@ func TestTailSamplingBreakerKeeps(t *testing.T) {
 func TestTailSamplingTIDZeroBypasses(t *testing.T) {
 	tr := tailTracer(TailConfig{})
 	tr.Span("breaker-open", "breaker", 0, 0, 1)
-	if got := tr.Recorded(); got != 1 {
+	if got := recorded(tr); got != 1 {
 		t.Fatalf("tid-0 spans must commit immediately, recorded = %d", got)
 	}
 	if st := tr.TailStats(); st.PendingSpans != 0 {
@@ -83,7 +83,7 @@ func TestTailSamplingMemoryBound(t *testing.T) {
 	if !tr.FinishTrack(1, TrackOutcome{Err: true}) {
 		t.Fatal("keep decision still reported for evicted track")
 	}
-	if got := tr.Recorded(); got != 0 {
+	if got := recorded(tr); got != 0 {
 		t.Fatalf("evicted track must have no spans to commit, recorded = %d", got)
 	}
 	// The surviving track is intact.
@@ -129,7 +129,7 @@ func TestTailSamplingDisableFlushes(t *testing.T) {
 	}
 	// With sampling off every span commits and FinishTrack reports kept.
 	tr.Span("c", "c", 3, 2, 3)
-	if tr.Recorded() != 3 || !tr.FinishTrack(3, TrackOutcome{}) {
+	if recorded(tr) != 3 || !tr.FinishTrack(3, TrackOutcome{}) {
 		t.Fatal("disabled tracer must commit directly")
 	}
 }
@@ -144,7 +144,7 @@ func TestTailSamplingUnknownTrack(t *testing.T) {
 	if !tr.FinishTrack(99, TrackOutcome{Err: true}) {
 		t.Fatal("errored unknown track must report kept")
 	}
-	if tr.Recorded() != 0 {
+	if recorded(tr) != 0 {
 		t.Fatal("unknown tracks must not commit spans")
 	}
 }

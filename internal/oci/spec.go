@@ -133,15 +133,6 @@ func (s *Spec) IsWasm() bool {
 // explicit so config.json serialization is part of the public contract.
 func (s *Spec) JSON() ([]byte, error) { return json.MarshalIndent(s, "", "  ") }
 
-// ParseSpec decodes a config.json.
-func ParseSpec(b []byte) (*Spec, error) {
-	var s Spec
-	if err := json.Unmarshal(b, &s); err != nil {
-		return nil, fmt.Errorf("oci: parsing config.json: %w", err)
-	}
-	return &s, nil
-}
-
 // Bundle is an OCI bundle: a spec plus a root filesystem.
 type Bundle struct {
 	Path   string

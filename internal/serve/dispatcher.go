@@ -238,18 +238,17 @@ type inflight struct {
 // so this contract is inherited, not new). The mutex below guards the
 // mutable dispatch state; *observers* on other goroutines — a progress
 // printer, a metrics scraper, the gateway's per-request access log — read
-// the atomic mirrors (stats counters, queue length, in-flight count,
-// breaker position) and never contend with the dispatch path at all.
+// atomics (stats counters, queue length, in-flight count, breaker position)
+// and never contend with the dispatch path at all.
 type Dispatcher struct {
 	eng  *des.Engine
 	pool *Pool
 	cfg  DispatcherConfig
 
-	// mu guards busy, queue, reqSeq, and the breaker fields on the dispatch
-	// path. done callbacks and pool calls run outside it. Observers do not
-	// take it: every value they read has an atomic mirror below.
+	// mu guards queue, reqSeq, and the breaker fields on the dispatch path,
+	// and every write of busy and brk. done callbacks and pool calls run
+	// outside it. Observers do not take it: every value they read is atomic.
 	mu     sync.Mutex
-	busy   int
 	queue  []queuedRequest
 	reqSeq int64
 
@@ -257,14 +256,14 @@ type Dispatcher struct {
 	// single-writer DES ordering is preserved) and read lock-free by Stats.
 	stats DispatcherStats
 
-	// Lock-free observer mirrors: queue length, in-flight count, and breaker
-	// position are mirrored here at every mutation so QueueLen, InFlight,
-	// BreakerState, and Quiesced are cheap atomic reads — the gateway calls
-	// them per request, and taking mu there would serialize introspection
-	// against a burst mid-dispatch.
+	// Lock-free observer surface: the in-flight count and the breaker
+	// position are atomics written under mu, and the queue length is mirrored
+	// at every mutation, so QueueLen, InFlight, BreakerState, and Quiesced are
+	// cheap atomic reads — the gateway calls them per request, and taking mu
+	// there would serialize introspection against a burst mid-dispatch.
 	qlenA atomic.Int64
-	busyA atomic.Int64
-	brkA  atomic.Int64
+	busy  atomic.Int64
+	brk   atomic.Int64 // a BreakerState
 
 	// draining rejects new submissions with ErrDraining while in-flight and
 	// queued work flushes; quiesceHook (if set) runs on the DES goroutine
@@ -275,12 +274,11 @@ type Dispatcher struct {
 
 	// Circuit breaker state (single-writer under the DES contract). brkGen
 	// invalidates stale half-open timers when the breaker re-opens.
-	brk      BreakerState
 	brkFails int
 	brkProbe bool
 	brkGen   uint64
 
-	// Telemetry. Counters and gauges are stats and the mirrors above, read
+	// Telemetry. Counters and gauges are stats and the atomics above, read
 	// by the source SetObserver registers; what has no second copy is a
 	// handle, nil when observation is disabled (nil handles no-op without
 	// allocating; the tracer needs an explicit nil check at span call sites).
@@ -361,8 +359,8 @@ type BatchItem struct {
 // SubmitBatch offers a batch of requests at the current simulated time, in
 // order, with the per-batch work amortized: the dispatcher lock is taken
 // once, the queue-deadline sweep runs once, and the submitted count and the
-// queue-depth/in-flight mirrors are written once for the whole batch instead
-// of once per request. This is the only admission ladder (Submit is a
+// queue-depth mirror are written once for the whole batch instead of once per
+// request. This is the only admission ladder (Submit is a
 // batch of one), and its one ordering rule is that admission decisions for
 // the whole batch are made before any attempt runs: a synchronous attempt
 // failure (a cold-start fault opening the breaker) affects the next batch,
@@ -373,15 +371,11 @@ func (d *Dispatcher) SubmitBatch(items []BatchItem) {
 		return
 	}
 	now := d.eng.Now()
-	type admit struct {
-		done func(RequestResult)
-		tid  int64
-	}
 	type refusal struct {
 		done   func(RequestResult)
 		reason error
 	}
-	var starts []admit
+	var starts []BatchItem // admitted: slot claimed, TID assigned
 	var refused []refusal
 	d.mu.Lock()
 	atomic.AddInt64(&d.stats.Submitted, int64(len(items)))
@@ -404,7 +398,7 @@ func (d *Dispatcher) SubmitBatch(items []BatchItem) {
 		if done == nil {
 			done = func(RequestResult) {}
 		}
-		if d.busy >= d.cfg.MaxConcurrency || !d.breakerReadyLocked() || len(d.queue) > 0 {
+		if d.InFlight() >= d.cfg.MaxConcurrency || !d.breakerReadyLocked() || len(d.queue) > 0 {
 			if d.cfg.Policy == PolicyQueue && len(d.queue) < d.cfg.QueueDepth {
 				d.queue = append(d.queue, queuedRequest{enqueued: now, tid: it.TID, done: done})
 				continue
@@ -424,23 +418,16 @@ func (d *Dispatcher) SubmitBatch(items []BatchItem) {
 		d.markProbeLocked()
 		// Pre-claim the slot so in-batch admission decisions see it exactly
 		// as sequential submissions at the same instant would.
-		d.busy++
-		d.reqSeq++
-		tid := it.TID
-		if tid == 0 {
-			tid = d.reqSeq
-		}
-		starts = append(starts, admit{done: done, tid: tid})
+		starts = append(starts, BatchItem{TID: d.claimLocked(it.TID), Done: done})
 	}
 	d.syncQueueLocked()
-	d.busyA.Store(int64(d.busy))
 	d.mu.Unlock()
 	finishAll(dead)
 	for _, rf := range refused {
 		rf.done(RequestResult{Err: rf.reason})
 	}
 	for _, a := range starts {
-		d.run(a.done, 0, a.tid)
+		d.run(a.Done, 0, a.TID)
 	}
 	if len(refused) > 0 && len(starts) == 0 {
 		d.notifyQuiesced()
@@ -476,29 +463,31 @@ func finishAll(dead []func(RequestResult)) {
 	}
 }
 
-// start admits one request: it claims a concurrency slot and a trace track
-// (TID), then runs the first attempt. The slot is held until the request's
-// final outcome — across retries and their backoffs — so MaxConcurrency
-// bounds true in-flight work.
-func (d *Dispatcher) start(done func(RequestResult), queueWait time.Duration, tid int64) {
-	d.mu.Lock()
-	d.busy++
+// claimLocked admits one request: it claims a concurrency slot and a trace
+// track (tid, or the dispatcher's own sequence for 0) and returns the track.
+// The slot is held until the request's final outcome — across retries and
+// their backoffs — so MaxConcurrency bounds true in-flight work.
+func (d *Dispatcher) claimLocked(tid int64) int64 {
+	d.busy.Add(1)
 	d.reqSeq++
 	if tid == 0 {
 		tid = d.reqSeq
 	}
-	d.busyA.Store(int64(d.busy))
-	d.mu.Unlock()
-	d.run(done, queueWait, tid)
+	return tid
+}
+
+// tracer reads the tracer SetObserver installed (nil when disabled); a
+// dispatch step reads it once.
+func (d *Dispatcher) tracer() *obs.Tracer {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.obsTracer
 }
 
 // run launches the first attempt of an already-admitted request (slot
-// claimed, TID assigned). SubmitBatch pre-claims slots for a whole batch
-// under one lock and then calls run per item.
+// claimed, TID assigned).
 func (d *Dispatcher) run(done func(RequestResult), queueWait time.Duration, tid int64) {
-	d.mu.Lock()
-	tracer := d.obsTracer
-	d.mu.Unlock()
+	tracer := d.tracer()
 	now := d.eng.Now()
 	d.obsQueueWaitNs.Record(int64(queueWait))
 	if tracer != nil && queueWait > 0 {
@@ -508,7 +497,7 @@ func (d *Dispatcher) run(done func(RequestResult), queueWait time.Duration, tid 
 	if d.cfg.RequestTimeout > 0 {
 		r.deadline = now + des.Time(d.cfg.RequestTimeout)
 	}
-	d.attempt(r)
+	d.attempt(r, tracer)
 }
 
 // attempt runs one try of an admitted request: acquire warm or fall back to
@@ -516,10 +505,7 @@ func (d *Dispatcher) run(done func(RequestResult), queueWait time.Duration, tid 
 // and schedule completion. Failed attempts feed the breaker and may schedule
 // a retry; the final outcome always goes through finish, which releases the
 // slot and drains the queue.
-func (d *Dispatcher) attempt(r *inflight) {
-	d.mu.Lock()
-	tracer := d.obsTracer
-	d.mu.Unlock()
+func (d *Dispatcher) attempt(r *inflight, tracer *obs.Tracer) {
 	now := d.eng.Now()
 	r.attempts++
 	wi, warm := d.pool.Acquire(now)
@@ -616,7 +602,7 @@ func (d *Dispatcher) scheduleRetry(r *inflight, cause error) bool {
 		tracer.Span("retry-wait", "serve", r.tid, int64(now), int64(now)+int64(backoff),
 			obs.I64("attempt", int64(r.attempts)))
 	}
-	d.eng.After(backoff, func() { d.attempt(r) })
+	d.eng.After(backoff, func() { d.attempt(r, d.tracer()) })
 	return true
 }
 
@@ -630,7 +616,7 @@ func (d *Dispatcher) finish(r *inflight, err error) {
 		err = fmt.Errorf("%w after %d attempts: %w", ErrRequestTimeout, r.attempts, err)
 	}
 	d.mu.Lock()
-	d.busy--
+	d.busy.Add(-1)
 	if err != nil {
 		atomic.AddInt64(&d.stats.Failed, 1)
 		if r.timedOut {
@@ -639,12 +625,11 @@ func (d *Dispatcher) finish(r *inflight, err error) {
 	} else {
 		atomic.AddInt64(&d.stats.Completed, 1)
 	}
-	d.busyA.Store(int64(d.busy))
 	tracer := d.obsTracer
 	// Breaker involvement for tail sampling: this request's failure opened
 	// it, or it ran as the half-open probe. noteSuccess/noteFailure run
-	// before finish, so d.brk already reflects this request's effect.
-	brkInvolved := d.cfg.BreakerThreshold > 0 && d.brk != BreakerClosed
+	// before finish, so the breaker already reflects this request's effect.
+	brkInvolved := d.cfg.BreakerThreshold > 0 && d.BreakerState() != BreakerClosed
 	d.mu.Unlock()
 	d.obsLatencyNs.Record(int64(latency))
 	sampled := false
@@ -683,7 +668,7 @@ func (d *Dispatcher) drainQueue() {
 			finishAll(dead)
 			continue
 		}
-		if d.busy >= d.cfg.MaxConcurrency || len(d.queue) == 0 || !d.breakerReadyLocked() {
+		if d.InFlight() >= d.cfg.MaxConcurrency || len(d.queue) == 0 || !d.breakerReadyLocked() {
 			d.mu.Unlock()
 			return
 		}
@@ -691,9 +676,9 @@ func (d *Dispatcher) drainQueue() {
 		d.queue = d.queue[1:]
 		d.syncQueueLocked()
 		d.markProbeLocked()
-		wait := time.Duration(now - q.enqueued)
+		tid := d.claimLocked(q.tid)
 		d.mu.Unlock()
-		d.start(q.done, wait, q.tid)
+		d.run(q.done, time.Duration(now-q.enqueued), tid)
 	}
 }
 
@@ -704,7 +689,7 @@ func (d *Dispatcher) breakerReadyLocked() bool {
 	if d.cfg.BreakerThreshold <= 0 {
 		return true
 	}
-	switch d.brk {
+	switch d.BreakerState() {
 	case BreakerOpen:
 		return false
 	case BreakerHalfOpen:
@@ -715,7 +700,7 @@ func (d *Dispatcher) breakerReadyLocked() bool {
 
 // markProbeLocked claims the single half-open probe slot.
 func (d *Dispatcher) markProbeLocked() {
-	if d.brk == BreakerHalfOpen {
+	if d.BreakerState() == BreakerHalfOpen {
 		d.brkProbe = true
 	}
 }
@@ -728,7 +713,7 @@ func (d *Dispatcher) noteSuccess() {
 	}
 	d.mu.Lock()
 	d.brkFails = 0
-	if d.brk == BreakerHalfOpen {
+	if d.BreakerState() == BreakerHalfOpen {
 		d.setBreakerLocked(BreakerClosed)
 	}
 	d.mu.Unlock()
@@ -743,7 +728,7 @@ func (d *Dispatcher) noteFailure() {
 	}
 	d.mu.Lock()
 	d.brkFails++
-	if d.brk == BreakerHalfOpen || (d.brk == BreakerClosed && d.brkFails >= d.cfg.BreakerThreshold) {
+	if brk := d.BreakerState(); brk == BreakerHalfOpen || (brk == BreakerClosed && d.brkFails >= d.cfg.BreakerThreshold) {
 		d.openBreakerLocked()
 	}
 	d.mu.Unlock()
@@ -763,7 +748,7 @@ func (d *Dispatcher) openBreakerLocked() {
 	}
 	d.eng.After(cooldown, func() {
 		d.mu.Lock()
-		if d.brk == BreakerOpen && d.brkGen == gen {
+		if d.BreakerState() == BreakerOpen && d.brkGen == gen {
 			d.setBreakerLocked(BreakerHalfOpen)
 		}
 		d.mu.Unlock()
@@ -774,12 +759,11 @@ func (d *Dispatcher) openBreakerLocked() {
 // setBreakerLocked moves the breaker, counts the transition, and marks it
 // with an instant span.
 func (d *Dispatcher) setBreakerLocked(s BreakerState) {
-	if d.brk == s {
+	if d.BreakerState() == s {
 		return
 	}
-	d.brk = s
+	d.brk.Store(int64(s))
 	d.brkProbe = false
-	d.brkA.Store(int64(s))
 	atomic.AddInt64(&d.stats.BreakerTransitions, 1)
 	if d.obsTracer != nil {
 		now := int64(d.eng.Now())
@@ -803,7 +787,7 @@ func (d *Dispatcher) Draining() bool { return d.draining.Load() }
 // and nothing queued. A lock-free atomic read, safe from any goroutine;
 // under the DES contract it is authoritative only between events.
 func (d *Dispatcher) Quiesced() bool {
-	return d.busyA.Load() == 0 && d.qlenA.Load() == 0
+	return d.busy.Load() == 0 && d.qlenA.Load() == 0
 }
 
 // SetQuiesceHook registers fn to run — on the goroutine driving the DES —
@@ -849,12 +833,12 @@ func (d *Dispatcher) QueueLen() int { return int(d.qlenA.Load()) }
 // InFlight returns the number of requests currently executing (or backing
 // off between retries). A lock-free atomic read, safe from any goroutine
 // while a simulation runs.
-func (d *Dispatcher) InFlight() int { return int(d.busyA.Load()) }
+func (d *Dispatcher) InFlight() int { return int(d.busy.Load()) }
 
 // BreakerState returns the circuit breaker's current position. A lock-free
 // atomic read, safe from any goroutine while a simulation runs.
 func (d *Dispatcher) BreakerState() BreakerState {
-	return BreakerState(d.brkA.Load())
+	return BreakerState(d.brk.Load())
 }
 
 // Stats returns a snapshot of the outcome counters without taking the

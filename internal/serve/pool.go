@@ -337,20 +337,14 @@ func (p *Pool) Release(wi *WarmInstance, now des.Time) {
 	p.addMemLocked(-wi.footprint)
 }
 
-// EvictIdle drops idle instances whose last use is more than IdleTTL before
-// now, returning how many were evicted.
-func (p *Pool) EvictIdle(now des.Time) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.evictIdleLocked(now)
-}
-
-func (p *Pool) evictIdleLocked(now des.Time) int {
+// evictIdleLocked drops idle instances whose last use is more than IdleTTL
+// before now.
+func (p *Pool) evictIdleLocked(now des.Time) {
 	if p.cfg.IdleTTL <= 0 {
-		return 0
+		return
 	}
 	cutoff := now - des.Time(p.cfg.IdleTTL)
-	return p.dropIdleLocked(func(wi *WarmInstance) bool { return wi.lastUsed >= cutoff })
+	p.dropIdleLocked(func(wi *WarmInstance) bool { return wi.lastUsed >= cutoff })
 }
 
 // dropIdleLocked is the pool's one eviction loop: every idle instance keep

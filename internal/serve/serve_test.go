@@ -145,9 +145,10 @@ func TestPoolMemoryAccounting(t *testing.T) {
 
 func TestPoolIdleTTLEviction(t *testing.T) {
 	pool := newTestPool(t, engine.WAMR, Config{Size: 2, IdleTTL: time.Second})
-	// Instances start with lastUsed = 0; at t=2s they are both stale.
-	if n := pool.EvictIdle(des.Time(2 * time.Second)); n != 2 {
-		t.Fatalf("evicted %d, want 2", n)
+	// Instances start with lastUsed = 0; at t=2s they are both stale, and
+	// the sweep an Acquire runs leaves it nothing to hand out.
+	if _, ok := pool.Acquire(des.Time(2 * time.Second)); ok {
+		t.Fatal("acquired an instance past its TTL")
 	}
 	if shared := sharedBytes(pool); pool.Idle() != 0 || pool.MemoryBytes() != shared {
 		t.Fatalf("idle=%d mem=%d after eviction, want shared artifacts %d",
@@ -162,11 +163,11 @@ func TestPoolIdleTTLEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool.Release(wi, des.Time(3*time.Second))
-	if n := pool.EvictIdle(des.Time(3*time.Second + 500*time.Millisecond)); n != 0 {
+	if got, ok := pool.Acquire(des.Time(3*time.Second + 500*time.Millisecond)); !ok || got != wi {
 		t.Fatalf("fresh instance evicted")
 	}
-	if pool.Idle() != 1 {
-		t.Fatalf("idle = %d", pool.Idle())
+	if st := pool.Stats(); st.Evicted != 2 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 

@@ -402,34 +402,6 @@ func (n *Node) UsedBeyondIdle() int64 {
 	return n.usedLocked() - n.cfg.BaseSystemBytes - n.cfg.BaseCacheBytes
 }
 
-// ProcessList returns a snapshot of processes sorted by PID (a `ps` stand-in).
-type ProcessInfo struct {
-	PID     int
-	Name    string
-	Cgroup  string
-	Private int64
-	RSS     int64
-}
-
-// Processes lists live processes.
-func (n *Node) Processes() []ProcessInfo {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]ProcessInfo, 0, len(n.procs))
-	for _, p := range n.procs {
-		rss := p.privateBytes
-		for _, lib := range p.libs {
-			rss += lib.Bytes / int64(lib.refs)
-		}
-		out = append(out, ProcessInfo{
-			PID: p.PID, Name: p.Name, Cgroup: p.cg.Path,
-			Private: p.privateBytes, RSS: rss,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PID < out[j].PID })
-	return out
-}
-
 // HasSharedLib reports whether a shared library (or digest-keyed shared
 // artifact) named name is resident on the node. The scheduler's locality
 // scoring uses this to find nodes already holding a module's images.

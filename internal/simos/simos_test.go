@@ -157,11 +157,13 @@ func TestCgroupRemoval(t *testing.T) {
 
 func TestProcessListing(t *testing.T) {
 	n := newTestNode()
-	n.Spawn("z-proc", "/a")
-	n.Spawn("a-proc", "/b")
-	ps := n.Processes()
-	if len(ps) != 2 || ps[0].PID >= ps[1].PID {
-		t.Fatalf("process list = %+v", ps)
+	z, _ := n.Spawn("z-proc", "/a")
+	a, _ := n.Spawn("a-proc", "/b")
+	if n.NumProcesses() != 2 || z.PID >= a.PID {
+		t.Fatalf("%d processes, pids %d then %d", n.NumProcesses(), z.PID, a.PID)
+	}
+	if got, ok := n.Process(a.PID); !ok || got != a {
+		t.Fatalf("lookup of pid %d = %v, %v", a.PID, got, ok)
 	}
 }
 

@@ -236,26 +236,6 @@ func (fs *FS) Remove(p string) error {
 	return nil
 }
 
-// RemoveAll deletes a file or directory tree; missing paths are not errors.
-func (fs *FS) RemoveAll(p string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	parent, name, err := fs.lookupParent(p)
-	if err != nil {
-		if errors.Is(err, ErrNotExist) {
-			return nil
-		}
-		return err
-	}
-	n, ok := parent.children[name]
-	if !ok {
-		return nil
-	}
-	fs.bytes -= subtreeBytes(n)
-	delete(parent.children, name)
-	return nil
-}
-
 func subtreeBytes(n *node) int64 {
 	total := int64(len(n.data))
 	for _, c := range n.children {

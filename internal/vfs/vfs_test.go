@@ -86,19 +86,6 @@ func TestRemoveSemantics(t *testing.T) {
 	if err := fs.Remove("/d/sub"); err != nil {
 		t.Fatal(err)
 	}
-	// RemoveAll on missing path is fine; on a tree it releases bytes.
-	if err := fs.RemoveAll("/nope"); err != nil {
-		t.Fatal(err)
-	}
-	fs.MkdirAll("/t/x")
-	fs.WriteFile("/t/x/a", []byte("1234"))
-	fs.WriteFile("/t/b", []byte("56"))
-	if err := fs.RemoveAll("/t"); err != nil {
-		t.Fatal(err)
-	}
-	if fs.TotalBytes() != 0 {
-		t.Fatalf("RemoveAll leaked %d bytes", fs.TotalBytes())
-	}
 }
 
 func TestFileHandleReadWriteSeek(t *testing.T) {

@@ -155,25 +155,6 @@ func TestPathErrnos(t *testing.T) {
 	check("e_mkdirdup", ErrnoExist)
 }
 
-func TestSortedExtensionsListsAll(t *testing.T) {
-	names := SortedExtensions()
-	if len(names) < 20 {
-		t.Fatalf("only %d extensions listed", len(names))
-	}
-	joined := strings.Join(names, ",")
-	for _, want := range []string{"fd_write", "path_open", "proc_exit", "fd_readdir"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("missing %s", want)
-		}
-	}
-	// Sorted order.
-	for i := 1; i < len(names); i++ {
-		if names[i-1] > names[i] {
-			t.Fatalf("not sorted at %d: %v", i, names)
-		}
-	}
-}
-
 func TestWriteToStderrAndDiscard(t *testing.T) {
 	src := `
 (module

@@ -11,7 +11,6 @@ import (
 	"io"
 	"math/rand"
 	"path"
-	"sort"
 
 	"wasmcontainers/internal/obs"
 	"wasmcontainers/internal/vfs"
@@ -794,21 +793,6 @@ func (w *P1) procExit(ctx *exec.HostContext, args []exec.Value) ([]exec.Value, e
 	w.ExitCode = exec.AsU32(args[0])
 	w.obsExits.Inc()
 	return nil, &exec.ExitError{Code: w.ExitCode}
-}
-
-// SortedExtensions returns the registered host function names (testing aid).
-func SortedExtensions() []string {
-	names := []string{
-		"args_sizes_get", "args_get", "environ_sizes_get", "environ_get",
-		"clock_time_get", "clock_res_get", "fd_write", "fd_read", "fd_close",
-		"fd_seek", "fd_fdstat_get", "fd_fdstat_set_flags", "fd_prestat_get",
-		"fd_prestat_dir_name", "fd_filestat_get", "fd_readdir", "path_open",
-		"path_filestat_get", "path_create_directory", "path_unlink_file",
-		"path_remove_directory", "poll_oneoff", "random_get", "sched_yield",
-		"proc_exit",
-	}
-	sort.Strings(names)
-	return names
 }
 
 // RunResult captures the outcome of running a WASI command module.

@@ -249,8 +249,8 @@ func TestMemoryWorkload(t *testing.T) {
 	if got := exec.AsI32(res[0]); got != 4 {
 		t.Fatalf("pages after grow = %d, want 4", got)
 	}
-	if inst.Memory().Grows() != 1 {
-		t.Fatalf("grow count = %d", inst.Memory().Grows())
+	if got := inst.Memory().Pages(); got != 4 {
+		t.Fatalf("memory pages = %d, want 4", got)
 	}
 }
 

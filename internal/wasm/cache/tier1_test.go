@@ -10,7 +10,7 @@ import (
 // the way an engine tier-up listener would.
 func tierUp(t *testing.T, c *Cache, e *Entry) {
 	t.Helper()
-	if _, ok := e.Code.EnsureTier1(); !ok && e.Code.Tier1() == nil {
+	if _, ok := e.Code.EnsureTier1(); !ok && e.Code.Tier1Bytes() == 0 {
 		t.Fatal("tier-up produced no artifact")
 	}
 	c.NoteTier1(e)
@@ -90,7 +90,7 @@ func TestEvictionKeepsHoldersAtTier1(t *testing.T) {
 	if st := c.Stats(); st.Evictions != 1 || st.Entries != 1 || st.Tier1Bytes != 0 || st.Bytes != e2.Cost() {
 		t.Fatalf("stats after eviction = %+v, want module 1 forgotten with its tier-1 share", st)
 	}
-	if e1.Code.Tier1() == nil {
+	if e1.Code.Tier1Bytes() == 0 {
 		t.Fatal("eviction unpublished the tier-1 artifact under a holder")
 	}
 	if got, instr := run(); got != want || instr != wantInstr {
@@ -106,7 +106,7 @@ func TestEvictionKeepsHoldersAtTier1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e1b == e1 || e1b.Code.Tier1() != nil {
+	if e1b == e1 || e1b.Code.Tier1Bytes() != 0 {
 		t.Fatal("re-Load did not recompile a fresh, untiered entry")
 	}
 	tierUp(t, c, e1b)

@@ -223,13 +223,6 @@ func TestModuleIndexSpaces(t *testing.T) {
 	if _, ok := m.GlobalTypeAt(2); ok {
 		t.Fatal("global 2 should not resolve")
 	}
-	// Memory and table resolution across imports.
-	if _, ok := m.MemoryAt(0); !ok {
-		t.Fatal("imported memory not found")
-	}
-	if _, ok := m.TableAt(0); !ok {
-		t.Fatal("imported table not found")
-	}
 }
 
 func TestFuncTypeString(t *testing.T) {

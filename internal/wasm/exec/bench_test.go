@@ -237,8 +237,8 @@ func benchTierInstance(b *testing.B, src string, tier1 bool) *Instance {
 	inst := benchInstance(b, src)
 	if tier1 {
 		tc, _ := inst.Code().EnsureTier1()
-		if tc.Lowered() != tc.NumFuncs() {
-			b.Fatalf("lowered %d of %d functions", tc.Lowered(), tc.NumFuncs())
+		if tc.Lowered() != len(tc.funcs) {
+			b.Fatalf("lowered %d of %d functions", tc.Lowered(), len(tc.funcs))
 		}
 	}
 	return inst

@@ -337,8 +337,8 @@ func TestMemoryHelperAPIs(t *testing.T) {
 	if capped.Grow(0) != 2 {
 		t.Fatal("grow(0) should return current size")
 	}
-	if capped.Grows() != 1 {
-		t.Fatalf("Grows = %d", capped.Grows())
+	if capped.Pages() != 2 {
+		t.Fatalf("Pages = %d", capped.Pages())
 	}
 }
 

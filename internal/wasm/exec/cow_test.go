@@ -158,8 +158,8 @@ func TestGrowAmortizedCapacity(t *testing.T) {
 	if allocs > 8 {
 		t.Fatalf("%d reallocations growing to %d pages; capacity headroom not amortizing", allocs, target)
 	}
-	if m.Grows() != target-1 {
-		t.Fatalf("grows = %d", m.Grows())
+	if m.Pages() != target {
+		t.Fatalf("pages = %d", m.Pages())
 	}
 }
 

@@ -37,9 +37,6 @@ type Memory struct {
 	wr []byte
 	// maxPages caps growth; defaults to the type's max or the engine limit.
 	maxPages uint32
-	// grows counts successful memory.grow calls (telemetry for the
-	// engine-profile memory models).
-	grows int
 	// dirty has one bit per 64 KiB page of data, set on first write since the
 	// last baseline capture/attach/reset. Always sized to cover len(data).
 	dirty []uint64
@@ -94,9 +91,6 @@ func (m *Memory) Pages() uint32 { return uint32(len(m.data) / wasm.PageSize) }
 
 // Size returns the current size in bytes.
 func (m *Memory) Size() int { return len(m.data) }
-
-// Grows returns how many times the memory has grown since instantiation.
-func (m *Memory) Grows() int { return m.grows }
 
 // aliased reports whether the memory currently reads the shared image and
 // holds no private buffer.
@@ -244,7 +238,6 @@ func (m *Memory) Grow(delta uint32) int32 {
 	for p := uint64(cur); p < newPages; p++ {
 		m.dirty[p>>6] |= 1 << (p & 63)
 	}
-	m.grows++
 	return int32(cur)
 }
 

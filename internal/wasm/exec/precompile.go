@@ -128,9 +128,6 @@ func (mc *ModuleCode) Module() *wasm.Module { return mc.m }
 // cache's LRU bound and the engines' shared-code accounting both use it.
 func (mc *ModuleCode) CodeBytes() int64 { return mc.codeBytes }
 
-// NumFuncs returns the number of module-defined (non-imported) functions.
-func (mc *ModuleCode) NumFuncs() int { return len(mc.codes) }
-
 // EnsureBaseline gives mem, a freshly instantiated memory, the module's
 // shared baseline image. The first call donates mem's post-instantiation
 // buffer as the image; later calls attach the same image by reference (a
@@ -183,14 +180,6 @@ func (mc *ModuleCode) BaselineBytes() int64 {
 // SetTierPolicy installs the tier-up policy consulted by top-level invokes.
 func (mc *ModuleCode) SetTierPolicy(p TierPolicy) { mc.policy.Store(&p) }
 
-// TierPolicyValue returns the installed policy (zero value: TierModeOff).
-func (mc *ModuleCode) TierPolicyValue() TierPolicy {
-	if p := mc.policy.Load(); p != nil {
-		return *p
-	}
-	return TierPolicy{}
-}
-
 // noteInvoke records one top-level tier-0 invoke of function i that executed
 // instrs instructions (callees included), and reports whether the hotness
 // policy says the module should tier up now.
@@ -232,9 +221,6 @@ func (mc *ModuleCode) EnsureTier1() (*Tier1Code, bool) {
 	}
 	return tc, true
 }
-
-// Tier1 returns the published tier-1 artifact, or nil before tier-up.
-func (mc *ModuleCode) Tier1() *Tier1Code { return mc.tier1.Load() }
 
 // Tier1Bytes is the accounted size of the published tier-1 artifact (0 when
 // not lowered). Like CodeBytes it is charged once per node.

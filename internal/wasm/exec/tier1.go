@@ -58,9 +58,6 @@ func (tc *Tier1Code) Bytes() int64 { return tc.bytes }
 // Lowered reports how many functions were actually lowered.
 func (tc *Tier1Code) Lowered() int { return tc.lowered }
 
-// NumFuncs reports the number of module-defined functions covered.
-func (tc *Tier1Code) NumFuncs() int { return len(tc.funcs) }
-
 // t1frame is the mutable state threaded through every closure: the frame's
 // register window plus the same per-frame instruction/fuel accounting the
 // tier-0 loop keeps in locals. Frames are pooled on the store.

@@ -41,8 +41,8 @@ func newTierPair(t *testing.T, m *wasm.Module, cfg Config, setup func(s *Store))
 	if !did || tc == nil {
 		t.Fatalf("EnsureTier1 did not lower")
 	}
-	if tc.Lowered() != tc.NumFuncs() {
-		t.Fatalf("lowered %d of %d functions", tc.Lowered(), tc.NumFuncs())
+	if tc.Lowered() != len(tc.funcs) {
+		t.Fatalf("lowered %d of %d functions", tc.Lowered(), len(tc.funcs))
 	}
 	if tc.Bytes() <= 0 {
 		t.Fatalf("tier-1 artifact bytes = %d, want > 0", tc.Bytes())
@@ -482,7 +482,7 @@ func TestTierUpHotnessPolicy(t *testing.T) {
 			t.Fatalf("invoke %d: %d, want %d", i, got, want)
 		}
 	}
-	if inst.Code().Tier1() == nil {
+	if inst.Code().Tier1Bytes() == 0 {
 		t.Fatal("hotness policy never tiered up")
 	}
 	if s.LastInvokeTier() != 1 {

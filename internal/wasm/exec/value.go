@@ -6,11 +6,7 @@
 // limits, and optional fuel metering.
 package exec
 
-import (
-	"math"
-
-	"wasmcontainers/internal/wasm"
-)
+import "math"
 
 // Value is a raw 64-bit representation of any WebAssembly value. Integer
 // values are stored directly (i32 zero-extended); floats are stored as their
@@ -43,6 +39,3 @@ func AsF32(v Value) float32 { return math.Float32frombits(uint32(v)) }
 
 // AsF64 extracts an f64 from a Value.
 func AsF64(v Value) float64 { return math.Float64frombits(v) }
-
-// ZeroOf returns the zero value of the given type (all types zero to 0 bits).
-func ZeroOf(t wasm.ValueType) Value { return 0 }

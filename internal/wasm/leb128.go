@@ -213,12 +213,3 @@ func ReadS64(b []byte) (int64, int, error) { return readS64(b) }
 
 // ReadS33 is the exported form of readS33 (block types).
 func ReadS33(b []byte) (int64, int, error) { return readS33(b) }
-
-// AppendU32 is the exported form of appendU32, used by the WAT assembler.
-func AppendU32(dst []byte, v uint32) []byte { return appendU32(dst, v) }
-
-// AppendS32 is the exported form of appendS32.
-func AppendS32(dst []byte, v int32) []byte { return appendS32(dst, v) }
-
-// AppendS64 is the exported form of appendS64.
-func AppendS64(dst []byte, v int64) []byte { return appendS64(dst, v) }

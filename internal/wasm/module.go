@@ -139,44 +139,6 @@ func (m *Module) ImportedGlobalTypes() []GlobalType {
 	return out
 }
 
-// TableAt resolves table index idx across the imported+defined table space.
-func (m *Module) TableAt(idx uint32) (TableType, bool) {
-	i := int(idx)
-	var imported []TableType
-	for _, imp := range m.Imports {
-		if imp.Kind == ExternalTable {
-			imported = append(imported, imp.Table)
-		}
-	}
-	if i < len(imported) {
-		return imported[i], true
-	}
-	i -= len(imported)
-	if i < len(m.Tables) {
-		return m.Tables[i], true
-	}
-	return TableType{}, false
-}
-
-// MemoryAt resolves memory index idx across the imported+defined memory space.
-func (m *Module) MemoryAt(idx uint32) (MemoryType, bool) {
-	i := int(idx)
-	var imported []MemoryType
-	for _, imp := range m.Imports {
-		if imp.Kind == ExternalMemory {
-			imported = append(imported, imp.Memory)
-		}
-	}
-	if i < len(imported) {
-		return imported[i], true
-	}
-	i -= len(imported)
-	if i < len(m.Memories) {
-		return m.Memories[i], true
-	}
-	return MemoryType{}, false
-}
-
 // GlobalTypeAt resolves the type of global index idx across the
 // imported+defined global index space.
 func (m *Module) GlobalTypeAt(idx uint32) (GlobalType, bool) {

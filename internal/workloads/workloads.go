@@ -364,12 +364,9 @@ func Module(name string) (*wasm.Module, error) {
 // pools, and shared-artifact charges) from one handler implementation.
 const HandlerVariantPrefix = "request-handler-v"
 
-var (
-	variantMu sync.Mutex
-	variants  map[string]*wasm.Module
-)
-
-// handlerVariant synthesizes (and caches) one named variant.
+// handlerVariant synthesizes one named variant. Nothing is kept per name —
+// the names arrive in URL paths — so a caller that wants a variant more than
+// once holds on to what it got.
 func handlerVariant(name string) (*wasm.Module, error) {
 	suffix := strings.TrimPrefix(name, HandlerVariantPrefix)
 	if len(suffix) == 0 || len(suffix) > 16 {
@@ -379,11 +376,6 @@ func handlerVariant(name string) (*wasm.Module, error) {
 		if (c < 'a' || c > 'z') && (c < '0' || c > '9') && c != '-' {
 			return nil, &UnknownWorkloadError{Name: name}
 		}
-	}
-	variantMu.Lock()
-	defer variantMu.Unlock()
-	if m, ok := variants[name]; ok {
-		return m, nil
 	}
 	// The tag (at most 16 bytes) lands at offset 40, between the compute
 	// sink (32) and the per-request scratch (64): handle() never touches
@@ -398,10 +390,6 @@ func handlerVariant(name string) (*wasm.Module, error) {
 		return nil, err
 	}
 	m.Name = name
-	if variants == nil {
-		variants = map[string]*wasm.Module{}
-	}
-	variants[name] = m
 	return m, nil
 }
 

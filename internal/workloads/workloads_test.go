@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"bytes"
+	"strconv"
 	"testing"
 
 	"wasmcontainers/internal/wasi"
@@ -175,5 +176,39 @@ func TestMinimalServicePyMatchesWasmBehaviour(t *testing.T) {
 	// the source mentions the same banner.
 	if !bytes.Contains([]byte(MinimalServicePy), []byte("service ready")) {
 		t.Fatal("python variant diverged")
+	}
+}
+
+// TestHandlerVariantsLeaveNothingBehind: variant names come from URL paths
+// (lazy deploy), so resolving N distinct ones must not grow any package-level
+// table — the fixed workloads stay the only per-name state, and a variant is
+// synthesized afresh each time.
+func TestHandlerVariantsLeaveNothingBehind(t *testing.T) {
+	digests := map[string]bool{}
+	for i := 0; i < 64; i++ {
+		bin, err := Binary(HandlerVariantPrefix + strconv.Itoa(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests[string(bin)] = true
+	}
+	if len(digests) != 64 {
+		t.Fatalf("%d distinct binaries from 64 variants", len(digests))
+	}
+	if len(compiled) != len(moduleSources) {
+		t.Fatalf("%d modules parked, want the %d fixed workloads", len(compiled), len(moduleSources))
+	}
+	a, err := Module(HandlerVariantPrefix + "1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := Module(HandlerVariantPrefix + "1")
+	if a == b {
+		t.Fatal("variant module parked between calls")
+	}
+	for _, bad := range []string{HandlerVariantPrefix, HandlerVariantPrefix + "UPPER", HandlerVariantPrefix + "seventeen-chars-x"} {
+		if _, err := Module(bad); err == nil {
+			t.Fatalf("%q accepted", bad)
+		}
 	}
 }
