@@ -11,6 +11,7 @@ package wasmcontainers_test
 // simulated container starts per iteration.)
 
 import (
+	"runtime"
 	"testing"
 
 	"wasmcontainers/internal/bench"
@@ -268,6 +269,48 @@ func BenchmarkClusterStart(b *testing.B) {
 			b.Fatal("no measurement")
 		}
 	}
+}
+
+// cellAllocs deploys one crun-wamr cell and returns what the whole cell —
+// cluster, pre-pull, deploy, run — allocated, divided by its pods.
+func cellAllocs(tb testing.TB, density int) (bytesPerPod, allocsPerPod float64) {
+	tb.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := bench.MeasureDeployment(bench.OursConfig, density); err != nil {
+		tb.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(density),
+		float64(after.Mallocs-before.Mallocs) / float64(density)
+}
+
+// BenchmarkDensityCell400 is the paper grid's heaviest cell (crun-wamr, 400
+// pods): the host-side cost of one simulated pod, in time, bytes and
+// allocations.
+func BenchmarkDensityCell400(b *testing.B) {
+	const density = 400
+	b.ReportAllocs()
+	var bytesPerPod, allocsPerPod float64
+	for i := 0; i < b.N; i++ {
+		bytesPerPod, allocsPerPod = cellAllocs(b, density)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/density/1e3, "us/pod")
+	b.ReportMetric(bytesPerPod, "B/pod")
+	b.ReportMetric(allocsPerPod, "allocs/pod")
+}
+
+// TestDensityPodAllocBytes guards the one-shot container path against the
+// next per-instance zeroed buffer: a crun-wamr pod allocated about 200 KiB
+// while every store started with a 128 KiB register stack, and about 70 KiB
+// (one 64 KiB linear-memory page among them) without it.
+func TestDensityPodAllocBytes(t *testing.T) {
+	cellAllocs(t, 10) // compile the image's module and warm the shared caches
+	bytesPerPod, allocsPerPod := cellAllocs(t, 100)
+	if bytesPerPod > 96<<10 {
+		t.Fatalf("a crun-wamr pod at 100 pods allocates %.1f KiB, want under 96", bytesPerPod/1024)
+	}
+	t.Logf("crun-wamr x100: %.1f KiB and %.0f allocs per pod", bytesPerPod/1024, allocsPerPod)
 }
 
 // TestTableFormatting pins the harness table renderer output.

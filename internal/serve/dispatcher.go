@@ -529,6 +529,7 @@ func (d *Dispatcher) attempt(r *inflight, tracer *obs.Tracer) {
 		}
 		overhead = d.pool.Engine().ColdStartCost()
 	}
+	wi.tid = r.tid
 	r.cold = !warm
 	coldAttr := int64(0)
 	if !warm {

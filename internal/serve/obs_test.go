@@ -7,6 +7,7 @@ import (
 
 	"wasmcontainers/internal/des"
 	"wasmcontainers/internal/engine"
+	"wasmcontainers/internal/faults"
 	"wasmcontainers/internal/obs"
 )
 
@@ -186,5 +187,56 @@ func TestDispatcherObserverRace(t *testing.T) {
 	}
 	if st := d.Stats(); st != rep.Dispatcher {
 		t.Fatalf("final stats drifted: %+v vs %+v", st, rep.Dispatcher)
+	}
+}
+
+// TestTailSamplingHealthyTrafficLeavesRingEmpty pins TailConfig's promise on
+// the serving path: every span of a healthy request — the pool's "reset"
+// included, which Release emits before finish settles the track — rides the
+// request's track and is dropped with it, while a failed request commits its
+// whole tree.
+func TestTailSamplingHealthyTrafficLeavesRingEmpty(t *testing.T) {
+	eng := des.NewEngine()
+	tele := obs.New(obs.Config{Clock: func() int64 { return int64(eng.Now()) }})
+	tr := tele.Tracer()
+	tr.SetTailSampling(&obs.TailConfig{})
+	pool := newTestPool(t, engine.WAMR, Config{Size: 2})
+	d := NewDispatcher(eng, pool, DispatcherConfig{
+		MaxConcurrency: 2, QueueDepth: 8, Policy: PolicyQueue,
+		QueueDeadline: time.Second, Export: "handle", Arg: 64,
+	})
+	d.SetObserver(tele)
+
+	const healthy = 1000
+	for i := 0; i < healthy; i++ {
+		d.Submit(func(r RequestResult) {
+			if r.Err != nil || r.TraceSampled {
+				t.Errorf("healthy request: err %v, sampled %v", r.Err, r.TraceSampled)
+			}
+		})
+		eng.Run()
+	}
+	if spans, st := tr.Spans(), tr.TailStats(); len(spans) != 0 || st.PendingSpans != 0 || st.SampledOutTracks != healthy {
+		t.Fatalf("after %d healthy requests: %d spans in the ring (first %+v), tail stats %+v",
+			healthy, len(spans), append(spans, obs.Span{})[0], st)
+	}
+
+	pool.Engine().SetFaultInjector(faults.New(faults.Config{Seed: 1, TrapRate: 1}))
+	var failed RequestResult
+	d.Submit(func(r RequestResult) { failed = r })
+	eng.Run()
+	if failed.Err == nil || !failed.TraceSampled {
+		t.Fatalf("injected trap: err %v, sampled %v", failed.Err, failed.TraceSampled)
+	}
+	names := map[string]int64{}
+	for _, s := range tr.Spans() {
+		names[s.Name] = s.TID
+	}
+	tid, ok := names["reset"]
+	if !ok || tid == 0 || names["acquire"] != tid || names["invoke"] != tid || len(names) != 3 {
+		t.Fatalf("failed request committed %v, want acquire/invoke/reset on one track", names)
+	}
+	if st := tr.TailStats(); st.PendingSpans != 0 || st.KeptTracks != 1 {
+		t.Fatalf("tail stats after the failed request: %+v", st)
 	}
 }

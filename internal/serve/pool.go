@@ -65,6 +65,12 @@ type WarmInstance struct {
 	lastUsed des.Time
 	// cold marks instances created by a dry-pool fallback.
 	cold bool
+	// tid is the trace track of the request holding the instance, set by
+	// the dispatcher after Acquire/ColdStart and cleared by Release, whose
+	// "reset" span it puts on the request's own track — so a tail-sampled
+	// tracer decides it with the rest of the request. 0 (a caller that
+	// assigns no tracks) keeps the span on the unsampled track.
+	tid int64
 }
 
 // Invoke calls the instance's exported function (real execution).
@@ -315,7 +321,7 @@ func (p *Pool) Release(wi *WarmInstance, now des.Time) {
 	p.stats.ResetPages += int64(resetPages)
 	p.obsResetPages.Record(int64(resetPages))
 	if p.obsTracer != nil {
-		p.obsTracer.Span("reset", "pool", 0, int64(now), int64(now),
+		p.obsTracer.Span("reset", "pool", wi.tid, int64(now), int64(now),
 			obs.I64("dirty_pages", int64(resetPages)),
 			obs.I64("private_bytes", private))
 	}
@@ -327,6 +333,7 @@ func (p *Pool) Release(wi *WarmInstance, now des.Time) {
 	}
 	p.leased--
 	wi.lastUsed = now
+	wi.tid = 0
 	if len(p.idle) < p.cfg.Size {
 		wi.cold = false
 		p.idle = append(p.idle, wi)

@@ -72,6 +72,12 @@ type Node struct {
 	// cacheBytes is current page cache beyond the idle baseline (grows with
 	// image layers and container filesystems).
 	cacheBytes int64
+	// privateBytes and libBytes are running totals: the sum of every live
+	// process's privateBytes, and of every resident library's Bytes. Each
+	// site that changes a term changes the total by the same amount, so
+	// usedLocked is a sum of five fields whatever the node's population.
+	privateBytes int64
+	libBytes     int64
 }
 
 // NewNode creates a node from cfg.
@@ -238,6 +244,7 @@ func (p *Process) MapPrivate(bytes int64) error {
 		return ErrOutOfMemory
 	}
 	p.privateBytes += b
+	p.node.privateBytes += b
 	return nil
 }
 
@@ -250,6 +257,7 @@ func (p *Process) UnmapPrivate(bytes int64) {
 		b = p.privateBytes
 	}
 	p.privateBytes -= b
+	p.node.privateBytes -= b
 }
 
 // MapShared maps a named shared library into the process. The library's
@@ -261,6 +269,7 @@ func (p *Process) MapShared(name string, bytes int64) {
 	if !ok {
 		lib = &SharedLib{Name: name, Bytes: RoundPages(bytes)}
 		p.node.libs[name] = lib
+		p.node.libBytes += lib.Bytes
 	}
 	if _, mapped := p.libs[name]; !mapped {
 		lib.refs++
@@ -306,6 +315,7 @@ func (p *Process) Exit() {
 		return
 	}
 	p.exited = true
+	p.node.privateBytes -= p.privateBytes
 	p.privateBytes = 0
 	p.node.cacheBytes -= p.cacheBytes
 	p.cacheBytes = 0
@@ -313,6 +323,7 @@ func (p *Process) Exit() {
 		lib.refs--
 		if lib.refs == 0 {
 			delete(p.node.libs, name)
+			p.node.libBytes -= lib.Bytes
 		}
 		delete(p.libs, name)
 	}
@@ -356,18 +367,10 @@ func (n *Node) Cgroup(path string) (*Cgroup, bool) {
 	return cg, ok
 }
 
-// usedLocked computes whole-system used memory (the `free` view):
-// base system + page cache + all process private memory + each shared
-// library once.
+// usedLocked is whole-system used memory (the `free` view): base system +
+// page cache + all process private memory + each shared library once.
 func (n *Node) usedLocked() int64 {
-	used := n.cfg.BaseSystemBytes + n.cfg.BaseCacheBytes + n.cacheBytes
-	for _, p := range n.procs {
-		used += p.privateBytes
-	}
-	for _, lib := range n.libs {
-		used += lib.Bytes
-	}
-	return used
+	return n.cfg.BaseSystemBytes + n.cfg.BaseCacheBytes + n.cacheBytes + n.privateBytes + n.libBytes
 }
 
 // MemInfo is the output of the simulated `free` command.

@@ -2,6 +2,8 @@ package simos
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -237,5 +239,122 @@ func TestPropertyFreeDominatesCgroups(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// scanUsed recomputes whole-system used memory the way usedLocked did
+// before the running totals: one pass over every process and library.
+func scanUsed(n *Node) int64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	used := n.cfg.BaseSystemBytes + n.cfg.BaseCacheBytes + n.cacheBytes
+	for _, p := range n.procs {
+		used += p.privateBytes
+	}
+	for _, lib := range n.libs {
+		used += lib.Bytes
+	}
+	return used
+}
+
+// Property: the running private/library totals equal a full scan after
+// every operation, and admission refuses exactly the operation the scan
+// would have refused. The node is small so sequences cross the RAM limit.
+func TestPropertyRunningTotalsMatchScan(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := NewNode(NodeConfig{
+			Name: "tiny", RAMBytes: 3 * MiB, Cores: 1,
+			BaseSystemBytes: 1 * MiB, BaseCacheBytes: 256 * KiB,
+		})
+		ram := n.Config().RAMBytes
+		var procs, exited []*Process
+		pick := func() *Process { return procs[rng.Intn(len(procs))] }
+		for step := 0; step < 400; step++ {
+			op := rng.Intn(8)
+			if len(procs) == 0 {
+				op = 0
+			}
+			before := scanUsed(n)
+			switch op {
+			case 0:
+				p, err := n.Spawn("p", "/g/cg")
+				if wantOOM := before >= ram; (err != nil) != wantOOM || (err != nil && !errors.Is(err, ErrOutOfMemory)) {
+					t.Fatalf("seed %d step %d: Spawn err=%v at used=%d ram=%d", seed, step, err, before, ram)
+				}
+				if err == nil {
+					procs = append(procs, p)
+				}
+			case 1, 2:
+				b := int64(rng.Intn(int(512 * KiB)))
+				err := pick().MapPrivate(b)
+				if wantOOM := before+RoundPages(b) > ram; (err != nil) != wantOOM || (err != nil && !errors.Is(err, ErrOutOfMemory)) {
+					t.Fatalf("seed %d step %d: MapPrivate(%d) err=%v at used=%d ram=%d", seed, step, b, err, before, ram)
+				}
+			case 3:
+				// Often more than the process holds: the clamp must reach the total too.
+				pick().UnmapPrivate(int64(rng.Intn(int(1 * MiB))))
+			case 4:
+				// Three names, so several processes share one library.
+				pick().MapShared("lib"+string(rune('a'+rng.Intn(3))), int64(rng.Intn(int(128*KiB)))+1)
+			case 5:
+				pick().ChargeCache(int64(rng.Intn(int(64 * KiB))))
+			case 6:
+				i := rng.Intn(len(procs))
+				procs[i].Exit()
+				exited = append(exited, procs[i])
+				procs = append(procs[:i], procs[i+1:]...)
+			case 7:
+				if len(exited) > 0 {
+					p := exited[rng.Intn(len(exited))]
+					p.Exit()
+					p.UnmapPrivate(4096)
+					if err := p.MapPrivate(4096); !errors.Is(err, ErrNoSuchProcess) {
+						t.Fatalf("seed %d step %d: MapPrivate on exited process = %v", seed, step, err)
+					}
+				}
+			}
+			if got, want := n.Free().UsedBytes, scanUsed(n); got != want {
+				t.Fatalf("seed %d step %d op %d: running total %d, full scan %d", seed, step, op, got, want)
+			}
+		}
+		for _, p := range procs {
+			p.Exit()
+		}
+		if n.UsedBeyondIdle() != 0 || scanUsed(n) != n.Free().UsedBytes || len(n.SharedLibs()) != 0 {
+			t.Fatalf("seed %d: node not idle after exiting everything: beyond idle %d", seed, n.UsedBeyondIdle())
+		}
+	}
+}
+
+// BenchmarkSpawnMapPrivate measures one Spawn + MapPrivate + Exit on a node
+// that already holds N processes: ns/op must not grow with N.
+func BenchmarkSpawnMapPrivate(b *testing.B) {
+	for _, procs := range []int{10, 1000, 10000} {
+		b.Run(fmt.Sprintf("%dprocs", procs), func(b *testing.B) {
+			n := NewNode(DefaultNodeConfig())
+			for i := 0; i < procs; i++ {
+				p, err := n.Spawn("resident", "/kubepods/resident")
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := p.MapPrivate(64 * KiB); err != nil {
+					b.Fatal(err)
+				}
+				p.MapShared("libwamr.so", 2*MiB)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p, err := n.Spawn("pod", "/kubepods/bench")
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := p.MapPrivate(160 * KiB); err != nil {
+					b.Fatal(err)
+				}
+				p.Exit()
+			}
+		})
 	}
 }

@@ -95,7 +95,7 @@ type P1 struct {
 	cfg    Config
 	fds    map[int32]*fdEntry
 	nextFD int32
-	rng    *rand.Rand
+	rng    *rand.Rand // seeded from cfg.RandSeed by the first random_get
 	// BytesWritten counts fd_write traffic (telemetry for benchmarks).
 	BytesWritten int64
 	// Exited is set when proc_exit was called.
@@ -126,7 +126,6 @@ func New(cfg Config) *P1 {
 	w := &P1{
 		cfg:    cfg,
 		fds:    make(map[int32]*fdEntry),
-		rng:    rand.New(rand.NewSource(cfg.RandSeed)),
 		nextFD: 3,
 	}
 	w.fds[0] = &fdEntry{kind: fdStdin}
@@ -149,46 +148,66 @@ func (w *P1) now() uint64 {
 	return 1_600_000_000_000_000_000 // fixed epoch for determinism
 }
 
-// Register installs the host module into the store.
-func (w *P1) Register(s *exec.Store) {
-	hm := s.NewHostModule(ModuleName)
+// hostFunc is one wasi_snapshot_preview1 function: its signature and the P1
+// method (as a method expression) that implements it.
+type hostFunc struct {
+	typ wasm.FuncType
+	fn  func(*P1, *exec.HostContext, []exec.Value) ([]exec.Value, error)
+}
+
+// hostFuncs is the whole host surface, built once per process; a P1 binds
+// an entry to itself only when an instantiating module imports that name.
+var hostFuncs = func() map[string]hostFunc {
 	i32 := wasm.ValueTypeI32
 	i64 := wasm.ValueTypeI64
+	errno := []wasm.ValueType{i32}
 	sig := func(params ...wasm.ValueType) wasm.FuncType {
-		return wasm.FuncType{Params: params, Results: []wasm.ValueType{i32}}
+		return wasm.FuncType{Params: params, Results: errno}
 	}
-	add := func(name string, t wasm.FuncType, fn func(ctx *exec.HostContext, args []exec.Value) ([]exec.Value, error)) {
-		hm.AddFunc(name, exec.HostFunc{Type: t, Fn: fn})
+	return map[string]hostFunc{
+		"args_sizes_get":        {sig(i32, i32), (*P1).argsSizesGet},
+		"args_get":              {sig(i32, i32), (*P1).argsGet},
+		"environ_sizes_get":     {sig(i32, i32), (*P1).environSizesGet},
+		"environ_get":           {sig(i32, i32), (*P1).environGet},
+		"clock_time_get":        {sig(i32, i64, i32), (*P1).clockTimeGet},
+		"clock_res_get":         {sig(i32, i32), (*P1).clockResGet},
+		"fd_write":              {sig(i32, i32, i32, i32), (*P1).fdWrite},
+		"fd_read":               {sig(i32, i32, i32, i32), (*P1).fdRead},
+		"fd_close":              {sig(i32), (*P1).fdClose},
+		"fd_seek":               {sig(i32, i64, i32, i32), (*P1).fdSeek},
+		"fd_fdstat_get":         {sig(i32, i32), (*P1).fdFdstatGet},
+		"fd_fdstat_set_flags":   {sig(i32, i32), (*P1).fdFdstatSetFlags},
+		"fd_prestat_get":        {sig(i32, i32), (*P1).fdPrestatGet},
+		"fd_prestat_dir_name":   {sig(i32, i32, i32), (*P1).fdPrestatDirName},
+		"fd_filestat_get":       {sig(i32, i32), (*P1).fdFilestatGet},
+		"path_open":             {sig(i32, i32, i32, i32, i32, i64, i64, i32, i32), (*P1).pathOpen},
+		"fd_readdir":            {sig(i32, i32, i32, i64, i32), (*P1).fdReaddir},
+		"path_filestat_get":     {sig(i32, i32, i32, i32, i32), (*P1).pathFilestatGet},
+		"path_create_directory": {sig(i32, i32, i32), (*P1).pathCreateDirectory},
+		"path_unlink_file":      {sig(i32, i32, i32), (*P1).pathUnlinkFile},
+		"path_remove_directory": {sig(i32, i32, i32), (*P1).pathRemoveDirectory},
+		"random_get":            {sig(i32, i32), (*P1).randomGet},
+		"poll_oneoff":           {sig(i32, i32, i32, i32), (*P1).pollOneoff},
+		"sched_yield":           {sig(), (*P1).schedYield},
+		"proc_exit":             {wasm.FuncType{Params: []wasm.ValueType{i32}}, (*P1).procExit},
 	}
+}()
 
-	add("args_sizes_get", sig(i32, i32), w.argsSizesGet)
-	add("args_get", sig(i32, i32), w.argsGet)
-	add("environ_sizes_get", sig(i32, i32), w.environSizesGet)
-	add("environ_get", sig(i32, i32), w.environGet)
-	add("clock_time_get", sig(i32, i64, i32), w.clockTimeGet)
-	add("clock_res_get", sig(i32, i32), w.clockResGet)
-	add("fd_write", sig(i32, i32, i32, i32), w.fdWrite)
-	add("fd_read", sig(i32, i32, i32, i32), w.fdRead)
-	add("fd_close", sig(i32), w.fdClose)
-	add("fd_seek", sig(i32, i64, i32, i32), w.fdSeek)
-	add("fd_fdstat_get", sig(i32, i32), w.fdFdstatGet)
-	add("fd_fdstat_set_flags", sig(i32, i32), w.fdFdstatSetFlags)
-	add("fd_prestat_get", sig(i32, i32), w.fdPrestatGet)
-	add("fd_prestat_dir_name", sig(i32, i32, i32), w.fdPrestatDirName)
-	add("fd_filestat_get", sig(i32, i32), w.fdFilestatGet)
-	add("path_open", sig(i32, i32, i32, i32, i32, i64, i64, i32, i32), w.pathOpen)
-	add("fd_readdir", sig(i32, i32, i32, i64, i32), w.fdReaddir)
-	add("path_filestat_get", sig(i32, i32, i32, i32, i32), w.pathFilestatGet)
-	add("path_create_directory", sig(i32, i32, i32), w.pathCreateDirectory)
-	add("path_unlink_file", sig(i32, i32, i32), w.pathUnlinkFile)
-	add("path_remove_directory", sig(i32, i32, i32), w.pathRemoveDirectory)
-	add("random_get", sig(i32, i32), w.randomGet)
-	add("poll_oneoff", sig(i32, i32, i32, i32), w.pollOneoff)
-	add("sched_yield", sig(), w.schedYield)
-	hm.AddFunc("proc_exit", exec.HostFunc{
-		Type: wasm.FuncType{Params: []wasm.ValueType{i32}},
-		Fn:   w.procExit,
-	})
+// Register installs the host module into the store. Functions are bound to
+// w as imports resolve them, so a guest pays for the names it links.
+func (w *P1) Register(s *exec.Store) {
+	s.NewHostModule(ModuleName).SetFuncLookup(w.bind)
+}
+
+// bind resolves one imported name to a host function on w, nil if unknown.
+func (w *P1) bind(name string) *exec.HostFunc {
+	h, ok := hostFuncs[name]
+	if !ok {
+		return nil
+	}
+	return &exec.HostFunc{Type: h.typ, Fn: func(ctx *exec.HostContext, args []exec.Value) ([]exec.Value, error) {
+		return h.fn(w, ctx, args)
+	}}
 }
 
 func errnoVal(e uint32) []exec.Value { return []exec.Value{uint64(e)} }
@@ -729,6 +748,9 @@ func (w *P1) randomGet(ctx *exec.HostContext, args []exec.Value) ([]exec.Value, 
 	buf, ok := ctx.Memory.WritableView(exec.AsU32(args[0]), exec.AsU32(args[1]))
 	if !ok {
 		return errnoVal(ErrnoFault), nil
+	}
+	if w.rng == nil {
+		w.rng = rand.New(rand.NewSource(w.cfg.RandSeed))
 	}
 	w.rng.Read(buf)
 	w.obsRandBytes.Add(int64(len(buf)))

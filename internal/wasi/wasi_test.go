@@ -3,6 +3,7 @@ package wasi
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 
@@ -137,7 +138,7 @@ func TestRandomGetDeterministic(t *testing.T) {
   (import "wasi_snapshot_preview1" "random_get" (func $rg (param i32 i32) (result i32)))
   (memory (export "memory") 1)
   (func (export "_start")
-    (call $rg (i32.const 0) (i32.const 16)) drop))
+    (call $rg (i32.const 0) (i32.const 32)) drop))
 `
 	m := compileWat(t, src)
 	get := func(seed int64) []byte {
@@ -151,17 +152,70 @@ func TestRandomGetDeterministic(t *testing.T) {
 		if _, err := inst.Call("_start"); err != nil {
 			t.Fatal(err)
 		}
-		b, _ := inst.Memory().Read(0, 16)
+		b, _ := inst.Memory().Read(0, 32)
 		return b
 	}
 	a, b := get(7), get(7)
 	if !bytes.Equal(a, b) {
 		t.Fatal("same seed produced different bytes")
 	}
+	// Pinned: the source is seeded by the first random_get, and must hand a
+	// guest the bytes it got when New seeded it.
+	seed7 := []byte{
+		0xf3, 0xff, 0x4d, 0x45, 0x1e, 0x42, 0x9e, 0x18, 0x22, 0x15, 0xaa, 0xee, 0x06, 0xa2, 0xd6, 0x4b,
+		0x6d, 0x1a, 0xad, 0xc9, 0xe5, 0x03, 0x1e, 0x4b, 0x99, 0xbf, 0x11, 0xae, 0x0a, 0x79, 0x6e, 0xbc,
+	}
+	if !bytes.Equal(a, seed7) {
+		t.Fatalf("RandSeed 7 yields % x, want % x", a, seed7)
+	}
 	c := get(8)
 	if bytes.Equal(a, c) {
 		t.Fatal("different seeds produced identical bytes")
 	}
+}
+
+// Host functions are bound when an import names them; a name the surface
+// does not have must still fail the link, with the message it always had.
+func TestUnknownWASIImportFailsInstantiation(t *testing.T) {
+	m := compileWat(t, `
+(module
+  (import "wasi_snapshot_preview1" "fd_write" (func $fw (param i32 i32 i32 i32) (result i32)))
+  (import "wasi_snapshot_preview1" "sock_accept" (func $sa (param i32 i32 i32) (result i32)))
+  (memory 1)
+  (func (export "_start")))
+`)
+	store := exec.NewStore(exec.Config{})
+	New(Config{}).Register(store)
+	_, err := store.Instantiate(m, "")
+	if !errors.Is(err, exec.ErrUnknownImport) || err.Error() != "exec: unknown import: wasi_snapshot_preview1.sock_accept" {
+		t.Fatalf("Instantiate = %v, want ErrUnknownImport naming sock_accept", err)
+	}
+}
+
+// The one-shot container path builds a WASI process per pod: New + Register
+// + instantiate of minimal-service cost 139 allocations when Register built
+// all 25 host functions and New seeded the random source. A third of that is
+// the ceiling; the guest imports two functions and never asks for entropy.
+func TestNewRegisterInstantiateAllocs(t *testing.T) {
+	m, err := workloads.Module("minimal-service")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, err := exec.Precompile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		store := exec.NewStore(exec.Config{})
+		New(Config{RandSeed: 7}).Register(store)
+		if _, err := store.InstantiateCompiled(mc, ""); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 139/3 {
+		t.Fatalf("New+Register+instantiate(minimal-service) = %.0f allocs, want at most %d", allocs, 139/3)
+	}
+	t.Logf("New+Register+instantiate(minimal-service): %.0f allocs", allocs)
 }
 
 func TestProcExitCode(t *testing.T) {

@@ -34,9 +34,7 @@ func (inst *Instance) invoke(f *function, args []Value) ([]Value, error) {
 	var tc *Tier1Code
 	if mc := f.mc; mc != nil {
 		if tc = mc.tier1.Load(); tc != nil {
-			if t1 := tc.funcs[f.mcIdx]; t1 != nil {
-				ran1, err = s.t1Call(f, t1, args, res)
-			}
+			ran1, err = s.t1Call(f, tc, args, res)
 		}
 	}
 	if !ran1 {

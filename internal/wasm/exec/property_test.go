@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"math"
 	"math/bits"
 	"testing"
@@ -294,6 +295,51 @@ func TestUnknownImportError(t *testing.T) {
 	_, err := s.Instantiate(m, "")
 	if err == nil {
 		t.Fatal("expected link error")
+	}
+}
+
+// A function resolved through SetFuncLookup links exactly like one registered
+// with AddFunc: same type, same debug name, same unknown-import error; a
+// name AddFunc registered is never asked of the lookup.
+func TestHostFuncLookupLinksLikeAddFunc(t *testing.T) {
+	double := HostFunc{
+		Type: wasm.FuncType{Params: []wasm.ValueType{i32}, Results: []wasm.ValueType{i32}},
+		Fn: func(ctx *HostContext, args []Value) ([]Value, error) {
+			return []Value{I32(AsI32(args[0]) * 2)}, nil
+		},
+	}
+	eager, lazy := NewStore(Config{}), NewStore(Config{})
+	eager.NewHostModule("env").AddFunc("double", double)
+	asked := 0
+	lazy.NewHostModule("env").AddFunc("listed", double).SetFuncLookup(func(name string) *HostFunc {
+		asked++
+		if name != "double" {
+			return nil
+		}
+		return &double
+	})
+	imp := wasm.Import{Module: "env", Name: "double", Kind: wasm.ExternalFunc}
+	fe, err := eager.resolveFunc(imp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, err := lazy.resolveFunc(imp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fe.debugName != fl.debugName || fl.debugName != "env.double" || fe.numParams != fl.numParams ||
+		len(fl.typ.Params) != 1 || len(fl.typ.Results) != 1 || fl.host == nil {
+		t.Fatalf("lookup-bound function %+v differs from AddFunc-bound %+v", fl, fe)
+	}
+	if _, err := lazy.resolveFunc(wasm.Import{Module: "env", Name: "listed", Kind: wasm.ExternalFunc}); err != nil || asked != 1 {
+		t.Fatalf("registered name: err %v, lookup asked %d times (want once, for double)", err, asked)
+	}
+	imp.Name = "ghost"
+	_, ee := eager.resolveFunc(imp)
+	_, el := lazy.resolveFunc(imp)
+	if !errors.Is(ee, ErrUnknownImport) || !errors.Is(el, ErrUnknownImport) || ee.Error() != el.Error() ||
+		el.Error() != "exec: unknown import: env.ghost" {
+		t.Fatalf("unknown import: eager %v, lazy %v", ee, el)
 	}
 }
 

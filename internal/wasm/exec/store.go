@@ -142,41 +142,56 @@ type HostContext struct {
 
 // HostModule is a named collection of host-provided externs.
 type HostModule struct {
-	Name    string
+	Name string
+	// The maps are created by the first Add*; lookups read nil maps.
 	funcs   map[string]*HostFunc
 	globals map[string]*GlobalVar
 	mems    map[string]*Memory
 	tables  map[string]*Table
+	// lookup resolves function names AddFunc did not register.
+	lookup func(name string) *HostFunc
 }
 
 // NewHostModule creates an empty host module registered under name.
 func (s *Store) NewHostModule(name string) *HostModule {
-	hm := &HostModule{
-		Name:    name,
-		funcs:   make(map[string]*HostFunc),
-		globals: make(map[string]*GlobalVar),
-		mems:    make(map[string]*Memory),
-		tables:  make(map[string]*Table),
-	}
+	hm := &HostModule{Name: name}
 	s.hostModules[name] = hm
 	return hm
 }
 
 // AddFunc registers a host function under the given export name.
 func (hm *HostModule) AddFunc(name string, f HostFunc) *HostModule {
+	if hm.funcs == nil {
+		hm.funcs = make(map[string]*HostFunc)
+	}
 	fn := f
 	hm.funcs[name] = &fn
 	return hm
 }
 
+// SetFuncLookup makes lookup the resolver for function imports AddFunc has
+// not registered: it is asked once per such import of an instantiating
+// module and returns nil for a name it does not provide. A host surface
+// with many functions thereby builds only the ones a guest links.
+func (hm *HostModule) SetFuncLookup(lookup func(name string) *HostFunc) *HostModule {
+	hm.lookup = lookup
+	return hm
+}
+
 // AddGlobal registers a host global.
 func (hm *HostModule) AddGlobal(name string, g *GlobalVar) *HostModule {
+	if hm.globals == nil {
+		hm.globals = make(map[string]*GlobalVar)
+	}
 	hm.globals[name] = g
 	return hm
 }
 
 // AddMemory registers a host memory.
 func (hm *HostModule) AddMemory(name string, m *Memory) *HostModule {
+	if hm.mems == nil {
+		hm.mems = make(map[string]*Memory)
+	}
 	hm.mems[name] = m
 	return hm
 }
@@ -388,11 +403,12 @@ func (s *Store) InstantiateCompiled(mc *ModuleCode, name string) (*Instance, err
 }
 
 func (s *Store) resolveFunc(imp wasm.Import) (*function, error) {
-	want := wasm.FuncType{}
-	// The importing module guarantees imp.Func is a valid type index.
 	if hm, ok := s.hostModules[imp.Module]; ok {
-		hf, ok := hm.funcs[imp.Name]
-		if !ok {
+		hf := hm.funcs[imp.Name]
+		if hf == nil && hm.lookup != nil {
+			hf = hm.lookup(imp.Name)
+		}
+		if hf == nil {
 			return nil, fmt.Errorf("%w: %s.%s", ErrUnknownImport, imp.Module, imp.Name)
 		}
 		return &function{typ: hf.Type, host: hf, numParams: len(hf.Type.Params), debugName: imp.Module + "." + imp.Name}, nil
@@ -404,7 +420,6 @@ func (s *Store) resolveFunc(imp wasm.Import) (*function, error) {
 			}
 		}
 	}
-	_ = want
 	return nil, fmt.Errorf("%w: %s.%s", ErrUnknownImport, imp.Module, imp.Name)
 }
 

@@ -19,7 +19,8 @@ package exec
 // parks results in slots [0,nr), which are the caller's argument slots). The
 // stack is only reallocated while empty, so live frames never dangle; a
 // mid-stack shortfall records the wanted size and falls back to tier 0 for
-// that one call.
+// that one call. A store's first stack is sized from the lowered artifact
+// (Tier1Code.stack), not from a constant.
 
 // Sentinel pc values returned by closures to leave the dispatch loop.
 const (
@@ -49,6 +50,13 @@ type Tier1Code struct {
 	funcs   []*t1func
 	bytes   int64
 	lowered int
+	// stack is the first register-stack size, in slots, of a store whose
+	// top-level call enters this module: the sum of the lowered frame
+	// windows, capped at t1StackCap. Callee windows overlap their
+	// caller's argument slots, so the sum bounds any call chain that enters
+	// each function at most once; only recursion, another module's callee
+	// or a re-entering host function can outgrow it.
+	stack int
 }
 
 // Bytes is the accounted resident size of the artifact, what the module
@@ -94,9 +102,18 @@ func (fr *t1frame) chargeFuel() bool {
 	return true
 }
 
-// t1MinStack is the initial register-stack size in slots (here 128 KiB):
-// large enough that typical call trees never trigger a mid-stack fallback.
-const t1MinStack = 1 << 14
+// t1StackCap caps Tier1Code.stack, in slots (here 128 KiB): what every
+// store used to start with. A store that outgrows its first stack has met
+// one of the chains the static sum cannot bound, so its next empty-stack
+// grow goes at least this far (t1Shortfall) rather than doubling a few
+// hundred bytes once per call.
+const t1StackCap = 1 << 14
+
+// t1Shortfall records that a frame needing the stack to hold need slots did
+// not fit mid-stack; the call at hand runs at tier 0.
+func (s *Store) t1Shortfall(need int) {
+	s.t1want = max(s.t1want, need, t1StackCap)
+}
 
 func (s *Store) getT1Frame() *t1frame {
 	if n := len(s.t1free); n > 0 {
@@ -129,32 +146,25 @@ func (f *function) t1body() *t1func {
 	return tc.funcs[f.mcIdx]
 }
 
-// t1Call runs f's tier-1 body as a top-level call (from Instance.invoke,
-// which has already done the depth accounting). Returns ran=false — with the
-// wanted stack size recorded for the next empty-stack grow — when the
-// register stack cannot host the frame, in which case the caller runs tier 0.
-func (s *Store) t1Call(f *function, t1 *t1func, args, res []Value) (ran bool, err error) {
+// t1Call runs f's body in tc as a top-level call (from Instance.invoke,
+// which has already done the depth accounting). Returns ran=false when f was
+// not lowered, or — with the wanted stack size recorded for the next
+// empty-stack grow — when the register stack cannot host the frame; the
+// caller then runs tier 0.
+func (s *Store) t1Call(f *function, tc *Tier1Code, args, res []Value) (ran bool, err error) {
+	t1 := tc.funcs[f.mcIdx]
+	if t1 == nil {
+		return false, nil
+	}
 	base := s.t1sp
 	need := base + t1.slots
 	if base == 0 {
 		if w := len(s.t1stack); need > w || s.t1want > w {
-			n := 2 * w
-			if n < t1MinStack {
-				n = t1MinStack
-			}
-			if n < need {
-				n = need
-			}
-			if n < s.t1want {
-				n = s.t1want
-			}
-			s.t1stack = make([]Value, n)
+			s.t1stack = make([]Value, max(2*w, tc.stack, need, s.t1want))
 			s.t1want = 0
 		}
 	} else if need > len(s.t1stack) {
-		if need > s.t1want {
-			s.t1want = need
-		}
+		s.t1Shortfall(need)
 		return false, nil
 	}
 	fr := s.getT1Frame()
@@ -236,9 +246,7 @@ func (s *Store) t1FastCall(fr *t1frame, callee *function, t1 *t1func, aslot int)
 	cbase := fr.base + aslot
 	need := cbase + t1.slots
 	if need > len(s.t1stack) {
-		if need > s.t1want {
-			s.t1want = need
-		}
+		s.t1Shortfall(need)
 		return false, nil
 	}
 	s.depth++

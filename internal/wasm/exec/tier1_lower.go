@@ -31,8 +31,10 @@ func lowerTier1(mc *ModuleCode) *Tier1Code {
 		if f != nil {
 			tc.lowered++
 			tc.bytes += int64(len(f.ops))*t1OpBytes + t1FuncBytes
+			tc.stack += f.slots
 		}
 	}
+	tc.stack = min(tc.stack, t1StackCap)
 	tc.bytes += 64
 	return tc
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"wasmcontainers/internal/wasm"
+	"wasmcontainers/internal/workloads"
 )
 
 // tierPair runs the same module in two independent stores — one at tier 0,
@@ -164,6 +165,94 @@ func TestTierDiffRecursiveFib(t *testing.T) {
 	p := newTierPair(t, fibModule(t), Config{}, nil)
 	for _, n := range []int32{0, 1, 7, 15} {
 		p.call("f", I32(n))
+	}
+}
+
+// sumToModule is f(n) = n == 0 ? 0 : n + f(n-1): one frame per unit of n, so
+// the call depth is the argument.
+func sumToModule(t *testing.T) *wasm.Module {
+	b := new(wasm.BodyBuilder)
+	b.OpU32(wasm.OpLocalGet, 0).Op(wasm.OpI32Eqz)
+	b.Block(wasm.OpIf, wasm.BlockTypeEmpty)
+	b.I32Const(0).Op(wasm.OpReturn)
+	b.End()
+	b.OpU32(wasm.OpLocalGet, 0)
+	b.OpU32(wasm.OpLocalGet, 0).I32Const(1).Op(wasm.OpI32Sub).OpU32(wasm.OpCall, 0)
+	b.Op(wasm.OpI32Add)
+	b.End()
+	return buildModule(t, singleFunc([]wasm.ValueType{i32}, []wasm.ValueType{i32}, nil, b))
+}
+
+// A store's first register stack is the module's summed frame windows — a
+// handful of slots here — so recursion outgrows it at once. The call that
+// does must still be bit-identical to tier 0 (the frames past the shortfall
+// run there), and the stack must have converged by the third call: no
+// shortfall recorded, every frame at tier 1.
+func TestTierDiffDeepRecursionConverges(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		depth int32
+	}{
+		// Past the static bound, inside the cap: one regrow.
+		{"depth1500", Config{Fuel: 1 << 40}, 1500},
+		// Past the cap too: the second call falls back again and doubles.
+		{"depth12000", Config{MaxCallDepth: 20000, Fuel: 1 << 40}, 12000},
+		// The guest runs out of fuel below the shortfall.
+		{"out-of-fuel", Config{Fuel: 5000}, 1500},
+		// The guest exhausts the call depth below the shortfall.
+		{"call-stack-exhausted", Config{}, 5000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newTierPair(t, sumToModule(t), tc.cfg, nil)
+			bound := p.i1.Code().tier1.Load().stack
+			if int(tc.depth) < 100*bound {
+				t.Fatalf("depth %d is not well past the %d-slot static bound", tc.depth, bound)
+			}
+			for call := 1; call <= 3; call++ {
+				p.s0.AddFuel(tc.cfg.Fuel - p.s0.FuelLeft())
+				p.s1.AddFuel(tc.cfg.Fuel - p.s1.FuelLeft())
+				res, err := p.call("f", I32(tc.depth))
+				if err == nil && AsI32(res[0]) != tc.depth*(tc.depth+1)/2 {
+					t.Fatalf("call %d: f(%d) = %d", call, tc.depth, AsI32(res[0]))
+				}
+				switch fellBack := p.s1.t1want != 0; {
+				case call == 1 && !fellBack:
+					t.Fatalf("first call fit a %d-slot stack: the test no longer reaches the fallback", len(p.s1.t1stack))
+				case call == 3 && fellBack:
+					t.Fatalf("third call still fell back to tier 0 (stack %d slots, want %d)", len(p.s1.t1stack), p.s1.t1want)
+				}
+			}
+		})
+	}
+}
+
+// The served-instance probe next to serve's idle one: a request-handler
+// instance that served handle(64) at tier 1 and was reset keeps a register
+// stack of a few dozen slots, not the 128 KiB every store used to start with.
+func TestServedInstanceRegisterStackIsSmall(t *testing.T) {
+	m, err := workloads.Module("request-handler")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(Config{})
+	inst, err := s.Instantiate(m, "handler")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tc, _ := inst.Code().EnsureTier1(); tc == nil || tc.Lowered() != len(tc.funcs) {
+		t.Fatal("request-handler did not lower")
+	}
+	inst.Memory().AttachBaseline(inst.Memory().CaptureBaseline())
+	if res := mustCall(t, inst, "handle", I32(64)); AsI32(res[0]) != 1 || s.LastInvokeTier() != 1 {
+		t.Fatalf("handle(64) = %d at tier %d, want 1 at tier 1", AsI32(res[0]), s.LastInvokeTier())
+	}
+	inst.Memory().ResetToBaseline()
+	if s.t1want != 0 {
+		t.Fatalf("handle(64) fell back to tier 0 (wanted %d slots)", s.t1want)
+	}
+	if held := cap(s.t1stack) * 8; held == 0 || held >= 4<<10 {
+		t.Fatalf("served instance holds a %d-byte register stack, want 1..4095", held)
 	}
 }
 
