@@ -25,14 +25,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Telemetry overhead gate: the per-request instrumentation sequence with
-# telemetry disabled must not allocate. The anchored grep keeps "240
+# Telemetry overhead gate: the per-request instrumentation sequence must not
+# allocate, with telemetry disabled or enabled (span attributes are copied
+# into the tracer's ring, never retained). The anchored grep keeps "240
 # allocs/op" from matching "0 allocs/op". The tsdb leg covers the disabled
 # and the same-window sample path; a window close may allocate, for its one
 # registry read. The last leg pins the accounting side of the same
 # request: splitting a replica's charge into shared and private on every
-# memory event allocates nothing, and observing a router costs a request no
-# allocation (its series are read from the shards' stats when scraped). The
+# memory event allocates nothing, and observing a router or a dispatcher
+# costs a request no allocation (the router's series are read from the
+# shards' stats when scraped; the dispatcher's spans are copied). The
 # heap test is the memory side of the same request: an idle warm instance
 # pins no linear memory, and the buffer a request materialised is recycled
 # (which is also why the replica test's acquire/invoke/release stays at 2
@@ -43,6 +45,11 @@ obs-overhead:
 	echo "$$out"; \
 	if ! echo "$$out" | grep -qE '[[:space:]]0 allocs/op'; then \
 		echo "obs-overhead: disabled telemetry path allocates"; exit 1; fi
+	@out=$$($(GO) test -run NONE -bench BenchmarkInvokeTelemetryEnabled \
+		-benchmem -benchtime 10000x ./internal/obs/); \
+	echo "$$out"; \
+	if ! echo "$$out" | grep -qE '[[:space:]]0 allocs/op'; then \
+		echo "obs-overhead: enabled span emission allocates"; exit 1; fi
 	@out=$$($(GO) test -run NONE -bench 'BenchmarkAdvanceDisabled|BenchmarkAdvanceSameWindow' \
 		-benchmem -benchtime 10000x ./internal/obs/tsdb/); \
 	echo "$$out"; \
@@ -50,7 +57,7 @@ obs-overhead:
 	if [ "$$n" -ne 2 ]; then \
 		echo "obs-overhead: tsdb sample path allocates"; exit 1; fi
 	$(GO) test -count=1 -run 'TestReplicaRequestAllocs$$' ./internal/cluster
-	$(GO) test -count=1 -run 'TestRouterRequestAllocsTelemetryParity$$|TestIdleInstancesHoldNoPrivatePages$$' ./internal/serve
+	$(GO) test -count=1 -run 'TestRouterRequestAllocsTelemetryParity$$|TestDispatcherRequestAllocsTelemetryParity$$|TestIdleInstancesHoldNoPrivatePages$$' ./internal/serve
 
 # Fuzz smoke: ten seconds of the copy-on-write memory oracle (random write /
 # grow / bulk-op / reset programs over two memories sharing one image, against

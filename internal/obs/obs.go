@@ -1,13 +1,19 @@
 // Package obs is the repository's telemetry layer: an atomic,
 // allocation-free-on-hot-path metrics registry (monotonic counters, gauges,
-// mergeable log-linear histograms) and a fixed-capacity ring-buffer span
-// tracer covering the full request lifecycle — loadgen arrival, dispatcher
+// mergeable log-linear histograms) and a bounded ring-buffer span tracer
+// covering the full request lifecycle — loadgen arrival, dispatcher
 // queue wait, pool acquire (warm hit vs cold start), engine instantiate
 // (with the module cache's decode/validate/lower and hit/miss split), guest
 // invoke (instructions consumed, trap info), and copy-on-write reset (dirty
 // pages copied). Two exporters turn a run into files: Prometheus text
 // exposition (WritePrometheus) and Chrome trace-event JSON
 // (WriteChromeTrace, loadable in chrome://tracing or Perfetto).
+//
+// The tracer's memory follows the spans it retains: its ring grows on
+// commit, up to its capacity, and each slot is a fixed-size record in which
+// the name, category and up to three attributes are packed as ids into the
+// tracer's own intern table (bounded; a span with more attributes, or a
+// string the full table cannot take, spills verbatim behind a pointer).
 //
 // A component that already counts in a Stats() struct does not count again
 // here: it registers one source (Registry.SetSource) reporting those numbers
@@ -18,8 +24,10 @@
 // holds pre-resolved handles (possibly nil) and each handle method no-ops on
 // a nil receiver with zero allocations — enforced by
 // BenchmarkInvokeTelemetryDisabled and the Makefile obs-overhead gate. Span
-// emission, whose variadic attributes would allocate even for a no-op call,
-// is additionally guarded by an `if tracer != nil` at every call site.
+// emission is additionally guarded by an `if tracer != nil` at every call
+// site. The enabled path does not allocate either: Span copies its
+// attributes into the ring rather than retaining them
+// (BenchmarkInvokeTelemetryEnabled, the same gate).
 package obs
 
 import "strings"

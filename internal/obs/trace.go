@@ -91,21 +91,66 @@ type TailStats struct {
 // pendingTrack is one undecided request's buffered spans.
 type pendingTrack struct {
 	tid   int64
-	spans []Span
+	spans []record
 }
 
-// Tracer records spans into a fixed-capacity ring buffer: tracing a long
-// load run costs bounded memory, and the newest spans win. The zero-cost
-// disabled path is a nil *Tracer — callers emitting spans must guard with
-// `if tr != nil` at the call site (the variadic attribute list would
-// otherwise allocate even for a no-op call).
+// inlineAttrs is how many attributes a record packs in place; every
+// request-path span fits.
+const inlineAttrs = 3
+
+// internCap bounds the tracer's string table. Span names, categories,
+// attribute keys and string values come from a small fixed vocabulary; a
+// string that arrives once the table is full spills with its span.
+const internCap = 4096
+
+// minRingGrowth is the first backing array a tracer allocates, and the
+// least it grows by, in records. Past 4×minRingGrowth the ring grows by a
+// quarter, so a filling ring overshoots what it holds by at most 25 %.
+const minRingGrowth = 32
+
+// packedAttr is an Attr with its strings replaced by intern ids (0 is "").
+type packedAttr struct {
+	key, str uint32
+	val      int64
+}
+
+// record is one retained span as the ring and the tail sampler store it:
+// fixed-size, with the name, category and up to inlineAttrs attributes
+// interned. A span with more attributes, or with a string the full intern
+// table cannot take, keeps its name, category and attributes verbatim in
+// spill instead.
+type record struct {
+	pid, tid, start, dur int64
+	name, cat            uint32
+	nattr                int32
+	attrs                [inlineAttrs]packedAttr
+	spill                *spill
+}
+
+// spill is the verbatim part of a span that did not pack.
+type spill struct {
+	name, cat string
+	attrs     []Attr
+}
+
+// Tracer records spans into a bounded ring buffer: tracing a long load run
+// costs at most `capacity` records, and the newest spans win. The ring's
+// backing array grows on commit, so a tracer pays for the spans it holds,
+// not for its bound. The zero-cost disabled path is a nil *Tracer — callers
+// emitting spans must guard with `if tr != nil` at the call site (the
+// variadic attribute list would otherwise be built even for a no-op call).
 type Tracer struct {
-	mu    sync.Mutex
-	clock func() int64
-	pid   int64
-	ring  []Span
-	next  int
-	total int64
+	mu       sync.Mutex
+	clock    func() int64
+	pid      int64
+	capacity int
+	ring     []record // grows to capacity, then overwrites at next
+	next     int
+	total    int64
+
+	// strs is the append-only intern table (strs[0] == ""), ids its index.
+	strs []string
+	ids  map[string]uint32
 
 	// Tail sampling state (nil tail = every span commits immediately).
 	tail      *TailConfig
@@ -119,8 +164,9 @@ type Tracer struct {
 // enough for every request phase of a multi-second load run.
 const DefaultTraceCapacity = 1 << 16
 
-// NewTracer creates a tracer holding the last `capacity` spans. clock
-// returns the current time in nanoseconds; nil uses the wall clock.
+// NewTracer creates a tracer holding the last `capacity` spans; it
+// allocates no ring until the first span commits. clock returns the current
+// time in nanoseconds; nil uses the wall clock.
 func NewTracer(capacity int, clock func() int64) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
@@ -129,7 +175,7 @@ func NewTracer(capacity int, clock func() int64) *Tracer {
 		start := time.Now()
 		clock = func() int64 { return int64(time.Since(start)) }
 	}
-	return &Tracer{clock: clock, ring: make([]Span, capacity)}
+	return &Tracer{clock: clock, capacity: capacity}
 }
 
 // Now reads the tracer clock (0 on a nil tracer).
@@ -169,7 +215,7 @@ func (t *Tracer) SetPID(pid int64) {
 // end < start is clamped to a zero-duration span. With tail sampling enabled,
 // spans on a request track (tid != 0) are buffered until FinishTrack decides
 // the track's fate; tid-0 spans (breaker transitions, engine and pool
-// lifecycle) always commit immediately.
+// lifecycle) always commit immediately. attrs is copied, never retained.
 func (t *Tracer) Span(name, cat string, tid, start, end int64, attrs ...Attr) {
 	if t == nil {
 		return
@@ -178,41 +224,95 @@ func (t *Tracer) Span(name, cat string, tid, start, end int64, attrs ...Attr) {
 	if dur < 0 {
 		dur = 0
 	}
-	s := Span{
-		Name: name, Cat: cat, TID: tid,
-		Start: start, Dur: dur, Attrs: attrs,
-	}
 	t.mu.Lock()
-	s.PID = t.pid
+	r := t.packLocked(name, cat, attrs)
+	r.pid, r.tid, r.start, r.dur = t.pid, tid, start, dur
 	if t.tail != nil && tid != 0 {
-		t.bufferLocked(s)
+		t.bufferLocked(r)
 	} else {
-		t.commitLocked(s)
+		t.commitLocked(r)
 	}
 	t.mu.Unlock()
 }
 
-// commitLocked writes one decided span into the ring.
-func (t *Tracer) commitLocked(s Span) {
-	t.ring[t.next] = s
-	t.next = (t.next + 1) % len(t.ring)
+// packLocked builds the record for one span's strings and attributes,
+// interning what the table can take and spilling the rest.
+func (t *Tracer) packLocked(name, cat string, attrs []Attr) record {
+	var r record
+	ok := len(attrs) <= inlineAttrs
+	if ok {
+		r.name, ok = t.internLocked(name)
+	}
+	if ok {
+		r.cat, ok = t.internLocked(cat)
+	}
+	for i := 0; ok && i < len(attrs); i++ {
+		a := &r.attrs[i]
+		a.val = attrs[i].Val
+		if a.key, ok = t.internLocked(attrs[i].Key); ok {
+			a.str, ok = t.internLocked(attrs[i].Str)
+		}
+	}
+	if !ok {
+		return record{spill: &spill{name: name, cat: cat, attrs: append([]Attr(nil), attrs...)}}
+	}
+	r.nattr = int32(len(attrs))
+	return r
+}
+
+// internLocked returns s's id in the intern table, adding it while the
+// table is under internCap. Reports false when s is new and the table full.
+func (t *Tracer) internLocked(s string) (uint32, bool) {
+	if s == "" {
+		return 0, true
+	}
+	if id, ok := t.ids[s]; ok {
+		return id, true
+	}
+	if len(t.strs) >= internCap {
+		return 0, false
+	}
+	if t.ids == nil {
+		t.ids = map[string]uint32{}
+		t.strs = []string{""}
+	}
+	id := uint32(len(t.strs))
+	t.strs = append(t.strs, s)
+	t.ids[s] = id
+	return id, true
+}
+
+// commitLocked writes one decided span into the ring, growing the backing
+// array (never past capacity) until the ring is full.
+func (t *Tracer) commitLocked(r record) {
+	if n := len(t.ring); n < t.capacity {
+		if n == cap(t.ring) {
+			grown := make([]record, n, min(n+max(n/4, minRingGrowth), t.capacity))
+			copy(grown, t.ring)
+			t.ring = grown
+		}
+		t.ring = append(t.ring, r)
+	} else {
+		t.ring[t.next] = r
+	}
+	t.next = (t.next + 1) % t.capacity
 	t.total++
 }
 
 // bufferLocked parks one request span in its pending track, enforcing the
 // per-track and whole-buffer bounds.
-func (t *Tracer) bufferLocked(s Span) {
-	tr, ok := t.pending[s.TID]
+func (t *Tracer) bufferLocked(r record) {
+	tr, ok := t.pending[r.tid]
 	if !ok {
-		tr = &pendingTrack{tid: s.TID}
-		t.pending[s.TID] = tr
-		t.order = append(t.order, s.TID)
+		tr = &pendingTrack{tid: r.tid}
+		t.pending[r.tid] = tr
+		t.order = append(t.order, r.tid)
 	}
 	if len(tr.spans) >= t.tail.MaxTrackSpans {
 		t.tailStats.TruncatedSpans++
 		return
 	}
-	tr.spans = append(tr.spans, s)
+	tr.spans = append(tr.spans, r)
 	t.pendingN++
 	if t.pendingN > t.tailStats.PendingPeak {
 		t.tailStats.PendingPeak = t.pendingN
@@ -221,7 +321,7 @@ func (t *Tracer) bufferLocked(s Span) {
 	// appended to — its outcome may still prove interesting) until the
 	// undecided buffer fits again.
 	for t.pendingN > t.tail.MaxBufferedSpans {
-		if !t.evictOldestLocked(s.TID) {
+		if !t.evictOldestLocked(r.tid) {
 			// Only the current track remains; drop its newest span instead.
 			tr.spans = tr.spans[:len(tr.spans)-1]
 			t.pendingN--
@@ -260,8 +360,8 @@ func (t *Tracer) SetTailSampling(cfg *TailConfig) {
 	if cfg == nil {
 		for _, tid := range t.order {
 			if tr, ok := t.pending[tid]; ok {
-				for _, s := range tr.spans {
-					t.commitLocked(s)
+				for _, r := range tr.spans {
+					t.commitLocked(r)
 				}
 			}
 		}
@@ -312,8 +412,8 @@ func (t *Tracer) FinishTrack(tid int64, o TrackOutcome) bool {
 	}
 	if keep {
 		t.tailStats.KeptTracks++
-		for _, s := range tr.spans {
-			t.commitLocked(s)
+		for _, r := range tr.spans {
+			t.commitLocked(r)
 		}
 	} else {
 		t.tailStats.SampledOutTracks++
@@ -334,26 +434,59 @@ func (t *Tracer) TailStats() TailStats {
 	return st
 }
 
-// Spans returns the retained spans oldest-first.
+// Spans returns the retained spans oldest-first. Only the record copy
+// happens under the tracer's lock; the spans are rebuilt after it, so a
+// scrape does not stall span emission.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := t.total
-	if n > int64(len(t.ring)) {
-		n = int64(len(t.ring))
-	}
-	out := make([]Span, 0, n)
-	start := 0
+	// Oldest first: the ring starts at 0 until it wraps, then at next.
+	recs := make([]record, 0, len(t.ring))
 	if t.total > int64(len(t.ring)) {
-		start = t.next // ring has wrapped; oldest retained span is at next
+		recs = append(recs, t.ring[t.next:]...)
+		recs = append(recs, t.ring[:t.next]...)
+	} else {
+		recs = append(recs, t.ring...)
 	}
-	for i := int64(0); i < n; i++ {
-		out = append(out, t.ring[(start+int(i))%len(t.ring)])
+	// The table is append-only: ids below len(strs) never change.
+	strs := t.strs
+	t.mu.Unlock()
+
+	nattr := 0
+	for i := range recs {
+		nattr += recs[i].attrCount()
+	}
+	attrs := make([]Attr, nattr)
+	out := make([]Span, len(recs))
+	for i := range recs {
+		r := &recs[i]
+		s := &out[i]
+		s.PID, s.TID, s.Start, s.Dur = r.pid, r.tid, r.start, r.dur
+		n := r.attrCount()
+		if n > 0 {
+			s.Attrs, attrs = attrs[:n:n], attrs[n:]
+		}
+		if r.spill != nil {
+			s.Name, s.Cat = r.spill.name, r.spill.cat
+			copy(s.Attrs, r.spill.attrs)
+			continue
+		}
+		s.Name, s.Cat = strs[r.name], strs[r.cat]
+		for j, a := range r.attrs[:n] {
+			s.Attrs[j] = Attr{Key: strs[a.key], Val: a.val, Str: strs[a.str]}
+		}
 	}
 	return out
+}
+
+// attrCount is how many attributes the record's span carries.
+func (r *record) attrCount() int {
+	if r.spill != nil {
+		return len(r.spill.attrs)
+	}
+	return int(r.nattr)
 }
 
 // Dropped returns how many spans the ring overwrote.
@@ -363,8 +496,8 @@ func (t *Tracer) Dropped() int64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.total <= int64(len(t.ring)) {
+	if t.total <= int64(t.capacity) {
 		return 0
 	}
-	return t.total - int64(len(t.ring))
+	return t.total - int64(t.capacity)
 }

@@ -304,47 +304,68 @@ func TestRouterUnknownModule(t *testing.T) {
 	}
 }
 
-// TestRouterRequestAllocsTelemetryParity pins what observing a router costs
-// a request: nothing. Submit → flush → admission → completion on a warm pool
-// allocates the same with the router's telemetry wired as without, because
-// the per-module series it exports are read from the shard's DispatcherStats
-// when someone scrapes — no per-request wrapper re-derives the outcome class.
-// (The dispatcher is left unobserved: its spans are the tracer's cost, and
-// they keep their attributes.)
-func TestRouterRequestAllocsTelemetryParity(t *testing.T) {
-	measure := func(tele *obs.Telemetry) float64 {
-		eng := des.NewEngine()
-		pool := newTestPool(t, engine.WAMR, Config{Size: 1})
-		d := NewDispatcher(eng, pool, DispatcherConfig{MaxConcurrency: 1, Export: "handle", Arg: 64})
-		r := NewRouter(eng, RouterConfig{})
-		r.SetObserver(tele)
-		if err := r.Register("key", "request-handler", d); err != nil {
+// warmRequestAllocs is the allocations of one warm request-handler request
+// (submit → flush → admission → completion) through a router whose telemetry
+// is routerTele and a dispatcher whose telemetry is dispatcherTele.
+func warmRequestAllocs(t *testing.T, routerTele, dispatcherTele *obs.Telemetry) float64 {
+	t.Helper()
+	eng := des.NewEngine()
+	pool := newTestPool(t, engine.WAMR, Config{Size: 1})
+	d := NewDispatcher(eng, pool, DispatcherConfig{MaxConcurrency: 1, Export: "handle", Arg: 64})
+	d.SetObserver(dispatcherTele)
+	r := NewRouter(eng, RouterConfig{})
+	r.SetObserver(routerTele)
+	if err := r.Register("key", "request-handler", d); err != nil {
+		t.Fatal(err)
+	}
+	completed := 0
+	done := func(res RequestResult) {
+		if res.Err == nil {
+			completed++
+		}
+	}
+	request := func() {
+		if err := r.Submit("key", 0, done); err != nil {
 			t.Fatal(err)
 		}
-		completed := 0
-		done := func(res RequestResult) {
-			if res.Err == nil {
-				completed++
-			}
-		}
-		request := func() {
-			if err := r.Submit("key", 0, done); err != nil {
-				t.Fatal(err)
-			}
-			eng.Run()
-		}
-		for i := 0; i < 16; i++ { // past the hotness tier-up
-			request()
-		}
-		allocs := testing.AllocsPerRun(200, request)
-		if st := pool.Stats(); completed != 16+1+200 || st.ColdStarts != 0 {
-			t.Fatalf("completed %d requests with %d cold starts, want 217 warm ones", completed, st.ColdStarts)
-		}
-		return allocs
+		eng.Run()
 	}
-	off := measure(nil)
-	on := measure(obs.New(obs.Config{}))
+	for i := 0; i < 16; i++ { // past the hotness tier-up
+		request()
+	}
+	allocs := testing.AllocsPerRun(200, request)
+	if st := pool.Stats(); completed != 16+1+200 || st.ColdStarts != 0 {
+		t.Fatalf("completed %d requests with %d cold starts, want 217 warm ones", completed, st.ColdStarts)
+	}
+	return allocs
+}
+
+// TestRouterRequestAllocsTelemetryParity pins what observing a router costs
+// a request: nothing. A warm request allocates the same with the router's
+// telemetry wired as without, because the per-module series it exports are
+// read from the shard's DispatcherStats when someone scrapes — no
+// per-request wrapper re-derives the outcome class.
+func TestRouterRequestAllocsTelemetryParity(t *testing.T) {
+	off := warmRequestAllocs(t, nil, nil)
+	on := warmRequestAllocs(t, obs.New(obs.Config{}), nil)
 	if on != off {
 		t.Fatalf("%.0f allocs per request with telemetry, %.0f without", on, off)
+	}
+}
+
+// TestDispatcherRequestAllocsTelemetryParity is its companion for the
+// dispatcher and pool: with a live tracer (no tail sampling) a warm request
+// emits its acquire, invoke and reset spans and still allocates exactly what
+// an unobserved one does — span attributes are copied into the tracer's
+// ring, never retained.
+func TestDispatcherRequestAllocsTelemetryParity(t *testing.T) {
+	off := warmRequestAllocs(t, nil, nil)
+	tele := obs.New(obs.Config{})
+	on := warmRequestAllocs(t, nil, tele)
+	if on != off {
+		t.Fatalf("%.0f allocs per request through an observed dispatcher, %.0f unobserved", on, off)
+	}
+	if n := len(tele.Tracer().Spans()); n < 3*200 {
+		t.Fatalf("observed dispatcher recorded %d spans, want its request spans", n)
 	}
 }
