@@ -61,11 +61,14 @@ obs-overhead:
 
 # Fuzz smoke: ten seconds of the copy-on-write memory oracle (random write /
 # grow / bulk-op / reset programs over two memories sharing one image, against
-# a full-copy model, through the Memory API and guest code at both tiers). A
-# failing input lands in internal/wasm/exec/testdata/fuzz/ and then fails
+# a full-copy model, through the Memory API and guest code at both tiers), then
+# five seconds of the gateway's HTTP surface (any method, path and body gets a
+# JSON error envelope for every status >= 400, and a 5xx only with a MapError
+# code). A failing input lands in the package's testdata/fuzz/ and then fails
 # plain `go test` until fixed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMemoryCoW -fuzztime 10s ./internal/wasm/exec
+	$(GO) test -run '^$$' -fuzz FuzzGatewayRequest -fuzztime 5s ./internal/gateway
 
 # Chaos smoke: run the full fault-injection ablation grid once. Each cell
 # verifies the admission identity (Submitted == Completed+Rejected+Expired+
@@ -90,10 +93,13 @@ tiers-smoke:
 #   TestLazyFunctionCreation: lazy function creation over HTTP (modules
 #     created on first request), per-module labeled router metrics on
 #     /metrics, router stats on /v1/cluster.
-#   TestSLOBurnRateOverHTTP: the alert lifecycle at dilation 0 — healthy
-#     traffic stays silent, a 100% trap-rate fault burst fires the
-#     availability page (visible over /v1/slo, /v1/cluster and /metrics),
-#     recovery clears it.
+#   TestTimeSeriesCountsFaultBurst: 40 healthy requests then a 100% trap-rate
+#     burst of 40 at dilation 0 — the per-window dispatch_* deltas on
+#     /v1/timeseries sum to 80 submitted and 40 failed, /metrics reports the
+#     same totals, and tsdb_windows_total counts the published windows.
+#   TestUnmatchedRoutesUseEnvelope: an unknown path (the retired /v1/slo
+#     among them) is a 404 unknown_route envelope, a wrong method a 405
+#     method_not_allowed envelope with Allow.
 #   TestNodeFailover: three simulated nodes at dilation 0 — kill the node the
 #     function is placed on via POST /v1/cluster/nodes/{node}/fail, assert the
 #     charge re-homed to a survivor and invokes keep returning 200; then the
@@ -107,7 +113,7 @@ tiers-smoke:
 #   TestRouterRequestAllocsTelemetryParity: a request through an observed
 #     router allocates what one through an unobserved router does.
 http-smoke:
-	$(GO) test -count=1 -run 'TestServeUntilSignal$$|TestLazyFunctionCreation$$|TestSLOBurnRateOverHTTP$$|TestNodeFailover$$|TestMetricsSumOverFunctions$$|TestRouterRequestAllocsTelemetryParity$$' \
+	$(GO) test -count=1 -run 'TestServeUntilSignal$$|TestLazyFunctionCreation$$|TestTimeSeriesCountsFaultBurst$$|TestUnmatchedRoutesUseEnvelope$$|TestNodeFailover$$|TestMetricsSumOverFunctions$$|TestRouterRequestAllocsTelemetryParity$$' \
 		./cmd/continuumd ./internal/gateway ./internal/serve
 
 # Byte-stability gate for the pure-virtual-clock experiments: regenerate them
@@ -119,7 +125,7 @@ http-smoke:
 PAPER_EXPERIMENTS = table1 table2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 \
 	ablation-dynload ablation-shim ablation-mode ablation-density \
 	ablation-multitenant startup-distribution
-SERVING_EXPERIMENTS = faults cluster slo tiers
+SERVING_EXPERIMENTS = faults cluster tiers
 RESULTS_CHECK_FILES = serve.txt $(foreach e,$(PAPER_EXPERIMENTS) $(SERVING_EXPERIMENTS),$(e).txt $(e).csv $(e).json)
 results-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \

@@ -10,7 +10,6 @@
 //	continuumd -addr :9000 -dilation 0      # as-fast-as-possible virtual time
 //	continuumd -modules request-handler,cpu-bound -pool 8
 //	continuumd -lazy                        # create functions on first request
-//	continuumd -slo -slo-window 5m          # burn-rate alerting over 1s sample windows
 //	continuumd -log-format json             # structured access log (one JSON object per request)
 //	continuumd -debug-addr 127.0.0.1:6060   # pprof + Go runtime gauges in /metrics
 //
@@ -21,11 +20,10 @@
 //	POST /v1/containers/{id}/start  drive the pod to Running
 //	GET  /v1/containers/json        list (?all=1 includes non-running)
 //	GET  /v1/containers/{id}/stats  cgroup memory via the metrics-server
-//	GET  /v1/cluster                node/pool/dispatcher introspection (+ SLO state)
+//	GET  /v1/cluster                node/pool/dispatcher introspection
 //	GET  /metrics                   live Prometheus exposition
 //	GET  /v1/trace                  Chrome trace-event JSON of the span ring
 //	GET  /v1/timeseries             retained metric windows (counters, gauges, histograms)
-//	GET  /v1/slo                    burn-rate engine state: budgets and alerts
 //	GET  /healthz                   liveness; 503 while draining
 //
 // SIGTERM/SIGINT starts a graceful drain: new work is refused with 503,
@@ -74,11 +72,6 @@ func main() {
 		logFormat    = flag.String("log-format", "text", "access log format: text or json")
 		sampleInt    = flag.Duration("sample-interval", time.Second, "simulated window length for /v1/timeseries (0 = sampling off)")
 		sampleCap    = flag.Int("sample-capacity", 0, "retained time-series windows (0 = default)")
-		sloOn        = flag.Bool("slo", false, "enable the burn-rate SLO engine over the sampled series")
-		sloTarget    = flag.Float64("slo-target", 0.999, "availability SLO target")
-		sloLatTgt    = flag.Float64("slo-latency-target", 0.99, "latency SLO target")
-		sloLatThresh = flag.Duration("slo-latency-threshold", 250*time.Millisecond, "simulated latency counted against the latency SLO")
-		sloWindow    = flag.Duration("slo-window", time.Hour, "base alerting window (the page rule's long window, in simulated time)")
 		tailSample   = flag.Bool("tail-sample", false, "tail-based trace sampling: keep span trees only for errors, breaker trips, and latency outliers")
 		tailLatency  = flag.Duration("tail-latency", 0, "simulated latency above which a healthy trace is still kept (0 = errors/breaker only)")
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof and sample Go runtime gauges on this address (empty = off)")
@@ -94,10 +87,6 @@ func main() {
 	}
 	if *accessLog {
 		cfg.AccessLog = os.Stderr
-	}
-	if *sloOn {
-		cfg.SLOObjectives = gateway.DefaultSLOObjectives(*sloTarget, *sloLatTgt, *sloLatThresh)
-		cfg.SLOBaseWindow = *sloWindow
 	}
 	if *tailSample {
 		cfg.TailSampling = &obs.TailConfig{LatencyThreshold: *tailLatency}

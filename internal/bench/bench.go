@@ -12,14 +12,14 @@ import (
 
 	"wasmcontainers/internal/k8s"
 	"wasmcontainers/internal/obs"
-	"wasmcontainers/internal/obs/tsdb"
 	"wasmcontainers/internal/simos"
 )
 
 // TableSchemaVersion identifies the JSON layout of Table. Bump it when
 // renaming or removing fields so downstream consumers of results/<id>.json
-// can detect incompatible output. v3 added the `timeseries` rollup block:
-// consumers at v3 may rely on sampling experiments populating it.
+// can detect incompatible output. v3 added an omitempty `timeseries` key. The
+// key is retired; only the removed slo experiment ever wrote it, so the
+// version stays 3.
 const TableSchemaVersion = 3
 
 // WasmImage and PythonImage are the benchmark images (the paper's minimal
@@ -104,10 +104,6 @@ type Table struct {
 	// Telemetry is the metrics snapshot of the run that produced the table,
 	// attached by cmd/continuum when -telemetry is set; omitted otherwise.
 	Telemetry *obs.Snapshot `json:"telemetry,omitempty"`
-	// TimeSeries is the windowed-metrics rollup (counter rates, gauge
-	// ranges, p99-over-time) of the run that produced the table, attached by
-	// experiments that sample a tsdb; omitted otherwise.
-	TimeSeries *tsdb.Summary `json:"timeseries,omitempty"`
 }
 
 // Format renders the table as aligned text.

@@ -43,7 +43,6 @@ func Experiments() []Experiment {
 		{ID: "faults", Description: "Ablation: fault injection x resilience policy (retries, breaker, pressure)", Run: AblationFaults},
 		{ID: "tiers", Description: "Ablation: execution tiers (tier0-only vs hotness tier-up vs eager tier-1)", Run: AblationTiers},
 		{ID: "shard", Description: "Ablation: sharded dispatch + request batching vs single-queue baseline (64 modules, zipf)", Run: AblationShard},
-		{ID: "slo", Description: "Ablation: SLO burn-rate alerting under a mid-run fault onset (baseline silent, page fires in-window)", Run: AblationSLO},
 		{ID: "cluster", Description: "Ablation: cluster routing, 1-8 nodes x locality vs spread placement, plus node-death failover", Run: AblationCluster},
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -155,18 +154,7 @@ func TestMetricsSumOverFunctions(t *testing.T) {
 	}
 
 	_, body := get(t, client, ts.URL+"/metrics")
-	got, kind := map[string]int64{}, map[string]string{}
-	for _, line := range strings.Split(string(body), "\n") {
-		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
-			kind[f[2]] = f[3]
-		} else if len(f) == 2 {
-			v, err := strconv.ParseInt(f[1], 10, 64)
-			if err != nil {
-				t.Fatalf("unparsable sample %q", line)
-			}
-			got[f[0]] = v
-		}
-	}
+	got, kind := promSamples(t, body)
 	for name, v := range want {
 		if g, ok := got[name]; !ok || g != v {
 			t.Errorf("/metrics %s = %d (present %v), components sum to %d", name, g, ok, v)

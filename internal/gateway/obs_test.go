@@ -8,13 +8,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"wasmcontainers/internal/des"
 	"wasmcontainers/internal/faults"
 	"wasmcontainers/internal/obs"
-	"wasmcontainers/internal/obs/slo"
 )
 
 // get fetches url and returns the response and full body.
@@ -361,21 +362,19 @@ func TestAccessLogFormats(t *testing.T) {
 	})
 }
 
-// TestSLOBurnRateOverHTTP walks the alert lifecycle over HTTP: healthy
-// traffic stays silent, an all-bad burst fires the page alert — visible on
-// every surface: /v1/slo, /v1/cluster, and /metrics — and recovery clears it.
-func TestSLOBurnRateOverHTTP(t *testing.T) {
+// TestTimeSeriesCountsFaultBurst checks the surface an availability target
+// is read from: 40 healthy requests, then 40 under a 100% trap-rate fault.
+// The per-window dispatch_* deltas on /v1/timeseries must add up to exactly
+// the requests served and failed, /metrics must report the same totals, and
+// tsdb_windows_total must count the windows /v1/timeseries says it published.
+func TestTimeSeriesCountsFaultBurst(t *testing.T) {
 	fc := DefaultFunction()
 	fc.MaxRetries = 0
 	gw, err := New(Config{
 		Functions:      []FunctionConfig{fc},
 		Bridge:         BridgeConfig{Dilation: 0},
 		SampleInterval: time.Millisecond,
-		SLOObjectives:  DefaultSLOObjectives(0.99, 0.95, 50*time.Millisecond),
-		// Each request burns a few ms of sim time; the base window must keep
-		// the short window (base/12) wide enough to always hold bad events
-		// under sustained failure, or the alert flaps.
-		SLOBaseWindow: 100 * time.Millisecond,
+		SampleCapacity: 1 << 14, // every window of the run stays retained
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -391,10 +390,9 @@ func TestSLOBurnRateOverHTTP(t *testing.T) {
 	fn, _ := gw.Function("request-handler")
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	// The injector is engine state, so arming it hops onto the bridge loop.
-	setFaults := func(in *faults.Injector) {
+	onLoop := func(f func()) {
 		t.Helper()
-		if err := gw.Bridge().Do(ctx, func() { fn.Engine().SetFaultInjector(in) }); err != nil {
+		if err := gw.Bridge().Do(ctx, f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -408,84 +406,84 @@ func TestSLOBurnRateOverHTTP(t *testing.T) {
 		}
 	}
 
-	// Healthy traffic stays silent: nothing firing, no alert ever transitioned.
 	invokeN(40, http.StatusOK)
-	for _, o := range gw.SLO().Status().Objectives {
-		for _, a := range o.Alerts {
-			if a.Firing || a.Transitions != 0 {
-				t.Fatalf("healthy traffic raised %s/%s: %+v", o.Name, a.Severity, a)
-			}
-		}
-	}
-
-	setFaults(faults.New(faults.Config{Seed: 3, TrapRate: 1}))
+	// The injector is engine state, so arming it hops onto the bridge loop.
+	onLoop(func() { fn.Engine().SetFaultInjector(faults.New(faults.Config{Seed: 3, TrapRate: 1})) })
 	invokeN(40, http.StatusInternalServerError)
+	// An empty event on the next boundary makes the loop sample past the
+	// last request, closing the window that holds it; the second Do returns
+	// once the loop has stepped it.
+	onLoop(func() {
+		interval := gw.db.Interval()
+		gw.sim.At(des.Time((int64(gw.sim.Now())/interval+1)*interval), func() {})
+	})
+	onLoop(func() {})
 
-	resp, body := get(t, client, ts.URL+"/v1/slo")
+	resp, body := get(t, client, ts.URL+"/v1/timeseries")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/slo status %d: %s", resp.StatusCode, body)
+		t.Fatalf("/v1/timeseries status %d: %s", resp.StatusCode, body)
 	}
-	var st slo.Status
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatalf("decode slo status: %v", err)
+	var tr TimeSeriesResponse
+	if err := json.Unmarshal(body, &tr); err != nil {
+		t.Fatalf("decode timeseries: %v", err)
 	}
-	if st.EvaluatedWindows == 0 {
-		t.Fatalf("no windows evaluated: %s", body)
+	if tr.Stats.Skipped != 0 || int64(len(tr.Windows)) != tr.Stats.Published {
+		t.Fatalf("windows not all retained: %d served, stats %+v", len(tr.Windows), tr.Stats)
 	}
-	var pageFiring bool
-	for _, o := range st.Objectives {
-		if o.Name != "availability" {
-			continue
-		}
-		if o.BudgetRemaining != 0 {
-			t.Fatalf("all-bad traffic left budget %v", o.BudgetRemaining)
-		}
-		for _, a := range o.Alerts {
-			if a.Severity == slo.Page && a.Firing {
-				pageFiring = true
-			}
+	deltas := map[string]int64{}
+	for _, w := range tr.Windows {
+		for _, c := range w.Counters {
+			deltas[c.Name] += c.Delta
 		}
 	}
-	if !pageFiring {
-		t.Fatalf("page alert not firing under 100%% errors: %s", body)
+	if deltas["dispatch_submitted_total"] != 80 || deltas["dispatch_failed_total"] != 40 ||
+		deltas["dispatch_completed_total"] != 40 {
+		t.Fatalf("window deltas submitted=%d completed=%d failed=%d, want 80/40/40",
+			deltas["dispatch_submitted_total"], deltas["dispatch_completed_total"], deltas["dispatch_failed_total"])
 	}
 
-	// The cluster introspection mirrors the same state.
-	if _, body := get(t, client, ts.URL+"/v1/cluster"); !bytes.Contains(body, []byte(`"slo"`)) {
-		t.Fatalf("/v1/cluster lacks slo state: %s", body)
-	}
-	// And the burn-rate gauge reaches the Prometheus exposition.
-	if _, body := get(t, client, ts.URL+"/metrics"); !bytes.Contains(body, []byte("slo_burn_rate_milli")) {
-		t.Fatalf("/metrics lacks slo_burn_rate_milli:\n%s", body)
-	}
-
-	// Recovery clears the page once the short burn window goes clean.
-	setFaults(nil)
-	for i := 0; gw.SLO().Firing(slo.Page); i++ {
-		if i == 30 {
-			t.Fatalf("page alert never cleared after recovery: %+v", gw.SLO().Status())
+	_, body = get(t, client, ts.URL+"/metrics")
+	got, _ := promSamples(t, body)
+	for _, name := range []string{"dispatch_submitted_total", "dispatch_failed_total", "dispatch_completed_total"} {
+		if got[name] != deltas[name] {
+			t.Errorf("/metrics %s = %d, windows sum to %d", name, got[name], deltas[name])
 		}
-		invokeN(10, http.StatusOK)
+	}
+	if got["tsdb_windows_total"] != tr.Stats.Published {
+		t.Errorf("/metrics tsdb_windows_total = %d, /v1/timeseries published %d",
+			got["tsdb_windows_total"], tr.Stats.Published)
 	}
 }
 
+// promSamples parses a Prometheus text exposition into sample values and
+// the declared TYPE of each family.
+func promSamples(t *testing.T, body []byte) (values map[string]int64, kinds map[string]string) {
+	t.Helper()
+	values, kinds = map[string]int64{}, map[string]string{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			kinds[f[2]] = f[3]
+		} else if len(f) == 2 {
+			v, err := strconv.ParseInt(f[1], 10, 64)
+			if err != nil {
+				t.Fatalf("unparsable sample %q", line)
+			}
+			values[f[0]] = v
+		}
+	}
+	return values, kinds
+}
+
 // TestObservabilityEndpointsDisabled pins the zero-config behaviour: without
-// SampleInterval the new surfaces 404 with stable error codes.
+// SampleInterval /v1/timeseries 404s with a stable error code. Paths no route
+// serves are TestUnmatchedRoutesUseEnvelope's.
 func TestObservabilityEndpointsDisabled(t *testing.T) {
 	_, ts := newTestGateway(t, DefaultFunction())
-	client := ts.Client()
-	for _, path := range []string{"/v1/timeseries", "/v1/slo"} {
-		resp, body := get(t, client, ts.URL+path)
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("%s status %d, want 404: %s", path, resp.StatusCode, body)
-		}
-		var e struct {
-			Error struct {
-				Code string `json:"code"`
-			} `json:"error"`
-		}
-		if err := json.Unmarshal(body, &e); err != nil || e.Error.Code == "" {
-			t.Fatalf("%s error envelope: %v: %s", path, err, body)
-		}
+	resp, body := get(t, ts.Client(), ts.URL+"/v1/timeseries")
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/v1/timeseries status %d, want 404: %s", resp.StatusCode, body)
+	}
+	if e := decodeEnvelope(t, resp, body); e.Code != "timeseries_disabled" {
+		t.Fatalf("/v1/timeseries error code %q, want timeseries_disabled: %s", e.Code, body)
 	}
 }

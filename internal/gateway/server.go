@@ -20,7 +20,6 @@ import (
 	"wasmcontainers/internal/engine"
 	"wasmcontainers/internal/k8s"
 	"wasmcontainers/internal/obs"
-	"wasmcontainers/internal/obs/slo"
 	"wasmcontainers/internal/obs/tsdb"
 	"wasmcontainers/internal/serve"
 	"wasmcontainers/internal/wasm/cache"
@@ -86,13 +85,6 @@ type Config struct {
 	SampleInterval time.Duration
 	// SampleCapacity bounds retained windows; 0 means tsdb.DefaultCapacity.
 	SampleCapacity int
-	// SLOObjectives enables the burn-rate engine over the sampled series
-	// (requires SampleInterval > 0). nil disables; DefaultSLOObjectives gives
-	// the standard availability + p99-latency pair.
-	SLOObjectives []slo.Objective
-	// SLOBaseWindow scales slo.DefaultRules for objectives that declare no
-	// rules; 0 means 1 hour.
-	SLOBaseWindow time.Duration
 	// TailSampling, when non-nil, keeps full span trees only for interesting
 	// requests (error, breaker trip, latency past the threshold) under the
 	// configured memory bound.
@@ -111,26 +103,6 @@ func DefaultFunction() FunctionConfig {
 		MaxConcurrency: 4,
 		QueueDepth:     64,
 		QueueDeadline:  time.Second,
-	}
-}
-
-// DefaultSLOObjectives declares the standard pair over the aggregate
-// dispatcher series: availability (bad = failed + rejected + expired against
-// submitted, per the conservation identity) at `target`, and latency (invoke
-// samples over `latencyThreshold`) at `latencyTarget`.
-func DefaultSLOObjectives(target, latencyTarget float64, latencyThreshold time.Duration) []slo.Objective {
-	return []slo.Objective{
-		{
-			Name: "availability", Kind: slo.Availability, Target: target,
-			BadSeries: []string{
-				"dispatch_failed_total", "dispatch_rejected_total", "dispatch_expired_total",
-			},
-			TotalSeries: "dispatch_submitted_total",
-		},
-		{
-			Name: "latency", Kind: slo.Latency, Target: latencyTarget,
-			LatencySeries: "dispatch_latency_ns", LatencyThreshold: latencyThreshold,
-		},
 	}
 }
 
@@ -196,16 +168,14 @@ type Server struct {
 	draining atomic.Bool
 	started  time.Time
 
-	// db and sloEng are nil when sampling / SLOs are disabled; their methods
-	// no-op on nil receivers so the hot path needs no branches.
-	db     *tsdb.DB
-	sloEng *slo.Engine
+	// db is nil when sampling is disabled; its methods no-op on a nil
+	// receiver so the hot path needs no branches.
+	db *tsdb.DB
 
 	obsHTTPReqs   *obs.Counter
 	obsHTTPErrs   *obs.Counter
 	obsWallNs     *obs.Histogram
 	obsBridgeBusy *obs.Counter
-	obsWindows    *obs.Counter
 }
 
 // New builds a gateway: simulated cluster, one cluster.Replica per function
@@ -237,34 +207,15 @@ func New(cfg Config) (*Server, error) {
 	}
 	obs.StampBuildInfo(tele.Metrics())
 
-	// Windowed sampling + SLO engine: the tsdb closes windows as the bridge
-	// loop advances virtual time; the SLO engine evaluates inside the same
-	// OnWindow hook, so alert transitions land at deterministic sim times.
+	// Windowed sampling: the tsdb closes windows as the bridge loop advances
+	// virtual time, so window edges land at deterministic sim times.
 	var db *tsdb.DB
-	var sloEng *slo.Engine
-	obsWindows := tele.Counter("tsdb_windows_total")
 	if cfg.SampleInterval > 0 {
-		var hook func(*tsdb.Window)
 		db = tsdb.New(tele, tsdb.Config{
 			Interval: cfg.SampleInterval,
 			Capacity: cfg.SampleCapacity,
-			OnWindow: func(w *tsdb.Window) {
-				obsWindows.Inc()
-				if hook != nil {
-					hook(w)
-				}
-			},
 		})
 		trackDefaultSeries(db, tele)
-		if len(cfg.SLOObjectives) > 0 {
-			sloEng = slo.New(slo.Config{
-				DB:         db,
-				Objectives: cfg.SLOObjectives,
-				BaseWindow: cfg.SLOBaseWindow,
-				Telemetry:  tele,
-			})
-			hook = sloEng.Evaluate
-		}
 		cfg.Bridge.Sampler = db.Advance
 		if cfg.Bridge.SamplerTick <= 0 && cfg.Bridge.Dilation > 0 {
 			cfg.Bridge.SamplerTick = time.Duration(float64(cfg.SampleInterval) * cfg.Bridge.Dilation)
@@ -283,15 +234,17 @@ func New(cfg Config) (*Server, error) {
 		engines:    map[string]*engine.Engine{},
 		started:    time.Now(),
 		db:         db,
-		sloEng:     sloEng,
 
 		obsHTTPReqs:   tele.Counter("gateway_http_requests_total"),
 		obsHTTPErrs:   tele.Counter("gateway_http_errors_total"),
 		obsWallNs:     tele.Histogram("gateway_wall_latency_ns"),
 		obsBridgeBusy: tele.Counter("gateway_bridge_busy_total"),
-		obsWindows:    obsWindows,
 	}
 	s.router.SetObserver(tele)
+	// The sampler's own count is its Stats (0 with sampling off).
+	tele.Metrics().SetSource(s, func(counter, _ func(string, int64)) {
+		counter("tsdb_windows_total", db.Stats().Published)
+	})
 	empty := map[string]*Function{}
 	s.fns.Store(&empty)
 	if cfg.AccessLog != nil {
@@ -312,8 +265,7 @@ func New(cfg Config) (*Server, error) {
 
 // trackDefaultSeries registers the aggregate serving series with the tsdb.
 // The unlabeled dispatch_* series are sums over every function's dispatcher
-// (same-name emissions add), so these windows describe the whole gateway —
-// which is also what the default SLO objectives consume.
+// (same-name emissions add), so these windows describe the whole gateway.
 func trackDefaultSeries(db *tsdb.DB, tele *obs.Telemetry) {
 	for _, name := range []string{
 		"dispatch_submitted_total", "dispatch_completed_total",
@@ -471,9 +423,6 @@ func (s *Server) Router() *serve.Router { return s.router }
 // TimeSeries exposes the windowed metrics store (nil when sampling is off).
 func (s *Server) TimeSeries() *tsdb.DB { return s.db }
 
-// SLO exposes the burn-rate engine (nil when disabled).
-func (s *Server) SLO() *slo.Engine { return s.sloEng }
-
 // Shutdown drains the gateway: the health check flips to draining, every
 // dispatcher refuses new work with ErrDraining, the bridge flushes accepted
 // submissions to their final results, and the loop stops. In-flight
@@ -499,8 +448,38 @@ func (s *Server) routes() {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/trace", s.handleTrace)
 	mux.HandleFunc("GET /v1/timeseries", s.handleTimeSeries)
-	mux.HandleFunc("GET /v1/slo", s.handleSLO)
+	// Every other route is more specific than "/", so this one only sees
+	// requests no route above takes.
+	mux.HandleFunc("/", s.handleUnmatched)
 	s.mux = mux
+}
+
+// probeMethods are the methods handleUnmatched tries against the other routes
+// to fill a 405's Allow header.
+var probeMethods = []string{
+	http.MethodDelete, http.MethodGet, http.MethodOptions, http.MethodPatch,
+	http.MethodPost, http.MethodPut, http.MethodTrace,
+}
+
+// handleUnmatched answers in the JSON envelope where net/http would answer in
+// plain text: 405 method_not_allowed, with the Allow header, when the path is
+// a route under other methods, and 404 unknown_route otherwise.
+func (s *Server) handleUnmatched(w http.ResponseWriter, r *http.Request) {
+	var allow []string
+	for _, m := range probeMethods {
+		probe := &http.Request{Method: m, Host: r.Host, URL: r.URL}
+		if _, pattern := s.mux.Handler(probe); pattern != "/" {
+			allow = append(allow, m)
+		}
+	}
+	if len(allow) == 0 {
+		writeError(w, ErrorMapping{http.StatusNotFound, "unknown_route", 0},
+			fmt.Errorf("gateway: no route for %s %s", r.Method, r.URL.Path))
+		return
+	}
+	w.Header().Set("Allow", strings.Join(allow, ", "))
+	writeError(w, ErrorMapping{http.StatusMethodNotAllowed, "method_not_allowed", 0},
+		fmt.Errorf("gateway: %s %s not allowed (allow: %s)", r.Method, r.URL.Path, strings.Join(allow, ", ")))
 }
 
 // invokeRecord is the per-request facts of one invoke, filled by handleInvoke
@@ -796,17 +775,6 @@ func (s *Server) handleTimeSeries(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleSLO serves the burn-rate engine state: objectives, budgets, and
-// alert states with their long/short window burns.
-func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	if s.sloEng == nil {
-		writeError(w, ErrorMapping{http.StatusNotFound, "slo_disabled", 0},
-			errors.New("gateway: SLO engine disabled (set SampleInterval and SLOObjectives)"))
-		return
-	}
-	writeJSON(w, http.StatusOK, s.sloEng.Status())
-}
-
 // NodeStatus is one node of GET /v1/cluster.
 type NodeStatus struct {
 	Name            string `json:"name"`
@@ -851,8 +819,6 @@ type ClusterStatus struct {
 	Functions  []FunctionStatus `json:"functions"`
 	Router     RouterStatus     `json:"router"`
 	Containers int              `json:"containers"`
-	// SLO carries live burn-rate state when the SLO engine is enabled.
-	SLO *slo.Status `json:"slo,omitempty"`
 }
 
 // handleCluster is the introspection surface: node memory from the
@@ -915,10 +881,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sort.Slice(st.Functions, func(i, j int) bool { return st.Functions[i].Module < st.Functions[j].Module })
-	if s.sloEng != nil {
-		sloStatus := s.sloEng.Status()
-		st.SLO = &sloStatus
-	}
 	writeJSON(w, http.StatusOK, st)
 }
 

@@ -41,10 +41,6 @@ var helpText = map[string]string{
 	"router_batches_total":            "Coalesced submission batches flushed.",
 	"router_batched_requests_total":   "Requests admitted through coalesced batches.",
 	"router_shards":                   "Registered module shards.",
-	"slo_burn_rate_milli":             "Long-window error-budget burn rate x1000 per objective.",
-	"slo_alert_firing":                "1 while the objective's alert at this severity fires.",
-	"slo_alert_transitions_total":     "Alert state transitions (fire + clear).",
-	"slo_budget_remaining_milli":      "Error budget remaining x1000 per objective.",
 	"trace_tail_kept_tracks_total":    "Request trace tracks committed by the tail sampler.",
 	"trace_tail_sampled_out_total":    "Healthy request trace tracks dropped at finish.",
 	"trace_tail_evicted_tracks_total": "Pending trace tracks evicted under the memory bound.",

@@ -23,8 +23,8 @@
 // metric sources, so the sampling goroutine must not hold a component lock a
 // source takes — then publishes the completed, immutable Window through an
 // atomic pointer ring.
-// Readers (HTTP handlers, the SLO engine, bench summaries) never block the
-// sampler and never see a torn window. A nil *DB is the disabled state: every
+// Readers (HTTP handlers, the autoscaler) never block the sampler and never
+// see a torn window. A nil *DB is the disabled state: every
 // method no-ops at zero cost, enforced by the obs-overhead benchmark gate.
 package tsdb
 
@@ -52,10 +52,6 @@ type Config struct {
 	// Start is the left edge of the first window (default 0, simulation
 	// start).
 	Start int64
-	// OnWindow, when set, runs synchronously on the sampling goroutine after
-	// each closed window publishes. The SLO engine evaluates its alert rules
-	// here.
-	OnWindow func(w *Window)
 }
 
 // CounterWindow is one counter's contribution to a window.
@@ -148,7 +144,6 @@ type DB struct {
 	reg      *obs.Registry
 	interval int64
 	capacity int
-	onWindow func(*Window)
 
 	regMu  sync.Mutex                // serializes registration only
 	series atomic.Pointer[seriesSet] // current registration snapshot
@@ -176,7 +171,6 @@ func New(t *obs.Telemetry, cfg Config) *DB {
 		reg:      t.Metrics(),
 		interval: int64(cfg.Interval),
 		capacity: cap,
-		onWindow: cfg.OnWindow,
 		ring:     make([]atomic.Pointer[Window], cap),
 	}
 	db.series.Store(&seriesSet{})
@@ -323,9 +317,6 @@ func (db *DB) closeWindow(end int64) {
 	}
 	db.ring[int(db.head.Load())%db.capacity].Store(w)
 	db.head.Add(1)
-	if db.onWindow != nil {
-		db.onWindow(w)
-	}
 }
 
 // ArmDES schedules a self-rearming event chain on eng that calls Advance at
@@ -380,19 +371,6 @@ func (db *DB) Windows(max int) []*Window {
 		out[i], out[j] = out[j], out[i]
 	}
 	return out
-}
-
-// Last returns the most recently closed window (nil before the first close
-// or when disabled).
-func (db *DB) Last() *Window {
-	if db == nil {
-		return nil
-	}
-	h := db.head.Load()
-	if h == 0 {
-		return nil
-	}
-	return db.ring[int(h-1)%db.capacity].Load()
 }
 
 // lookback selects the retained windows whose [Start, End) intersects the

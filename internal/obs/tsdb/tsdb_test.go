@@ -29,7 +29,7 @@ func TestDisabledNilDB(t *testing.T) {
 	db.TrackHistogram("h", nil)
 	db.Advance(1e9)
 	db.ArmDES(des.NewEngine(), 1e9)
-	if db.Windows(0) != nil || db.Last() != nil || db.Summary() != nil {
+	if db.Windows(0) != nil || db.Windows(1) != nil {
 		t.Fatal("nil DB reads must be zero values")
 	}
 	if db.QuantileOver("h", 0.99, 0) != 0 {
@@ -140,8 +140,8 @@ func TestRingEvictionAndWindowsMax(t *testing.T) {
 	if got := db.Windows(2); len(got) != 2 || got[1].Seq != 9 {
 		t.Fatalf("Windows(2) = %+v", got)
 	}
-	if db.Last().Seq != 9 {
-		t.Fatalf("Last().Seq = %d", db.Last().Seq)
+	if got := db.Windows(1); len(got) != 1 || got[0].Seq != 9 {
+		t.Fatalf("Windows(1) = %+v", got)
 	}
 }
 
@@ -155,7 +155,7 @@ func TestIdleGapFastForward(t *testing.T) {
 	if st.Skipped != 992 {
 		t.Fatalf("skipped = %d, want 992", st.Skipped)
 	}
-	last := db.Last()
+	last := db.Windows(1)[0]
 	if last.End != 100*1000 {
 		t.Fatalf("last window ends at %d, want 100000", last.End)
 	}
@@ -214,54 +214,12 @@ func TestLateRegistrationJoinsNextWindow(t *testing.T) {
 	db.TrackCounter("late_total")
 	c.Add(2)
 	db.Advance(200)
-	last := db.Last()
+	last := db.Windows(1)[0]
 	if len(last.Counters) != 1 || last.Counters[0].Delta != 2 || last.Counters[0].Total != 6 {
 		t.Fatalf("late series window = %+v", last.Counters)
 	}
 	if first := db.Windows(0)[0]; len(first.Counters) != 0 {
 		t.Fatalf("pre-registration window must have no series, got %+v", first.Counters)
-	}
-}
-
-func TestSummary(t *testing.T) {
-	db, tele := newTestDB(t, Config{Interval: time.Second})
-	c := tele.Counter("reqs_total")
-	g := tele.Gauge("depth")
-	h := tele.Histogram("lat")
-	db.TrackCounter("reqs_total")
-	db.TrackGauge("depth")
-	db.TrackHistogram("lat", h)
-	if db.Summary() != nil {
-		t.Fatal("summary before any window must be nil")
-	}
-	c.Add(10)
-	g.Set(3)
-	h.Record(100)
-	db.Advance(1e9)
-	c.Add(30)
-	g.Set(9)
-	h.Record(200)
-	h.Record(300)
-	db.Advance(2e9)
-	s := db.Summary()
-	if s == nil || s.IntervalNs != 1e9 || s.Windows.Published != 2 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if s.Counters[0].Total != 40 || s.Counters[0].RatePerSec != 20 {
-		t.Fatalf("counter summary = %+v", s.Counters[0])
-	}
-	if s.Gauges[0].Last != 9 || s.Gauges[0].Min != 3 || s.Gauges[0].Max != 9 {
-		t.Fatalf("gauge summary = %+v", s.Gauges[0])
-	}
-	hs := s.Histograms[0]
-	if hs.Count != 3 || len(hs.P99PerWindow) != 2 {
-		t.Fatalf("histogram summary = %+v", hs)
-	}
-	if hs.P99PerWindow[0] >= hs.P99PerWindow[1] {
-		t.Fatalf("p99-over-time must rise with the slower window: %v", hs.P99PerWindow)
-	}
-	if _, err := json.Marshal(s); err != nil {
-		t.Fatalf("summary must marshal: %v", err)
 	}
 }
 
@@ -278,7 +236,6 @@ func TestConcurrentReadersDoNotTear(t *testing.T) {
 					panic("torn window")
 				}
 			}
-			db.Summary()
 		}
 	}()
 	for i := int64(1); i <= 5000; i++ {

@@ -437,7 +437,7 @@ func TestChaosObserversRaceFree(t *testing.T) {
 		t.Fatalf("accounting identity broken under observers: %+v", st)
 	}
 	db.Advance(windows + 1)
-	if w := db.Last(); w.Counters[0].Total != st.Submitted || w.Gauges[0].Value != int64(pool.Idle()) {
+	if w := db.Windows(1)[0]; w.Counters[0].Total != st.Submitted || w.Gauges[0].Value != int64(pool.Idle()) {
 		t.Fatalf("last window %+v %+v, want submitted %d and %d idle", w.Counters, w.Gauges, st.Submitted, pool.Idle())
 	}
 }
