@@ -20,8 +20,8 @@ test:
 # Concurrency check: the serve warm pool, the dispatcher's observer
 # accessors, and the obs registry/tracer are hammered from many goroutines.
 # TestChaosObserversRaceFree and TestConcurrentDrawsRaceFree additionally
-# poll the circuit breaker and the fault injector from 8 goroutines while a
-# chaos simulation runs.
+# poll the dispatcher's queue and in-flight counts and the fault injector from
+# 8 goroutines while a chaos simulation runs.
 race:
 	$(GO) test -race ./...
 

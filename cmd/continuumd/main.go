@@ -10,6 +10,7 @@
 //	continuumd -addr :9000 -dilation 0      # as-fast-as-possible virtual time
 //	continuumd -modules request-handler,cpu-bound -pool 8
 //	continuumd -lazy                        # create functions on first request
+//	continuumd -lazy -modules "" -pool 8    # lazy functions shaped by the function flags
 //	continuumd -log-format json             # structured access log (one JSON object per request)
 //	continuumd -debug-addr 127.0.0.1:6060   # pprof + Go runtime gauges in /metrics
 //
@@ -46,35 +47,24 @@ import (
 
 	"wasmcontainers/internal/gateway"
 	"wasmcontainers/internal/obs"
-	"wasmcontainers/internal/serve"
 )
 
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address")
 		dilation     = flag.Float64("dilation", 1.0, "wall seconds per simulated second (0 = as fast as possible)")
-		modules      = flag.String("modules", "request-handler", "comma-separated workload modules to serve")
-		profile      = flag.String("profile", "wamr", "engine profile for every function (wamr, wasmtime, wasmer, wasmedge)")
-		poolSize     = flag.Int("pool", 4, "warm pool size per function (0 = cold-only)")
-		conc         = flag.Int("concurrency", 4, "max in-flight requests per function")
-		queueDepth   = flag.Int("queue-depth", 64, "dispatcher wait-queue depth")
-		queueDl      = flag.Duration("queue-deadline", time.Second, "max simulated queue wait before expiry")
-		retries      = flag.Int("retries", 0, "retry attempts for failed invokes")
-		reqTimeout   = flag.Duration("request-timeout", 0, "per-request retry budget (0 = unbounded)")
-		brkThresh    = flag.Int("breaker-threshold", 0, "consecutive failures opening the circuit breaker (0 = disabled)")
-		brkCooldown  = flag.Duration("breaker-cooldown", 100*time.Millisecond, "breaker open -> half-open delay")
 		submitBuf    = flag.Int("submit-buffer", 256, "bridge submission channel bound (backpressure)")
 		nodes        = flag.Int("nodes", 1, "simulated cluster nodes")
 		accessLog    = flag.Bool("access-log", true, "log one line per request to stderr")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
 		finalMetrics = flag.String("final-metrics", "", "write the final Prometheus snapshot to this path on shutdown")
-		lazy         = flag.Bool("lazy", false, "create functions on first request for any resolvable module (router shards added live)")
 		logFormat    = flag.String("log-format", "text", "access log format: text or json")
 		sampleInt    = flag.Duration("sample-interval", time.Second, "simulated window length for /v1/timeseries (0 = sampling off)")
 		sampleCap    = flag.Int("sample-capacity", 0, "retained time-series windows (0 = default)")
-		tailSample   = flag.Bool("tail-sample", false, "tail-based trace sampling: keep span trees only for errors, breaker trips, and latency outliers")
-		tailLatency  = flag.Duration("tail-latency", 0, "simulated latency above which a healthy trace is still kept (0 = errors/breaker only)")
+		tailSample   = flag.Bool("tail-sample", false, "tail-based trace sampling: keep span trees only for errors and latency outliers")
+		tailLatency  = flag.Duration("tail-latency", 0, "simulated latency above which a healthy trace is still kept (0 = errors only)")
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof and sample Go runtime gauges on this address (empty = off)")
+		functions    = functionFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -91,34 +81,7 @@ func main() {
 	if *tailSample {
 		cfg.TailSampling = &obs.TailConfig{LatencyThreshold: *tailLatency}
 	}
-	for _, m := range strings.Split(*modules, ",") {
-		m = strings.TrimSpace(m)
-		if m == "" {
-			continue
-		}
-		fc := gateway.DefaultFunction()
-		fc.Module = m
-		fc.Profile = *profile
-		fc.PoolSize = *poolSize
-		fc.MaxConcurrency = *conc
-		fc.QueueDepth = *queueDepth
-		fc.QueueDeadline = *queueDl
-		fc.MaxRetries = *retries
-		fc.RequestTimeout = *reqTimeout
-		fc.BreakerThreshold = *brkThresh
-		fc.BreakerCooldown = *brkCooldown
-		cfg.Functions = append(cfg.Functions, fc)
-	}
-
-	if *lazy {
-		// Unregistered modules spin up on demand with the same shape as the
-		// flag-configured functions; the router picks up one shard each.
-		tmpl := gateway.DefaultFunction()
-		if len(cfg.Functions) > 0 {
-			tmpl = cfg.Functions[0]
-		}
-		cfg.LazyTemplate = &tmpl
-	}
+	cfg.Functions, cfg.LazyTemplate = functions()
 
 	if *debugAddr != "" {
 		// The collector needs the registry before the gateway builds one, so
@@ -182,7 +145,7 @@ func serveUntilSignal(cfg gateway.Config, addr string, drainTimeout time.Duratio
 	}
 	for _, fn := range gw.Functions() {
 		st := fn.Dispatcher().Stats()
-		ok := identityHolds(st)
+		ok := st.IdentityHolds()
 		fmt.Fprintf(logw,
 			"continuumd: %s submitted=%d completed=%d rejected=%d expired=%d failed=%d identity=%v\n",
 			fn.Module(), st.Submitted, st.Completed, st.Rejected, st.Expired, st.Failed, ok)
@@ -207,7 +170,43 @@ func serveUntilSignal(cfg gateway.Config, addr string, drainTimeout time.Duratio
 	return code, nil
 }
 
-// identityHolds checks the dispatcher's admission conservation identity.
-func identityHolds(st serve.DispatcherStats) bool {
-	return st.Submitted == st.Completed+st.Rejected+st.Expired+st.Failed
+// functionFlags registers the per-function flags on fs and returns the step
+// that turns their parsed values into the functions to register and, under
+// -lazy, the template on-demand functions copy. Both are copies of one
+// template built from the flags, so a lazy function has the shape the flags
+// describe also when -modules is empty.
+func functionFlags(fs *flag.FlagSet) func() ([]gateway.FunctionConfig, *gateway.FunctionConfig) {
+	var (
+		modules    = fs.String("modules", "request-handler", "comma-separated workload modules to serve")
+		profile    = fs.String("profile", "wamr", "engine profile for every function (wamr, wasmtime, wasmer, wasmedge)")
+		poolSize   = fs.Int("pool", 4, "warm pool size per function (0 = cold-only)")
+		conc       = fs.Int("concurrency", 4, "max in-flight requests per function")
+		queueDepth = fs.Int("queue-depth", 64, "dispatcher wait-queue depth")
+		queueDl    = fs.Duration("queue-deadline", time.Second, "max simulated queue wait before expiry")
+		retries    = fs.Int("retries", 0, "retry attempts for failed invokes")
+		reqTimeout = fs.Duration("request-timeout", 0, "per-request retry budget (0 = unbounded)")
+		lazy       = fs.Bool("lazy", false, "create functions on first request for any resolvable module (router shards added live)")
+	)
+	return func() ([]gateway.FunctionConfig, *gateway.FunctionConfig) {
+		tmpl := gateway.DefaultFunction()
+		tmpl.Profile = *profile
+		tmpl.PoolSize = *poolSize
+		tmpl.MaxConcurrency = *conc
+		tmpl.QueueDepth = *queueDepth
+		tmpl.QueueDeadline = *queueDl
+		tmpl.MaxRetries = *retries
+		tmpl.RequestTimeout = *reqTimeout
+		var fns []gateway.FunctionConfig
+		for _, m := range strings.Split(*modules, ",") {
+			if m = strings.TrimSpace(m); m != "" {
+				fc := tmpl
+				fc.Module = m
+				fns = append(fns, fc)
+			}
+		}
+		if !*lazy {
+			return fns, nil
+		}
+		return fns, &tmpl
+	}
 }

@@ -136,7 +136,7 @@ func MeasureClusterServing(nodes int, policy cluster.Policy, faulted bool) (Clus
 	}
 	rs := s.Stats()
 	a := rs.Aggregate
-	if a.Submitted != a.Completed+a.Rejected+a.Expired+a.Failed {
+	if !a.IdentityHolds() {
 		return ClusterMeasurement{}, fmt.Errorf(
 			"cluster %d nodes %s faulted=%v: accounting identity broken: %+v",
 			nodes, policy, faulted, a)

@@ -40,9 +40,8 @@ func Experiments() []Experiment {
 		{ID: "serve", Description: "Warm-pool gateway: latency vs pool size and arrival rate", Run: Serving},
 		{ID: "cache", Description: "Ablation: content-addressed module cache, cold vs cached instantiate", Run: AblationModuleCache},
 		{ID: "cow", Description: "Ablation: copy-on-write warm instances, shared baseline + dirty-page reset", Run: AblationCoW},
-		{ID: "faults", Description: "Ablation: fault injection x resilience policy (retries, breaker, pressure)", Run: AblationFaults},
+		{ID: "faults", Description: "Ablation: fault injection x resilience policy (retries, timeout, pressure)", Run: AblationFaults},
 		{ID: "tiers", Description: "Ablation: execution tiers (tier0-only vs hotness tier-up vs eager tier-1)", Run: AblationTiers},
-		{ID: "shard", Description: "Ablation: sharded dispatch + request batching vs single-queue baseline (64 modules, zipf)", Run: AblationShard},
 		{ID: "cluster", Description: "Ablation: cluster routing, 1-8 nodes x locality vs spread placement, plus node-death failover", Run: AblationCluster},
 	}
 }

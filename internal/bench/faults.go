@@ -27,15 +27,12 @@ type FaultMeasurement struct {
 }
 
 // resilientDispatcherConfig adds the resilience layer to a baseline serving
-// dispatcher config: capped-exponential retries, a per-request timeout, and
-// the per-pool circuit breaker.
+// dispatcher config: capped-exponential retries and a per-request timeout.
 func resilientDispatcherConfig(cfg serve.DispatcherConfig) serve.DispatcherConfig {
 	cfg.MaxRetries = 2
 	cfg.RetryBackoff = time.Millisecond
 	cfg.RetryBackoffCap = 8 * time.Millisecond
 	cfg.RequestTimeout = 500 * time.Millisecond
-	cfg.BreakerThreshold = 5
-	cfg.BreakerCooldown = 20 * time.Millisecond
 	return cfg
 }
 
@@ -45,8 +42,8 @@ func resilientDispatcherConfig(cfg serve.DispatcherConfig) serve.DispatcherConfi
 // traps and failures both at or above the acceptance floor when faultRate
 // is), and two node memory-pressure episodes that drain warm-pool idle
 // instances through the kubelet attachment. The resilient arm turns on
-// retries, timeout, and the circuit breaker; the baseline arm serves the
-// same faults with the plain dispatcher. The admission identity
+// retries and the request timeout; the baseline arm serves the same faults
+// with the plain dispatcher. The admission identity
 // Submitted == Completed + Rejected + Expired + Failed is verified before
 // returning — a violation is an error, not a table cell.
 func MeasureFaultServing(p engine.Profile, faultRate float64, resilient bool, ratePerSec float64, window time.Duration) (FaultMeasurement, error) {
@@ -84,7 +81,7 @@ func MeasureFaultServing(p engine.Profile, faultRate float64, resilient bool, ra
 	})
 
 	st := rep.Dispatcher
-	if st.Submitted != st.Completed+st.Rejected+st.Expired+st.Failed {
+	if !st.IdentityHolds() {
 		return FaultMeasurement{}, fmt.Errorf(
 			"faults %s: accounting identity broken: %+v", p.Name, st)
 	}
@@ -118,56 +115,71 @@ func retryAmplification(st serve.DispatcherStats) float64 {
 	return float64(admitted+st.Retries) / float64(admitted)
 }
 
+// The faults ablation's open-loop load.
+const (
+	faultsWindow = time.Second
+	faultsRate   = 150.0
+)
+
+// faultsGrid runs every cell of the faults ablation in table order: for each
+// engine profile and fault rate, the baseline arm, then the resilient one.
+func faultsGrid() ([]FaultMeasurement, error) {
+	var out []FaultMeasurement
+	for _, p := range engine.Profiles() {
+		for _, fr := range FaultRates {
+			for _, resilient := range []bool{false, true} {
+				m, err := MeasureFaultServing(p, fr, resilient, faultsRate, faultsWindow)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, m)
+			}
+		}
+	}
+	return out, nil
+}
+
 // AblationFaults sweeps fault rate x dispatcher policy (baseline vs
 // resilient) for every engine profile under the chaos serving experiment,
-// reporting goodput, failure accounting, retry amplification, breaker
-// activity, pressure evictions, and tail latency under faults.
+// reporting goodput, failure accounting, retry amplification, pressure
+// evictions, and tail latency under faults.
 func AblationFaults() (*Table, error) {
-	const (
-		window = time.Second
-		rate   = 150.0
-	)
+	grid, err := faultsGrid()
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title: "Ablation: fault injection x resilience policy (1s open-loop, 150 r/s, seeded chaos)",
 		Columns: []string{
 			"engine", "fault rate", "policy", "offered", "goodput (r/s)",
 			"failed", "rejected", "expired", "retries", "retry amp",
-			"breaker opens", "pressure evictions", "p99 (ms)",
+			"pressure evictions", "p99 (ms)",
 		},
 	}
-	for _, p := range engine.Profiles() {
-		for _, fr := range FaultRates {
-			for _, resilient := range []bool{false, true} {
-				m, err := MeasureFaultServing(p, fr, resilient, rate, window)
-				if err != nil {
-					return nil, err
-				}
-				st := m.Report.Dispatcher
-				policy := "baseline"
-				if resilient {
-					policy = "resilient"
-				}
-				t.Rows = append(t.Rows, []string{
-					m.Engine,
-					fmt.Sprintf("%.2f", fr),
-					policy,
-					fmt.Sprintf("%d", m.Report.Offered),
-					fmt.Sprintf("%.0f", float64(st.Completed)/window.Seconds()),
-					fmt.Sprintf("%d", st.Failed),
-					fmt.Sprintf("%d", st.Rejected),
-					fmt.Sprintf("%d", st.Expired),
-					fmt.Sprintf("%d", st.Retries),
-					fmt.Sprintf("%.2f", retryAmplification(st)),
-					fmt.Sprintf("%d", st.BreakerOpens),
-					fmt.Sprintf("%d", m.PressureEvictions),
-					fmt.Sprintf("%.3f", m.Report.Latency.P99*1e3),
-				})
-			}
+	for _, m := range grid {
+		st := m.Report.Dispatcher
+		policy := "baseline"
+		if m.Resilient {
+			policy = "resilient"
 		}
+		t.Rows = append(t.Rows, []string{
+			m.Engine,
+			fmt.Sprintf("%.2f", m.FaultRate),
+			policy,
+			fmt.Sprintf("%d", m.Report.Offered),
+			fmt.Sprintf("%.0f", float64(st.Completed)/faultsWindow.Seconds()),
+			fmt.Sprintf("%d", st.Failed),
+			fmt.Sprintf("%d", st.Rejected),
+			fmt.Sprintf("%d", st.Expired),
+			fmt.Sprintf("%d", st.Retries),
+			fmt.Sprintf("%.2f", retryAmplification(st)),
+			fmt.Sprintf("%d", m.PressureEvictions),
+			fmt.Sprintf("%.3f", m.Report.Latency.P99*1e3),
+		})
 	}
 	t.Notes = append(t.Notes,
 		"faults (seeded, deterministic): instantiation failures, guest traps with partial execution, 4x slow cold starts, 2 node memory-pressure episodes draining warm pools",
-		"resilient policy: 2 retries w/ capped exponential backoff (1ms..8ms), 500ms request timeout, breaker opens after 5 consecutive failures (20ms half-open cooldown)",
+		"resilient policy: 2 retries w/ capped exponential backoff (1ms..8ms), 500ms request timeout",
 		"accounting identity Submitted == Completed+Rejected+Expired+Failed verified for every cell; failed-request latency is included in the percentiles' source histogram",
 	)
 	return t, nil

@@ -41,7 +41,7 @@ func TestFaultServingDeterministicAndAccounted(t *testing.T) {
 
 // TestFaultFreeResilientMatchesBaseline: with the fault rate at zero, the
 // resilient dispatcher must behave exactly like the baseline — the retry,
-// timeout, and breaker machinery may not perturb a healthy run.
+// and timeout machinery may not perturb a healthy run.
 func TestFaultFreeResilientMatchesBaseline(t *testing.T) {
 	base, err := MeasureFaultServing(engine.WAMR, 0, false, 100, 500*time.Millisecond)
 	if err != nil {
@@ -54,5 +54,33 @@ func TestFaultFreeResilientMatchesBaseline(t *testing.T) {
 	if !reflect.DeepEqual(base.Report, res.Report) {
 		t.Fatalf("resilience machinery perturbed a fault-free run:\n%+v\n%+v",
 			base.Report, res.Report)
+	}
+}
+
+// TestResilientGoodputNotBelowBaseline checks the claim the resilience layer
+// stands on: retries and the request timeout do the recovery. Over the whole
+// faults grid, the resilient arm completes at least as many requests as the
+// baseline under the same faults, and exactly as many without faults.
+func TestResilientGoodputNotBelowBaseline(t *testing.T) {
+	grid, err := faultsGrid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 * len(engine.Profiles()) * len(FaultRates); len(grid) != want {
+		t.Fatalf("%d cells, want %d", len(grid), want)
+	}
+	for i := 0; i < len(grid); i += 2 {
+		base, res := grid[i], grid[i+1]
+		if base.Resilient || !res.Resilient || base.Engine != res.Engine || base.FaultRate != res.FaultRate {
+			t.Fatalf("cells %d,%d are not one baseline/resilient pair: %s %.2f %v, %s %.2f %v", i, i+1,
+				base.Engine, base.FaultRate, base.Resilient, res.Engine, res.FaultRate, res.Resilient)
+		}
+		b, r := base.Report.Dispatcher.Completed, res.Report.Dispatcher.Completed
+		if r < b {
+			t.Errorf("%s at %.2f: resilient completed %d < baseline %d", base.Engine, base.FaultRate, r, b)
+		}
+		if base.FaultRate == 0 && r != b {
+			t.Errorf("%s fault-free: resilient completed %d != baseline %d", base.Engine, r, b)
+		}
 	}
 }

@@ -119,7 +119,7 @@ func (s *Server) handleContainerCreate(w http.ResponseWriter, r *http.Request) {
 		pod = pods[0]
 		s.containers[pod.UID] = pod
 	}); err != nil {
-		writeError(w, MapError(err, retryHints{}), err)
+		writeError(w, MapError(err, 0), err)
 		return
 	}
 	if deployErr != nil {
@@ -151,7 +151,7 @@ func (s *Server) handleContainerStart(w http.ResponseWriter, r *http.Request) {
 		phase = pod.Status.Phase
 		msg = pod.Status.Message
 	}); err != nil {
-		writeError(w, MapError(err, retryHints{}), err)
+		writeError(w, MapError(err, 0), err)
 		return
 	}
 	if !ok {
@@ -195,7 +195,7 @@ func (s *Server) handleContainerList(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}); err != nil {
-		writeError(w, MapError(err, retryHints{}), err)
+		writeError(w, MapError(err, 0), err)
 		return
 	}
 	// Map iteration is randomized; present a stable listing.
@@ -235,7 +235,7 @@ func (s *Server) handleContainerStats(w http.ResponseWriter, r *http.Request) {
 			stats.MemoryStats.Usage = pm.MemoryBytes
 		}
 	}); err != nil {
-		writeError(w, MapError(err, retryHints{}), err)
+		writeError(w, MapError(err, 0), err)
 		return
 	}
 	if !ok {

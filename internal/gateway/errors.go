@@ -37,14 +37,6 @@ type ErrorMapping struct {
 	RetryAfter time.Duration // 0 = no Retry-After
 }
 
-// retryHints tune the Retry-After advice per refusal cause; the dispatcher
-// config supplies the two that have a principled value (breaker cooldown,
-// queue deadline).
-type retryHints struct {
-	breakerCooldown time.Duration
-	queueDeadline   time.Duration
-}
-
 // defaultBusyRetry is the Retry-After advice for transient saturation
 // (bridge channel full, concurrency limit) where no configured duration
 // applies: long enough to shed load, short enough to keep clients live.
@@ -53,30 +45,25 @@ const defaultBusyRetry = 100 * time.Millisecond
 // MapError classifies err into the gateway's HTTP vocabulary. Distinct
 // admission outcomes get distinct statuses so load generators can tell
 // backpressure (429, retryable at the client's leisure) from unavailability
-// (503, retry after the hinted cooldown) from deadline loss (504):
+// (503) from deadline loss (504). queueDeadline, the function's
+// DispatcherConfig.QueueDeadline (0 when none applies), is the Retry-After
+// advice for a full queue:
 //
 //	queue full / concurrency limit → 429 Too Many Requests
-//	breaker open / draining / bridge busy / no live node → 503 Service Unavailable
+//	draining / bridge busy / no live node → 503 Service Unavailable
 //	queue expired / request timeout → 504 Gateway Timeout
 //	guest invoke failure → 500 Internal Server Error
-func MapError(err error, hints retryHints) ErrorMapping {
-	cooldown := hints.breakerCooldown
-	if cooldown <= 0 {
-		cooldown = 100 * time.Millisecond // DispatcherConfig's documented default
-	}
-	queueRetry := hints.queueDeadline
-	if queueRetry <= 0 {
-		queueRetry = defaultBusyRetry
+func MapError(err error, queueDeadline time.Duration) ErrorMapping {
+	if queueDeadline <= 0 {
+		queueDeadline = defaultBusyRetry
 	}
 	switch {
 	case errors.Is(err, serve.ErrUnknownModule):
 		return ErrorMapping{http.StatusNotFound, "unknown_function", 0}
 	case errors.Is(err, serve.ErrQueueFull):
-		return ErrorMapping{http.StatusTooManyRequests, "queue_full", queueRetry}
+		return ErrorMapping{http.StatusTooManyRequests, "queue_full", queueDeadline}
 	case errors.Is(err, serve.ErrConcurrencyLimit):
 		return ErrorMapping{http.StatusTooManyRequests, "concurrency_limit", defaultBusyRetry}
-	case errors.Is(err, serve.ErrBreakerOpen):
-		return ErrorMapping{http.StatusServiceUnavailable, "breaker_open", cooldown}
 	case errors.Is(err, serve.ErrQueueExpired):
 		return ErrorMapping{http.StatusGatewayTimeout, "queue_expired", 0}
 	case errors.Is(err, serve.ErrRequestTimeout):

@@ -17,52 +17,45 @@ import (
 // TestMapError pins the full dispatcher-error → HTTP vocabulary: distinct
 // admission outcomes must stay distinguishable on the wire.
 func TestMapError(t *testing.T) {
-	hints := retryHints{
-		breakerCooldown: 2 * time.Second,
-		queueDeadline:   500 * time.Millisecond,
-	}
+	const deadline = 500 * time.Millisecond
 	cases := []struct {
 		name       string
 		err        error
-		hints      retryHints
+		deadline   time.Duration
 		status     int
 		code       string
 		retryAfter time.Duration
 	}{
-		{"queue full", serve.ErrQueueFull, hints,
+		{"queue full", serve.ErrQueueFull, deadline,
 			http.StatusTooManyRequests, "queue_full", 500 * time.Millisecond},
-		{"queue full default hint", serve.ErrQueueFull, retryHints{},
+		{"queue full default hint", serve.ErrQueueFull, 0,
 			http.StatusTooManyRequests, "queue_full", defaultBusyRetry},
-		{"concurrency limit", serve.ErrConcurrencyLimit, hints,
+		{"concurrency limit", serve.ErrConcurrencyLimit, deadline,
 			http.StatusTooManyRequests, "concurrency_limit", defaultBusyRetry},
-		{"breaker open", serve.ErrBreakerOpen, hints,
-			http.StatusServiceUnavailable, "breaker_open", 2 * time.Second},
-		{"breaker open default cooldown", serve.ErrBreakerOpen, retryHints{},
-			http.StatusServiceUnavailable, "breaker_open", 100 * time.Millisecond},
-		{"queue expired", serve.ErrQueueExpired, hints,
+		{"queue expired", serve.ErrQueueExpired, deadline,
 			http.StatusGatewayTimeout, "queue_expired", 0},
-		{"request timeout", serve.ErrRequestTimeout, hints,
+		{"request timeout", serve.ErrRequestTimeout, deadline,
 			http.StatusGatewayTimeout, "request_timeout", 0},
-		{"dispatcher draining", serve.ErrDraining, hints,
+		{"dispatcher draining", serve.ErrDraining, deadline,
 			http.StatusServiceUnavailable, "draining", 0},
-		{"bridge draining", ErrBridgeDraining, hints,
+		{"bridge draining", ErrBridgeDraining, deadline,
 			http.StatusServiceUnavailable, "draining", 0},
-		{"bridge busy", ErrBridgeBusy, hints,
+		{"bridge busy", ErrBridgeBusy, deadline,
 			http.StatusServiceUnavailable, "bridge_busy", defaultBusyRetry},
-		{"no live node", fmt.Errorf("place f: %w", cluster.ErrNoLiveNode), hints,
+		{"no live node", fmt.Errorf("place f: %w", cluster.ErrNoLiveNode), deadline,
 			http.StatusServiceUnavailable, "no_live_node", 0},
-		{"context canceled", context.Canceled, hints,
+		{"context canceled", context.Canceled, deadline,
 			StatusClientClosedRequest, "client_closed_request", 0},
-		{"context deadline", context.DeadlineExceeded, hints,
+		{"context deadline", context.DeadlineExceeded, deadline,
 			StatusClientClosedRequest, "client_closed_request", 0},
-		{"guest failure", errors.New("guest trapped"), hints,
+		{"guest failure", errors.New("guest trapped"), deadline,
 			http.StatusInternalServerError, "invoke_failed", 0},
-		{"wrapped sentinel", fmt.Errorf("attempt 3: %w", serve.ErrQueueFull), hints,
+		{"wrapped sentinel", fmt.Errorf("attempt 3: %w", serve.ErrQueueFull), deadline,
 			http.StatusTooManyRequests, "queue_full", 500 * time.Millisecond},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := MapError(tc.err, tc.hints)
+			m := MapError(tc.err, tc.deadline)
 			if m.Status != tc.status {
 				t.Errorf("status = %d, want %d", m.Status, tc.status)
 			}

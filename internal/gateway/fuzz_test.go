@@ -75,11 +75,11 @@ func mapErrorCodes() map[string]bool {
 	codes := map[string]bool{}
 	for _, err := range []error{
 		serve.ErrUnknownModule, serve.ErrQueueFull, serve.ErrConcurrencyLimit,
-		serve.ErrBreakerOpen, serve.ErrQueueExpired, serve.ErrRequestTimeout,
+		serve.ErrQueueExpired, serve.ErrRequestTimeout,
 		serve.ErrDraining, ErrBridgeDraining, ErrBridgeBusy, cluster.ErrNoLiveNode,
 		context.Canceled, errors.New("unclassified"),
 	} {
-		if m := MapError(err, retryHints{}); m.Status >= 500 {
+		if m := MapError(err, 0); m.Status >= 500 {
 			codes[m.Code] = true
 		}
 	}

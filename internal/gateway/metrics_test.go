@@ -60,23 +60,19 @@ func TestMetricsSumOverFunctions(t *testing.T) {
 	fnB, _ := gw.Function(b.Module)
 	var boundary, probedQueue, probedInFlight int64
 	settled := make(chan serve.RequestResult, 4)
-	items := func(n int) []serve.BatchItem {
-		out := make([]serve.BatchItem, n)
-		for i := range out {
-			out[i].Done = func(res serve.RequestResult) { settled <- res }
+	submit := func(key string, n int) {
+		for i := 0; i < n; i++ {
+			if err := gw.router.Submit(key, 0, func(res serve.RequestResult) { settled <- res }); err != nil {
+				t.Error(err)
+			}
 		}
-		return out
 	}
 	err = gw.Bridge().Do(ctx, func() {
 		interval := gw.db.Interval()
 		boundary = (int64(gw.sim.Now())/interval + 1) * interval
 		gw.sim.At(des.Time(boundary-1), func() {
-			if err := gw.router.SubmitBatch(fnA.key, items(1)); err != nil {
-				t.Error(err)
-			}
-			if err := gw.router.SubmitBatch(fnB.key, items(3)); err != nil {
-				t.Error(err)
-			}
+			submit(fnA.key, 1)
+			submit(fnB.key, 3)
 		})
 		gw.sim.At(des.Time(boundary), func() {
 			for _, fn := range gw.Functions() {
@@ -114,27 +110,23 @@ func TestMetricsSumOverFunctions(t *testing.T) {
 		}
 		d, p := fn.Dispatcher().Stats(), fn.Pool().Stats()
 		for name, v := range map[string]int64{
-			"dispatch_submitted_total":              d.Submitted,
-			"dispatch_completed_total":              d.Completed,
-			"dispatch_rejected_total":               d.Rejected,
-			"dispatch_expired_total":                d.Expired,
-			"dispatch_failed_total":                 d.Failed,
-			"dispatch_retries_total":                d.Retries,
-			"dispatch_timeouts_total":               d.TimedOut,
-			"dispatch_breaker_opens_total":          d.BreakerOpens,
-			"dispatch_breaker_transitions_total":    d.BreakerTransitions,
-			"dispatch_breaker_short_circuits_total": d.BreakerShortCircuits,
-			"dispatch_queue_depth":                  int64(fn.Dispatcher().QueueLen()),
-			"dispatch_in_flight":                    int64(fn.Dispatcher().InFlight()),
-			"dispatch_breaker_state":                int64(fn.Dispatcher().BreakerState()),
-			"pool_warm_hits_total":                  p.WarmHits,
-			"pool_cold_starts_total":                p.ColdStarts,
-			"pool_recycled_total":                   p.Recycled,
-			"pool_discarded_total":                  p.Discarded,
-			"pool_evicted_total":                    p.Evicted,
-			"pool_idle_instances":                   int64(fn.Pool().Idle()),
-			"pool_leased_instances":                 int64(fn.Pool().Leased()),
-			"pool_memory_bytes":                     fn.Pool().MemoryBytes(),
+			"dispatch_submitted_total": d.Submitted,
+			"dispatch_completed_total": d.Completed,
+			"dispatch_rejected_total":  d.Rejected,
+			"dispatch_expired_total":   d.Expired,
+			"dispatch_failed_total":    d.Failed,
+			"dispatch_retries_total":   d.Retries,
+			"dispatch_timeouts_total":  d.TimedOut,
+			"dispatch_queue_depth":     int64(fn.Dispatcher().QueueLen()),
+			"dispatch_in_flight":       int64(fn.Dispatcher().InFlight()),
+			"pool_warm_hits_total":     p.WarmHits,
+			"pool_cold_starts_total":   p.ColdStarts,
+			"pool_recycled_total":      p.Recycled,
+			"pool_discarded_total":     p.Discarded,
+			"pool_evicted_total":       p.Evicted,
+			"pool_idle_instances":      int64(fn.Pool().Idle()),
+			"pool_leased_instances":    int64(fn.Pool().Leased()),
+			"pool_memory_bytes":        fn.Pool().MemoryBytes(),
 		} {
 			want[name] += v
 		}
@@ -144,7 +136,6 @@ func TestMetricsSumOverFunctions(t *testing.T) {
 			"router_rejected_total":  d.Rejected,
 			"router_expired_total":   d.Expired,
 			"router_failed_total":    d.Failed,
-			"dispatch_breaker_state": int64(fn.Dispatcher().BreakerState()),
 		} {
 			want[obs.Labeled(name, "module", fn.Module())] = v
 		}

@@ -44,14 +44,12 @@ type FunctionConfig struct {
 	IdleTTL time.Duration
 
 	// Dispatcher shaping; zero values inherit DispatcherConfig's defaults.
-	MaxConcurrency   int
-	QueueDepth       int
-	QueueDeadline    time.Duration
-	MaxRetries       int
-	RetryBackoff     time.Duration
-	RequestTimeout   time.Duration
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
+	MaxConcurrency int
+	QueueDepth     int
+	QueueDeadline  time.Duration
+	MaxRetries     int
+	RetryBackoff   time.Duration
+	RequestTimeout time.Duration
 }
 
 // Config shapes one gateway server.
@@ -86,7 +84,7 @@ type Config struct {
 	// SampleCapacity bounds retained windows; 0 means tsdb.DefaultCapacity.
 	SampleCapacity int
 	// TailSampling, when non-nil, keeps full span trees only for interesting
-	// requests (error, breaker trip, latency past the threshold) under the
+	// requests (error, latency past the threshold) under the
 	// configured memory bound.
 	TailSampling *obs.TailConfig
 }
@@ -371,17 +369,15 @@ func (s *Server) newFunction(fc FunctionConfig, bin []byte) (*Function, error) {
 		fmt.Sprintf("%s-%s", fc.Module, fc.Profile),
 		serve.Config{Size: fc.PoolSize, IdleTTL: fc.IdleTTL},
 		serve.DispatcherConfig{
-			MaxConcurrency:   fc.MaxConcurrency,
-			QueueDepth:       fc.QueueDepth,
-			Policy:           serve.PolicyQueue,
-			QueueDeadline:    fc.QueueDeadline,
-			Export:           fc.Export,
-			Arg:              fc.Arg,
-			MaxRetries:       fc.MaxRetries,
-			RetryBackoff:     fc.RetryBackoff,
-			RequestTimeout:   fc.RequestTimeout,
-			BreakerThreshold: fc.BreakerThreshold,
-			BreakerCooldown:  fc.BreakerCooldown,
+			MaxConcurrency: fc.MaxConcurrency,
+			QueueDepth:     fc.QueueDepth,
+			Policy:         serve.PolicyQueue,
+			QueueDeadline:  fc.QueueDeadline,
+			Export:         fc.Export,
+			Arg:            fc.Arg,
+			MaxRetries:     fc.MaxRetries,
+			RetryBackoff:   fc.RetryBackoff,
+			RequestTimeout: fc.RequestTimeout,
 		}, s.tele)
 	if err != nil {
 		return nil, fmt.Errorf("gateway: %s: %w", fc.Module, err)
@@ -643,7 +639,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		var err error
 		var unknown *workloads.UnknownWorkloadError
 		if fn, err = s.lazyFunction(r.Context(), module); err != nil && !errors.As(err, &unknown) {
-			writeError(w, MapError(err, retryHints{}), err)
+			writeError(w, MapError(err, 0), err)
 			return
 		}
 		ok = err == nil
@@ -675,7 +671,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		if err == ErrBridgeBusy {
 			s.obsBridgeBusy.Inc()
 		}
-		writeError(w, MapError(err, fn.hints()), err)
+		writeError(w, MapError(err, fn.cfg.QueueDeadline), err)
 		return
 	}
 	// Sampled-trace flag before the error branch: failed invocations are
@@ -683,7 +679,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	// flag either way.
 	inv.res, inv.stage = res, invokeSettled
 	if res.Err != nil {
-		writeError(w, MapError(res.Err, fn.hints()), res.Err)
+		writeError(w, MapError(res.Err, fn.cfg.QueueDeadline), res.Err)
 		return
 	}
 	inv.stage = invokeCompleted
@@ -710,14 +706,6 @@ func (s *Server) lazyFunction(ctx context.Context, module string) (*Function, er
 	fc := *s.cfg.LazyTemplate
 	fc.Module = module
 	return s.addFunction(ctx, fc, true)
-}
-
-// hints derives Retry-After advice from the function's dispatcher shape.
-func (f *Function) hints() retryHints {
-	return retryHints{
-		breakerCooldown: f.cfg.BreakerCooldown,
-		queueDeadline:   f.cfg.QueueDeadline,
-	}
 }
 
 // handleHealthz reports liveness; a draining server answers 503 so load
@@ -798,7 +786,6 @@ type FunctionStatus struct {
 	SharedBytes     int64                 `json:"shared_bytes"`
 	QueueLen        int                   `json:"queue_len"`
 	InFlight        int                   `json:"in_flight"`
-	Breaker         string                `json:"breaker"`
 	Draining        bool                  `json:"draining"`
 	Stats           serve.DispatcherStats `json:"stats"`
 }
@@ -870,14 +857,13 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 				SharedBytes:     fn.rep.SharedBytes(),
 				QueueLen:        disp.QueueLen(),
 				InFlight:        disp.InFlight(),
-				Breaker:         disp.BreakerState().String(),
 				Draining:        disp.Draining(),
 				Stats:           disp.Stats(),
 			})
 		}
 	})
 	if err != nil {
-		writeError(w, MapError(err, retryHints{}), err)
+		writeError(w, MapError(err, 0), err)
 		return
 	}
 	sort.Slice(st.Functions, func(i, j int) bool { return st.Functions[i].Module < st.Functions[j].Module })
@@ -939,11 +925,11 @@ func (s *Server) handleNodeFail(w http.ResponseWriter, r *http.Request) {
 	})
 	switch {
 	case err != nil:
-		writeError(w, MapError(err, retryHints{}), err)
+		writeError(w, MapError(err, 0), err)
 	case unknownErr != nil:
 		writeError(w, ErrorMapping{http.StatusNotFound, "unknown_node", 0}, unknownErr)
 	case rehomeErr != nil:
-		writeError(w, MapError(rehomeErr, retryHints{}), rehomeErr)
+		writeError(w, MapError(rehomeErr, 0), rehomeErr)
 	default:
 		writeJSON(w, http.StatusOK, resp)
 	}

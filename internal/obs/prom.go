@@ -24,10 +24,8 @@ var helpText = map[string]string{
 	"dispatch_retries_total":          "Retry attempts scheduled after failures.",
 	"dispatch_latency_ns":             "End-to-end simulated request latency.",
 	"dispatch_queue_wait_ns":          "Simulated time spent parked in the wait queue.",
-	"dispatch_breaker_opens_total":    "Circuit breaker transitions into the open state.",
 	"dispatch_queue_depth":            "Requests parked in wait queues, summed over dispatchers.",
 	"dispatch_in_flight":              "Requests holding a concurrency slot, summed over dispatchers.",
-	"dispatch_breaker_state":          "Circuit breaker position per module (0 closed, 1 half-open, 2 open); unlabeled: their sum, 0 iff all are closed.",
 	"pool_idle_instances":             "Warm instances waiting in pools, summed over pools.",
 	"pool_leased_instances":           "Instances out serving requests, summed over pools.",
 	"pool_memory_bytes":               "Accounted pool memory, summed over pools (an artifact two pools share counts in each).",

@@ -35,12 +35,12 @@ type Span struct {
 
 // TailConfig shapes tail-based sampling: spans on a request track (TID != 0)
 // are buffered until the request's outcome is known, and only interesting
-// tracks — errors, breaker trips, latency outliers — are committed to the
+// tracks — errors and latency outliers — are committed to the
 // ring. Healthy traffic stops wrapping the ring, so under sustained load
 // /v1/trace keeps showing the requests worth looking at.
 type TailConfig struct {
 	// LatencyThreshold keeps tracks whose reported latency exceeds it; 0
-	// keeps only errored or breaker-tripped tracks.
+	// keeps only errored tracks.
 	LatencyThreshold time.Duration
 	// MaxBufferedSpans is the hard memory bound on undecided spans across
 	// all pending tracks; 0 means DefaultTailBufferedSpans. When a new span
@@ -64,9 +64,6 @@ const (
 type TrackOutcome struct {
 	// Err marks a request whose final outcome was an error.
 	Err bool
-	// BreakerTripped marks a request that ran while the circuit breaker was
-	// not closed (its failure opened it, or it was the half-open probe).
-	BreakerTripped bool
 	// LatencyNs is the request's end-to-end simulated latency.
 	LatencyNs int64
 }
@@ -214,8 +211,8 @@ func (t *Tracer) SetPID(pid int64) {
 // Span records one completed interval [start, end] with optional attributes.
 // end < start is clamped to a zero-duration span. With tail sampling enabled,
 // spans on a request track (tid != 0) are buffered until FinishTrack decides
-// the track's fate; tid-0 spans (breaker transitions, engine and pool
-// lifecycle) always commit immediately. attrs is copied, never retained.
+// the track's fate; tid-0 spans (engine and pool lifecycle) always commit
+// immediately. attrs is copied, never retained.
 func (t *Tracer) Span(name, cat string, tid, start, end int64, attrs ...Attr) {
 	if t == nil {
 		return
@@ -382,11 +379,11 @@ func (t *Tracer) SetTailSampling(cfg *TailConfig) {
 }
 
 // FinishTrack settles one request track: interesting outcomes (error,
-// breaker involvement, latency past the threshold) commit the buffered spans
-// to the ring, healthy ones drop them. Reports whether the track was kept.
-// With tail sampling disabled it reports true — every span already
-// committed. Unknown tracks (no spans buffered, e.g. a request refused at
-// admission) settle without effect.
+// latency past the threshold) commit the buffered spans to the ring, healthy
+// ones drop them. Reports whether the track was kept. With tail sampling
+// disabled it reports true — every span already committed. Unknown tracks
+// (no spans buffered, e.g. a request refused at admission) settle without
+// effect.
 func (t *Tracer) FinishTrack(tid int64, o TrackOutcome) bool {
 	if t == nil {
 		return false
@@ -396,7 +393,7 @@ func (t *Tracer) FinishTrack(tid int64, o TrackOutcome) bool {
 	if t.tail == nil {
 		return true
 	}
-	keep := o.Err || o.BreakerTripped ||
+	keep := o.Err ||
 		(t.tail.LatencyThreshold > 0 && o.LatencyNs > int64(t.tail.LatencyThreshold))
 	tr, ok := t.pending[tid]
 	if !ok {

@@ -44,20 +44,9 @@ func TestTailSamplingKeepsErrorsDropsHealthy(t *testing.T) {
 	}
 }
 
-func TestTailSamplingBreakerKeeps(t *testing.T) {
-	tr := tailTracer(TailConfig{})
-	tr.Span("invoke", "serve", 5, 0, 1)
-	if !tr.FinishTrack(5, TrackOutcome{BreakerTripped: true}) {
-		t.Fatal("breaker-involved track must be kept")
-	}
-	if len(tr.Spans()) != 1 {
-		t.Fatal("kept track's spans must commit")
-	}
-}
-
 func TestTailSamplingTIDZeroBypasses(t *testing.T) {
 	tr := tailTracer(TailConfig{})
-	tr.Span("breaker-open", "breaker", 0, 0, 1)
+	tr.Span("pool-fill", "pool", 0, 0, 1)
 	if got := recorded(tr); got != 1 {
 		t.Fatalf("tid-0 spans must commit immediately, recorded = %d", got)
 	}

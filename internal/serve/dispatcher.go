@@ -50,38 +50,12 @@ var (
 	// ErrQueueFull rejects a request under PolicyQueue when the wait queue
 	// is at QueueDepth.
 	ErrQueueFull = errors.New("serve: queue full")
-	// ErrBreakerOpen rejects a request refused while the circuit breaker
-	// denied admission (open, or half-open with its probe outstanding).
-	ErrBreakerOpen = errors.New("serve: circuit breaker open")
 	// ErrQueueExpired drops a queued request that waited past QueueDeadline.
 	ErrQueueExpired = errors.New("serve: queue deadline exceeded")
 	// ErrDraining rejects a request submitted after SetDraining(true): the
 	// dispatcher is flushing in-flight work ahead of shutdown.
 	ErrDraining = errors.New("serve: dispatcher draining")
 )
-
-// BreakerState is the position of the dispatcher's per-pool circuit breaker.
-type BreakerState int
-
-// Breaker positions, ordered by health: Closed admits everything, HalfOpen
-// admits one probe, Open admits nothing.
-const (
-	BreakerClosed BreakerState = iota
-	BreakerHalfOpen
-	BreakerOpen
-)
-
-// String names the state for traces and tables.
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
 
 // DispatcherConfig shapes one dispatcher.
 type DispatcherConfig struct {
@@ -118,16 +92,6 @@ type DispatcherConfig struct {
 	// retrying. 0 disables. (Queue wait is bounded separately by
 	// QueueDeadline.)
 	RequestTimeout time.Duration
-
-	// BreakerThreshold opens the per-pool circuit breaker after this many
-	// consecutive failed attempts; 0 disables the breaker. While open, new
-	// requests are rejected (PolicyReject) or parked (PolicyQueue) instead
-	// of dispatched; after BreakerCooldown the breaker half-opens and admits
-	// a single probe, closing on its success.
-	BreakerThreshold int
-	// BreakerCooldown is the open → half-open delay on the DES clock; 0
-	// means 100ms.
-	BreakerCooldown time.Duration
 }
 
 // DispatcherStats counts request outcomes. The admission identity
@@ -139,7 +103,7 @@ type DispatcherStats struct {
 	// Completed counts requests that ran to completion.
 	Completed int64
 	// Rejected counts requests turned away at admission: limit reached under
-	// PolicyReject, queue full under PolicyQueue, or breaker open.
+	// PolicyReject, queue full under PolicyQueue, or draining.
 	Rejected int64
 	// Expired counts queued requests dropped — at dispatch or admission
 	// time — because they waited past QueueDeadline.
@@ -154,13 +118,6 @@ type DispatcherStats struct {
 	// TimedOut counts requests failed by RequestTimeout (a subset of
 	// Failed).
 	TimedOut int64
-	// BreakerOpens counts transitions into the open state.
-	BreakerOpens int64
-	// BreakerTransitions counts every breaker move (open, half-open, close).
-	BreakerTransitions int64
-	// BreakerShortCircuits counts rejections issued while the breaker denied
-	// admission (a subset of Rejected).
-	BreakerShortCircuits int64
 }
 
 // Add folds o into s, field by field: the aggregate over shards or replicas.
@@ -172,9 +129,13 @@ func (s *DispatcherStats) Add(o DispatcherStats) {
 	s.Failed += o.Failed
 	s.Retries += o.Retries
 	s.TimedOut += o.TimedOut
-	s.BreakerOpens += o.BreakerOpens
-	s.BreakerTransitions += o.BreakerTransitions
-	s.BreakerShortCircuits += o.BreakerShortCircuits
+}
+
+// IdentityHolds checks the admission conservation identity: every submitted
+// request reached exactly one terminal counter. Authoritative once a run has
+// drained.
+func (s DispatcherStats) IdentityHolds() bool {
+	return s.Submitted == s.Completed+s.Rejected+s.Expired+s.Failed
 }
 
 // queuedRequest is one request parked behind the concurrency limit.
@@ -187,8 +148,8 @@ type queuedRequest struct {
 // RequestResult describes one finished (or refused) request.
 type RequestResult struct {
 	// Admitted is false for rejected or expired requests; Err then carries
-	// the refusal reason (ErrConcurrencyLimit, ErrQueueFull, ErrBreakerOpen,
-	// ErrQueueExpired, ErrDraining) and the remaining fields are zero.
+	// the refusal reason (ErrConcurrencyLimit, ErrQueueFull, ErrQueueExpired,
+	// ErrDraining) and the remaining fields are zero.
 	Admitted bool
 	// Cold reports whether the last attempt paid a cold-start fallback.
 	Cold bool
@@ -211,8 +172,8 @@ type RequestResult struct {
 	Err error
 	// TraceSampled reports whether the tracer kept this request's span
 	// track: true for every request when tracing is on without tail
-	// sampling, and only for the interesting ones (error, breaker
-	// involvement, latency outlier) with it. Always false with tracing off.
+	// sampling, and only for the interesting ones (error, latency outlier)
+	// with it. Always false with tracing off.
 	TraceSampled bool
 }
 
@@ -231,23 +192,22 @@ type inflight struct {
 }
 
 // Dispatcher routes requests to a warm pool under a concurrency limit with
-// bounded queueing, capped-exponential retries, per-request timeouts, and a
-// per-pool circuit breaker. Its semantics are single-threaded: Submit and
-// the DES callbacks that complete requests must all run on the one goroutine
-// driving the DES engine (des.Engine itself is not safe for concurrent use,
-// so this contract is inherited, not new). The mutex below guards the
-// mutable dispatch state; *observers* on other goroutines — a progress
-// printer, a metrics scraper, the gateway's per-request access log — read
-// atomics (stats counters, queue length, in-flight count, breaker position)
-// and never contend with the dispatch path at all.
+// bounded queueing, capped-exponential retries and per-request timeouts. Its
+// semantics are single-threaded: Submit and the DES callbacks that complete
+// requests must all run on the one goroutine driving the DES engine
+// (des.Engine itself is not safe for concurrent use, so this contract is
+// inherited, not new). The mutex below guards the mutable dispatch state;
+// *observers* on other goroutines — a progress printer, a metrics scraper,
+// the gateway's per-request access log — read atomics (stats counters, queue
+// length, in-flight count) and never contend with the dispatch path at all.
 type Dispatcher struct {
 	eng  *des.Engine
 	pool *Pool
 	cfg  DispatcherConfig
 
-	// mu guards queue, reqSeq, and the breaker fields on the dispatch path,
-	// and every write of busy and brk. done callbacks and pool calls run
-	// outside it. Observers do not take it: every value they read is atomic.
+	// mu guards queue and reqSeq on the dispatch path, and every write of
+	// busy. done callbacks and pool calls run outside it. Observers do not
+	// take it: every value they read is atomic.
 	mu     sync.Mutex
 	queue  []queuedRequest
 	reqSeq int64
@@ -256,14 +216,13 @@ type Dispatcher struct {
 	// single-writer DES ordering is preserved) and read lock-free by Stats.
 	stats DispatcherStats
 
-	// Lock-free observer surface: the in-flight count and the breaker
-	// position are atomics written under mu, and the queue length is mirrored
-	// at every mutation, so QueueLen, InFlight, BreakerState, and Quiesced are
-	// cheap atomic reads — the gateway calls them per request, and taking mu
-	// there would serialize introspection against a burst mid-dispatch.
+	// Lock-free observer surface: the in-flight count is an atomic written
+	// under mu, and the queue length is mirrored at every mutation, so
+	// QueueLen, InFlight and Quiesced are cheap atomic reads — the gateway
+	// calls them per request, and taking mu there would serialize
+	// introspection against a burst mid-dispatch.
 	qlenA atomic.Int64
 	busy  atomic.Int64
-	brk   atomic.Int64 // a BreakerState
 
 	// draining rejects new submissions with ErrDraining while in-flight and
 	// queued work flushes; quiesceHook (if set) runs on the DES goroutine
@@ -271,12 +230,6 @@ type Dispatcher struct {
 	// the gateway's graceful-shutdown hooks.
 	draining    atomic.Bool
 	quiesceHook func()
-
-	// Circuit breaker state (single-writer under the DES contract). brkGen
-	// invalidates stale half-open timers when the breaker re-opens.
-	brkFails int
-	brkProbe bool
-	brkGen   uint64
 
 	// Telemetry. Counters and gauges are stats and the atomics above, read
 	// by the source SetObserver registers; what has no second copy is a
@@ -297,10 +250,10 @@ func NewDispatcher(eng *des.Engine, pool *Pool, cfg DispatcherConfig) *Dispatche
 }
 
 // SetObserver wires telemetry into the dispatcher: a metric source reporting
-// Stats() and the queue-depth/in-flight/breaker accessors as the dispatch_*
+// Stats() and the queue-depth/in-flight accessors as the dispatch_*
 // counters and gauges (summed over every dispatcher on one telemetry),
 // latency/queue-wait histograms, and the per-request lifecycle spans
-// (queue-wait → acquire → invoke, plus retry-wait and breaker transitions)
+// (queue-wait → acquire → invoke, plus retry-wait)
 // on the simulated timeline, one trace track (TID) per request. It also
 // wires the pool so the request timeline and the pool's reset spans land in
 // one trace. A second call moves the source; nil disables (the default),
@@ -317,9 +270,7 @@ func (d *Dispatcher) SetObserver(t *obs.Telemetry) {
 	d.pool.SetObserver(t)
 }
 
-// collect is the dispatcher's metric source. Breaker positions do not add
-// meaningfully, so the unlabeled dispatch_breaker_state is a sum that is 0
-// iff every breaker is closed; the router reports the per-module position.
+// collect is the dispatcher's metric source.
 func (d *Dispatcher) collect(counter, gauge func(string, int64)) {
 	st := d.Stats()
 	counter("dispatch_submitted_total", st.Submitted)
@@ -329,12 +280,8 @@ func (d *Dispatcher) collect(counter, gauge func(string, int64)) {
 	counter("dispatch_failed_total", st.Failed)
 	counter("dispatch_retries_total", st.Retries)
 	counter("dispatch_timeouts_total", st.TimedOut)
-	counter("dispatch_breaker_opens_total", st.BreakerOpens)
-	counter("dispatch_breaker_transitions_total", st.BreakerTransitions)
-	counter("dispatch_breaker_short_circuits_total", st.BreakerShortCircuits)
 	gauge("dispatch_queue_depth", int64(d.QueueLen()))
 	gauge("dispatch_in_flight", int64(d.InFlight()))
-	gauge("dispatch_breaker_state", int64(d.BreakerState()))
 }
 
 // Submit offers one request at the current simulated time: a SubmitBatch of
@@ -360,11 +307,9 @@ type BatchItem struct {
 // order, with the per-batch work amortized: the dispatcher lock is taken
 // once, the queue-deadline sweep runs once, and the submitted count and the
 // queue-depth mirror are written once for the whole batch instead of once per
-// request. This is the only admission ladder (Submit is a
-// batch of one), and its one ordering rule is that admission decisions for
-// the whole batch are made before any attempt runs: a synchronous attempt
-// failure (a cold-start fault opening the breaker) affects the next batch,
-// not later items of the same one. The router uses this to admit all
+// request. This is the only admission ladder (Submit is a batch of one), and
+// its one ordering rule is that admission decisions for the whole batch are
+// made before any attempt runs. The router uses this to admit all
 // submissions that arrived within one DES event in a single pass.
 func (d *Dispatcher) SubmitBatch(items []BatchItem) {
 	if len(items) == 0 {
@@ -398,7 +343,7 @@ func (d *Dispatcher) SubmitBatch(items []BatchItem) {
 		if done == nil {
 			done = func(RequestResult) {}
 		}
-		if d.InFlight() >= d.cfg.MaxConcurrency || !d.breakerReadyLocked() || len(d.queue) > 0 {
+		if d.InFlight() >= d.cfg.MaxConcurrency || len(d.queue) > 0 {
 			if d.cfg.Policy == PolicyQueue && len(d.queue) < d.cfg.QueueDepth {
 				d.queue = append(d.queue, queuedRequest{enqueued: now, tid: it.TID, done: done})
 				continue
@@ -407,15 +352,10 @@ func (d *Dispatcher) SubmitBatch(items []BatchItem) {
 			if d.cfg.Policy == PolicyQueue {
 				reason = ErrQueueFull
 			}
-			if !d.breakerReadyLocked() {
-				reason = ErrBreakerOpen
-				atomic.AddInt64(&d.stats.BreakerShortCircuits, 1)
-			}
 			atomic.AddInt64(&d.stats.Rejected, 1)
 			refused = append(refused, refusal{done: done, reason: reason})
 			continue
 		}
-		d.markProbeLocked()
 		// Pre-claim the slot so in-batch admission decisions see it exactly
 		// as sequential submissions at the same instant would.
 		starts = append(starts, BatchItem{TID: d.claimLocked(it.TID), Done: done})
@@ -502,9 +442,9 @@ func (d *Dispatcher) run(done func(RequestResult), queueWait time.Duration, tid 
 
 // attempt runs one try of an admitted request: acquire warm or fall back to
 // cold, invoke the guest for real, convert the work to simulated latency,
-// and schedule completion. Failed attempts feed the breaker and may schedule
-// a retry; the final outcome always goes through finish, which releases the
-// slot and drains the queue.
+// and schedule completion. Failed attempts may schedule a retry; the final
+// outcome always goes through finish, which releases the slot and drains the
+// queue.
 func (d *Dispatcher) attempt(r *inflight, tracer *obs.Tracer) {
 	now := d.eng.Now()
 	r.attempts++
@@ -520,7 +460,6 @@ func (d *Dispatcher) attempt(r *inflight, tracer *obs.Tracer) {
 			// slot stays held through any backoff; win or lose, the request
 			// reaches finish, which drains the queue — this path used to
 			// return without draining and strand queued requests.
-			d.noteFailure()
 			if d.scheduleRetry(r, err) {
 				return
 			}
@@ -557,16 +496,10 @@ func (d *Dispatcher) attempt(r *inflight, tracer *obs.Tracer) {
 	}
 	d.eng.After(overhead+res.SimulatedExecTime, func() {
 		d.pool.Release(wi, d.eng.Now())
-		if err != nil {
-			d.noteFailure()
-			if d.scheduleRetry(r, err) {
-				return
-			}
-			d.finish(r, err)
+		if err != nil && d.scheduleRetry(r, err) {
 			return
 		}
-		d.noteSuccess()
-		d.finish(r, nil)
+		d.finish(r, err)
 	})
 }
 
@@ -627,18 +560,13 @@ func (d *Dispatcher) finish(r *inflight, err error) {
 		atomic.AddInt64(&d.stats.Completed, 1)
 	}
 	tracer := d.obsTracer
-	// Breaker involvement for tail sampling: this request's failure opened
-	// it, or it ran as the half-open probe. noteSuccess/noteFailure run
-	// before finish, so the breaker already reflects this request's effect.
-	brkInvolved := d.cfg.BreakerThreshold > 0 && d.BreakerState() != BreakerClosed
 	d.mu.Unlock()
 	d.obsLatencyNs.Record(int64(latency))
 	sampled := false
 	if tracer != nil {
 		sampled = tracer.FinishTrack(r.tid, obs.TrackOutcome{
-			Err:            err != nil,
-			BreakerTripped: brkInvolved,
-			LatencyNs:      int64(latency),
+			Err:       err != nil,
+			LatencyNs: int64(latency),
 		})
 	}
 	r.done(RequestResult{
@@ -656,119 +584,27 @@ func (d *Dispatcher) finish(r *inflight, err error) {
 }
 
 // drainQueue dispatches queued requests into freed capacity, dropping any
-// that outlived the deadline while parked. An open breaker (or an
-// outstanding half-open probe) holds the queue; the half-open timer drains
-// it again.
+// that outlived the deadline while parked.
 func (d *Dispatcher) drainQueue() {
 	now := d.eng.Now()
 	for {
 		d.mu.Lock()
-		// Dead heads never occupy capacity or claim the probe slot.
+		// Dead heads never occupy capacity.
 		if dead := d.expireHeadsLocked(now); len(dead) > 0 {
 			d.mu.Unlock()
 			finishAll(dead)
 			continue
 		}
-		if d.InFlight() >= d.cfg.MaxConcurrency || len(d.queue) == 0 || !d.breakerReadyLocked() {
+		if d.InFlight() >= d.cfg.MaxConcurrency || len(d.queue) == 0 {
 			d.mu.Unlock()
 			return
 		}
 		q := d.queue[0]
 		d.queue = d.queue[1:]
 		d.syncQueueLocked()
-		d.markProbeLocked()
 		tid := d.claimLocked(q.tid)
 		d.mu.Unlock()
 		d.run(q.done, time.Duration(now-q.enqueued), tid)
-	}
-}
-
-// breakerReadyLocked reports whether admission may dispatch a request now:
-// always with the breaker disabled or closed, never while open, and only
-// while no probe is outstanding during half-open.
-func (d *Dispatcher) breakerReadyLocked() bool {
-	if d.cfg.BreakerThreshold <= 0 {
-		return true
-	}
-	switch d.BreakerState() {
-	case BreakerOpen:
-		return false
-	case BreakerHalfOpen:
-		return !d.brkProbe
-	}
-	return true
-}
-
-// markProbeLocked claims the single half-open probe slot.
-func (d *Dispatcher) markProbeLocked() {
-	if d.BreakerState() == BreakerHalfOpen {
-		d.brkProbe = true
-	}
-}
-
-// noteSuccess records a successful attempt: the failure streak resets and a
-// half-open breaker closes.
-func (d *Dispatcher) noteSuccess() {
-	if d.cfg.BreakerThreshold <= 0 {
-		return
-	}
-	d.mu.Lock()
-	d.brkFails = 0
-	if d.BreakerState() == BreakerHalfOpen {
-		d.setBreakerLocked(BreakerClosed)
-	}
-	d.mu.Unlock()
-}
-
-// noteFailure records a failed attempt (cold-start instantiation failure or
-// invoke error): the streak grows, at BreakerThreshold consecutive failures
-// the breaker opens, and any failure during half-open reopens it.
-func (d *Dispatcher) noteFailure() {
-	if d.cfg.BreakerThreshold <= 0 {
-		return
-	}
-	d.mu.Lock()
-	d.brkFails++
-	if brk := d.BreakerState(); brk == BreakerHalfOpen || (brk == BreakerClosed && d.brkFails >= d.cfg.BreakerThreshold) {
-		d.openBreakerLocked()
-	}
-	d.mu.Unlock()
-}
-
-// openBreakerLocked trips the breaker and arms the half-open transition on
-// the DES clock; brkGen invalidates the timer if the breaker has re-opened
-// since (the newer open armed its own timer).
-func (d *Dispatcher) openBreakerLocked() {
-	d.setBreakerLocked(BreakerOpen)
-	atomic.AddInt64(&d.stats.BreakerOpens, 1)
-	d.brkGen++
-	gen := d.brkGen
-	cooldown := d.cfg.BreakerCooldown
-	if cooldown <= 0 {
-		cooldown = 100 * time.Millisecond
-	}
-	d.eng.After(cooldown, func() {
-		d.mu.Lock()
-		if d.BreakerState() == BreakerOpen && d.brkGen == gen {
-			d.setBreakerLocked(BreakerHalfOpen)
-		}
-		d.mu.Unlock()
-		d.drainQueue()
-	})
-}
-
-// setBreakerLocked moves the breaker, counts the transition, and marks it
-// with an instant span.
-func (d *Dispatcher) setBreakerLocked(s BreakerState) {
-	if d.BreakerState() == s {
-		return
-	}
-	d.brk.Store(int64(s))
-	d.brkProbe = false
-	atomic.AddInt64(&d.stats.BreakerTransitions, 1)
-	if d.obsTracer != nil {
-		now := int64(d.eng.Now())
-		d.obsTracer.Span("breaker", "serve", 0, now, now, obs.Str("state", s.String()))
 	}
 }
 
@@ -836,12 +672,6 @@ func (d *Dispatcher) QueueLen() int { return int(d.qlenA.Load()) }
 // while a simulation runs.
 func (d *Dispatcher) InFlight() int { return int(d.busy.Load()) }
 
-// BreakerState returns the circuit breaker's current position. A lock-free
-// atomic read, safe from any goroutine while a simulation runs.
-func (d *Dispatcher) BreakerState() BreakerState {
-	return BreakerState(d.brk.Load())
-}
-
 // Stats returns a snapshot of the outcome counters without taking the
 // dispatcher lock: each counter is an independent atomic read, so a scrape
 // never contends with the dispatch path. Counters written by the same event
@@ -850,15 +680,12 @@ func (d *Dispatcher) BreakerState() BreakerState {
 // a drain), which is when callers assert it.
 func (d *Dispatcher) Stats() DispatcherStats {
 	return DispatcherStats{
-		Submitted:            atomic.LoadInt64(&d.stats.Submitted),
-		Completed:            atomic.LoadInt64(&d.stats.Completed),
-		Rejected:             atomic.LoadInt64(&d.stats.Rejected),
-		Expired:              atomic.LoadInt64(&d.stats.Expired),
-		Failed:               atomic.LoadInt64(&d.stats.Failed),
-		Retries:              atomic.LoadInt64(&d.stats.Retries),
-		TimedOut:             atomic.LoadInt64(&d.stats.TimedOut),
-		BreakerOpens:         atomic.LoadInt64(&d.stats.BreakerOpens),
-		BreakerTransitions:   atomic.LoadInt64(&d.stats.BreakerTransitions),
-		BreakerShortCircuits: atomic.LoadInt64(&d.stats.BreakerShortCircuits),
+		Submitted: atomic.LoadInt64(&d.stats.Submitted),
+		Completed: atomic.LoadInt64(&d.stats.Completed),
+		Rejected:  atomic.LoadInt64(&d.stats.Rejected),
+		Expired:   atomic.LoadInt64(&d.stats.Expired),
+		Failed:    atomic.LoadInt64(&d.stats.Failed),
+		Retries:   atomic.LoadInt64(&d.stats.Retries),
+		TimedOut:  atomic.LoadInt64(&d.stats.TimedOut),
 	}
 }

@@ -213,99 +213,8 @@ func TestRequestTimeoutBoundsRetries(t *testing.T) {
 	}
 }
 
-// TestBreakerOpensAndShortCircuits: consecutive failures trip the breaker at
-// the threshold; while open, PolicyReject arrivals are turned away without
-// touching the pool, counted as breaker short-circuits.
-func TestBreakerOpensAndShortCircuits(t *testing.T) {
-	eng := des.NewEngine()
-	pool := newTestPool(t, engine.WAMR, Config{Size: 0})
-	pool.Engine().SetFaultInjector(faults.New(faults.Config{Seed: 4, InstantiateFailRate: 1}))
-	d := NewDispatcher(eng, pool, DispatcherConfig{
-		MaxConcurrency: 4, Policy: PolicyReject, Export: "handle", Arg: 16,
-		BreakerThreshold: 3, BreakerCooldown: 10 * time.Millisecond,
-	})
-	// Three failures at 0/1/2ms open the breaker; the 3ms arrival is
-	// short-circuited; the fault clears at 5ms; after the 12ms half-open the
-	// 15ms arrival probes, succeeds, and closes the breaker.
-	for i := 0; i < 3; i++ {
-		eng.At(des.Time(time.Duration(i)*time.Millisecond), func() { d.Submit(nil) })
-	}
-	eng.At(des.Time(3*time.Millisecond), func() {
-		if d.BreakerState() != BreakerOpen {
-			t.Error("breaker not open after threshold failures")
-		}
-		d.Submit(nil)
-	})
-	eng.At(des.Time(5*time.Millisecond), func() { pool.Engine().SetFaultInjector(nil) })
-	eng.At(des.Time(15*time.Millisecond), func() {
-		if d.BreakerState() != BreakerHalfOpen {
-			t.Error("breaker not half-open after cooldown")
-		}
-		d.Submit(nil)
-	})
-	eng.Run()
-	if d.BreakerState() != BreakerClosed {
-		t.Fatalf("breaker = %v after successful probe, want closed", d.BreakerState())
-	}
-	st := d.Stats()
-	if st.Failed != 3 || st.Rejected != 1 || st.Completed != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.BreakerOpens != 1 || st.BreakerShortCircuits != 1 {
-		t.Fatalf("breaker stats = %+v", st)
-	}
-}
-
-// TestBreakerHoldsQueueUntilHalfOpenProbe: under PolicyQueue an open breaker
-// parks arrivals instead of rejecting them, and the half-open timer drains
-// the queue — the head becomes the probe and, on success, the rest follow.
-func TestBreakerHoldsQueueUntilHalfOpenProbe(t *testing.T) {
-	eng := des.NewEngine()
-	pool := newTestPool(t, engine.WAMR, Config{Size: 0})
-	pool.Engine().SetFaultInjector(faults.New(faults.Config{Seed: 6, InstantiateFailRate: 1}))
-	d := NewDispatcher(eng, pool, DispatcherConfig{
-		MaxConcurrency: 2, QueueDepth: 8, Policy: PolicyQueue,
-		Export: "handle", Arg: 16,
-		BreakerThreshold: 2, BreakerCooldown: 10 * time.Millisecond,
-	})
-	var order []des.Time
-	done := func(r RequestResult) {
-		if r.Admitted && r.Err == nil {
-			order = append(order, eng.Now())
-		}
-	}
-	for i := 0; i < 2; i++ {
-		eng.At(des.Time(time.Duration(i)*time.Millisecond), func() { d.Submit(nil) })
-	}
-	// Queued while open: both must wait for the half-open transition at 11ms.
-	eng.At(des.Time(2*time.Millisecond), func() {
-		d.Submit(done)
-		d.Submit(done)
-		if got := d.QueueLen(); got != 2 {
-			t.Errorf("queue = %d while breaker open, want 2 parked", got)
-		}
-	})
-	eng.At(des.Time(5*time.Millisecond), func() { pool.Engine().SetFaultInjector(nil) })
-	eng.Run()
-	if len(order) != 2 {
-		t.Fatalf("%d queued requests completed, want 2", len(order))
-	}
-	halfOpenAt := des.Time(time.Millisecond + 10*time.Millisecond)
-	if order[0] < halfOpenAt {
-		t.Fatalf("queued request completed at %v, before the half-open at %v",
-			order[0], halfOpenAt)
-	}
-	st := d.Stats()
-	if st.Completed != 2 || st.Failed != 2 || st.Rejected != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.Submitted != st.Completed+st.Rejected+st.Expired+st.Failed {
-		t.Fatalf("accounting identity broken: %+v", st)
-	}
-}
-
 // chaosRun drives the full resilience stack — faults on instantiate and
-// invoke above the 10% acceptance floor, slow cold starts, retries, breaker,
+// invoke above the 10% acceptance floor, slow cold starts, retries,
 // timeout, and mid-run memory-pressure drains — and returns everything
 // observable.
 func chaosRun(t *testing.T) (Report, DispatcherStats, faults.Stats) {
@@ -332,8 +241,7 @@ func chaosRun(t *testing.T) (Report, DispatcherStats, faults.Stats) {
 		MaxConcurrency: 2, QueueDepth: 16, Policy: PolicyQueue,
 		QueueDeadline: time.Second, Export: "handle", Arg: 200,
 		MaxRetries: 2, RetryBackoff: time.Millisecond, RetryBackoffCap: 4 * time.Millisecond,
-		RequestTimeout:   250 * time.Millisecond,
-		BreakerThreshold: 5, BreakerCooldown: 20 * time.Millisecond,
+		RequestTimeout: 250 * time.Millisecond,
 	})
 	rep := Run(eng, d, LoadConfig{RatePerSec: 120, Duration: time.Second, Seed: 42})
 	if d.InFlight() != 0 || d.QueueLen() != 0 {
@@ -376,13 +284,13 @@ func TestChaosDeterminismAndAccounting(t *testing.T) {
 }
 
 // TestChaosObserversRaceFree runs the chaos scenario while 8 goroutines
-// hammer every cross-goroutine read surface — dispatcher stats and breaker
-// state, pool stats, injector stats, and telemetry snapshots, which run the
-// dispatcher's, pool's and cache's metric sources (the last two take their
-// component's lock) — and one of them also closes tsdb windows over the same
-// sources. Only meaningful under -race; it asserts the observer contract and
-// the lock order between a scrape and the dispatch path, not determinism
-// (which is single-goroutine).
+// hammer every cross-goroutine read surface — dispatcher stats, queue
+// length and in-flight count, pool stats, injector stats, and telemetry
+// snapshots, which run the dispatcher's, pool's and cache's metric sources
+// (the last two take their component's lock) — and one of them also closes
+// tsdb windows over the same sources. Only meaningful under -race; it asserts
+// the observer contract and the lock order between a scrape and the dispatch
+// path, not determinism (which is single-goroutine).
 func TestChaosObserversRaceFree(t *testing.T) {
 	eng := des.NewEngine()
 	pool := newTestPool(t, engine.Wasmtime, Config{Size: 2})
@@ -394,7 +302,6 @@ func TestChaosObserversRaceFree(t *testing.T) {
 		MaxConcurrency: 2, QueueDepth: 16, Policy: PolicyQueue,
 		QueueDeadline: time.Second, Export: "handle", Arg: 100,
 		MaxRetries: 2, RetryBackoff: time.Millisecond,
-		BreakerThreshold: 4, BreakerCooldown: 10 * time.Millisecond,
 	})
 	d.SetObserver(tele)
 	db := tsdb.New(tele, tsdb.Config{Interval: time.Nanosecond})
@@ -420,7 +327,6 @@ func TestChaosObserversRaceFree(t *testing.T) {
 					_ = d.Stats()
 					_ = d.QueueLen()
 					_ = d.InFlight()
-					_ = d.BreakerState()
 					_ = pool.Stats()
 					_ = pool.MemoryBytes()
 					_ = in.Stats()

@@ -38,27 +38,26 @@ type shard struct {
 	names atomic.Pointer[[len(shardSeries)]string]
 }
 
-// shardSeries are the per-module series, in the order Router.collect reports
-// them: five counters, then the breaker-position gauge.
+// shardSeries are the per-module counters, in the order Router.collect
+// reports them.
 var shardSeries = [...]string{
 	"router_submitted_total", "router_completed_total", "router_rejected_total",
-	"router_expired_total", "router_failed_total", "dispatch_breaker_state",
+	"router_expired_total", "router_failed_total",
 }
 
 // Router is the sharded multi-function dispatch layer: it owns one
 // dispatcher per registered module (each keeping the dispatcher's full
-// queue/retry/breaker semantics, independently per shard), routes
+// queue/retry semantics, independently per shard), routes
 // submissions by key through a lock-free snapshot-map lookup, and coalesces
 // submissions arriving within one DES event into per-shard batches so queue
 // push, deadline-expiry sweep, and slot pre-claim run once per batch instead
 // of once per request.
 //
-// Threading follows the dispatcher's contract: Submit and SubmitBatch run
-// on the one goroutine driving the DES engine. Registration and the Stats/
-// Quiesced/SetDraining observers are safe from any goroutine — lookups read
-// an atomic snapshot of the shard map, and per-shard introspection rides
-// the dispatcher's lock-free accessors, so neither ever blocks the submit
-// path.
+// Threading follows the dispatcher's contract: Submit runs on the one
+// goroutine driving the DES engine. Registration and the Stats/Quiesced/
+// SetDraining observers are safe from any goroutine — lookups read an atomic
+// snapshot of the shard map, and per-shard introspection rides the
+// dispatcher's lock-free accessors, so neither ever blocks the submit path.
 type Router struct {
 	eng *des.Engine
 
@@ -85,9 +84,9 @@ func NewRouter(eng *des.Engine, _ RouterConfig) *Router {
 
 // SetObserver wires telemetry: a metric source reporting the batch counters,
 // the shard count and, for every shard in the live shard map — whenever it
-// was registered — the per-module series router_*_total{module="..."} and
-// dispatch_breaker_state{module="..."}, read from the shard's dispatcher. A
-// second call moves the source; nil removes it.
+// was registered — the per-module series router_*_total{module="..."}, read
+// from the shard's dispatcher. A second call moves the source; nil removes
+// it.
 func (r *Router) SetObserver(t *obs.Telemetry) {
 	r.regMu.Lock()
 	defer r.regMu.Unlock()
@@ -116,7 +115,6 @@ func (r *Router) collect(counter, gauge func(string, int64)) {
 		for i, v := range [...]int64{st.Submitted, st.Completed, st.Rejected, st.Expired, st.Failed} {
 			counter(names[i], v)
 		}
-		gauge(names[len(names)-1], int64(sh.d.BreakerState()))
 	}
 }
 
@@ -160,21 +158,11 @@ func (r *Router) Lookup(key string) (*Dispatcher, bool) {
 // done may be nil; it runs exactly once with the final outcome. The only
 // error is ErrUnknownModule, reported synchronously before done could run.
 func (r *Router) Submit(key string, tid int64, done func(RequestResult)) error {
-	return r.SubmitBatch(key, []BatchItem{{TID: tid, Done: done}})
-}
-
-// SubmitBatch routes a group of same-module requests at the current
-// simulated time; see Submit for the threading contract and batching
-// semantics.
-func (r *Router) SubmitBatch(key string, items []BatchItem) error {
 	sh, ok := (*r.shards.Load())[key]
 	if !ok {
 		return ErrUnknownModule
 	}
-	if len(items) == 0 {
-		return nil
-	}
-	sh.pending = append(sh.pending, items...)
+	sh.pending = append(sh.pending, BatchItem{TID: tid, Done: done})
 	if !sh.armed {
 		sh.armed = true
 		// Same-instant events run in schedule order, so every submission
@@ -211,14 +199,10 @@ type ShardStats struct {
 	Stats    DispatcherStats
 	QueueLen int
 	InFlight int
-	Breaker  BreakerState
 }
 
 // IdentityHolds checks the admission conservation identity for this shard.
-func (s ShardStats) IdentityHolds() bool {
-	st := s.Stats
-	return st.Submitted == st.Completed+st.Rejected+st.Expired+st.Failed
-}
+func (s ShardStats) IdentityHolds() bool { return s.Stats.IdentityHolds() }
 
 // RouterStats is the router's introspection snapshot: per-shard outcome
 // counters plus their aggregate and the batch accounting.
@@ -238,8 +222,7 @@ func (s RouterStats) IdentityHolds() bool {
 			return false
 		}
 	}
-	agg := s.Aggregate
-	return agg.Submitted == agg.Completed+agg.Rejected+agg.Expired+agg.Failed
+	return s.Aggregate.IdentityHolds()
 }
 
 // Stats snapshots every shard (sorted by module, then key, for
@@ -261,7 +244,6 @@ func (r *Router) Stats() RouterStats {
 			Stats:    st,
 			QueueLen: sh.d.QueueLen(),
 			InFlight: sh.d.InFlight(),
-			Breaker:  sh.d.BreakerState(),
 		})
 		out.Aggregate.Add(st)
 	}
@@ -272,18 +254,6 @@ func (r *Router) Stats() RouterStats {
 		return out.Shards[i].Key < out.Shards[j].Key
 	})
 	return out
-}
-
-// ShardLoad is the hot-path introspection read: one shard's queue length
-// and in-flight count, the numbers the gateway stamps on every response
-// (X-Queue-Len, X-In-Flight). Lock-free end to end — an atomic map load
-// plus two atomic counter reads.
-func (r *Router) ShardLoad(key string) (queueLen, inFlight int, ok bool) {
-	sh, found := (*r.shards.Load())[key]
-	if !found {
-		return 0, 0, false
-	}
-	return sh.d.QueueLen(), sh.d.InFlight(), true
 }
 
 // Modules lists the registered module names, sorted.

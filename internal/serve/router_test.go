@@ -167,7 +167,7 @@ func TestRouterConcurrentRaceFree(t *testing.T) {
 					return
 				}
 				for _, sh := range st.Shards {
-					_ = sh.QueueLen + sh.InFlight + int(sh.Breaker)
+					_ = sh.QueueLen + sh.InFlight
 				}
 			}
 		}(p)
