@@ -93,6 +93,9 @@ tiers-smoke:
 #   TestLazyFunctionCreation: lazy function creation over HTTP (modules
 #     created on first request), per-module labeled router metrics on
 #     /metrics, router stats on /v1/cluster.
+#   TestLazyTemplateShapesEveryFunction: a lazy gateway with no fixed
+#     functions starts empty, and the first request-handler invoke is built
+#     from the template (wasmtime, pool 8 on /v1/cluster), not DefaultFunction.
 #   TestTimeSeriesCountsFaultBurst: 40 healthy requests then a 100% trap-rate
 #     burst of 40 at dilation 0 — the per-window dispatch_* deltas on
 #     /v1/timeseries sum to 80 submitted and 40 failed, /metrics reports the
@@ -113,7 +116,7 @@ tiers-smoke:
 #   TestRouterRequestAllocsTelemetryParity: a request through an observed
 #     router allocates what one through an unobserved router does.
 http-smoke:
-	$(GO) test -count=1 -run 'TestServeUntilSignal$$|TestLazyFunctionCreation$$|TestTimeSeriesCountsFaultBurst$$|TestUnmatchedRoutesUseEnvelope$$|TestNodeFailover$$|TestMetricsSumOverFunctions$$|TestRouterRequestAllocsTelemetryParity$$' \
+	$(GO) test -count=1 -run 'TestServeUntilSignal$$|TestLazyFunctionCreation$$|TestLazyTemplateShapesEveryFunction$$|TestTimeSeriesCountsFaultBurst$$|TestUnmatchedRoutesUseEnvelope$$|TestNodeFailover$$|TestMetricsSumOverFunctions$$|TestRouterRequestAllocsTelemetryParity$$' \
 		./cmd/continuumd ./internal/gateway ./internal/serve
 
 # Byte-stability gate for the pure-virtual-clock experiments: regenerate them

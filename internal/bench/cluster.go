@@ -84,16 +84,11 @@ func busiestNode(s *cluster.Serving) int {
 // cold ramp and the policy decides how many replicas exist to ramp.
 func MeasureClusterServing(nodes int, policy cluster.Policy, faulted bool) (ClusterMeasurement, error) {
 	s, err := cluster.New(cluster.Config{
-		Nodes:      nodes,
-		Profile:    engine.WAMR,
-		Policy:     policy,
-		Dispatcher: clusterDCfg(),
-		Autoscale: cluster.AutoscaleConfig{
-			Interval:    5 * time.Millisecond,
-			QueueHigh:   4,
-			MaxPoolSize: 8,
-			ShrinkAfter: 200, // ~1s idle: past the drain, so ramps are paid once
-		},
+		Nodes:             nodes,
+		Profile:           engine.WAMR,
+		Policy:            policy,
+		Dispatcher:        clusterDCfg(),
+		AutoscaleInterval: 5 * time.Millisecond,
 	})
 	if err != nil {
 		return ClusterMeasurement{}, err

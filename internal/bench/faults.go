@@ -30,7 +30,6 @@ type FaultMeasurement struct {
 // dispatcher config: capped-exponential retries and a per-request timeout.
 func resilientDispatcherConfig(cfg serve.DispatcherConfig) serve.DispatcherConfig {
 	cfg.MaxRetries = 2
-	cfg.RetryBackoff = time.Millisecond
 	cfg.RetryBackoffCap = 8 * time.Millisecond
 	cfg.RequestTimeout = 500 * time.Millisecond
 	return cfg

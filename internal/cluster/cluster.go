@@ -1,7 +1,7 @@
 // Package cluster is the cluster-level serving tier: it spreads invokes
 // across per-node serve.Routers on a simulated multi-node Kubernetes
-// cluster, scales each replica's warm pool up on queue depth or windowed p99
-// (and down on idle), and places module replicas by artifact locality — a
+// cluster, scales each replica's warm pool up on queue depth (and down on
+// idle), and places module replicas by artifact locality — a
 // node already holding the module's shared wasm-code:/wasm-data: images is
 // preferred over an empty one, because the paper's memory win (one shared
 // artifact copy per node) and the cold-start win (a warm compile cache)
@@ -22,7 +22,6 @@ import (
 	"wasmcontainers/internal/faults"
 	"wasmcontainers/internal/k8s"
 	"wasmcontainers/internal/obs"
-	"wasmcontainers/internal/obs/tsdb"
 	"wasmcontainers/internal/serve"
 )
 
@@ -36,10 +35,10 @@ var ErrUnknownModule = serve.ErrUnknownModule
 type Policy int
 
 const (
-	// PolicyLocality (default) routes a module's traffic to nodes already
-	// hosting it, placing a new replica only for the first request or when
-	// every hosting replica's queue passes Autoscale.SpillQueue. Nodes are
-	// scored by resident shared artifacts, free memory as tiebreak.
+	// PolicyLocality (default) routes a module's traffic to the least-loaded
+	// replica already hosting it, placing a replica only for the first
+	// request or after its node fails. Nodes are scored by resident shared
+	// artifacts, free memory as tiebreak.
 	PolicyLocality Policy = iota
 	// PolicySpread is the blind round-robin baseline the ablation measures
 	// against: every live node ends up hosting every module, paying one
@@ -55,33 +54,16 @@ func (p Policy) String() string {
 	return "locality"
 }
 
-// AutoscaleConfig shapes the horizontal autoscaler.
-type AutoscaleConfig struct {
-	// Interval is the evaluation tick on the DES clock; <= 0 disables the
-	// autoscaler entirely (pools stay at Config.PoolSize).
-	Interval time.Duration
-	// QueueHigh grows a replica's pool (doubling, capped at MaxPoolSize)
-	// when its queue depth reaches this at a tick. 0 means 8.
-	QueueHigh int
-	// P99High also grows loaded pools when the windowed p99 dispatch latency
-	// (from the tsdb sampling dispatch_latency_ns) reaches this; 0 disables
-	// the latency signal. Requires Config.Telemetry.
-	P99High time.Duration
-	// MaxPoolSize caps growth. 0 means 32.
-	MaxPoolSize int
-	// MinPoolSize floors shrink; 0 shrinks idle replicas back to cold-only.
-	MinPoolSize int
-	// ShrinkAfter halves an idle replica's pool after this many consecutive
-	// idle ticks. 0 means 3.
-	ShrinkAfter int
-	// SpillQueue lets locality placement spill a module onto one more node
-	// when every hosting replica's queue is at least this deep; 0 never
-	// spills.
-	SpillQueue int
-	// MinFreeBytes stops pool growth on a node whose metrics-server
-	// available-memory reading has dropped below this floor. 0 means 64 MiB.
-	MinFreeBytes int64
-}
+// The autoscaler's thresholds. A tick grows a replica's pool (doubling, up to
+// maxPoolSize) when its queue holds at least queueHigh requests and its
+// node's metrics-server reading has minFreeBytes available; shrinkAfter
+// consecutive idle ticks halve it.
+const (
+	queueHigh    = 4
+	maxPoolSize  = 8
+	shrinkAfter  = 200 // ~1s idle at a 5ms tick: past a drain, so a ramp is paid once
+	minFreeBytes = 64 << 20
+)
 
 // Config shapes one serving cluster.
 type Config struct {
@@ -94,15 +76,14 @@ type Config struct {
 	// PoolSize is a new replica's initial warm size. 0 (the usual setting)
 	// starts cold and lets the autoscaler warm it on demand.
 	PoolSize int
-	// IdleTTL is each replica pool's idle eviction TTL; 0 keeps instances.
-	IdleTTL time.Duration
 	// Dispatcher configures every replica's dispatcher (admission, export,
 	// retries...).
 	Dispatcher serve.DispatcherConfig
-	// Autoscale configures the autoscaler.
-	Autoscale AutoscaleConfig
-	// Telemetry enables node-labeled cluster metrics and the tsdb p99
-	// signal; nil disables observation.
+	// AutoscaleInterval is the autoscaler's evaluation tick on the DES clock;
+	// 0 disables it (pools stay at PoolSize).
+	AutoscaleInterval time.Duration
+	// Telemetry enables node-labeled cluster metrics; nil disables
+	// observation.
 	Telemetry *obs.Telemetry
 }
 
@@ -111,8 +92,8 @@ type ScaleStats struct {
 	// Ups / Downs count pool grow / shrink actions.
 	Ups, Downs int
 	// Placed counts replica placements; RePlaced is the subset forced by
-	// node failure; Spills the subset forced by SpillQueue overflow.
-	Placed, RePlaced, Spills int
+	// node failure.
+	Placed, RePlaced int
 }
 
 // nodeState is one worker node's serving surface: its router and its engine
@@ -166,7 +147,6 @@ type Serving struct {
 	nodes   []*nodeState
 	modules map[string]*moduleState
 	order   []string
-	db      *tsdb.DB
 	rr      int
 	attSeq  int
 	scale   ScaleStats
@@ -176,18 +156,6 @@ type Serving struct {
 func New(cfg Config) (*Serving, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1
-	}
-	if cfg.Autoscale.QueueHigh <= 0 {
-		cfg.Autoscale.QueueHigh = 8
-	}
-	if cfg.Autoscale.MaxPoolSize <= 0 {
-		cfg.Autoscale.MaxPoolSize = 32
-	}
-	if cfg.Autoscale.ShrinkAfter <= 0 {
-		cfg.Autoscale.ShrinkAfter = 3
-	}
-	if cfg.Autoscale.MinFreeBytes <= 0 {
-		cfg.Autoscale.MinFreeBytes = 64 << 20
 	}
 	kc := k8s.DefaultClusterConfig()
 	kc.NumNodes = cfg.Nodes
@@ -215,10 +183,6 @@ func New(cfg Config) (*Serving, error) {
 		s.nodes = append(s.nodes, n)
 	}
 	tele.Metrics().SetSource(s, s.collect)
-	if tele != nil && cfg.Autoscale.Interval > 0 && cfg.Autoscale.P99High > 0 {
-		s.db = tsdb.New(tele, tsdb.Config{Interval: cfg.Autoscale.Interval})
-		s.db.TrackHistogram("dispatch_latency_ns", tele.Histogram("dispatch_latency_ns"))
-	}
 	return s, nil
 }
 
@@ -316,31 +280,20 @@ func (s *Serving) route(m *moduleState) (*replica, error) {
 			best, bestLoad = r, load
 		}
 	}
-	if best == nil {
-		n := s.bestNode(m, false)
-		if n == nil {
-			return nil, ErrNoLiveNode
-		}
-		return s.place(m, n, false)
+	if best != nil {
+		return best, nil
 	}
-	if sp := s.cfg.Autoscale.SpillQueue; sp > 0 && bestLoad >= sp {
-		if n := s.bestNode(m, true); n != nil {
-			s.scale.Spills++
-			return s.place(m, n, false)
-		}
+	n := s.bestNode(m)
+	if n == nil {
+		return nil, ErrNoLiveNode
 	}
-	return best, nil
+	return s.place(m, n, false)
 }
 
-// bestNode is PickNode over the cluster's nodes for m's artifacts;
-// excludeHosting skips nodes already running a replica (the spill path wants
-// a fresh node). nil when no candidate is alive.
-func (s *Serving) bestNode(m *moduleState, excludeHosting bool) *nodeState {
-	var skip func(int) bool
-	if excludeHosting {
-		skip = func(i int) bool { return m.on(s.nodes[i]) != nil }
-	}
-	i := PickNode(s.K.Nodes, m.artifacts, skip)
+// bestNode is PickNode over the cluster's nodes for m's artifacts; nil when
+// no node is alive.
+func (s *Serving) bestNode(m *moduleState) *nodeState {
+	i := PickNode(s.K.Nodes, m.artifacts)
 	if i < 0 {
 		return nil
 	}
@@ -356,7 +309,7 @@ func (s *Serving) place(m *moduleState, n *nodeState, replaced bool) (*replica, 
 	}
 	s.attSeq++
 	rep, err := NewReplica(s.eng, n.eng, cm, n.w, fmt.Sprintf("%s-%d", m.name, s.attSeq),
-		serve.Config{Size: s.cfg.PoolSize, IdleTTL: s.cfg.IdleTTL}, s.cfg.Dispatcher, s.cfg.Telemetry)
+		serve.Config{Size: s.cfg.PoolSize}, s.cfg.Dispatcher, s.cfg.Telemetry)
 	if err != nil {
 		return nil, err
 	}
@@ -421,7 +374,7 @@ func (s *Serving) FailNode(idx int) error {
 		}
 	}
 	for _, m := range lost {
-		tgt := s.bestNode(m, false)
+		tgt := s.bestNode(m)
 		if tgt == nil {
 			return ErrNoLiveNode
 		}
@@ -476,55 +429,40 @@ func (s *Serving) ReplicaNodes(module string) []string {
 	return out
 }
 
-// Arm starts the autoscaler tick chain (and the tsdb window clock when the
-// p99 signal is configured) until the given horizon of simulated time. Call
-// before Run / the load generator; without it pools stay at Config.PoolSize.
+// Arm starts the autoscaler tick chain until the given horizon of simulated
+// time. Call before Run / the load generator; without it, or with
+// AutoscaleInterval 0, pools stay at Config.PoolSize.
 func (s *Serving) Arm(until time.Duration) {
-	a := s.cfg.Autoscale
-	if a.Interval <= 0 {
+	every := s.cfg.AutoscaleInterval
+	if every <= 0 {
 		return
-	}
-	if s.db != nil {
-		s.db.ArmDES(s.eng, int64(until))
 	}
 	var tick func()
 	tick = func() {
 		s.tick()
-		if time.Duration(s.eng.Now())+a.Interval <= until {
-			s.eng.After(a.Interval, tick)
+		if time.Duration(s.eng.Now())+every <= until {
+			s.eng.After(every, tick)
 		}
 	}
-	s.eng.After(a.Interval, tick)
+	s.eng.After(every, tick)
 }
 
 // tick is one autoscaler evaluation: per live replica, grow the pool on
-// queue depth or windowed p99 (skipping nodes the metrics-server reports
-// memory-starved), shrink it after ShrinkAfter consecutive idle ticks.
+// queue depth (skipping nodes the metrics-server reports memory-starved),
+// halve it after shrinkAfter consecutive idle ticks.
 func (s *Serving) tick() {
-	a := s.cfg.Autoscale
-	var p99 time.Duration
-	if s.db != nil && a.P99High > 0 {
-		p99 = time.Duration(s.db.QuantileOver("dispatch_latency_ns", 0.99, 2*a.Interval))
-	}
 	free := s.K.Metrics.NodeFree()
 	for _, name := range s.order {
 		for _, r := range s.modules[name].live {
 			q := r.disp.QueueLen()
 			target := r.pool.TargetSize()
-			hot := q >= a.QueueHigh || (a.P99High > 0 && p99 >= a.P99High && q > 0)
 			switch {
-			case hot:
+			case q >= queueHigh:
 				r.idleTicks = 0
-				if free[r.n.idx].AvailableBytes < a.MinFreeBytes {
+				if free[r.n.idx].AvailableBytes < minFreeBytes {
 					continue // the node can't carry more warm instances
 				}
-				next := target * 2
-				if next < 1 {
-					next = 1
-				}
-				if next > a.MaxPoolSize {
-					next = a.MaxPoolSize
-				}
+				next := min(max(target*2, 1), maxPoolSize)
 				if next > target {
 					if _, err := r.pool.Resize(next); err == nil {
 						s.scale.Ups++
@@ -532,12 +470,8 @@ func (s *Serving) tick() {
 				}
 			case q == 0 && r.disp.InFlight() == 0:
 				r.idleTicks++
-				if r.idleTicks >= a.ShrinkAfter && target > a.MinPoolSize {
-					next := target / 2
-					if next < a.MinPoolSize {
-						next = a.MinPoolSize
-					}
-					if _, err := r.pool.Resize(next); err == nil {
+				if r.idleTicks >= shrinkAfter && target > 0 {
+					if _, err := r.pool.Resize(target / 2); err == nil {
 						s.scale.Downs++
 					}
 					r.idleTicks = 0

@@ -9,7 +9,6 @@ import (
 	"wasmcontainers/internal/des"
 	"wasmcontainers/internal/engine"
 	"wasmcontainers/internal/faults"
-	"wasmcontainers/internal/obs"
 	"wasmcontainers/internal/serve"
 	"wasmcontainers/internal/workloads"
 )
@@ -86,15 +85,10 @@ func TestLocalityBeatsSpread(t *testing.T) {
 		// replica once its queue builds, so a replica pays cold starts only
 		// during its ramp — the per-node ramp tax spread placement multiplies.
 		s, modules := newTestServing(t, Config{
-			Nodes:   4,
-			Profile: engine.WAMR,
-			Policy:  p,
-			Autoscale: AutoscaleConfig{
-				Interval:    5 * time.Millisecond,
-				QueueHigh:   4,
-				MaxPoolSize: 8,
-				ShrinkAfter: 1 << 20, // no shrink: this test isolates the ramp
-			},
+			Nodes:             4,
+			Profile:           engine.WAMR,
+			Policy:            p,
+			AutoscaleInterval: 5 * time.Millisecond,
 		}, 6)
 		s.Arm(10 * time.Second)
 		rep := drive(t, s, modules)
@@ -199,79 +193,91 @@ func TestFailoverDrainRePlaceReRoute(t *testing.T) {
 	}
 }
 
-// TestAutoscalerGrowsAndShrinks: a burst builds queues, the autoscaler
-// doubles the hot replica's pool; once traffic stops, consecutive idle
-// ticks shrink it back down.
+// TestAutoscalerGrowsAndShrinks: a burst builds the queue and the autoscaler
+// doubles the hot replica's pool up to maxPoolSize; once traffic stops, every
+// shrinkAfter idle ticks halve it. With AutoscaleInterval 0 the pool never
+// moves.
 func TestAutoscalerGrowsAndShrinks(t *testing.T) {
-	dcfg := testDCfg()
-	dcfg.MaxConcurrency = 1
-	s, modules := newTestServing(t, Config{
-		Nodes:      1,
-		Profile:    engine.WAMR,
-		PoolSize:   1, // pre-warmed: service time is warm-path, not a 2.6s cold ramp
-		Dispatcher: dcfg,
-		Autoscale: AutoscaleConfig{
-			Interval:    5 * time.Millisecond,
-			QueueHigh:   4,
-			P99High:     time.Nanosecond, // any completed work satisfies the latency signal
-			MaxPoolSize: 16,
-			ShrinkAfter: 2,
-		},
-		Telemetry: obs.New(obs.Config{}),
-	}, 1)
-	sim := s.Engine()
-	m := modules[0]
-	s.Arm(500 * time.Millisecond)
-	for i := 0; i < 300; i++ {
-		at := des.Time(i) * des.Time(50*time.Microsecond) // 15ms burst
-		sim.At(at, func() {
-			if err := s.Submit(m, 0, nil); err != nil {
-				t.Errorf("submit: %v", err)
+	const (
+		every   = 5 * time.Millisecond
+		horizon = 3 * time.Second // room for two shrinkAfter idle stretches
+	)
+	for _, tc := range []struct {
+		name     string
+		interval time.Duration
+	}{{"armed", every}, {"off", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dcfg := testDCfg()
+			dcfg.MaxConcurrency = 1
+			s, modules := newTestServing(t, Config{
+				Nodes:             1,
+				Profile:           engine.WAMR,
+				PoolSize:          1, // pre-warmed: service time is warm-path, not a 2.6s cold ramp
+				Dispatcher:        dcfg,
+				AutoscaleInterval: tc.interval,
+			}, 1)
+			sim := s.Engine()
+			m := modules[0]
+			s.Arm(horizon)
+			for i := 0; i < 300; i++ {
+				at := des.Time(i) * des.Time(50*time.Microsecond) // 15ms burst
+				sim.At(at, func() {
+					if err := s.Submit(m, 0, nil); err != nil {
+						t.Errorf("submit: %v", err)
+					}
+				})
+			}
+			// Sample the pool's target between ticks, once per interval.
+			var targets []int
+			for at := every / 2; at < horizon; at += every {
+				sim.At(des.Time(at), func() {
+					if live := s.modules[m].live; len(live) == 1 {
+						targets = append(targets, live[0].pool.TargetSize())
+					}
+				})
+			}
+			sim.Run()
+			conserve(t, s.Stats())
+
+			sc := s.ScaleStats()
+			if tc.interval == 0 {
+				for _, n := range targets {
+					if n != 1 {
+						t.Fatalf("unarmed autoscaler resized the pool to %d", n)
+					}
+				}
+				if sc.Ups != 0 || sc.Downs != 0 {
+					t.Fatalf("unarmed autoscaler acted: %+v", sc)
+				}
+				return
+			}
+			// 1 -> 2 -> 4 -> 8, then no further growth.
+			if sc.Ups != 3 {
+				t.Fatalf("ups = %d, want 3 doublings from 1 to %d", sc.Ups, maxPoolSize)
+			}
+			peak, downs := 0, []int{}
+			for i, n := range targets {
+				peak = max(peak, n)
+				if i > 0 && n < targets[i-1] {
+					if n != targets[i-1]/2 {
+						t.Fatalf("shrink %d -> %d, want a halving", targets[i-1], n)
+					}
+					downs = append(downs, i)
+				}
+			}
+			if peak != maxPoolSize {
+				t.Fatalf("peak pool = %d, want maxPoolSize %d", peak, maxPoolSize)
+			}
+			if len(downs) < 2 || sc.Downs != len(downs) {
+				t.Fatalf("shrinks seen at samples %v, ScaleStats %+v: want at least two", downs, sc)
+			}
+			for i := 1; i < len(downs); i++ {
+				if gap := downs[i] - downs[i-1]; gap != shrinkAfter {
+					t.Fatalf("shrinks %d ticks apart, want shrinkAfter %d", gap, shrinkAfter)
+				}
 			}
 		})
 	}
-	sim.Run()
-
-	sc := s.ScaleStats()
-	if sc.Ups == 0 {
-		t.Fatal("autoscaler never grew under a queue burst")
-	}
-	if sc.Downs == 0 {
-		t.Fatal("autoscaler never shrank after idle")
-	}
-	conserve(t, s.Stats())
-}
-
-// TestLocalitySpill: with SpillQueue set, a loaded module overflows onto a
-// second node instead of queueing forever behind one replica.
-func TestLocalitySpill(t *testing.T) {
-	dcfg := testDCfg()
-	dcfg.MaxConcurrency = 1
-	s, modules := newTestServing(t, Config{
-		Nodes:      2,
-		Profile:    engine.WAMR,
-		Dispatcher: dcfg,
-		Autoscale:  AutoscaleConfig{SpillQueue: 2},
-	}, 1)
-	sim := s.Engine()
-	m := modules[0]
-	for i := 0; i < 50; i++ {
-		at := des.Time(i) * des.Time(10*time.Microsecond)
-		sim.At(at, func() {
-			if err := s.Submit(m, 0, nil); err != nil {
-				t.Errorf("submit: %v", err)
-			}
-		})
-	}
-	sim.Run()
-
-	if sp := s.ScaleStats().Spills; sp == 0 {
-		t.Fatal("no spill despite a saturated replica")
-	}
-	if nodes := s.ReplicaNodes(m); len(nodes) != 2 {
-		t.Fatalf("replica nodes = %v, want both", nodes)
-	}
-	conserve(t, s.Stats())
 }
 
 // TestClusterDeterminism: the same scenario — Zipf traffic, a pressure

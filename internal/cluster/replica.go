@@ -147,12 +147,11 @@ func (r *Replica) SharedBytes() int64 { return sumBytes(r.pool.SharedArtifacts()
 // best one's index, or -1 when no candidate is alive: a node already holding
 // the module's artifacts beats an empty one (each is charged once per node,
 // so stacking replicas is free), free memory breaks ties, and node order
-// makes the choice deterministic. skip, when non-nil, excludes candidates by
-// index.
-func PickNode(nodes []*k8s.WorkerNode, artifacts []engine.SharedArtifact, skip func(i int) bool) int {
+// makes the choice deterministic.
+func PickNode(nodes []*k8s.WorkerNode, artifacts []engine.SharedArtifact) int {
 	best, bestScore, bestFree := -1, -1, int64(-1)
 	for i, n := range nodes {
-		if !n.Alive() || (skip != nil && skip(i)) {
+		if !n.Alive() {
 			continue
 		}
 		score := 0

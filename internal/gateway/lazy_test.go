@@ -118,6 +118,45 @@ func TestLazyDisabledStill404s(t *testing.T) {
 	}
 }
 
+// TestLazyTemplateShapesEveryFunction: a gateway with a lazy template and no
+// fixed functions starts empty, so the first request for request-handler
+// creates it from the template (wasmtime, pool 8), not from DefaultFunction's
+// wamr / pool 4.
+func TestLazyTemplateShapesEveryFunction(t *testing.T) {
+	tmpl := DefaultFunction()
+	tmpl.Profile = "wasmtime"
+	tmpl.PoolSize = 8
+	gw, err := New(Config{LazyTemplate: &tmpl, Bridge: BridgeConfig{Dilation: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw.Start()
+	ts := httptest.NewServer(gw)
+	defer func() {
+		ts.Close()
+		gw.Bridge().Stop()
+	}()
+	if n := len(gw.Functions()); n != 0 {
+		t.Fatalf("functions before any request = %d, want 0", n)
+	}
+	client := &http.Client{Timeout: 30 * time.Second}
+	if resp, body := invoke(t, client, ts.URL+"/v1/functions/request-handler", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("lazy invoke: status %d body %s", resp.StatusCode, body)
+	}
+	_, body := get(t, client, ts.URL+"/v1/cluster")
+	var st ClusterStatus
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Functions) != 1 {
+		t.Fatalf("/v1/cluster functions = %+v, want one", st.Functions)
+	}
+	if f := st.Functions[0]; f.Module != "request-handler" || f.Profile != "wasmtime" || f.PoolSize != 8 {
+		t.Fatalf("/v1/cluster reports %s on %s with pool %d, want request-handler on wasmtime with pool 8",
+			f.Module, f.Profile, f.PoolSize)
+	}
+}
+
 // grepLines filters text to lines containing sub, for failure messages.
 func grepLines(text, sub string) string {
 	var out []string

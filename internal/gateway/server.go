@@ -40,21 +40,19 @@ type FunctionConfig struct {
 	Arg int32
 	// PoolSize is the warm pool size; 0 means cold-only serving.
 	PoolSize int
-	// IdleTTL evicts idle warm instances; 0 keeps them forever.
-	IdleTTL time.Duration
 
 	// Dispatcher shaping; zero values inherit DispatcherConfig's defaults.
 	MaxConcurrency int
 	QueueDepth     int
 	QueueDeadline  time.Duration
 	MaxRetries     int
-	RetryBackoff   time.Duration
 	RequestTimeout time.Duration
 }
 
 // Config shapes one gateway server.
 type Config struct {
-	// Functions to register; empty registers DefaultFunction.
+	// Functions to register; empty registers DefaultFunction unless a
+	// LazyTemplate is set, which then starts the gateway with none.
 	Functions []FunctionConfig
 	// LazyTemplate, when non-nil, turns POST /v1/functions/{module} into a
 	// resolver for any workload module: the first request for an
@@ -181,7 +179,7 @@ type Server struct {
 // wired through every layer with the tracer on the serving DES clock. The
 // bridge loop is not yet running — call Start.
 func New(cfg Config) (*Server, error) {
-	if len(cfg.Functions) == 0 {
+	if len(cfg.Functions) == 0 && cfg.LazyTemplate == nil {
 		cfg.Functions = []FunctionConfig{DefaultFunction()}
 	}
 	tele := cfg.Telemetry
@@ -361,13 +359,13 @@ func (s *Server) newFunction(fc FunctionConfig, bin []byte) (*Function, error) {
 		return nil, fmt.Errorf("gateway: compile %s: %w", fc.Module, err)
 	}
 	arts := cm.SharedArtifacts()
-	node := cluster.PickNode(s.cluster.Nodes, arts[:], nil)
+	node := cluster.PickNode(s.cluster.Nodes, arts[:])
 	if node < 0 {
 		return nil, fmt.Errorf("gateway: place %s: %w", fc.Module, cluster.ErrNoLiveNode)
 	}
 	rep, err := cluster.NewReplica(s.sim, eng, cm, s.cluster.Nodes[node],
 		fmt.Sprintf("%s-%s", fc.Module, fc.Profile),
-		serve.Config{Size: fc.PoolSize, IdleTTL: fc.IdleTTL},
+		serve.Config{Size: fc.PoolSize},
 		serve.DispatcherConfig{
 			MaxConcurrency: fc.MaxConcurrency,
 			QueueDepth:     fc.QueueDepth,
@@ -376,7 +374,6 @@ func (s *Server) newFunction(fc FunctionConfig, bin []byte) (*Function, error) {
 			Export:         fc.Export,
 			Arg:            fc.Arg,
 			MaxRetries:     fc.MaxRetries,
-			RetryBackoff:   fc.RetryBackoff,
 			RequestTimeout: fc.RequestTimeout,
 		}, s.tele)
 	if err != nil {
@@ -911,7 +908,7 @@ func (s *Server) handleNodeFail(w http.ResponseWriter, r *http.Request) {
 		for _, m := range modules {
 			rep := fns[m].rep
 			arts := rep.Pool().SharedArtifacts()
-			target := cluster.PickNode(s.cluster.Nodes, arts[:], nil)
+			target := cluster.PickNode(s.cluster.Nodes, arts[:])
 			if target < 0 {
 				rehomeErr = fmt.Errorf("gateway: re-home %s: %w", m, cluster.ErrNoLiveNode)
 				return

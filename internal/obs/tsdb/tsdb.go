@@ -1,13 +1,11 @@
 // Package tsdb turns the obs registry's monotonic totals into windowed time
 // series: a fixed-capacity ring of periodic snapshots storing counter deltas,
-// gauge values, and mergeable histogram windows, with the windowed-quantile
-// query (QuantileOver) the cluster autoscaler's p99 signal reads.
+// gauge values, and mergeable histogram windows.
 //
 // # Sampling discipline
 //
-// The DB never samples itself. One goroutine — the DES event chain armed by
-// ArmDES in pure simulation, or the gateway bridge's loop goroutine behind
-// HTTP — calls Advance(now) with the current simulated time; every window
+// The DB never samples itself. One goroutine — the gateway bridge's loop
+// goroutine — calls Advance(now) with the current simulated time; every window
 // whose end has passed closes then, capturing the registry exactly once per
 // boundary. Because window edges are aligned to multiples of the interval on
 // the simulated clock and the caller advances before executing events at or
@@ -22,10 +20,9 @@
 // counter and gauge in one obs.Registry.Read — which runs the registered
 // metric sources, so the sampling goroutine must not hold a component lock a
 // source takes — then publishes the completed, immutable Window through an
-// atomic pointer ring.
-// Readers (HTTP handlers, the autoscaler) never block the sampler and never
-// see a torn window. A nil *DB is the disabled state: every
-// method no-ops at zero cost, enforced by the obs-overhead benchmark gate.
+// atomic pointer ring. Readers (HTTP handlers) never block the sampler and
+// never see a torn window. A nil *DB is the disabled state: every method
+// no-ops at zero cost, enforced by the obs-overhead benchmark gate.
 package tsdb
 
 import (
@@ -34,7 +31,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wasmcontainers/internal/des"
 	"wasmcontainers/internal/obs"
 )
 
@@ -42,16 +38,13 @@ import (
 // gateway's default 250ms interval this retains 64 seconds of history.
 const DefaultCapacity = 256
 
-// Config shapes a DB.
+// Config shapes a DB. The first window starts at 0, the simulation start.
 type Config struct {
 	// Interval is the window length on the sampling clock (simulated
 	// nanoseconds in DES runs). Required > 0.
 	Interval time.Duration
 	// Capacity is the number of retained windows; 0 means DefaultCapacity.
 	Capacity int
-	// Start is the left edge of the first window (default 0, simulation
-	// start).
-	Start int64
 }
 
 // CounterWindow is one counter's contribution to a window.
@@ -174,7 +167,7 @@ func New(t *obs.Telemetry, cfg Config) *DB {
 		ring:     make([]atomic.Pointer[Window], cap),
 	}
 	db.series.Store(&seriesSet{})
-	db.nextEnd.Store(cfg.Start + int64(cfg.Interval))
+	db.nextEnd.Store(int64(cfg.Interval))
 	return db
 }
 
@@ -319,26 +312,6 @@ func (db *DB) closeWindow(end int64) {
 	db.head.Add(1)
 }
 
-// ArmDES schedules a self-rearming event chain on eng that calls Advance at
-// every window boundary up to and including `until`, for pure-simulation runs
-// with no external pacing loop. The chain is bounded — it never keeps the
-// event queue non-empty past `until`, so Engine.Run terminates.
-func (db *DB) ArmDES(eng *des.Engine, until int64) {
-	if db == nil || eng == nil {
-		return
-	}
-	var arm func()
-	arm = func() {
-		db.Advance(int64(eng.Now()))
-		if next := db.nextEnd.Load(); next <= until {
-			eng.At(des.Time(next), arm)
-		}
-	}
-	if next := db.nextEnd.Load(); next <= until {
-		eng.At(des.Time(next), arm)
-	}
-}
-
 // Windows returns up to max retained windows in chronological order (oldest
 // first); max <= 0 means all retained. Safe against a concurrently advancing
 // sampler: a window the ring overwrote mid-read is simply omitted.
@@ -371,47 +344,6 @@ func (db *DB) Windows(max int) []*Window {
 		out[i], out[j] = out[j], out[i]
 	}
 	return out
-}
-
-// lookback selects the retained windows whose [Start, End) intersects the
-// trailing `span` nanoseconds, measured back from the newest window's end;
-// span <= 0 means all retained.
-func (db *DB) lookback(span int64) []*Window {
-	ws := db.Windows(0)
-	if len(ws) == 0 || span <= 0 {
-		return ws
-	}
-	cutoff := ws[len(ws)-1].End - span
-	lo := 0
-	for lo < len(ws) && ws[lo].End <= cutoff {
-		lo++
-	}
-	return ws[lo:]
-}
-
-// QuantileOver estimates a histogram's q-quantile over the samples recorded
-// in the trailing `span` by merging window bucket deltas — the mergeability
-// that point-in-time histogram snapshots cannot offer.
-func (db *DB) QuantileOver(name string, q float64, span time.Duration) int64 {
-	if db == nil {
-		return 0
-	}
-	ws := db.lookback(int64(span))
-	if len(ws) == 0 {
-		return 0
-	}
-	merged := make([]int64, obs.NumBuckets())
-	for _, w := range ws {
-		for _, h := range w.Histograms {
-			if h.Name == name {
-				for _, b := range h.Buckets {
-					merged[b.Idx] += b.Count
-				}
-				break
-			}
-		}
-	}
-	return obs.QuantileOf(merged, q)
 }
 
 // Stats reports sampler totals.

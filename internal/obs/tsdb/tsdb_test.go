@@ -1,11 +1,9 @@
 package tsdb
 
 import (
-	"encoding/json"
 	"testing"
 	"time"
 
-	"wasmcontainers/internal/des"
 	"wasmcontainers/internal/obs"
 )
 
@@ -28,12 +26,8 @@ func TestDisabledNilDB(t *testing.T) {
 	db.TrackGauge("g")
 	db.TrackHistogram("h", nil)
 	db.Advance(1e9)
-	db.ArmDES(des.NewEngine(), 1e9)
 	if db.Windows(0) != nil || db.Windows(1) != nil {
 		t.Fatal("nil DB reads must be zero values")
-	}
-	if db.QuantileOver("h", 0.99, 0) != 0 {
-		t.Fatal("nil DB queries must be zero")
 	}
 	if db.Stats() != (Stats{}) || db.Interval() != 0 {
 		t.Fatal("nil DB stats must be zero")
@@ -102,15 +96,31 @@ func TestHistogramWindowsMergeToQuantile(t *testing.T) {
 		t.Fatalf("count deltas = %d/%d", ws[0].Histograms[0].CountDelta, ws[1].Histograms[0].CountDelta)
 	}
 	// Merged p99 over both windows must land in the outlier's bucket range.
-	p99 := db.QuantileOver("lat", 0.995, 0)
+	p99 := obs.QuantileOf(mergeBuckets(ws, "lat"), 0.995)
 	lo, hi := obs.BucketRange(obsBucketOf(1 << 20))
 	if p99 < lo || p99 > hi {
 		t.Fatalf("merged p99.5 = %d, want within [%d,%d]", p99, lo, hi)
 	}
-	// A one-window lookback sees only the outlier.
-	if got := db.QuantileOver("lat", 0.5, 100*time.Nanosecond); got < lo || got > hi {
+	// The trailing window alone holds only the outlier.
+	if got := obs.QuantileOf(mergeBuckets(ws[1:], "lat"), 0.5); got < lo || got > hi {
 		t.Fatalf("trailing-window p50 = %d, want outlier bucket [%d,%d]", got, lo, hi)
 	}
+}
+
+// mergeBuckets sums one histogram's bucket deltas across windows, the merge a
+// /v1/timeseries reader does before obs.QuantileOf.
+func mergeBuckets(ws []*Window, name string) []int64 {
+	merged := make([]int64, obs.NumBuckets())
+	for _, w := range ws {
+		for _, h := range w.Histograms {
+			if h.Name == name {
+				for _, b := range h.Buckets {
+					merged[b.Idx] += b.Count
+				}
+			}
+		}
+	}
+	return merged
 }
 
 // obsBucketOf finds the shared-layout bucket index holding v.
@@ -164,33 +174,20 @@ func TestIdleGapFastForward(t *testing.T) {
 	}
 }
 
-func TestArmDESClosesWindowsDeterministically(t *testing.T) {
-	run := func() []byte {
-		eng := des.NewEngine()
-		tele := obs.New(obs.Config{})
-		db := New(tele, Config{Interval: 100 * time.Nanosecond})
-		c := tele.Counter("reqs_total")
-		db.TrackCounter("reqs_total")
-		// Workload: one increment every 30ns until t=1000.
-		for t := int64(0); t <= 1000; t += 30 {
-			eng.At(des.Time(t), func() { c.Inc() })
-		}
-		db.ArmDES(eng, 1000)
-		eng.Run()
-		out, err := json.Marshal(db.Windows(0))
-		if err != nil {
-			panic(err)
-		}
-		return out
+// TestWindowDeltasSumToLastTotal: a sampler advancing before each event
+// closes one window per boundary, and the closed windows' deltas conserve
+// the counter's total.
+func TestWindowDeltasSumToLastTotal(t *testing.T) {
+	db, tele := newTestDB(t, Config{})
+	c := tele.Counter("reqs_total")
+	db.TrackCounter("reqs_total")
+	// Workload: one increment every 30ns until t=1000.
+	for now := int64(0); now <= 1000; now += 30 {
+		db.Advance(now)
+		c.Inc()
 	}
-	a, b := run(), run()
-	if string(a) != string(b) {
-		t.Fatalf("two identical DES runs produced different series:\n%s\n%s", a, b)
-	}
-	var ws []Window
-	if err := json.Unmarshal(a, &ws); err != nil {
-		t.Fatal(err)
-	}
+	db.Advance(1000)
+	ws := db.Windows(0)
 	if len(ws) != 10 {
 		t.Fatalf("windows = %d, want 10", len(ws))
 	}
@@ -198,11 +195,10 @@ func TestArmDESClosesWindowsDeterministically(t *testing.T) {
 	for _, w := range ws {
 		total += w.Counters[0].Delta
 	}
-	// 34 increments total (t=0..990 step 30); the ones at/after the last
-	// boundary may land outside a closed window depending on event order,
-	// but every closed window's deltas must be conserved.
-	if total != ws[len(ws)-1].Counters[0].Total {
-		t.Fatalf("window deltas (%d) must sum to the last total (%d)", total, ws[len(ws)-1].Counters[0].Total)
+	// 34 increments (t=0..990 step 30), all before the last boundary.
+	last := ws[len(ws)-1].Counters[0].Total
+	if total != last || last != 34 {
+		t.Fatalf("window deltas (%d) must sum to the last total (%d), want 34", total, last)
 	}
 }
 

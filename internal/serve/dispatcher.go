@@ -34,6 +34,9 @@ func (p AdmissionPolicy) String() string {
 	return "reject"
 }
 
+// retryBackoff is the delay before a request's first retry.
+const retryBackoff = time.Millisecond
+
 // ErrRequestTimeout marks a request failed because its retry budget ran past
 // DispatcherConfig.RequestTimeout; the wrapped cause is the last attempt's
 // error. Detect it with errors.Is.
@@ -78,12 +81,11 @@ type DispatcherConfig struct {
 	// MaxRetries is how many times a failed attempt (cold-start
 	// instantiation failure or guest invoke error) is retried before the
 	// request is Failed. 0 disables retries. A retrying request keeps its
-	// concurrency slot through the backoff, like a held connection.
+	// concurrency slot through the backoff, like a held connection. The
+	// first retry waits retryBackoff, each later one twice the last; backoff
+	// is simulated time, scheduled via des.Engine.After, so retried runs stay
+	// deterministic.
 	MaxRetries int
-	// RetryBackoff is the delay before the first retry, doubling on each
-	// subsequent one; 0 means 1ms. Backoff is simulated time, scheduled via
-	// des.Engine.After, so retried runs stay deterministic.
-	RetryBackoff time.Duration
 	// RetryBackoffCap caps the exponential backoff; 0 means uncapped.
 	RetryBackoffCap time.Duration
 	// RequestTimeout bounds one request's in-dispatcher lifetime from its
@@ -511,10 +513,7 @@ func (d *Dispatcher) scheduleRetry(r *inflight, cause error) bool {
 	if d.cfg.MaxRetries <= 0 || r.attempts > d.cfg.MaxRetries {
 		return false
 	}
-	backoff := d.cfg.RetryBackoff
-	if backoff <= 0 {
-		backoff = time.Millisecond
-	}
+	backoff := retryBackoff
 	for i := 1; i < r.attempts; i++ {
 		backoff *= 2
 		if d.cfg.RetryBackoffCap > 0 && backoff >= d.cfg.RetryBackoffCap {

@@ -160,7 +160,7 @@ func TestRetrySucceedsAfterTransientFailure(t *testing.T) {
 	eng.At(des.Time(500*time.Microsecond), func() { pool.Engine().SetFaultInjector(nil) })
 	d := NewDispatcher(eng, pool, DispatcherConfig{
 		MaxConcurrency: 1, Policy: PolicyReject, Export: "handle", Arg: 16,
-		MaxRetries: 3, RetryBackoff: time.Millisecond,
+		MaxRetries: 3,
 	})
 	var res RequestResult
 	var completedAt des.Time
@@ -191,7 +191,7 @@ func TestRequestTimeoutBoundsRetries(t *testing.T) {
 	pool.Engine().SetFaultInjector(faults.New(faults.Config{Seed: 3, InstantiateFailRate: 1}))
 	d := NewDispatcher(eng, pool, DispatcherConfig{
 		MaxConcurrency: 1, Policy: PolicyReject, Export: "handle", Arg: 16,
-		MaxRetries: 100, RetryBackoff: time.Millisecond, RetryBackoffCap: 4 * time.Millisecond,
+		MaxRetries: 100, RetryBackoffCap: 4 * time.Millisecond,
 		RequestTimeout: 10 * time.Millisecond,
 	})
 	var res RequestResult
@@ -240,7 +240,7 @@ func chaosRun(t *testing.T) (Report, DispatcherStats, faults.Stats) {
 	d := NewDispatcher(eng, pool, DispatcherConfig{
 		MaxConcurrency: 2, QueueDepth: 16, Policy: PolicyQueue,
 		QueueDeadline: time.Second, Export: "handle", Arg: 200,
-		MaxRetries: 2, RetryBackoff: time.Millisecond, RetryBackoffCap: 4 * time.Millisecond,
+		MaxRetries: 2, RetryBackoffCap: 4 * time.Millisecond,
 		RequestTimeout: 250 * time.Millisecond,
 	})
 	rep := Run(eng, d, LoadConfig{RatePerSec: 120, Duration: time.Second, Seed: 42})
@@ -301,7 +301,7 @@ func TestChaosObserversRaceFree(t *testing.T) {
 	d := NewDispatcher(eng, pool, DispatcherConfig{
 		MaxConcurrency: 2, QueueDepth: 16, Policy: PolicyQueue,
 		QueueDeadline: time.Second, Export: "handle", Arg: 100,
-		MaxRetries: 2, RetryBackoff: time.Millisecond,
+		MaxRetries: 2,
 	})
 	d.SetObserver(tele)
 	db := tsdb.New(tele, tsdb.Config{Interval: time.Nanosecond})
