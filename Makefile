@@ -115,9 +115,15 @@ tiers-smoke:
 #     boundary.
 #   TestRouterRequestAllocsTelemetryParity: a request through an observed
 #     router allocates what one through an unobserved router does.
+#   TestLazyDeployAllocs: a request naming a never-seen handler variant,
+#     through ServeHTTP, allocates at most 300 times (variant copied from the
+#     assembled handler, registration in place).
+#   TestHandlerVariantEncodingMatchesAssembler: every variant encodes byte
+#     for byte as the assembled spliced handler text, and mutating variants
+#     leaves the handler's encoding untouched.
 http-smoke:
-	$(GO) test -count=1 -run 'TestServeUntilSignal$$|TestLazyFunctionCreation$$|TestLazyTemplateShapesEveryFunction$$|TestTimeSeriesCountsFaultBurst$$|TestUnmatchedRoutesUseEnvelope$$|TestNodeFailover$$|TestMetricsSumOverFunctions$$|TestRouterRequestAllocsTelemetryParity$$' \
-		./cmd/continuumd ./internal/gateway ./internal/serve
+	$(GO) test -count=1 -run 'TestServeUntilSignal$$|TestLazyFunctionCreation$$|TestLazyTemplateShapesEveryFunction$$|TestTimeSeriesCountsFaultBurst$$|TestUnmatchedRoutesUseEnvelope$$|TestNodeFailover$$|TestMetricsSumOverFunctions$$|TestRouterRequestAllocsTelemetryParity$$|TestLazyDeployAllocs$$|TestHandlerVariantEncodingMatchesAssembler$$' \
+		./cmd/continuumd ./internal/gateway ./internal/serve ./internal/workloads
 
 # Byte-stability gate for the pure-virtual-clock experiments: regenerate them
 # into a temp dir and cmp against the committed results/ — the paper's own

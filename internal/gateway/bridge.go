@@ -309,33 +309,19 @@ func (b *Bridge) loop() {
 	for {
 		// Step every due event; arm the timer for the earliest future one.
 		var timerC <-chan time.Time
-		for {
-			t, ok := b.eng.NextAt()
-			if !ok {
-				break
-			}
-			if b.cfg.Dilation > 0 {
-				due := wallStart.Add(time.Duration(float64(t) * b.cfg.Dilation))
-				if wait := time.Until(due); wait > 0 {
-					timer.Reset(wait)
-					timerC = timer.C
-					break
-				}
-			}
-			if b.cfg.Sampler != nil {
-				b.cfg.Sampler(int64(t))
-			}
-			b.eng.Step()
-			b.simNow.Store(int64(b.eng.Now()))
+		if wait := b.stepDue(wallStart); wait > 0 {
+			timer.Reset(wait)
+			timerC = timer.C
 		}
 		select {
 		case sub := <-b.subCh:
 			b.inject(sub, wallStart)
-			// Greedy drain: submissions already waiting behind the first are
-			// injected before any of them is stepped, so a concurrent burst
-			// enters the DES at the same virtual instant (exactly so at
-			// dilation 0) and the router coalesces it into per-shard batches.
-			// Bounded so a hot submitter cannot starve pacing and stop.
+			// Greedy drain: requests waiting behind the first are injected
+			// before any is stepped (a Do closure among them steps those
+			// ahead of it), so a concurrent burst enters the DES at one
+			// virtual instant (exactly so at dilation 0) and the router
+			// batches it per shard. Bounded so a hot submitter cannot starve
+			// pacing and stop.
 		more:
 			for i := 0; i < maxInjectBurst; i++ {
 				select {
@@ -370,6 +356,28 @@ func (b *Bridge) loop() {
 // maxInjectBurst bounds the loop's greedy channel drain per select cycle.
 const maxInjectBurst = 512
 
+// stepDue steps every due event and returns the wall wait until the
+// earliest one not yet due, 0 when none is pending.
+func (b *Bridge) stepDue(wallStart time.Time) time.Duration {
+	for {
+		t, ok := b.eng.NextAt()
+		if !ok {
+			return 0
+		}
+		if b.cfg.Dilation > 0 {
+			due := wallStart.Add(time.Duration(float64(t) * b.cfg.Dilation))
+			if wait := time.Until(due); wait > 0 {
+				return wait
+			}
+		}
+		if b.cfg.Sampler != nil {
+			b.cfg.Sampler(int64(t))
+		}
+		b.eng.Step()
+		b.simNow.Store(int64(b.eng.Now()))
+	}
+}
+
 // inject schedules one submission into the DES at the virtual instant
 // mapped from the wall clock (clamped forward to the engine's current time —
 // virtual time never runs backwards). At Dilation 0 there is no wall
@@ -377,9 +385,10 @@ const maxInjectBurst = 512
 // makes a sequential request script deterministic.
 func (b *Bridge) inject(sub submission, wallStart time.Time) {
 	if sub.run != nil {
-		// A Do closure: run between events, not as one. Due events were
-		// stepped before the loop selected this submission, so the state it
-		// sees is consistent as of the current virtual time.
+		// A Do closure: run between events, not as one, once every due
+		// event — those of submissions the greedy drain injected ahead of
+		// it too — has stepped, so it sees the current virtual time.
+		b.stepDue(wallStart)
 		sub.run()
 		return
 	}

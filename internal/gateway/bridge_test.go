@@ -103,3 +103,38 @@ func TestBridgeStopIdempotent(t *testing.T) {
 	b.Stop()
 	b.Stop()
 }
+
+// TestDoSeesEventsScheduledBeforeIt: a Do closure runs only once every due
+// event has stepped, even when it reaches the loop while the loop is still
+// draining a burst. The first closure schedules an event and parks a second
+// Do in the channel before returning, so the drain picks the second up
+// straight after the first; it must see the event as fired.
+func TestDoSeesEventsScheduledBeforeIt(t *testing.T) {
+	eng := des.NewEngine()
+	b := NewBridge(eng, BridgeConfig{})
+	b.Start()
+	defer b.Stop()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	fired, sawFired := false, false
+	secondErr := make(chan error, 1)
+	err := b.Do(ctx, func() {
+		eng.At(eng.Now(), func() { fired = true })
+		go func() { secondErr <- b.Do(ctx, func() { sawFired = fired }) }()
+		for len(b.subCh) == 0 {
+			if ctx.Err() != nil {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-secondErr; err != nil {
+		t.Fatal(err)
+	}
+	if !sawFired {
+		t.Fatal("second Do ran before the event the first one scheduled had stepped")
+	}
+}

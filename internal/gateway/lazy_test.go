@@ -1,11 +1,14 @@
 package gateway
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -227,5 +230,131 @@ func TestFunctionsShareEngineAndCache(t *testing.T) {
 	}
 	if st := other.CacheStats(); st.Entries != 4 {
 		t.Fatalf("second engine's cache holds %d entries, want the shared cache's 4", st.Entries)
+	}
+}
+
+// TestLazyDeployConcurrentRaceFree: eight clients lazily deploy handler
+// variants — some only they name, some every client names — while scrapers
+// read /v1/cluster, /metrics and Functions(). Every variant is registered
+// exactly once: one function and one router shard per module. After a drain
+// every function's admission identity holds and the dispatchers saw every
+// request. Run under -race.
+func TestLazyDeployConcurrentRaceFree(t *testing.T) {
+	gw, ts := newLazyGateway(t)
+	const clients, perClient = 8, 12
+	statuses := make(chan int, clients*perClient)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			client := &http.Client{Timeout: 30 * time.Second}
+			for i := 0; i < perClient; i++ {
+				module := fmt.Sprintf("request-handler-vc%d-%d", c, i/2)
+				if i%2 == 1 {
+					module = fmt.Sprintf("request-handler-vshared%d", i/2)
+				}
+				resp, err := client.Post(ts.URL+"/v1/functions/"+module, "text/plain", strings.NewReader("x"))
+				if err != nil {
+					t.Errorf("invoke %s: %v", module, err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				statuses <- resp.StatusCode
+			}
+		}(c)
+	}
+	stop, scrapeDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scrapeDone)
+		client := &http.Client{Timeout: 30 * time.Second}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, p := range []string{"/v1/cluster", "/metrics"} {
+				resp, err := client.Get(ts.URL + p)
+				if err != nil {
+					t.Errorf("scrape %s: %v", p, err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+			for _, fn := range gw.Functions() {
+				_ = fn.Dispatcher().Stats()
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-scrapeDone
+	close(statuses)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := gw.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+
+	ok := 0
+	for s := range statuses {
+		switch s {
+		case http.StatusOK:
+			ok++
+		case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+		default:
+			t.Errorf("unexpected status %d", s)
+		}
+	}
+	if ok == 0 {
+		t.Fatal("no request succeeded")
+	}
+	fns := gw.Functions()
+	// The fixed request-handler, six own variants per client, six shared.
+	if want := 1 + clients*perClient/2 + perClient/2; len(fns) != want {
+		t.Fatalf("%d functions registered, want %d", len(fns), want)
+	}
+	modules := gw.Router().Modules()
+	if len(modules) != len(fns) {
+		t.Fatalf("router has %d shards for %d functions", len(modules), len(fns))
+	}
+	var submitted int64
+	for i, fn := range fns {
+		if modules[i] != fn.Module() {
+			t.Fatalf("shard %d is %s, function %s", i, modules[i], fn.Module())
+		}
+		st := fn.Dispatcher().Stats()
+		if !st.IdentityHolds() {
+			t.Errorf("%s: identity broken after drain: %+v", fn.Module(), st)
+		}
+		submitted += st.Submitted
+	}
+	if submitted != clients*perClient {
+		t.Fatalf("dispatchers saw %d requests, want %d", submitted, clients*perClient)
+	}
+}
+
+// TestLazyDeployAllocs guards the host cost of a lazy deploy: a request naming
+// a never-seen variant, through ServeHTTP, allocates at most 300 times. A
+// variant is a copy of the assembled handler and registration inserts in
+// place; re-assembling the handler's text per deploy costs ~350 more.
+func TestLazyDeployAllocs(t *testing.T) {
+	gw, _ := newLazyGateway(t)
+	i := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		i++
+		req := httptest.NewRequest(http.MethodPost, fmt.Sprintf("/v1/functions/request-handler-va%d", i), strings.NewReader("x"))
+		rec := httptest.NewRecorder()
+		gw.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("lazy deploy %d: status %d body %s", i, rec.Code, rec.Body)
+		}
+	})
+	t.Logf("%.0f allocs per lazy deploy", allocs)
+	if allocs > 300 {
+		t.Fatalf("lazy deploy allocates %.0f times, want at most 300", allocs)
 	}
 }

@@ -145,10 +145,11 @@ type Server struct {
 	mux     *http.ServeMux
 	logger  *log.Logger
 
-	// fns is a copy-on-write snapshot map (module name → function): the
-	// invoke hot path reads it with one atomic load; lazy registration
-	// copies under regMu and publishes a new map.
-	fns   atomic.Pointer[map[string]*Function]
+	// fns maps module name → function; addFunction inserts in place. regMu
+	// serializes addFunction, whose build waits on the bridge loop, so fnsMu
+	// is never held across it (a loop-side reader of fns would deadlock).
+	fnsMu sync.RWMutex
+	fns   map[string]*Function
 	regMu sync.Mutex
 	// modCache is the node-level compiled-module cache and engines the one
 	// engine per profile over it, each created on first use under regMu.
@@ -226,6 +227,7 @@ func New(cfg Config) (*Server, error) {
 		cluster:    kc,
 		router:     serve.NewRouter(sim, serve.RouterConfig{}),
 		containers: map[string]*k8s.Pod{},
+		fns:        map[string]*Function{},
 		modCache:   cache.New(engine.DefaultModuleCacheBytes),
 		engines:    map[string]*engine.Engine{},
 		started:    time.Now(),
@@ -241,14 +243,12 @@ func New(cfg Config) (*Server, error) {
 	tele.Metrics().SetSource(s, func(counter, _ func(string, int64)) {
 		counter("tsdb_windows_total", db.Stats().Published)
 	})
-	empty := map[string]*Function{}
-	s.fns.Store(&empty)
 	if cfg.AccessLog != nil {
 		s.logger = log.New(cfg.AccessLog, "", 0)
 	}
 
 	for _, fc := range cfg.Functions {
-		if _, dup := (*s.fns.Load())[fc.Module]; dup {
+		if _, dup := s.Function(fc.Module); dup {
 			return nil, fmt.Errorf("gateway: duplicate function module %q", fc.Module)
 		}
 		if _, err := s.addFunction(context.Background(), fc, false); err != nil {
@@ -283,7 +283,7 @@ func trackDefaultSeries(db *tsdb.DB, tele *obs.Telemetry) {
 // anything: an unknown name is the common failure — a typo in a lazy URL —
 // and must stay a cheap *workloads.UnknownWorkloadError), builds the
 // function, registers its dispatcher as a router shard keyed by module
-// digest, and publishes it in the snapshot map.
+// digest, and inserts it in fns.
 // Serialized under regMu. With live set (lazy creation on a running
 // server), the engine/pool/attachment construction runs on the bridge loop
 // goroutine via Do, because pool pre-instantiation syncs node memory
@@ -296,8 +296,7 @@ func (s *Server) addFunction(ctx context.Context, fc FunctionConfig, live bool) 
 	}
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
-	old := *s.fns.Load()
-	if fn, ok := old[fc.Module]; ok {
+	if fn, ok := s.Function(fc.Module); ok {
 		return fn, nil
 	}
 	var fn *Function
@@ -315,12 +314,9 @@ func (s *Server) addFunction(ctx context.Context, fc FunctionConfig, live bool) 
 	if err := s.router.Register(fn.key, fc.Module, fn.Dispatcher()); err != nil {
 		return nil, err
 	}
-	next := make(map[string]*Function, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[fc.Module] = fn
-	s.fns.Store(&next)
+	s.fnsMu.Lock()
+	s.fns[fc.Module] = fn
+	s.fnsMu.Unlock()
 	return fn, nil
 }
 
@@ -389,20 +385,22 @@ func (s *Server) Start() { s.bridge.Start() }
 // Telemetry returns the live telemetry the /metrics endpoint scrapes.
 func (s *Server) Telemetry() *obs.Telemetry { return s.tele }
 
-// Function returns a registered function by module name. One atomic
-// snapshot load, safe from any goroutine.
+// Function returns a registered function by module name, from any goroutine.
 func (s *Server) Function(module string) (*Function, bool) {
-	f, ok := (*s.fns.Load())[module]
+	s.fnsMu.RLock()
+	defer s.fnsMu.RUnlock()
+	f, ok := s.fns[module]
 	return f, ok
 }
 
 // Functions lists the registered functions sorted by module name.
 func (s *Server) Functions() []*Function {
-	fns := *s.fns.Load()
-	out := make([]*Function, 0, len(fns))
-	for _, f := range fns {
+	s.fnsMu.RLock()
+	out := make([]*Function, 0, len(s.fns))
+	for _, f := range s.fns {
 		out = append(out, f)
 	}
+	s.fnsMu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].cfg.Module < out[j].cfg.Module })
 	return out
 }
@@ -621,8 +619,8 @@ type InvokeResponse struct {
 const maxPayloadBytes = 1 << 20
 
 // handleInvoke is the data path: payload in, routed bridge submission,
-// simulated execution, result + timing out. The module resolves through the
-// fns snapshot (one atomic load) and then routes by the compiled module's
+// simulated execution, result + timing out. The module resolves through
+// fns (one read-locked lookup) and then routes by the compiled module's
 // digest through the sharded router; with Config.LazyTemplate set, the
 // first request for an unregistered workload creates its function on the
 // fly. The X-Request-Id header (client-supplied or generated) is threaded
@@ -840,7 +838,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 			BatchedRequests: rs.BatchedRequests,
 			MaxBatch:        rs.MaxBatch,
 		}
-		for _, fn := range *s.fns.Load() {
+		for _, fn := range s.Functions() {
 			pool, disp := fn.Pool(), fn.Dispatcher()
 			st.Functions = append(st.Functions, FunctionStatus{
 				Module:          fn.cfg.Module,
@@ -863,7 +861,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		writeError(w, MapError(err, 0), err)
 		return
 	}
-	sort.Slice(st.Functions, func(i, j int) bool { return st.Functions[i].Module < st.Functions[j].Module })
 	writeJSON(w, http.StatusOK, st)
 }
 
@@ -897,23 +894,18 @@ func (s *Server) handleNodeFail(w http.ResponseWriter, r *http.Request) {
 		}
 		s.cluster.Run()
 		// Deterministic re-home order: module-name sorted.
-		fns := *s.fns.Load()
-		modules := make([]string, 0, len(fns))
-		for m, fn := range fns {
-			if fn.Node() == name {
-				modules = append(modules, m)
+		for _, fn := range s.Functions() {
+			if fn.Node() != name {
+				continue
 			}
-		}
-		sort.Strings(modules)
-		for _, m := range modules {
-			rep := fns[m].rep
-			arts := rep.Pool().SharedArtifacts()
+			m := fn.cfg.Module
+			arts := fn.rep.Pool().SharedArtifacts()
 			target := cluster.PickNode(s.cluster.Nodes, arts[:])
 			if target < 0 {
 				rehomeErr = fmt.Errorf("gateway: re-home %s: %w", m, cluster.ErrNoLiveNode)
 				return
 			}
-			if err := rep.Rehome(s.cluster.Nodes[target]); err != nil {
+			if err := fn.rep.Rehome(s.cluster.Nodes[target]); err != nil {
 				rehomeErr = fmt.Errorf("gateway: re-home %s: %w", m, err)
 				return
 			}

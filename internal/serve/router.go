@@ -48,23 +48,22 @@ var shardSeries = [...]string{
 // Router is the sharded multi-function dispatch layer: it owns one
 // dispatcher per registered module (each keeping the dispatcher's full
 // queue/retry semantics, independently per shard), routes
-// submissions by key through a lock-free snapshot-map lookup, and coalesces
+// submissions by key through a read-locked map lookup, and coalesces
 // submissions arriving within one DES event into per-shard batches so queue
 // push, deadline-expiry sweep, and slot pre-claim run once per batch instead
 // of once per request.
 //
 // Threading follows the dispatcher's contract: Submit runs on the one
 // goroutine driving the DES engine. Registration and the Stats/Quiesced/
-// SetDraining observers are safe from any goroutine — lookups read an atomic
-// snapshot of the shard map, and per-shard introspection rides the
-// dispatcher's lock-free accessors, so neither ever blocks the submit path.
+// SetDraining observers are safe from any goroutine; observers read each
+// dispatcher's lock-free accessors over a shard list copied under mu.
 type Router struct {
 	eng *des.Engine
 
-	// shards is a copy-on-write snapshot map: lookups are one atomic load,
-	// registration (rare) copies under regMu and publishes a new map.
-	shards atomic.Pointer[map[string]*shard]
-	regMu  sync.Mutex
+	// mu guards shards and tele: Register inserts in place, O(1) whatever
+	// the shard count; lookups take the read lock.
+	mu     sync.RWMutex
+	shards map[string]*shard
 
 	// Batch accounting (atomic: scraped by observers mid-run).
 	batches  atomic.Int64
@@ -76,10 +75,7 @@ type Router struct {
 
 // NewRouter builds an empty router on eng.
 func NewRouter(eng *des.Engine, _ RouterConfig) *Router {
-	r := &Router{eng: eng}
-	empty := map[string]*shard{}
-	r.shards.Store(&empty)
-	return r
+	return &Router{eng: eng, shards: map[string]*shard{}}
 }
 
 // SetObserver wires telemetry: a metric source reporting the batch counters,
@@ -88,21 +84,23 @@ func NewRouter(eng *des.Engine, _ RouterConfig) *Router {
 // from the shard's dispatcher. A second call moves the source; nil removes
 // it.
 func (r *Router) SetObserver(t *obs.Telemetry) {
-	r.regMu.Lock()
-	defer r.regMu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.tele.Metrics().SetSource(r, nil)
 	r.tele = t
 	t.Metrics().SetSource(r, r.collect)
 }
 
 // collect is the router's metric source. Shards sharing a module name add
-// up, like every same-name emission.
+// up, like every same-name emission. It walks the map under the read lock,
+// not a copy, so a tsdb window close allocates nothing.
 func (r *Router) collect(counter, gauge func(string, int64)) {
-	shards := *r.shards.Load()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	counter("router_batches_total", r.batches.Load())
 	counter("router_batched_requests_total", r.batched.Load())
-	gauge("router_shards", int64(len(shards)))
-	for _, sh := range shards {
+	gauge("router_shards", int64(len(r.shards)))
+	for _, sh := range r.shards {
 		names := sh.names.Load()
 		if names == nil { // racing first scrapes format the same strings twice
 			names = new([len(shardSeries)]string)
@@ -123,27 +121,33 @@ func (r *Router) collect(counter, gauge func(string, int64)) {
 // for labeled metrics and stats. Safe from any goroutine; existing keys are
 // rejected.
 func (r *Router) Register(key, module string, d *Dispatcher) error {
-	r.regMu.Lock()
-	defer r.regMu.Unlock()
-	old := *r.shards.Load()
-	if _, dup := old[key]; dup {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, dup := r.shards[key]; dup {
 		return errors.New("serve: duplicate router key " + key)
-	}
-	next := make(map[string]*shard, len(old)+1)
-	for k, v := range old {
-		next[k] = v
 	}
 	sh := &shard{key: key, module: module, d: d}
 	sh.flushEv = func() { r.flush(sh) }
-	next[key] = sh
-	r.shards.Store(&next)
+	r.shards[key] = sh
 	return nil
 }
 
-// Lookup resolves a routing key to its dispatcher. One atomic load — no
-// lock on the submit path.
+// snapshot copies the shard list so observers iterate without the lock.
+func (r *Router) snapshot() []*shard {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]*shard, 0, len(r.shards))
+	for _, sh := range r.shards {
+		out = append(out, sh)
+	}
+	return out
+}
+
+// Lookup resolves a routing key to its dispatcher.
 func (r *Router) Lookup(key string) (*Dispatcher, bool) {
-	sh, ok := (*r.shards.Load())[key]
+	r.mu.RLock()
+	sh, ok := r.shards[key]
+	r.mu.RUnlock()
 	if !ok {
 		return nil, false
 	}
@@ -158,7 +162,9 @@ func (r *Router) Lookup(key string) (*Dispatcher, bool) {
 // done may be nil; it runs exactly once with the final outcome. The only
 // error is ErrUnknownModule, reported synchronously before done could run.
 func (r *Router) Submit(key string, tid int64, done func(RequestResult)) error {
-	sh, ok := (*r.shards.Load())[key]
+	r.mu.RLock()
+	sh, ok := r.shards[key]
+	r.mu.RUnlock()
 	if !ok {
 		return ErrUnknownModule
 	}
@@ -226,10 +232,10 @@ func (s RouterStats) IdentityHolds() bool {
 }
 
 // Stats snapshots every shard (sorted by module, then key, for
-// deterministic output) and the aggregate counters. The scrape is lock-free
-// end to end: an atomic map load plus the dispatchers' atomic accessors.
+// deterministic output) and the aggregate counters: a copy of the shard list
+// taken under the read lock, then the dispatchers' atomic accessors.
 func (r *Router) Stats() RouterStats {
-	shards := *r.shards.Load()
+	shards := r.snapshot()
 	out := RouterStats{
 		Shards:          make([]ShardStats, 0, len(shards)),
 		Batches:         r.batches.Load(),
@@ -258,7 +264,7 @@ func (r *Router) Stats() RouterStats {
 
 // Modules lists the registered module names, sorted.
 func (r *Router) Modules() []string {
-	shards := *r.shards.Load()
+	shards := r.snapshot()
 	out := make([]string, 0, len(shards))
 	for _, sh := range shards {
 		out = append(out, sh.module)
@@ -269,7 +275,7 @@ func (r *Router) Modules() []string {
 
 // SetDraining flips every shard's draining state. Safe from any goroutine.
 func (r *Router) SetDraining(v bool) {
-	for _, sh := range *r.shards.Load() {
+	for _, sh := range r.snapshot() {
 		sh.d.SetDraining(v)
 	}
 }
@@ -278,7 +284,7 @@ func (r *Router) SetDraining(v bool) {
 // flush count as work only until their flush event runs, which under the
 // DES contract has happened whenever the engine is idle.
 func (r *Router) Quiesced() bool {
-	for _, sh := range *r.shards.Load() {
+	for _, sh := range r.snapshot() {
 		if !sh.d.Quiesced() {
 			return false
 		}

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -159,8 +160,9 @@ func TestRouterConcurrentRaceFree(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perProd; i++ {
 				keyCh <- modules[(p*perProd+i*7)%len(modules)]
-				// The mid-flight scrapes the satellite fix exists for: every
-				// accessor here is a lock-free atomic read.
+				// Mid-flight scrapes: Stats copies the shard list under the
+				// router's read lock, then reads each dispatcher through its
+				// atomic accessors with no lock held.
 				st := rt.Stats()
 				if len(st.Shards) != nShards {
 					t.Errorf("scrape saw %d shards, want %d", len(st.Shards), nShards)
@@ -257,7 +259,8 @@ func TestRouterDeterministicStats(t *testing.T) {
 }
 
 // TestRouterZipfSkew: with s=1.1 the hottest module must actually dominate —
-// the shard ablation depends on real imbalance being exercised.
+// RunMulti's per-module breakdown is only a test of the router when real
+// imbalance across shards is exercised.
 func TestRouterZipfSkew(t *testing.T) {
 	sim, rt, modules := newTestRouter(t, RouterSharded, 16, routerDCfg())
 	rep, err := RunMulti(sim, rt, MultiConfig{
@@ -283,6 +286,43 @@ func TestRouterZipfSkew(t *testing.T) {
 	}
 	if rep.Dispatcher.Submitted != rep.Offered {
 		t.Errorf("aggregate submitted %d != offered %d", rep.Dispatcher.Submitted, rep.Offered)
+	}
+}
+
+// TestRouterRegisterIsConstantCost: registering one more module inserts into
+// the shard map in place, so its cost does not grow with the shards already
+// registered — a copy-on-write map allocates a whole map (~100 KiB at 2 000
+// shards) per registration.
+func TestRouterRegisterIsConstantCost(t *testing.T) {
+	const existing, added = 2000, 100
+	rt := NewRouter(des.NewEngine(), RouterConfig{})
+	keys := make([]string, existing+added)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%d", i)
+	}
+	for _, k := range keys[:existing] {
+		if err := rt.Register(k, k, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, k := range keys[existing:] {
+		if err := rt.Register(k, k, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perReg := (after.TotalAlloc - before.TotalAlloc) / added
+	t.Logf("%d B per registration", perReg)
+	if perReg >= 1024 {
+		t.Fatalf("Register at %d shards allocates %d B, want under 1 KiB", existing, perReg)
+	}
+	if err := rt.Register(keys[0], keys[0], nil); err == nil {
+		t.Fatal("duplicate key accepted")
+	}
+	if got := len(rt.Modules()); got != existing+added {
+		t.Fatalf("%d modules registered, want %d", got, existing+added)
 	}
 }
 

@@ -6,6 +6,7 @@
 package workloads
 
 import (
+	"slices"
 	"strings"
 	"sync"
 
@@ -357,11 +358,11 @@ func Module(name string) (*wasm.Module, error) {
 
 // HandlerVariantPrefix names the synthesized request-handler variants:
 // request-handler-v<suffix>, where suffix is 1-16 characters of
-// [a-z0-9-]. Each variant embeds its name as a data segment in otherwise
+// [a-z0-9-]. Each variant embeds its suffix as a data segment in otherwise
 // unused scratch memory, so it behaves exactly like request-handler but
 // encodes — and content-addresses — differently: multi-module serving and
-// the shard ablation get N distinct module digests (N distinct shards,
-// pools, and shared-artifact charges) from one handler implementation.
+// lazy deploy get N distinct module digests (N distinct shards, pools, and
+// shared-artifact charges) from one handler implementation.
 const HandlerVariantPrefix = "request-handler-v"
 
 // handlerVariant synthesizes one named variant. Nothing is kept per name —
@@ -377,20 +378,24 @@ func handlerVariant(name string) (*wasm.Module, error) {
 			return nil, &UnknownWorkloadError{Name: name}
 		}
 	}
-	// The tag (at most 16 bytes) lands at offset 40, between the compute
-	// sink (32) and the per-request scratch (64): handle() never touches
-	// 40..55, so behaviour is identical; only the encoded bytes (and the
-	// digest) differ.
-	src := strings.Replace(RequestHandlerWAT,
-		`(memory (export "memory") 1)`,
-		`(memory (export "memory") 1)
-  (data (i32.const 40) "`+suffix+`")`, 1)
-	m, err := wat.Compile(src)
-	if err != nil {
-		return nil, err
-	}
+	// A shallow copy of the assembled handler plus (data (i32.const 40)
+	// "<suffix>"): handle() never touches 40..55, so behaviour is identical;
+	// only the encoded bytes (and the digest) differ. Shared slices are
+	// clipped so an append on a variant never writes into the handler's.
+	m := *compiled["request-handler"]
+	m.Types = slices.Clip(m.Types)
+	m.Imports = slices.Clip(m.Imports)
+	m.Functions = slices.Clip(m.Functions)
+	m.Tables = slices.Clip(m.Tables)
+	m.Memories = slices.Clip(m.Memories)
+	m.Globals = slices.Clip(m.Globals)
+	m.Exports = slices.Clip(m.Exports)
+	m.Elements = slices.Clip(m.Elements)
+	m.Codes = slices.Clip(m.Codes)
+	m.Customs = slices.Clip(m.Customs)
+	m.Data = []wasm.DataSegment{{Offset: wasm.I32Const(40), Data: []byte(suffix)}}
 	m.Name = name
-	return m, nil
+	return &m, nil
 }
 
 // Binary returns the wasm binary encoding of the named workload.

@@ -3,11 +3,13 @@ package workloads
 import (
 	"bytes"
 	"strconv"
+	"strings"
 	"testing"
 
 	"wasmcontainers/internal/wasi"
 	"wasmcontainers/internal/wasm"
 	"wasmcontainers/internal/wasm/exec"
+	"wasmcontainers/internal/wat"
 )
 
 func TestAllWorkloadsDecodeAndValidate(t *testing.T) {
@@ -210,5 +212,64 @@ func TestHandlerVariantsLeaveNothingBehind(t *testing.T) {
 		if _, err := Module(bad); err == nil {
 			t.Fatalf("%q accepted", bad)
 		}
+	}
+}
+
+// splicedVariantWAT is the reference recipe for a handler variant: the
+// handler's text with the suffix as a data segment after its memory,
+// assembled from scratch.
+func splicedVariantWAT(suffix string) string {
+	const mem = `(memory (export "memory") 1)`
+	return strings.Replace(RequestHandlerWAT, mem, mem+"\n  (data (i32.const 40) \""+suffix+"\")", 1)
+}
+
+// TestHandlerVariantEncodingMatchesAssembler: a variant is a copy of the
+// assembled handler, not a re-assembly, and must encode byte for byte as the
+// assembled spliced text does — digests, pinned results and content-addressed
+// caches all key on those bytes. Variants share the handler's backing arrays,
+// so appends on two of them must not land in one slot, and mutating them must
+// leave the handler's own encoding untouched.
+func TestHandlerVariantEncodingMatchesAssembler(t *testing.T) {
+	base, err := Binary("request-handler")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, suffix := range []string{"a", "0123456789abcdef", "42", "a-b-c", "-", "sx-q1"} {
+		got, err := Binary(HandlerVariantPrefix + suffix)
+		if err != nil {
+			t.Fatalf("%q: %v", suffix, err)
+		}
+		want, err := wat.CompileToBinary(splicedVariantWAT(suffix))
+		if err != nil {
+			t.Fatalf("%q: reference: %v", suffix, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%q: variant encodes to %d bytes, the assembled text to %d (differ)", suffix, len(got), len(want))
+		}
+	}
+
+	var variants []*wasm.Module
+	for i, suffix := range []string{"x", "y"} {
+		m, err := Module(HandlerVariantPrefix + suffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Name != HandlerVariantPrefix+suffix {
+			t.Fatalf("variant named %q", m.Name)
+		}
+		m.Types = append(m.Types, wasm.FuncType{Params: make([]wasm.ValueType, i)})
+		m.Functions = append(m.Functions, uint32(i))
+		m.Exports = append(m.Exports, wasm.Export{Name: suffix})
+		m.Codes = append(m.Codes, wasm.Code{Body: []byte{byte(i)}})
+		m.Data[0] = wasm.DataSegment{Offset: wasm.I32Const(0), Data: []byte("clobbered")}
+		variants = append(variants, m)
+	}
+	x := variants[0]
+	if len(x.Types[len(x.Types)-1].Params) != 0 || x.Functions[len(x.Functions)-1] != 0 ||
+		x.Exports[len(x.Exports)-1].Name != "x" || x.Codes[len(x.Codes)-1].Body[0] != 0 {
+		t.Fatal("an append on one variant overwrote another's")
+	}
+	if now, _ := Binary("request-handler"); !bytes.Equal(now, base) {
+		t.Fatal("mutating variants changed the handler's encoding")
 	}
 }
