@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet test race obs-overhead fuzz-smoke faults-smoke tiers-smoke http-smoke results-check bench benchmark figures results examples clean
+.PHONY: all build vet test race obs-overhead fuzz-smoke http-smoke results-check bench benchmark figures results examples clean
 
-all: build vet test race obs-overhead fuzz-smoke faults-smoke tiers-smoke http-smoke results-check
+all: build vet test race obs-overhead fuzz-smoke http-smoke results-check
 
 build:
 	$(GO) build ./...
@@ -70,20 +70,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMemoryCoW -fuzztime 10s ./internal/wasm/exec
 	$(GO) test -run '^$$' -fuzz FuzzGatewayRequest -fuzztime 5s ./internal/gateway
 
-# Chaos smoke: run the full fault-injection ablation grid once. Each cell
-# verifies the admission identity (Submitted == Completed+Rejected+Expired+
-# Failed) and that no request stalls, so a dispatcher liveness regression
-# fails this target even when unit tests miss it.
-faults-smoke:
-	$(GO) run ./cmd/continuum -exp faults > /dev/null
-
-# Tier smoke: run the execution-tier ablation once. The experiment embeds
-# its own gates — a tier-0-only and an eagerly tiered invoke must agree on
-# results and instruction counts, hotness cells must actually tier up and
-# record the artifact in cache accounting, and tiered warm p50 must improve.
-tiers-smoke:
-	$(GO) run ./cmd/continuum -exp tiers > /dev/null
-
 # HTTP smoke: the daemon's stories over a real socket, fresh (-count=1), in
 # one go test line.
 #   TestServeUntilSignal: run continuumd's real serve loop on a random
@@ -125,25 +111,24 @@ http-smoke:
 	$(GO) test -count=1 -run 'TestServeUntilSignal$$|TestLazyFunctionCreation$$|TestLazyTemplateShapesEveryFunction$$|TestTimeSeriesCountsFaultBurst$$|TestUnmatchedRoutesUseEnvelope$$|TestNodeFailover$$|TestMetricsSumOverFunctions$$|TestRouterRequestAllocsTelemetryParity$$|TestLazyDeployAllocs$$|TestHandlerVariantEncodingMatchesAssembler$$' \
 		./cmd/continuumd ./internal/gateway ./internal/serve ./internal/workloads
 
-# Byte-stability gate for the pure-virtual-clock experiments: regenerate them
-# into a temp dir and cmp against the committed results/ — the paper's own
-# tables, figures and ablations (what crun/containerd map per container) and
-# the serving-plane experiments. A refactor that moves any of these bytes
-# changed behaviour, not just code. serve.csv/.json are left out: they carry
-# the wall-clock telemetry snapshot.
-PAPER_EXPERIMENTS = table1 table2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 \
-	ablation-dynload ablation-shim ablation-mode ablation-density \
-	ablation-multitenant startup-distribution
-SERVING_EXPERIMENTS = faults cluster tiers
-RESULTS_CHECK_FILES = serve.txt $(foreach e,$(PAPER_EXPERIMENTS) $(SERVING_EXPERIMENTS),$(e).txt $(e).csv $(e).json)
+# Byte-stability gate: results/ is exactly what `continuum -exp all` writes,
+# every byte on the virtual clock. Regenerate everything into a temp dir and
+# diff -r it against the committed results/ — a moved byte, a missing file or
+# a stray file (left by a retired experiment) all fail. A refactor that moves
+# any of these bytes changed behaviour, not just code. The run also fails on
+# the experiments' embedded gates: every faults cell verifies the admission
+# identity (Submitted == Completed+Rejected+Expired+Failed) and that no
+# request stalls, so a dispatcher liveness regression fails here even when
+# unit tests miss it; tiers checks that a tier-0-only and an eagerly tiered
+# invoke agree on results and instruction counts, that hotness cells actually
+# tier up and record the artifact in cache accounting, and that tiered warm
+# p50 improves.
 results-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/continuum" ./cmd/continuum && \
-	for e in serve $(PAPER_EXPERIMENTS) $(SERVING_EXPERIMENTS); do \
-		"$$tmp/continuum" -exp $$e -outdir "$$tmp" > /dev/null || exit 1; done && \
-	for f in $(RESULTS_CHECK_FILES); do \
-		cmp "$$tmp/$$f" "results/$$f" || exit 1; done && \
-	echo "results-check: $(words $(RESULTS_CHECK_FILES)) files byte-identical to results/"
+	"$$tmp/continuum" -exp all -outdir "$$tmp/results" > /dev/null && \
+	diff -r "$$tmp/results" results && \
+	echo "results-check: $$(ls results | wc -l) files byte-identical to results/"
 
 # Run every benchmark once (tables, figures, ablations, microbenches,
 # interpreter hot-loop and engine instantiate benches).
@@ -159,8 +144,10 @@ benchmark:
 figures:
 	$(GO) run ./cmd/continuum -exp all
 
-# Regenerate the committed results/ directory (txt + csv + json per experiment).
+# Regenerate the committed results/ directory (txt + csv + json per
+# experiment) from empty, so a retired experiment leaves no file behind.
 results:
+	rm -rf results
 	$(GO) run ./cmd/continuum -exp all -outdir results > /dev/null
 
 examples:

@@ -6,8 +6,8 @@
 //
 //	continuum -list
 //	continuum -exp fig3
-//	continuum -exp all
-//	continuum -exp serve -telemetry -outdir results
+//	continuum -exp all -outdir results
+//	continuum -exp serve -telemetry -outdir /tmp/serve
 package main
 
 import (

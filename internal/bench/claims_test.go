@@ -249,7 +249,9 @@ func TestAllCheapExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are heavy")
 	}
-	for _, id := range []string{"table1", "table2", "ablation-mode"} {
+	// Each runs twice: results/ holds only virtual-clock figures, so a rerun
+	// must reproduce the JSON byte for byte.
+	for _, id := range []string{"table1", "table2", "ablation-mode", "cow"} {
 		e, ok := ExperimentByID(id)
 		if !ok {
 			t.Fatalf("missing experiment %s", id)
@@ -260,6 +262,13 @@ func TestAllCheapExperimentsRun(t *testing.T) {
 		}
 		if len(table.Rows) == 0 || table.Format() == "" {
 			t.Fatalf("%s: empty table", id)
+		}
+		again, err := e.Run()
+		if err != nil {
+			t.Fatalf("%s rerun: %v", id, err)
+		}
+		if a, b := table.JSON(), again.JSON(); a != b {
+			t.Fatalf("%s is not deterministic:\n%s\n---\n%s", id, a, b)
 		}
 	}
 }

@@ -2,12 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"wasmcontainers/internal/engine"
-	"wasmcontainers/internal/metrics"
 	"wasmcontainers/internal/serve"
-	"wasmcontainers/internal/wasm/exec"
 	"wasmcontainers/internal/wat"
 )
 
@@ -36,9 +33,6 @@ const cowWAT = `
 // cowTouchPages is how many of the 16 pages each request dirties (12.5%).
 const cowTouchPages = 2
 
-// cowReps is how many releases each reset-latency median summarizes.
-const cowReps = 128
-
 // cowDensities are the pod counts of the paper's density sweeps.
 var cowDensities = []int{10, 100, 400}
 
@@ -48,8 +42,9 @@ var cowDensities = []int{10, 100, 400}
 // and Release memcpy'd the whole memory; now all instances alias one shared
 // baseline image (accounted once per node, like the compiled code), an idle
 // instance costs only its engine-side state, and Release copies back just
-// the pages the request dirtied. Reset latencies are real host wall-clock
-// over the interpreter's actual memory work.
+// the pages the request dirtied. Every column is accounted bytes; the reset
+// cost is a wall-clock figure and lives in the benchmark ladder
+// (exec.reset_ns_per_page) and BenchmarkPoolRelease{Full,DirtyPages}.
 func AblationCoW() (*Table, error) {
 	bin, err := wat.CompileToBinary(cowWAT)
 	if err != nil {
@@ -60,7 +55,6 @@ func AblationCoW() (*Table, error) {
 		Columns: []string{
 			"engine", "pods", "baseline (KiB)", "warm KiB/inst (CoW)",
 			"warm KiB/inst (snapshot era)", "saved/node (MiB)",
-			"reset p50 (us)", "full-restore p50 (us)", "reset speedup",
 		},
 	}
 	for _, p := range engine.Profiles() {
@@ -84,40 +78,6 @@ func AblationCoW() (*Table, error) {
 			perOld := perNew + 2*baseline
 			saved := int64(density)*(perOld-perNew) - baseline
 
-			// Dirty-page reset latency through the real pool Release path.
-			dirty := make([]float64, 0, cowReps)
-			for i := 0; i < cowReps; i++ {
-				wi, ok := pool.Acquire(0)
-				if !ok {
-					return nil, fmt.Errorf("cow: pool dry")
-				}
-				if _, err := wi.Invoke("handle", exec.I32(cowTouchPages)); err != nil {
-					return nil, err
-				}
-				start := time.Now()
-				pool.Release(wi, 0)
-				dirty = append(dirty, float64(time.Since(start).Nanoseconds())/1e3)
-			}
-			// The full-copy reference on the same workload: the reset the
-			// pool performed before CoW, rebuilt here from Memory.Write.
-			inst, err := exec.NewStore(exec.Config{}).InstantiateCompiled(cm.Code, "")
-			if err != nil {
-				return nil, err
-			}
-			mem := inst.Memory()
-			snapshot, _ := mem.Read(0, uint32(mem.Size()))
-			full := make([]float64, 0, cowReps)
-			for i := 0; i < cowReps; i++ {
-				if _, err := inst.Call("handle", exec.I32(cowTouchPages)); err != nil {
-					return nil, err
-				}
-				start := time.Now()
-				mem.Write(0, snapshot)
-				full = append(full, float64(time.Since(start).Nanoseconds())/1e3)
-			}
-
-			ds := metrics.Summarize(dirty)
-			fs := metrics.Summarize(full)
 			t.Rows = append(t.Rows, []string{
 				p.Name,
 				fmt.Sprintf("%d", density),
@@ -125,9 +85,6 @@ func AblationCoW() (*Table, error) {
 				fmt.Sprintf("%.0f", float64(perNew)/1024),
 				fmt.Sprintf("%.0f", float64(perOld)/1024),
 				fmt.Sprintf("%.1f", float64(saved)/(1024*1024)),
-				fmt.Sprintf("%.1f", ds.P50),
-				fmt.Sprintf("%.1f", fs.P50),
-				fmt.Sprintf("%.1fx", fs.P50/ds.P50),
 			})
 		}
 	}

@@ -38,7 +38,6 @@ func Experiments() []Experiment {
 		{ID: "ablation-multitenant", Description: "Ablation: mixed-tenant node (wasm + python, future work)", Run: AblationMultiTenant},
 		{ID: "startup-distribution", Description: "Per-pod start-time distribution at density 100", Run: StartupDistribution},
 		{ID: "serve", Description: "Warm-pool gateway: latency vs pool size and arrival rate", Run: Serving},
-		{ID: "cache", Description: "Ablation: content-addressed module cache, cold vs cached instantiate", Run: AblationModuleCache},
 		{ID: "cow", Description: "Ablation: copy-on-write warm instances, shared baseline + dirty-page reset", Run: AblationCoW},
 		{ID: "faults", Description: "Ablation: fault injection x resilience policy (retries, timeout, pressure)", Run: AblationFaults},
 		{ID: "tiers", Description: "Ablation: execution tiers (tier0-only vs hotness tier-up vs eager tier-1)", Run: AblationTiers},

@@ -37,8 +37,8 @@ const (
 // verifyTierEquivalence is the embedded smoke check: one invoke of the
 // serving workload on a tier-0-only instance and on an eagerly tiered one
 // must agree on result values and on the retired instruction count, and the
-// tiered engine must actually have tiered up. `make tiers-smoke` runs the
-// tiers experiment for exactly this gate.
+// tiered engine must actually have tiered up. `make results-check` runs the
+// tiers experiment, and so this gate, on every CI run.
 func verifyTierEquivalence() error {
 	bin, err := workloads.Binary(ServingWorkload)
 	if err != nil {
