@@ -5,10 +5,7 @@
 // are exactly reproducible.
 package des
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // Time is simulated time in nanoseconds since simulation start.
 type Time int64
@@ -23,23 +20,54 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// before orders events by (at, seq), a total order: no two events share a
+// seq, so the pop order never depends on the heap's shape.
+func (ev *event) before(o *event) bool {
+	return ev.at < o.at || ev.at == o.at && ev.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// eventHeap is a binary min-heap of events stored by value, so scheduling
+// allocates only when the backing array grows.
+type eventHeap []event
+
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].before(&q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+}
+
+// pop removes the earliest event. The vacated slot is zeroed so the heap does
+// not keep the fired closure alive.
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	q[n] = event{}
+	q = q[:n]
+	for i := 0; ; {
+		m, l := i, 2*i+1
+		if l < n && q[l].before(&q[m]) {
+			m = l
+		}
+		if r := l + 1; r < n && q[r].before(&q[m]) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
+	return top
 }
 
 // Engine drives the simulation.
@@ -61,7 +89,7 @@ func (e *Engine) At(t Time, fn func()) {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.events, &event{at: t, seq: e.seq, fn: fn})
+	e.events.push(event{at: t, seq: e.seq, fn: fn})
 }
 
 // After schedules fn d nanoseconds from now.
@@ -70,7 +98,7 @@ func (e *Engine) After(d Duration, fn func()) { e.At(e.now+Time(d), fn) }
 // Run processes events until the queue is empty and returns the final time.
 func (e *Engine) Run() Time {
 	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*event)
+		ev := e.events.pop()
 		e.now = ev.at
 		ev.fn()
 	}
@@ -82,7 +110,7 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*event)
+	ev := e.events.pop()
 	e.now = ev.at
 	ev.fn()
 	return true

@@ -1,6 +1,8 @@
 package des
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -190,5 +192,123 @@ func TestNextAt(t *testing.T) {
 	}
 	if at, ok := eng.NextAt(); !ok || at != 40 {
 		t.Fatalf("NextAt after step = %d,%v, want 40,true", at, ok)
+	}
+}
+
+// TestPropertyFireOrderIsSortedSchedule checks the engine against a model on
+// seeded random schedules: absolute and relative times with many same-instant
+// ties and past times that clamp, events that schedule more events from
+// inside Step, and Step, NextAt and Pending interleaved with a final Run. An
+// event scheduled from inside another is never earlier than the running one
+// and always later in schedule order, so every event ever scheduled fires in
+// the order of a stable sort by (at, seq), and at each Step the model's
+// earliest pending event is what NextAt reports and what fires.
+func TestPropertyFireOrderIsSortedSchedule(t *testing.T) {
+	type ev struct {
+		at  Time
+		seq int
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		eng := NewEngine()
+		var scheduled []ev // index = seq - 1
+		pending := map[int]Time{}
+		var fired []int
+		var schedule func(depth int)
+		schedule = func(depth int) {
+			seq := len(scheduled) + 1
+			var fn func()
+			fn = func() {
+				delete(pending, seq)
+				fired = append(fired, seq)
+				if depth < 3 {
+					for n := rng.Intn(3); n > 0; n-- {
+						schedule(depth + 1)
+					}
+				}
+			}
+			at := eng.Now() + Time(rng.Intn(8)) - 2 // a tie or a past time in half the draws
+			if rng.Intn(2) == 0 {
+				eng.At(at, fn)
+			} else {
+				eng.After(Duration(at-eng.Now()), fn)
+			}
+			if at < eng.Now() {
+				at = eng.Now()
+			}
+			scheduled = append(scheduled, ev{at, seq})
+			pending[seq] = at
+		}
+		for i := 0; i < 200; i++ {
+			schedule(0)
+		}
+		for i := 0; i < 300; i++ {
+			if got := eng.Pending(); got != len(pending) {
+				t.Fatalf("seed %d: Pending = %d, model holds %d", seed, got, len(pending))
+			}
+			next, want := 0, ev{}
+			for seq, at := range pending {
+				if next == 0 || at < want.at || at == want.at && seq < want.seq {
+					next, want = seq, ev{at, seq}
+				}
+			}
+			at, ok := eng.NextAt()
+			if ok != (next != 0) || ok && at != want.at {
+				t.Fatalf("seed %d: NextAt = %d, %v; model's earliest is %+v", seed, at, ok, want)
+			}
+			if !eng.Step() {
+				if next != 0 {
+					t.Fatalf("seed %d: Step found no event, model holds %d", seed, len(pending))
+				}
+				break
+			}
+			if last := fired[len(fired)-1]; last != next || eng.Now() != want.at {
+				t.Fatalf("seed %d: Step fired seq %d at %d, want seq %d at %d", seed, last, eng.Now(), next, want.at)
+			}
+		}
+		end := eng.Run()
+		if eng.Pending() != 0 || len(pending) != 0 || eng.Step() {
+			t.Fatalf("seed %d: queue not empty after Run", seed)
+		}
+		if _, ok := eng.NextAt(); ok {
+			t.Fatalf("seed %d: NextAt reports an event after Run", seed)
+		}
+		sorted := append([]ev(nil), scheduled...)
+		sort.SliceStable(sorted, func(i, j int) bool {
+			if sorted[i].at != sorted[j].at {
+				return sorted[i].at < sorted[j].at
+			}
+			return sorted[i].seq < sorted[j].seq
+		})
+		if len(fired) != len(sorted) {
+			t.Fatalf("seed %d: fired %d of %d scheduled events", seed, len(fired), len(sorted))
+		}
+		for i, e := range sorted {
+			if fired[i] != e.seq {
+				t.Fatalf("seed %d: event %d fired seq %d, sorted schedule has seq %d", seed, i, fired[i], e.seq)
+			}
+		}
+		if end != sorted[len(sorted)-1].at {
+			t.Fatalf("seed %d: Run ended at %d, last event is at %d", seed, end, sorted[len(sorted)-1].at)
+		}
+	}
+}
+
+// TestEngineScheduleAllocs pins the event queue's steady-state cost: once the
+// heap has grown, scheduling a prebuilt closure and stepping it allocates
+// nothing — events are stored by value, not boxed one by one.
+func TestEngineScheduleAllocs(t *testing.T) {
+	eng := NewEngine()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		eng.At(Time(i), fn)
+	}
+	eng.Run()
+	allocs := testing.AllocsPerRun(1000, func() {
+		eng.At(eng.Now()+1, fn)
+		eng.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("At + Step allocates %.0f times, want 0", allocs)
 	}
 }

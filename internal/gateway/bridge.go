@@ -64,14 +64,44 @@ type BridgeConfig struct {
 }
 
 // submission is one handler-goroutine request waiting to enter the DES,
-// or (when run is set) a closure to execute on the loop goroutine. submit
-// runs inside a DES event at the request's virtual arrival time and hands
-// the routed request its done callback.
+// or (when run is set) a closure to execute on the loop goroutine.
 type submission struct {
-	submit func(done func(serve.RequestResult))
-	result chan serve.RequestResult // buffered(1): the loop never blocks
-	run    func()                   // non-nil: a Do closure, not a request
+	req *request
+	run func() // non-nil: a Do closure, not a request
 }
+
+// request is one routed submission. Requests are pooled: the DES event that
+// submits to the router (enter) and the callback that hands the result back
+// (done) are bound once, when the pool builds the request, so a submission
+// allocates neither closures nor a channel. Ownership is the one rule: the
+// submitter re-pools a request only after receiving its result, or when the
+// loop never saw it (ErrBridgeBusy); a submitter whose context ends abandons
+// it to the collector, because the loop still owns it.
+type request struct {
+	b      *Bridge
+	rt     *serve.Router
+	key    string
+	tid    int64
+	result chan serve.RequestResult // buffered(1): the loop never blocks
+	enter  func()
+	done   func(serve.RequestResult)
+}
+
+var requestPool = sync.Pool{New: func() any {
+	r := &request{result: make(chan serve.RequestResult, 1)}
+	r.enter = func() {
+		if err := r.rt.Submit(r.key, r.tid, r.done); err != nil {
+			r.done(serve.RequestResult{Err: err})
+		}
+	}
+	r.done = func(res serve.RequestResult) {
+		// Read b first: once the result is received, r may be reused.
+		b := r.b
+		r.result <- res
+		b.settle()
+	}
+	return r
+}}
 
 // Bridge runs a des.Engine on one goroutine and carries requests between
 // concurrent submitters and the single-threaded dispatcher world.
@@ -165,22 +195,18 @@ func (b *Bridge) SubmitRouted(ctx context.Context, rt *serve.Router, key string,
 	b.pending++
 	b.mu.Unlock()
 
-	sub := submission{
-		submit: func(done func(serve.RequestResult)) {
-			if err := rt.Submit(key, tid, done); err != nil {
-				done(serve.RequestResult{Err: err})
-			}
-		},
-		result: make(chan serve.RequestResult, 1),
-	}
+	req := requestPool.Get().(*request)
+	req.b, req.rt, req.key, req.tid = b, rt, key, tid
 	select {
-	case b.subCh <- sub:
+	case b.subCh <- submission{req: req}:
 	default:
 		b.settle()
+		requestPool.Put(req)
 		return serve.RequestResult{}, ErrBridgeBusy
 	}
 	select {
-	case r := <-sub.result:
+	case r := <-req.result:
+		requestPool.Put(req)
 		return r, nil
 	case <-ctx.Done():
 		return serve.RequestResult{}, ctx.Err()
@@ -398,10 +424,5 @@ func (b *Bridge) inject(sub submission, wallStart time.Time) {
 			at = t
 		}
 	}
-	b.eng.At(at, func() {
-		sub.submit(func(r serve.RequestResult) {
-			sub.result <- r
-			b.settle()
-		})
-	})
+	b.eng.At(at, sub.req.enter)
 }

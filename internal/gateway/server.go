@@ -495,24 +495,35 @@ const (
 // simLatencyMs renders the simulated latency the way the X-Sim-Latency-Ms
 // header carries it: milliseconds to three decimals.
 func (r *invokeRecord) simLatencyMs() string {
-	return strconv.FormatFloat(float64(r.res.Latency)/1e6, 'f', 3, 64)
+	var buf [24]byte
+	return string(strconv.AppendFloat(buf[:0], float64(r.res.Latency)/1e6, 'f', 3, 64))
 }
 
-// setHeaders renders the record as the invoke response headers.
+// setHeaders renders the record as the invoke response headers. The values
+// share one slice, each header a capped one-element window of it, and the
+// keys are already canonical, so Header.Set's per-call slice is not needed.
 func (r *invokeRecord) setHeaders(h http.Header) {
+	if r.stage < invokeIdentified {
+		return
+	}
+	vals := make([]string, 0, 7)
+	set := func(key, val string) {
+		vals = append(vals, val)
+		h[key] = vals[len(vals)-1 : len(vals) : len(vals)]
+	}
 	switch r.stage {
 	case invokeCompleted:
-		h.Set("X-Cold", strconv.FormatBool(r.res.Cold))
-		h.Set("X-Sim-Latency-Ms", r.simLatencyMs())
+		set("X-Cold", strconv.FormatBool(r.res.Cold))
+		set("X-Sim-Latency-Ms", r.simLatencyMs())
 		fallthrough
 	case invokeSettled:
-		h.Set("X-Trace-Sampled", strconv.FormatBool(r.res.TraceSampled))
+		set("X-Trace-Sampled", strconv.FormatBool(r.res.TraceSampled))
 		fallthrough
 	case invokeIdentified:
-		h.Set("X-Request-Id", r.reqID)
-		h.Set("X-Trace-Tid", strconv.FormatInt(r.tid, 10))
-		h.Set("X-Queue-Len", strconv.Itoa(r.queueLen))
-		h.Set("X-In-Flight", strconv.Itoa(r.inFlight))
+		set("X-Request-Id", r.reqID)
+		set("X-Trace-Tid", strconv.FormatInt(r.tid, 10))
+		set("X-Queue-Len", strconv.Itoa(r.queueLen))
+		set("X-In-Flight", strconv.Itoa(r.inFlight))
 	}
 }
 
@@ -541,16 +552,34 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if sw.status >= 400 {
 		s.obsHTTPErrs.Inc()
 	}
-	switch inv := &sw.invoke; {
+	switch {
 	case s.logger == nil:
 	case s.cfg.AccessLogFormat == "json":
 		s.logger.Print(jsonAccessLine(r, sw, wall))
-	case inv.stage < invokeIdentified:
-		s.logger.Printf("%s %s %d req_id= tid= wall=%s", r.Method, r.URL.Path, sw.status, wall)
 	default:
-		s.logger.Printf("%s %s %d req_id=%s tid=%d wall=%s q=%d in_flight=%d",
-			r.Method, r.URL.Path, sw.status, inv.reqID, inv.tid, wall, inv.queueLen, inv.inFlight)
+		var buf [256]byte
+		_ = s.logger.Output(2, string(textAccessLine(buf[:0], r, sw, wall)))
 	}
+}
+
+// textAccessLine appends one request's text access line to b:
+//
+//	METHOD PATH STATUS req_id=ID tid=TID wall=WALL q=QUEUE in_flight=N
+//
+// with the id and tid empty and the last two fields absent when the request
+// never reached the identified stage.
+func textAccessLine(b []byte, r *http.Request, sw *statusWriter, wall time.Duration) []byte {
+	inv := &sw.invoke
+	b = append(append(append(b, r.Method...), ' '), r.URL.Path...)
+	b = strconv.AppendInt(append(b, ' '), int64(sw.status), 10)
+	if inv.stage < invokeIdentified {
+		return append(append(b, " req_id= tid= wall="...), wall.String()...)
+	}
+	b = append(append(b, " req_id="...), inv.reqID...)
+	b = strconv.AppendInt(append(b, " tid="...), inv.tid, 10)
+	b = append(append(b, " wall="...), wall.String()...)
+	b = strconv.AppendInt(append(b, " q="...), int64(inv.queueLen), 10)
+	return strconv.AppendInt(append(b, " in_flight="...), int64(inv.inFlight), 10)
 }
 
 // accessRecord is one JSON access-log line. Invoke-only fields are pointers
@@ -644,16 +673,28 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("gateway: unknown function %q", module))
 		return
 	}
-	payload, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPayloadBytes))
+	// The body is only counted: payload_bytes is all the invoke reports.
+	payloadBytes, err := io.Copy(io.Discard, http.MaxBytesReader(w, r.Body, maxPayloadBytes))
 	if err != nil {
-		writeError(w, ErrorMapping{http.StatusRequestEntityTooLarge, "payload_too_large", 0}, err)
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, ErrorMapping{http.StatusRequestEntityTooLarge, "payload_too_large", 0}, err)
+		} else {
+			writeError(w, ErrorMapping{http.StatusBadRequest, "bad_request", 0}, err)
+		}
 		return
 	}
 	inv := &w.(*statusWriter).invoke
 	inv.tid = s.reqSeq.Add(1)
 	inv.reqID = r.Header.Get("X-Request-Id")
 	if inv.reqID == "" {
-		inv.reqID = fmt.Sprintf("req-%08d", inv.tid)
+		// req-%08d, built without fmt.
+		var buf [24]byte
+		b := append(buf[:0], "req-"...)
+		for n := int64(10_000_000); n > 1 && inv.tid < n; n /= 10 {
+			b = append(b, '0')
+		}
+		inv.reqID = string(strconv.AppendInt(b, inv.tid, 10))
 	}
 	// Shard introspection for the access log: lock-free atomic reads, so
 	// sampling them per request cannot stall a dispatch burst.
@@ -686,7 +727,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		LatencyMs:    float64(res.Latency) / 1e6,
 		QueueWaitMs:  float64(res.QueueWait) / 1e6,
 		RetryWaitMs:  float64(res.RetryWait) / 1e6,
-		PayloadBytes: int64(len(payload)),
+		PayloadBytes: payloadBytes,
 		TraceSampled: res.TraceSampled,
 	})
 }

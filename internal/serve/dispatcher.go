@@ -206,6 +206,7 @@ type Dispatcher struct {
 	eng  *des.Engine
 	pool *Pool
 	cfg  DispatcherConfig
+	args []exec.Value // cfg.Arg as the invoke's argument list, built once
 
 	// mu guards queue and reqSeq on the dispatch path, and every write of
 	// busy. done callbacks and pool calls run outside it. Observers do not
@@ -248,7 +249,7 @@ func NewDispatcher(eng *des.Engine, pool *Pool, cfg DispatcherConfig) *Dispatche
 	if cfg.MaxConcurrency <= 0 {
 		cfg.MaxConcurrency = 1
 	}
-	return &Dispatcher{eng: eng, pool: pool, cfg: cfg}
+	return &Dispatcher{eng: eng, pool: pool, cfg: cfg, args: []exec.Value{exec.I32(cfg.Arg)}}
 }
 
 // SetObserver wires telemetry into the dispatcher: a metric source reporting
@@ -322,7 +323,8 @@ func (d *Dispatcher) SubmitBatch(items []BatchItem) {
 		done   func(RequestResult)
 		reason error
 	}
-	var starts []BatchItem // admitted: slot claimed, TID assigned
+	var startsBuf [8]BatchItem
+	starts := startsBuf[:0] // admitted: slot claimed, TID assigned
 	var refused []refusal
 	d.mu.Lock()
 	atomic.AddInt64(&d.stats.Submitted, int64(len(items)))
@@ -481,7 +483,7 @@ func (d *Dispatcher) attempt(r *inflight, tracer *obs.Tracer) {
 		tracer.Span("acquire", "serve", r.tid, int64(now), acqEnd,
 			obs.I64("cold", coldAttr))
 	}
-	res, err := wi.Invoke(d.cfg.Export, exec.I32(d.cfg.Arg))
+	res, err := wi.Invoke(d.cfg.Export, d.args...)
 	// The slot is occupied for overhead plus the instructions that actually
 	// executed — also when the invoke trapped: res carries the partial
 	// execution, so the invoke span, the completion event, and the reported

@@ -28,6 +28,7 @@ type shard struct {
 	d      *Dispatcher
 
 	pending []BatchItem
+	spare   []BatchItem // the other batch buffer: flush swaps the two
 	armed   bool
 	// flushEv is the shard's flush event, built once at registration so
 	// arming a batch allocates nothing.
@@ -181,11 +182,12 @@ func (r *Router) Submit(key string, tid int64, done func(RequestResult)) error {
 
 // flush admits a shard's pending batch. It detaches the batch before
 // submitting so a done callback that re-submits (a retrying client inside
-// the simulation) starts a fresh batch instead of mutating the in-flight
-// one.
+// the simulation) starts a fresh batch, in the spare buffer, instead of
+// mutating the in-flight one; the admitted batch's buffer, cleared of its
+// callbacks, becomes the next spare.
 func (r *Router) flush(sh *shard) {
 	items := sh.pending
-	sh.pending = nil
+	sh.pending, sh.spare = sh.spare, nil
 	sh.armed = false
 	if len(items) == 0 {
 		return
@@ -196,6 +198,8 @@ func (r *Router) flush(sh *shard) {
 		r.maxBatch.Store(n)
 	}
 	sh.d.SubmitBatch(items)
+	clear(items)
+	sh.spare = items[:0]
 }
 
 // ShardStats is one shard's introspection snapshot.

@@ -409,3 +409,48 @@ func TestDispatcherRequestAllocsTelemetryParity(t *testing.T) {
 		t.Fatalf("observed dispatcher recorded %d spans, want its request spans", n)
 	}
 }
+
+// TestRouterResubmitFromDoneStartsFreshBatch: a refusal's done callback runs
+// inside the flush that admits its batch, and a retrying client re-submits
+// from there. The re-submission must start the next batch — in the shard's
+// other buffer — and reach its own outcome, not be lost when the admitted
+// batch's buffer is cleared and recycled. Three rounds cycle both buffers.
+func TestRouterResubmitFromDoneStartsFreshBatch(t *testing.T) {
+	eng := des.NewEngine()
+	pool := newTestPool(t, engine.WAMR, Config{Size: 1})
+	d := NewDispatcher(eng, pool, DispatcherConfig{MaxConcurrency: 1, Policy: PolicyReject, Export: "handle", Arg: 64})
+	r := NewRouter(eng, RouterConfig{})
+	if err := r.Register("key", "request-handler", d); err != nil {
+		t.Fatal(err)
+	}
+	var outcomes []string
+	var submit func(name string, retries int)
+	submit = func(name string, retries int) {
+		err := r.Submit("key", 0, func(res RequestResult) {
+			switch {
+			case res.Err == nil:
+				outcomes = append(outcomes, name+" ok")
+			case retries > 0:
+				outcomes = append(outcomes, name+" retry")
+				submit(name, retries-1)
+			default:
+				outcomes = append(outcomes, name+" refused")
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.At(0, func() {
+		submit("a", 0)
+		submit("b", 2)
+	})
+	eng.Run()
+	want := []string{"b retry", "b retry", "b refused", "a ok"}
+	if fmt.Sprint(outcomes) != fmt.Sprint(want) {
+		t.Fatalf("outcomes %q, want %q", outcomes, want)
+	}
+	if st := r.Stats(); st.Batches != 3 || st.BatchedRequests != 4 || st.Aggregate.Submitted != 4 || !st.IdentityHolds() {
+		t.Fatalf("stats %+v, want 3 batches of 4 requests", st)
+	}
+}
