@@ -5,6 +5,7 @@ import (
 
 	"wasmcontainers/internal/wasm"
 	"wasmcontainers/internal/wat"
+	"wasmcontainers/internal/workloads"
 )
 
 // Benchmark workloads for the interpreter hot loop. Each module is small and
@@ -284,4 +285,14 @@ func BenchmarkInvokeTier0Indirect(b *testing.B) {
 }
 func BenchmarkInvokeTier1Indirect(b *testing.B) {
 	benchTierCall(b, benchIndirectWAT, "dispatch", I32(100000), true)
+}
+
+// The guest-compute kernel: count_primes(12000) on the cpu-bound module,
+// trial division whose inner loop is two compare-and-if tests and an
+// i32.rem_u per divisor.
+func BenchmarkInvokeTier0Primes(b *testing.B) {
+	benchTierCall(b, workloads.CPUBoundWAT, "count_primes", I32(12000), false)
+}
+func BenchmarkInvokeTier1Primes(b *testing.B) {
+	benchTierCall(b, workloads.CPUBoundWAT, "count_primes", I32(12000), true)
 }

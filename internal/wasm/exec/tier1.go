@@ -102,6 +102,14 @@ func (fr *t1frame) chargeFuel() bool {
 	return true
 }
 
+// trapAfter counts own retired originals, the trapping one included, and
+// parks the trap: how a specialized closure raises what binaryOp would.
+func (fr *t1frame) trapAfter(own uint64, code TrapCode) int {
+	fr.executed += own
+	fr.err = newTrap(code)
+	return t1Trapped
+}
+
 // t1StackCap caps Tier1Code.stack, in slots (here 128 KiB): what every
 // store used to start with. A store that outgrows its first stack has met
 // one of the chains the static sum cannot bound, so its next empty-stack

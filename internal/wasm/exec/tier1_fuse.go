@@ -12,6 +12,23 @@ import (
 // standalone closures (branches may target them); the fused closure simply
 // jumps past them with their instruction counts folded in, so the retired
 // count and the block-granularity fuel schedule stay bit-identical to tier 0.
+//
+// The fused shapes, keyed by their first instruction:
+//   - [<cmp>][if], [local.get][<cmp>][if], [local.get; local.get; <cmp>][if],
+//     [const][<cmp>][if], [local.get][const][<cmp>][if]: branch on the
+//     compare, every i32/i64/f32/f64 comparison (integer ones with a
+//     constant); the if charges no fuel, as at tier 0.
+//   - [<cmp>; br_if] (paired at tier 0), [local.get; local.get; <cmp>][br_if]
+//     and [local.get pair][<cmp>; br_if]: the loop header, fuel charged at
+//     the br_if.
+//   - [eqz][if] (the eq-0 form of the above) and [eqz][br_if].
+//   - [local.get][const][op] and [const][op], optionally into a local.set.
+//   - [local.get][op], optionally into a local.set; [local.get; local.get;
+//     op][local.set].
+//   - [local.get][const+add], optionally into a local.set and then a br;
+//     [local.get; local.get; op][local.set][local.get][const+add]
+//     [local.set][br], the whole loop epilogue.
+//   - [local.get][local.set], [local.get][store], [local.get][return].
 
 // adj returns the pc of the next surviving instruction after pc when every
 // erased instruction in between is a pure structure marker. A Drop between
@@ -64,6 +81,11 @@ func (b *t1builder) tryFuse(pc int) t1op {
 			syn := instr{op: opCmpBrIf, misc: in.misc, a: instrs[q].a, b: instrs[q].b}
 			return b.buildCmpBrIf(q, &syn, b.heights[pc]+2, i, j, 3+b.skipCnt[pc+1]+1)
 		}
+		if b.isIf(q) && isCmpBinop(wasm.Opcode(in.misc)) {
+			// [local.get i; local.get j; <cmp>][if]: branch on two locals.
+			return b.buildCmpIf(wasm.Opcode(in.misc), int(in.a>>32), int(uint32(in.a)),
+				b.ifExits(q, 3+b.skipCnt[pc+1]))
+		}
 		if q >= 0 && instrs[q].op == wasm.OpLocalSet {
 			op := wasm.Opcode(in.misc)
 			if fn := binFast(op); fn != nil {
@@ -105,6 +127,11 @@ func (b *t1builder) tryFuse(pc int) t1op {
 			if r < 0 || !isFusableBinop(instrs[r].op) {
 				return nil
 			}
+			own := 3 + c1 + b.skipCnt[q+1]
+			if r2 := b.adj(r); b.isIf(r2) && isCmpBinop(instrs[r].op) {
+				// [local.get i][const k][<cmp>][if]
+				return b.buildCmpIfK(instrs[r].op, i, qin.a, b.ifExits(r2, own+b.skipCnt[r+1]))
+			}
 			z := b.nl + ht
 			fallPc := r
 			extra := uint64(0)
@@ -114,8 +141,7 @@ func (b *t1builder) tryFuse(pc int) t1op {
 				fallPc = r2
 			}
 			next, crF := b.fall(fallPc)
-			return b.buildBinopK(instrs[r].op, i, qin.a, z,
-				3+c1+b.skipCnt[q+1], extra+crF, next)
+			return b.buildBinopK(instrs[r].op, i, qin.a, z, own, extra+crF, next)
 		case qin.op == wasm.OpReturn:
 			// [local.get i][return]: park the local in the result slot and
 			// leave the frame directly.
@@ -127,6 +153,9 @@ func (b *t1builder) tryFuse(pc int) t1op {
 					return t1Return
 				}
 			}
+		case isCmpBinop(qin.op) && ht >= 1 && b.isIf(b.adj(q)):
+			// [local.get i][<cmp>][if]: top of stack against a local.
+			return b.buildCmpIf(qin.op, b.slot(ht, 1), i, b.ifExits(b.adj(q), 2+c1+b.skipCnt[q+1]))
 		case isFusableBinop(qin.op) && ht >= 1:
 			// [local.get i][binop]: top-of-stack op local, in place.
 			x := b.slot(ht, 1)
@@ -170,6 +199,11 @@ func (b *t1builder) tryFuse(pc int) t1op {
 			return nil
 		}
 		x := b.slot(ht, 1)
+		own := 2 + b.skipCnt[pc+1]
+		if r := b.adj(q); b.isIf(r) && isCmpBinop(instrs[q].op) {
+			// [const k][<cmp>][if]
+			return b.buildCmpIfK(instrs[q].op, x, in.a, b.ifExits(r, own+b.skipCnt[q+1]))
+		}
 		z := x
 		fallPc := q
 		extra := uint64(0)
@@ -179,10 +213,34 @@ func (b *t1builder) tryFuse(pc int) t1op {
 			fallPc = r
 		}
 		next, crF := b.fall(fallPc)
-		return b.buildBinopK(instrs[q].op, x, in.a, z,
-			2+b.skipCnt[pc+1], extra+crF, next)
+		return b.buildBinopK(instrs[q].op, x, in.a, z, own, extra+crF, next)
+	case wasm.OpI32Eqz, wasm.OpI64Eqz:
+		// [eqz][if] is [eq 0][if]; [eqz][br_if] branches on a zero test.
+		q := b.adj(pc)
+		eq := wasm.OpI32Eq
+		if in.op == wasm.OpI64Eqz {
+			eq = wasm.OpI64Eq
+		}
+		own := 1 + b.skipCnt[pc+1]
+		switch {
+		case b.isIf(q):
+			return b.buildCmpIfK(eq, b.slot(ht, 1), 0, b.ifExits(q, own))
+		case q >= 0 && instrs[q].op == wasm.OpBrIf:
+			return b.buildEqzBrIf(q, &instrs[q], ht, b.slot(ht, 1), eq, own+1)
+		}
+	default:
+		if q := b.adj(pc); b.isIf(q) && isCmpBinop(in.op) {
+			// [<cmp>][if]: two operand slots.
+			x := b.slot(ht, 2)
+			return b.buildCmpIf(in.op, x, x+1, b.ifExits(q, 1+b.skipCnt[pc+1]))
+		}
 	}
 	return nil
+}
+
+// isIf reports whether pc (possibly -1, no successor) is an if.
+func (b *t1builder) isIf(pc int) bool {
+	return pc >= 0 && b.cc.instrs[pc].op == wasm.OpIf
 }
 
 // buildLocalAddK lowers [local.get src][opI32/I64AddConst k] plus an optional
@@ -254,9 +312,51 @@ func (b *t1builder) buildLocalAddK(pc, q, src int, c1 uint64) t1op {
 // buildBinopK lowers a binop whose right operand is the constant k: reads
 // regs[x], writes regs[z]. own counts the originals retired before the
 // operator runs (so a trapping div-by-constant is accounted like tier 0);
-// the specialized non-trapping forms collapse own+fall into one add.
+// the specialized non-trapping forms, div/rem by a divisor that cannot trap
+// among them, collapse own+fall into one add.
 func (b *t1builder) buildBinopK(op wasm.Opcode, x int, k Value, z int, own, fall uint64, next int) t1op {
 	cnt := own + fall
+	if c, swap, sh, bias := cmpShape(op); c <= cmpLe {
+		kk := k<<sh ^ bias
+		switch {
+		case c == cmpEq:
+			return func(fr *t1frame) int {
+				fr.regs[z] = boolVal(fr.regs[x]<<sh == kk)
+				fr.executed += cnt
+				return next
+			}
+		case c == cmpNe:
+			return func(fr *t1frame) int {
+				fr.regs[z] = boolVal(fr.regs[x]<<sh != kk)
+				fr.executed += cnt
+				return next
+			}
+		case c == cmpLt && !swap:
+			return func(fr *t1frame) int {
+				fr.regs[z] = boolVal(fr.regs[x]<<sh^bias < kk)
+				fr.executed += cnt
+				return next
+			}
+		case c == cmpLt:
+			return func(fr *t1frame) int {
+				fr.regs[z] = boolVal(kk < fr.regs[x]<<sh^bias)
+				fr.executed += cnt
+				return next
+			}
+		case c == cmpLe && !swap:
+			return func(fr *t1frame) int {
+				fr.regs[z] = boolVal(fr.regs[x]<<sh^bias <= kk)
+				fr.executed += cnt
+				return next
+			}
+		default: // cmpLe, swapped
+			return func(fr *t1frame) int {
+				fr.regs[z] = boolVal(kk <= fr.regs[x]<<sh^bias)
+				fr.executed += cnt
+				return next
+			}
+		}
+	}
 	switch op {
 	case wasm.OpI32Add:
 		k32 := AsI32(k)
@@ -318,69 +418,6 @@ func (b *t1builder) buildBinopK(op wasm.Opcode, x int, k Value, z int, own, fall
 			fr.executed += cnt
 			return next
 		}
-	case wasm.OpI32Eq:
-		k32 := AsU32(k)
-		return func(fr *t1frame) int {
-			fr.regs[z] = boolVal(AsU32(fr.regs[x]) == k32)
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32Ne:
-		k32 := AsU32(k)
-		return func(fr *t1frame) int {
-			fr.regs[z] = boolVal(AsU32(fr.regs[x]) != k32)
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32LtS:
-		k32 := AsI32(k)
-		return func(fr *t1frame) int {
-			fr.regs[z] = boolVal(AsI32(fr.regs[x]) < k32)
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32LtU:
-		k32 := AsU32(k)
-		return func(fr *t1frame) int {
-			fr.regs[z] = boolVal(AsU32(fr.regs[x]) < k32)
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32GtS:
-		k32 := AsI32(k)
-		return func(fr *t1frame) int {
-			fr.regs[z] = boolVal(AsI32(fr.regs[x]) > k32)
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32GtU:
-		k32 := AsU32(k)
-		return func(fr *t1frame) int {
-			fr.regs[z] = boolVal(AsU32(fr.regs[x]) > k32)
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32LeS:
-		k32 := AsI32(k)
-		return func(fr *t1frame) int {
-			fr.regs[z] = boolVal(AsI32(fr.regs[x]) <= k32)
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32GeS:
-		k32 := AsI32(k)
-		return func(fr *t1frame) int {
-			fr.regs[z] = boolVal(AsI32(fr.regs[x]) >= k32)
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32GeU:
-		k32 := AsU32(k)
-		return func(fr *t1frame) int {
-			fr.regs[z] = boolVal(AsU32(fr.regs[x]) >= k32)
-			fr.executed += cnt
-			return next
-		}
 	case wasm.OpI64Add:
 		return func(fr *t1frame) int {
 			fr.regs[z] = fr.regs[x] + k
@@ -431,8 +468,73 @@ func (b *t1builder) buildBinopK(op wasm.Opcode, x int, k Value, z int, own, fall
 			fr.executed += cnt
 			return next
 		}
+	case wasm.OpI32DivS:
+		if d := AsI32(k); d != 0 && d != -1 {
+			return func(fr *t1frame) int {
+				fr.regs[z] = I32(AsI32(fr.regs[x]) / d)
+				fr.executed += cnt
+				return next
+			}
+		}
+	case wasm.OpI32DivU:
+		if d := AsU32(k); d != 0 {
+			return func(fr *t1frame) int {
+				fr.regs[z] = uint64(AsU32(fr.regs[x]) / d)
+				fr.executed += cnt
+				return next
+			}
+		}
+	case wasm.OpI32RemS:
+		if d := AsI32(k); d != 0 {
+			return func(fr *t1frame) int {
+				fr.regs[z] = I32(AsI32(fr.regs[x]) % d)
+				fr.executed += cnt
+				return next
+			}
+		}
+	case wasm.OpI32RemU:
+		if d := AsU32(k); d != 0 {
+			return func(fr *t1frame) int {
+				fr.regs[z] = uint64(AsU32(fr.regs[x]) % d)
+				fr.executed += cnt
+				return next
+			}
+		}
+	case wasm.OpI64DivS:
+		if d := AsI64(k); d != 0 && d != -1 {
+			return func(fr *t1frame) int {
+				fr.regs[z] = I64(AsI64(fr.regs[x]) / d)
+				fr.executed += cnt
+				return next
+			}
+		}
+	case wasm.OpI64DivU:
+		if k != 0 {
+			return func(fr *t1frame) int {
+				fr.regs[z] = fr.regs[x] / k
+				fr.executed += cnt
+				return next
+			}
+		}
+	case wasm.OpI64RemS:
+		if d := AsI64(k); d != 0 {
+			return func(fr *t1frame) int {
+				fr.regs[z] = I64(AsI64(fr.regs[x]) % d)
+				fr.executed += cnt
+				return next
+			}
+		}
+	case wasm.OpI64RemU:
+		if k != 0 {
+			return func(fr *t1frame) int {
+				fr.regs[z] = fr.regs[x] % k
+				fr.executed += cnt
+				return next
+			}
+		}
 	}
-	// Generic fold, including the trapping div/rem-by-constant.
+	// Generic fold: the long tail, and the divisors that can trap (0, or -1
+	// for div_s), with own counted before the operator runs.
 	return func(fr *t1frame) int {
 		fr.executed += own
 		v, err := binaryOp(op, fr.regs[x], k)

@@ -291,18 +291,8 @@ func (b *t1builder) build(pc int) t1op {
 		}
 	case wasm.OpIf:
 		c := b.slot(ht, 1)
-		nT, crT := b.fall(pc)
-		nF := b.tgt(int(in.a))
-		cT := 1 + crT
-		cF := 1 + b.skipCnt[in.a]
-		return func(fr *t1frame) int {
-			if fr.regs[c] != 0 {
-				fr.executed += cT
-				return nT
-			}
-			fr.executed += cF
-			return nF
-		}
+		j := b.ifExits(pc, 0)
+		return func(fr *t1frame) int { return j.to(fr, fr.regs[c] != 0) }
 	case wasm.OpElse:
 		t := b.tgt(int(in.a))
 		cnt := 1 + b.skipCnt[in.a]

@@ -11,11 +11,43 @@ import (
 // slot z. Plain binops use (x, x+1, x); the opLocalBinop superinstruction
 // reads two locals and pushes. own is the original instruction count (1, or
 // 3 for the fused form), fall the erased-successor credit. The hot integer
-// and float ops get fully specialized closures; everything else — including
-// every op that can trap — goes through the shared binaryOp evaluator, which
-// still beats tier 0 by skipping the outer dispatch.
+// and float ops, the eight integer div/rem among them, get fully specialized
+// closures; a div/rem counts own before it traps, like the tier-0 loop. The
+// long tail goes through the shared binaryOp evaluator, which still beats
+// tier 0 by skipping the outer dispatch.
 func (b *t1builder) buildBinopSlots(op wasm.Opcode, x, y, z int, own, fall uint64, next int) t1op {
 	cnt := own + fall
+	if k, swap, sh, bias := cmpShape(op); k <= cmpLe {
+		if swap {
+			x, y = y, x
+		}
+		switch k {
+		case cmpEq:
+			return func(fr *t1frame) int {
+				fr.regs[z] = boolVal(fr.regs[x]<<sh == fr.regs[y]<<sh)
+				fr.executed += cnt
+				return next
+			}
+		case cmpNe:
+			return func(fr *t1frame) int {
+				fr.regs[z] = boolVal(fr.regs[x]<<sh != fr.regs[y]<<sh)
+				fr.executed += cnt
+				return next
+			}
+		case cmpLt:
+			return func(fr *t1frame) int {
+				fr.regs[z] = boolVal(fr.regs[x]<<sh^bias < fr.regs[y]<<sh^bias)
+				fr.executed += cnt
+				return next
+			}
+		default: // cmpLe
+			return func(fr *t1frame) int {
+				fr.regs[z] = boolVal(fr.regs[x]<<sh^bias <= fr.regs[y]<<sh^bias)
+				fr.executed += cnt
+				return next
+			}
+		}
+	}
 	switch op {
 	case wasm.OpI32Add:
 		return func(fr *t1frame) int {
@@ -71,66 +103,6 @@ func (b *t1builder) buildBinopSlots(op wasm.Opcode, x, y, z int, own, fall uint6
 			fr.executed += cnt
 			return next
 		}
-	case wasm.OpI32Eq:
-		return func(fr *t1frame) int {
-			fr.regs[z] = boolVal(AsU32(fr.regs[x]) == AsU32(fr.regs[y]))
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32Ne:
-		return func(fr *t1frame) int {
-			fr.regs[z] = boolVal(AsU32(fr.regs[x]) != AsU32(fr.regs[y]))
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32LtS:
-		return func(fr *t1frame) int {
-			fr.regs[z] = boolVal(AsI32(fr.regs[x]) < AsI32(fr.regs[y]))
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32LtU:
-		return func(fr *t1frame) int {
-			fr.regs[z] = boolVal(AsU32(fr.regs[x]) < AsU32(fr.regs[y]))
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32GtS:
-		return func(fr *t1frame) int {
-			fr.regs[z] = boolVal(AsI32(fr.regs[x]) > AsI32(fr.regs[y]))
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32GtU:
-		return func(fr *t1frame) int {
-			fr.regs[z] = boolVal(AsU32(fr.regs[x]) > AsU32(fr.regs[y]))
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32LeS:
-		return func(fr *t1frame) int {
-			fr.regs[z] = boolVal(AsI32(fr.regs[x]) <= AsI32(fr.regs[y]))
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32LeU:
-		return func(fr *t1frame) int {
-			fr.regs[z] = boolVal(AsU32(fr.regs[x]) <= AsU32(fr.regs[y]))
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32GeS:
-		return func(fr *t1frame) int {
-			fr.regs[z] = boolVal(AsI32(fr.regs[x]) >= AsI32(fr.regs[y]))
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32GeU:
-		return func(fr *t1frame) int {
-			fr.regs[z] = boolVal(AsU32(fr.regs[x]) >= AsU32(fr.regs[y]))
-			fr.executed += cnt
-			return next
-		}
 	case wasm.OpI64Add:
 		return func(fr *t1frame) int {
 			fr.regs[z] = fr.regs[x] + fr.regs[y]
@@ -179,42 +151,6 @@ func (b *t1builder) buildBinopSlots(op wasm.Opcode, x, y, z int, own, fall uint6
 			fr.executed += cnt
 			return next
 		}
-	case wasm.OpI64Eq:
-		return func(fr *t1frame) int {
-			fr.regs[z] = boolVal(fr.regs[x] == fr.regs[y])
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI64Ne:
-		return func(fr *t1frame) int {
-			fr.regs[z] = boolVal(fr.regs[x] != fr.regs[y])
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI64LtS:
-		return func(fr *t1frame) int {
-			fr.regs[z] = boolVal(AsI64(fr.regs[x]) < AsI64(fr.regs[y]))
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI64LtU:
-		return func(fr *t1frame) int {
-			fr.regs[z] = boolVal(fr.regs[x] < fr.regs[y])
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI64GtS:
-		return func(fr *t1frame) int {
-			fr.regs[z] = boolVal(AsI64(fr.regs[x]) > AsI64(fr.regs[y]))
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI64GeU:
-		return func(fr *t1frame) int {
-			fr.regs[z] = boolVal(fr.regs[x] >= fr.regs[y])
-			fr.executed += cnt
-			return next
-		}
 	case wasm.OpF64Add:
 		return func(fr *t1frame) int {
 			fr.regs[z] = F64(AsF64(fr.regs[x]) + AsF64(fr.regs[y]))
@@ -239,10 +175,95 @@ func (b *t1builder) buildBinopSlots(op wasm.Opcode, x, y, z int, own, fall uint6
 			fr.executed += cnt
 			return next
 		}
+	case wasm.OpI32DivS:
+		return func(fr *t1frame) int {
+			l, r := AsI32(fr.regs[x]), AsI32(fr.regs[y])
+			if r == 0 {
+				return fr.trapAfter(own, TrapIntegerDivideByZero)
+			}
+			if l == math.MinInt32 && r == -1 {
+				return fr.trapAfter(own, TrapIntegerOverflow)
+			}
+			fr.regs[z] = I32(l / r)
+			fr.executed += cnt
+			return next
+		}
+	case wasm.OpI32DivU:
+		return func(fr *t1frame) int {
+			r := AsU32(fr.regs[y])
+			if r == 0 {
+				return fr.trapAfter(own, TrapIntegerDivideByZero)
+			}
+			fr.regs[z] = uint64(AsU32(fr.regs[x]) / r)
+			fr.executed += cnt
+			return next
+		}
+	case wasm.OpI32RemS:
+		// Go defines MinInt32 % -1 as 0, the wasm result.
+		return func(fr *t1frame) int {
+			r := AsI32(fr.regs[y])
+			if r == 0 {
+				return fr.trapAfter(own, TrapIntegerDivideByZero)
+			}
+			fr.regs[z] = I32(AsI32(fr.regs[x]) % r)
+			fr.executed += cnt
+			return next
+		}
+	case wasm.OpI32RemU:
+		return func(fr *t1frame) int {
+			r := AsU32(fr.regs[y])
+			if r == 0 {
+				return fr.trapAfter(own, TrapIntegerDivideByZero)
+			}
+			fr.regs[z] = uint64(AsU32(fr.regs[x]) % r)
+			fr.executed += cnt
+			return next
+		}
+	case wasm.OpI64DivS:
+		return func(fr *t1frame) int {
+			l, r := AsI64(fr.regs[x]), AsI64(fr.regs[y])
+			if r == 0 {
+				return fr.trapAfter(own, TrapIntegerDivideByZero)
+			}
+			if l == math.MinInt64 && r == -1 {
+				return fr.trapAfter(own, TrapIntegerOverflow)
+			}
+			fr.regs[z] = I64(l / r)
+			fr.executed += cnt
+			return next
+		}
+	case wasm.OpI64DivU:
+		return func(fr *t1frame) int {
+			r := fr.regs[y]
+			if r == 0 {
+				return fr.trapAfter(own, TrapIntegerDivideByZero)
+			}
+			fr.regs[z] = fr.regs[x] / r
+			fr.executed += cnt
+			return next
+		}
+	case wasm.OpI64RemS:
+		return func(fr *t1frame) int {
+			r := AsI64(fr.regs[y])
+			if r == 0 {
+				return fr.trapAfter(own, TrapIntegerDivideByZero)
+			}
+			fr.regs[z] = I64(AsI64(fr.regs[x]) % r)
+			fr.executed += cnt
+			return next
+		}
+	case wasm.OpI64RemU:
+		return func(fr *t1frame) int {
+			r := fr.regs[y]
+			if r == 0 {
+				return fr.trapAfter(own, TrapIntegerDivideByZero)
+			}
+			fr.regs[z] = fr.regs[x] % r
+			fr.executed += cnt
+			return next
+		}
 	}
-	// Generic path, covering the trapping ops (div/rem) and the long tail.
-	// The own-count lands before evaluation so a trapping instruction is
-	// counted, exactly like the tier-0 loop.
+	// Generic path for the long tail (rotates, the other float ops).
 	return func(fr *t1frame) int {
 		fr.executed += own
 		v, err := binaryOp(op, fr.regs[x], fr.regs[y])
@@ -256,175 +277,281 @@ func (b *t1builder) buildBinopSlots(op wasm.Opcode, x, y, z int, own, fall uint6
 	}
 }
 
+// cmpKind is the closure shape a comparison lowers to. The integer kinds
+// compare order-mapped operands (see cmpShape) as uint64; the float kinds
+// keep IEEE semantics, so NaN compares unequal and unordered.
+type cmpKind uint8
+
+const (
+	cmpEq cmpKind = iota
+	cmpNe
+	cmpLt
+	cmpLe
+	cmpF32Eq
+	cmpF32Ne
+	cmpF32Lt
+	cmpF32Le
+	cmpF64Eq
+	cmpF64Ne
+	cmpF64Lt
+	cmpF64Le
+	cmpNone // not a comparison
+)
+
+// cmpRow is one comparison reduced to a kind, applied with the operands
+// swapped when it is a gt or ge (a > b is b < a: a swap never negates, so
+// NaN is never turned true), and the bias an integer operand is XORed with
+// (the sign bit for a signed compare, so unsigned order is signed order).
+type cmpRow struct {
+	k    cmpKind
+	swap bool
+	bias uint64
+}
+
+// intCmps and floatCmps list the comparisons in opcode order from eq.
+var (
+	intCmps = [10]cmpRow{
+		{cmpEq, false, 0}, {cmpNe, false, 0},
+		{cmpLt, false, 1 << 63}, {cmpLt, false, 0}, {cmpLt, true, 1 << 63}, {cmpLt, true, 0},
+		{cmpLe, false, 1 << 63}, {cmpLe, false, 0}, {cmpLe, true, 1 << 63}, {cmpLe, true, 0},
+	}
+	floatCmps = [6]cmpRow{
+		{cmpF32Eq, false, 0}, {cmpF32Ne, false, 0}, {cmpF32Lt, false, 0},
+		{cmpF32Lt, true, 0}, {cmpF32Le, false, 0}, {cmpF32Le, true, 0},
+	}
+)
+
+// cmpShape reduces a comparison (cmpNone for any other op): the one table
+// every tier-1 comparison lowering — to a value, an if or a br_if — reads.
+// An integer operand v compares as v<<sh ^ bias as a uint64; an i32 shifts
+// into the high word, which drops the register bits above it as AsU32 does.
+func cmpShape(op wasm.Opcode) (k cmpKind, swap bool, sh, bias uint64) {
+	var r cmpRow
+	switch {
+	case op >= wasm.OpI32Eq && op <= wasm.OpI32GeU:
+		r, sh = intCmps[op-wasm.OpI32Eq], 32
+	case op >= wasm.OpI64Eq && op <= wasm.OpI64GeU:
+		r = intCmps[op-wasm.OpI64Eq]
+	case op >= wasm.OpF32Eq && op <= wasm.OpF32Ge:
+		r = floatCmps[op-wasm.OpF32Eq]
+	case op >= wasm.OpF64Eq && op <= wasm.OpF64Ge:
+		r = floatCmps[op-wasm.OpF64Eq]
+		r.k += cmpF64Eq - cmpF32Eq
+	default:
+		return cmpNone, false, 0, 0
+	}
+	return r.k, r.swap, sh, r.bias
+}
+
+// t1if is a fused conditional's two exits: into the then-arm at nT, or to
+// the if's false target (past the else, or the end) at nF. cT and cF credit
+// everything retired through the if on each path; an if is not a fuel
+// charge point, so neither exit charges.
+type t1if struct {
+	nT, nF int
+	cT, cF uint64
+}
+
+// ifExits resolves the exits of the if at pc, own counting the originals
+// the fused closure retires before it.
+func (b *t1builder) ifExits(pc int, own uint64) t1if {
+	in := &b.cc.instrs[pc]
+	nT, crT := b.fall(pc)
+	return t1if{nT: nT, nF: b.tgt(int(in.a)), cT: own + 1 + crT, cF: own + 1 + b.skipCnt[in.a]}
+}
+
+// to credits and returns the exit c selects.
+func (j t1if) to(fr *t1frame, c bool) int {
+	if c {
+		fr.executed += j.cT
+		return j.nT
+	}
+	fr.executed += j.cF
+	return j.nF
+}
+
+// buildCmpIf lowers "<comparison>; if" comparing regs[x] with regs[y]
+// (operand or local slots) into one closure that branches on the compare.
+func (b *t1builder) buildCmpIf(op wasm.Opcode, x, y int, j t1if) t1op {
+	k, swap, sh, bias := cmpShape(op)
+	if swap {
+		x, y = y, x
+	}
+	switch k {
+	case cmpEq:
+		return func(fr *t1frame) int { return j.to(fr, fr.regs[x]<<sh == fr.regs[y]<<sh) }
+	case cmpNe:
+		return func(fr *t1frame) int { return j.to(fr, fr.regs[x]<<sh != fr.regs[y]<<sh) }
+	case cmpLt:
+		return func(fr *t1frame) int { return j.to(fr, fr.regs[x]<<sh^bias < fr.regs[y]<<sh^bias) }
+	case cmpLe:
+		return func(fr *t1frame) int { return j.to(fr, fr.regs[x]<<sh^bias <= fr.regs[y]<<sh^bias) }
+	case cmpF32Eq:
+		return func(fr *t1frame) int { return j.to(fr, AsF32(fr.regs[x]) == AsF32(fr.regs[y])) }
+	case cmpF32Ne:
+		return func(fr *t1frame) int { return j.to(fr, AsF32(fr.regs[x]) != AsF32(fr.regs[y])) }
+	case cmpF32Lt:
+		return func(fr *t1frame) int { return j.to(fr, AsF32(fr.regs[x]) < AsF32(fr.regs[y])) }
+	case cmpF32Le:
+		return func(fr *t1frame) int { return j.to(fr, AsF32(fr.regs[x]) <= AsF32(fr.regs[y])) }
+	case cmpF64Eq:
+		return func(fr *t1frame) int { return j.to(fr, AsF64(fr.regs[x]) == AsF64(fr.regs[y])) }
+	case cmpF64Ne:
+		return func(fr *t1frame) int { return j.to(fr, AsF64(fr.regs[x]) != AsF64(fr.regs[y])) }
+	case cmpF64Lt:
+		return func(fr *t1frame) int { return j.to(fr, AsF64(fr.regs[x]) < AsF64(fr.regs[y])) }
+	default: // cmpF64Le
+		return func(fr *t1frame) int { return j.to(fr, AsF64(fr.regs[x]) <= AsF64(fr.regs[y])) }
+	}
+}
+
+// buildCmpIfK lowers "<integer comparison>; if" comparing regs[x] with the
+// constant kv; eqz is the eq form with kv = 0. Nil for a float comparison.
+func (b *t1builder) buildCmpIfK(op wasm.Opcode, x int, kv Value, j t1if) t1op {
+	k, swap, sh, bias := cmpShape(op)
+	kk := kv<<sh ^ bias
+	switch {
+	case k == cmpEq:
+		return func(fr *t1frame) int { return j.to(fr, fr.regs[x]<<sh == kk) }
+	case k == cmpNe:
+		return func(fr *t1frame) int { return j.to(fr, fr.regs[x]<<sh != kk) }
+	case k == cmpLt && !swap:
+		return func(fr *t1frame) int { return j.to(fr, fr.regs[x]<<sh^bias < kk) }
+	case k == cmpLt:
+		return func(fr *t1frame) int { return j.to(fr, kk < fr.regs[x]<<sh^bias) }
+	case k == cmpLe && !swap:
+		return func(fr *t1frame) int { return j.to(fr, fr.regs[x]<<sh^bias <= kk) }
+	case k == cmpLe:
+		return func(fr *t1frame) int { return j.to(fr, kk <= fr.regs[x]<<sh^bias) }
+	}
+	return nil
+}
+
+// t1branch is a fused br_if's two exits: taken (kept values moved, then
+// t) or not (next), each with its erased-successor credit.
+type t1branch struct {
+	t, next        int
+	crT, crF       uint64
+	dst, src, keep int
+}
+
+// branchExits resolves the exits of the br_if at pc whose target and
+// drop/keep are in's; ht is the operand height once the condition is popped.
+func (b *t1builder) branchExits(pc int, in *instr, ht int) t1branch {
+	next, crF := b.fall(pc)
+	dst, src, keep := b.moveFor(ht, in.b)
+	return t1branch{t: b.tgt(int(in.a)), next: next, crT: b.skipCnt[in.a], crF: crF,
+		dst: dst, src: src, keep: keep}
+}
+
+// take moves the kept values and credits the taken exit.
+func (e t1branch) take(fr *t1frame) int {
+	if e.keep > 0 && e.dst != e.src {
+		copy(fr.regs[e.dst:e.dst+e.keep], fr.regs[e.src:e.src+e.keep])
+	}
+	fr.executed += e.crT
+	return e.t
+}
+
 // buildCmpBrIf lowers the fused "<comparison>; br_if" superinstruction
 // comparing regs[x] and regs[y] (operand slots or, when fused with a
 // preceding local-get pair, local slots directly). own is the original
-// instruction count retired before the fuel charge. The i32 comparisons —
-// the shape of virtually every hot loop header — get inline closures; the
-// rest evaluate through binaryOp.
+// instruction count retired before the fuel charge. The integer
+// comparisons, i32 and i64, get inline closures.
 func (b *t1builder) buildCmpBrIf(pc int, in *instr, ht, x, y int, own uint64) t1op {
-	t := b.tgt(int(in.a))
-	crT := b.skipCnt[in.a]
-	next, crF := b.fall(pc)
-	dst, src, keep := b.moveFor(ht-2, in.b)
+	e := b.branchExits(pc, in, ht-2)
 	op := wasm.Opcode(in.misc)
-
-	take := func(fr *t1frame) int {
-		if keep > 0 && dst != src {
-			copy(fr.regs[dst:dst+keep], fr.regs[src:src+keep])
-		}
-		fr.executed += crT
-		return t
+	k, swap, sh, bias := cmpShape(op)
+	if swap && k <= cmpLe {
+		x, y = y, x
 	}
-	var test func(l, r Value) bool
-	switch op {
-	case wasm.OpI32Eq:
+	switch k {
+	case cmpEq:
 		return func(fr *t1frame) int {
 			fr.executed += own
 			if !fr.chargeFuel() {
 				fr.err = newTrap(TrapOutOfFuel)
 				return t1Trapped
 			}
-			if AsU32(fr.regs[x]) == AsU32(fr.regs[y]) {
-				return take(fr)
+			if fr.regs[x]<<sh == fr.regs[y]<<sh {
+				return e.take(fr)
 			}
-			fr.executed += crF
-			return next
+			fr.executed += e.crF
+			return e.next
 		}
-	case wasm.OpI32Ne:
+	case cmpNe:
 		return func(fr *t1frame) int {
 			fr.executed += own
 			if !fr.chargeFuel() {
 				fr.err = newTrap(TrapOutOfFuel)
 				return t1Trapped
 			}
-			if AsU32(fr.regs[x]) != AsU32(fr.regs[y]) {
-				return take(fr)
+			if fr.regs[x]<<sh != fr.regs[y]<<sh {
+				return e.take(fr)
 			}
-			fr.executed += crF
-			return next
+			fr.executed += e.crF
+			return e.next
 		}
-	case wasm.OpI32LtS:
+	case cmpLt:
 		return func(fr *t1frame) int {
 			fr.executed += own
 			if !fr.chargeFuel() {
 				fr.err = newTrap(TrapOutOfFuel)
 				return t1Trapped
 			}
-			if AsI32(fr.regs[x]) < AsI32(fr.regs[y]) {
-				return take(fr)
+			if fr.regs[x]<<sh^bias < fr.regs[y]<<sh^bias {
+				return e.take(fr)
 			}
-			fr.executed += crF
-			return next
+			fr.executed += e.crF
+			return e.next
 		}
-	case wasm.OpI32LtU:
+	case cmpLe:
 		return func(fr *t1frame) int {
 			fr.executed += own
 			if !fr.chargeFuel() {
 				fr.err = newTrap(TrapOutOfFuel)
 				return t1Trapped
 			}
-			if AsU32(fr.regs[x]) < AsU32(fr.regs[y]) {
-				return take(fr)
+			if fr.regs[x]<<sh^bias <= fr.regs[y]<<sh^bias {
+				return e.take(fr)
 			}
-			fr.executed += crF
-			return next
-		}
-	case wasm.OpI32GtS:
-		return func(fr *t1frame) int {
-			fr.executed += own
-			if !fr.chargeFuel() {
-				fr.err = newTrap(TrapOutOfFuel)
-				return t1Trapped
-			}
-			if AsI32(fr.regs[x]) > AsI32(fr.regs[y]) {
-				return take(fr)
-			}
-			fr.executed += crF
-			return next
-		}
-	case wasm.OpI32GtU:
-		return func(fr *t1frame) int {
-			fr.executed += own
-			if !fr.chargeFuel() {
-				fr.err = newTrap(TrapOutOfFuel)
-				return t1Trapped
-			}
-			if AsU32(fr.regs[x]) > AsU32(fr.regs[y]) {
-				return take(fr)
-			}
-			fr.executed += crF
-			return next
-		}
-	case wasm.OpI32LeS:
-		return func(fr *t1frame) int {
-			fr.executed += own
-			if !fr.chargeFuel() {
-				fr.err = newTrap(TrapOutOfFuel)
-				return t1Trapped
-			}
-			if AsI32(fr.regs[x]) <= AsI32(fr.regs[y]) {
-				return take(fr)
-			}
-			fr.executed += crF
-			return next
-		}
-	case wasm.OpI32LeU:
-		return func(fr *t1frame) int {
-			fr.executed += own
-			if !fr.chargeFuel() {
-				fr.err = newTrap(TrapOutOfFuel)
-				return t1Trapped
-			}
-			if AsU32(fr.regs[x]) <= AsU32(fr.regs[y]) {
-				return take(fr)
-			}
-			fr.executed += crF
-			return next
-		}
-	case wasm.OpI32GeS:
-		return func(fr *t1frame) int {
-			fr.executed += own
-			if !fr.chargeFuel() {
-				fr.err = newTrap(TrapOutOfFuel)
-				return t1Trapped
-			}
-			if AsI32(fr.regs[x]) >= AsI32(fr.regs[y]) {
-				return take(fr)
-			}
-			fr.executed += crF
-			return next
-		}
-	case wasm.OpI32GeU:
-		return func(fr *t1frame) int {
-			fr.executed += own
-			if !fr.chargeFuel() {
-				fr.err = newTrap(TrapOutOfFuel)
-				return t1Trapped
-			}
-			if AsU32(fr.regs[x]) >= AsU32(fr.regs[y]) {
-				return take(fr)
-			}
-			fr.executed += crF
-			return next
-		}
-	default:
-		test = func(l, r Value) bool {
-			v, _ := binaryOp(op, l, r) // comparisons cannot trap
-			return v != 0
+			fr.executed += e.crF
+			return e.next
 		}
 	}
+	// A float compare, rare in a loop header, evaluates through binaryOp (it
+	// cannot trap).
 	return func(fr *t1frame) int {
 		fr.executed += own
 		if !fr.chargeFuel() {
 			fr.err = newTrap(TrapOutOfFuel)
 			return t1Trapped
 		}
-		if test(fr.regs[x], fr.regs[y]) {
-			return take(fr)
+		if v, _ := binaryOp(op, fr.regs[x], fr.regs[y]); v != 0 {
+			return e.take(fr)
 		}
-		fr.executed += crF
-		return next
+		fr.executed += e.crF
+		return e.next
+	}
+}
+
+// buildEqzBrIf lowers "i32.eqz|i64.eqz; br_if", the br_if at pc, testing
+// regs[c] against zero as the eq comparison of its type does; own counts
+// both originals, charged at the br_if like tier 0.
+func (b *t1builder) buildEqzBrIf(pc int, in *instr, ht, c int, eq wasm.Opcode, own uint64) t1op {
+	e := b.branchExits(pc, in, ht-1)
+	_, _, sh, _ := cmpShape(eq)
+	return func(fr *t1frame) int {
+		fr.executed += own
+		if !fr.chargeFuel() {
+			fr.err = newTrap(TrapOutOfFuel)
+			return t1Trapped
+		}
+		if fr.regs[c]<<sh == 0 {
+			return e.take(fr)
+		}
+		fr.executed += e.crF
+		return e.next
 	}
 }
 

@@ -278,13 +278,57 @@ func TestTierDiffMemoryTraps(t *testing.T) {
 	p.call("f", I32(65536-4), I32(0x5a)) // boundary store
 }
 
+// The eight integer div/rem ops, local by local and local by constant, at
+// the divisors that trap (zero, and -1 under the signed minimum for div_s)
+// and around them: the trap text and the instruction count at the trap must
+// match tier 0, and rem_s of the signed minimum by -1 is 0.
 func TestTierDiffDivTraps(t *testing.T) {
-	b := new(wasm.BodyBuilder).
-		OpU32(wasm.OpLocalGet, 0).OpU32(wasm.OpLocalGet, 1).Op(wasm.OpI32DivS).End()
-	p := newTierPair(t, buildModule(t, singleFunc([]wasm.ValueType{i32, i32}, []wasm.ValueType{i32}, nil, b)), Config{}, nil)
-	p.call("f", I32(-7), I32(2))
-	p.call("f", I32(1), I32(0))
-	p.call("f", I32(math.MinInt32), I32(-1))
+	for _, tc := range []struct {
+		vt  wasm.ValueType
+		op  wasm.Opcode
+		min Value
+	}{
+		{i32, wasm.OpI32DivS, I32(math.MinInt32)}, {i32, wasm.OpI32DivU, I32(math.MinInt32)},
+		{i32, wasm.OpI32RemS, I32(math.MinInt32)}, {i32, wasm.OpI32RemU, I32(math.MinInt32)},
+		{i64t, wasm.OpI64DivS, I64(math.MinInt64)}, {i64t, wasm.OpI64DivU, I64(math.MinInt64)},
+		{i64t, wasm.OpI64RemS, I64(math.MinInt64)}, {i64t, wasm.OpI64RemU, I64(math.MinInt64)},
+	} {
+		divisors := []Value{0, I64(-1), 1, 2, I64(-7), tc.min}
+		if tc.vt == i32 {
+			divisors = []Value{0, I32(-1), 1, 2, I32(-7), tc.min}
+		}
+		dividends := []Value{tc.min, 0, 7, I64(-7), 1 << 31}
+		// local / local, the result pushed.
+		b := new(wasm.BodyBuilder).
+			OpU32(wasm.OpLocalGet, 0).OpU32(wasm.OpLocalGet, 1).Op(tc.op).End()
+		p := newTierPair(t, buildModule(t, singleFunc([]wasm.ValueType{tc.vt, tc.vt}, []wasm.ValueType{tc.vt}, nil, b)), Config{}, nil)
+		for _, l := range dividends {
+			for _, r := range divisors {
+				p.call("f", l, r)
+			}
+		}
+		// local / constant, pushed and set into a local.
+		for _, r := range divisors {
+			for _, set := range []bool{false, true} {
+				b := new(wasm.BodyBuilder).OpU32(wasm.OpLocalGet, 0)
+				if tc.vt == i32 {
+					b.I32Const(AsI32(r))
+				} else {
+					b.I64Const(AsI64(r))
+				}
+				b.Op(tc.op)
+				if set {
+					b.OpU32(wasm.OpLocalSet, 1).OpU32(wasm.OpLocalGet, 1)
+				}
+				b.End()
+				m := singleFunc([]wasm.ValueType{tc.vt}, []wasm.ValueType{tc.vt}, []wasm.ValueType{tc.vt}, b)
+				p := newTierPair(t, buildModule(t, m), Config{}, nil)
+				for _, l := range dividends {
+					p.call("f", l)
+				}
+			}
+		}
+	}
 }
 
 func TestTierDiffBrTable(t *testing.T) {
@@ -467,11 +511,15 @@ func TestTierDiffOperatorSweep(t *testing.T) {
 		{i32, wasm.OpI32GtS}, {i32, wasm.OpI32GtU}, {i32, wasm.OpI32LeS}, {i32, wasm.OpI32LeU},
 		{i32, wasm.OpI32GeS}, {i32, wasm.OpI32GeU},
 		{i64t, wasm.OpI64Add}, {i64t, wasm.OpI64Sub}, {i64t, wasm.OpI64Mul},
-		{i64t, wasm.OpI64DivS}, {i64t, wasm.OpI64RemU},
+		{i64t, wasm.OpI64DivS}, {i64t, wasm.OpI64DivU}, {i64t, wasm.OpI64RemS}, {i64t, wasm.OpI64RemU},
 		{i64t, wasm.OpI64And}, {i64t, wasm.OpI64Or}, {i64t, wasm.OpI64Xor},
 		{i64t, wasm.OpI64Shl}, {i64t, wasm.OpI64ShrS}, {i64t, wasm.OpI64ShrU},
-		{i64t, wasm.OpI64Eq}, {i64t, wasm.OpI64LtS}, {i64t, wasm.OpI64GeU},
+		{i64t, wasm.OpI64Eq}, {i64t, wasm.OpI64Ne}, {i64t, wasm.OpI64LtS}, {i64t, wasm.OpI64LtU},
+		{i64t, wasm.OpI64GtS}, {i64t, wasm.OpI64GtU}, {i64t, wasm.OpI64LeS}, {i64t, wasm.OpI64LeU},
+		{i64t, wasm.OpI64GeS}, {i64t, wasm.OpI64GeU},
 		{f32t, wasm.OpF32Add}, {f32t, wasm.OpF32Div}, {f32t, wasm.OpF32Min},
+		{f32t, wasm.OpF32Eq}, {f32t, wasm.OpF32Ne}, {f32t, wasm.OpF32Lt}, {f32t, wasm.OpF32Gt},
+		{f32t, wasm.OpF32Le}, {f32t, wasm.OpF32Ge},
 		{f64t, wasm.OpF64Add}, {f64t, wasm.OpF64Sub}, {f64t, wasm.OpF64Mul},
 		{f64t, wasm.OpF64Div}, {f64t, wasm.OpF64Max}, {f64t, wasm.OpF64Copysign},
 		{f64t, wasm.OpF64Eq}, {f64t, wasm.OpF64Lt},
