@@ -68,15 +68,19 @@ obs-overhead:
 # grow / bulk-op / reset programs over two memories sharing one image, against
 # a full-copy model, through the Memory API and guest code at both tiers), then
 # five seconds of tier 1's fused conditionals (a comparison or eqz branched on
-# by if or br_if, in each operand form, on random operands and fuel, must match
-# tier 0 in result, trap, instruction count and fuel left), then five seconds
-# of the gateway's HTTP surface (any method, path and body gets a JSON error
-# envelope for every status >= 400, and a 5xx only with a MapError code). A
-# failing input lands in the package's testdata/fuzz/ and then fails plain
-# `go test` until fixed.
+# by if or br_if, in each operand form, optionally fed by an integer binop of
+# two locals or a local and a constant, div/rem traps included, on random
+# operands and fuel, must match tier 0 in result, trap, instruction count and
+# fuel left), then five seconds of the binary decoder (Decode and Validate
+# never panic, and a valid module's encoding decodes and re-encodes to the
+# same bytes), then five seconds of the gateway's HTTP surface (any method,
+# path and body gets a JSON error envelope for every status >= 400, and a 5xx
+# only with a MapError code). A failing input lands in the package's
+# testdata/fuzz/ and then fails plain `go test` until fixed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMemoryCoW -fuzztime 10s ./internal/wasm/exec
 	$(GO) test -run '^$$' -fuzz FuzzTierDiffConditional -fuzztime 5s ./internal/wasm/exec
+	$(GO) test -run '^$$' -fuzz FuzzDecodeValidate -fuzztime 5s ./internal/wasm
 	$(GO) test -run '^$$' -fuzz FuzzGatewayRequest -fuzztime 5s ./internal/gateway
 
 # HTTP smoke: the daemon's stories over a real socket, fresh (-count=1), in

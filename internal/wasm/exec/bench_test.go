@@ -296,3 +296,46 @@ func BenchmarkInvokeTier0Primes(b *testing.B) {
 func BenchmarkInvokeTier1Primes(b *testing.B) {
 	benchTierCall(b, workloads.CPUBoundWAT, "count_primes", I32(12000), true)
 }
+
+// TestTier1PrimesDispatches pins the tier-1 fusion of the same kernel: each
+// closure of the lowered artifact is wrapped in a counter, and
+// count_primes(12000) must retire exactly the instructions tier 0 does in a
+// fixed number of closure calls. is_prime's loop runs three closures per
+// iteration ([d*d][n][gt_u][if], [n%d][eqz][if], the counter step and
+// backedge); a refactor that un-fuses a shape raises the count.
+func TestTier1PrimesDispatches(t *testing.T) {
+	const wantPrimes, wantInstrs, wantCalls = 1438, 3128662, 574123
+	m, err := wat.Compile(workloads.CPUBoundWAT)
+	if err != nil {
+		t.Fatalf("wat: %v", err)
+	}
+	s := NewStore(Config{})
+	inst, err := s.Instantiate(m, "")
+	if err != nil {
+		t.Fatalf("instantiate: %v", err)
+	}
+	tc, _ := inst.Code().EnsureTier1()
+	if tc.Lowered() != len(tc.funcs) {
+		t.Fatalf("lowered %d of %d functions", tc.Lowered(), len(tc.funcs))
+	}
+	calls := 0
+	for _, f := range tc.funcs {
+		for i, op := range f.ops {
+			f.ops[i] = func(fr *t1frame) int {
+				calls++
+				return op(fr)
+			}
+		}
+	}
+	res, err := inst.Call("count_primes", I32(12000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.LastInvokeTier() != 1 {
+		t.Fatalf("served at tier %d, want 1", s.LastInvokeTier())
+	}
+	if res[0] != wantPrimes || s.InstructionCount() != wantInstrs || calls != wantCalls {
+		t.Fatalf("count_primes(12000) = %d in %d instructions and %d closure calls, want %d in %d and %d",
+			res[0], s.InstructionCount(), calls, wantPrimes, wantInstrs, wantCalls)
+	}
+}

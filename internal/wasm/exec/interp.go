@@ -345,6 +345,7 @@ func (inst *Instance) callHost(hf *HostFunc, args []Value) (res []Value, err err
 		}
 		return nil, &Trap{Code: TrapHostError, Wrapped: err}
 	}
+	canon32(res, hf.Type.Results)
 	return res, nil
 }
 

@@ -504,7 +504,29 @@ func (inst *Instance) Call(name string, args ...Value) ([]Value, error) {
 	if len(args) != len(f.typ.Params) {
 		return nil, fmt.Errorf("exec: %q expects %d arguments, got %d", name, len(f.typ.Params), len(args))
 	}
+	for i, t := range f.typ.Params {
+		if is32(t) && args[i] > math.MaxUint32 {
+			// Canonicalise a copy: the caller's slice stays as passed.
+			args = append([]Value(nil), args...)
+			canon32(args, f.typ.Params)
+			break
+		}
+	}
 	return inst.invoke(f, args)
+}
+
+func is32(t wasm.ValueType) bool { return t == wasm.ValueTypeI32 || t == wasm.ValueTypeF32 }
+
+// canon32 masks the i32 and f32 values among vs, typed by ts, to their low
+// 32 bits. A Value from outside the guest (a call argument, a host result)
+// may carry bits above them; inside, every i32 is zero-extended, which is
+// what a bare if, br_if or select and a returned local rely on.
+func canon32(vs []Value, ts []wasm.ValueType) {
+	for i, t := range ts {
+		if i < len(vs) && is32(t) {
+			vs[i] &= math.MaxUint32
+		}
+	}
 }
 
 // FuncType returns the signature of the exported function name.

@@ -22,6 +22,11 @@ import (
 //     and [local.get pair][<cmp>; br_if]: the loop header, fuel charged at
 //     the br_if.
 //   - [eqz][if] (the eq-0 form of the above) and [eqz][br_if].
+//   - [local.get; local.get; i32.rem_u] tested by == or != against a
+//     constant ([const][<cmp>], [eqz] or nothing), and [local.get;
+//     local.get; i32.mul] tested by any comparison against a local
+//     ([local.get][<cmp>]), then an if: the value is branched on, never
+//     stored.
 //   - [local.get][const][op] and [const][op], optionally into a local.set.
 //   - [local.get][op], optionally into a local.set; [local.get; local.get;
 //     op][local.set].
@@ -71,6 +76,10 @@ func (b *t1builder) tryFuse(pc int) t1op {
 		// the induction-variable step and the backedge, the whole loop
 		// epilogue ("acc op= x; i += k; br loop") collapses into one closure.
 		q := b.adj(pc)
+		if f := b.buildProdBranch(pc); f != nil {
+			// [local.get i; local.get j; <op>] feeding an if.
+			return f
+		}
 		if q >= 0 && instrs[q].op == wasm.OpBrIf && isCmpBinop(wasm.Opcode(in.misc)) {
 			// [local.get i; local.get j; <cmp>][br_if] — the other spelling of
 			// the hot-loop header (the upstream fuser ate the gets into a
@@ -241,6 +250,69 @@ func (b *t1builder) tryFuse(pc int) t1op {
 // isIf reports whether pc (possibly -1, no successor) is an if.
 func (b *t1builder) isIf(pc int) bool {
 	return pc >= 0 && b.cc.instrs[pc].op == wasm.OpIf
+}
+
+// buildProdBranch fuses the opLocalBinop at pc, when its value only feeds
+// an if, with that if: [local.get l|const k][<cmp>], [eqz] or nothing (a
+// non-zero test), then the if. The value lives in a Go local: its stack
+// slot is dead once the if has consumed it, so it is never written. Two
+// producer and test pairs are fused, the two of guest-compute's is_prime
+// loop: i32.rem_u tested by == against a constant and i32.mul tested by <
+// against a local, which every integer comparison reduces to (t1test).
+// Each inlines its operator; evaluated through binFast's indirect call, the
+// fused closure measured no faster than the two closures it replaces
+// (EXPERIMENTS.md). Nil for any other shape.
+func (b *t1builder) buildProdBranch(pc int) t1op {
+	instrs := b.cc.instrs
+	in := &instrs[pc]
+	op, x, y := wasm.Opcode(in.misc), int(in.a>>32), int(uint32(in.a))
+	c := b.adj(pc)
+	if op != wasm.OpI32RemU && op != wasm.OpI32Mul || c < 0 {
+		return nil
+	}
+	cnt := 3 + b.skipCnt[pc+1]
+	cmp, t, br := wasm.OpI32Ne, t1test{w: -1}, c
+	switch ci := &instrs[c]; ci.op {
+	case wasm.OpLocalGet, wasm.OpI32Const:
+		if br = b.adj(c); br < 0 || !isCmpBinop(instrs[br].op) {
+			return nil
+		}
+		if ci.op == wasm.OpLocalGet {
+			t.w = int(ci.a)
+		} else {
+			t.kk = ci.a
+		}
+		cmp = instrs[br].op
+		cnt += 2 + b.skipCnt[c+1] + b.skipCnt[br+1]
+		br = b.adj(br)
+	case wasm.OpI32Eqz:
+		cmp = wasm.OpI32Eq
+		cnt += 1 + b.skipCnt[c+1]
+		br = b.adj(c)
+	}
+	if !b.isIf(br) || !t.reduce(cmp) {
+		return nil
+	}
+	// An if charges no fuel, as at tier 0; a zero divisor traps after the
+	// producer's three instructions, as the standalone rem_u does.
+	j := b.ifExits(br, cnt)
+	sh, m, w, kk, neg := t.sh, t.m, t.w, t.kk, t.neg
+	switch {
+	case op == wasm.OpI32RemU && w < 0 && !t.lt:
+		return func(fr *t1frame) int {
+			d := AsU32(fr.regs[y])
+			if d == 0 {
+				return fr.trapAfter(3, TrapIntegerDivideByZero)
+			}
+			return j.to(fr, (uint64(AsU32(fr.regs[x])%d)<<sh^m == kk) != neg)
+		}
+	case op == wasm.OpI32Mul && w >= 0 && t.lt:
+		return func(fr *t1frame) int {
+			v := I32(AsI32(fr.regs[x]) * AsI32(fr.regs[y]))
+			return j.to(fr, (v<<sh^m < fr.regs[w]<<sh^m) != neg)
+		}
+	}
+	return nil
 }
 
 // buildLocalAddK lowers [local.get src][opI32/I64AddConst k] plus an optional

@@ -343,6 +343,32 @@ func cmpShape(op wasm.Opcode) (k cmpKind, swap bool, sh, bias uint64) {
 	return r.k, r.swap, sh, r.bias
 }
 
+// t1test is a fused branch's integer test of a produced value v: v<<sh ^ m
+// against the constant kk or, when w >= 0, regs[w]<<sh ^ m, by < (lt) or
+// ==, negated when neg.
+type t1test struct {
+	w         int
+	sh, m, kk uint64
+	lt, neg   bool
+}
+
+// reduce sets t to the integer comparison cmp with v as its left operand
+// and kk still unmapped; false for a float comparison. Complementing both
+// sides reverses the unsigned order, so a > b is ^a < ^b, a <= b is
+// !(^a < ^b) and a >= b is !(a < b): no comparison keeps a swap.
+func (t *t1test) reduce(cmp wasm.Opcode) bool {
+	k, swap, sh, bias := cmpShape(cmp)
+	if k > cmpLe {
+		return false
+	}
+	t.sh, t.m, t.lt, t.neg = sh, bias, k >= cmpLt, k == cmpNe || k == cmpLe
+	if swap != (k == cmpLe) {
+		t.m = ^t.m
+	}
+	t.kk = t.kk<<sh ^ t.m
+	return true
+}
+
 // t1if is a fused conditional's two exits: into the then-arm at nT, or to
 // the if's false target (past the else, or the end) at nF. cT and cF credit
 // everything retired through the if on each path; an if is not a fuel

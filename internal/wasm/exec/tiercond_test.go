@@ -9,8 +9,10 @@ import (
 )
 
 // The fused conditional shapes of tier 1 — a comparison or an eqz branched on
-// by an if or a br_if, in every operand form the lowering tells apart — run
-// differentially against tier 0 here and in FuzzTierDiffConditional.
+// by an if or a br_if, in every operand form the lowering tells apart, and
+// an integer binop whose value only feeds such a test (fused for i32.rem_u
+// and i32.mul) — run differentially against tier 0 here and in
+// FuzzTierDiffConditional.
 
 // condForm is where a comparison's operands come from.
 type condForm int
@@ -41,21 +43,43 @@ const (
 
 var armNames = [numArms]string{"then", "else", "result", "br_if", "value"}
 
+// prodForm is where a producer's operands come from.
+type prodForm int
+
+const (
+	prodLocals     prodForm = iota // two locals: [local.get; local.get; <op>]
+	prodLocalConst                 // a local and a constant: [local.get][const][<op>]
+	numProdForms
+)
+
+var prodFormNames = [numProdForms]string{"locals", "local-const"}
+
+// condNonZero stands for no test op: the branch tests a produced i32 itself.
+const condNonZero = wasm.OpNop
+
 // condShape is one conditional under test. k is the constant right operand
-// of the const forms.
+// of the const forms. With a producer, the test's operand is v = a prod b
+// (pform prodLocals) or a prod pk (prodLocalConst), and form is formStack
+// (eqz, non-zero, or b pushed before v as a comparison's left operand),
+// formStackLocal (v against b) or formStackConst (v against k).
 type condShape struct {
-	op   wasm.Opcode // a comparison, i32.eqz or i64.eqz
-	form condForm
-	arms condArms
-	k    Value
+	op    wasm.Opcode // a comparison, i32.eqz, i64.eqz or condNonZero
+	form  condForm
+	arms  condArms
+	k     Value
+	prod  wasm.Opcode // an integer binop, or 0 for none
+	pform prodForm
+	pk    Value
 }
 
-// condOperand is the value type a conditional's operands have.
+// condOperand is the value type a conditional's (or a producer's) operands
+// have.
 func condOperand(op wasm.Opcode) wasm.ValueType {
 	switch {
-	case op >= wasm.OpI32Eqz && op <= wasm.OpI32GeU:
+	case op == condNonZero, op >= wasm.OpI32Eqz && op <= wasm.OpI32GeU,
+		op >= wasm.OpI32Add && op <= wasm.OpI32Rotr:
 		return i32
-	case op >= wasm.OpI64Eqz && op <= wasm.OpI64GeU:
+	case op >= wasm.OpI64Eqz && op <= wasm.OpI64GeU, op >= wasm.OpI64Add && op <= wasm.OpI64Rotr:
 		return i64t
 	case op >= wasm.OpF32Eq && op <= wasm.OpF32Ge:
 		return f32t
@@ -85,11 +109,11 @@ func condModule(t testing.TB, c condShape) *wasm.Module {
 	vt := condOperand(c.op)
 	const tmp, acc, n = 2, 3, 4
 	b := new(wasm.BodyBuilder)
-	konst := func() {
+	konst := func(k Value) {
 		if vt == i32 {
-			b.I32Const(AsI32(c.k))
+			b.I32Const(AsI32(k))
 		} else {
-			b.I64Const(AsI64(c.k))
+			b.I64Const(AsI64(k))
 		}
 	}
 	addAcc := func(v int32) {
@@ -99,24 +123,44 @@ func condModule(t testing.TB, c condShape) *wasm.Module {
 	if c.arms == armsBrIf {
 		b.Block(wasm.OpBlock, wasm.BlockTypeOf(i32)).I32Const(5).I32Const(1)
 	}
-	switch c.form {
-	case formStack:
+	switch {
+	case c.prod != 0:
+		if c.form == formStack && isCmpBinop(c.op) {
+			// The tee keeps the tier-0 fuser from pairing this get with the
+			// producer's.
+			b.OpU32(wasm.OpLocalGet, 1).OpU32(wasm.OpLocalTee, tmp)
+		}
+		b.OpU32(wasm.OpLocalGet, 0)
+		if c.pform == prodLocals {
+			b.OpU32(wasm.OpLocalGet, 1)
+		} else {
+			konst(c.pk)
+		}
+		b.Op(c.prod)
+		if c.form == formStackLocal {
+			b.OpU32(wasm.OpLocalGet, 1)
+		} else if c.form == formStackConst {
+			konst(c.k)
+		}
+	case c.form == formStack:
 		b.OpU32(wasm.OpLocalGet, 0).OpU32(wasm.OpLocalTee, tmp)
 		if !isEqz(c.op) {
 			b.OpU32(wasm.OpLocalGet, 1).OpU32(wasm.OpLocalTee, tmp)
 		}
-	case formStackLocal:
+	case c.form == formStackLocal:
 		b.OpU32(wasm.OpLocalGet, 0).OpU32(wasm.OpLocalTee, tmp).OpU32(wasm.OpLocalGet, 1)
-	case formLocals:
+	case c.form == formLocals:
 		b.OpU32(wasm.OpLocalGet, 0).OpU32(wasm.OpLocalGet, 1)
-	case formStackConst:
+	case c.form == formStackConst:
 		b.OpU32(wasm.OpLocalGet, 0).OpU32(wasm.OpLocalTee, tmp)
-		konst()
-	case formLocalConst:
+		konst(c.k)
+	case c.form == formLocalConst:
 		b.OpU32(wasm.OpLocalGet, 0)
-		konst()
+		konst(c.k)
 	}
-	b.Op(c.op)
+	if c.op != condNonZero {
+		b.Op(c.op)
+	}
 	switch c.arms {
 	case armsThen:
 		b.Block(wasm.OpIf, wasm.BlockTypeEmpty)
@@ -179,16 +223,19 @@ func (p *tierPair) setFuel(f uint64) {
 
 // checkCond runs one shape over every operand pair at both tiers, then sweeps
 // the fuel through every budget up to one past what a call needs, for a pair
-// that takes the condition and one that does not, so exhaustion lands before,
-// on and after the fused op of each round.
+// that takes the condition, one that does not and one that traps, so
+// exhaustion lands before, on and after the fused op of each round.
 func checkCond(t *testing.T, c condShape, vals []Value) {
 	m := condModule(t, c)
 	p := newTierPair(t, m, Config{}, nil)
 	byArm := map[Value][2]Value{}
 	for _, a := range vals {
 		for _, bv := range vals {
-			res, _ := p.call("f", a, bv)
-			byArm[res[0]] = [2]Value{a, bv}
+			key := Value(math.MaxUint64) // a trap
+			if res, err := p.call("f", a, bv); err == nil {
+				key = res[0]
+			}
+			byArm[key] = [2]Value{a, bv}
 		}
 	}
 	fp := newTierPair(t, m, Config{Fuel: 1}, nil)
@@ -223,17 +270,106 @@ func TestTierDiffConditionalSweep(t *testing.T) {
 			}
 		}
 	}
+	// The produced dimension: an integer binop whose value only feeds the
+	// test, from two locals or a local and a constant (every corner, the
+	// trapping divisors 0 and -1 among them), under each consumer. Tier 1
+	// fuses two of these pairs; every other one must stay right unfused.
+	for i, prod := range prodOps() {
+		vals := condValues(condOperand(prod))
+		names, shapes := prodConsumers(prod, i)
+		for ci, c := range shapes {
+			for pform := prodForm(0); pform < numProdForms; pform++ {
+				pks := []Value{0}
+				if pform == prodLocalConst {
+					pks = vals
+				}
+				for arms := condArms(0); arms < numArms; arms++ {
+					name := "produced/" + wasm.OpcodeName(prod) + "/" + prodFormNames[pform] + "/" +
+						names[ci] + "/" + armNames[arms]
+					t.Run(name, func(t *testing.T) {
+						for _, pk := range pks {
+							c.prod, c.pform, c.pk, c.arms = prod, pform, pk, arms
+							checkCond(t, c, vals)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// prodOps is every integer binop a producer can be: i32 and i64 add through
+// rotr, the eight div/rem among them.
+func prodOps() []wasm.Opcode {
+	var ops []wasm.Opcode
+	for op := wasm.OpI32Add; op <= wasm.OpI32Rotr; op++ {
+		ops = append(ops, op)
+	}
+	for op := wasm.OpI64Add; op <= wasm.OpI64Rotr; op++ {
+		ops = append(ops, op)
+	}
+	return ops
+}
+
+// prodConsumers lists the tests a produced value of prod's type can feed,
+// each with its subtest name: comparisons against a local and against a
+// constant, eqz and, for an i32, the bare non-zero test. The two producers
+// tier 1 fuses (i32.rem_u, i32.mul) meet every comparison in both forms; the
+// i-th other producer the i-th against a local and the (i+3)-th against a
+// constant, so the producers together cover every comparison. A comparison
+// against the value pushed before the producer ("below") is not fused, and
+// must not be mistaken for one that is.
+func prodConsumers(prod wasm.Opcode, i int) (names []string, shapes []condShape) {
+	vt := condOperand(prod)
+	eq, eqz := wasm.OpI32Eq, wasm.OpI32Eqz
+	if vt == i64t {
+		eq, eqz = wasm.OpI64Eq, wasm.OpI64Eqz
+	}
+	vals := condValues(vt)
+	add := func(name string, c condShape) {
+		names, shapes = append(names, name), append(shapes, c)
+	}
+	fused := prod == wasm.OpI32RemU || prod == wasm.OpI32Mul
+	for j := 0; j < 10; j++ {
+		cmp := eq + wasm.Opcode(j)
+		if fused || j == i%10 {
+			add(wasm.OpcodeName(cmp)+"-local", condShape{op: cmp, form: formStackLocal})
+		}
+		if fused || j == (i+3)%10 {
+			add(wasm.OpcodeName(cmp)+"-const", condShape{op: cmp, form: formStackConst, k: vals[(i+j)%len(vals)]})
+		}
+	}
+	add("eqz", condShape{op: eqz, form: formStack})
+	below := eq + wasm.Opcode((i+6)%10)
+	add(wasm.OpcodeName(below)+"-below", condShape{op: below, form: formStack})
+	if vt == i32 {
+		add("nonzero", condShape{op: condNonZero, form: formStack})
+	}
+	return names, shapes
 }
 
 // FuzzTierDiffConditional: the input picks a conditional shape, its operands
-// and a fuel budget (0 runs unfueled) and checks both tiers agree.
+// and a fuel budget (0 runs unfueled) and checks both tiers agree. A non-zero
+// byte 21 puts a producer in front of the test: byte 21 picks the integer
+// binop, byte 22 its form (b is its constant), bytes 23-30 the test's
+// constant, and bytes 0-1 the test among those of the producer's type.
 func FuzzTierDiffConditional(f *testing.F) {
-	ops := condOps()
+	ops, prods := condOps(), prodOps()
 	seed := func(op wasm.Opcode, form condForm, arms condArms, a, b Value, fuel uint16) []byte {
 		in := []byte{byte(op - ops[0]), byte(form), byte(arms)}
 		in = binary.LittleEndian.AppendUint64(in, a)
 		in = binary.LittleEndian.AppendUint64(in, b)
 		return binary.LittleEndian.AppendUint16(in, fuel)
+	}
+	// prodSeed's test is the t-th of prodTests.
+	prodSeed := func(prod wasm.Opcode, pform prodForm, t int, form condForm, arms condArms, a, b, k Value, fuel uint16) []byte {
+		in := seed(ops[0]+wasm.Opcode(t), form, arms, a, b, fuel)
+		for i, p := range prods {
+			if p == prod {
+				in = append(in, byte(i+1), byte(pform))
+			}
+		}
+		return binary.LittleEndian.AppendUint64(in, k)
 	}
 	nan64, negZero := F64(math.NaN()), F64(math.Copysign(0, -1))
 	for _, s := range [][]byte{
@@ -247,19 +383,54 @@ func FuzzTierDiffConditional(f *testing.F) {
 		seed(wasm.OpF64Ge, formStackLocal, armsThen, nan64, nan64, 0),
 		seed(wasm.OpF64Eq, formLocals, armsBrIf, negZero, F64(0), 5),
 		seed(wasm.OpF64Ne, formStack, armsElse, nan64, F64(1), 0),
+		// Producers: is_prime's two tests, the trapping divisors in front
+		// of a branch (with fuel that runs out just before and after the
+		// trap), a shifted i32 past the non-zero test, i64 rem_s of MinInt
+		// by -1 (0, no trap) against a constant.
+		prodSeed(wasm.OpI32Mul, prodLocals, 6, formStackLocal, armsThen, 7, 7, 0, 0),
+		prodSeed(wasm.OpI32RemU, prodLocals, 0, formStack, armsThen, 12, 4, 0, 0),
+		prodSeed(wasm.OpI32DivS, prodLocals, 2, formStackLocal, armsBrIf, I32(math.MinInt32), I32(-1), 0, 9),
+		prodSeed(wasm.OpI32DivU, prodLocalConst, 0, formStack, armsElse, 5, 0, 0, 10),
+		prodSeed(wasm.OpI64DivS, prodLocalConst, 4, formStackConst, armsResult, I64(math.MinInt64), I64(-1), 3, 0),
+		prodSeed(wasm.OpI32Shl, prodLocalConst, 11, formStack, armsBrIf, 1, 32, 0, 0),
+		prodSeed(wasm.OpI64RemS, prodLocals, 8, formStackConst, armsThen, I64(math.MinInt64), I64(-1), 0, 13),
 	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		in = append(in, make([]byte, 21)...)
+		in = append(in, make([]byte, 31)...)
 		op := ops[int(in[0])%len(ops)]
 		forms := condForms(op)
 		a := binary.LittleEndian.Uint64(in[3:])
 		b := binary.LittleEndian.Uint64(in[11:])
 		c := condShape{op: op, form: forms[int(in[1])%len(forms)],
 			arms: condArms(int(in[2]) % int(numArms)), k: b}
+		if in[21] != 0 {
+			c.prod = prods[int(in[21]-1)%len(prods)]
+			c.pform, c.pk, c.k = prodForm(in[22]%2), b, binary.LittleEndian.Uint64(in[23:])
+			tests := prodTests(condOperand(c.prod))
+			c.op, c.form = tests[int(in[0])%len(tests)], formStack
+			if isCmpBinop(c.op) {
+				c.form = []condForm{formStackLocal, formStackConst, formStack}[in[1]%3]
+			}
+		}
 		fuel := uint64(binary.LittleEndian.Uint16(in[19:]))
 		p := newTierPair(t, condModule(t, c), Config{Fuel: fuel}, nil)
 		p.call("f", a, b)
 	})
+}
+
+// prodTests lists the tests a produced value of type vt can feed: eqz, the
+// comparisons of its type and, for an i32, the non-zero test.
+func prodTests(vt wasm.ValueType) []wasm.Opcode {
+	var tests []wasm.Opcode
+	for _, op := range condOps() {
+		if condOperand(op) == vt {
+			tests = append(tests, op)
+		}
+	}
+	if vt == i32 {
+		tests = append(tests, condNonZero)
+	}
+	return tests
 }

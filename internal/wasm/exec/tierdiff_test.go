@@ -495,6 +495,59 @@ func TestTierDiffHostImport(t *testing.T) {
 	p.call("f", I32(-3))
 }
 
+// TestTierDiffNonCanonicalI32: an i32 is its low 32 bits, so an argument or
+// a host result with garbage above them is that i32 everywhere in the guest.
+// Each function tests or returns its i32 a different way; at both tiers
+// 0xdeadbeef_00000000 must read as 0, and the caller's slice stays as passed.
+func TestTierDiffNonCanonicalI32(t *testing.T) {
+	ifz := func(b *wasm.BodyBuilder) *wasm.BodyBuilder {
+		return b.Block(wasm.OpIf, wasm.BlockTypeOf(i32)).I32Const(1).Op(wasm.OpElse).I32Const(0).End()
+	}
+	get := func() *wasm.BodyBuilder { return new(wasm.BodyBuilder).OpU32(wasm.OpLocalGet, 0) }
+	bodies := []struct {
+		name string
+		b    *wasm.BodyBuilder
+		want Value
+	}{
+		{"ifz", ifz(get()), 0},
+		{"eqz", get().Op(wasm.OpI32Eqz), 1},
+		{"sel", new(wasm.BodyBuilder).I32Const(1).I32Const(0).OpU32(wasm.OpLocalGet, 0).Op(wasm.OpSelect), 0},
+		{"brif", new(wasm.BodyBuilder).Block(wasm.OpBlock, wasm.BlockTypeOf(i32)).I32Const(1).
+			OpU32(wasm.OpLocalGet, 0).OpU32(wasm.OpBrIf, 0).Op(wasm.OpDrop).I32Const(0).End(), 0},
+		{"id", get(), 0},
+		{"host", ifz(new(wasm.BodyBuilder).OpU32(wasm.OpCall, 0)), 0},
+	}
+	unary := wasm.FuncType{Params: []wasm.ValueType{i32}, Results: []wasm.ValueType{i32}}
+	garbage := wasm.FuncType{Results: []wasm.ValueType{i32}}
+	m := &wasm.Module{
+		Types:   []wasm.FuncType{unary, garbage},
+		Imports: []wasm.Import{{Module: "env", Name: "garbage", Kind: wasm.ExternalFunc, Func: 1}},
+	}
+	for i, f := range bodies {
+		m.Functions = append(m.Functions, 0)
+		m.Codes = append(m.Codes, wasm.Code{Body: f.b.End().Bytes()})
+		m.Exports = append(m.Exports, wasm.Export{Name: f.name, Kind: wasm.ExternalFunc, Index: uint32(i + 1)})
+	}
+	if err := wasm.Validate(m); err != nil {
+		t.Fatal(err)
+	}
+	const dirty = 0xdeadbeef_00000000
+	setup := func(s *Store) {
+		s.NewHostModule("env").AddFunc("garbage", HostFunc{Type: garbage,
+			Fn: func(*HostContext, []Value) ([]Value, error) { return []Value{dirty}, nil }})
+	}
+	p := newTierPair(t, m, Config{}, setup)
+	for _, f := range bodies {
+		args := []Value{dirty}
+		if res, err := p.call(f.name, args...); err != nil || res[0] != f.want {
+			t.Errorf("%s(%#x) = %#x, %v; want %#x", f.name, uint64(dirty), res, err, f.want)
+		}
+		if args[0] != dirty {
+			t.Errorf("%s: the caller's argument became %#x", f.name, args[0])
+		}
+	}
+}
+
 // The full property corpus shapes, dual-tier: every binFunc/unaryFunc module
 // from property_test.go is run through both tiers over a value sweep.
 func TestTierDiffOperatorSweep(t *testing.T) {
