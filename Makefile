@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race obs-overhead fuzz-smoke http-smoke results-check bench benchmark figures results examples clean
+.PHONY: all build vet test race obs-overhead fuzz-smoke http-smoke results-check product-cover bench benchmark figures results examples clean
 
 all: build vet test race obs-overhead fuzz-smoke http-smoke results-check
 
@@ -75,13 +75,17 @@ obs-overhead:
 # never panic, and a valid module's encoding decodes and re-encodes to the
 # same bytes), then five seconds of the gateway's HTTP surface (any method,
 # path and body gets a JSON error envelope for every status >= 400, and a 5xx
-# only with a MapError code). A failing input lands in the package's
-# testdata/fuzz/ and then fails plain `go test` until fixed.
+# only with a MapError code), then five seconds of pylite (any source, run
+# twice under a step bound, never panics, fails only with a syntax, runtime
+# or step-limit error, and gives the same stdout, error, Steps and HeapBytes
+# both times). A failing input lands in the package's testdata/fuzz/ and
+# then fails plain `go test` until fixed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMemoryCoW -fuzztime 10s ./internal/wasm/exec
 	$(GO) test -run '^$$' -fuzz FuzzTierDiffConditional -fuzztime 5s ./internal/wasm/exec
 	$(GO) test -run '^$$' -fuzz FuzzDecodeValidate -fuzztime 5s ./internal/wasm
 	$(GO) test -run '^$$' -fuzz FuzzGatewayRequest -fuzztime 5s ./internal/gateway
+	$(GO) test -run '^$$' -fuzz FuzzPyliteRunSource -fuzztime 5s ./internal/pylite
 
 # HTTP smoke: the daemon's stories over a real socket, fresh (-count=1), in
 # one go test line.
@@ -142,6 +146,24 @@ results-check:
 	"$$tmp/continuum" -exp all -outdir "$$tmp/results" > /dev/null && \
 	diff -r "$$tmp/results" results && \
 	echo "results-check: $$(ls results | wc -l) files byte-identical to results/"
+
+# Product coverage: the statements, per package, that the shipped binaries
+# reach. continuum and the benchmark are built with -cover over the whole
+# module into a temp dir and share one GOCOVERDIR: `-exp all` runs (and
+# must still match results/ byte for byte), then the benchmark runs its
+# five workloads traced for 3 s each, and `go tool covdata percent` prints
+# the table. Unreached code is a candidate for deletion, not a verdict: a
+# runtime still owes every valid module its opcodes and WASI calls. Not part
+# of `all`; EXPERIMENTS.md keeps the table.
+product-cover:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && mkdir "$$tmp/cov" && \
+	$(GO) build -cover -coverpkg=wasmcontainers/... -o "$$tmp/continuum" ./cmd/continuum && \
+	$(GO) build -cover -coverpkg=wasmcontainers/... -o "$$tmp/benchmark" ./benchmark && \
+	GOCOVERDIR="$$tmp/cov" "$$tmp/continuum" -exp all -outdir "$$tmp/results" > /dev/null && \
+	diff -r "$$tmp/results" results && \
+	{ GOCOVERDIR="$$tmp/cov" "$$tmp/benchmark" -seed 1 -seconds 3 -trace 1 > "$$tmp/benchmark.txt" || \
+		{ cat "$$tmp/benchmark.txt"; exit 1; }; } && \
+	$(GO) tool covdata percent -i "$$tmp/cov"
 
 # Run every benchmark once (tables, figures, ablations, microbenches,
 # interpreter hot-loop and engine instantiate benches).

@@ -11,6 +11,7 @@ package wasmcontainers_test
 // simulated container starts per iteration.)
 
 import (
+	"io"
 	"runtime"
 	"testing"
 
@@ -200,33 +201,15 @@ func BenchmarkWasmInstantiate(b *testing.B) {
 	}
 }
 
-// BenchmarkPyliteInterpreter measures the Python-baseline interpreter on an
-// equivalent primes workload.
+// BenchmarkPyliteInterpreter measures what a Python container's start runs:
+// the service app compiled and executed by pylite (the body of the
+// benchmark's pylite.run_us probe).
 func BenchmarkPyliteInterpreter(b *testing.B) {
-	code, err := pylite.Compile(`
-def is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d = d + 1
-    return True
-
-count = 0
-for i in range(10000):
-    if is_prime(i):
-        count = count + 1
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
+	b.ReportAllocs()
 	var steps uint64
 	for i := 0; i < b.N; i++ {
-		vm := pylite.NewVM(nil)
-		if _, err := vm.Run(code); err != nil {
+		vm := pylite.NewVM(io.Discard)
+		if _, err := vm.RunSource(workloads.MinimalServicePy); err != nil {
 			b.Fatal(err)
 		}
 		steps = vm.Steps

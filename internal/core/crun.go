@@ -59,8 +59,6 @@ type Config struct {
 	CreateCPUWork time.Duration
 	// CreateFixedDelay is crun's non-CPU setup latency.
 	CreateFixedDelay time.Duration
-	// MaxGuestSteps bounds pylite programs (0 = default).
-	MaxGuestSteps uint64
 }
 
 // DefaultCreateCPUWork is crun's create-path CPU cost (it is the fastest of
@@ -72,7 +70,7 @@ type Crun struct {
 	cfg    Config
 	table  *oci.ContainerTable
 	eng    *engine.Engine
-	python *PythonHandler
+	python PythonHandler
 	// procs maps container id -> simulated process.
 	procs map[string]*simos.Process
 }
@@ -86,11 +84,10 @@ func New(cfg Config) *Crun {
 		cfg.CreateCPUWork = DefaultCreateCPUWork
 	}
 	return &Crun{
-		cfg:    cfg,
-		table:  oci.NewContainerTable(),
-		eng:    engine.NewWithCache(cfg.Engine, cfg.ModuleCache),
-		python: NewPythonHandler(cfg.MaxGuestSteps),
-		procs:  make(map[string]*simos.Process),
+		cfg:   cfg,
+		table: oci.NewContainerTable(),
+		eng:   engine.NewWithCache(cfg.Engine, cfg.ModuleCache),
+		procs: make(map[string]*simos.Process),
 	}
 }
 
@@ -281,10 +278,9 @@ func (c *Crun) Delete(id string) error {
 func (c *Crun) List() []string { return c.table.List() }
 
 // PythonHandler executes non-Wasm (Python) entrypoints via the pylite
-// interpreter; it is shared by crun, runC, and youki.
-type PythonHandler struct {
-	maxSteps uint64
-}
+// interpreter; it is shared by crun, runC, and youki. The zero value is
+// ready to use.
+type PythonHandler struct{}
 
 // PythonProfile holds the CPython-equivalent footprint/cost model.
 var PythonProfile = struct {
@@ -308,14 +304,6 @@ var PythonProfile = struct {
 // DefaultMaxGuestSteps bounds runaway guest programs.
 const DefaultMaxGuestSteps = 50_000_000
 
-// NewPythonHandler creates the handler.
-func NewPythonHandler(maxSteps uint64) *PythonHandler {
-	if maxSteps == 0 {
-		maxSteps = DefaultMaxGuestSteps
-	}
-	return &PythonHandler{maxSteps: maxSteps}
-}
-
 // Start runs a Python entrypoint: `python3 <script>` (or any argv whose
 // first element names a python binary).
 func (h *PythonHandler) Start(node *simos.Node, runtimeName, id string, ctr *oci.Container, cgPath string, procs map[string]*simos.Process) (*oci.StartReport, error) {
@@ -335,8 +323,7 @@ func (h *PythonHandler) Start(node *simos.Node, runtimeName, id string, ctr *oci
 
 	var stdout bytes.Buffer
 	vm := pylite.NewVM(&stdout)
-	vm.MaxSteps = h.maxSteps
-	vm.Argv = args[1:]
+	vm.MaxSteps = DefaultMaxGuestSteps
 	exitCode := uint32(0)
 	if _, err := vm.RunSource(src); err != nil {
 		// A guest error is a non-zero exit, not a runtime failure.

@@ -1,541 +1,265 @@
 package pylite
 
-import "fmt"
+import "strconv"
 
-// Op is a bytecode operation.
-type Op byte
+type opcode uint8
 
-// Bytecode operations.
+// Bytecode operations. Every executed instruction is one step.
 const (
-	OpConst Op = iota // push consts[arg]
-	OpLoadGlobal
-	OpStoreGlobal
-	OpLoadLocal
-	OpStoreLocal
-	OpLoadBuiltin
-	OpBinary // arg = binKind
-	OpUnaryNeg
-	OpUnaryNot
-	OpJump          // absolute target
-	OpJumpIfFalse   // pop; jump when falsy
-	OpJumpFalseKeep // jump when falsy, keeping the value; else pop
-	OpJumpTrueKeep  // jump when truthy, keeping the value; else pop
-	OpCall          // arg = nargs
-	OpReturn
-	OpBuildList // arg = n elems
-	OpBuildDict // arg = n pairs
-	OpIndex
-	OpStoreIndex // stack: obj idx val -> (stores)
-	OpAttr       // push bound method names[arg]
-	OpPop
-	OpGetIter
-	OpForIter // push next or jump to arg when exhausted
-	OpSlice   // stack: obj lo hi -> obj[lo:hi]; arg bit0=hasLo, bit1=hasHi
+	opConst       opcode = iota // push consts[arg]
+	opLoadGlobal                // push the global (or builtin) names[arg]
+	opStoreGlobal               // pop into the global names[arg]
+	opBinary                    // pop r, l; push l <arg> r
+	opJump                      // to arg
+	opJumpIfFalse               // pop; jump to arg when falsy
+	opCall                      // arg = number of arguments
+	opReturn
+	opBuildList // arg = number of elements
+	opAttr      // push method names[arg] of the receiver on top, keeping it
+	opPop
 )
 
-// Binary operator kinds (OpBinary arg).
+// Binary operator kinds (the opBinary arg). A comparison's kind is the set
+// of orderings it holds for: bit 0 less, bit 1 equal, bit 2 greater.
 const (
-	binAdd = iota
+	binLt  = 0b001
+	binEq  = 0b010
+	binLe  = 0b011
+	binGt  = 0b100
+	binNe  = 0b101
+	binGe  = 0b110
+	binAdd = 8 + iota
 	binSub
 	binMul
 	binDiv
-	binFloorDiv
 	binMod
-	binPow
-	binEq
-	binNe
-	binLt
-	binLe
-	binGt
-	binGe
-	binIn
 )
 
-var binKinds = map[string]int{
-	"+": binAdd, "-": binSub, "*": binMul, "/": binDiv, "//": binFloorDiv,
-	"%": binMod, "**": binPow, "==": binEq, "!=": binNe, "<": binLt,
-	"<=": binLe, ">": binGt, ">=": binGe, "in": binIn,
+// binOps maps each operator to its precedence (higher binds tighter) and
+// its binary kind.
+var binOps = map[string][2]int{
+	"==": {1, binEq}, "!=": {1, binNe}, "<": {1, binLt}, "<=": {1, binLe}, ">": {1, binGt}, ">=": {1, binGe},
+	"+": {2, binAdd}, "-": {2, binSub},
+	"*": {3, binMul}, "/": {3, binDiv}, "%": {3, binMod},
 }
 
-// Instr is one bytecode instruction.
-type Instr struct {
-	Op   Op
-	Arg  int
-	Line int
+var literals = map[string]value{"True": true, "False": false, "None": nil}
+
+var tokNames = map[tokKind]string{
+	tokEOF: "end of input", tokNewline: "newline", tokIndent: "indent", tokDedent: "dedent", tokName: "identifier",
 }
 
-// Code is a compiled function (or module) body.
-type Code struct {
-	Name       string
-	Params     []string
-	NumLocals  int
-	Instrs     []Instr
-	Consts     []Value
-	Names      []string // attribute/global names
-	LocalNames []string
+type instr struct {
+	op   opcode
+	arg  int
+	line int
 }
 
-// CompileModule compiles a parsed module into executable code.
-func CompileModule(m *Module) (*Code, error) {
-	c := &compilerCtx{code: &Code{Name: "<module>"}, isModule: true}
-	if err := c.stmts(m.Body); err != nil {
-		return nil, err
-	}
-	// Implicit None return.
-	c.emitConst(nil, 0)
-	c.emit(OpReturn, 0, 0)
-	return c.code, nil
+// code is a compiled module.
+type code struct {
+	instrs []instr
+	consts []value
+	names  []string
 }
 
-// Compile parses and compiles source in one step.
-func Compile(src string) (*Code, error) {
-	m, err := Parse(src)
+// compiler parses tokens and emits bytecode in the same pass. A syntax
+// error panics with the *SyntaxError, and compile recovers it.
+type compiler struct {
+	toks []token
+	pos  int
+	code code
+}
+
+func compile(src string) (prog *code, err error) {
+	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
-	return CompileModule(m)
+	defer func() {
+		if r := recover(); r != nil {
+			se, ok := r.(*SyntaxError)
+			if !ok {
+				panic(r)
+			}
+			prog, err = nil, se
+		}
+	}()
+	c := &compiler{toks: toks}
+	for c.peek().kind != tokEOF {
+		c.statement()
+	}
+	// The module's implicit `return None`.
+	c.emitConst(nil, 0)
+	c.emit(opReturn, 0, 0)
+	return &c.code, nil
 }
 
-type loopCtx struct {
-	breakJumps []int
-	contTarget int
-	contJumps  []int
+func (c *compiler) peek() token { return c.toks[c.pos] }
+
+func (c *compiler) next() token {
+	t := c.toks[c.pos]
+	if c.pos < len(c.toks)-1 {
+		c.pos++
+	}
+	return t
 }
 
-type compilerCtx struct {
-	code     *Code
-	isModule bool
-	locals   map[string]int
-	globals  map[string]bool // names declared global inside a function
-	loops    []*loopCtx
+func (c *compiler) isOp(text string) bool {
+	t := c.peek()
+	return t.kind == tokOp && t.text == text
 }
 
-func (c *compilerCtx) emit(op Op, arg, line int) int {
-	c.code.Instrs = append(c.code.Instrs, Instr{Op: op, Arg: arg, Line: line})
-	return len(c.code.Instrs) - 1
+// expect consumes a token of kind (and text, for an operator).
+func (c *compiler) expect(kind tokKind, text string) token {
+	t := c.next()
+	if t.kind != kind || (text != "" && t.text != text) {
+		if text == "" {
+			text = tokNames[kind]
+		}
+		c.fail(t, "expected %s, got %q", text, desc(t))
+	}
+	return t
 }
 
-func (c *compilerCtx) emitConst(v Value, line int) {
-	for i, existing := range c.code.Consts {
-		if sameConst(existing, v) {
-			c.emit(OpConst, i, line)
+func (c *compiler) fail(t token, format string, args ...any) {
+	panic(synErr(t.line, t.col, format, args...))
+}
+
+// desc names a token in a syntax error.
+func desc(t token) string {
+	if t.text == "" {
+		return tokNames[t.kind]
+	}
+	return t.text
+}
+
+func (c *compiler) emit(op opcode, arg, line int) int {
+	c.code.instrs = append(c.code.instrs, instr{op, arg, line})
+	return len(c.code.instrs) - 1
+}
+
+func (c *compiler) emitConst(v value, line int) {
+	c.code.consts = append(c.code.consts, v)
+	c.emit(opConst, len(c.code.consts)-1, line)
+}
+
+func (c *compiler) name(s string) int {
+	c.code.names = append(c.code.names, s)
+	return len(c.code.names) - 1
+}
+
+// statement compiles `while cond: block`, `pass`, `name = expr` or an
+// expression statement.
+func (c *compiler) statement() {
+	t := c.peek()
+	switch {
+	case t.kind == tokKeyword && t.text == "while":
+		c.next()
+		top := len(c.code.instrs)
+		c.expr(0)
+		exit := c.emit(opJumpIfFalse, -1, t.line)
+		c.expect(tokOp, ":")
+		c.expect(tokNewline, "")
+		c.expect(tokIndent, "")
+		for c.peek().kind != tokDedent {
+			c.statement()
+		}
+		c.next()
+		c.emit(opJump, top, t.line)
+		c.code.instrs[exit].arg = len(c.code.instrs)
+		return
+	case t.kind == tokKeyword && t.text == "pass":
+		c.next()
+	case t.kind == tokName && c.toks[c.pos+1].kind == tokOp && c.toks[c.pos+1].text == "=":
+		c.next()
+		eq := c.next()
+		c.expr(0)
+		c.emit(opStoreGlobal, c.name(t.text), eq.line)
+	default:
+		c.expr(0)
+		c.emit(opPop, 0, t.line)
+	}
+	c.expect(tokNewline, "")
+}
+
+// expr compiles a left-associative chain of operators binding at least as
+// tightly as prec.
+func (c *compiler) expr(prec int) {
+	c.postfix()
+	for {
+		t := c.peek()
+		op, ok := binOps[t.text]
+		if t.kind != tokOp || !ok || op[0] < prec {
+			return
+		}
+		c.next()
+		c.expr(op[0] + 1)
+		c.emit(opBinary, op[1], t.line)
+	}
+}
+
+// postfix compiles an atom followed by calls and method calls.
+func (c *compiler) postfix() {
+	c.atom()
+	for {
+		t := c.peek()
+		switch {
+		case c.isOp("("):
+			c.next()
+			c.emit(opCall, c.items(")"), t.line)
+		case c.isOp("."):
+			c.next()
+			name := c.expect(tokName, "")
+			// A method is only ever called, so the opCall that follows
+			// always consumes the receiver opAttr keeps.
+			if !c.isOp("(") {
+				c.fail(name, "method %s must be called", name.text)
+			}
+			c.emit(opAttr, c.name(name.text), t.line)
+		default:
 			return
 		}
 	}
-	c.code.Consts = append(c.code.Consts, v)
-	c.emit(OpConst, len(c.code.Consts)-1, line)
 }
 
-func sameConst(a, b Value) bool {
-	switch av := a.(type) {
-	case nil:
-		return b == nil
-	case int64:
-		bv, ok := b.(int64)
-		return ok && av == bv
-	case float64:
-		bv, ok := b.(float64)
-		return ok && av == bv
-	case string:
-		bv, ok := b.(string)
-		return ok && av == bv
-	case bool:
-		bv, ok := b.(bool)
-		return ok && av == bv
+// items compiles comma-separated expressions up to close and returns how
+// many there were.
+func (c *compiler) items(close string) int {
+	n := 0
+	for !c.isOp(close) {
+		c.expr(0)
+		n++
+		if !c.isOp(",") {
+			break
+		}
+		c.next()
 	}
-	return false
+	c.expect(tokOp, close)
+	return n
 }
 
-func (c *compilerCtx) nameIndex(name string) int {
-	for i, n := range c.code.Names {
-		if n == name {
-			return i
+func (c *compiler) atom() {
+	t := c.next()
+	v, isLiteral := literals[t.text]
+	switch {
+	case t.kind == tokInt:
+		n, err := strconv.ParseInt(t.text, 10, 64)
+		if err != nil {
+			c.fail(t, "invalid integer %q", t.text)
 		}
-	}
-	c.code.Names = append(c.code.Names, name)
-	return len(c.code.Names) - 1
-}
-
-func (c *compilerCtx) patch(at int, target int) { c.code.Instrs[at].Arg = target }
-
-func (c *compilerCtx) here() int { return len(c.code.Instrs) }
-
-func (c *compilerCtx) stmts(body []Stmt) error {
-	for _, s := range body {
-		if err := c.stmt(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (c *compilerCtx) stmt(s Stmt) error {
-	switch n := s.(type) {
-	case *ExprStmt:
-		if err := c.expr(n.X); err != nil {
-			return err
-		}
-		c.emit(OpPop, 0, n.Line)
-	case *Assign:
-		return c.assign(n)
-	case *If:
-		return c.ifStmt(n)
-	case *While:
-		return c.whileStmt(n)
-	case *For:
-		return c.forStmt(n)
-	case *FuncDef:
-		return c.funcDef(n)
-	case *Return:
-		if c.isModule {
-			return synErr(n.Line, 1, "return outside function")
-		}
-		if n.Value != nil {
-			if err := c.expr(n.Value); err != nil {
-				return err
-			}
-		} else {
-			c.emitConst(nil, n.Line)
-		}
-		c.emit(OpReturn, 0, n.Line)
-	case *Break:
-		if len(c.loops) == 0 {
-			return synErr(n.Line, 1, "break outside loop")
-		}
-		lc := c.loops[len(c.loops)-1]
-		lc.breakJumps = append(lc.breakJumps, c.emit(OpJump, -1, n.Line))
-	case *Continue:
-		if len(c.loops) == 0 {
-			return synErr(n.Line, 1, "continue outside loop")
-		}
-		lc := c.loops[len(c.loops)-1]
-		lc.contJumps = append(lc.contJumps, c.emit(OpJump, -1, n.Line))
-	case *Pass:
-		// no code
-	case *GlobalDecl:
-		if c.isModule {
-			return nil // no-op at module level
-		}
-		for _, name := range n.Names {
-			c.globals[name] = true
-		}
+		c.emitConst(n, t.line)
+	case t.kind == tokString:
+		c.emitConst(t.text, t.line)
+	case t.kind == tokName:
+		c.emit(opLoadGlobal, c.name(t.text), t.line)
+	case t.kind == tokKeyword && isLiteral:
+		c.emitConst(v, t.line)
+	case t.kind == tokOp && t.text == "(":
+		c.expr(0)
+		c.expect(tokOp, ")")
+	case t.kind == tokOp && t.text == "[":
+		c.emit(opBuildList, c.items("]"), t.line)
 	default:
-		return fmt.Errorf("pylite: unknown statement %T", s)
+		c.fail(t, "unexpected %q", desc(t))
 	}
-	return nil
-}
-
-func (c *compilerCtx) assign(n *Assign) error {
-	switch target := n.Target.(type) {
-	case *Name:
-		if n.Op != "" {
-			if err := c.loadName(target.Ident, n.Line); err != nil {
-				return err
-			}
-			if err := c.expr(n.Value); err != nil {
-				return err
-			}
-			c.emit(OpBinary, binKinds[n.Op], n.Line)
-		} else {
-			if err := c.expr(n.Value); err != nil {
-				return err
-			}
-		}
-		return c.storeName(target.Ident, n.Line)
-	case *Index:
-		if err := c.expr(target.X); err != nil {
-			return err
-		}
-		if err := c.expr(target.I); err != nil {
-			return err
-		}
-		if n.Op != "" {
-			// obj idx -> need obj idx (obj idx -> indexed value) op rhs.
-			// Recompute the index expression; side effects in index exprs of
-			// augmented assignments are rare enough to accept re-evaluation.
-			if err := c.expr(target.X); err != nil {
-				return err
-			}
-			if err := c.expr(target.I); err != nil {
-				return err
-			}
-			c.emit(OpIndex, 0, n.Line)
-			if err := c.expr(n.Value); err != nil {
-				return err
-			}
-			c.emit(OpBinary, binKinds[n.Op], n.Line)
-		} else {
-			if err := c.expr(n.Value); err != nil {
-				return err
-			}
-		}
-		c.emit(OpStoreIndex, 0, n.Line)
-		return nil
-	}
-	return synErr(n.Line, 1, "invalid assignment target")
-}
-
-func (c *compilerCtx) loadName(name string, line int) error {
-	if !c.isModule {
-		if c.globals[name] {
-			c.emit(OpLoadGlobal, c.nameIndex(name), line)
-			return nil
-		}
-		if slot, ok := c.locals[name]; ok {
-			c.emit(OpLoadLocal, slot, line)
-			return nil
-		}
-	}
-	// Module level or unresolved: global, falling back to builtins at run
-	// time.
-	c.emit(OpLoadGlobal, c.nameIndex(name), line)
-	return nil
-}
-
-func (c *compilerCtx) storeName(name string, line int) error {
-	if !c.isModule && !c.globals[name] {
-		slot, ok := c.locals[name]
-		if !ok {
-			slot = len(c.locals)
-			c.locals[name] = slot
-			c.code.LocalNames = append(c.code.LocalNames, name)
-			if len(c.locals) > c.code.NumLocals {
-				c.code.NumLocals = len(c.locals)
-			}
-		}
-		c.emit(OpStoreLocal, slot, line)
-		return nil
-	}
-	c.emit(OpStoreGlobal, c.nameIndex(name), line)
-	return nil
-}
-
-func (c *compilerCtx) ifStmt(n *If) error {
-	var endJumps []int
-	for i, cond := range n.Conds {
-		if err := c.expr(cond); err != nil {
-			return err
-		}
-		skip := c.emit(OpJumpIfFalse, -1, n.Line)
-		if err := c.stmts(n.Bodies[i]); err != nil {
-			return err
-		}
-		endJumps = append(endJumps, c.emit(OpJump, -1, n.Line))
-		c.patch(skip, c.here())
-	}
-	if n.Else != nil {
-		if err := c.stmts(n.Else); err != nil {
-			return err
-		}
-	}
-	for _, j := range endJumps {
-		c.patch(j, c.here())
-	}
-	return nil
-}
-
-func (c *compilerCtx) whileStmt(n *While) error {
-	top := c.here()
-	if err := c.expr(n.Cond); err != nil {
-		return err
-	}
-	exit := c.emit(OpJumpIfFalse, -1, n.Line)
-	lc := &loopCtx{contTarget: top}
-	c.loops = append(c.loops, lc)
-	if err := c.stmts(n.Body); err != nil {
-		return err
-	}
-	c.loops = c.loops[:len(c.loops)-1]
-	c.emit(OpJump, top, n.Line)
-	end := c.here()
-	c.patch(exit, end)
-	for _, j := range lc.breakJumps {
-		c.patch(j, end)
-	}
-	for _, j := range lc.contJumps {
-		c.patch(j, top)
-	}
-	return nil
-}
-
-func (c *compilerCtx) forStmt(n *For) error {
-	if err := c.expr(n.Iter); err != nil {
-		return err
-	}
-	c.emit(OpGetIter, 0, n.Line)
-	top := c.here()
-	forIter := c.emit(OpForIter, -1, n.Line)
-	if err := c.storeName(n.Var, n.Line); err != nil {
-		return err
-	}
-	lc := &loopCtx{contTarget: top}
-	c.loops = append(c.loops, lc)
-	if err := c.stmts(n.Body); err != nil {
-		return err
-	}
-	c.loops = c.loops[:len(c.loops)-1]
-	c.emit(OpJump, top, n.Line)
-	end := c.here()
-	c.patch(forIter, end)
-	for _, j := range lc.breakJumps {
-		c.patch(j, end)
-	}
-	for _, j := range lc.contJumps {
-		c.patch(j, top)
-	}
-	// OpForIter leaves the exhausted iterator on the stack at `end`.
-	c.emit(OpPop, 0, n.Line)
-	return nil
-}
-
-func (c *compilerCtx) funcDef(n *FuncDef) error {
-	if !c.isModule {
-		return synErr(n.Line, 1, "nested functions are not supported")
-	}
-	fc := &compilerCtx{
-		code:    &Code{Name: n.Name, Params: n.Params},
-		locals:  make(map[string]int),
-		globals: make(map[string]bool),
-	}
-	for i, p := range n.Params {
-		fc.locals[p] = i
-		fc.code.LocalNames = append(fc.code.LocalNames, p)
-	}
-	fc.code.NumLocals = len(n.Params)
-	// Pre-scan for global declarations (they may appear after first use).
-	for _, s := range n.Body {
-		if g, ok := s.(*GlobalDecl); ok {
-			for _, name := range g.Names {
-				fc.globals[name] = true
-			}
-		}
-	}
-	if err := fc.stmts(n.Body); err != nil {
-		return err
-	}
-	fc.emitConst(nil, n.Line)
-	fc.emit(OpReturn, 0, n.Line)
-	c.code.Consts = append(c.code.Consts, &FuncValue{Code: fc.code})
-	c.emit(OpConst, len(c.code.Consts)-1, n.Line)
-	return c.storeName(n.Name, n.Line)
-}
-
-func (c *compilerCtx) expr(e Expr) error {
-	switch n := e.(type) {
-	case *IntLit:
-		c.emitConst(n.Value, n.Line)
-	case *FloatLit:
-		c.emitConst(n.Value, n.Line)
-	case *StrLit:
-		c.emitConst(n.Value, n.Line)
-	case *BoolLit:
-		c.emitConst(n.Value, n.Line)
-	case *NoneLit:
-		c.emitConst(nil, n.Line)
-	case *Name:
-		return c.loadName(n.Ident, n.Line)
-	case *ListLit:
-		for _, el := range n.Elems {
-			if err := c.expr(el); err != nil {
-				return err
-			}
-		}
-		c.emit(OpBuildList, len(n.Elems), n.Line)
-	case *DictLit:
-		for i := range n.Keys {
-			if err := c.expr(n.Keys[i]); err != nil {
-				return err
-			}
-			if err := c.expr(n.Values[i]); err != nil {
-				return err
-			}
-		}
-		c.emit(OpBuildDict, len(n.Keys), n.Line)
-	case *BinOp:
-		switch n.Op {
-		case "and":
-			if err := c.expr(n.L); err != nil {
-				return err
-			}
-			j := c.emit(OpJumpFalseKeep, -1, n.Line)
-			if err := c.expr(n.R); err != nil {
-				return err
-			}
-			c.patch(j, c.here())
-		case "or":
-			if err := c.expr(n.L); err != nil {
-				return err
-			}
-			j := c.emit(OpJumpTrueKeep, -1, n.Line)
-			if err := c.expr(n.R); err != nil {
-				return err
-			}
-			c.patch(j, c.here())
-		default:
-			if err := c.expr(n.L); err != nil {
-				return err
-			}
-			if err := c.expr(n.R); err != nil {
-				return err
-			}
-			kind, ok := binKinds[n.Op]
-			if !ok {
-				return synErr(n.Line, 1, "unsupported operator %q", n.Op)
-			}
-			c.emit(OpBinary, kind, n.Line)
-		}
-	case *UnaryOp:
-		if err := c.expr(n.X); err != nil {
-			return err
-		}
-		if n.Op == "-" {
-			c.emit(OpUnaryNeg, 0, n.Line)
-		} else {
-			c.emit(OpUnaryNot, 0, n.Line)
-		}
-	case *Call:
-		if err := c.expr(n.Fn); err != nil {
-			return err
-		}
-		for _, a := range n.Args {
-			if err := c.expr(a); err != nil {
-				return err
-			}
-		}
-		c.emit(OpCall, len(n.Args), n.Line)
-	case *Index:
-		if err := c.expr(n.X); err != nil {
-			return err
-		}
-		if err := c.expr(n.I); err != nil {
-			return err
-		}
-		c.emit(OpIndex, 0, n.Line)
-	case *Slice:
-		if err := c.expr(n.X); err != nil {
-			return err
-		}
-		arg := 0
-		if n.Lo != nil {
-			if err := c.expr(n.Lo); err != nil {
-				return err
-			}
-			arg |= 1
-		}
-		if n.Hi != nil {
-			if err := c.expr(n.Hi); err != nil {
-				return err
-			}
-			arg |= 2
-		}
-		c.emit(OpSlice, arg, n.Line)
-	case *Attr:
-		if err := c.expr(n.X); err != nil {
-			return err
-		}
-		c.emit(OpAttr, c.nameIndex(n.Name), n.Line)
-	default:
-		return fmt.Errorf("pylite: unknown expression %T", e)
-	}
-	return nil
 }

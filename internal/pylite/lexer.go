@@ -1,10 +1,15 @@
-// Package pylite implements a small Python-subset interpreter: an
-// indentation-aware lexer, a recursive-descent parser, a bytecode compiler,
-// and a stack-based virtual machine with a tracked heap. It serves as the
-// CPython stand-in for the paper's non-Wasm Python container baseline: the
-// benchmark applications actually execute, and the interpreter reports
-// instruction counts and heap usage that feed the simulated process
-// footprint model.
+// Package pylite is the Python interpreter the paper's Python container
+// baseline runs: an indentation-aware lexer, a one-pass compiler to
+// bytecode, and a stack VM that counts the instructions it retires and the
+// list bytes it allocates. Those two counts feed the simulated process
+// footprint model (core.PythonProfile); CPython's own footprint is
+// calibrated there, not here.
+//
+// The language is the one the service app (workloads.MinimalServicePy)
+// needs: assignment, expression statements, while and pass; int, string,
+// True/False/None and list literals; + - * / % and the six comparisons on
+// ints; print(...) and list.append(x). Anything else is a syntax error or a
+// runtime error.
 package pylite
 
 import (
@@ -12,36 +17,26 @@ import (
 	"strings"
 )
 
-// TokKind classifies lexical tokens.
-type TokKind int
+type tokKind int
 
-// Token kinds.
 const (
-	TokEOF TokKind = iota
-	TokNewline
-	TokIndent
-	TokDedent
-	TokName
-	TokInt
-	TokFloat
-	TokString
-	TokOp      // operators and punctuation
-	TokKeyword // def, if, while, ...
+	tokEOF tokKind = iota
+	tokNewline
+	tokIndent
+	tokDedent
+	tokName
+	tokInt
+	tokString
+	tokOp      // operators and punctuation
+	tokKeyword // while, pass, True, False, None
 )
 
-var keywords = map[string]bool{
-	"def": true, "return": true, "if": true, "elif": true, "else": true,
-	"while": true, "for": true, "in": true, "break": true, "continue": true,
-	"pass": true, "and": true, "or": true, "not": true,
-	"True": true, "False": true, "None": true, "global": true,
-}
+var keywords = map[string]bool{"while": true, "pass": true, "True": true, "False": true, "None": true}
 
-// Token is one lexical token.
-type Token struct {
-	Kind TokKind
-	Text string
-	Line int
-	Col  int
+type token struct {
+	kind      tokKind
+	text      string
+	line, col int
 }
 
 // SyntaxError reports a lexing or parsing failure with position.
@@ -56,172 +51,97 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("pylite: line %d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
-func synErr(line, col int, format string, args ...interface{}) error {
+func synErr(line, col int, format string, args ...any) error {
 	return &SyntaxError{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Lex tokenizes source, inserting INDENT/DEDENT/NEWLINE tokens per Python's
-// layout rules (spaces only; tabs count as 8).
-func Lex(src string) ([]Token, error) {
-	var toks []Token
+// lex tokenizes source, inserting INDENT/DEDENT/NEWLINE tokens per Python's
+// layout rules. Indentation is spaces only; a line break inside brackets
+// continues the line.
+func lex(src string) ([]token, error) {
+	var toks []token
 	indents := []int{0}
 	lines := strings.Split(src, "\n")
-	parenDepth := 0
-
-	for li := 0; li < len(lines); li++ {
-		line := lines[li]
+	depth := 0 // open brackets
+	for li, line := range lines {
 		lineNo := li + 1
-
-		// Measure indentation (skip blank/comment-only lines entirely when
-		// not inside parentheses).
-		if parenDepth == 0 {
-			trimmed := strings.TrimLeft(line, " \t")
-			if trimmed == "" || strings.HasPrefix(trimmed, "#") {
+		if depth == 0 {
+			trimmed := strings.TrimLeft(line, " ")
+			if trimmed == "" || trimmed[0] == '#' {
 				continue
 			}
-			indent := 0
-			for _, c := range line {
-				if c == ' ' {
-					indent++
-				} else if c == '\t' {
-					indent += 8 - indent%8
-				} else {
-					break
-				}
-			}
-			cur := indents[len(indents)-1]
-			if indent > cur {
+			indent := len(line) - len(trimmed)
+			if indent > indents[len(indents)-1] {
 				indents = append(indents, indent)
-				toks = append(toks, Token{Kind: TokIndent, Line: lineNo})
+				toks = append(toks, token{kind: tokIndent, line: lineNo})
 			}
 			for indent < indents[len(indents)-1] {
 				indents = indents[:len(indents)-1]
-				toks = append(toks, Token{Kind: TokDedent, Line: lineNo})
+				toks = append(toks, token{kind: tokDedent, line: lineNo})
 			}
 			if indent != indents[len(indents)-1] {
 				return nil, synErr(lineNo, 1, "inconsistent indentation")
 			}
 		}
-
-		// Tokenize the line content.
-		col := 0
-		for col < len(line) {
-			c := line[col]
+		for col := 0; col < len(line); {
+			c, start := line[col], col
+			kind := tokOp
 			switch {
-			case c == ' ' || c == '\t':
+			case c == ' ':
 				col++
+				continue
 			case c == '#':
 				col = len(line)
-			case c >= '0' && c <= '9':
-				start := col
-				isFloat := false
-				for col < len(line) && (isDigit(line[col]) || line[col] == '.' || line[col] == '_') {
-					if line[col] == '.' {
-						if isFloat {
-							break
-						}
-						isFloat = true
-					}
+				continue
+			case isDigit(c):
+				for col < len(line) && isDigit(line[col]) {
 					col++
 				}
-				kind := TokInt
-				if isFloat {
-					kind = TokFloat
-				}
-				toks = append(toks, Token{Kind: kind, Text: strings.ReplaceAll(line[start:col], "_", ""), Line: lineNo, Col: start + 1})
-			case isNameStart(c):
-				start := col
-				for col < len(line) && isNameChar(line[col]) {
+				kind = tokInt
+			case isNameChar(c):
+				for col < len(line) && (isNameChar(line[col]) || isDigit(line[col])) {
 					col++
 				}
-				text := line[start:col]
-				kind := TokName
-				if keywords[text] {
-					kind = TokKeyword
+				kind = tokName
+				if keywords[line[start:col]] {
+					kind = tokKeyword
 				}
-				toks = append(toks, Token{Kind: kind, Text: text, Line: lineNo, Col: start + 1})
 			case c == '"' || c == '\'':
-				quote := c
+				end := strings.IndexByte(line[col+1:], c)
+				if end < 0 {
+					return nil, synErr(lineNo, col+1, "unterminated string")
+				}
+				text := line[col+1 : col+1+end]
+				if strings.IndexByte(text, '\\') >= 0 {
+					return nil, synErr(lineNo, col+1, "escape sequences are not supported")
+				}
+				toks = append(toks, token{tokString, text, lineNo, col + 1})
+				col += end + 2
+				continue
+			case col+1 < len(line) && line[col+1] == '=' && strings.IndexByte("=!<>", c) >= 0:
+				col += 2
+			case strings.IndexByte("+-*/%<>=(),[]:.", c) >= 0:
 				col++
-				var sb strings.Builder
-				closed := false
-				for col < len(line) {
-					if line[col] == '\\' && col+1 < len(line) {
-						switch line[col+1] {
-						case 'n':
-							sb.WriteByte('\n')
-						case 't':
-							sb.WriteByte('\t')
-						case '\\':
-							sb.WriteByte('\\')
-						case quote:
-							sb.WriteByte(quote)
-						default:
-							sb.WriteByte(line[col+1])
-						}
-						col += 2
-						continue
-					}
-					if line[col] == quote {
-						closed = true
-						col++
-						break
-					}
-					sb.WriteByte(line[col])
-					col++
+				switch c {
+				case '(', '[':
+					depth++
+				case ')', ']':
+					depth = max(depth-1, 0)
 				}
-				if !closed {
-					return nil, synErr(lineNo, col, "unterminated string")
-				}
-				toks = append(toks, Token{Kind: TokString, Text: sb.String(), Line: lineNo, Col: col})
 			default:
-				op, n := scanOp(line[col:])
-				if n == 0 {
-					return nil, synErr(lineNo, col+1, "unexpected character %q", string(c))
-				}
-				switch op {
-				case "(", "[", "{":
-					parenDepth++
-				case ")", "]", "}":
-					if parenDepth > 0 {
-						parenDepth--
-					}
-				}
-				toks = append(toks, Token{Kind: TokOp, Text: op, Line: lineNo, Col: col + 1})
-				col += n
+				return nil, synErr(lineNo, col+1, "unexpected character %q", string(c))
 			}
+			toks = append(toks, token{kind, line[start:col], lineNo, start + 1})
 		}
-		if parenDepth == 0 {
-			toks = append(toks, Token{Kind: TokNewline, Line: lineNo})
-		}
-	}
-	for len(indents) > 1 {
-		indents = indents[:len(indents)-1]
-		toks = append(toks, Token{Kind: TokDedent, Line: len(lines)})
-	}
-	toks = append(toks, Token{Kind: TokEOF, Line: len(lines)})
-	return toks, nil
-}
-
-func isDigit(c byte) bool     { return c >= '0' && c <= '9' }
-func isNameStart(c byte) bool { return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') }
-func isNameChar(c byte) bool  { return isNameStart(c) || isDigit(c) }
-
-// twoCharOps lists multi-character operators, longest first.
-var twoCharOps = []string{
-	"//", "**", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=", "%=",
-}
-
-var oneCharOps = "+-*/%<>=(),[]{}:."
-
-func scanOp(s string) (string, int) {
-	for _, op := range twoCharOps {
-		if strings.HasPrefix(s, op) {
-			return op, len(op)
+		if depth == 0 {
+			toks = append(toks, token{kind: tokNewline, line: lineNo})
 		}
 	}
-	if strings.IndexByte(oneCharOps, s[0]) >= 0 {
-		return s[:1], 1
+	for range indents[1:] {
+		toks = append(toks, token{kind: tokDedent, line: len(lines)})
 	}
-	return "", 0
+	return append(toks, token{kind: tokEOF, line: len(lines)}), nil
 }
+
+func isDigit(c byte) bool    { return c >= '0' && c <= '9' }
+func isNameChar(c byte) bool { return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') }

@@ -2,236 +2,188 @@ package pylite
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"wasmcontainers/internal/workloads"
 )
 
-// evalExpr runs `print(expr)` and returns stdout without the newline.
-func evalExpr(t *testing.T, expr string) string {
-	t.Helper()
-	var out bytes.Buffer
-	vm := NewVM(&out)
-	if _, err := vm.RunSource("print(" + expr + ")"); err != nil {
-		t.Fatalf("eval %q: %v", expr, err)
+// lit writes v as a pylite expression; the language has no unary minus.
+func lit(v int64) string {
+	if v < 0 {
+		return fmt.Sprintf("(0 - %d)", -v)
 	}
-	s := out.String()
-	return s[:len(s)-1]
+	return fmt.Sprint(v)
 }
 
-// Property: integer arithmetic matches Python semantics (floored division
-// and modulo), checked against a Go reference implementation.
-func TestPropertyIntegerDivMod(t *testing.T) {
-	f := func(a int32, b int32) bool {
+// Property: % takes the sign of the divisor (Python's floored modulo),
+// checked against a float reference, and ints print as Go formats them.
+func TestPropertyIntegerMod(t *testing.T) {
+	f := func(a, b int32) bool {
 		if b == 0 {
 			return true
 		}
-		av, bv := int64(a), int64(b)
-		gotDiv := evalExprQ(t, fmt.Sprintf("%d // %d", av, bv))
-		gotMod := evalExprQ(t, fmt.Sprintf("%d %% %d", av, bv))
-		wantDiv := floorDivInt(av, bv)
-		wantMod := pyModInt(av, bv)
-		return gotDiv == fmt.Sprint(wantDiv) && gotMod == fmt.Sprint(wantMod)
+		var out bytes.Buffer
+		vm := NewVM(&out)
+		if _, err := vm.RunSource(fmt.Sprintf("print(%s %% %s, %s)", lit(int64(a)), lit(int64(b)), lit(int64(a)))); err != nil {
+			return false
+		}
+		want := int64(a) - int64(b)*int64(math.Floor(float64(a)/float64(b)))
+		return out.String() == fmt.Sprintf("%d %d\n", want, a)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: appending ints to a list prints them back in order, and the
+// heap grows by the literal's 16 bytes plus 8 per append.
+func TestPropertyListRoundTrip(t *testing.T) {
+	f := func(xs []int16) bool {
+		src := "xs = []\n"
+		want := make([]string, len(xs))
+		for i, x := range xs {
+			src += "xs.append(" + lit(int64(x)) + ")\n"
+			want[i] = fmt.Sprint(x)
+		}
+		var out bytes.Buffer
+		vm := NewVM(&out)
+		if _, err := vm.RunSource(src + "print(xs)"); err != nil {
+			return false
+		}
+		return out.String() == "["+strings.Join(want, ", ")+"]\n" && vm.HeapBytes == int64(16+8*len(xs))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func evalExprQ(t *testing.T, expr string) string {
-	var out bytes.Buffer
-	vm := NewVM(&out)
-	if _, err := vm.RunSource("print(" + expr + ")"); err != nil {
-		return "error"
-	}
-	s := out.String()
-	if len(s) == 0 {
-		return ""
-	}
-	return s[:len(s)-1]
-}
-
-// Property: floored div/mod identity a == (a//b)*b + a%b.
+// Property: the floored div/mod identity a == q*b + r, with q read back
+// from pylite's `(a - a % b) / b` (a whole float) and r from `a % b`, which
+// has the sign of the divisor and is smaller than it in magnitude.
 func TestPropertyDivModIdentity(t *testing.T) {
 	f := func(a, b int32) bool {
 		if b == 0 {
 			return true
 		}
-		q := floorDivInt(int64(a), int64(b))
-		r := pyModInt(int64(a), int64(b))
-		// Remainder has the sign of the divisor.
-		if r != 0 && (r < 0) != (b < 0) {
+		A, B := lit(int64(a)), lit(int64(b))
+		var out bytes.Buffer
+		vm := NewVM(&out)
+		if _, err := vm.RunSource(fmt.Sprintf("print((%s - %s %% %s) / %s, %s %% %s)", A, A, B, B, A, B)); err != nil {
 			return false
 		}
-		return q*int64(b)+r == int64(a)
+		var q float64
+		var r int64
+		if _, err := fmt.Sscan(out.String(), &q, &r); err != nil || q != math.Trunc(q) {
+			return false
+		}
+		if r != 0 && (r < 0) != (b < 0) || r >= int64(b) && b > 0 || r <= int64(b) && b < 0 {
+			return false
+		}
+		return int64(q)*int64(b)+r == int64(a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: list append/pop round-trips arbitrary int sequences.
-func TestPropertyListRoundTrip(t *testing.T) {
-	f := func(xs []int16) bool {
-		if len(xs) > 50 {
-			xs = xs[:50]
-		}
-		vm := NewVM(nil)
-		vm.Globals["input"] = goList(xs)
-		_, err := vm.RunSource(`
-out = []
-for x in input:
-    out.append(x)
-n = len(out)
-`)
-		if err != nil {
-			return false
-		}
-		n, _ := vm.Globals["n"].(int64)
-		out, _ := vm.Globals["out"].(*List)
-		if int(n) != len(xs) || out == nil || len(out.Items) != len(xs) {
-			return false
-		}
-		for i, x := range xs {
-			if out.Items[i].(int64) != int64(x) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func goList(xs []int16) *List {
-	l := &List{}
-	for _, x := range xs {
-		l.Items = append(l.Items, int64(x))
-	}
-	return l
-}
-
-// Property: sorted() output is ordered and a permutation of the input.
-func TestPropertySorted(t *testing.T) {
-	f := func(xs []int32) bool {
-		if len(xs) > 40 {
-			xs = xs[:40]
-		}
-		vm := NewVM(nil)
-		in := &List{}
-		counts := map[int64]int{}
-		for _, x := range xs {
-			in.Items = append(in.Items, int64(x))
-			counts[int64(x)]++
-		}
-		vm.Globals["xs"] = in
-		if _, err := vm.RunSource("ys = sorted(xs)"); err != nil {
-			return false
-		}
-		ys := vm.Globals["ys"].(*List)
-		if len(ys.Items) != len(xs) {
-			return false
-		}
-		var prev int64 = math.MinInt64
-		for _, it := range ys.Items {
-			v := it.(int64)
-			if v < prev {
-				return false
-			}
-			prev = v
-			counts[v]--
-		}
-		for _, c := range counts {
-			if c != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: dict set/get is consistent for int keys.
-func TestPropertyDictConsistency(t *testing.T) {
-	f := func(keys []int16, vals []int16) bool {
-		d := NewDict()
-		want := map[int64]int64{}
-		n := len(keys)
-		if len(vals) < n {
-			n = len(vals)
-		}
-		for i := 0; i < n; i++ {
-			k, v := int64(keys[i]), int64(vals[i])
-			if err := d.Set(k, v); err != nil {
-				return false
-			}
-			want[k] = v
-		}
-		if d.Len() != len(want) {
-			return false
-		}
-		for k, v := range want {
-			got, ok, err := d.Get(k)
-			if err != nil || !ok || got.(int64) != v {
-				return false
-			}
-		}
-		// Keys() preserves first-insertion order and contains each key once.
-		seen := map[string]bool{}
-		for _, k := range d.Keys() {
-			s, _ := dictKey(k)
-			if seen[s] {
-				return false
-			}
-			seen[s] = true
-		}
-		return len(seen) == len(want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: string repr round-trips through str() for printable subsets.
+// Property: print writes an int as Go's decimal, a string as is, and None,
+// True and False by name, alone or inside a list.
 func TestPropertyStrFormatting(t *testing.T) {
-	if got := evalExpr(t, "str(True) + str(False) + str(None)"); got != "TrueFalseNone" {
-		t.Fatalf("got %q", got)
-	}
-	f := func(v int64) bool {
-		return evalExprQ(t, fmt.Sprintf("str(%d)", v)) == fmt.Sprint(v)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the VM is deterministic — same program, same output and step
-// count.
-func TestPropertyDeterminism(t *testing.T) {
-	src := `
-acc = 0
-for i in range(500):
-    if i % 3 == 0:
-        acc += i
-    else:
-        acc -= 1
-print(acc)
-`
-	run := func() (string, uint64) {
+	f := func(v int64, s string) bool {
+		if v == math.MinInt64 {
+			return true // not writable: the language has no unary minus
+		}
+		s = strings.Map(func(r rune) rune {
+			if r == '"' || r == '\\' || r == '\n' || r == '\r' {
+				return -1
+			}
+			return r
+		}, s)
 		var out bytes.Buffer
 		vm := NewVM(&out)
-		if _, err := vm.RunSource(src); err != nil {
-			t.Fatal(err)
+		if _, err := vm.RunSource(fmt.Sprintf(`print(%s, "%s", None, True, False, [%s, None, True, False])`, lit(v), s, lit(v))); err != nil {
+			return false
 		}
-		return out.String(), vm.Steps
+		return out.String() == fmt.Sprintf("%d %s None True False [%d, None, True, False]\n", v, s, v)
 	}
-	o1, s1 := run()
-	o2, s2 := run()
-	if o1 != o2 || s1 != s2 {
-		t.Fatalf("nondeterministic: (%q,%d) vs (%q,%d)", o1, s1, o2, s2)
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
+}
+
+// Property: the VM is deterministic — the same loop gives the same output,
+// Steps and HeapBytes on two fresh VMs — and computes what Go does.
+func TestPropertyDeterminism(t *testing.T) {
+	f := func(n uint8, m uint8) bool {
+		mod := int64(m%7) + 2
+		src := fmt.Sprintf(`
+acc = 0
+i = 0
+xs = []
+while i < %d:
+    acc = acc + i %% %d * i - 1
+    xs.append(acc)
+    i = i + 1
+print(acc, xs)
+`, n, mod)
+		run := func() (string, uint64, int64) {
+			var out bytes.Buffer
+			vm := NewVM(&out)
+			if _, err := vm.RunSource(src); err != nil {
+				return err.Error(), 0, 0
+			}
+			return out.String(), vm.Steps, vm.HeapBytes
+		}
+		var acc int64
+		xs := make([]string, n)
+		for i := int64(0); i < int64(n); i++ {
+			acc += i%mod*i - 1
+			xs[i] = fmt.Sprint(acc)
+		}
+		o1, s1, h1 := run()
+		o2, s2, h2 := run()
+		return o1 == fmt.Sprintf("%d [%s]\n", acc, strings.Join(xs, ", ")) && o1 == o2 && s1 == s2 && h1 == h2 && h1 == int64(16+8*int(n))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzPyliteRunSource: with MaxSteps set, RunSource never panics, fails
+// only with a *SyntaxError, a *RuntimeError or ErrTooManySteps, stops by
+// MaxSteps+1 steps, and is deterministic — the same source run twice gives
+// the same stdout, error, Steps and HeapBytes. The seeds are the scripts
+// TestMinimalServiceApp pins.
+func FuzzPyliteRunSource(f *testing.F) {
+	const maxSteps = 10_000
+	for _, src := range []string{workloads.MinimalServicePy, "print('py in crun')", "x = 1 / 0", "x = (", "while True:\n    pass"} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		run := func() (string, string, uint64, int64) {
+			var out bytes.Buffer
+			vm := NewVM(&out)
+			vm.MaxSteps = maxSteps
+			_, err := vm.RunSource(src)
+			var se *SyntaxError
+			var re *RuntimeError
+			if err != nil && !errors.As(err, &se) && !errors.As(err, &re) && !errors.Is(err, ErrTooManySteps) {
+				t.Fatalf("unexpected error %T: %v", err, err)
+			}
+			if vm.Steps > maxSteps+1 {
+				t.Fatalf("%d steps past MaxSteps %d", vm.Steps, maxSteps)
+			}
+			return out.String(), fmt.Sprint(err), vm.Steps, vm.HeapBytes
+		}
+		out1, err1, steps1, heap1 := run()
+		out2, err2, steps2, heap2 := run()
+		if out1 != out2 || err1 != err2 || steps1 != steps2 || heap1 != heap2 {
+			t.Fatalf("nondeterministic: (%q, %s, %d, %d) vs (%q, %s, %d, %d)", out1, err1, steps1, heap1, out2, err2, steps2, heap2)
+		}
+	})
 }

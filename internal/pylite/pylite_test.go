@@ -2,8 +2,11 @@ package pylite
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"wasmcontainers/internal/workloads"
 )
 
 // runSrc executes source and returns stdout.
@@ -25,366 +28,130 @@ func runErr(t *testing.T, src string) error {
 	return err
 }
 
+// TestMinimalServiceApp pins everything a Python container's start reads from
+// the interpreter — stdout, the error text, Steps (priced at
+// core.PythonProfile.NsPerStep) and HeapBytes (mapped private) — for every
+// script that reaches core.PythonHandler: the service app itself, the crun
+// handler tests' print and guest-error scripts, a syntax error, and a
+// runaway loop under MaxSteps.
+func TestMinimalServiceApp(t *testing.T) {
+	cases := []struct {
+		name     string
+		src      string
+		maxSteps uint64
+		stdout   string
+		err      string
+		kind     string // "", "syntax", "runtime" or "steps"
+		steps    uint64
+		heap     int64
+	}{
+		{"service", workloads.MinimalServicePy, 0, "service ready\n", "", "", 3598, 2064},
+		{"print", "print('py in crun')", 0, "py in crun\n", "", "", 6, 0},
+		{"div-zero", "x = 1 / 0", 0, "", "pylite: runtime error at line 1: division by zero", "runtime", 3, 0},
+		{"syntax", "x = (", 0, "", `pylite: line 1:0: unexpected "end of input"`, "syntax", 0, 0},
+		{"step-limit", "while True:\n    pass", 10_000, "", "pylite: step limit exceeded", "steps", 10_001, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var out bytes.Buffer
+			vm := NewVM(&out)
+			vm.MaxSteps = c.maxSteps
+			_, err := vm.RunSource(c.src)
+			gotErr, kind := "", ""
+			if err != nil {
+				gotErr = err.Error()
+				var se *SyntaxError
+				var re *RuntimeError
+				switch {
+				case errors.As(err, &se):
+					kind = "syntax"
+				case errors.As(err, &re):
+					kind = "runtime"
+				case errors.Is(err, ErrTooManySteps):
+					kind = "steps"
+				default:
+					kind = "other"
+				}
+			}
+			if out.String() != c.stdout || gotErr != c.err || kind != c.kind {
+				t.Fatalf("stdout %q, err %q (%s); want %q, %q (%s)", out.String(), gotErr, kind, c.stdout, c.err, c.kind)
+			}
+			if vm.Steps != c.steps || vm.HeapBytes != c.heap {
+				t.Fatalf("steps %d, heap %d B; want %d, %d B", vm.Steps, vm.HeapBytes, c.steps, c.heap)
+			}
+		})
+	}
+}
+
 func TestPrintAndArithmetic(t *testing.T) {
 	out := runSrc(t, `
 x = 2 + 3 * 4
 y = (2 + 3) * 4
 print(x, y)
-print(7 // 2, 7 % 2, 7 / 2)
-print(-7 // 2, -7 % 2)
-print(2 ** 10)
+print(7 % 2, 7 / 2, 10 - 3 - 2)
+print((0 - 7) % 2, 7 % (0 - 2), 2 * 2 * 2 * 2 * 2 * 2 * 2 * 2 * 2 * 2)
 `)
-	want := "14 20\n3 1 3.5\n-4 1\n1024\n"
+	want := "14 20\n1 3.5 5\n1 -1 1024\n"
 	if out != want {
 		t.Fatalf("got %q, want %q", out, want)
 	}
 }
 
-func TestWhileLoopAndAugAssign(t *testing.T) {
+// TestArithmeticAndComparisons: a comparison binds looser than arithmetic
+// on either side, and yields a bool.
+func TestArithmeticAndComparisons(t *testing.T) {
 	out := runSrc(t, `
-total = 0
-i = 1
-while i <= 100:
-    total += i
-    i += 1
-print(total)
+print(1 < 2, 2 <= 2, 3 > 4, 4 >= 4, 1 == 1, 1 != 1)
+print(1 + 1 == 2, 2 * 3 < 5, 10 % 3 != 1, 0 - 5 >= 0 - 5, 7 - 1 > 2 * 3)
+x = 3 * 3 == 9
+print(x)
 `)
-	if out != "5050\n" {
-		t.Fatalf("got %q", out)
-	}
-}
-
-func TestForRangeAndBreakContinue(t *testing.T) {
-	out := runSrc(t, `
-evens = []
-for i in range(20):
-    if i % 2 == 1:
-        continue
-    if i > 10:
-        break
-    evens.append(i)
-print(evens)
-print(len(evens))
-`)
-	want := "[0, 2, 4, 6, 8, 10]\n6\n"
+	want := "True True False True True False\nTrue False False True False\nTrue\n"
 	if out != want {
 		t.Fatalf("got %q, want %q", out, want)
-	}
-}
-
-func TestFunctionsAndRecursion(t *testing.T) {
-	out := runSrc(t, `
-def fib(n):
-    if n < 2:
-        return n
-    return fib(n - 1) + fib(n - 2)
-
-def fact(n):
-    result = 1
-    for i in range(2, n + 1):
-        result = result * i
-    return result
-
-print(fib(15), fact(10))
-`)
-	if out != "610 3628800\n" {
-		t.Fatalf("got %q", out)
-	}
-}
-
-func TestGlobalsDeclaration(t *testing.T) {
-	out := runSrc(t, `
-counter = 0
-
-def bump():
-    global counter
-    counter = counter + 1
-
-bump()
-bump()
-bump()
-print(counter)
-`)
-	if out != "3\n" {
-		t.Fatalf("got %q", out)
-	}
-}
-
-func TestListsAndMethods(t *testing.T) {
-	out := runSrc(t, `
-xs = [3, 1, 2]
-xs.append(10)
-xs.sort()
-print(xs)
-print(xs.pop())
-print(xs.index(2))
-xs.reverse()
-print(xs)
-print(xs + [99])
-print([0] * 4)
-`)
-	want := "[1, 2, 3, 10]\n10\n1\n[3, 2, 1]\n[3, 2, 1, 99]\n[0, 0, 0, 0]\n"
-	if out != want {
-		t.Fatalf("got %q, want %q", out, want)
-	}
-}
-
-func TestDicts(t *testing.T) {
-	out := runSrc(t, `
-d = {"a": 1, "b": 2}
-d["c"] = 3
-print(d["a"], d["c"])
-print(d.get("missing", 42))
-print("b" in d, "z" in d)
-print(len(d))
-total = 0
-for k in d:
-    total += d[k]
-print(total)
-print(d.keys())
-`)
-	want := "1 3\n42\nTrue False\n3\n6\n['a', 'b', 'c']\n"
-	if out != want {
-		t.Fatalf("got %q, want %q", out, want)
-	}
-}
-
-func TestStringsAndMethods(t *testing.T) {
-	out := runSrc(t, `
-s = "Hello, World"
-print(s.upper())
-print(s.lower())
-print(s.split(", "))
-print("-".join(["a", "b", "c"]))
-print(s[0], s[-1])
-print(len(s))
-print("Wor" in s)
-print(s.replace("World", "WASM"))
-print(s.startswith("Hell"), s.find("World"))
-`)
-	want := "HELLO, WORLD\nhello, world\n['Hello', 'World']\na-b-c\nH d\n12\nTrue\nHello, WASM\nTrue 7\n"
-	if out != want {
-		t.Fatalf("got %q, want %q", out, want)
-	}
-}
-
-func TestBuiltins(t *testing.T) {
-	out := runSrc(t, `
-print(abs(-5), abs(2.5))
-print(min(3, 1, 2), max([4, 9, 2]))
-print(sum([1, 2, 3, 4]))
-print(sorted([3, 1, 2]))
-print(int("42") + 1, float("2.5") * 2)
-print(str(99) + "!")
-print(ord("A"), chr(66))
-print(bool(0), bool("x"), bool([]))
-print(type(1), type("s"), type([]))
-`)
-	want := "5 2.5\n1 9\n10\n[1, 2, 3]\n43 5.0\n99!\n65 B\nFalse True False\nint str list\n"
-	if out != want {
-		t.Fatalf("got %q, want %q", out, want)
-	}
-}
-
-func TestBooleanShortCircuit(t *testing.T) {
-	out := runSrc(t, `
-def boom():
-    print("boom")
-    return True
-
-x = False and boom()
-y = True or boom()
-print(x, y)
-print(1 and 2)
-print(0 or "fallback")
-print(not 0, not "x")
-`)
-	want := "False True\n2\nfallback\nTrue False\n"
-	if out != want {
-		t.Fatalf("got %q, want %q", out, want)
-	}
-}
-
-func TestElifChains(t *testing.T) {
-	src := `
-def classify(n):
-    if n < 0:
-        return "neg"
-    elif n == 0:
-        return "zero"
-    elif n < 100:
-        return "small"
-    else:
-        return "big"
-
-print(classify(-1), classify(0), classify(50), classify(1000))
-`
-	out := runSrc(t, src)
-	if out != "neg zero small big\n" {
-		t.Fatalf("got %q", out)
-	}
-}
-
-func TestRuntimeErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want string
-	}{
-		{"div by zero", `x = 1 / 0`, "division by zero"},
-		{"undefined name", `print(nothing)`, "not defined"},
-		{"index range", `xs = [1]
-print(xs[5])`, "out of range"},
-		{"key error", `d = {}
-print(d["k"])`, "KeyError"},
-		{"not callable", `x = 5
-x()`, "not callable"},
-		{"recursion", `
-def f():
-    return f()
-f()`, "recursion"},
-		{"bad arity", `
-def g(a, b):
-    return a
-g(1)`, "takes 2 arguments"},
-	}
-	for _, c := range cases {
-		err := runErr(t, c.src)
-		if err == nil {
-			t.Errorf("%s: no error", c.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: error %q does not contain %q", c.name, err, c.want)
-		}
-	}
-}
-
-func TestSyntaxErrors(t *testing.T) {
-	cases := []string{
-		`def f(`,
-		`if x`,
-		"x = 1\n  y = 2",
-		`x = "unterminated`,
-		`return 5`,
-		`break`,
-	}
-	for _, src := range cases {
-		vm := NewVM(nil)
-		if _, err := vm.RunSource(src); err == nil {
-			t.Errorf("%q: expected error", src)
-		}
-	}
-}
-
-func TestStepLimit(t *testing.T) {
-	vm := NewVM(nil)
-	vm.MaxSteps = 10_000
-	_, err := vm.RunSource(`
-while True:
-    pass
-`)
-	if err != ErrTooManySteps {
-		t.Fatalf("got %v, want ErrTooManySteps", err)
-	}
-}
-
-func TestHeapAccounting(t *testing.T) {
-	vm := NewVM(nil)
-	if _, err := vm.RunSource(`
-xs = []
-for i in range(1000):
-    xs.append(i)
-`); err != nil {
-		t.Fatal(err)
-	}
-	if vm.HeapBytes < 8000 {
-		t.Fatalf("heap bytes = %d, want >= 8000", vm.HeapBytes)
-	}
-	if vm.Steps == 0 {
-		t.Fatal("no steps counted")
-	}
-}
-
-func TestMinimalServiceApp(t *testing.T) {
-	// The exact program the Python-container baseline runs.
-	src := `
-counters = []
-i = 0
-while i < 256:
-    counters.append(0)
-    i = i + 1
-print("service ready")
-`
-	out := runSrc(t, src)
-	if out != "service ready\n" {
-		t.Fatalf("got %q", out)
 	}
 }
 
 func TestFloatFormatting(t *testing.T) {
+	// `/` is the only source of floats: a whole one keeps its ".0", a
+	// large one switches to exponent form, as Python's repr does.
 	out := runSrc(t, `
-print(1.5, 2.0, 1 / 4)
-print(3.14159)
+print(3 / 2, 6 / 3, 1 / 4, 0 / 5, (0 - 1) / 3)
+print(9999999999999998 / 1, 10000000000000000 / 1, 100000000000000000 / 1, 1 / 1000000)
 `)
-	want := "1.5 2.0 0.25\n3.14159\n"
+	want := "1.5 2.0 0.25 0.0 -0.3333333333333333\n9999999999999998.0 1e+16 1e+17 1e-06\n"
 	if out != want {
 		t.Fatalf("got %q, want %q", out, want)
 	}
 }
 
-func TestComparisonsAndIn(t *testing.T) {
+func TestWhileLoop(t *testing.T) {
 	out := runSrc(t, `
-print(1 < 2, 2 <= 2, 3 > 4, "a" < "b")
-print(2 in range(5), 7 in range(5))
-print(3 in [1, 2, 3], 9 not in [1, 2, 3])
-print("ab" == "ab", 1 == 1.0, [1, 2] == [1, 2])
+total = 0
+i = 1
+# a comment, then a blank line
+
+while i <= 100:
+    total = total + i
+    i = i + 1
+    if_ = i % 2
+print(total, i)
 `)
-	want := "True True False True\nTrue False\nTrue True\nTrue True True\n"
+	if out != "5050 101\n" {
+		t.Fatalf("got %q", out)
+	}
+}
+
+func TestPrintValues(t *testing.T) {
+	out := runSrc(t, `
+xs = [1, "it's", None, True, False, [2, 3], 7 / 2]
+xs.append(xs)
+print(xs, [], print)
+print("a", 'b', "")
+`)
+	want := "[1, 'it\\'s', None, True, False, [2, 3], 3.5, [...]] [] <built-in function print>\na b \n"
 	if out != want {
 		t.Fatalf("got %q, want %q", out, want)
-	}
-}
-
-func TestArgvBuiltin(t *testing.T) {
-	var out bytes.Buffer
-	vm := NewVM(&out)
-	vm.Argv = []string{"app.py", "--port", "8080"}
-	if _, err := vm.RunSource(`print(argv())`); err != nil {
-		t.Fatal(err)
-	}
-	if out.String() != "['app.py', '--port', '8080']\n" {
-		t.Fatalf("got %q", out.String())
-	}
-}
-
-func TestSlicing(t *testing.T) {
-	out := runSrc(t, `
-s = "hello world"
-print(s[0:5], s[6:], s[:5], s[:])
-print(s[-5:], s[:-6])
-print(s[8:3])
-xs = [0, 1, 2, 3, 4, 5]
-print(xs[1:4], xs[:2], xs[4:], xs[-2:])
-ys = xs[:]
-ys.append(6)
-print(len(xs), len(ys))
-print(xs[2:100], xs[-100:2])
-`)
-	want := "hello world hello hello world\nworld hello\n\n[1, 2, 3] [0, 1] [4, 5] [4, 5]\n6 7\n[2, 3, 4, 5] [0, 1]\n"
-	if out != want {
-		t.Fatalf("got %q, want %q", out, want)
-	}
-}
-
-func TestSliceErrors(t *testing.T) {
-	if err := runErr(t, `x = 5
-y = x[1:2]`); err == nil {
-		t.Fatal("sliced an int")
-	}
-	if err := runErr(t, `xs = [1]
-y = xs["a":2]`); err == nil {
-		t.Fatal("string slice bound accepted")
 	}
 }
 
@@ -395,72 +162,236 @@ xs = [
     2,
     3,
 ]
-d = {
-    "a": 1,
-    "b": 2,
-}
 y = (1 +
      2 +
      3)
-print(len(xs), len(d), y)
+print(xs, y)
 `)
-	if out != "3 2 6\n" {
+	if out != "[1, 2, 3] 6\n" {
 		t.Fatalf("got %q", out)
+	}
+}
+
+func TestTruthiness(t *testing.T) {
+	// Each falsy value skips the loop body; each truthy one runs it once.
+	for _, c := range []struct {
+		cond string
+		want string
+	}{
+		{"0", ""}, {"1", "x\n"}, {`""`, ""}, {`"s"`, "x\n"}, {"[]", ""}, {"[0]", "x\n"},
+		{"None", ""}, {"True", "x\n"}, {"False", ""}, {"1 / 2", "x\n"}, {"0 / 2", ""}, {"print", "x\n"},
+	} {
+		src := "go = " + c.cond + "\nwhile go:\n    print('x')\n    go = False\n"
+		if got := runSrc(t, src); got != c.want {
+			t.Errorf("while %s: got %q, want %q", c.cond, got, c.want)
+		}
+	}
+}
+
+func TestListsAndMethods(t *testing.T) {
+	// append mutates the list every name for it sees and returns None; its
+	// argument is evaluated first, so a nested append lands before it.
+	out := runSrc(t, `
+xs = [3, 1, 2]
+r = xs.append(10)
+ys = xs
+ys.append("end")
+print(xs, r)
+zs = []
+zs.append(zs.append(1))
+[].append(zs)
+print(zs)
+`)
+	want := "[3, 1, 2, 10, 'end'] None\n[1, None]\n"
+	if out != want {
+		t.Fatalf("got %q, want %q", out, want)
 	}
 }
 
 func TestNestedDataStructures(t *testing.T) {
+	var out bytes.Buffer
+	vm := NewVM(&out)
+	if _, err := vm.RunSource(`
+grid = [[1, 2], [3, 4]]
+row = [5]
+grid.append(row)
+row.append(6)
+grid.append(grid)
+print(grid)
+`); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != "[[1, 2], [3, 4], [5, 6], [...]]\n" {
+		t.Fatalf("got %q", out.String())
+	}
+	// Three two-element literals, one outer two-element literal, one
+	// one-element literal, and three appends.
+	if want := int64(3*(16+8*2) + (16 + 8) + 3*8); vm.HeapBytes != want {
+		t.Fatalf("heap bytes = %d, want %d", vm.HeapBytes, want)
+	}
+}
+
+func TestStringsAndMethods(t *testing.T) {
+	// print writes a string as is and a list's strings single-quoted.
 	out := runSrc(t, `
-grid = [[1, 2], [3, 4], [5, 6]]
-total = 0
-for row in grid:
-    for v in row:
-        total += v
-print(total, grid[1][0])
-registry = {"svc": {"port": 8080, "replicas": 3}}
-print(registry["svc"]["port"])
-registry["svc"]["replicas"] += 1
-print(registry["svc"]["replicas"])
+a = "double"
+b = 'single'
+c = 'say "hi"'
+print(a, b, c, "")
+print([a, b, c, ""])
 `)
-	if out != "21 3\n8080\n4\n" {
+	want := "double single say \"hi\" \n['double', 'single', 'say \"hi\"', '']\n"
+	if out != want {
+		t.Fatalf("got %q, want %q", out, want)
+	}
+	// Strings have no methods and no operators.
+	for src, msg := range map[string]string{
+		`"s".append(1)`:    `'str' object has no attribute "append"`,
+		`x = "a" < "b"`:    "unsupported operand types: str and str",
+		`x = 'a' + "b"`:    "unsupported operand types: str and str",
+		`x = "ab" == "ab"`: "unsupported operand types: str and str",
+	} {
+		var re *RuntimeError
+		if err := runErr(t, src); !errors.As(err, &re) || !strings.Contains(err.Error(), msg) {
+			t.Errorf("%q: error %v, want a runtime error containing %q", src, err, msg)
+		}
+	}
+}
+
+// TestBuiltins: print is the only builtin, and a global of the same name
+// shadows it.
+func TestBuiltins(t *testing.T) {
+	out := runSrc(t, `
+print()
+r = print("x", 1)
+print(r)
+`)
+	if out != "\nx 1\nNone\n" {
 		t.Fatalf("got %q", out)
 	}
-}
-
-func TestDictItemsAndPop(t *testing.T) {
-	out := runSrc(t, `
-d = {"x": 1, "y": 2, "z": 3}
-for pair in d.items():
-    print(pair[0], pair[1])
-v = d.pop("y")
-print(v, len(d), "y" in d)
-print(d.pop("missing", 42))
-`)
-	want := "x 1\ny 2\nz 3\n2 2 False\n42\n"
-	if out != want {
-		t.Fatalf("got %q, want %q", out, want)
+	// A VM without stdout discards print's output and still runs.
+	if err := runErr(t, "print('discarded')"); err != nil {
+		t.Fatalf("print with no stdout: %v", err)
 	}
-	// pop of a missing key without default raises.
-	if err := runErr(t, `d = {}
-d.pop("k")`); err == nil {
-		t.Fatal("pop missing key succeeded")
+	for src, msg := range map[string]string{
+		"x = len([])":         `name "len" is not defined`,
+		"x = str(1)":          `name "str" is not defined`,
+		"print = 5\nprint(1)": "line 2: 'int' object is not callable",
+	} {
+		var re *RuntimeError
+		if err := runErr(t, src); !errors.As(err, &re) || !strings.Contains(err.Error(), msg) {
+			t.Errorf("%q: error %v, want a runtime error containing %q", src, err, msg)
+		}
 	}
 }
 
-func TestDictDeleteReindexing(t *testing.T) {
-	out := runSrc(t, `
-d = {}
-for i in range(6):
-    d[i] = i * 10
-d.pop(2)
-d.pop(0)
-print(d.keys())
-d[99] = 1
-print(d.keys())
-print(d[5], d[99])
+func TestHeapAccounting(t *testing.T) {
+	vm := NewVM(nil)
+	if _, err := vm.RunSource(`
+xs = [1, 2, 3]
+i = 0
+while i < 1000:
+    xs.append(i)
+    i = i + 1
+`); err != nil {
+		t.Fatal(err)
+	}
+	// A list literal is 16 bytes plus 8 per element; an append adds 8.
+	if want := int64(16 + 8*3 + 8*1000); vm.HeapBytes != want {
+		t.Fatalf("heap bytes = %d, want %d", vm.HeapBytes, want)
+	}
+}
+
+func TestRuntimeErrors(t *testing.T) {
+	cases := []struct {
+		src  string
+		want string
+	}{
+		{`x = 1 / 0`, "line 1: division by zero"},
+		{"x = 1\ny = x % 0", "line 2: integer division or modulo by zero"},
+		{`print(nothing)`, `name "nothing" is not defined`},
+		{"x = 5\nx()", "'int' object is not callable"},
+		{`x = "a" + 1`, "unsupported operand types: str and int"},
+		{`x = True < 2`, "unsupported operand types: bool and int"},
+		{"x = 1\nx.append(2)", `'int' object has no attribute "append"`},
+		{"x = []\nx.pop()", `'list' object has no attribute "pop"`},
+		{"x = []\nx.append(1, 2)", "append() takes exactly one argument (2 given)"},
+	}
+	for _, c := range cases {
+		t.Run(c.src, func(t *testing.T) {
+			err := runErr(t, c.src)
+			var re *RuntimeError
+			if !errors.As(err, &re) || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%q: error %v, want a runtime error containing %q", c.src, err, c.want)
+			}
+		})
+	}
+}
+
+// TestSyntaxErrors covers malformed input and the Python the interpreter
+// does not implement: both are rejected before anything runs.
+func TestSyntaxErrors(t *testing.T) {
+	cases := []struct {
+		src  string
+		want string
+	}{
+		{"x = 1\n  y = 2", `line 2:0: unexpected "indent"`},
+		{"while True:\n        x = 1\n    y = 2", "line 3:1: inconsistent indentation"},
+		{`x = "unterminated`, "line 1:5: unterminated string"},
+		{`x = "a\nb"`, "escape sequences are not supported"},
+		{"x = 1 ! 2", `unexpected character "!"`},
+		{"\tx = 1", `unexpected character "\t"`},
+		{"x = 99999999999999999999", "invalid integer"},
+		{"x = 1 y = 2", `expected newline, got "y"`},
+		{"while True: pass", `expected newline, got "pass"`},
+		{"while True\n    pass", `expected :, got "newline"`},
+		{"while True:\npass", `expected indent, got "pass"`},
+		{"x = [1, 2", `expected ], got "end of input"`},
+		{"xs = []\nf = xs.append", "method append must be called"},
+		{"xs.1", `expected identifier, got "1"`},
+		{"x = while", `unexpected "while"`},
+		{"x = 1.5", `expected identifier, got "5"`},
+		{"def f():\n    pass", `expected newline, got "f"`},
+		{"if x:\n    pass", `expected newline, got "x"`},
+		{"for i in xs:\n    pass", `expected newline, got "i"`},
+		{"x += 1", `unexpected "="`},
+		{"x = -1", `unexpected "-"`},
+		{"x = {}", `unexpected character "{"`},
+	}
+	for _, c := range cases {
+		t.Run(c.src, func(t *testing.T) {
+			vm := NewVM(nil)
+			_, err := vm.RunSource(c.src)
+			var se *SyntaxError
+			if !errors.As(err, &se) || !strings.Contains(err.Error(), c.want) || vm.Steps != 0 {
+				t.Errorf("%q: error %v after %d steps, want a syntax error containing %q", c.src, err, vm.Steps, c.want)
+			}
+		})
+	}
+}
+
+// TestStepLimit: MaxSteps admits a program that takes exactly that many
+// steps, and stops one that needs one more at MaxSteps+1.
+func TestStepLimit(t *testing.T) {
+	vm := NewVM(nil)
+	vm.MaxSteps = 10_000
+	_, err := vm.RunSource(`
+while True:
+    pass
 `)
-	want := "[1, 3, 4, 5]\n[1, 3, 4, 5, 99]\n50 1\n"
-	if out != want {
-		t.Fatalf("got %q, want %q", out, want)
+	if err != ErrTooManySteps {
+		t.Fatalf("got %v, want ErrTooManySteps", err)
+	}
+	const src = "print('py in crun')" // 6 steps
+	for _, c := range []struct {
+		max   uint64
+		err   error
+		steps uint64
+	}{{0, nil, 6}, {6, nil, 6}, {5, ErrTooManySteps, 6}, {1, ErrTooManySteps, 2}} {
+		vm := NewVM(nil)
+		vm.MaxSteps = c.max
+		if _, err := vm.RunSource(src); err != c.err || vm.Steps != c.steps {
+			t.Errorf("MaxSteps %d: %v after %d steps, want %v after %d", c.max, err, vm.Steps, c.err, c.steps)
+		}
 	}
 }

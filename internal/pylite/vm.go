@@ -1,187 +1,33 @@
 package pylite
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Value is any pylite runtime value: nil (None), int64, float64, string,
-// bool, *List, *Dict, *Range, *FuncValue, *Builtin, or *BoundMethod.
-type Value interface{}
+// value is any pylite runtime value: nil (None), bool, int64, float64 (only
+// `/` makes one), string, *list or *builtin.
+type value = any
 
-// List is a mutable sequence.
-type List struct {
-	Items []Value
+type list struct{ items []value }
+
+// builtin is a native callable. A method takes its receiver as args[0].
+type builtin struct {
+	name   string
+	method bool
+	fn     func(vm *VM, args []value) (value, error)
 }
 
-// Dict is a string/int-keyed mapping that preserves insertion order.
-type Dict struct {
-	keys []Value
-	vals map[string]Value
-	ord  map[string]int
-}
-
-// NewDict creates an empty dict.
-func NewDict() *Dict {
-	return &Dict{vals: make(map[string]Value), ord: make(map[string]int)}
-}
-
-func dictKey(v Value) (string, error) {
-	switch k := v.(type) {
-	case string:
-		return "s:" + k, nil
-	case int64:
-		return "i:" + strconv.FormatInt(k, 10), nil
-	case bool:
-		if k {
-			return "i:1", nil
-		}
-		return "i:0", nil
-	case nil:
-		return "n:", nil
-	case float64:
-		return "f:" + strconv.FormatFloat(k, 'g', -1, 64), nil
-	}
-	return "", fmt.Errorf("unhashable type: %s", TypeName(v))
-}
-
-// Set inserts or replaces a key.
-func (d *Dict) Set(k, v Value) error {
-	s, err := dictKey(k)
-	if err != nil {
-		return err
-	}
-	if _, exists := d.vals[s]; !exists {
-		d.ord[s] = len(d.keys)
-		d.keys = append(d.keys, k)
-	}
-	d.vals[s] = v
-	return nil
-}
-
-// Get fetches a key.
-func (d *Dict) Get(k Value) (Value, bool, error) {
-	s, err := dictKey(k)
-	if err != nil {
-		return nil, false, err
-	}
-	v, ok := d.vals[s]
-	return v, ok, nil
-}
-
-// Delete removes a key if present.
-func (d *Dict) Delete(k Value) {
-	s, err := dictKey(k)
-	if err != nil {
-		return
-	}
-	if _, ok := d.vals[s]; !ok {
-		return
-	}
-	idx := d.ord[s]
-	d.keys = append(d.keys[:idx], d.keys[idx+1:]...)
-	delete(d.vals, s)
-	delete(d.ord, s)
-	// Reindex subsequent keys.
-	for i := idx; i < len(d.keys); i++ {
-		ks, _ := dictKey(d.keys[i])
-		d.ord[ks] = i
-	}
-}
-
-// Len returns the number of entries.
-func (d *Dict) Len() int { return len(d.keys) }
-
-// Keys returns the keys in insertion order.
-func (d *Dict) Keys() []Value { return d.keys }
-
-// Range is the value returned by range().
-type Range struct {
-	Start, Stop, Step int64
-}
-
-// FuncValue is a user-defined function.
-type FuncValue struct {
-	Code *Code
-}
-
-// Builtin is a native function.
-type Builtin struct {
-	Name  string
-	Arity int // -1 means variadic
-	Fn    func(vm *VM, args []Value) (Value, error)
-}
-
-// BoundMethod pairs a receiver with a method name.
-type BoundMethod struct {
-	Recv Value
-	Name string
-}
-
-// iterator is the internal protocol for for-loops.
-type iterator interface {
-	next() (Value, bool)
-}
-
-type rangeIter struct {
-	cur, stop, step int64
-}
-
-func (it *rangeIter) next() (Value, bool) {
-	if (it.step > 0 && it.cur >= it.stop) || (it.step < 0 && it.cur <= it.stop) {
-		return nil, false
-	}
-	v := it.cur
-	it.cur += it.step
-	return v, true
-}
-
-type listIter struct {
-	list *List
-	i    int
-}
-
-func (it *listIter) next() (Value, bool) {
-	if it.i >= len(it.list.Items) {
-		return nil, false
-	}
-	v := it.list.Items[it.i]
-	it.i++
-	return v, true
-}
-
-type strIter struct {
-	s string
-	i int
-}
-
-func (it *strIter) next() (Value, bool) {
-	if it.i >= len(it.s) {
-		return nil, false
-	}
-	v := string(it.s[it.i])
-	it.i++
-	return v, true
-}
-
-type sliceIter struct {
-	items []Value
-	i     int
-}
-
-func (it *sliceIter) next() (Value, bool) {
-	if it.i >= len(it.items) {
-		return nil, false
-	}
-	v := it.items[it.i]
-	it.i++
-	return v, true
-}
+var (
+	builtins     = map[string]value{"print": &builtin{name: "print", fn: (*VM).print}}
+	appendMethod = &builtin{name: "append", method: true, fn: (*VM).append}
+)
 
 // RuntimeError is a pylite execution failure.
 type RuntimeError struct {
@@ -197,926 +43,191 @@ func (e *RuntimeError) Error() string {
 // ErrTooManySteps aborts runaway programs when VM.MaxSteps is set.
 var ErrTooManySteps = errors.New("pylite: step limit exceeded")
 
-// VM executes compiled pylite code.
+// VM executes pylite programs.
 type VM struct {
-	Stdout io.Writer
-	// Globals is the module namespace.
-	Globals map[string]Value
 	// Steps counts executed bytecode instructions.
 	Steps uint64
 	// MaxSteps bounds execution; 0 means unlimited.
 	MaxSteps uint64
-	// HeapBytes approximates live allocated bytes (lists, dicts, strings).
+	// HeapBytes approximates the bytes of the lists the program built.
 	HeapBytes int64
-	// Argv is exposed to guest code via the argv() builtin.
-	Argv []string
 
-	builtins map[string]*Builtin
-	depth    int
+	stdout  io.Writer
+	globals map[string]value
 }
 
 // NewVM creates a VM writing program output to stdout (nil discards).
 func NewVM(stdout io.Writer) *VM {
-	vm := &VM{
-		Stdout:  stdout,
-		Globals: make(map[string]Value),
-	}
-	vm.builtins = builtinTable()
-	return vm
+	return &VM{stdout: stdout, globals: make(map[string]value)}
 }
 
-// maxFrameDepth bounds pylite recursion.
-const maxFrameDepth = 200
-
-// Run executes a compiled module body.
-func (vm *VM) Run(code *Code) (Value, error) {
-	return vm.exec(code, nil)
-}
-
-// RunSource parses, compiles, and executes source.
-func (vm *VM) RunSource(src string) (Value, error) {
-	code, err := Compile(src)
+// RunSource compiles and runs a module in the VM's globals. The module's
+// value is always None, so the first result is always nil; the error is a
+// *SyntaxError, a *RuntimeError or ErrTooManySteps.
+func (vm *VM) RunSource(src string) (any, error) {
+	c, err := compile(src)
 	if err != nil {
 		return nil, err
 	}
-	return vm.Run(code)
+	return nil, vm.run(c)
 }
 
-func (vm *VM) exec(code *Code, args []Value) (Value, error) {
-	vm.depth++
-	defer func() { vm.depth-- }()
-	if vm.depth > maxFrameDepth {
-		return nil, &RuntimeError{Msg: "maximum recursion depth exceeded"}
-	}
-	locals := make([]Value, code.NumLocals)
-	copy(locals, args)
-	var stack []Value
-	push := func(v Value) { stack = append(stack, v) }
-	pop := func() Value {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		return v
-	}
-
-	pc := 0
-	for pc < len(code.Instrs) {
-		in := code.Instrs[pc]
+func (vm *VM) run(c *code) error {
+	var stack []value
+	// compile ends every module with opReturn.
+	for pc := 0; ; pc++ {
+		in := c.instrs[pc]
 		vm.Steps++
 		if vm.MaxSteps > 0 && vm.Steps > vm.MaxSteps {
-			return nil, ErrTooManySteps
+			return ErrTooManySteps
 		}
-		switch in.Op {
-		case OpConst:
-			push(code.Consts[in.Arg])
-		case OpLoadGlobal:
-			name := code.Names[in.Arg]
-			if v, ok := vm.Globals[name]; ok {
-				push(v)
-			} else if b, ok := vm.builtins[name]; ok {
-				push(b)
-			} else {
-				return nil, &RuntimeError{Line: in.Line, Msg: fmt.Sprintf("name %q is not defined", name)}
-			}
-		case OpStoreGlobal:
-			vm.Globals[code.Names[in.Arg]] = pop()
-		case OpLoadLocal:
-			v := locals[in.Arg]
-			if v == nil && in.Arg >= len(args) {
-				// Reading an unassigned local slot: Python raises too.
-				name := "?"
-				if in.Arg < len(code.LocalNames) {
-					name = code.LocalNames[in.Arg]
-				}
-				if !localEverStored(code, in.Arg, pc) {
-					return nil, &RuntimeError{Line: in.Line, Msg: fmt.Sprintf("local variable %q referenced before assignment", name)}
-				}
-			}
-			push(v)
-		case OpStoreLocal:
-			locals[in.Arg] = pop()
-		case OpBinary:
-			r := pop()
-			l := pop()
-			v, err := vm.binary(in.Arg, l, r, in.Line)
-			if err != nil {
-				return nil, err
-			}
-			push(v)
-		case OpUnaryNeg:
-			switch v := pop().(type) {
-			case int64:
-				push(-v)
-			case float64:
-				push(-v)
-			case bool:
-				if v {
-					push(int64(-1))
-				} else {
-					push(int64(0))
-				}
-			default:
-				return nil, &RuntimeError{Line: in.Line, Msg: "bad operand type for unary -"}
-			}
-		case OpUnaryNot:
-			push(!Truthy(pop()))
-		case OpJump:
-			pc = in.Arg
-			continue
-		case OpJumpIfFalse:
-			if !Truthy(pop()) {
-				pc = in.Arg
-				continue
-			}
-		case OpJumpFalseKeep:
-			if !Truthy(stack[len(stack)-1]) {
-				pc = in.Arg
-				continue
-			}
-			pop()
-		case OpJumpTrueKeep:
-			if Truthy(stack[len(stack)-1]) {
-				pc = in.Arg
-				continue
-			}
-			pop()
-		case OpCall:
-			n := in.Arg
-			callArgs := make([]Value, n)
-			copy(callArgs, stack[len(stack)-n:])
-			stack = stack[:len(stack)-n]
-			fn := pop()
-			v, err := vm.call(fn, callArgs, in.Line)
-			if err != nil {
-				return nil, err
-			}
-			push(v)
-		case OpReturn:
-			return pop(), nil
-		case OpBuildList:
-			n := in.Arg
-			items := make([]Value, n)
-			copy(items, stack[len(stack)-n:])
-			stack = stack[:len(stack)-n]
-			vm.HeapBytes += int64(16 + 8*n)
-			push(&List{Items: items})
-		case OpBuildDict:
-			n := in.Arg
-			d := NewDict()
-			base := len(stack) - 2*n
-			for i := 0; i < n; i++ {
-				if err := d.Set(stack[base+2*i], stack[base+2*i+1]); err != nil {
-					return nil, &RuntimeError{Line: in.Line, Msg: err.Error()}
-				}
-			}
-			stack = stack[:base]
-			vm.HeapBytes += int64(48 + 32*n)
-			push(d)
-		case OpIndex:
-			i := pop()
-			x := pop()
-			v, err := vm.index(x, i, in.Line)
-			if err != nil {
-				return nil, err
-			}
-			push(v)
-		case OpStoreIndex:
-			v := pop()
-			i := pop()
-			x := pop()
-			if err := vm.storeIndex(x, i, v, in.Line); err != nil {
-				return nil, err
-			}
-		case OpAttr:
-			x := pop()
-			push(&BoundMethod{Recv: x, Name: code.Names[in.Arg]})
-		case OpPop:
-			pop()
-		case OpGetIter:
-			x := pop()
-			it, err := vm.getIter(x, in.Line)
-			if err != nil {
-				return nil, err
-			}
-			push(it)
-		case OpSlice:
-			var hiV, loV Value
-			if in.Arg&2 != 0 {
-				hiV = pop()
-			}
-			if in.Arg&1 != 0 {
-				loV = pop()
-			}
-			x := pop()
-			v, err := vm.slice(x, loV, hiV, in.Line)
-			if err != nil {
-				return nil, err
-			}
-			push(v)
-		case OpForIter:
-			it := stack[len(stack)-1].(iterator)
-			v, ok := it.next()
+		top := len(stack) - 1
+		var err error
+		switch in.op {
+		case opConst:
+			stack = append(stack, c.consts[in.arg])
+		case opLoadGlobal:
+			v, ok := vm.globals[c.names[in.arg]]
 			if !ok {
-				pc = in.Arg
-				continue
+				v, ok = builtins[c.names[in.arg]]
 			}
-			push(v)
+			if !ok {
+				err = fmt.Errorf("name %q is not defined", c.names[in.arg])
+			}
+			stack = append(stack, v)
+		case opStoreGlobal:
+			vm.globals[c.names[in.arg]] = stack[top]
+			stack = stack[:top]
+		case opBinary:
+			stack[top-1], err = binary(in.arg, stack[top-1], stack[top])
+			stack = stack[:top]
+		case opJump:
+			pc = in.arg - 1
+		case opJumpIfFalse:
+			if !truthy(stack[top]) {
+				pc = in.arg - 1
+			}
+			stack = stack[:top]
+		case opCall:
+			at := top - in.arg // the callee; its arguments follow it
+			f, ok := stack[at].(*builtin)
+			if !ok {
+				err = fmt.Errorf("'%s' object is not callable", typeName(stack[at]))
+				break
+			}
+			if f.method {
+				// opAttr left the receiver below the method: it becomes
+				// args[0], and the result replaces it.
+				at--
+				stack[at+1] = stack[at]
+			}
+			// No callee keeps args, so it aliases the stack.
+			stack[at], err = f.fn(vm, stack[at+1:])
+			stack = stack[:at+1]
+		case opReturn:
+			return nil
+		case opBuildList:
+			n := len(stack) - in.arg
+			l := &list{items: append([]value(nil), stack[n:]...)}
+			stack = append(stack[:n], l)
+			vm.HeapBytes += int64(16 + 8*in.arg)
+		case opAttr:
+			if _, ok := stack[top].(*list); !ok || c.names[in.arg] != "append" {
+				err = fmt.Errorf("'%s' object has no attribute %q", typeName(stack[top]), c.names[in.arg])
+			}
+			stack = append(stack, appendMethod)
+		case opPop:
+			stack = stack[:top]
 		}
-		pc++
+		if err != nil {
+			return &RuntimeError{Line: in.line, Msg: err.Error()}
+		}
 	}
+}
+
+func (vm *VM) print(args []value) (value, error) {
+	if vm.stdout == nil {
+		return nil, nil
+	}
+	parts := make([]string, len(args))
+	for i, a := range args {
+		s, ok := a.(string)
+		if !ok {
+			s = repr(a, nil)
+		}
+		parts[i] = s
+	}
+	_, err := fmt.Fprintln(vm.stdout, strings.Join(parts, " "))
+	return nil, err
+}
+
+func (vm *VM) append(args []value) (value, error) {
+	if len(args) != 2 {
+		return nil, fmt.Errorf("append() takes exactly one argument (%d given)", len(args)-1)
+	}
+	l := args[0].(*list)
+	l.items = append(l.items, args[1])
+	vm.HeapBytes += 8
 	return nil, nil
 }
 
-// localEverStored reports whether any instruction before pc stores slot.
-func localEverStored(code *Code, slot, pc int) bool {
-	for i := 0; i < pc && i < len(code.Instrs); i++ {
-		if code.Instrs[i].Op == OpStoreLocal && code.Instrs[i].Arg == slot {
-			return true
-		}
-	}
-	return false
-}
-
-// Truthy follows Python truthiness.
-func Truthy(v Value) bool {
-	switch x := v.(type) {
-	case nil:
-		return false
-	case bool:
-		return x
-	case int64:
-		return x != 0
-	case float64:
-		return x != 0
-	case string:
-		return x != ""
-	case *List:
-		return len(x.Items) > 0
-	case *Dict:
-		return x.Len() > 0
-	case *Range:
-		it := rangeIter{cur: x.Start, stop: x.Stop, step: x.Step}
-		_, ok := it.next()
-		return ok
-	}
-	return true
-}
-
-// TypeName reports the Python-style type name of v.
-func TypeName(v Value) string {
-	switch v.(type) {
-	case nil:
-		return "NoneType"
-	case bool:
-		return "bool"
-	case int64:
-		return "int"
-	case float64:
-		return "float"
-	case string:
-		return "str"
-	case *List:
-		return "list"
-	case *Dict:
-		return "dict"
-	case *Range:
-		return "range"
-	case *FuncValue:
-		return "function"
-	case *Builtin, *BoundMethod:
-		return "builtin_function_or_method"
-	}
-	return fmt.Sprintf("%T", v)
-}
-
-func toFloat(v Value) (float64, bool) {
-	switch x := v.(type) {
-	case int64:
-		return float64(x), true
-	case float64:
-		return x, true
-	case bool:
-		if x {
-			return 1, true
-		}
-		return 0, true
-	}
-	return 0, false
-}
-
-func toInt(v Value) (int64, bool) {
-	switch x := v.(type) {
-	case int64:
-		return x, true
-	case bool:
-		if x {
-			return 1, true
-		}
-		return 0, true
-	}
-	return 0, false
-}
-
-func (vm *VM) binary(kind int, l, r Value, line int) (Value, error) {
-	rerr := func(format string, args ...interface{}) error {
-		return &RuntimeError{Line: line, Msg: fmt.Sprintf(format, args...)}
+// binary applies an operator to two ints. `/` is true division, so it
+// yields a float; `%` takes the sign of the divisor, as in Python.
+func binary(kind int, l, r value) (value, error) {
+	a, aok := l.(int64)
+	b, bok := r.(int64)
+	if !aok || !bok {
+		return nil, fmt.Errorf("unsupported operand types: %s and %s", typeName(l), typeName(r))
 	}
 	switch kind {
 	case binAdd:
-		if ls, ok := l.(string); ok {
-			rs, ok := r.(string)
-			if !ok {
-				return nil, rerr("can only concatenate str to str")
-			}
-			vm.HeapBytes += int64(len(ls) + len(rs))
-			return ls + rs, nil
-		}
-		if ll, ok := l.(*List); ok {
-			rl, ok := r.(*List)
-			if !ok {
-				return nil, rerr("can only concatenate list to list")
-			}
-			out := make([]Value, 0, len(ll.Items)+len(rl.Items))
-			out = append(out, ll.Items...)
-			out = append(out, rl.Items...)
-			vm.HeapBytes += int64(16 + 8*len(out))
-			return &List{Items: out}, nil
-		}
+		return a + b, nil
+	case binSub:
+		return a - b, nil
 	case binMul:
-		// str * int and list * int replication.
-		if ls, ok := l.(string); ok {
-			if n, ok := toInt(r); ok {
-				if n < 0 {
-					n = 0
-				}
-				vm.HeapBytes += int64(len(ls)) * n
-				return strings.Repeat(ls, int(n)), nil
-			}
+		return a * b, nil
+	case binDiv:
+		if b == 0 {
+			return nil, errors.New("division by zero")
 		}
-		if ll, ok := l.(*List); ok {
-			if n, ok := toInt(r); ok {
-				var out []Value
-				for i := int64(0); i < n; i++ {
-					out = append(out, ll.Items...)
-				}
-				vm.HeapBytes += int64(8 * len(out))
-				return &List{Items: out}, nil
-			}
+		return float64(a) / float64(b), nil
+	case binMod:
+		if b == 0 {
+			return nil, errors.New("integer division or modulo by zero")
 		}
-	case binIn:
-		return vm.contains(l, r, line)
-	case binEq:
-		return valueEqual(l, r), nil
-	case binNe:
-		return !valueEqual(l, r), nil
+		if m := a % b; m != 0 && (m < 0) != (b < 0) {
+			return m + b, nil
+		}
+		return a % b, nil
 	}
-
-	// String comparison.
-	if ls, lok := l.(string); lok {
-		if rs, rok := r.(string); rok {
-			switch kind {
-			case binLt:
-				return ls < rs, nil
-			case binLe:
-				return ls <= rs, nil
-			case binGt:
-				return ls > rs, nil
-			case binGe:
-				return ls >= rs, nil
-			}
-		}
-	}
-
-	// Numeric tower: int op int stays int (except /), otherwise float.
-	li, lInt := toInt(l)
-	ri, rInt := toInt(r)
-	if lInt && rInt {
-		switch kind {
-		case binAdd:
-			return li + ri, nil
-		case binSub:
-			return li - ri, nil
-		case binMul:
-			return li * ri, nil
-		case binDiv:
-			if ri == 0 {
-				return nil, rerr("division by zero")
-			}
-			return float64(li) / float64(ri), nil
-		case binFloorDiv:
-			if ri == 0 {
-				return nil, rerr("integer division or modulo by zero")
-			}
-			return floorDivInt(li, ri), nil
-		case binMod:
-			if ri == 0 {
-				return nil, rerr("integer division or modulo by zero")
-			}
-			return pyModInt(li, ri), nil
-		case binPow:
-			return powInt(li, ri), nil
-		case binLt:
-			return li < ri, nil
-		case binLe:
-			return li <= ri, nil
-		case binGt:
-			return li > ri, nil
-		case binGe:
-			return li >= ri, nil
-		}
-	}
-	lf, lok := toFloat(l)
-	rf, rok := toFloat(r)
-	if lok && rok {
-		switch kind {
-		case binAdd:
-			return lf + rf, nil
-		case binSub:
-			return lf - rf, nil
-		case binMul:
-			return lf * rf, nil
-		case binDiv:
-			if rf == 0 {
-				return nil, rerr("float division by zero")
-			}
-			return lf / rf, nil
-		case binFloorDiv:
-			if rf == 0 {
-				return nil, rerr("float floor division by zero")
-			}
-			return math.Floor(lf / rf), nil
-		case binMod:
-			if rf == 0 {
-				return nil, rerr("float modulo by zero")
-			}
-			m := math.Mod(lf, rf)
-			if m != 0 && (m < 0) != (rf < 0) {
-				m += rf
-			}
-			return m, nil
-		case binPow:
-			return math.Pow(lf, rf), nil
-		case binLt:
-			return lf < rf, nil
-		case binLe:
-			return lf <= rf, nil
-		case binGt:
-			return lf > rf, nil
-		case binGe:
-			return lf >= rf, nil
-		}
-	}
-	return nil, rerr("unsupported operand types: %s and %s", TypeName(l), TypeName(r))
+	return kind>>(cmp.Compare(a, b)+1)&1 == 1, nil
 }
 
-func floorDivInt(a, b int64) int64 {
-	q := a / b
-	if (a%b != 0) && ((a < 0) != (b < 0)) {
-		q--
+// truthy follows Python: None, False, 0, 0.0, "" and [] are false.
+func truthy(v value) bool {
+	if l, ok := v.(*list); ok {
+		return len(l.items) > 0
 	}
-	return q
+	return v != nil && v != false && v != int64(0) && v != 0.0 && v != ""
 }
 
-func pyModInt(a, b int64) int64 {
-	m := a % b
-	if m != 0 && (m < 0) != (b < 0) {
-		m += b
-	}
-	return m
+// pyTypes names each value's Go type as Python does.
+var pyTypes = map[string]string{
+	"<nil>": "NoneType", "bool": "bool", "int64": "int", "float64": "float", "string": "str",
+	"*pylite.list": "list", "*pylite.builtin": "builtin_function_or_method",
 }
 
-func powInt(a, b int64) Value {
-	if b < 0 {
-		return math.Pow(float64(a), float64(b))
-	}
-	result := int64(1)
-	base := a
-	for e := b; e > 0; e >>= 1 {
-		if e&1 == 1 {
-			result *= base
-		}
-		base *= base
-	}
-	return result
-}
+func typeName(v value) string { return pyTypes[fmt.Sprintf("%T", v)] }
 
-func valueEqual(l, r Value) bool {
-	if li, ok := toFloat(l); ok {
-		if ri, ok := toFloat(r); ok {
-			return li == ri
-		}
-		return false
-	}
-	switch lv := l.(type) {
-	case nil:
-		return r == nil
-	case string:
-		rv, ok := r.(string)
-		return ok && lv == rv
-	case *List:
-		rv, ok := r.(*List)
-		if !ok || len(lv.Items) != len(rv.Items) {
-			return false
-		}
-		for i := range lv.Items {
-			if !valueEqual(lv.Items[i], rv.Items[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	return l == r
-}
+// reprs spells None, True and False.
+var reprs = map[value]string{nil: "None", true: "True", false: "False"}
 
-func (vm *VM) contains(needle, hay Value, line int) (Value, error) {
-	switch h := hay.(type) {
-	case string:
-		n, ok := needle.(string)
-		if !ok {
-			return nil, &RuntimeError{Line: line, Msg: "'in <string>' requires string operand"}
-		}
-		return strings.Contains(h, n), nil
-	case *List:
-		for _, it := range h.Items {
-			if valueEqual(it, needle) {
-				return true, nil
-			}
-		}
-		return false, nil
-	case *Dict:
-		_, ok, err := h.Get(needle)
-		if err != nil {
-			return nil, &RuntimeError{Line: line, Msg: err.Error()}
-		}
-		return ok, nil
-	case *Range:
-		n, ok := toInt(needle)
-		if !ok {
-			return false, nil
-		}
-		if h.Step > 0 {
-			return n >= h.Start && n < h.Stop && (n-h.Start)%h.Step == 0, nil
-		}
-		return n <= h.Start && n > h.Stop && (h.Start-n)%(-h.Step) == 0, nil
-	}
-	return nil, &RuntimeError{Line: line, Msg: fmt.Sprintf("argument of type %s is not iterable", TypeName(hay))}
-}
-
-func (vm *VM) index(x, i Value, line int) (Value, error) {
-	switch c := x.(type) {
-	case *List:
-		n, ok := toInt(i)
-		if !ok {
-			return nil, &RuntimeError{Line: line, Msg: "list indices must be integers"}
-		}
-		if n < 0 {
-			n += int64(len(c.Items))
-		}
-		if n < 0 || n >= int64(len(c.Items)) {
-			return nil, &RuntimeError{Line: line, Msg: "list index out of range"}
-		}
-		return c.Items[n], nil
-	case string:
-		n, ok := toInt(i)
-		if !ok {
-			return nil, &RuntimeError{Line: line, Msg: "string indices must be integers"}
-		}
-		if n < 0 {
-			n += int64(len(c))
-		}
-		if n < 0 || n >= int64(len(c)) {
-			return nil, &RuntimeError{Line: line, Msg: "string index out of range"}
-		}
-		return string(c[n]), nil
-	case *Dict:
-		v, ok, err := c.Get(i)
-		if err != nil {
-			return nil, &RuntimeError{Line: line, Msg: err.Error()}
-		}
-		if !ok {
-			return nil, &RuntimeError{Line: line, Msg: fmt.Sprintf("KeyError: %s", Repr(i))}
-		}
-		return v, nil
-	}
-	return nil, &RuntimeError{Line: line, Msg: fmt.Sprintf("%s is not subscriptable", TypeName(x))}
-}
-
-func (vm *VM) storeIndex(x, i, v Value, line int) error {
-	switch c := x.(type) {
-	case *List:
-		n, ok := toInt(i)
-		if !ok {
-			return &RuntimeError{Line: line, Msg: "list indices must be integers"}
-		}
-		if n < 0 {
-			n += int64(len(c.Items))
-		}
-		if n < 0 || n >= int64(len(c.Items)) {
-			return &RuntimeError{Line: line, Msg: "list assignment index out of range"}
-		}
-		c.Items[n] = v
-		return nil
-	case *Dict:
-		if err := c.Set(i, v); err != nil {
-			return &RuntimeError{Line: line, Msg: err.Error()}
-		}
-		vm.HeapBytes += 32
-		return nil
-	}
-	return &RuntimeError{Line: line, Msg: fmt.Sprintf("%s does not support item assignment", TypeName(x))}
-}
-
-// slice implements Python slicing with clamping and negative indices.
-func (vm *VM) slice(x, loV, hiV Value, line int) (Value, error) {
-	length := func() (int64, bool) {
-		switch c := x.(type) {
-		case string:
-			return int64(len(c)), true
-		case *List:
-			return int64(len(c.Items)), true
-		}
-		return 0, false
-	}
-	n, ok := length()
-	if !ok {
-		return nil, &RuntimeError{Line: line, Msg: fmt.Sprintf("%s is not subscriptable", TypeName(x))}
-	}
-	resolve := func(v Value, def int64) (int64, error) {
-		if v == nil {
-			return def, nil
-		}
-		i, ok := toInt(v)
-		if !ok {
-			return 0, &RuntimeError{Line: line, Msg: "slice indices must be integers"}
-		}
-		if i < 0 {
-			i += n
-		}
-		if i < 0 {
-			i = 0
-		}
-		if i > n {
-			i = n
-		}
-		return i, nil
-	}
-	lo, err := resolve(loV, 0)
-	if err != nil {
-		return nil, err
-	}
-	hi, err := resolve(hiV, n)
-	if err != nil {
-		return nil, err
-	}
-	if hi < lo {
-		hi = lo
-	}
-	switch c := x.(type) {
-	case string:
-		vm.HeapBytes += hi - lo
-		return c[lo:hi], nil
-	case *List:
-		out := append([]Value(nil), c.Items[lo:hi]...)
-		vm.HeapBytes += int64(16 + 8*len(out))
-		return &List{Items: out}, nil
-	}
-	return nil, &RuntimeError{Line: line, Msg: "unreachable slice target"}
-}
-
-func (vm *VM) getIter(x Value, line int) (iterator, error) {
-	switch c := x.(type) {
-	case *Range:
-		return &rangeIter{cur: c.Start, stop: c.Stop, step: c.Step}, nil
-	case *List:
-		return &listIter{list: c}, nil
-	case string:
-		return &strIter{s: c}, nil
-	case *Dict:
-		return &sliceIter{items: append([]Value(nil), c.Keys()...)}, nil
-	}
-	return nil, &RuntimeError{Line: line, Msg: fmt.Sprintf("%s object is not iterable", TypeName(x))}
-}
-
-func (vm *VM) call(fn Value, args []Value, line int) (Value, error) {
-	switch f := fn.(type) {
-	case *FuncValue:
-		if len(args) != len(f.Code.Params) {
-			return nil, &RuntimeError{Line: line,
-				Msg: fmt.Sprintf("%s() takes %d arguments (%d given)", f.Code.Name, len(f.Code.Params), len(args))}
-		}
-		return vm.exec(f.Code, args)
-	case *Builtin:
-		if f.Arity >= 0 && len(args) != f.Arity {
-			return nil, &RuntimeError{Line: line,
-				Msg: fmt.Sprintf("%s() takes %d arguments (%d given)", f.Name, f.Arity, len(args))}
-		}
-		v, err := f.Fn(vm, args)
-		if err != nil {
-			if _, ok := err.(*RuntimeError); !ok {
-				err = &RuntimeError{Line: line, Msg: err.Error()}
-			}
-			return nil, err
-		}
-		return v, nil
-	case *BoundMethod:
-		return vm.callMethod(f, args, line)
-	}
-	return nil, &RuntimeError{Line: line, Msg: fmt.Sprintf("%s is not callable", TypeName(fn))}
-}
-
-func (vm *VM) callMethod(m *BoundMethod, args []Value, line int) (Value, error) {
-	rerr := func(format string, a ...interface{}) error {
-		return &RuntimeError{Line: line, Msg: fmt.Sprintf(format, a...)}
-	}
-	switch recv := m.Recv.(type) {
-	case *List:
-		switch m.Name {
-		case "append":
-			if len(args) != 1 {
-				return nil, rerr("append() takes one argument")
-			}
-			recv.Items = append(recv.Items, args[0])
-			vm.HeapBytes += 8
-			return nil, nil
-		case "pop":
-			if len(recv.Items) == 0 {
-				return nil, rerr("pop from empty list")
-			}
-			idx := int64(len(recv.Items) - 1)
-			if len(args) == 1 {
-				var ok bool
-				idx, ok = toInt(args[0])
-				if !ok {
-					return nil, rerr("pop index must be an integer")
-				}
-				if idx < 0 {
-					idx += int64(len(recv.Items))
-				}
-			}
-			if idx < 0 || idx >= int64(len(recv.Items)) {
-				return nil, rerr("pop index out of range")
-			}
-			v := recv.Items[idx]
-			recv.Items = append(recv.Items[:idx], recv.Items[idx+1:]...)
-			return v, nil
-		case "sort":
-			sort.SliceStable(recv.Items, func(i, j int) bool {
-				return valueLess(recv.Items[i], recv.Items[j])
-			})
-			return nil, nil
-		case "reverse":
-			for i, j := 0, len(recv.Items)-1; i < j; i, j = i+1, j-1 {
-				recv.Items[i], recv.Items[j] = recv.Items[j], recv.Items[i]
-			}
-			return nil, nil
-		case "index":
-			if len(args) != 1 {
-				return nil, rerr("index() takes one argument")
-			}
-			for i, it := range recv.Items {
-				if valueEqual(it, args[0]) {
-					return int64(i), nil
-				}
-			}
-			return nil, rerr("%s is not in list", Repr(args[0]))
-		}
-	case *Dict:
-		switch m.Name {
-		case "get":
-			if len(args) < 1 || len(args) > 2 {
-				return nil, rerr("get() takes one or two arguments")
-			}
-			v, ok, err := recv.Get(args[0])
-			if err != nil {
-				return nil, rerr("%v", err)
-			}
-			if !ok {
-				if len(args) == 2 {
-					return args[1], nil
-				}
-				return nil, nil
-			}
-			return v, nil
-		case "keys":
-			return &List{Items: append([]Value(nil), recv.Keys()...)}, nil
-		case "values":
-			var out []Value
-			for _, k := range recv.Keys() {
-				v, _, _ := recv.Get(k)
-				out = append(out, v)
-			}
-			return &List{Items: out}, nil
-		case "items":
-			var out []Value
-			for _, k := range recv.Keys() {
-				v, _, _ := recv.Get(k)
-				out = append(out, &List{Items: []Value{k, v}})
-			}
-			vm.HeapBytes += int64(24 * recv.Len())
-			return &List{Items: out}, nil
-		case "pop":
-			if len(args) < 1 || len(args) > 2 {
-				return nil, rerr("pop() takes one or two arguments")
-			}
-			v, ok, err := recv.Get(args[0])
-			if err != nil {
-				return nil, rerr("%v", err)
-			}
-			if !ok {
-				if len(args) == 2 {
-					return args[1], nil
-				}
-				return nil, rerr("KeyError: %s", Repr(args[0]))
-			}
-			recv.Delete(args[0])
-			return v, nil
-		}
-	case string:
-		switch m.Name {
-		case "upper":
-			return strings.ToUpper(recv), nil
-		case "lower":
-			return strings.ToLower(recv), nil
-		case "strip":
-			return strings.TrimSpace(recv), nil
-		case "split":
-			sep := " "
-			if len(args) == 1 {
-				s, ok := args[0].(string)
-				if !ok {
-					return nil, rerr("split() separator must be a string")
-				}
-				sep = s
-			}
-			var out []Value
-			for _, part := range strings.Split(recv, sep) {
-				out = append(out, part)
-			}
-			return &List{Items: out}, nil
-		case "join":
-			if len(args) != 1 {
-				return nil, rerr("join() takes one argument")
-			}
-			lst, ok := args[0].(*List)
-			if !ok {
-				return nil, rerr("join() argument must be a list")
-			}
-			parts := make([]string, 0, len(lst.Items))
-			for _, it := range lst.Items {
-				s, ok := it.(string)
-				if !ok {
-					return nil, rerr("join() list items must be strings")
-				}
-				parts = append(parts, s)
-			}
-			return strings.Join(parts, recv), nil
-		case "startswith":
-			if len(args) != 1 {
-				return nil, rerr("startswith() takes one argument")
-			}
-			p, _ := args[0].(string)
-			return strings.HasPrefix(recv, p), nil
-		case "find":
-			if len(args) != 1 {
-				return nil, rerr("find() takes one argument")
-			}
-			p, _ := args[0].(string)
-			return int64(strings.Index(recv, p)), nil
-		case "replace":
-			if len(args) != 2 {
-				return nil, rerr("replace() takes two arguments")
-			}
-			oldS, _ := args[0].(string)
-			newS, _ := args[1].(string)
-			return strings.ReplaceAll(recv, oldS, newS), nil
-		}
-	}
-	return nil, rerr("%s object has no method %q", TypeName(m.Recv), m.Name)
-}
-
-func valueLess(a, b Value) bool {
-	if af, ok := toFloat(a); ok {
-		if bf, ok := toFloat(b); ok {
-			return af < bf
-		}
-	}
-	as, aok := a.(string)
-	bs, bok := b.(string)
-	if aok && bok {
-		return as < bs
-	}
-	return false
-}
-
-// Str renders a value as Python str() would (no quotes on strings).
-func Str(v Value) string {
+// repr renders a value print does not write as is: as Python's repr()
+// does for None, bools, ints, floats and lists, and a string single-quoted
+// with ' escaped. open holds the lists being rendered, so a list that
+// contains itself renders as [...].
+func repr(v value, open []*list) string {
 	switch x := v.(type) {
-	case nil:
-		return "None"
-	case bool:
-		if x {
-			return "True"
-		}
-		return "False"
 	case int64:
 		return strconv.FormatInt(x, 10)
 	case float64:
@@ -1125,35 +236,18 @@ func Str(v Value) string {
 		}
 		return strconv.FormatFloat(x, 'g', -1, 64)
 	case string:
-		return x
-	}
-	return Repr(v)
-}
-
-// Repr renders a value as Python repr() would.
-func Repr(v Value) string {
-	switch x := v.(type) {
-	case string:
-		return "'" + strings.ReplaceAll(x, "'", "\\'") + "'"
-	case *List:
-		parts := make([]string, len(x.Items))
-		for i, it := range x.Items {
-			parts[i] = Repr(it)
+		return "'" + strings.ReplaceAll(x, "'", `\'`) + "'"
+	case *list:
+		if slices.Contains(open, x) {
+			return "[...]"
+		}
+		parts := make([]string, len(x.items))
+		for i, it := range x.items {
+			parts[i] = repr(it, append(open, x))
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
-	case *Dict:
-		var parts []string
-		for _, k := range x.Keys() {
-			val, _, _ := x.Get(k)
-			parts = append(parts, Repr(k)+": "+Repr(val))
-		}
-		return "{" + strings.Join(parts, ", ") + "}"
-	case *Range:
-		return fmt.Sprintf("range(%d, %d)", x.Start, x.Stop)
-	case *FuncValue:
-		return "<function " + x.Code.Name + ">"
-	case *Builtin:
-		return "<built-in function " + x.Name + ">"
+	case *builtin:
+		return "<built-in function " + x.name + ">"
 	}
-	return Str(v)
+	return reprs[v]
 }

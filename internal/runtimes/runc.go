@@ -21,7 +21,7 @@ import (
 type RunC struct {
 	node   *simos.Node
 	table  *oci.ContainerTable
-	python *core.PythonHandler
+	python core.PythonHandler
 	procs  map[string]*simos.Process
 }
 
@@ -39,10 +39,9 @@ const (
 // NewRunC creates a runC runtime on the node.
 func NewRunC(node *simos.Node) *RunC {
 	return &RunC{
-		node:   node,
-		table:  oci.NewContainerTable(),
-		python: core.NewPythonHandler(0),
-		procs:  make(map[string]*simos.Process),
+		node:  node,
+		table: oci.NewContainerTable(),
+		procs: make(map[string]*simos.Process),
 	}
 }
 

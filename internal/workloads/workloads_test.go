@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"wasmcontainers/internal/pylite"
 	"wasmcontainers/internal/wasi"
 	"wasmcontainers/internal/wasm"
 	"wasmcontainers/internal/wasm/exec"
@@ -163,7 +164,7 @@ func TestMinimalServiceIsSmall(t *testing.T) {
 }
 
 func TestMinimalServicePyMatchesWasmBehaviour(t *testing.T) {
-	// Both variants of the benchmark app print the same banner.
+	// Both variants of the benchmark app print the same bytes.
 	m, _ := Module("minimal-service")
 	var wasmOut bytes.Buffer
 	w := wasi.New(wasi.Config{Stdout: &wasmOut})
@@ -174,10 +175,12 @@ func TestMinimalServicePyMatchesWasmBehaviour(t *testing.T) {
 	if wasmOut.String() != "service ready\n" {
 		t.Fatalf("wasm output %q", wasmOut.String())
 	}
-	// The Python twin is tested in the pylite package; here we only check
-	// the source mentions the same banner.
-	if !bytes.Contains([]byte(MinimalServicePy), []byte("service ready")) {
-		t.Fatal("python variant diverged")
+	var pyOut bytes.Buffer
+	if _, err := pylite.NewVM(&pyOut).RunSource(MinimalServicePy); err != nil {
+		t.Fatal(err)
+	}
+	if pyOut.String() != wasmOut.String() {
+		t.Fatalf("python output %q, wasm output %q", pyOut.String(), wasmOut.String())
 	}
 }
 
