@@ -78,14 +78,21 @@ obs-overhead:
 # only with a MapError code), then five seconds of pylite (any source, run
 # twice under a step bound, never panics, fails only with a syntax, runtime
 # or step-limit error, and gives the same stdout, error, Steps and HeapBytes
-# both times). A failing input lands in the package's testdata/fuzz/ and
-# then fails plain `go test` until fixed.
+# both times), then five seconds of copy-on-write filesystems (random path
+# writes, handle writes and seeks, and Clones of clones over a source and up
+# to four clones must read, after every step, like one independent path ->
+# bytes map per FS), then five seconds of the WAT assembler (any text never
+# panics, and an accepted module validates and round-trips through the
+# binary format to the same bytes). A failing input lands in the package's
+# testdata/fuzz/ and then fails plain `go test` until fixed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMemoryCoW -fuzztime 10s ./internal/wasm/exec
 	$(GO) test -run '^$$' -fuzz FuzzTierDiffConditional -fuzztime 5s ./internal/wasm/exec
 	$(GO) test -run '^$$' -fuzz FuzzDecodeValidate -fuzztime 5s ./internal/wasm
 	$(GO) test -run '^$$' -fuzz FuzzGatewayRequest -fuzztime 5s ./internal/gateway
 	$(GO) test -run '^$$' -fuzz FuzzPyliteRunSource -fuzztime 5s ./internal/pylite
+	$(GO) test -run '^$$' -fuzz FuzzVFSClone -fuzztime 5s ./internal/vfs
+	$(GO) test -run '^$$' -fuzz FuzzWATAssemble -fuzztime 5s ./internal/wat
 
 # HTTP smoke: the daemon's stories over a real socket, fresh (-count=1), in
 # one go test line.
@@ -124,9 +131,11 @@ fuzz-smoke:
 #   TestHandlerVariantEncodingMatchesAssembler: every variant encodes byte
 #     for byte as the assembled spliced handler text, and mutating variants
 #     leaves the handler's encoding untouched.
+HTTP_SMOKE_RUN = 'TestServeUntilSignal$$|TestLazyFunctionCreation$$|TestLazyTemplateShapesEveryFunction$$|TestTimeSeriesCountsFaultBurst$$|TestUnmatchedRoutesUseEnvelope$$|TestNodeFailover$$|TestMetricsSumOverFunctions$$|TestRouterRequestAllocsTelemetryParity$$|TestLazyDeployAllocs$$|TestHandlerVariantEncodingMatchesAssembler$$'
+HTTP_SMOKE_PKGS = ./cmd/continuumd ./internal/gateway ./internal/serve ./internal/workloads
+
 http-smoke:
-	$(GO) test -count=1 -run 'TestServeUntilSignal$$|TestLazyFunctionCreation$$|TestLazyTemplateShapesEveryFunction$$|TestTimeSeriesCountsFaultBurst$$|TestUnmatchedRoutesUseEnvelope$$|TestNodeFailover$$|TestMetricsSumOverFunctions$$|TestRouterRequestAllocsTelemetryParity$$|TestLazyDeployAllocs$$|TestHandlerVariantEncodingMatchesAssembler$$' \
-		./cmd/continuumd ./internal/gateway ./internal/serve ./internal/workloads
+	$(GO) test -count=1 -run $(HTTP_SMOKE_RUN) $(HTTP_SMOKE_PKGS)
 
 # Byte-stability gate: results/ is exactly what `continuum -exp all` writes,
 # every byte on the virtual clock. Regenerate everything into a temp dir and
@@ -151,8 +160,10 @@ results-check:
 # reach. continuum and the benchmark are built with -cover over the whole
 # module into a temp dir and share one GOCOVERDIR: `-exp all` runs (and
 # must still match results/ byte for byte), then the benchmark runs its
-# five workloads traced for 3 s each, and `go tool covdata percent` prints
-# the table. Unreached code is a candidate for deletion, not a verdict: a
+# five workloads traced for 3 s each, then the http-smoke tests run with
+# the same -coverpkg into the same directory (so continuumd's serve loop
+# and the gateway's HTTP surface count), and `go tool covdata percent`
+# prints the table. Unreached code is a candidate for deletion, not a verdict: a
 # runtime still owes every valid module its opcodes and WASI calls. Not part
 # of `all`; EXPERIMENTS.md keeps the table.
 product-cover:
@@ -163,6 +174,8 @@ product-cover:
 	diff -r "$$tmp/results" results && \
 	{ GOCOVERDIR="$$tmp/cov" "$$tmp/benchmark" -seed 1 -seconds 3 -trace 1 > "$$tmp/benchmark.txt" || \
 		{ cat "$$tmp/benchmark.txt"; exit 1; }; } && \
+	{ $(GO) test -count=1 -cover -coverpkg=wasmcontainers/... -run $(HTTP_SMOKE_RUN) $(HTTP_SMOKE_PKGS) \
+		-args -test.gocoverdir="$$tmp/cov" > "$$tmp/smoke.txt" || { cat "$$tmp/smoke.txt"; exit 1; }; } && \
 	$(GO) tool covdata percent -i "$$tmp/cov"
 
 # Run every benchmark once (tables, figures, ablations, microbenches,

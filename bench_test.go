@@ -286,12 +286,17 @@ func BenchmarkDensityCell400(b *testing.B) {
 // TestDensityPodAllocBytes guards the one-shot container path against the
 // next per-instance zeroed buffer: a crun-wamr pod allocated about 200 KiB
 // while every store started with a 128 KiB register stack, and about 70 KiB
-// (one 64 KiB linear-memory page among them) without it.
+// (one 64 KiB linear-memory page among them) without it. The allocation
+// bound catches a rootfs copied per pod: a deep copy of the image's files
+// made 178 allocations per pod, a copy-on-write snapshot makes about 117.
 func TestDensityPodAllocBytes(t *testing.T) {
 	cellAllocs(t, 10) // compile the image's module and warm the shared caches
 	bytesPerPod, allocsPerPod := cellAllocs(t, 100)
 	if bytesPerPod > 96<<10 {
 		t.Fatalf("a crun-wamr pod at 100 pods allocates %.1f KiB, want under 96", bytesPerPod/1024)
+	}
+	if allocsPerPod > 140 {
+		t.Fatalf("a crun-wamr pod at 100 pods allocates %.0f times, want at most 140", allocsPerPod)
 	}
 	t.Logf("crun-wamr x100: %.1f KiB and %.0f allocs per pod", bytesPerPod/1024, allocsPerPod)
 }

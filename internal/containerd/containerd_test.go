@@ -1,10 +1,12 @@
 package containerd
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"wasmcontainers/internal/simos"
+	"wasmcontainers/internal/vfs"
 )
 
 func testNode() *simos.Node {
@@ -110,6 +112,75 @@ func TestSnapshotterIsolation(t *testing.T) {
 	s.Remove("c1")
 	if s.Count() != 1 {
 		t.Fatal("remove failed")
+	}
+}
+
+// TestPrepareAllocs: a snapshot shares the image's files instead of
+// copying them, so Prepare costs the clone's FS and the amortised growth of
+// the snapshot table, whatever the image holds.
+func TestPrepareAllocs(t *testing.T) {
+	images, _ := NewImageStore()
+	img, _, _ := images.Pull("python-minimal-service:3.11")
+	s := NewSnapshotter()
+	keys := make([]string, 101)
+	for i := range keys {
+		keys[i] = fmt.Sprint("c", i)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.Prepare(keys[i], img); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 2 {
+		t.Fatalf("Prepare allocates %v times per call, want at most 2", allocs)
+	}
+}
+
+// TestGuestWritesStayInTheirContainer: two crun-wamr containers of one
+// file-io image start from snapshots that share the image's files. The file
+// each guest writes lands in its own rootfs, not in its sibling's and not in
+// the image.
+func TestGuestWritesStayInTheirContainer(t *testing.T) {
+	c := testClient(t)
+	var ctrs []*Container
+	for _, id := range []string{"io-a", "io-b"} {
+		ctr, err := c.CreateContainer(id, "file-io:wasm", HandlerCrunWAMR, ContainerOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctrs = append(ctrs, ctr)
+	}
+	a, b := ctrs[0].Bundle.Rootfs, ctrs[1].Bundle.Rootfs
+	for i, ctr := range ctrs {
+		task, _ := ctr.NewTask()
+		rep, err := task.Start()
+		if err != nil || rep.ExitCode != 0 {
+			t.Fatalf("%s: start = %+v, %v", ctr.ID, rep, err)
+		}
+		if i == 0 {
+			if _, err := b.Stat("/state.bin"); err == nil {
+				t.Fatal("io-b sees the file io-a's guest wrote")
+			}
+		}
+	}
+	for _, fs := range []*vfs.FS{a, b} {
+		if data, err := fs.ReadFile("/state.bin"); err != nil || string(data) != "persisted-payload" {
+			t.Fatalf("guest file = %q, %v", data, err)
+		}
+	}
+	if err := a.WriteFile("/state.bin", []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := b.ReadFile("/state.bin"); string(data) != "persisted-payload" {
+		t.Fatalf("io-b reads %q after io-a's file changed", data)
+	}
+	img, _, _ := c.images.Pull("file-io:wasm")
+	root, _ := img.Rootfs.ReadDir("/")
+	tmp, _ := img.Rootfs.ReadDir("/tmp")
+	if len(root) != 2 || root[0].Name != "app.wasm" || root[1].Name != "tmp" || len(tmp) != 0 {
+		t.Fatalf("image rootfs holds %+v, /tmp %+v; want only /app.wasm and an empty /tmp", root, tmp)
 	}
 }
 

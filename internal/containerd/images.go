@@ -152,7 +152,10 @@ func (s *ImageStore) List() []string {
 }
 
 // Snapshotter materializes container root filesystems from images
-// (overlayfs-style: the image rootfs is cloned per container).
+// (overlayfs-style: the image rootfs is cloned per container). A snapshot is
+// a copy-on-write vfs.Clone of the image's Rootfs: every container of an
+// image shares the image's files, and a container's writes copy only the
+// paths they touch into its own snapshot, never into the image or a sibling.
 type Snapshotter struct {
 	mu    sync.Mutex
 	snaps map[string]*vfs.FS
@@ -170,10 +173,7 @@ func (s *Snapshotter) Prepare(key string, img *Image) (*vfs.FS, error) {
 	if _, ok := s.snaps[key]; ok {
 		return nil, fmt.Errorf("containerd: snapshot %q exists", key)
 	}
-	clone := vfs.New()
-	if err := vfs.CopyTree(clone, "/", img.Rootfs, "/"); err != nil {
-		return nil, err
-	}
+	clone := img.Rootfs.Clone()
 	s.snaps[key] = clone
 	return clone, nil
 }

@@ -4,16 +4,25 @@
 // hierarchical directories, regular files, open-file handles with
 // independent cursors, and byte-accurate size accounting so the simulated
 // OS can charge page-cache usage.
+//
+// Filesystems are copy-on-write, as an overlayfs snapshot shares the image
+// layer below it: Clone shares every node with its source. A node carries
+// the stamp of the one FS that may change it in place, and Clone gives both
+// sides fresh stamps. The first write on either side copies into the writer
+// the directories on the written path (and a written file with its bytes).
 package vfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"path"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Common filesystem errors.
@@ -46,7 +55,12 @@ type FileInfo struct {
 	IsDir bool
 }
 
+// ids issues FS stamps and file numbers; 0 is never issued.
+var ids atomic.Uint64
+
 type node struct {
+	owner    uint64 // stamp of the FS that may change this node in place
+	ino      uint64 // the file's number, kept by its copies; 0 for directories
 	name     string
 	dir      bool
 	children map[string]*node
@@ -56,15 +70,27 @@ type node struct {
 // FS is an in-memory filesystem rooted at "/". All methods are safe for
 // concurrent use.
 type FS struct {
-	mu   sync.RWMutex
-	root *node
+	mu    sync.RWMutex
+	root  *node
+	stamp uint64 // nodes whose owner is stamp are private to this FS
 	// bytes tracks total regular-file bytes for memory accounting.
 	bytes int64
 }
 
 // New creates an empty filesystem.
 func New() *FS {
-	return &FS{root: &node{name: "/", dir: true, children: map[string]*node{}}}
+	fs := &FS{stamp: ids.Add(1)}
+	fs.root = fs.newDir("/")
+	return fs
+}
+
+// Clone returns a copy-on-write snapshot of fs in O(1): the two share every
+// node, and a write on either side is never seen by the other.
+func (fs *FS) Clone() *FS {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.stamp = ids.Add(1) // what fs owned is now shared
+	return &FS{root: fs.root, stamp: ids.Add(1), bytes: fs.bytes}
 }
 
 // TotalBytes returns the sum of all regular file sizes.
@@ -72,6 +98,38 @@ func (fs *FS) TotalBytes() int64 {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	return fs.bytes
+}
+
+func (fs *FS) newDir(name string) *node {
+	return &node{owner: fs.stamp, name: name, dir: true, children: map[string]*node{}}
+}
+
+func (fs *FS) newFile(name string, data []byte) *node {
+	return &node{owner: fs.stamp, ino: ids.Add(1), name: name, data: data}
+}
+
+// private returns n if fs may change it in place, else fs's own copy of it:
+// a directory's child map (not the children) or a file's bytes are copied.
+func (fs *FS) private(n *node) *node {
+	if n.owner == fs.stamp {
+		return n
+	}
+	c := *n
+	c.owner, c.children, c.data = fs.stamp, maps.Clone(n.children), bytes.Clone(n.data)
+	return &c
+}
+
+// own makes every node from the root to the existing path parts private to
+// fs and returns the last one. Caller holds the write lock.
+func (fs *FS) own(parts []string) *node {
+	fs.root = fs.private(fs.root)
+	cur := fs.root
+	for _, part := range parts {
+		next := fs.private(cur.children[part])
+		cur.children[part] = next
+		cur = next
+	}
+	return cur
 }
 
 // split normalizes p and returns its cleaned components.
@@ -83,55 +141,66 @@ func split(p string) []string {
 	return strings.Split(strings.TrimPrefix(p, "/"), "/")
 }
 
-// lookup walks to the node for p. Caller holds at least the read lock.
-func (fs *FS) lookup(p string) (*node, error) {
+// walk returns the node at parts. Caller holds at least the read lock.
+func (fs *FS) walk(parts []string) (*node, error) {
 	cur := fs.root
-	for _, part := range split(p) {
+	for _, part := range parts {
 		if !cur.dir {
 			return nil, ErrNotDir
 		}
 		next, ok := cur.children[part]
 		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrNotExist, p)
+			return nil, ErrNotExist
 		}
 		cur = next
 	}
 	return cur, nil
 }
 
+// lookup walks to the node for p and returns it with p's components.
+func (fs *FS) lookup(p string) (*node, []string, error) {
+	parts := split(p)
+	n, err := fs.walk(parts)
+	if err == ErrNotExist {
+		err = fmt.Errorf("%w: %s", ErrNotExist, p)
+	}
+	return n, parts, err
+}
+
 // lookupParent walks to the parent directory of p and returns it along with
-// the final path element.
-func (fs *FS) lookupParent(p string) (*node, string, error) {
+// p's components; the last one names the entry in the parent.
+func (fs *FS) lookupParent(p string) (*node, []string, error) {
 	parts := split(p)
 	if len(parts) == 0 {
-		return nil, "", ErrExist
+		return nil, nil, ErrExist
 	}
 	cur := fs.root
 	for _, part := range parts[:len(parts)-1] {
 		next, ok := cur.children[part]
 		if !ok {
-			return nil, "", fmt.Errorf("%w: %s", ErrNotExist, p)
+			return nil, nil, fmt.Errorf("%w: %s", ErrNotExist, p)
 		}
 		if !next.dir {
-			return nil, "", ErrNotDir
+			return nil, nil, ErrNotDir
 		}
 		cur = next
 	}
-	return cur, parts[len(parts)-1], nil
+	return cur, parts, nil
 }
 
 // Mkdir creates a single directory.
 func (fs *FS) Mkdir(p string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	parent, name, err := fs.lookupParent(p)
+	parent, parts, err := fs.lookupParent(p)
 	if err != nil {
 		return err
 	}
+	name := parts[len(parts)-1]
 	if _, ok := parent.children[name]; ok {
 		return fmt.Errorf("%w: %s", ErrExist, p)
 	}
-	parent.children[name] = &node{name: name, dir: true, children: map[string]*node{}}
+	fs.own(parts[:len(parts)-1]).children[name] = fs.newDir(name)
 	return nil
 }
 
@@ -139,13 +208,20 @@ func (fs *FS) Mkdir(p string) error {
 func (fs *FS) MkdirAll(p string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	parts := split(p)
 	cur := fs.root
-	for _, part := range split(p) {
+	for i, part := range parts {
 		next, ok := cur.children[part]
 		if !ok {
-			next = &node{name: part, dir: true, children: map[string]*node{}}
-			cur.children[part] = next
-		} else if !next.dir {
+			cur = fs.own(parts[:i])
+			for _, part := range parts[i:] {
+				next = fs.newDir(part)
+				cur.children[part] = next
+				cur = next
+			}
+			return nil
+		}
+		if !next.dir {
 			return ErrNotDir
 		}
 		cur = next
@@ -157,17 +233,18 @@ func (fs *FS) MkdirAll(p string) error {
 func (fs *FS) WriteFile(p string, data []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	parent, name, err := fs.lookupParent(p)
+	parent, parts, err := fs.lookupParent(p)
 	if err != nil {
 		return err
 	}
+	name := parts[len(parts)-1]
 	if existing, ok := parent.children[name]; ok {
 		if existing.dir {
 			return ErrIsDir
 		}
 		fs.bytes -= int64(len(existing.data))
 	}
-	parent.children[name] = &node{name: name, data: append([]byte(nil), data...)}
+	fs.own(parts[:len(parts)-1]).children[name] = fs.newFile(name, bytes.Clone(data))
 	fs.bytes += int64(len(data))
 	return nil
 }
@@ -176,7 +253,7 @@ func (fs *FS) WriteFile(p string, data []byte) error {
 func (fs *FS) ReadFile(p string) ([]byte, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	n, err := fs.lookup(p)
+	n, _, err := fs.lookup(p)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +267,7 @@ func (fs *FS) ReadFile(p string) ([]byte, error) {
 func (fs *FS) Stat(p string) (FileInfo, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	n, err := fs.lookup(p)
+	n, _, err := fs.lookup(p)
 	if err != nil {
 		return FileInfo{}, err
 	}
@@ -201,7 +278,7 @@ func (fs *FS) Stat(p string) (FileInfo, error) {
 func (fs *FS) ReadDir(p string) ([]FileInfo, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	n, err := fs.lookup(p)
+	n, _, err := fs.lookup(p)
 	if err != nil {
 		return nil, err
 	}
@@ -220,10 +297,11 @@ func (fs *FS) ReadDir(p string) ([]FileInfo, error) {
 func (fs *FS) Remove(p string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	parent, name, err := fs.lookupParent(p)
+	parent, parts, err := fs.lookupParent(p)
 	if err != nil {
 		return err
 	}
+	name := parts[len(parts)-1]
 	n, ok := parent.children[name]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotExist, p)
@@ -232,51 +310,17 @@ func (fs *FS) Remove(p string) error {
 		return ErrNotEmpty
 	}
 	fs.bytes -= int64(len(n.data))
-	delete(parent.children, name)
+	delete(fs.own(parts[:len(parts)-1]).children, name)
 	return nil
 }
 
-func subtreeBytes(n *node) int64 {
-	total := int64(len(n.data))
-	for _, c := range n.children {
-		total += subtreeBytes(c)
-	}
-	return total
-}
-
-// CopyTree copies src (file or directory) from one filesystem into dst at
-// dstPath. It is used by the snapshotter to materialize image layers.
-func CopyTree(dst *FS, dstPath string, src *FS, srcPath string) error {
-	info, err := src.Stat(srcPath)
-	if err != nil {
-		return err
-	}
-	if !info.IsDir {
-		data, err := src.ReadFile(srcPath)
-		if err != nil {
-			return err
-		}
-		return dst.WriteFile(dstPath, data)
-	}
-	if err := dst.MkdirAll(dstPath); err != nil {
-		return err
-	}
-	entries, err := src.ReadDir(srcPath)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if err := CopyTree(dst, path.Join(dstPath, e.Name), src, path.Join(srcPath, e.Name)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// File is an open handle with its own cursor.
+// File is an open handle with its own cursor. It names a file, not a node:
+// the file's node on the handle's path (a copy, once a write after a Clone
+// copied it) is what the handle reads and writes while the file stays linked.
 type File struct {
 	fs     *FS
 	node   *node
+	parts  []string
 	pos    int64
 	flags  int
 	closed bool
@@ -287,20 +331,18 @@ type File struct {
 func (fs *FS) Open(p string, flags int) (*File, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	n, err := fs.lookup(p)
+	n, parts, err := fs.lookup(p)
 	if err != nil {
 		if flags&O_CREATE == 0 {
 			return nil, err
 		}
-		parent, name, perr := fs.lookupParent(p)
-		if perr != nil {
-			return nil, perr
+		_, parts, err = fs.lookupParent(p)
+		if err != nil {
+			return nil, err
 		}
-		if !parent.dir {
-			return nil, ErrNotDir
-		}
-		n = &node{name: name}
-		parent.children[name] = n
+		name := parts[len(parts)-1]
+		n = fs.newFile(name, nil)
+		fs.own(parts[:len(parts)-1]).children[name] = n
 	} else {
 		if flags&O_EXCL != 0 && flags&O_CREATE != 0 {
 			return nil, fmt.Errorf("%w: %s", ErrExist, p)
@@ -310,10 +352,22 @@ func (fs *FS) Open(p string, flags int) (*File, error) {
 		}
 		if flags&O_TRUNC != 0 && !n.dir {
 			fs.bytes -= int64(len(n.data))
+			n = fs.own(parts)
 			n.data = nil
 		}
 	}
-	return &File{fs: fs, node: n, flags: flags}, nil
+	return &File{fs: fs, node: n, parts: parts, flags: flags}, nil
+}
+
+// file re-reads the handle's file from its path and reports whether the
+// file is still linked there; an unlinked file keeps the node it had.
+// Caller holds f.mu and at least fs's read lock.
+func (f *File) file() (*node, bool) {
+	if n, _ := f.fs.walk(f.parts); n != nil && n.ino == f.node.ino {
+		f.node = n
+		return n, true
+	}
+	return f.node, false
 }
 
 // Read implements io.Reader.
@@ -325,7 +379,7 @@ func (f *File) Read(b []byte) (int, error) {
 	}
 	f.fs.mu.RLock()
 	defer f.fs.mu.RUnlock()
-	if f.pos >= int64(len(f.node.data)) {
+	if f.pos >= f.size() {
 		return 0, io.EOF
 	}
 	n := copy(b, f.node.data[f.pos:])
@@ -333,7 +387,9 @@ func (f *File) Read(b []byte) (int, error) {
 	return n, nil
 }
 
-// Write implements io.Writer, extending the file as needed.
+// Write implements io.Writer, extending the file as needed. The first
+// write to a file shared with a Clone copies it into the handle's FS; a
+// write to an unlinked file changes no linked file and no byte count.
 func (f *File) Write(b []byte) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -343,19 +399,29 @@ func (f *File) Write(b []byte) (int, error) {
 	if f.flags&(O_WRONLY|O_RDWR) == 0 {
 		return 0, ErrReadOnly
 	}
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
+	fs := f.fs
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	n, linked := f.file()
+	if linked {
+		n = fs.own(f.parts)
+	} else {
+		n = fs.private(n)
+	}
+	f.node = n
 	if f.flags&O_APPEND != 0 {
-		f.pos = int64(len(f.node.data))
+		f.pos = int64(len(n.data))
 	}
 	end := f.pos + int64(len(b))
-	if end > int64(len(f.node.data)) {
+	if end > int64(len(n.data)) {
 		grown := make([]byte, end)
-		copy(grown, f.node.data)
-		f.fs.bytes += end - int64(len(f.node.data))
-		f.node.data = grown
+		copy(grown, n.data)
+		if linked {
+			fs.bytes += end - int64(len(n.data))
+		}
+		n.data = grown
 	}
-	copy(f.node.data[f.pos:], b)
+	copy(n.data[f.pos:], b)
 	f.pos = end
 	return len(b), nil
 }
@@ -375,7 +441,7 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 		base = f.pos
 	case io.SeekEnd:
 		f.fs.mu.RLock()
-		base = int64(len(f.node.data))
+		base = f.size()
 		f.fs.mu.RUnlock()
 	default:
 		return 0, ErrBadCursor
@@ -388,18 +454,27 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 	return np, nil
 }
 
-// Size returns the current file size.
-func (f *File) Size() int64 {
-	f.fs.mu.RLock()
-	defer f.fs.mu.RUnlock()
-	return int64(len(f.node.data))
+// size is the file's current size. Caller holds f.mu and fs's read lock.
+func (f *File) size() int64 {
+	n, _ := f.file()
+	return int64(len(n.data))
 }
 
-// IsDir reports whether the handle refers to a directory.
-func (f *File) IsDir() bool { return f.node.dir }
+// Size returns the current file size.
+func (f *File) Size() int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.fs.mu.RLock()
+	defer f.fs.mu.RUnlock()
+	return f.size()
+}
 
 // Name returns the base name of the file.
-func (f *File) Name() string { return f.node.name }
+func (f *File) Name() string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.node.name
+}
 
 // Close releases the handle.
 func (f *File) Close() error {

@@ -182,24 +182,28 @@ func TestTwoHandlesIndependentCursors(t *testing.T) {
 	}
 }
 
-func TestCopyTree(t *testing.T) {
+func TestCloneIndependent(t *testing.T) {
 	src := New()
 	src.MkdirAll("/app/config")
 	src.WriteFile("/app/bin", []byte("binary"))
 	src.WriteFile("/app/config/settings", []byte("k=v"))
-	dst := New()
-	if err := CopyTree(dst, "/", src, "/"); err != nil {
-		t.Fatal(err)
-	}
+	dst := src.Clone()
 	data, err := dst.ReadFile("/app/config/settings")
 	if err != nil || string(data) != "k=v" {
-		t.Fatalf("copied read = %q, %v", data, err)
+		t.Fatalf("cloned read = %q, %v", data, err)
 	}
-	// Copies are independent.
+	// A write to the source does not reach the clone...
 	src.WriteFile("/app/bin", []byte("changed"))
-	data, _ = dst.ReadFile("/app/bin")
-	if string(data) != "binary" {
-		t.Fatal("copy aliases source")
+	if data, _ = dst.ReadFile("/app/bin"); string(data) != "binary" {
+		t.Fatal("clone aliases source")
+	}
+	// ...and a write to the clone does not reach the source.
+	dst.WriteFile("/app/config/settings", []byte("k=w"))
+	if data, _ = src.ReadFile("/app/config/settings"); string(data) != "k=v" {
+		t.Fatal("source aliases clone")
+	}
+	if src.TotalBytes() != 10 || dst.TotalBytes() != 9 {
+		t.Fatalf("TotalBytes src %d dst %d, want 10 and 9", src.TotalBytes(), dst.TotalBytes())
 	}
 }
 

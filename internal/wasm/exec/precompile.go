@@ -35,6 +35,11 @@ type ModuleCode struct {
 	// instead of allocating and replaying data segments.
 	imageIsMemory bool
 
+	// funcNames is the name section's function names, decoded on the first
+	// trap label (funcLabel) and shared by every instance.
+	namesOnce sync.Once
+	funcNames map[uint32]string
+
 	// Tier-1 state. The published artifact is an atomic pointer so the
 	// single-threaded stores sharing this ModuleCode pick it up without
 	// locking on the invoke path; lowering itself is singleflighted under
@@ -118,6 +123,14 @@ func Precompile(m *wasm.Module) (*ModuleCode, error) {
 		mc.codeBytes += cc.sizeBytes()
 	}
 	return mc, nil
+}
+
+// funcName returns function idx's name-section entry, if any. Safe for
+// concurrent use: the section is decoded once per ModuleCode.
+func (mc *ModuleCode) funcName(idx uint32) (string, bool) {
+	mc.namesOnce.Do(func() { mc.funcNames = wasm.DecodeNameSection(mc.m).FuncNames })
+	name, ok := mc.funcNames[idx]
+	return name, ok
 }
 
 // Module returns the decoded module this code was compiled from.

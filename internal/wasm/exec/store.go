@@ -224,14 +224,13 @@ type Instance struct {
 	mem     *Memory
 	table   *Table
 	globals []*GlobalVar
-	names   wasm.NameMap
 	depth   int
 }
 
 // funcLabel names a function for trap stacks: the name-section entry if
 // present, else "func[N]".
 func (inst *Instance) funcLabel(idx uint32) string {
-	if name, ok := inst.names.FuncNames[idx]; ok {
+	if name, ok := inst.code.funcName(idx); ok {
 		return "$" + name
 	}
 	return fmt.Sprintf("func[%d]", idx)
@@ -272,7 +271,7 @@ func (s *Store) Instantiate(m *wasm.Module, name string) (*Instance, error) {
 // are referenced, not copied, so N instances share one artifact.
 func (s *Store) InstantiateCompiled(mc *ModuleCode, name string) (*Instance, error) {
 	m := mc.m
-	inst := &Instance{Module: m, Name: name, store: s, code: mc, names: wasm.DecodeNameSection(m)}
+	inst := &Instance{Module: m, Name: name, store: s, code: mc}
 
 	// Resolve imports in declaration order.
 	for _, imp := range m.Imports {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"wasmcontainers/internal/wasm"
 )
@@ -170,7 +171,7 @@ func (a *assembler) collect(fields []*sexpr) error {
 		}
 	}
 	if a.startDef != nil {
-		idx, err := a.funcIndex(a.startDef.items[1])
+		idx, err := a.funcIndex(a.startDef.arg(1))
 		if err != nil {
 			return err
 		}
@@ -270,10 +271,18 @@ func (a *assembler) typeIndexFor(ft wasm.FuncType) uint32 {
 
 func (a *assembler) collectImport(f *sexpr) error {
 	items := f.items[1:]
-	if len(items) != 3 || !items[0].isStr || !items[1].isStr {
+	if len(items) != 3 || !items[0].isStr || !items[1].isStr || items[2].head() == "" {
 		return errAt(f, `import must be (import "mod" "name" <desc>)`)
 	}
-	mod, name, desc := items[0].str, items[1].str, items[2]
+	mod, err := nameOf(items[0])
+	if err != nil {
+		return err
+	}
+	name, err := nameOf(items[1])
+	if err != nil {
+		return err
+	}
+	desc := items[2]
 	imp := wasm.Import{Module: mod, Name: name}
 	descItems := desc.items[1:]
 	var id string
@@ -285,7 +294,7 @@ func (a *assembler) collectImport(f *sexpr) error {
 	case "func":
 		imp.Kind = wasm.ExternalFunc
 		if len(descItems) == 1 && descItems[0].head() == "type" {
-			ti, err := a.typeIndex(descItems[0].items[1])
+			ti, err := a.typeIndex(descItems[0].arg(1))
 			if err != nil {
 				return err
 			}
@@ -326,6 +335,9 @@ func (a *assembler) collectImport(f *sexpr) error {
 		}
 	case "global":
 		imp.Kind = wasm.ExternalGlobal
+		if len(descItems) != 1 {
+			return errAt(desc, "global import needs one type")
+		}
 		gt, err := parseGlobalType(descItems[0])
 		if err != nil {
 			return err
@@ -340,6 +352,29 @@ func (a *assembler) collectImport(f *sexpr) error {
 	}
 	a.m.Imports = append(a.m.Imports, imp)
 	return nil
+}
+
+// inlineExports consumes leading (export "name") forms, exporting idx of
+// kind under each name, and returns the items after them.
+func (a *assembler) inlineExports(items []*sexpr, kind wasm.ExternalKind, idx uint32) ([]*sexpr, error) {
+	for len(items) > 0 && items[0].head() == "export" {
+		name, err := nameOf(items[0].arg(1))
+		if err != nil {
+			return nil, err
+		}
+		a.m.Exports = append(a.m.Exports, wasm.Export{Name: name, Kind: kind, Index: idx})
+		items = items[1:]
+	}
+	return items, nil
+}
+
+// nameOf reads an import or export name: a string of valid UTF-8, as the
+// binary format requires.
+func nameOf(s *sexpr) (string, error) {
+	if !s.isStr || !utf8.ValidString(s.str) {
+		return "", errAt(s, "expected a UTF-8 name string")
+	}
+	return s.str, nil
 }
 
 func parseLimits(items []*sexpr) (wasm.Limits, error) {
@@ -365,7 +400,7 @@ func parseLimits(items []*sexpr) (wasm.Limits, error) {
 
 func parseGlobalType(s *sexpr) (wasm.GlobalType, error) {
 	if s.isList && s.head() == "mut" {
-		vt, err := valueType(s.items[1])
+		vt, err := valueType(s.arg(1))
 		if err != nil {
 			return wasm.GlobalType{}, err
 		}
@@ -387,19 +422,20 @@ func (a *assembler) collectFunc(f *sexpr) error {
 	}
 	fidx := uint32(a.numImportedFuncs + len(a.decls))
 	// Inline exports.
-	for len(items) > 0 && items[0].head() == "export" {
-		a.m.Exports = append(a.m.Exports, wasm.Export{
-			Name: items[0].items[1].str, Kind: wasm.ExternalFunc, Index: fidx,
-		})
-		items = items[1:]
+	items, err := a.inlineExports(items, wasm.ExternalFunc, fidx)
+	if err != nil {
+		return err
 	}
 	// Signature: explicit (type $t) and/or inline params/results.
 	var ft wasm.FuncType
 	var paramNames []string
 	if len(items) > 0 && items[0].head() == "type" {
-		ti, err := a.typeIndex(items[0].items[1])
+		ti, err := a.typeIndex(items[0].arg(1))
 		if err != nil {
 			return err
+		}
+		if int(ti) >= len(a.m.Types) {
+			return errAt(items[0], "unknown type %d", ti)
 		}
 		ft = a.m.Types[ti]
 		d.typeIdx = ti
@@ -472,11 +508,9 @@ func (a *assembler) collectMemory(f *sexpr) error {
 		a.memNames[items[0].atom] = 0
 		items = items[1:]
 	}
-	for len(items) > 0 && items[0].head() == "export" {
-		a.m.Exports = append(a.m.Exports, wasm.Export{
-			Name: items[0].items[1].str, Kind: wasm.ExternalMemory, Index: 0,
-		})
-		items = items[1:]
+	items, err := a.inlineExports(items, wasm.ExternalMemory, 0)
+	if err != nil {
+		return err
 	}
 	lim, err := parseLimits(items)
 	if err != nil {
@@ -492,11 +526,9 @@ func (a *assembler) collectTable(f *sexpr) error {
 		a.tableNames[items[0].atom] = 0
 		items = items[1:]
 	}
-	for len(items) > 0 && items[0].head() == "export" {
-		a.m.Exports = append(a.m.Exports, wasm.Export{
-			Name: items[0].items[1].str, Kind: wasm.ExternalTable, Index: 0,
-		})
-		items = items[1:]
+	items, err := a.inlineExports(items, wasm.ExternalTable, 0)
+	if err != nil {
+		return err
 	}
 	// Trailing "funcref" atom.
 	if len(items) > 0 && items[len(items)-1].atom == "funcref" {
@@ -518,11 +550,9 @@ func (a *assembler) collectGlobal(f *sexpr) error {
 		items = items[1:]
 	}
 	idx := uint32(a.numImportedGlobals + len(a.m.Globals))
-	for len(items) > 0 && items[0].head() == "export" {
-		a.m.Exports = append(a.m.Exports, wasm.Export{
-			Name: items[0].items[1].str, Kind: wasm.ExternalGlobal, Index: idx,
-		})
-		items = items[1:]
+	items, err := a.inlineExports(items, wasm.ExternalGlobal, idx)
+	if err != nil {
+		return err
 	}
 	if len(items) != 2 {
 		return errAt(f, "global needs a type and an initializer")
@@ -548,31 +578,31 @@ func (a *assembler) constExpr(s *sexpr) (wasm.ConstExpr, error) {
 	}
 	switch s.head() {
 	case "i32.const":
-		v, err := parseInt32(s.items[1])
+		v, err := parseInt32(s.arg(1))
 		if err != nil {
 			return wasm.ConstExpr{}, err
 		}
 		return wasm.I32Const(v), nil
 	case "i64.const":
-		v, err := parseInt64(s.items[1])
+		v, err := parseInt64(s.arg(1))
 		if err != nil {
 			return wasm.ConstExpr{}, err
 		}
 		return wasm.I64Const(v), nil
 	case "f32.const":
-		v, err := parseFloat(s.items[1])
+		v, err := parseFloat(s.arg(1))
 		if err != nil {
 			return wasm.ConstExpr{}, err
 		}
 		return wasm.ConstExpr{Op: wasm.ConstF32, Value: uint64(math.Float32bits(float32(v)))}, nil
 	case "f64.const":
-		v, err := parseFloat(s.items[1])
+		v, err := parseFloat(s.arg(1))
 		if err != nil {
 			return wasm.ConstExpr{}, err
 		}
 		return wasm.ConstExpr{Op: wasm.ConstF64, Value: math.Float64bits(v)}, nil
 	case "global.get":
-		gi, err := a.globalIndex(s.items[1])
+		gi, err := a.globalIndex(s.arg(1))
 		if err != nil {
 			return wasm.ConstExpr{}, err
 		}
@@ -586,15 +616,17 @@ func (a *assembler) collectExport(f *sexpr) error {
 	if len(items) != 2 || !items[0].isStr || !items[1].isList {
 		return errAt(f, `export must be (export "name" (<kind> <idx>))`)
 	}
-	name := items[0].str
+	name, err := nameOf(items[0])
+	if err != nil {
+		return err
+	}
 	desc := items[1]
 	var kind wasm.ExternalKind
 	var idx uint32
-	var err error
 	switch desc.head() {
 	case "func":
 		kind = wasm.ExternalFunc
-		idx, err = a.funcIndex(desc.items[1])
+		idx, err = a.funcIndex(desc.arg(1))
 	case "memory":
 		kind = wasm.ExternalMemory
 		idx = 0
@@ -603,7 +635,7 @@ func (a *assembler) collectExport(f *sexpr) error {
 		idx = 0
 	case "global":
 		kind = wasm.ExternalGlobal
-		idx, err = a.globalIndex(desc.items[1])
+		idx, err = a.globalIndex(desc.arg(1))
 	default:
 		return errAt(desc, "unsupported export kind %q", desc.head())
 	}

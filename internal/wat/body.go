@@ -454,7 +454,7 @@ func (fa *funcAssembler) emitFlat(head *sexpr, imms []*sexpr) error {
 		if len(imms) == 1 {
 			if imms[0].isList && imms[0].head() == "type" {
 				var err error
-				ti, err = fa.a.typeIndex(imms[0].items[1])
+				ti, err = fa.a.typeIndex(imms[0].arg(1))
 				if err != nil {
 					return err
 				}

@@ -103,6 +103,9 @@ scan:
 		return token{kind: tokRParen, text: ")", line: startLine, col: startCol}, nil
 	case c == '"':
 		return l.scanString(startLine, startCol)
+	case c == ';':
+		// Not a comment opener, and a delimiter, so no atom starts here.
+		return token{}, l.errf("unexpected %q", c)
 	default:
 		start := l.pos
 		for l.pos < len(l.src) && !isDelim(l.src[l.pos]) {
@@ -196,6 +199,15 @@ func (s *sexpr) head() string {
 		return s.items[0].atom
 	}
 	return ""
+}
+
+// arg returns item i, or an empty atom at s's position when s has none, so
+// a missing operand fails to parse instead of indexing out of range.
+func (s *sexpr) arg(i int) *sexpr {
+	if i < len(s.items) {
+		return s.items[i]
+	}
+	return &sexpr{line: s.line, col: s.col}
 }
 
 // parseAll parses the whole source into top-level s-expressions.
