@@ -11,12 +11,16 @@ package wasmcontainers_test
 // simulated container starts per iteration.)
 
 import (
+	"flag"
 	"io"
+	"os"
 	"runtime"
+	"runtime/pprof"
 	"testing"
 
 	"wasmcontainers/internal/bench"
 	"wasmcontainers/internal/engine"
+	"wasmcontainers/internal/k8s"
 	"wasmcontainers/internal/pylite"
 	"wasmcontainers/internal/wasi"
 	"wasmcontainers/internal/wasm"
@@ -287,18 +291,94 @@ func BenchmarkDensityCell400(b *testing.B) {
 // next per-instance zeroed buffer: a crun-wamr pod allocated about 200 KiB
 // while every store started with a 128 KiB register stack, and about 70 KiB
 // (one 64 KiB linear-memory page among them) without it. The allocation
-// bound catches a rootfs copied per pod: a deep copy of the image's files
-// made 178 allocations per pod, a copy-on-write snapshot makes about 117.
+// bound catches per-pod copies of what pods share: a deep copy of the image's
+// files made 178 allocations per pod, a copy-on-write snapshot 117, and one
+// spec template per image and one container template per Deploy about 105.
 func TestDensityPodAllocBytes(t *testing.T) {
 	cellAllocs(t, 10) // compile the image's module and warm the shared caches
 	bytesPerPod, allocsPerPod := cellAllocs(t, 100)
 	if bytesPerPod > 96<<10 {
 		t.Fatalf("a crun-wamr pod at 100 pods allocates %.1f KiB, want under 96", bytesPerPod/1024)
 	}
-	if allocsPerPod > 140 {
-		t.Fatalf("a crun-wamr pod at 100 pods allocates %.0f times, want at most 140", allocsPerPod)
+	if allocsPerPod > 120 {
+		t.Fatalf("a crun-wamr pod at 100 pods allocates %.0f times, want at most 120", allocsPerPod)
 	}
 	t.Logf("crun-wamr x100: %.1f KiB and %.0f allocs per pod", bytesPerPod/1024, allocsPerPod)
+}
+
+var densityHeapProfile = flag.String("density-heapprofile", "",
+	"TestDensityPodLiveHeap writes the in-use heap profile of its live 400-pod cluster here (MemProfileRate 1)")
+
+// liveCluster builds one crun-wamr cluster of density pods and steps it to
+// quiescence: NewCluster, PrePull, Deploy, Step, as the benchmark's density
+// heap cell does.
+func liveCluster(tb testing.TB, density int) *k8s.Cluster {
+	tb.Helper()
+	cfg := bench.OursConfig
+	c, err := k8s.NewCluster(k8s.DefaultClusterConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := c.Nodes[0].Runtime.PrePull(cfg.Image); err != nil {
+		tb.Fatal(err)
+	}
+	pods, err := c.Deploy(k8s.DeployOptions{
+		NamePrefix: cfg.RuntimeClass, RuntimeClassName: cfg.RuntimeClass, Image: cfg.Image, Replicas: density,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for c.Engine.Step() {
+	}
+	if _, err := c.LastStartTime(pods); err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestDensityPodLiveHeap guards what one live pod holds once everything an
+// image's pods share is held once: the heap of a 400-pod crun-wamr cluster
+// after GC, over 400. With a spec, a container template and a
+// shared-library map built per pod it read 3.74 KiB; shared, about 2.8.
+// With -density-heapprofile the live heap by allocation site is one command
+// away:
+//
+//	go test -run TestDensityPodLiveHeap -density-heapprofile h.pprof .
+//	go tool pprof -top -sample_index=inuse_space h.pprof
+func TestDensityPodLiveHeap(t *testing.T) {
+	if *densityHeapProfile != "" {
+		defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+		runtime.MemProfileRate = 1
+	}
+	liveCluster(t, 10) // compile the image's module and warm the shared caches
+	h0 := liveHeap()
+	c := liveCluster(t, 400)
+	h1 := liveHeap()
+	if *densityHeapProfile != "" {
+		f, err := os.Create(*densityHeapProfile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pprof.Lookup("heap").WriteTo(f, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.KeepAlive(c)
+	perPod := (float64(h1) - float64(h0)) / 1024 / 400
+	if perPod > 3.3 {
+		t.Fatalf("a live crun-wamr pod holds %.3f KiB of heap at 400 pods, want at most 3.3", perPod)
+	}
+	t.Logf("crun-wamr x400: %.3f KiB of live heap per pod", perPod)
 }
 
 // TestTableFormatting pins the harness table renderer output.

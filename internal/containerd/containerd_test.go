@@ -2,6 +2,7 @@ package containerd
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -439,5 +440,73 @@ func TestUnknownHandlerFails(t *testing.T) {
 	task, _ := ctr.NewTask()
 	if _, err := task.Start(); err == nil {
 		t.Fatal("bogus handler started")
+	}
+}
+
+// TestSpecTemplateNeverWritten starts containers of two images through three
+// handlers: every container gets its own cgroup path, the one with extras a
+// private Args/Env, and after all of them start each image's template still
+// equals a freshly built spec.
+func TestSpecTemplateNeverWritten(t *testing.T) {
+	c := testClient(t)
+	cases := []struct {
+		id, image string
+		handler   RuntimeHandler
+		opts      ContainerOpts
+	}{
+		{"wamr", "minimal-service:wasm", HandlerCrunWAMR, ContainerOpts{}},
+		{"shim", "minimal-service:wasm", HandlerShimWasmtime, ContainerOpts{ExtraEnv: []string{"MODE=x"}, ExtraArgs: []string{"--flag"}}},
+		{"wamr2", "minimal-service:wasm", HandlerCrunWAMR, ContainerOpts{}},
+		{"py", "python-minimal-service:3.11", HandlerRunc, ContainerOpts{}},
+	}
+	var ctrs []*Container
+	for _, tc := range cases {
+		tc.opts.CgroupsPath = "/kubepods/pod-" + tc.id + "/app"
+		ctr, err := c.CreateContainer(tc.id, tc.image, tc.handler, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		task, _ := ctr.NewTask()
+		if rep, err := task.Start(); err != nil || rep.ExitCode != 0 {
+			t.Fatalf("%s: start: %v %+v", tc.id, err, rep)
+		}
+		ctrs = append(ctrs, ctr)
+	}
+	for i, ctr := range ctrs {
+		if got, want := ctr.Spec.Linux.CgroupsPath, "/kubepods/pod-"+cases[i].id+"/app"; got != want {
+			t.Errorf("%s: cgroup path %q, want %q", ctr.ID, got, want)
+		}
+	}
+	wamr, shim, wamr2 := ctrs[0].Spec, ctrs[1].Spec, ctrs[2].Spec
+	if &wamr.Process.Args[0] != &wamr2.Process.Args[0] || wamr.Linux == wamr2.Linux {
+		t.Error("containers without extras should share the template's Args and own their Linux record")
+	}
+	if &shim.Process.Args[0] == &wamr.Process.Args[0] || &shim.Process.Env[0] == &wamr.Process.Env[0] {
+		t.Error("the extras container shares the template's Args or Env")
+	}
+	if got := shim.Process.Args; len(got) != 2 || got[1] != "--flag" {
+		t.Errorf("extras container args = %v", got)
+	}
+	if got := shim.Process.Env; len(got) != 2 || got[1] != "MODE=x" {
+		t.Errorf("extras container env = %v", got)
+	}
+	for _, name := range []string{"minimal-service:wasm", "python-minimal-service:3.11"} {
+		img, _, _ := c.images.Pull(name)
+		if !reflect.DeepEqual(img.spec, newSpec(img, nil, nil)) {
+			t.Errorf("%s: template written: %+v", name, img.spec)
+		}
+	}
+}
+
+// TestSpecForImageAllocs: a container without extras costs its spec and its
+// Linux record, whatever the image's entrypoint and annotations.
+func TestSpecForImageAllocs(t *testing.T) {
+	images, _ := NewImageStore()
+	img, _, _ := images.Pull("minimal-service:wasm")
+	allocs := testing.AllocsPerRun(100, func() {
+		SpecForImage(img, "/kubepods/p/c", nil, nil)
+	})
+	if allocs > 2 {
+		t.Fatalf("SpecForImage allocates %.1f times per call, want at most 2", allocs)
 	}
 }

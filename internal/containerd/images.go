@@ -15,7 +15,9 @@ import (
 	"wasmcontainers/internal/workloads"
 )
 
-// Image is a container image with its unpacked root filesystem.
+// Image is a container image with its unpacked root filesystem. An image is
+// read-only once built: every container of it shares its Rootfs (through
+// copy-on-write snapshots) and its OCI spec template.
 type Image struct {
 	Name string
 	// Rootfs holds the image's files.
@@ -30,6 +32,11 @@ type Image struct {
 	Wasm bool
 	// Entrypoint is the default process args.
 	Entrypoint []string
+	// spec is the image's OCI spec template with no cgroup path, built on
+	// the first SpecForImage and shared by every container it makes without
+	// extras. Nothing writes to it.
+	specOnce sync.Once
+	spec     *oci.Spec
 }
 
 const (
@@ -192,9 +199,24 @@ func (s *Snapshotter) Count() int {
 	return len(s.snaps)
 }
 
-// SpecForImage builds an OCI spec running the image's entrypoint in the
-// given pod cgroup.
+// SpecForImage returns an OCI spec running the image's entrypoint in the
+// given pod cgroup. Without extras the spec is a shallow copy of the image's
+// template: it shares the template's Process.Args/Env, Annotations and
+// Linux.Namespaces and owns only its Linux record, so callers must treat
+// those as read-only. ExtraEnv or ExtraArgs build a private spec.
 func SpecForImage(img *Image, cgroupsPath string, extraEnv []string, extraArgs []string) *oci.Spec {
+	img.specOnce.Do(func() { img.spec = newSpec(img, nil, nil) })
+	tmpl := img.spec
+	if len(extraEnv) > 0 || len(extraArgs) > 0 {
+		tmpl = newSpec(img, extraEnv, extraArgs)
+	}
+	spec := *tmpl
+	spec.Linux = &oci.Linux{CgroupsPath: cgroupsPath, Namespaces: tmpl.Linux.Namespaces}
+	return &spec
+}
+
+// newSpec builds a spec of the image's entrypoint with no cgroup path.
+func newSpec(img *Image, extraEnv []string, extraArgs []string) *oci.Spec {
 	args := append(append([]string(nil), img.Entrypoint...), extraArgs...)
 	annotations := map[string]string{}
 	if img.Wasm {
@@ -209,9 +231,6 @@ func SpecForImage(img *Image, cgroupsPath string, extraEnv []string, extraArgs [
 		},
 		Root:        oci.Root{Path: "rootfs"},
 		Annotations: annotations,
-		Linux: &oci.Linux{
-			CgroupsPath: cgroupsPath,
-			Namespaces:  oci.DefaultNamespaces(),
-		},
+		Linux:       &oci.Linux{Namespaces: oci.DefaultNamespaces()},
 	}
 }

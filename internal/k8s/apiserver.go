@@ -56,6 +56,7 @@ func (a *APIServer) CreatePod(p *Pod) error {
 		return fmt.Errorf("k8s: unknown runtime class %q", p.Spec.RuntimeClassName)
 	}
 	p.Status.Phase = PodPending
+	p.key = key
 	a.pods[key] = p
 	a.Record("PodCreated", key, "admitted")
 	a.notify(p)

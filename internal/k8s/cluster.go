@@ -62,13 +62,13 @@ func (s *Scheduler) bind(p *Pod) {
 	if node == nil {
 		p.Status.Phase = PodFailed
 		p.Status.Message = "scheduler: no viable node (all failed or at max pods)"
-		s.api.Record("PodFailed", p.Namespace+"/"+p.Name, p.Status.Message)
+		s.api.Record("PodFailed", p.key, p.Status.Message)
 		s.api.UpdatePod(p)
 		return
 	}
 	p.Spec.NodeName = node.Name
 	p.Status.ScheduledAt = s.eng.Now()
-	s.api.Record("PodScheduled", p.Namespace+"/"+p.Name, "bound to "+node.Name)
+	s.api.Record("PodScheduled", p.key, node.boundMsg)
 	node.Kubelet.HandlePod(p)
 }
 
@@ -176,6 +176,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		nodes = append(nodes, &WorkerNode{
 			Name: nodeCfg.Name, OS: osNode, Runtime: client, CRI: criSvc, Kubelet: kubelet,
+			boundMsg: "bound to " + nodeCfg.Name,
 		})
 	}
 	c := &Cluster{
@@ -211,6 +212,8 @@ func (c *Cluster) Deploy(opts DeployOptions) ([]*Pod, error) {
 		opts.NamePrefix = "bench"
 	}
 	pods := make([]*Pod, 0, opts.Replicas)
+	// One container template for every replica; nothing writes to it.
+	containers := []ContainerSpec{{Name: "app", Image: opts.Image, Args: opts.Args, Env: opts.Env}}
 	for i := 0; i < opts.Replicas; i++ {
 		c.podSeq++
 		p := &Pod{
@@ -220,12 +223,7 @@ func (c *Cluster) Deploy(opts DeployOptions) ([]*Pod, error) {
 			Spec: PodSpec{
 				RuntimeClassName: opts.RuntimeClassName,
 				ArtifactHints:    opts.ArtifactHints,
-				Containers: []ContainerSpec{{
-					Name:  "app",
-					Image: opts.Image,
-					Args:  opts.Args,
-					Env:   opts.Env,
-				}},
+				Containers:       containers,
 			},
 			Status: PodStatus{CreatedAt: c.Engine.Now()},
 		}
@@ -269,7 +267,7 @@ func (c *Cluster) FailNode(name string) error {
 		if p.Status.Phase == PodScheduled || p.Status.Phase == PodRunning {
 			p.Status.Phase = PodFailed
 			p.Status.Message = "node " + name + " failed"
-			c.API.Record("PodFailed", p.Namespace+"/"+p.Name, p.Status.Message)
+			c.API.Record("PodFailed", p.key, p.Status.Message)
 			c.API.UpdatePod(p)
 		}
 	}

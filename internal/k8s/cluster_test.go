@@ -437,3 +437,63 @@ func TestMultiNodeScheduling(t *testing.T) {
 		}
 	}
 }
+
+// TestDeploySharesOneContainerTemplate: the replicas of one Deploy share one
+// container template, and the cluster's events read exactly as they did when
+// every pod built its own key and message. A 3-pod deploy fills two nodes of
+// two pods each but one slot; a 2-pod deploy of a missing image then fails
+// one pod in its kubelet and one at the scheduler; a node failure takes a
+// running pod.
+func TestDeploySharesOneContainerTemplate(t *testing.T) {
+	cfg := DefaultClusterConfig()
+	cfg.NumNodes = 2
+	cfg.KubeletConfig.MaxPods = 2
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pods, err := c.Deploy(DeployOptions{
+		RuntimeClassName: "crun-wamr", Image: "minimal-service:wasm", Replicas: 3,
+		Args: []string{"--flag"}, Env: []string{"MODE=x"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pods[1:] {
+		if &p.Spec.Containers[0] != &pods[0].Spec.Containers[0] {
+			t.Fatalf("pod %s has its own container template", p.Name)
+		}
+	}
+	if _, err := c.Deploy(DeployOptions{RuntimeClassName: "crun-wamr", Image: "ghost:v1", Replicas: 2}); err != nil {
+		t.Fatal(err)
+	}
+	c.Run()
+	if err := c.FailNode("worker-1"); err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, e := range c.API.Events() {
+		got.WriteString(e.String() + "\n")
+	}
+	if got.String() != deployEventsGolden {
+		t.Fatalf("events:\n%s\nwant:\n%s", got.String(), deployEventsGolden)
+	}
+}
+
+const deployEventsGolden = `[0.000s] PodCreated default/bench-1: admitted
+[0.000s] PodCreated default/bench-2: admitted
+[0.000s] PodCreated default/bench-3: admitted
+[0.000s] PodCreated default/bench-4: admitted
+[0.000s] PodCreated default/bench-5: admitted
+[0.010s] PodScheduled default/bench-1: bound to worker-0
+[0.010s] PodScheduled default/bench-2: bound to worker-1
+[0.010s] PodScheduled default/bench-3: bound to worker-0
+[0.010s] PodScheduled default/bench-4: bound to worker-1
+[0.010s] PodFailed default/bench-5: scheduler: no viable node (all failed or at max pods)
+[0.025s] PodFailed default/bench-4: containerd: image "ghost:v1" not found
+[3.268s] PodRunning default/bench-1: crun-wamr/wasm:wamr
+[3.268s] PodRunning default/bench-2: crun-wamr/wasm:wamr
+[3.270s] PodRunning default/bench-3: crun-wamr/wasm:wamr
+[3.270s] NodeFailed worker-1: node marked down
+[3.270s] PodFailed default/bench-2: node worker-1 failed
+`

@@ -39,6 +39,9 @@ type WorkerNode struct {
 	CRI     cri.RuntimeService
 	Kubelet *Kubelet
 
+	// boundMsg is the scheduler's "bound to <node>" event text.
+	boundMsg string
+
 	// attachments are the warm pools charged to this node, drained in
 	// attachment order when the node comes under memory pressure.
 	attachments []*WarmPoolAttachment
@@ -140,7 +143,7 @@ func (k *Kubelet) HandlePod(p *Pod) {
 		p.Status.Phase = PodFailed
 		p.Status.Message = fmt.Sprintf("kubelet: max pods (%d) exceeded", k.cfg.MaxPods)
 		k.obsFailed.Inc()
-		k.api.Record("PodFailed", p.Namespace+"/"+p.Name, p.Status.Message)
+		k.api.Record("PodFailed", p.key, p.Status.Message)
 		return
 	}
 	k.podCount++
@@ -216,7 +219,7 @@ func (k *Kubelet) syncPod(p *Pod) {
 						p.Status.RunningAt = k.eng.Now()
 						k.obsStarted.Inc()
 						k.obsNodeMemory.Set(k.node.UsedBeyondIdle())
-						k.api.Record("PodRunning", p.Namespace+"/"+p.Name, report.Handler)
+						k.api.Record("PodRunning", p.key, report.Handler)
 						k.api.UpdatePod(p)
 					}
 				})
@@ -229,6 +232,6 @@ func (k *Kubelet) failPod(p *Pod, msg string) {
 	p.Status.Phase = PodFailed
 	p.Status.Message = msg
 	k.obsFailed.Inc()
-	k.api.Record("PodFailed", p.Namespace+"/"+p.Name, msg)
+	k.api.Record("PodFailed", p.key, msg)
 	k.api.UpdatePod(p)
 }

@@ -74,6 +74,9 @@ type Pod struct {
 	UID       string
 	Spec      PodSpec
 	Status    PodStatus
+	// key is "namespace/name", set once by APIServer.CreatePod and reused by
+	// every event the pod records.
+	key string
 }
 
 // CgroupParent returns the pod-level cgroup path.

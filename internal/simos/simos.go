@@ -120,8 +120,10 @@ type Process struct {
 	// cacheBytes is page cache attributed to this process's cgroup (e.g.
 	// its container layer files), charged cgroup-style to the first toucher.
 	cacheBytes int64
-	libs       map[string]*SharedLib
-	exited     bool
+	// libs holds one ref per mapped library, allocated on the first
+	// MapShared: a process maps a handful, so a scan beats a map.
+	libs   []*SharedLib
+	exited bool
 }
 
 // Cgroup is a node in the cgroup-v2 hierarchy.
@@ -209,7 +211,6 @@ func (n *Node) Spawn(name, cgPath string) (*Process, error) {
 		Name: name,
 		node: n,
 		cg:   cg,
-		libs: make(map[string]*SharedLib),
 	}
 	n.nextPID++
 	n.procs[p.PID] = p
@@ -271,10 +272,16 @@ func (p *Process) MapShared(name string, bytes int64) {
 		p.node.libs[name] = lib
 		p.node.libBytes += lib.Bytes
 	}
-	if _, mapped := p.libs[name]; !mapped {
-		lib.refs++
-		p.libs[name] = lib
+	for _, l := range p.libs {
+		if l == lib {
+			return
+		}
 	}
+	if p.libs == nil {
+		p.libs = make([]*SharedLib, 0, 4)
+	}
+	lib.refs++
+	p.libs = append(p.libs, lib)
 }
 
 // ChargeCache attributes page-cache bytes to this process's cgroup (cgroup
@@ -319,14 +326,14 @@ func (p *Process) Exit() {
 	p.privateBytes = 0
 	p.node.cacheBytes -= p.cacheBytes
 	p.cacheBytes = 0
-	for name, lib := range p.libs {
+	for _, lib := range p.libs {
 		lib.refs--
 		if lib.refs == 0 {
-			delete(p.node.libs, name)
+			delete(p.node.libs, lib.Name)
 			p.node.libBytes -= lib.Bytes
 		}
-		delete(p.libs, name)
 	}
+	p.libs = nil
 	delete(p.node.procs, p.PID)
 	procs := p.cg.procs[:0]
 	for _, q := range p.cg.procs {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -257,9 +259,93 @@ func scanUsed(n *Node) int64 {
 	return used
 }
 
+// refModel is the reference the running totals and the mapping records are
+// checked against: plain maps of what each live process holds.
+type refModel struct {
+	private, cache map[*Process]int64
+	mapped         map[*Process]map[string]bool
+	libs           map[string]*SharedLib // name -> bytes and refs
+	idle           int64
+}
+
+func (m *refModel) used() int64 {
+	u := m.idle
+	for p := range m.private {
+		u += m.private[p] + m.cache[p]
+	}
+	for _, lib := range m.libs {
+		u += lib.Bytes
+	}
+	return u
+}
+
+func (m *refModel) spawn(p *Process) {
+	m.private[p], m.cache[p], m.mapped[p] = 0, 0, map[string]bool{}
+}
+
+func (m *refModel) mapShared(p *Process, name string, bytes int64) {
+	lib, ok := m.libs[name]
+	if !ok {
+		lib = &SharedLib{Name: name, Bytes: RoundPages(bytes)}
+		m.libs[name] = lib
+	}
+	if !m.mapped[p][name] {
+		m.mapped[p][name] = true
+		lib.refs++
+	}
+}
+
+func (m *refModel) exit(p *Process) {
+	for name := range m.mapped[p] {
+		if m.libs[name].refs--; m.libs[name].refs == 0 {
+			delete(m.libs, name)
+		}
+	}
+	delete(m.private, p)
+	delete(m.cache, p)
+	delete(m.mapped, p)
+}
+
+func (m *refModel) rss(p *Process) int64 {
+	rss := m.private[p]
+	for name := range m.mapped[p] {
+		rss += m.libs[name].Bytes / int64(m.libs[name].refs)
+	}
+	return rss
+}
+
+// check compares the node with the model after one step.
+func (m *refModel) check(t *testing.T, n *Node, where string) {
+	t.Helper()
+	if got, want := n.UsedBeyondIdle(), m.used()-m.idle; got != want {
+		t.Fatalf("%s: UsedBeyondIdle %d, model %d", where, got, want)
+	}
+	for p := range m.private {
+		if got, want := p.RSS(), m.rss(p); got != want {
+			t.Fatalf("%s: pid %d RSS %d, model %d", where, p.PID, got, want)
+		}
+	}
+	want := []SharedLib{}
+	for _, lib := range m.libs {
+		want = append(want, *lib)
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i].Name < want[j].Name })
+	if got := n.SharedLibs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: SharedLibs %+v, model %+v", where, got, want)
+	}
+	for _, name := range []string{"liba", "libb", "libc", "libd"} {
+		if got, want := n.HasSharedLib(name), m.libs[name] != nil; got != want {
+			t.Fatalf("%s: HasSharedLib(%s) = %v, model %v", where, name, got, want)
+		}
+	}
+}
+
 // Property: the running private/library totals equal a full scan after
 // every operation, and admission refuses exactly the operation the scan
 // would have refused. The node is small so sequences cross the RAM limit.
+// Each step also keeps RSS, SharedLibs, HasSharedLib and UsedBeyondIdle
+// equal to a reference model, with one library often mapped twice into one
+// process (which must hold one ref).
 func TestPropertyRunningTotalsMatchScan(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -268,6 +354,11 @@ func TestPropertyRunningTotalsMatchScan(t *testing.T) {
 			BaseSystemBytes: 1 * MiB, BaseCacheBytes: 256 * KiB,
 		})
 		ram := n.Config().RAMBytes
+		m := &refModel{
+			private: map[*Process]int64{}, cache: map[*Process]int64{},
+			mapped: map[*Process]map[string]bool{}, libs: map[string]*SharedLib{},
+			idle: 1*MiB + 256*KiB,
+		}
 		var procs, exited []*Process
 		pick := func() *Process { return procs[rng.Intn(len(procs))] }
 		for step := 0; step < 400; step++ {
@@ -276,6 +367,9 @@ func TestPropertyRunningTotalsMatchScan(t *testing.T) {
 				op = 0
 			}
 			before := scanUsed(n)
+			if before != m.used() {
+				t.Fatalf("seed %d step %d: scan %d, model %d", seed, step, before, m.used())
+			}
 			switch op {
 			case 0:
 				p, err := n.Spawn("p", "/g/cg")
@@ -284,24 +378,38 @@ func TestPropertyRunningTotalsMatchScan(t *testing.T) {
 				}
 				if err == nil {
 					procs = append(procs, p)
+					m.spawn(p)
 				}
 			case 1, 2:
 				b := int64(rng.Intn(int(512 * KiB)))
-				err := pick().MapPrivate(b)
+				p := pick()
+				err := p.MapPrivate(b)
 				if wantOOM := before+RoundPages(b) > ram; (err != nil) != wantOOM || (err != nil && !errors.Is(err, ErrOutOfMemory)) {
 					t.Fatalf("seed %d step %d: MapPrivate(%d) err=%v at used=%d ram=%d", seed, step, b, err, before, ram)
 				}
+				if err == nil {
+					m.private[p] += RoundPages(b)
+				}
 			case 3:
 				// Often more than the process holds: the clamp must reach the total too.
-				pick().UnmapPrivate(int64(rng.Intn(int(1 * MiB))))
+				p := pick()
+				b := int64(rng.Intn(int(1 * MiB)))
+				p.UnmapPrivate(b)
+				m.private[p] -= min(RoundPages(b), m.private[p])
 			case 4:
-				// Three names, so several processes share one library.
-				pick().MapShared("lib"+string(rune('a'+rng.Intn(3))), int64(rng.Intn(int(128*KiB)))+1)
+				// Three names, so several processes share one library, and
+				// one process often maps a name it already holds.
+				p, name, b := pick(), "lib"+string(rune('a'+rng.Intn(3))), int64(rng.Intn(int(128*KiB)))+1
+				p.MapShared(name, b)
+				m.mapShared(p, name, b)
 			case 5:
-				pick().ChargeCache(int64(rng.Intn(int(64 * KiB))))
+				p, b := pick(), int64(rng.Intn(int(64*KiB)))
+				p.ChargeCache(b)
+				m.cache[p] += RoundPages(b)
 			case 6:
 				i := rng.Intn(len(procs))
 				procs[i].Exit()
+				m.exit(procs[i])
 				exited = append(exited, procs[i])
 				procs = append(procs[:i], procs[i+1:]...)
 			case 7:
@@ -317,12 +425,46 @@ func TestPropertyRunningTotalsMatchScan(t *testing.T) {
 			if got, want := n.Free().UsedBytes, scanUsed(n); got != want {
 				t.Fatalf("seed %d step %d op %d: running total %d, full scan %d", seed, step, op, got, want)
 			}
+			m.check(t, n, fmt.Sprintf("seed %d step %d op %d", seed, step, op))
 		}
 		for _, p := range procs {
 			p.Exit()
 		}
 		if n.UsedBeyondIdle() != 0 || scanUsed(n) != n.Free().UsedBytes || len(n.SharedLibs()) != 0 {
 			t.Fatalf("seed %d: node not idle after exiting everything: beyond idle %d", seed, n.UsedBeyondIdle())
+		}
+	}
+}
+
+// TestMapSharedAllocs: a process's mapping record is one slice with room for
+// four libraries, so mapping four resident libraries (each twice) allocates
+// once per process.
+func TestMapSharedAllocs(t *testing.T) {
+	n := newTestNode()
+	names := []string{"libwamr.so", "wasm-code:x", "wasm-data:x", "wasm-tier1:x"}
+	resident, _ := n.Spawn("resident", "/system.slice/r")
+	for _, name := range names {
+		resident.MapShared(name, 64*KiB)
+	}
+	procs := make([]*Process, 101)
+	for i := range procs {
+		procs[i], _ = n.Spawn("p", "/kubepods/p")
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		p := procs[i]
+		i++
+		for _, name := range names {
+			p.MapShared(name, 64*KiB)
+			p.MapShared(name, 64*KiB)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("mapping four libraries allocates %.1f times per process, want at most 1", allocs)
+	}
+	for _, lib := range n.SharedLibs() {
+		if lib.refs != 102 {
+			t.Fatalf("%s holds %d refs, want one per process (102)", lib.Name, lib.refs)
 		}
 	}
 }
