@@ -44,7 +44,9 @@ race:
 # access-log writer, stays at or under 37 allocations. The last leg is the
 # one-shot container path: a crun-wamr pod allocates at most 120 times, and a
 # live 400-pod cluster holds at most 3.3 KiB of heap per pod (-count=1, so a
-# cached pass cannot hide a regression).
+# cached pass cannot hide a regression). The gateway heap leg is the daemon's
+# own bookkeeping: 2 000 warm invokes through ServeHTTP grow a warm server's
+# live heap by at most 300 KB, most of it the span log.
 obs-overhead:
 	@out=$$($(GO) test -run NONE -bench BenchmarkInvokeTelemetryDisabled \
 		-benchmem -benchtime 10000x ./internal/obs/); \
@@ -66,6 +68,7 @@ obs-overhead:
 	$(GO) test -count=1 -run 'TestRouterRequestAllocsTelemetryParity$$|TestDispatcherRequestAllocsTelemetryParity$$|TestIdleInstancesHoldNoPrivatePages$$' ./internal/serve
 	$(GO) test -count=1 -run 'TestEngineScheduleAllocs$$' ./internal/des
 	$(GO) test -count=1 -run 'TestWarmInvokeAllocs$$' ./internal/gateway
+	$(GO) test -count=1 -run 'TestWarmServerLiveHeap$$' ./internal/gateway
 	$(GO) test -count=1 -run 'TestDensityPodAllocBytes$$|TestDensityPodLiveHeap$$' .
 
 # Fuzz smoke: ten seconds of the copy-on-write memory oracle (random write /
@@ -87,8 +90,12 @@ obs-overhead:
 # to four clones must read, after every step, like one independent path ->
 # bytes map per FS), then five seconds of the WAT assembler (any text never
 # panics, and an accepted module validates and round-trips through the
-# binary format to the same bytes). A failing input lands in the package's
-# testdata/fuzz/ and then fails plain `go test` until fixed.
+# binary format to the same bytes), then five seconds of the span tracer's
+# chunked log (random spans with 0 to 5 attributes, pid, tid and start jumping
+# both ways, interned and verbatim strings, through random capacities, must
+# come back from Spans and Dropped like a slice that keeps every span). A
+# failing input lands in the package's testdata/fuzz/ and then fails plain
+# `go test` until fixed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMemoryCoW -fuzztime 10s ./internal/wasm/exec
 	$(GO) test -run '^$$' -fuzz FuzzTierDiffConditional -fuzztime 5s ./internal/wasm/exec
@@ -97,6 +104,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPyliteRunSource -fuzztime 5s ./internal/pylite
 	$(GO) test -run '^$$' -fuzz FuzzVFSClone -fuzztime 5s ./internal/vfs
 	$(GO) test -run '^$$' -fuzz FuzzWATAssemble -fuzztime 5s ./internal/wat
+	$(GO) test -run '^$$' -fuzz FuzzTracerLog -fuzztime 5s ./internal/obs
 
 # HTTP smoke: the daemon's stories over a real socket, fresh (-count=1), in
 # one go test line.

@@ -23,7 +23,7 @@
 //	GET  /v1/containers/{id}/stats  cgroup memory via the metrics-server
 //	GET  /v1/cluster                node/pool/dispatcher introspection
 //	GET  /metrics                   live Prometheus exposition
-//	GET  /v1/trace                  Chrome trace-event JSON of the span ring
+//	GET  /v1/trace                  Chrome trace-event JSON of the span log
 //	GET  /v1/timeseries             retained metric windows (counters, gauges, histograms)
 //	GET  /healthz                   liveness; 503 while draining
 //

@@ -87,7 +87,7 @@ func TestTimeSeriesByteIdenticalAtDilationZero(t *testing.T) {
 // admitted error keeps its span tree in the ring (run with -race to also
 // exercise the sampler's locking against concurrent finishes).
 func TestTailSamplingBoundedUnderConcurrentLoad(t *testing.T) {
-	tele := obs.New(obs.Config{TraceCapacity: 1 << 15})
+	tele := obs.New(obs.Config{})
 	fc := DefaultFunction()
 	fc.MaxRetries = 0 // a trap is a final error, not a retry
 	gw, err := New(Config{
@@ -189,7 +189,7 @@ func TestTailSamplingBoundedUnderConcurrentLoad(t *testing.T) {
 		t.Fatalf("kept %d tracks < %d errors", st.KeptTracks, errCount)
 	}
 	if d := tele.Tracer().Dropped(); d != 0 {
-		t.Fatalf("ring overwrote %d spans; raise TraceCapacity", d)
+		t.Fatalf("log overwrote %d spans past DefaultTraceCapacity", d)
 	}
 	// 100% error-trace retention: every errored request's TID has spans.
 	have := map[int64]bool{}

@@ -768,7 +768,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = obs.WritePrometheus(w, s.tele.Snapshot())
 }
 
-// handleTrace serves the span ring as Chrome trace-event JSON, loadable in
+// handleTrace serves the span log as Chrome trace-event JSON, loadable in
 // Perfetto while the server runs.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")

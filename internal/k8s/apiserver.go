@@ -15,9 +15,15 @@ type APIServer struct {
 	pods           map[string]*Pod
 	runtimeClasses map[string]RuntimeClass
 	podHandlers    []func(*Pod)
-	events         []Event
+	events         []Event // the last maxEvents, oldest at next once full
+	next           int
 	now            func() int64
 }
+
+// maxEvents bounds the event log. A long-running daemon creates containers
+// for as long as it serves, and like a real API server it keeps only recent
+// events; a 400-pod cluster records about 1 200.
+const maxEvents = 4096
 
 // NewAPIServer creates an empty API server; now supplies simulated time for
 // event records.
@@ -92,10 +98,21 @@ func (a *APIServer) Pods() []*Pod {
 	return out
 }
 
-// Record appends a cluster event.
+// Record appends a cluster event; past maxEvents it overwrites the oldest.
 func (a *APIServer) Record(kind, object, msg string) {
-	a.events = append(a.events, Event{Time: des.Time(a.now()), Kind: kind, Object: object, Message: msg})
+	e := Event{Time: des.Time(a.now()), Kind: kind, Object: object, Message: msg}
+	if len(a.events) < maxEvents {
+		a.events = append(a.events, e)
+		return
+	}
+	a.events[a.next] = e
+	a.next = (a.next + 1) % maxEvents
 }
 
-// Events returns recorded events.
-func (a *APIServer) Events() []Event { return a.events }
+// Events returns the last maxEvents recorded events, oldest first.
+func (a *APIServer) Events() []Event {
+	if a.next == 0 {
+		return a.events
+	}
+	return append(append(make([]Event, 0, maxEvents), a.events[a.next:]...), a.events[:a.next]...)
+}

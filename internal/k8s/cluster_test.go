@@ -1,6 +1,7 @@
 package k8s
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -370,6 +371,25 @@ func TestEventsRecorded(t *testing.T) {
 	}
 	if kinds["PodCreated"] != 2 || kinds["PodScheduled"] != 2 || kinds["PodRunning"] != 2 {
 		t.Fatalf("event counts = %v", kinds)
+	}
+}
+
+// TestEventLogKeepsTheLatest: the API server keeps the last maxEvents
+// events, oldest first, however many are recorded.
+func TestEventLogKeepsTheLatest(t *testing.T) {
+	var now int64
+	a := NewAPIServer(func() int64 { return now })
+	for now = 0; now < 10000; now++ {
+		a.Record("Tick", "obj", strconv.FormatInt(now, 10))
+	}
+	events := a.Events()
+	if len(events) != maxEvents {
+		t.Fatalf("kept %d events, want %d", len(events), maxEvents)
+	}
+	for i, e := range events {
+		if want := 10000 - maxEvents + i; int(e.Time) != want || e.Message != strconv.Itoa(want) {
+			t.Fatalf("event %d = %+v, want the one recorded at %d", i, e, want)
+		}
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 // its own accounting.
 func TestClusterTelemetry(t *testing.T) {
 	c := newTestCluster(t)
-	tele := obs.New(obs.Config{Clock: func() int64 { return int64(c.Engine.Now()) }})
+	tele := obs.New(obs.Config{})
+	tele.Tracer().SetClock(func() int64 { return int64(c.Engine.Now()) })
 	c.SetObserver(tele)
 	pods, err := c.Deploy(DeployOptions{
 		RuntimeClassName: "crun-wamr",

@@ -33,12 +33,12 @@ func BenchmarkInvokeTelemetryDisabled(b *testing.B) {
 }
 
 // BenchmarkInvokeTelemetryEnabled is the companion cost figure: the same
-// sequence with live handles (atomics plus one ring write under a mutex).
-// The obs-overhead gate holds it at 0 allocs/op too: Span copies its
-// attributes into the ring, so the caller's variadic list stays on its
+// sequence with live handles (atomics plus one log append under a mutex).
+// The obs-overhead gate holds it at 0 allocs/op too: Span encodes its
+// attributes into the log, so the caller's variadic list stays on its
 // stack.
 func BenchmarkInvokeTelemetryEnabled(b *testing.B) {
-	tele := New(Config{TraceCapacity: 1 << 10, Clock: func() int64 { return 0 }})
+	tele := &Telemetry{metrics: NewRegistry(), tracer: NewTracer(1<<10, func() int64 { return 0 })}
 	hits := tele.Counter("hits")
 	invokes := tele.Counter("invokes")
 	lat := tele.Histogram("lat")

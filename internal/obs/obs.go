@@ -1,7 +1,7 @@
 // Package obs is the repository's telemetry layer: an atomic,
 // allocation-free-on-hot-path metrics registry (monotonic counters, gauges,
-// mergeable log-linear histograms) and a bounded ring-buffer span tracer
-// covering the full request lifecycle — loadgen arrival, dispatcher
+// mergeable log-linear histograms) and a bounded span tracer covering
+// the full request lifecycle — loadgen arrival, dispatcher
 // queue wait, pool acquire (warm hit vs cold start), engine instantiate
 // (with the module cache's decode/validate/lower and hit/miss split), guest
 // invoke (instructions consumed, trap info), and copy-on-write reset (dirty
@@ -9,11 +9,9 @@
 // exposition (WritePrometheus) and Chrome trace-event JSON
 // (WriteChromeTrace, loadable in chrome://tracing or Perfetto).
 //
-// The tracer's memory follows the spans it retains: its ring grows on
-// commit, up to its capacity, and each slot is a fixed-size record in which
-// the name, category and up to three attributes are packed as ids into the
-// tracer's own intern table (bounded; a span with more attributes, or a
-// string the full table cannot take, spills verbatim behind a pointer).
+// The tracer keeps the spans it retains as a log of varint-encoded spans in
+// 4 KiB byte chunks, about 17 bytes a request span, its strings interned in
+// a bounded table of its own; the collector never scans span data.
 //
 // A component that already counts in a Stats() struct does not count again
 // here: it registers one source (Registry.SetSource) reporting those numbers
@@ -25,8 +23,8 @@
 // a nil receiver with zero allocations — enforced by
 // BenchmarkInvokeTelemetryDisabled and the Makefile obs-overhead gate. Span
 // emission is additionally guarded by an `if tracer != nil` at every call
-// site. The enabled path does not allocate either: Span copies its
-// attributes into the ring rather than retaining them
+// site. The enabled path does not allocate either: Span encodes its
+// attributes into the log rather than retaining them
 // (BenchmarkInvokeTelemetryEnabled, the same gate).
 package obs
 
@@ -40,22 +38,12 @@ type Telemetry struct {
 	tracer  *Tracer
 }
 
-// Config shapes a Telemetry instance.
-type Config struct {
-	// TraceCapacity bounds the span ring buffer; 0 means
-	// DefaultTraceCapacity.
-	TraceCapacity int
-	// Clock supplies span timestamps in nanoseconds; nil uses wall time
-	// since creation. The serving harness swaps in the DES clock per run.
-	Clock func() int64
-}
+// Config shapes a Telemetry instance; its tracer takes NewTracer's defaults.
+type Config struct{}
 
 // New creates an enabled Telemetry.
-func New(cfg Config) *Telemetry {
-	return &Telemetry{
-		metrics: NewRegistry(),
-		tracer:  NewTracer(cfg.TraceCapacity, cfg.Clock),
-	}
+func New(Config) *Telemetry {
+	return &Telemetry{metrics: NewRegistry(), tracer: NewTracer(0, nil)}
 }
 
 // Metrics returns the registry (nil when disabled).

@@ -10,7 +10,7 @@ import (
 // and exports concurrently. Run under -race (make race) this is the
 // thread-safety contract of the whole package.
 func TestConcurrentRecordAndSnapshot(t *testing.T) {
-	tele := New(Config{TraceCapacity: 256})
+	tele := &Telemetry{metrics: NewRegistry(), tracer: NewTracer(256, nil)}
 	const workers = 8
 	const iters = 2000
 	var wg sync.WaitGroup

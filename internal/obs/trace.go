@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/binary"
 	"sync"
 	"time"
 )
@@ -36,7 +37,7 @@ type Span struct {
 // TailConfig shapes tail-based sampling: spans on a request track (TID != 0)
 // are buffered until the request's outcome is known, and only interesting
 // tracks — errors and latency outliers — are committed to the
-// ring. Healthy traffic stops wrapping the ring, so under sustained load
+// log. Healthy traffic stops wrapping the log, so under sustained load
 // /v1/trace keeps showing the requests worth looking at.
 type TailConfig struct {
 	// LatencyThreshold keeps tracks whose reported latency exceeds it; 0
@@ -70,7 +71,7 @@ type TrackOutcome struct {
 
 // TailStats counts tail-sampler activity.
 type TailStats struct {
-	// KeptTracks is the number of finished tracks committed to the ring.
+	// KeptTracks is the number of finished tracks committed to the log.
 	KeptTracks int64
 	// SampledOutTracks is the number of healthy tracks dropped at finish.
 	SampledOutTracks int64
@@ -85,65 +86,57 @@ type TailStats struct {
 	PendingPeak int
 }
 
-// pendingTrack is one undecided request's buffered spans.
+// pendingTrack buffers one undecided request's spans; their bodies share body.
 type pendingTrack struct {
-	tid   int64
-	spans []record
+	spans []pendingSpan
+	body  []byte
 }
 
-// inlineAttrs is how many attributes a record packs in place; every
-// request-path span fits.
-const inlineAttrs = 3
+type pendingSpan struct {
+	pid, start int64
+	body       []byte
+}
 
-// internCap bounds the tracer's string table. Span names, categories,
-// attribute keys and string values come from a small fixed vocabulary; a
-// string that arrives once the table is full spills with its span.
+// internCap bounds the intern table: span strings come from a small fixed
+// vocabulary, and a span with a string the full table lacks goes verbatim.
 const internCap = 4096
 
-// minRingGrowth is the first backing array a tracer allocates, and the
-// least it grows by, in records. Past 4×minRingGrowth the ring grows by a
-// quarter, so a filling ring overshoots what it holds by at most 25 %.
-const minRingGrowth = 32
+// chunkSize is the size of a log chunk; a larger span gets its own chunk.
+const chunkSize = 4 << 10
 
-// packedAttr is an Attr with its strings replaced by intern ids (0 is "").
-type packedAttr struct {
-	key, str uint32
-	val      int64
+// chunk is one block of the span log: n spans, encoded back to back.
+type chunk struct {
+	buf []byte
+	n   int
 }
 
-// record is one retained span as the ring and the tail sampler store it:
-// fixed-size, with the name, category and up to inlineAttrs attributes
-// interned. A span with more attributes, or with a string the full intern
-// table cannot take, keeps its name, category and attributes verbatim in
-// spill instead.
-type record struct {
-	pid, tid, start, dur int64
-	name, cat            uint32
-	nattr                int32
-	attrs                [inlineAttrs]packedAttr
-	spill                *spill
-}
-
-// spill is the verbatim part of a span that did not pack.
-type spill struct {
-	name, cat string
-	attrs     []Attr
-}
-
-// Tracer records spans into a bounded ring buffer: tracing a long load run
-// costs at most `capacity` records, and the newest spans win. The ring's
-// backing array grows on commit, so a tracer pays for the spans it holds,
-// not for its bound. The zero-cost disabled path is a nil *Tracer — callers
-// emitting spans must guard with `if tr != nil` at the call site (the
-// variadic attribute list would otherwise be built even for a no-op call).
+// Tracer keeps the last `capacity` spans in a log of 4 KiB chunks, paying
+// for the spans it holds (about 17 bytes a request span), not for its
+// bound; the collector never scans span data. A span is encoded as
+//
+//	varint(pid−pid′) varint(tid−tid′) varint(start−start′)
+//	uvarint(nattr<<1 | verbatim) name cat uvarint(dur) nattr × (key str varint(val))
+//
+// where ′ is the previous span in the chunk (0 at a chunk's start, so each
+// chunk decodes on its own), and a string is its intern id or, in a
+// verbatim span, uvarint(len) and its bytes. A nil *Tracer is the free
+// disabled path; callers guard spans with `if tr != nil`, or the variadic
+// attribute list is built even for a no-op call.
 type Tracer struct {
 	mu       sync.Mutex
 	clock    func() int64
 	pid      int64
 	capacity int
-	ring     []record // grows to capacity, then overwrites at next
-	next     int
-	total    int64
+	total    int64 // spans ever committed
+
+	// chunks holds the log oldest-first; the last one takes new spans. The
+	// first skip spans of chunks[0] are evicted; a chunk with every span
+	// evicted leaves, its buffer kept in spare for the next chunk.
+	chunks []chunk
+	skip   int
+	spare  []byte
+	last   [3]int64 // pid, tid and start of the last chunk's last span
+	body   []byte   // the span being encoded
 
 	// strs is the append-only intern table (strs[0] == ""), ids its index.
 	strs []string
@@ -157,13 +150,12 @@ type Tracer struct {
 	tailStats TailStats
 }
 
-// DefaultTraceCapacity bounds the span ring when no capacity is given:
-// enough for every request phase of a multi-second load run.
+// DefaultTraceCapacity bounds the span log: enough for a multi-second run.
 const DefaultTraceCapacity = 1 << 16
 
 // NewTracer creates a tracer holding the last `capacity` spans; it
-// allocates no ring until the first span commits. clock returns the current
-// time in nanoseconds; nil uses the wall clock.
+// allocates no chunk until the first span commits. clock returns the
+// current time in nanoseconds; nil uses the wall clock.
 func NewTracer(capacity int, clock func() int64) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
@@ -172,7 +164,7 @@ func NewTracer(capacity int, clock func() int64) *Tracer {
 		start := time.Now()
 		clock = func() int64 { return int64(time.Since(start)) }
 	}
-	return &Tracer{clock: clock, capacity: capacity}
+	return &Tracer{clock: clock, capacity: capacity, strs: []string{""}, ids: map[string]uint32{}}
 }
 
 // Now reads the tracer clock (0 on a nil tracer).
@@ -212,49 +204,49 @@ func (t *Tracer) SetPID(pid int64) {
 // end < start is clamped to a zero-duration span. With tail sampling enabled,
 // spans on a request track (tid != 0) are buffered until FinishTrack decides
 // the track's fate; tid-0 spans (engine and pool lifecycle) always commit
-// immediately. attrs is copied, never retained.
+// immediately. attrs is encoded, never retained.
 func (t *Tracer) Span(name, cat string, tid, start, end int64, attrs ...Attr) {
 	if t == nil {
 		return
 	}
-	dur := end - start
-	if dur < 0 {
-		dur = 0
-	}
 	t.mu.Lock()
-	r := t.packLocked(name, cat, attrs)
-	r.pid, r.tid, r.start, r.dur = t.pid, tid, start, dur
+	t.body = t.appendBody(t.body[:0], false, name, cat, max(end-start, 0), attrs)
 	if t.tail != nil && tid != 0 {
-		t.bufferLocked(r)
+		t.bufferLocked(t.pid, tid, start, t.body)
 	} else {
-		t.commitLocked(r)
+		t.commitLocked(t.pid, tid, start, t.body)
 	}
 	t.mu.Unlock()
 }
 
-// packLocked builds the record for one span's strings and attributes,
-// interning what the table can take and spilling the rest.
-func (t *Tracer) packLocked(name, cat string, attrs []Attr) record {
-	var r record
-	ok := len(attrs) <= inlineAttrs
-	if ok {
-		r.name, ok = t.internLocked(name)
+// appendBody encodes a span but for its pid, tid and start into b[:0]:
+// with interned strings, or verbatim when the intern table is full.
+func (t *Tracer) appendBody(b []byte, verbatim bool, name, cat string, dur int64, attrs []Attr) []byte {
+	h, ok := uint64(len(attrs))<<1, true
+	if verbatim {
+		h |= 1
 	}
-	if ok {
-		r.cat, ok = t.internLocked(cat)
-	}
-	for i := 0; ok && i < len(attrs); i++ {
-		a := &r.attrs[i]
-		a.val = attrs[i].Val
-		if a.key, ok = t.internLocked(attrs[i].Key); ok {
-			a.str, ok = t.internLocked(attrs[i].Str)
-		}
+	b = t.appendStr(binary.AppendUvarint(b, h), verbatim, name, &ok)
+	b = binary.AppendUvarint(t.appendStr(b, verbatim, cat, &ok), uint64(dur))
+	for _, a := range attrs {
+		b = t.appendStr(t.appendStr(b, verbatim, a.Key, &ok), verbatim, a.Str, &ok)
+		b = binary.AppendVarint(b, a.Val)
 	}
 	if !ok {
-		return record{spill: &spill{name: name, cat: cat, attrs: append([]Attr(nil), attrs...)}}
+		return t.appendBody(b[:0], true, name, cat, dur, attrs)
 	}
-	r.nattr = int32(len(attrs))
-	return r
+	return b
+}
+
+// appendStr encodes s as its intern id, clearing ok when the table cannot
+// take it, or verbatim as its length and bytes.
+func (t *Tracer) appendStr(b []byte, verbatim bool, s string, ok *bool) []byte {
+	if verbatim {
+		return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+	}
+	id, interned := t.internLocked(s)
+	*ok = *ok && interned
+	return binary.AppendUvarint(b, uint64(id))
 }
 
 // internLocked returns s's id in the intern table, adding it while the
@@ -269,47 +261,51 @@ func (t *Tracer) internLocked(s string) (uint32, bool) {
 	if len(t.strs) >= internCap {
 		return 0, false
 	}
-	if t.ids == nil {
-		t.ids = map[string]uint32{}
-		t.strs = []string{""}
-	}
-	id := uint32(len(t.strs))
+	t.ids[s] = uint32(len(t.strs))
 	t.strs = append(t.strs, s)
-	t.ids[s] = id
-	return id, true
+	return uint32(len(t.strs) - 1), true
 }
 
-// commitLocked writes one decided span into the ring, growing the backing
-// array (never past capacity) until the ring is full.
-func (t *Tracer) commitLocked(r record) {
-	if n := len(t.ring); n < t.capacity {
-		if n == cap(t.ring) {
-			grown := make([]record, n, min(n+max(n/4, minRingGrowth), t.capacity))
-			copy(grown, t.ring)
-			t.ring = grown
+// commitLocked appends a decided span to the log, in the last chunk if it
+// fits there with its deltas at their longest, evicting the oldest span once
+// the log holds capacity spans.
+func (t *Tracer) commitLocked(pid, tid, start int64, body []byte) {
+	if t.total++; t.total > int64(t.capacity) {
+		if t.skip++; t.skip == t.chunks[0].n {
+			if buf := t.chunks[0].buf; cap(buf) == chunkSize {
+				t.spare = buf[:0]
+			}
+			t.chunks, t.skip = t.chunks[:copy(t.chunks, t.chunks[1:])], 0
 		}
-		t.ring = append(t.ring, r)
-	} else {
-		t.ring[t.next] = r
 	}
-	t.next = (t.next + 1) % t.capacity
-	t.total++
+	if n := len(t.chunks); n == 0 || len(t.chunks[n-1].buf)+3*binary.MaxVarintLen64+len(body) > chunkSize {
+		if t.spare == nil {
+			t.spare = make([]byte, 0, chunkSize)
+		}
+		t.chunks, t.spare, t.last = append(t.chunks, chunk{buf: t.spare}), nil, [3]int64{}
+	}
+	c, cur := &t.chunks[len(t.chunks)-1], [3]int64{pid, tid, start}
+	for i := range cur {
+		c.buf = binary.AppendVarint(c.buf, cur[i]-t.last[i])
+	}
+	c.buf, c.n, t.last = append(c.buf, body...), c.n+1, cur
 }
 
 // bufferLocked parks one request span in its pending track, enforcing the
 // per-track and whole-buffer bounds.
-func (t *Tracer) bufferLocked(r record) {
-	tr, ok := t.pending[r.tid]
+func (t *Tracer) bufferLocked(pid, tid, start int64, body []byte) {
+	tr, ok := t.pending[tid]
 	if !ok {
-		tr = &pendingTrack{tid: r.tid}
-		t.pending[r.tid] = tr
-		t.order = append(t.order, r.tid)
+		tr = &pendingTrack{}
+		t.pending[tid] = tr
+		t.order = append(t.order, tid)
 	}
 	if len(tr.spans) >= t.tail.MaxTrackSpans {
 		t.tailStats.TruncatedSpans++
 		return
 	}
-	tr.spans = append(tr.spans, r)
+	tr.body = append(tr.body, body...)
+	tr.spans = append(tr.spans, pendingSpan{pid, start, tr.body[len(tr.body)-len(body):]})
 	t.pendingN++
 	if t.pendingN > t.tailStats.PendingPeak {
 		t.tailStats.PendingPeak = t.pendingN
@@ -318,9 +314,9 @@ func (t *Tracer) bufferLocked(r record) {
 	// appended to — its outcome may still prove interesting) until the
 	// undecided buffer fits again.
 	for t.pendingN > t.tail.MaxBufferedSpans {
-		if !t.evictOldestLocked(r.tid) {
+		if !t.evictOldestLocked(tid) {
 			// Only the current track remains; drop its newest span instead.
-			tr.spans = tr.spans[:len(tr.spans)-1]
+			tr.spans, tr.body = tr.spans[:len(tr.spans)-1], tr.body[:len(tr.body)-len(body)]
 			t.pendingN--
 			t.tailStats.TruncatedSpans++
 			return
@@ -346,7 +342,7 @@ func (t *Tracer) evictOldestLocked(keepTID int64) bool {
 }
 
 // SetTailSampling turns tail-based sampling on (non-nil cfg) or off (nil).
-// Turning it off flushes every pending track to the ring — nothing buffered
+// Turning it off flushes every pending track to the log — nothing buffered
 // is lost. Safe to call at any time; typically set once at startup.
 func (t *Tracer) SetTailSampling(cfg *TailConfig) {
 	if t == nil {
@@ -357,8 +353,8 @@ func (t *Tracer) SetTailSampling(cfg *TailConfig) {
 	if cfg == nil {
 		for _, tid := range t.order {
 			if tr, ok := t.pending[tid]; ok {
-				for _, r := range tr.spans {
-					t.commitLocked(r)
+				for _, ps := range tr.spans {
+					t.commitLocked(ps.pid, tid, ps.start, ps.body)
 				}
 			}
 		}
@@ -379,7 +375,7 @@ func (t *Tracer) SetTailSampling(cfg *TailConfig) {
 }
 
 // FinishTrack settles one request track: interesting outcomes (error,
-// latency past the threshold) commit the buffered spans to the ring, healthy
+// latency past the threshold) commit the buffered spans to the log, healthy
 // ones drop them. Reports whether the track was kept. With tail sampling
 // disabled it reports true — every span already committed. Unknown tracks
 // (no spans buffered, e.g. a request refused at admission) settle without
@@ -409,8 +405,8 @@ func (t *Tracer) FinishTrack(tid int64, o TrackOutcome) bool {
 	}
 	if keep {
 		t.tailStats.KeptTracks++
-		for _, r := range tr.spans {
-			t.commitLocked(r)
+		for _, ps := range tr.spans {
+			t.commitLocked(ps.pid, tid, ps.start, ps.body)
 		}
 	} else {
 		t.tailStats.SampledOutTracks++
@@ -431,70 +427,86 @@ func (t *Tracer) TailStats() TailStats {
 	return st
 }
 
-// Spans returns the retained spans oldest-first. Only the record copy
-// happens under the tracer's lock; the spans are rebuilt after it, so a
-// scrape does not stall span emission.
+// Spans returns the retained spans oldest-first. It copies the log's bytes
+// under the lock and decodes them after it, so a scrape does not stall spans.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	// Oldest first: the ring starts at 0 until it wraps, then at next.
-	recs := make([]record, 0, len(t.ring))
-	if t.total > int64(len(t.ring)) {
-		recs = append(recs, t.ring[t.next:]...)
-		recs = append(recs, t.ring[:t.next]...)
-	} else {
-		recs = append(recs, t.ring...)
+	bufs := make([][]byte, len(t.chunks))
+	for i, c := range t.chunks {
+		bufs[i] = append([]byte(nil), c.buf...)
 	}
-	// The table is append-only: ids below len(strs) never change.
-	strs := t.strs
+	// The evicted head of chunks[0] decodes too, to find where the rest
+	// starts. The table is append-only: ids below len(strs) never change.
+	out, skip, strs := make([]Span, min(t.total, int64(t.capacity))+int64(t.skip)), t.skip, t.strs
 	t.mu.Unlock()
 
-	nattr := 0
-	for i := range recs {
-		nattr += recs[i].attrCount()
-	}
-	attrs := make([]Attr, nattr)
-	out := make([]Span, len(recs))
-	for i := range recs {
-		r := &recs[i]
-		s := &out[i]
-		s.PID, s.TID, s.Start, s.Dur = r.pid, r.tid, r.start, r.dur
-		n := r.attrCount()
-		if n > 0 {
-			s.Attrs, attrs = attrs[:n:n], attrs[n:]
-		}
-		if r.spill != nil {
-			s.Name, s.Cat = r.spill.name, r.spill.cat
-			copy(s.Attrs, r.spill.attrs)
-			continue
-		}
-		s.Name, s.Cat = strs[r.name], strs[r.cat]
-		for j, a := range r.attrs[:n] {
-			s.Attrs[j] = Attr{Key: strs[a.key], Val: a.val, Str: strs[a.str]}
+	var attrs []Attr
+	i := 0
+	for _, buf := range bufs {
+		for d := (decoder{buf: buf, strs: strs}); len(d.buf) > 0; i++ {
+			d.next(&out[i], &attrs)
 		}
 	}
-	return out
+	return out[skip:]
 }
 
-// attrCount is how many attributes the record's span carries.
-func (r *record) attrCount() int {
-	if r.spill != nil {
-		return len(r.spill.attrs)
-	}
-	return int(r.nattr)
+// decoder reads one chunk's spans in order.
+type decoder struct {
+	buf  []byte
+	strs []string
+	last [3]int64
 }
 
-// Dropped returns how many spans the ring overwrote.
+// next decodes one span into s, appending its attributes to attrs.
+func (d *decoder) next(s *Span, attrs *[]Attr) {
+	for i := range d.last {
+		d.last[i] += d.varint()
+	}
+	s.PID, s.TID, s.Start = d.last[0], d.last[1], d.last[2]
+	h := d.uvarint()
+	verbatim := h&1 == 1
+	s.Name, s.Cat, s.Dur = d.str(verbatim), d.str(verbatim), int64(d.uvarint())
+	if n := int(h >> 1); n > 0 {
+		lo := len(*attrs)
+		for ; n > 0; n-- {
+			*attrs = append(*attrs, Attr{Key: d.str(verbatim), Str: d.str(verbatim), Val: d.varint()})
+		}
+		s.Attrs = (*attrs)[lo:len(*attrs):len(*attrs)]
+	}
+}
+
+func (d *decoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.buf)
+	d.buf = d.buf[n:]
+	return v
+}
+
+// varint undoes binary.AppendVarint's zigzag encoding.
+func (d *decoder) varint() int64 {
+	u := d.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// str decodes one string: an intern id or a verbatim length and bytes.
+func (d *decoder) str(verbatim bool) string {
+	n := d.uvarint()
+	if !verbatim {
+		return d.strs[n]
+	}
+	s := string(d.buf[:n])
+	d.buf = d.buf[n:]
+	return s
+}
+
+// Dropped returns how many spans the log evicted.
 func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.total <= int64(t.capacity) {
-		return 0
-	}
-	return t.total - int64(t.capacity)
+	return max(t.total-int64(t.capacity), 0)
 }

@@ -18,7 +18,8 @@ import (
 func runObservedLoad(t *testing.T) (*obs.Telemetry, Report) {
 	t.Helper()
 	eng := des.NewEngine()
-	tele := obs.New(obs.Config{Clock: func() int64 { return int64(eng.Now()) }})
+	tele := obs.New(obs.Config{})
+	tele.Tracer().SetClock(func() int64 { return int64(eng.Now()) })
 	pool := newTestPool(t, engine.WAMR, Config{Size: 2})
 	pool.Engine().SetObserver(tele)
 	d := NewDispatcher(eng, pool, DispatcherConfig{
@@ -149,7 +150,8 @@ func TestServingTelemetryLifecycleSpans(t *testing.T) {
 // race.
 func TestDispatcherObserverRace(t *testing.T) {
 	eng := des.NewEngine()
-	tele := obs.New(obs.Config{Clock: func() int64 { return int64(eng.Now()) }})
+	tele := obs.New(obs.Config{})
+	tele.Tracer().SetClock(func() int64 { return int64(eng.Now()) })
 	pool := newTestPool(t, engine.WAMR, Config{Size: 2})
 	d := NewDispatcher(eng, pool, DispatcherConfig{
 		MaxConcurrency: 2, QueueDepth: 32, Policy: PolicyQueue,
@@ -197,7 +199,8 @@ func TestDispatcherObserverRace(t *testing.T) {
 // whole tree.
 func TestTailSamplingHealthyTrafficLeavesRingEmpty(t *testing.T) {
 	eng := des.NewEngine()
-	tele := obs.New(obs.Config{Clock: func() int64 { return int64(eng.Now()) }})
+	tele := obs.New(obs.Config{})
+	tele.Tracer().SetClock(func() int64 { return int64(eng.Now()) })
 	tr := tele.Tracer()
 	tr.SetTailSampling(&obs.TailConfig{})
 	pool := newTestPool(t, engine.WAMR, Config{Size: 2})

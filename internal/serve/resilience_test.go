@@ -68,7 +68,8 @@ func TestFailedInvokeLatencyAccounting(t *testing.T) {
 	d := NewDispatcher(eng, pool, DispatcherConfig{
 		MaxConcurrency: 1, Policy: PolicyReject, Export: "handle", Arg: 500,
 	})
-	tele := obs.New(obs.Config{Clock: func() int64 { return int64(eng.Now()) }})
+	tele := obs.New(obs.Config{})
+	tele.Tracer().SetClock(func() int64 { return int64(eng.Now()) })
 	d.SetObserver(tele)
 	var res RequestResult
 	var completedAt des.Time

@@ -263,9 +263,13 @@ func (p *Process) UnmapPrivate(bytes int64) {
 
 // MapShared maps a named shared library into the process. The library's
 // bytes are charged to the node once, no matter how many processes map it.
+// An exited process maps nothing: nothing would ever release the ref.
 func (p *Process) MapShared(name string, bytes int64) {
 	p.node.mu.Lock()
 	defer p.node.mu.Unlock()
+	if p.exited {
+		return
+	}
 	lib, ok := p.node.libs[name]
 	if !ok {
 		lib = &SharedLib{Name: name, Bytes: RoundPages(bytes)}
@@ -285,10 +289,14 @@ func (p *Process) MapShared(name string, bytes int64) {
 }
 
 // ChargeCache attributes page-cache bytes to this process's cgroup (cgroup
-// v2 charges the first toucher), also raising the node cache figure.
+// v2 charges the first toucher), also raising the node cache figure. An
+// exited process is charged nothing.
 func (p *Process) ChargeCache(bytes int64) {
 	p.node.mu.Lock()
 	defer p.node.mu.Unlock()
+	if p.exited {
+		return
+	}
 	b := RoundPages(bytes)
 	p.cacheBytes += b
 	p.node.cacheBytes += b

@@ -115,6 +115,24 @@ func TestExitReleasesEverything(t *testing.T) {
 	p.Exit()
 }
 
+// TestExitedProcessChargesNothing: mapping a library into, or charging page
+// cache to, a process that has exited changes nothing. Nothing could
+// release such a charge, since a second Exit returns at once.
+func TestExitedProcessChargesNothing(t *testing.T) {
+	n := newTestNode()
+	p, _ := n.Spawn("tmp", "/pods/x")
+	p.Exit()
+	p.MapShared("libx", 1*MiB)
+	p.ChargeCache(1 * MiB)
+	p.Exit()
+	if got := n.UsedBeyondIdle(); got != 0 {
+		t.Fatalf("exited process left %d bytes charged", got)
+	}
+	if n.HasSharedLib("libx") {
+		t.Fatal("libx resident after its only mapper exited before mapping it")
+	}
+}
+
 func TestOutOfMemory(t *testing.T) {
 	n := NewNode(NodeConfig{RAMBytes: 1 * GiB, Cores: 1, BaseSystemBytes: 900 * MiB})
 	p, err := n.Spawn("big", "/x")
@@ -420,6 +438,9 @@ func TestPropertyRunningTotalsMatchScan(t *testing.T) {
 					if err := p.MapPrivate(4096); !errors.Is(err, ErrNoSuchProcess) {
 						t.Fatalf("seed %d step %d: MapPrivate on exited process = %v", seed, step, err)
 					}
+					// Neither may charge anything: the model does not move.
+					p.MapShared("lib"+string(rune('a'+rng.Intn(4))), int64(rng.Intn(int(128*KiB)))+1)
+					p.ChargeCache(int64(rng.Intn(int(64 * KiB))))
 				}
 			}
 			if got, want := n.Free().UsedBytes, scanUsed(n); got != want {
