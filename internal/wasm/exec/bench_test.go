@@ -297,45 +297,247 @@ func BenchmarkInvokeTier1Primes(b *testing.B) {
 	benchTierCall(b, workloads.CPUBoundWAT, "count_primes", I32(12000), true)
 }
 
-// TestTier1PrimesDispatches pins the tier-1 fusion of the same kernel: each
-// closure of the lowered artifact is wrapped in a counter, and
-// count_primes(12000) must retire exactly the instructions tier 0 does in a
-// fixed number of closure calls. is_prime's loop runs three closures per
-// iteration ([d*d][n][gt_u][if], [n%d][eqz][if], the counter step and
-// backedge); a refactor that un-fuses a shape raises the count.
-func TestTier1PrimesDispatches(t *testing.T) {
-	const wantPrimes, wantInstrs, wantCalls = 1438, 3128662, 574123
-	m, err := wat.Compile(workloads.CPUBoundWAT)
-	if err != nil {
-		t.Fatalf("wat: %v", err)
-	}
-	s := NewStore(Config{})
-	inst, err := s.Instantiate(m, "")
-	if err != nil {
-		t.Fatalf("instantiate: %v", err)
-	}
-	tc, _ := inst.Code().EnsureTier1()
-	if tc.Lowered() != len(tc.funcs) {
-		t.Fatalf("lowered %d of %d functions", tc.Lowered(), len(tc.funcs))
-	}
-	calls := 0
-	for _, f := range tc.funcs {
-		for i, op := range f.ops {
-			f.ops[i] = func(fr *t1frame) int {
-				calls++
-				return op(fr)
+// ledgerCRC32WAT is CRC-32 (reflected, polynomial 0xEDB88320) of n bytes it
+// first writes itself: shifts, xor, and and rem_u by constants, and eqz;
+// br_if.
+const ledgerCRC32WAT = `
+(module
+  (memory 1)
+  (func (export "crc32") (param $n i32) (result i32)
+    (local $i i32) (local $crc i32) (local $k i32)
+    block $filled
+      loop $fill
+        local.get $i
+        local.get $n
+        i32.ge_u
+        br_if $filled
+        local.get $i
+        local.get $i
+        i32.const 5
+        i32.shl
+        local.get $i
+        i32.xor
+        i32.const 251
+        i32.rem_u
+        i32.store8
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        br $fill
+      end
+    end
+    (local.set $crc (i32.const -1))
+    (local.set $i (i32.const 0))
+    block $done
+      loop $bytes
+        local.get $i
+        local.get $n
+        i32.eq
+        br_if $done
+        (local.set $crc (i32.xor (local.get $crc) (i32.load8_u (local.get $i))))
+        (local.set $k (i32.const 8))
+        block $bitsdone
+          loop $bits
+            local.get $k
+            i32.eqz
+            br_if $bitsdone
+            local.get $crc
+            i32.const 1
+            i32.and
+            i32.eqz
+            if
+              local.get $crc
+              i32.const 1
+              i32.shr_u
+              local.set $crc
+            else
+              local.get $crc
+              i32.const 1
+              i32.shr_u
+              i32.const 0xEDB88320
+              i32.xor
+              local.set $crc
+            end
+            local.get $k
+            i32.const 1
+            i32.sub
+            local.set $k
+            br $bits
+          end
+        end
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        br $bytes
+      end
+    end
+    local.get $crc
+    i32.const -1
+    i32.xor))
+`
+
+// ledgerSieveWAT counts the primes below n with a byte sieve: constant
+// compares, br_if loops and stores.
+const ledgerSieveWAT = `
+(module
+  (memory 1)
+  (func (export "sieve") (param $n i32) (result i32)
+    (local $i i32) (local $j i32) (local $count i32)
+    block $cleared
+      loop $clear
+        local.get $i
+        local.get $n
+        i32.ge_u
+        br_if $cleared
+        local.get $i
+        i32.const 0
+        i32.store8
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        br $clear
+      end
+    end
+    (local.set $i (i32.const 2))
+    block $sieved
+      loop $outer
+        local.get $i
+        local.get $i
+        i32.mul
+        local.get $n
+        i32.ge_u
+        br_if $sieved
+        local.get $i
+        i32.load8_u
+        i32.const 0
+        i32.eq
+        if
+          (local.set $j (i32.mul (local.get $i) (local.get $i)))
+          block $marked
+            loop $mark
+              local.get $j
+              local.get $n
+              i32.ge_u
+              br_if $marked
+              local.get $j
+              i32.const 1
+              i32.store8
+              (local.set $j (i32.add (local.get $j) (local.get $i)))
+              br $mark
+            end
+          end
+        end
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        br $outer
+      end
+    end
+    (local.set $i (i32.const 2))
+    block $counted
+      loop $count
+        local.get $i
+        local.get $n
+        i32.ge_u
+        br_if $counted
+        local.get $i
+        i32.load8_u
+        i32.const 1
+        i32.lt_u
+        if
+          (local.set $count (i32.add (local.get $count) (i32.const 1)))
+        end
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        br $count
+      end
+    end
+    local.get $count))
+`
+
+// ledgerRow is one kernel of the tier-1 dispatch ledger: its module, the
+// export and argument the ledger runs, the small argument its fuel sweep
+// runs, and what the ledger pins.
+type ledgerRow struct {
+	name, src, export string
+	arg, small        int32
+	result            int32
+	instrs            uint64
+	calls             int
+	bytes             int64
+}
+
+var ledgerRows = []ledgerRow{
+	{"count_primes", workloads.CPUBoundWAT, "count_primes", 12000, 40, 1438, 3128662, 574123, 2440},
+	{"handle", workloads.RequestHandlerWAT, "handle", 500, 12, 1, 71530, 19016, 2064},
+	{"crc32", ledgerCRC32WAT, "crc32", 1000, 6, 988615292, 206081, 81008, 3408},
+	{"sieve", ledgerSieveWAT, "sieve", 20000, 60, 2262, 1053218, 416208, 3016},
+}
+
+// TestTier1DispatchLedger pins how each kernel runs at tier 1: each closure
+// of the lowered artifact is wrapped in a counter, and the kernel must
+// retire exactly the instructions tier 0 does, in a fixed number of closure
+// calls, from an artifact of a fixed accounted size. count_primes is the
+// guest-compute kernel: is_prime's loop runs three closures per iteration
+// ([d*d][n][gt_u][if], [n%d][eqz][if], the counter step and backedge).
+// Unlike wall time the counts do not move with code placement, and a
+// refactor that un-fuses a shape raises one.
+func TestTier1DispatchLedger(t *testing.T) {
+	for _, row := range ledgerRows {
+		t.Run(row.name, func(t *testing.T) {
+			m, err := wat.Compile(row.src)
+			if err != nil {
+				t.Fatalf("wat: %v", err)
 			}
-		}
+			s := NewStore(Config{})
+			inst, err := s.Instantiate(m, "")
+			if err != nil {
+				t.Fatalf("instantiate: %v", err)
+			}
+			tc, _ := inst.Code().EnsureTier1()
+			if tc.Lowered() != len(tc.funcs) {
+				t.Fatalf("lowered %d of %d functions", tc.Lowered(), len(tc.funcs))
+			}
+			calls := 0
+			for _, f := range tc.funcs {
+				for i, op := range f.ops {
+					f.ops[i] = func(fr *t1frame) int {
+						calls++
+						return op(fr)
+					}
+				}
+			}
+			res, err := inst.Call(row.export, I32(row.arg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.LastInvokeTier() != 1 {
+				t.Fatalf("served at tier %d, want 1", s.LastInvokeTier())
+			}
+			if AsI32(res[0]) != row.result || s.InstructionCount() != row.instrs || calls != row.calls || tc.Bytes() != row.bytes {
+				t.Fatalf("%s(%d) = %d in %d instructions and %d closure calls from %d bytes, want %d in %d and %d from %d",
+					row.export, row.arg, AsI32(res[0]), s.InstructionCount(), calls, tc.Bytes(),
+					row.result, row.instrs, row.calls, row.bytes)
+			}
+		})
 	}
-	res, err := inst.Call("count_primes", I32(12000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.LastInvokeTier() != 1 {
-		t.Fatalf("served at tier %d, want 1", s.LastInvokeTier())
-	}
-	if res[0] != wantPrimes || s.InstructionCount() != wantInstrs || calls != wantCalls {
-		t.Fatalf("count_primes(12000) = %d in %d instructions and %d closure calls, want %d in %d and %d",
-			res[0], s.InstructionCount(), calls, wantPrimes, wantInstrs, wantCalls)
+}
+
+// TestTierDiffLedgerKernels runs every ledger kernel through the tier pair
+// on a small argument, twice unfueled (the second call sees the first's
+// memory), then with the fuel swept from 1 to one past what a call needs.
+func TestTierDiffLedgerKernels(t *testing.T) {
+	for _, row := range ledgerRows {
+		t.Run(row.name, func(t *testing.T) {
+			m, err := wat.Compile(row.src)
+			if err != nil {
+				t.Fatalf("wat: %v", err)
+			}
+			p := newTierPair(t, m, Config{}, nil)
+			p.call(row.export, I32(row.small))
+			p.call(row.export, I32(row.small))
+			fp := newTierPair(t, m, Config{Fuel: 1 << 20}, nil)
+			fp.call(row.export, I32(row.small))
+			need := fp.s0.InstructionCount()
+			for f := uint64(1); f <= need+1; f += 1 + need/400 {
+				fp.setFuel(f)
+				fp.call(row.export, I32(row.small))
+			}
+			for _, f := range []uint64{need - 1, need, need + 1} {
+				fp.setFuel(f)
+				fp.call(row.export, I32(row.small))
+			}
+		})
 	}
 }

@@ -579,6 +579,7 @@ func TestTierDiffOperatorSweep(t *testing.T) {
 	}
 	vals := []Value{0, 1, 2, I32(-1), I32(math.MinInt32), uint64(math.MaxUint32),
 		F64(1.5), F64(-0.0), F64(math.NaN()), F64(math.Inf(1)), I64(math.MinInt64), 63, 64}
+	intVals := []Value{0, 1, 2, I32(-1), I32(math.MinInt32), uint64(math.MaxUint32), I64(math.MinInt64), 63, 64}
 	for _, tc := range binOps {
 		b := new(wasm.BodyBuilder).
 			OpU32(wasm.OpLocalGet, 0).OpU32(wasm.OpLocalGet, 1).Op(tc.op).End()
@@ -591,6 +592,21 @@ func TestTierDiffOperatorSweep(t *testing.T) {
 		for _, a := range vals {
 			for _, bb := range vals {
 				p.call("f", a, bb)
+			}
+		}
+		if tc.vt != i32 && tc.vt != i64t {
+			continue
+		}
+		// The same operator with a constant right operand, every integer
+		// value as the constant: the left operand read from a local
+		// ([local.get][const][op]) or from the stack ([const][op]), the
+		// result pushed or stored into a local.
+		for _, k := range intVals {
+			p := newTierPair(t, constOperandModule(t, tc.vt, out, tc.op, k), Config{}, nil)
+			for _, name := range constOperandForms {
+				for _, a := range vals {
+					p.call(name, a)
+				}
 			}
 		}
 	}
@@ -616,6 +632,37 @@ func TestTierDiffOperatorSweep(t *testing.T) {
 			p.call("f", v)
 		}
 	}
+}
+
+// constOperandForms names the exports of constOperandModule: the left
+// operand from a local or from the stack (a local.tee keeps the local.get
+// from fusing with the constant), the result pushed or set into a local.
+var constOperandForms = []string{"local-push", "local-set", "stack-push", "stack-set"}
+
+// constOperandModule builds one (vt) -> (out) function per constOperandForms
+// entry, each computing param op k.
+func constOperandModule(t *testing.T, vt, out wasm.ValueType, op wasm.Opcode, k Value) *wasm.Module {
+	t.Helper()
+	m := &wasm.Module{Types: []wasm.FuncType{{Params: []wasm.ValueType{vt}, Results: []wasm.ValueType{out}}}}
+	for i, name := range constOperandForms {
+		b := new(wasm.BodyBuilder).OpU32(wasm.OpLocalGet, 0)
+		if i >= 2 {
+			b.OpU32(wasm.OpLocalTee, 1)
+		}
+		if vt == i32 {
+			b.I32Const(AsI32(k))
+		} else {
+			b.I64Const(AsI64(k))
+		}
+		b.Op(op)
+		if i%2 == 1 {
+			b.OpU32(wasm.OpLocalSet, 2).OpU32(wasm.OpLocalGet, 2)
+		}
+		m.Functions = append(m.Functions, 0)
+		m.Codes = append(m.Codes, wasm.Code{Locals: []wasm.ValueType{vt, out}, Body: b.End().Bytes()})
+		m.Exports = append(m.Exports, wasm.Export{Name: name, Kind: wasm.ExternalFunc, Index: uint32(i)})
+	}
+	return buildModule(t, m)
 }
 
 func TestTierDiffTruncSat(t *testing.T) {
