@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race obs-overhead fuzz-smoke http-smoke results-check product-cover bench benchmark figures results examples clean
+.PHONY: all build vet test race obs-overhead fuzz-smoke fuzz-long http-smoke results-check product-cover bench benchmark figures results examples clean
 
 all: build vet test race obs-overhead fuzz-smoke http-smoke results-check
 
@@ -105,6 +105,16 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzVFSClone -fuzztime 5s ./internal/vfs
 	$(GO) test -run '^$$' -fuzz FuzzWATAssemble -fuzztime 5s ./internal/wat
 	$(GO) test -run '^$$' -fuzz FuzzTracerLog -fuzztime 5s ./internal/obs
+
+# Fuzz long: a minute each of the four targets that guard the interpreter's
+# input and its tiers — tier 1's fused conditionals against tier 0, the
+# copy-on-write memory oracle, the binary decoder and validator, and the WAT
+# assembler's round trip. About four minutes; not part of `all`.
+fuzz-long:
+	$(GO) test -run '^$$' -fuzz FuzzTierDiffConditional -fuzztime 60s ./internal/wasm/exec
+	$(GO) test -run '^$$' -fuzz FuzzMemoryCoW -fuzztime 60s ./internal/wasm/exec
+	$(GO) test -run '^$$' -fuzz FuzzDecodeValidate -fuzztime 60s ./internal/wasm
+	$(GO) test -run '^$$' -fuzz FuzzWATAssemble -fuzztime 60s ./internal/wat
 
 # HTTP smoke: the daemon's stories over a real socket, fresh (-count=1), in
 # one go test line.

@@ -488,16 +488,11 @@ func decodeExportSection(m *Module, r *reader) error {
 	if err != nil {
 		return err
 	}
-	seen := make(map[string]bool, clampPrealloc(n))
 	for i := uint32(0); i < n; i++ {
 		name, err := r.name()
 		if err != nil {
 			return err
 		}
-		if seen[name] {
-			return fmt.Errorf("duplicate export name %q", name)
-		}
-		seen[name] = true
 		kind, err := r.byte()
 		if err != nil {
 			return err

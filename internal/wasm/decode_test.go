@@ -116,10 +116,17 @@ func TestDecodeRejectsBadValueType(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsDuplicateExports(t *testing.T) {
+// Unique export names are a validation rule, not a decoding one: Decode
+// reads a duplicate, and Validate, which every module meets after Decode or
+// the assembler, rejects it.
+func TestValidateRejectsDecodedDuplicateExports(t *testing.T) {
 	m := minimalModule()
 	m.Exports = append(m.Exports, Export{Name: "answer", Kind: ExternalFunc, Index: 0})
-	if _, err := Decode(Encode(m)); err == nil || !strings.Contains(err.Error(), "duplicate export") {
+	dm, err := Decode(Encode(m))
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if err := Validate(dm); err == nil || !strings.Contains(err.Error(), "duplicate export") {
 		t.Fatalf("dup export: %v", err)
 	}
 }

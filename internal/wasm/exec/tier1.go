@@ -21,6 +21,12 @@ package exec
 // mid-stack shortfall records the wanted size and falls back to tier 0 for
 // that one call. A store's first stack is sized from the lowered artifact
 // (Tier1Code.stack), not from a constant.
+//
+// A window ends in its function's constant region, filled on entry, so
+// every operand a closure names is a register slot: a local, a stack value
+// or a constant. A callee's window starts inside its caller's operand stack
+// and can cover the caller's constants, so a fast call writes them back
+// when the callee returns.
 
 // Sentinel pc values returned by closures to leave the dispatch loop.
 const (
@@ -35,12 +41,22 @@ type t1op func(fr *t1frame) int
 
 // t1func is one function body lowered to tier 1.
 type t1func struct {
-	ops   []t1op
-	np    int    // parameters
-	nl    int    // parameters + declared locals
-	nr    int    // results
-	slots int    // nl + operand-stack bound: the frame's register window
-	lead  uint64 // structure markers preceding the first real instruction
+	ops    []t1op
+	np     int     // parameters
+	nl     int     // parameters + declared locals
+	nr     int     // results
+	slots  int     // nl + operand-stack bound + len(consts): the register window
+	lead   uint64  // structure markers preceding the first real instruction
+	consts []Value // the constant operands, one per distinct value: the window's last slots
+}
+
+// fillConsts writes f's constants into the last slots of regs, a register
+// window of f.
+func (f *t1func) fillConsts(regs []Value) {
+	kb := len(regs) - len(f.consts)
+	for i, k := range f.consts {
+		regs[kb+i] = k
+	}
 }
 
 // Tier1Code is the per-module tier-1 artifact published on ModuleCode.
@@ -70,7 +86,7 @@ func (tc *Tier1Code) Lowered() int { return tc.lowered }
 // register window plus the same per-frame instruction/fuel accounting the
 // tier-0 loop keeps in locals. Frames are pooled on the store.
 type t1frame struct {
-	regs []Value // [0,nl): locals; [nl,slots): operand-stack registers
+	regs []Value // [0,nl): locals; then the operand-stack registers; then the constants
 	base int     // offset of regs within store.t1stack
 	inst *Instance
 	mem  *Memory
@@ -186,6 +202,7 @@ func (s *Store) t1Call(f *function, tc *Tier1Code, args, res []Value) (ran bool,
 	for i := n; i < t1.nl; i++ {
 		regs[i] = 0
 	}
+	t1.fillConsts(regs)
 	s.t1sp = need
 	err = s.execT1(fr, t1)
 	s.t1sp = base
@@ -225,16 +242,16 @@ func (s *Store) execT1(fr *t1frame, t1 *t1func) error {
 	return nil
 }
 
-// callFunc dispatches a nested call from inside a tier-1 frame. The callee's
-// arguments sit at fr.regs[aslot:aslot+np] and its results land in
+// callFunc dispatches a nested call from inside a tier-1 frame of self. The
+// callee's arguments sit at fr.regs[aslot:aslot+np] and its results land in
 // fr.regs[aslot:aslot+nr], exactly the overlap contract of the tier-0 call
 // sites. Tier-1 callees take the zero-copy fast path; host functions,
 // un-lowered callees, and register-stack shortfalls all route through the
 // shared invokeNested, which preserves tier-0 semantics bit for bit.
-func (fr *t1frame) callFunc(callee *function, aslot int) error {
+func (fr *t1frame) callFunc(self *t1func, callee *function, aslot int) error {
 	if callee.host == nil {
 		if t1 := callee.t1body(); t1 != nil {
-			if done, err := fr.s.t1FastCall(fr, callee, t1, aslot); done {
+			if done, err := fr.s.t1FastCall(fr, self, callee, t1, aslot); done {
 				return err
 			}
 		}
@@ -247,10 +264,12 @@ func (fr *t1frame) callFunc(callee *function, aslot int) error {
 // t1FastCall runs a tier-1 callee in place: its register window starts at
 // the caller's first argument slot, so parameters and results are never
 // copied. The store's stack pointer is raised over the callee's window for
-// the duration so a host callback re-entering t1Call cannot overlap it.
+// the duration so a host callback re-entering t1Call cannot overlap it; the
+// caller's constants, which the callee's window or a frame above it may
+// have covered, are written back on return. self is the caller's body.
 // done=false means the stack could not host the callee here (the caller
 // falls back to invokeNested).
-func (s *Store) t1FastCall(fr *t1frame, callee *function, t1 *t1func, aslot int) (done bool, err error) {
+func (s *Store) t1FastCall(fr *t1frame, self *t1func, callee *function, t1 *t1func, aslot int) (done bool, err error) {
 	cbase := fr.base + aslot
 	need := cbase + t1.slots
 	if need > len(s.t1stack) {
@@ -274,6 +293,7 @@ func (s *Store) t1FastCall(fr *t1frame, callee *function, t1 *t1func, aslot int)
 	for i := t1.np; i < t1.nl; i++ {
 		regs[i] = 0
 	}
+	t1.fillConsts(regs)
 	err = s.execT1(cfr, t1)
 	s.putT1Frame(cfr)
 	s.t1sp = savedSp
@@ -281,5 +301,6 @@ func (s *Store) t1FastCall(fr *t1frame, callee *function, t1 *t1func, aslot int)
 	if err != nil {
 		return true, pushFrame(err, callee)
 	}
+	self.fillConsts(fr.regs)
 	return true, nil
 }

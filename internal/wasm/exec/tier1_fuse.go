@@ -13,26 +13,30 @@ import (
 // jumps past them with their instruction counts folded in, so the retired
 // count and the block-granularity fuel schedule stay bit-identical to tier 0.
 //
+// Every operand a fused closure reads is a register slot: a local, a stack
+// value, or an integer constant's slot in the frame's constant region
+// (kslot; eqz is eq against the zero slot). So each shape below lowers
+// through one builder per operator kind (buildBinopSlots, buildCmpIf,
+// buildCmpBrIf), whatever its operands are.
+//
 // The fused shapes, keyed by their first instruction:
 //   - [<cmp>][if], [local.get][<cmp>][if], [local.get; local.get; <cmp>][if],
-//     [const][<cmp>][if], [local.get][const][<cmp>][if]: branch on the
-//     compare, every i32/i64/f32/f64 comparison (integer ones with a
-//     constant); the if charges no fuel, as at tier 0.
-//   - [<cmp>; br_if] (paired at tier 0), [local.get; local.get; <cmp>][br_if]
-//     and [local.get pair][<cmp>; br_if]: the loop header, fuel charged at
-//     the br_if.
-//   - [eqz][if] (the eq-0 form of the above) and [eqz][br_if].
-//   - [local.get; local.get; i32.rem_u] tested by == or != against a
-//     constant ([const][<cmp>], [eqz] or nothing), and [local.get;
-//     local.get; i32.mul] tested by any comparison against a local
-//     ([local.get][<cmp>]), then an if: the value is branched on, never
-//     stored.
-//   - [local.get][const][op] and [const][op], optionally into a local.set.
-//   - [local.get][op], optionally into a local.set; [local.get; local.get;
-//     op][local.set].
+//     [const][<cmp>][if], [local.get][const][<cmp>][if] and [eqz][if]: branch
+//     on the compare, every i32/i64/f32/f64 comparison; the if charges no
+//     fuel, as at tier 0.
+//   - [<cmp>; br_if] (paired at tier 0), [local.get; local.get; <cmp>][br_if],
+//     [local.get pair][<cmp>; br_if] and [eqz][br_if]: the loop header, fuel
+//     charged at the br_if.
+//   - [local.get; local.get; i32.rem_u] tested by == or != and [local.get;
+//     local.get; i32.mul] tested by <, <=, > or >=, against a local or a
+//     constant ([local.get|const][<cmp>], [eqz] or nothing), then an if: the
+//     value is branched on, never stored.
+//   - [local.get][const][op], [const][op] and [local.get][op], optionally
+//     into a local.set; [local.get; local.get; op][local.set].
 //   - [local.get][const+add], optionally into a local.set and then a br;
 //     [local.get; local.get; op][local.set][local.get][const+add]
-//     [local.set][br], the whole loop epilogue.
+//     [local.set][br], the whole loop epilogue. These two still capture
+//     tier 0's add-const immediate.
 //   - [local.get][local.set], [local.get][store], [local.get][return].
 
 // adj returns the pc of the next surviving instruction after pc when every
@@ -68,7 +72,7 @@ func (b *t1builder) tryFuse(pc int) t1op {
 			i := int(in.a >> 32)
 			j := int(uint32(in.a))
 			own := 2 + b.skipCnt[pc+1] + 2
-			return b.buildCmpBrIf(q, &instrs[q], b.heights[q], i, j, own)
+			return b.buildCmpBrIf(wasm.Opcode(instrs[q].misc), q, b.heights[q]-2, i, j, own)
 		}
 	case opLocalBinop:
 		// [local.get i; local.get j; <binop>][local.set k] — three-address
@@ -83,12 +87,10 @@ func (b *t1builder) tryFuse(pc int) t1op {
 		if q >= 0 && instrs[q].op == wasm.OpBrIf && isCmpBinop(wasm.Opcode(in.misc)) {
 			// [local.get i; local.get j; <cmp>][br_if] — the other spelling of
 			// the hot-loop header (the upstream fuser ate the gets into a
-			// localBinop before cmp+br_if could pair up). Reuse the cmp-br-if
-			// builder with a synthetic fused instr carrying br_if's target.
+			// localBinop before cmp+br_if could pair up).
 			i := int(in.a >> 32)
 			j := int(uint32(in.a))
-			syn := instr{op: opCmpBrIf, misc: in.misc, a: instrs[q].a, b: instrs[q].b}
-			return b.buildCmpBrIf(q, &syn, b.heights[pc]+2, i, j, 3+b.skipCnt[pc+1]+1)
+			return b.buildCmpBrIf(wasm.Opcode(in.misc), q, b.heights[pc], i, j, 3+b.skipCnt[pc+1]+1)
 		}
 		if b.isIf(q) && isCmpBinop(wasm.Opcode(in.misc)) {
 			// [local.get i; local.get j; <cmp>][if]: branch on two locals.
@@ -110,10 +112,7 @@ func (b *t1builder) tryFuse(pc int) t1op {
 					}
 				}
 			}
-			next, crF := b.fall(q)
-			return b.buildBinopSlots(op,
-				int(in.a>>32), int(uint32(in.a)), int(instrs[q].a),
-				3, b.skipCnt[pc+1]+1+crF, next)
+			return b.buildBinopTo(op, pc, int(in.a>>32), int(uint32(in.a)), 0, 3)
 		}
 	case wasm.OpLocalGet:
 		i := int(in.a)
@@ -130,7 +129,7 @@ func (b *t1builder) tryFuse(pc int) t1op {
 			return b.buildLocalAddK(pc, q, i, c1)
 		case qin.op == wasm.OpI32Const || qin.op == wasm.OpI64Const:
 			// [local.get i][const k][binop] and optionally [local.set d]:
-			// local op constant, no stack traffic. (const+add was already
+			// local op constant slot, no stack traffic. (const+add was already
 			// folded upstream; this catches sub/mul/shift/cmp/div chains.)
 			r := b.adj(q)
 			if r < 0 || !isFusableBinop(instrs[r].op) {
@@ -139,18 +138,9 @@ func (b *t1builder) tryFuse(pc int) t1op {
 			own := 3 + c1 + b.skipCnt[q+1]
 			if r2 := b.adj(r); b.isIf(r2) && isCmpBinop(instrs[r].op) {
 				// [local.get i][const k][<cmp>][if]
-				return b.buildCmpIfK(instrs[r].op, i, qin.a, b.ifExits(r2, own+b.skipCnt[r+1]))
+				return b.buildCmpIf(instrs[r].op, i, b.kslot(qin.a), b.ifExits(r2, own+b.skipCnt[r+1]))
 			}
-			z := b.nl + ht
-			fallPc := r
-			extra := uint64(0)
-			if r2 := b.adj(r); r2 >= 0 && instrs[r2].op == wasm.OpLocalSet {
-				z = int(instrs[r2].a)
-				extra = b.skipCnt[r+1] + 1
-				fallPc = r2
-			}
-			next, crF := b.fall(fallPc)
-			return b.buildBinopK(instrs[r].op, i, qin.a, z, own, extra+crF, next)
+			return b.buildBinopTo(instrs[r].op, r, i, b.kslot(qin.a), b.nl+ht, own)
 		case qin.op == wasm.OpReturn:
 			// [local.get i][return]: park the local in the result slot and
 			// leave the frame directly.
@@ -168,16 +158,7 @@ func (b *t1builder) tryFuse(pc int) t1op {
 		case isFusableBinop(qin.op) && ht >= 1:
 			// [local.get i][binop]: top-of-stack op local, in place.
 			x := b.slot(ht, 1)
-			z := x
-			fallPc := q
-			extra := uint64(0)
-			if r := b.adj(q); r >= 0 && instrs[r].op == wasm.OpLocalSet {
-				z = int(instrs[r].a)
-				extra = b.skipCnt[q+1] + 1
-				fallPc = r
-			}
-			next, crF := b.fall(fallPc)
-			return b.buildBinopSlots(qin.op, x, i, z, 2+c1, extra+crF, next)
+			return b.buildBinopTo(qin.op, q, x, i, x, 2+c1)
 		case qin.op == wasm.OpLocalSet:
 			// [local.get i][local.set j]: a register move.
 			j := int(instrs[q].a)
@@ -197,8 +178,8 @@ func (b *t1builder) tryFuse(pc int) t1op {
 			}
 		}
 	case wasm.OpI32Const, wasm.OpI64Const:
-		// [const k][binop] and optionally [local.set d]: fold the immediate
-		// into the operator. (const+add pairs were already fused to
+		// [const k][binop] and optionally [local.set d]: top of stack op the
+		// constant's slot. (const+add pairs were already fused to
 		// opI32/I64AddConst upstream, so this catches mul/and/shift/cmp/div.)
 		if ht < 1 {
 			return nil
@@ -211,20 +192,12 @@ func (b *t1builder) tryFuse(pc int) t1op {
 		own := 2 + b.skipCnt[pc+1]
 		if r := b.adj(q); b.isIf(r) && isCmpBinop(instrs[q].op) {
 			// [const k][<cmp>][if]
-			return b.buildCmpIfK(instrs[q].op, x, in.a, b.ifExits(r, own+b.skipCnt[q+1]))
+			return b.buildCmpIf(instrs[q].op, x, b.kslot(in.a), b.ifExits(r, own+b.skipCnt[q+1]))
 		}
-		z := x
-		fallPc := q
-		extra := uint64(0)
-		if r := b.adj(q); r >= 0 && instrs[r].op == wasm.OpLocalSet {
-			z = int(instrs[r].a)
-			extra = b.skipCnt[q+1] + 1
-			fallPc = r
-		}
-		next, crF := b.fall(fallPc)
-		return b.buildBinopK(instrs[q].op, x, in.a, z, own, extra+crF, next)
+		return b.buildBinopTo(instrs[q].op, q, x, b.kslot(in.a), x, own)
 	case wasm.OpI32Eqz, wasm.OpI64Eqz:
-		// [eqz][if] is [eq 0][if]; [eqz][br_if] branches on a zero test.
+		// [eqz][if] and [eqz][br_if] are [eq][if] and [eq][br_if] against
+		// the zero slot.
 		q := b.adj(pc)
 		eq := wasm.OpI32Eq
 		if in.op == wasm.OpI64Eqz {
@@ -233,9 +206,9 @@ func (b *t1builder) tryFuse(pc int) t1op {
 		own := 1 + b.skipCnt[pc+1]
 		switch {
 		case b.isIf(q):
-			return b.buildCmpIfK(eq, b.slot(ht, 1), 0, b.ifExits(q, own))
+			return b.buildCmpIf(eq, b.slot(ht, 1), b.kslot(0), b.ifExits(q, own))
 		case q >= 0 && instrs[q].op == wasm.OpBrIf:
-			return b.buildEqzBrIf(q, &instrs[q], ht, b.slot(ht, 1), eq, own+1)
+			return b.buildCmpBrIf(eq, q, ht-1, b.slot(ht, 1), b.kslot(0), own+1)
 		}
 	default:
 		if q := b.adj(pc); b.isIf(q) && isCmpBinop(in.op) {
@@ -252,16 +225,29 @@ func (b *t1builder) isIf(pc int) bool {
 	return pc >= 0 && b.cc.instrs[pc].op == wasm.OpIf
 }
 
+// buildBinopTo lowers op, the binop at pc (or fused into it), reading slots
+// x and y into the local of a following local.set, else into slot z. own
+// counts the originals retired up to and including the binop.
+func (b *t1builder) buildBinopTo(op wasm.Opcode, pc, x, y, z int, own uint64) t1op {
+	fallPc, extra := pc, uint64(0)
+	if r := b.adj(pc); r >= 0 && b.cc.instrs[r].op == wasm.OpLocalSet {
+		z, fallPc, extra = int(b.cc.instrs[r].a), r, b.skipCnt[pc+1]+1
+	}
+	next, crF := b.fall(fallPc)
+	return b.buildBinopSlots(op, x, y, z, own, extra+crF, next)
+}
+
 // buildProdBranch fuses the opLocalBinop at pc, when its value only feeds
 // an if, with that if: [local.get l|const k][<cmp>], [eqz] or nothing (a
 // non-zero test), then the if. The value lives in a Go local: its stack
-// slot is dead once the if has consumed it, so it is never written. Two
-// producer and test pairs are fused, the two of guest-compute's is_prime
-// loop: i32.rem_u tested by == against a constant and i32.mul tested by <
-// against a local, which every integer comparison reduces to (t1test).
-// Each inlines its operator; evaluated through binFast's indirect call, the
-// fused closure measured no faster than the two closures it replaces
-// (EXPERIMENTS.md). Nil for any other shape.
+// slot is dead once the if has consumed it, so it is never written; the
+// test's operand is a local or a constant slot (zero for eqz and the
+// non-zero test). Two producer and test pairs are fused, those of
+// guest-compute's is_prime loop: i32.rem_u tested by == and i32.mul tested
+// by <, to which every integer comparison reduces (t1test). Each inlines
+// its operator; evaluated through binFast's indirect call, the fused closure
+// measured no faster than the two closures it replaces (EXPERIMENTS.md).
+// Nil for any other shape.
 func (b *t1builder) buildProdBranch(pc int) t1op {
 	instrs := b.cc.instrs
 	in := &instrs[pc]
@@ -272,6 +258,7 @@ func (b *t1builder) buildProdBranch(pc int) t1op {
 	}
 	cnt := 3 + b.skipCnt[pc+1]
 	cmp, t, br := wasm.OpI32Ne, t1test{w: -1}, c
+	var k Value
 	switch ci := &instrs[c]; ci.op {
 	case wasm.OpLocalGet, wasm.OpI32Const:
 		if br = b.adj(c); br < 0 || !isCmpBinop(instrs[br].op) {
@@ -280,7 +267,7 @@ func (b *t1builder) buildProdBranch(pc int) t1op {
 		if ci.op == wasm.OpLocalGet {
 			t.w = int(ci.a)
 		} else {
-			t.kk = ci.a
+			k = ci.a
 		}
 		cmp = instrs[br].op
 		cnt += 2 + b.skipCnt[c+1] + b.skipCnt[br+1]
@@ -290,29 +277,29 @@ func (b *t1builder) buildProdBranch(pc int) t1op {
 		cnt += 1 + b.skipCnt[c+1]
 		br = b.adj(c)
 	}
-	if !b.isIf(br) || !t.reduce(cmp) {
+	if !b.isIf(br) || !t.reduce(cmp) || t.lt != (op == wasm.OpI32Mul) {
 		return nil
+	}
+	if t.w < 0 {
+		t.w = b.kslot(k)
 	}
 	// An if charges no fuel, as at tier 0; a zero divisor traps after the
 	// producer's three instructions, as the standalone rem_u does.
 	j := b.ifExits(br, cnt)
-	sh, m, w, kk, neg := t.sh, t.m, t.w, t.kk, t.neg
-	switch {
-	case op == wasm.OpI32RemU && w < 0 && !t.lt:
+	m, w, neg := t.m, t.w, t.neg
+	if op == wasm.OpI32RemU {
 		return func(fr *t1frame) int {
 			d := AsU32(fr.regs[y])
 			if d == 0 {
 				return fr.trapAfter(3, TrapIntegerDivideByZero)
 			}
-			return j.to(fr, (uint64(AsU32(fr.regs[x])%d)<<sh^m == kk) != neg)
-		}
-	case op == wasm.OpI32Mul && w >= 0 && t.lt:
-		return func(fr *t1frame) int {
-			v := I32(AsI32(fr.regs[x]) * AsI32(fr.regs[y]))
-			return j.to(fr, (v<<sh^m < fr.regs[w]<<sh^m) != neg)
+			return j.to(fr, (AsU32(fr.regs[x])%d == AsU32(fr.regs[w])) != neg)
 		}
 	}
-	return nil
+	return func(fr *t1frame) int {
+		v := I32(AsI32(fr.regs[x]) * AsI32(fr.regs[y]))
+		return j.to(fr, (v<<32^m < fr.regs[w]<<32^m) != neg)
+	}
 }
 
 // buildLocalAddK lowers [local.get src][opI32/I64AddConst k] plus an optional
@@ -377,245 +364,6 @@ func (b *t1builder) buildLocalAddK(pc, q, src int, c1 uint64) t1op {
 	return func(fr *t1frame) int {
 		fr.regs[dst] = I32(AsI32(fr.regs[src]) + k32)
 		fr.executed += cnt
-		return next
-	}
-}
-
-// buildBinopK lowers a binop whose right operand is the constant k: reads
-// regs[x], writes regs[z]. own counts the originals retired before the
-// operator runs (so a trapping div-by-constant is accounted like tier 0);
-// the specialized non-trapping forms, div/rem by a divisor that cannot trap
-// among them, collapse own+fall into one add.
-func (b *t1builder) buildBinopK(op wasm.Opcode, x int, k Value, z int, own, fall uint64, next int) t1op {
-	cnt := own + fall
-	if c, swap, sh, bias := cmpShape(op); c <= cmpLe {
-		kk := k<<sh ^ bias
-		switch {
-		case c == cmpEq:
-			return func(fr *t1frame) int {
-				fr.regs[z] = boolVal(fr.regs[x]<<sh == kk)
-				fr.executed += cnt
-				return next
-			}
-		case c == cmpNe:
-			return func(fr *t1frame) int {
-				fr.regs[z] = boolVal(fr.regs[x]<<sh != kk)
-				fr.executed += cnt
-				return next
-			}
-		case c == cmpLt && !swap:
-			return func(fr *t1frame) int {
-				fr.regs[z] = boolVal(fr.regs[x]<<sh^bias < kk)
-				fr.executed += cnt
-				return next
-			}
-		case c == cmpLt:
-			return func(fr *t1frame) int {
-				fr.regs[z] = boolVal(kk < fr.regs[x]<<sh^bias)
-				fr.executed += cnt
-				return next
-			}
-		case c == cmpLe && !swap:
-			return func(fr *t1frame) int {
-				fr.regs[z] = boolVal(fr.regs[x]<<sh^bias <= kk)
-				fr.executed += cnt
-				return next
-			}
-		default: // cmpLe, swapped
-			return func(fr *t1frame) int {
-				fr.regs[z] = boolVal(kk <= fr.regs[x]<<sh^bias)
-				fr.executed += cnt
-				return next
-			}
-		}
-	}
-	switch op {
-	case wasm.OpI32Add:
-		k32 := AsI32(k)
-		return func(fr *t1frame) int {
-			fr.regs[z] = I32(AsI32(fr.regs[x]) + k32)
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32Sub:
-		k32 := AsI32(k)
-		return func(fr *t1frame) int {
-			fr.regs[z] = I32(AsI32(fr.regs[x]) - k32)
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32Mul:
-		k32 := AsI32(k)
-		return func(fr *t1frame) int {
-			fr.regs[z] = I32(AsI32(fr.regs[x]) * k32)
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32And:
-		return func(fr *t1frame) int {
-			fr.regs[z] = fr.regs[x] & k
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32Or:
-		return func(fr *t1frame) int {
-			fr.regs[z] = (fr.regs[x] | k) & 0xffffffff
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32Xor:
-		return func(fr *t1frame) int {
-			fr.regs[z] = (fr.regs[x] ^ k) & 0xffffffff
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32Shl:
-		sh := AsU32(k) & 31
-		return func(fr *t1frame) int {
-			fr.regs[z] = I32(AsI32(fr.regs[x]) << sh)
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32ShrS:
-		sh := AsU32(k) & 31
-		return func(fr *t1frame) int {
-			fr.regs[z] = I32(AsI32(fr.regs[x]) >> sh)
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32ShrU:
-		sh := AsU32(k) & 31
-		return func(fr *t1frame) int {
-			fr.regs[z] = uint64(AsU32(fr.regs[x]) >> sh)
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI64Add:
-		return func(fr *t1frame) int {
-			fr.regs[z] = fr.regs[x] + k
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI64Sub:
-		return func(fr *t1frame) int {
-			fr.regs[z] = fr.regs[x] - k
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI64Mul:
-		return func(fr *t1frame) int {
-			fr.regs[z] = fr.regs[x] * k
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI64And:
-		return func(fr *t1frame) int {
-			fr.regs[z] = fr.regs[x] & k
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI64Or:
-		return func(fr *t1frame) int {
-			fr.regs[z] = fr.regs[x] | k
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI64Xor:
-		return func(fr *t1frame) int {
-			fr.regs[z] = fr.regs[x] ^ k
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI64Shl:
-		sh := k & 63
-		return func(fr *t1frame) int {
-			fr.regs[z] = fr.regs[x] << sh
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI64ShrU:
-		sh := k & 63
-		return func(fr *t1frame) int {
-			fr.regs[z] = fr.regs[x] >> sh
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI32DivS:
-		if d := AsI32(k); d != 0 && d != -1 {
-			return func(fr *t1frame) int {
-				fr.regs[z] = I32(AsI32(fr.regs[x]) / d)
-				fr.executed += cnt
-				return next
-			}
-		}
-	case wasm.OpI32DivU:
-		if d := AsU32(k); d != 0 {
-			return func(fr *t1frame) int {
-				fr.regs[z] = uint64(AsU32(fr.regs[x]) / d)
-				fr.executed += cnt
-				return next
-			}
-		}
-	case wasm.OpI32RemS:
-		if d := AsI32(k); d != 0 {
-			return func(fr *t1frame) int {
-				fr.regs[z] = I32(AsI32(fr.regs[x]) % d)
-				fr.executed += cnt
-				return next
-			}
-		}
-	case wasm.OpI32RemU:
-		if d := AsU32(k); d != 0 {
-			return func(fr *t1frame) int {
-				fr.regs[z] = uint64(AsU32(fr.regs[x]) % d)
-				fr.executed += cnt
-				return next
-			}
-		}
-	case wasm.OpI64DivS:
-		if d := AsI64(k); d != 0 && d != -1 {
-			return func(fr *t1frame) int {
-				fr.regs[z] = I64(AsI64(fr.regs[x]) / d)
-				fr.executed += cnt
-				return next
-			}
-		}
-	case wasm.OpI64DivU:
-		if k != 0 {
-			return func(fr *t1frame) int {
-				fr.regs[z] = fr.regs[x] / k
-				fr.executed += cnt
-				return next
-			}
-		}
-	case wasm.OpI64RemS:
-		if d := AsI64(k); d != 0 {
-			return func(fr *t1frame) int {
-				fr.regs[z] = I64(AsI64(fr.regs[x]) % d)
-				fr.executed += cnt
-				return next
-			}
-		}
-	case wasm.OpI64RemU:
-		if k != 0 {
-			return func(fr *t1frame) int {
-				fr.regs[z] = fr.regs[x] % k
-				fr.executed += cnt
-				return next
-			}
-		}
-	}
-	// Generic fold: the long tail, and the divisors that can trap (0, or -1
-	// for div_s), with own counted before the operator runs.
-	return func(fr *t1frame) int {
-		fr.executed += own
-		v, err := binaryOp(op, fr.regs[x], k)
-		if err != nil {
-			fr.err = err
-			return t1Trapped
-		}
-		fr.regs[z] = v
-		fr.executed += fall
 		return next
 	}
 }

@@ -162,6 +162,12 @@ type t1builder struct {
 	nl      int
 	bad     bool
 
+	// fn is the body being lowered: its constants fill in as kslot meets
+	// them, and the call closures pass it to the fast path (the caller whose
+	// constants a callee may cover). kbase is the slot of the first constant.
+	fn    *t1func
+	kbase int
+
 	// tcFuncs is the artifact's (still being filled) function table and
 	// nImported the module's imported-function count: a call to a local
 	// function resolves its tier-1 body through this shared slice directly,
@@ -198,6 +204,18 @@ func (b *t1builder) slot(ht, k int) int {
 		return 0
 	}
 	return b.nl + ht - k
+}
+
+// kslot returns the register slot holding the integer constant v, giving
+// it one in the constant region on first use.
+func (b *t1builder) kslot(v Value) int {
+	for i, k := range b.fn.consts {
+		if k == v {
+			return b.kbase + i
+		}
+	}
+	b.fn.consts = append(b.fn.consts, v)
+	return b.kbase + len(b.fn.consts) - 1
 }
 
 // branch movement: where a taken branch's kept values move. drop==0 yields
@@ -242,29 +260,24 @@ func lowerFunc(m *wasm.Module, cc *compiledCode, np, nl, nr int, tcFuncs []*t1fu
 			k++
 		}
 	}
+	fn := &t1func{ops: make([]t1op, 0, k), np: np, nl: nl, nr: nr, lead: skipCnt[0]}
 	b := &t1builder{
 		m: m, cc: cc, heights: heights,
 		skip: skip, skipCnt: skipCnt, idxOf: idxOf, nl: nl,
 		tcFuncs: tcFuncs, nImported: nImported,
+		fn: fn, kbase: nl + cc.maxHeight,
 	}
-	ops := make([]t1op, 0, k)
 	for pc := 0; pc < n; pc++ {
 		if idxOf[pc] < 0 {
 			continue
 		}
-		ops = append(ops, b.build(pc))
+		fn.ops = append(fn.ops, b.build(pc))
 		if b.bad {
 			return nil
 		}
 	}
-	return &t1func{
-		ops:   ops,
-		np:    np,
-		nl:    nl,
-		nr:    nr,
-		slots: nl + cc.maxHeight,
-		lead:  skipCnt[0],
-	}
+	fn.slots = b.kbase + len(fn.consts)
+	return fn
 }
 
 // build lowers the surviving instruction at pc to its closure.
@@ -339,7 +352,7 @@ func (b *t1builder) build(pc int) t1op {
 			return next
 		}
 	case opCmpBrIf:
-		return b.buildCmpBrIf(pc, in, ht, b.slot(ht, 2), b.slot(ht, 1), 2)
+		return b.buildCmpBrIf(wasm.Opcode(in.misc), pc, ht-2, b.slot(ht, 2), b.slot(ht, 1), 2)
 	case wasm.OpBrTable:
 		c := b.slot(ht, 1)
 		src := b.cc.brTables[in.misc]
@@ -398,6 +411,7 @@ func (b *t1builder) build(pc int) t1op {
 		}
 		aslot := b.slot(ht, len(ft.Params))
 		next, crF := b.fall(pc)
+		self := b.fn
 		if lk := int(fi) - b.nImported; lk >= 0 {
 			tcFuncs := b.tcFuncs
 			return func(fr *t1frame) int {
@@ -410,13 +424,13 @@ func (b *t1builder) build(pc int) t1op {
 				var err error
 				if t1 := tcFuncs[lk]; t1 != nil {
 					var done bool
-					if done, err = fr.s.t1FastCall(fr, callee, t1, aslot); !done {
+					if done, err = fr.s.t1FastCall(fr, self, callee, t1, aslot); !done {
 						err = fr.inst.invokeNested(callee,
 							fr.regs[aslot:aslot+callee.numParams],
 							fr.regs[aslot:aslot+len(callee.typ.Results)])
 					}
 				} else {
-					err = fr.callFunc(callee, aslot)
+					err = fr.callFunc(self, callee, aslot)
 				}
 				if err != nil {
 					fr.err = err
@@ -432,7 +446,7 @@ func (b *t1builder) build(pc int) t1op {
 				fr.err = newTrap(TrapOutOfFuel)
 				return t1Trapped
 			}
-			if err := fr.callFunc(fr.inst.funcs[fi], aslot); err != nil {
+			if err := fr.callFunc(self, fr.inst.funcs[fi], aslot); err != nil {
 				fr.err = err
 				return t1Trapped
 			}
@@ -445,6 +459,7 @@ func (b *t1builder) build(pc int) t1op {
 		c := b.slot(ht, 1)
 		aslot := b.slot(ht, 1+len(ft.Params))
 		next, crF := b.fall(pc)
+		self := b.fn
 		return func(fr *t1frame) int {
 			fr.executed++
 			if !fr.chargeFuel() {
@@ -466,7 +481,7 @@ func (b *t1builder) build(pc int) t1op {
 				fr.err = newTrap(TrapIndirectCallTypeMismatch)
 				return t1Trapped
 			}
-			if err := fr.callFunc(callee, aslot); err != nil {
+			if err := fr.callFunc(self, callee, aslot); err != nil {
 				fr.err = err
 				return t1Trapped
 			}

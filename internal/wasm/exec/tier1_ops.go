@@ -343,29 +343,28 @@ func cmpShape(op wasm.Opcode) (k cmpKind, swap bool, sh, bias uint64) {
 	return r.k, r.swap, sh, r.bias
 }
 
-// t1test is a fused branch's integer test of a produced value v: v<<sh ^ m
-// against the constant kk or, when w >= 0, regs[w]<<sh ^ m, by < (lt) or
-// ==, negated when neg.
+// t1test is a fused branch's test of a produced i32 value v against
+// regs[w]: v<<32 ^ m against regs[w]<<32 ^ m, by < (lt) or ==, negated when
+// neg.
 type t1test struct {
-	w         int
-	sh, m, kk uint64
-	lt, neg   bool
+	w       int
+	m       uint64
+	lt, neg bool
 }
 
-// reduce sets t to the integer comparison cmp with v as its left operand
-// and kk still unmapped; false for a float comparison. Complementing both
-// sides reverses the unsigned order, so a > b is ^a < ^b, a <= b is
-// !(^a < ^b) and a >= b is !(a < b): no comparison keeps a swap.
+// reduce sets t to the i32 comparison cmp with v as its left operand; false
+// for any other comparison. Complementing both sides reverses the unsigned
+// order, so a > b is ^a < ^b, a <= b is !(^a < ^b) and a >= b is !(a < b):
+// no comparison keeps a swap.
 func (t *t1test) reduce(cmp wasm.Opcode) bool {
 	k, swap, sh, bias := cmpShape(cmp)
-	if k > cmpLe {
+	if k > cmpLe || sh != 32 {
 		return false
 	}
-	t.sh, t.m, t.lt, t.neg = sh, bias, k >= cmpLt, k == cmpNe || k == cmpLe
+	t.m, t.lt, t.neg = bias, k >= cmpLt, k == cmpNe || k == cmpLe
 	if swap != (k == cmpLe) {
 		t.m = ^t.m
 	}
-	t.kk = t.kk<<sh ^ t.m
 	return true
 }
 
@@ -397,7 +396,8 @@ func (j t1if) to(fr *t1frame, c bool) int {
 }
 
 // buildCmpIf lowers "<comparison>; if" comparing regs[x] with regs[y]
-// (operand or local slots) into one closure that branches on the compare.
+// (operand, local or constant slots) into one closure that branches on the
+// compare.
 func (b *t1builder) buildCmpIf(op wasm.Opcode, x, y int, j t1if) t1op {
 	k, swap, sh, bias := cmpShape(op)
 	if swap {
@@ -431,43 +431,12 @@ func (b *t1builder) buildCmpIf(op wasm.Opcode, x, y int, j t1if) t1op {
 	}
 }
 
-// buildCmpIfK lowers "<integer comparison>; if" comparing regs[x] with the
-// constant kv; eqz is the eq form with kv = 0. Nil for a float comparison.
-func (b *t1builder) buildCmpIfK(op wasm.Opcode, x int, kv Value, j t1if) t1op {
-	k, swap, sh, bias := cmpShape(op)
-	kk := kv<<sh ^ bias
-	switch {
-	case k == cmpEq:
-		return func(fr *t1frame) int { return j.to(fr, fr.regs[x]<<sh == kk) }
-	case k == cmpNe:
-		return func(fr *t1frame) int { return j.to(fr, fr.regs[x]<<sh != kk) }
-	case k == cmpLt && !swap:
-		return func(fr *t1frame) int { return j.to(fr, fr.regs[x]<<sh^bias < kk) }
-	case k == cmpLt:
-		return func(fr *t1frame) int { return j.to(fr, kk < fr.regs[x]<<sh^bias) }
-	case k == cmpLe && !swap:
-		return func(fr *t1frame) int { return j.to(fr, fr.regs[x]<<sh^bias <= kk) }
-	case k == cmpLe:
-		return func(fr *t1frame) int { return j.to(fr, kk <= fr.regs[x]<<sh^bias) }
-	}
-	return nil
-}
-
 // t1branch is a fused br_if's two exits: taken (kept values moved, then
 // t) or not (next), each with its erased-successor credit.
 type t1branch struct {
 	t, next        int
 	crT, crF       uint64
 	dst, src, keep int
-}
-
-// branchExits resolves the exits of the br_if at pc whose target and
-// drop/keep are in's; ht is the operand height once the condition is popped.
-func (b *t1builder) branchExits(pc int, in *instr, ht int) t1branch {
-	next, crF := b.fall(pc)
-	dst, src, keep := b.moveFor(ht, in.b)
-	return t1branch{t: b.tgt(int(in.a)), next: next, crT: b.skipCnt[in.a], crF: crF,
-		dst: dst, src: src, keep: keep}
 }
 
 // take moves the kept values and credits the taken exit.
@@ -479,14 +448,17 @@ func (e t1branch) take(fr *t1frame) int {
 	return e.t
 }
 
-// buildCmpBrIf lowers the fused "<comparison>; br_if" superinstruction
-// comparing regs[x] and regs[y] (operand slots or, when fused with a
-// preceding local-get pair, local slots directly). own is the original
-// instruction count retired before the fuel charge. The integer
-// comparisons, i32 and i64, get inline closures.
-func (b *t1builder) buildCmpBrIf(pc int, in *instr, ht, x, y int, own uint64) t1op {
-	e := b.branchExits(pc, in, ht-2)
-	op := wasm.Opcode(in.misc)
+// buildCmpBrIf lowers the comparison op and the br_if (or fused cmp-br_if)
+// at pc into one closure comparing regs[x] and regs[y]: operand, local or
+// constant slots. ht is the operand height once the br_if has popped. own
+// is the original instruction count retired before the fuel charge. The
+// integer comparisons, i32 and i64, get inline closures.
+func (b *t1builder) buildCmpBrIf(op wasm.Opcode, pc, ht, x, y int, own uint64) t1op {
+	in := &b.cc.instrs[pc]
+	next, crF := b.fall(pc)
+	dst, src, keep := b.moveFor(ht, in.b)
+	e := t1branch{t: b.tgt(int(in.a)), next: next, crT: b.skipCnt[in.a], crF: crF,
+		dst: dst, src: src, keep: keep}
 	k, swap, sh, bias := cmpShape(op)
 	if swap && k <= cmpLe {
 		x, y = y, x
@@ -554,26 +526,6 @@ func (b *t1builder) buildCmpBrIf(pc int, in *instr, ht, x, y int, own uint64) t1
 			return t1Trapped
 		}
 		if v, _ := binaryOp(op, fr.regs[x], fr.regs[y]); v != 0 {
-			return e.take(fr)
-		}
-		fr.executed += e.crF
-		return e.next
-	}
-}
-
-// buildEqzBrIf lowers "i32.eqz|i64.eqz; br_if", the br_if at pc, testing
-// regs[c] against zero as the eq comparison of its type does; own counts
-// both originals, charged at the br_if like tier 0.
-func (b *t1builder) buildEqzBrIf(pc int, in *instr, ht, c int, eq wasm.Opcode, own uint64) t1op {
-	e := b.branchExits(pc, in, ht-1)
-	_, _, sh, _ := cmpShape(eq)
-	return func(fr *t1frame) int {
-		fr.executed += own
-		if !fr.chargeFuel() {
-			fr.err = newTrap(TrapOutOfFuel)
-			return t1Trapped
-		}
-		if fr.regs[c]<<sh == 0 {
 			return e.take(fr)
 		}
 		fr.executed += e.crF

@@ -75,12 +75,17 @@ func Validate(m *Module) error {
 		}
 	}
 
-	// Exports: indices in range per kind.
+	// Exports: names unique, indices in range per kind.
 	numFuncs := m.NumImportedFuncs() + len(m.Functions)
 	numTables := m.NumImportedTables() + len(m.Tables)
 	numMems := m.NumImportedMemories() + len(m.Memories)
 	numGlobals := len(importedGlobals) + len(m.Globals)
+	seen := map[string]bool{}
 	for _, e := range m.Exports {
+		if seen[e.Name] {
+			return fmt.Errorf("wasm: duplicate export name %q", e.Name)
+		}
+		seen[e.Name] = true
 		var limit int
 		switch e.Kind {
 		case ExternalFunc:

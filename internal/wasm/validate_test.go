@@ -231,6 +231,19 @@ func TestValidateImportsAndExports(t *testing.T) {
 	// Export of unknown function.
 	m = &Module{Exports: []Export{{Name: "x", Kind: ExternalFunc, Index: 0}}}
 	expectInvalid(t, m, "unknown func")
+
+	// Duplicate export names, of one kind or of two.
+	empty := Code{Body: new(BodyBuilder).End().Bytes()}
+	for _, m := range []*Module{
+		// (module (func (export "a")) (func (export "a")))
+		{Types: []FuncType{{}}, Functions: []uint32{0, 0}, Codes: []Code{empty, empty},
+			Exports: []Export{{Name: "a", Kind: ExternalFunc, Index: 0}, {Name: "a", Kind: ExternalFunc, Index: 1}}},
+		// (module (memory (export "") 0) (func (export "")))
+		{Types: []FuncType{{}}, Functions: []uint32{0}, Codes: []Code{empty}, Memories: []MemoryType{{}},
+			Exports: []Export{{Name: "", Kind: ExternalMemory, Index: 0}, {Name: "", Kind: ExternalFunc, Index: 0}}},
+	} {
+		expectInvalid(t, m, "duplicate export name")
+	}
 }
 
 func TestValidateStartFunction(t *testing.T) {

@@ -40,6 +40,10 @@ func FuzzWATAssemble(f *testing.F) {
 	for _, src := range []string{
 		workloads.MinimalServiceWAT, workloads.CPUBoundWAT, workloads.MemoryBoundWAT,
 		workloads.EchoArgsWAT, workloads.FileIOWAT, workloads.RequestHandlerWAT,
+		// Duplicate export names: once assembled and validated, then
+		// refused by the decoder.
+		`(module (func (export "a")) (func (export "a")))`,
+		`(module(memory(export"")0)(func(export"")))`,
 	} {
 		f.Add(src)
 	}

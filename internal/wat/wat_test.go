@@ -340,6 +340,9 @@ func TestCompileErrors(t *testing.T) {
 		{"unbalanced", `(module (func (export "f")`},
 		{"type mismatch", `(module (func (export "f") (result i32) i64.const 1))`},
 		{"unknown func", `(module (func (export "f") call $ghost))`},
+		{"duplicate export", `(module (func (export "a")) (func (export "a")))`},
+		{"duplicate export, two kinds", `(module(memory(export"")0)(func(export"")))`},
+		{"duplicate export, explicit", `(module (func $f) (export "a" (func $f)) (export "a" (func $f)))`},
 	}
 	for _, c := range cases {
 		if _, err := Compile(c.src); err == nil {
