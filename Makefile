@@ -41,8 +41,11 @@ race:
 # allocations). The host side of a warm request is pinned too: a DES
 # At + Step with a prebuilt closure allocates nothing (events are values),
 # and one warm invoke through the gateway's ServeHTTP, with a real text
-# access-log writer, stays at or under 37 allocations. The last leg is the
-# one-shot container path: a crun-wamr pod allocates at most 120 times, and a
+# access-log writer, stays at or under 37 allocations. A warm instance is
+# pinned at the engine and at pool fill: Instantiate of a cached
+# request-handler takes at most 3 allocations, and NewPool of four such
+# instances at most 14. The last leg is the
+# one-shot container path: a crun-wamr pod allocates at most 98 times, and a
 # live 400-pod cluster holds at most 3.3 KiB of heap per pod (-count=1, so a
 # cached pass cannot hide a regression). The gateway heap leg is the daemon's
 # own bookkeeping: 2 000 warm invokes through ServeHTTP grow a warm server's
@@ -65,7 +68,8 @@ obs-overhead:
 	if [ "$$n" -ne 2 ]; then \
 		echo "obs-overhead: tsdb sample path allocates"; exit 1; fi
 	$(GO) test -count=1 -run 'TestReplicaRequestAllocs$$' ./internal/cluster
-	$(GO) test -count=1 -run 'TestRouterRequestAllocsTelemetryParity$$|TestDispatcherRequestAllocsTelemetryParity$$|TestIdleInstancesHoldNoPrivatePages$$' ./internal/serve
+	$(GO) test -count=1 -run 'TestRouterRequestAllocsTelemetryParity$$|TestDispatcherRequestAllocsTelemetryParity$$|TestIdleInstancesHoldNoPrivatePages$$|TestNewPoolAllocs$$' ./internal/serve
+	$(GO) test -count=1 -run 'TestInstantiateAllocs$$' ./internal/engine
 	$(GO) test -count=1 -run 'TestEngineScheduleAllocs$$' ./internal/des
 	$(GO) test -count=1 -run 'TestWarmInvokeAllocs$$' ./internal/gateway
 	$(GO) test -count=1 -run 'TestWarmServerLiveHeap$$' ./internal/gateway

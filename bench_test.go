@@ -292,16 +292,18 @@ func BenchmarkDensityCell400(b *testing.B) {
 // while every store started with a 128 KiB register stack, and about 70 KiB
 // (one 64 KiB linear-memory page among them) without it. The allocation
 // bound catches per-pod copies of what pods share: a deep copy of the image's
-// files made 178 allocations per pod, a copy-on-write snapshot 117, and one
-// spec template per image and one container template per Deploy about 105.
+// files made 178 allocations per pod, a copy-on-write snapshot 117, one
+// spec template per image and one container template per Deploy about 105,
+// and a store carrying its instance and memory, with the functions in one
+// block, 94.
 func TestDensityPodAllocBytes(t *testing.T) {
 	cellAllocs(t, 10) // compile the image's module and warm the shared caches
 	bytesPerPod, allocsPerPod := cellAllocs(t, 100)
 	if bytesPerPod > 96<<10 {
 		t.Fatalf("a crun-wamr pod at 100 pods allocates %.1f KiB, want under 96", bytesPerPod/1024)
 	}
-	if allocsPerPod > 120 {
-		t.Fatalf("a crun-wamr pod at 100 pods allocates %.0f times, want at most 120", allocsPerPod)
+	if allocsPerPod > 98 {
+		t.Fatalf("a crun-wamr pod at 100 pods allocates %.0f times, want at most 98", allocsPerPod)
 	}
 	t.Logf("crun-wamr x100: %.1f KiB and %.0f allocs per pod", bytesPerPod/1024, allocsPerPod)
 }

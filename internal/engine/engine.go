@@ -485,6 +485,11 @@ func (e *Engine) ColdStartCost() time.Duration {
 // Instance is a live instantiated module held for repeated invocations (the
 // serving path). Each Instance owns a private store, so distinct Instances
 // may be used from different goroutines; a single Instance must not.
+//
+// A warm instance is three allocations: the Instance (or the embedder's
+// record holding one, see InstantiateInto), the store — which carries the
+// exec.Instance and its linear memory inline, the memory aliasing the
+// module's baseline image — and the function index space.
 type Instance struct {
 	e     *Engine
 	store *exec.Store
@@ -496,8 +501,20 @@ type Instance struct {
 // data segments, start function). Used for both pool pre-warming and the
 // dispatcher's cold-start fallback.
 func (e *Engine) Instantiate(cm *CompiledModule) (*Instance, error) {
+	i := new(Instance)
+	if err := e.InstantiateInto(i, cm); err != nil {
+		return nil, err
+	}
+	return i, nil
+}
+
+// InstantiateInto is Instantiate into an Instance the caller keeps inside a
+// record of its own (serve.WarmInstance), so the two share one allocation.
+// dst is overwritten; on error it is left zero.
+func (e *Engine) InstantiateInto(dst *Instance, cm *CompiledModule) error {
+	*dst = Instance{}
 	if err := e.faults.InstantiateError(); err != nil {
-		return nil, fmt.Errorf("%s: %w", e.Profile.Name, err)
+		return fmt.Errorf("%s: %w", e.Profile.Name, err)
 	}
 	var spanStart int64
 	var wallStart time.Time
@@ -508,7 +525,7 @@ func (e *Engine) Instantiate(cm *CompiledModule) (*Instance, error) {
 	store := exec.NewStore(exec.Config{})
 	inst, err := store.InstantiateCompiled(cm.Code, "")
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", e.Profile.Name, err)
+		return fmt.Errorf("%s: %w", e.Profile.Name, err)
 	}
 	e.obsInstantiates.Inc()
 	if e.obsTracer != nil {
@@ -532,7 +549,8 @@ func (e *Engine) Instantiate(cm *CompiledModule) (*Instance, error) {
 	if m := inst.Memory(); m != nil && cm.Code.EnsureBaseline(m) == nil {
 		m.CaptureBaseline()
 	}
-	return &Instance{e: e, store: store, inst: inst}, nil
+	*dst = Instance{e: e, store: store, inst: inst}
+	return nil
 }
 
 // InvokeResult carries one invocation's outcome and derived cost figures.

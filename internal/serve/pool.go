@@ -55,9 +55,11 @@ type Stats struct {
 // used by one request at a time; the pool hands it out exclusively between
 // Acquire/ColdStart and Release. Instances hold no private reset snapshot:
 // all instances of the pool's module alias one shared baseline image, and
-// Release copies back only the pages a request dirtied.
+// Release copies back only the pages a request dirtied. The engine Instance
+// is held inline: a warm instance is this record, its store and its function
+// block.
 type WarmInstance struct {
-	inst *engine.Instance
+	inst engine.Instance
 	// footprint is the accounted bytes while idle (engine per-instance state;
 	// private dirty pages are zero after a reset).
 	footprint int64
@@ -155,7 +157,7 @@ func (p *Pool) collect(counter, gauge func(string, int64)) {
 // plus the pages it has dirtied, mirroring the paper's shared-read-only-state
 // accounting.
 func NewPool(eng *engine.Engine, cm *engine.CompiledModule, cfg Config) (*Pool, error) {
-	p := &Pool{eng: eng, cm: cm, cfg: cfg}
+	p := &Pool{eng: eng, cm: cm, cfg: cfg, idle: make([]*WarmInstance, 0, cfg.Size)}
 	p.mu.Lock()
 	p.syncSharedLocked()
 	p.mu.Unlock()
@@ -217,15 +219,11 @@ func (p *Pool) Resize(n int) (int, error) {
 // first instantiation also captures the module's baseline image, charged
 // once for the pool's lifetime.
 func (p *Pool) newInstance(cold bool) (*WarmInstance, error) {
-	inst, err := p.eng.Instantiate(p.cm)
-	if err != nil {
+	wi := &WarmInstance{cold: cold}
+	if err := p.eng.InstantiateInto(&wi.inst, p.cm); err != nil {
 		return nil, err
 	}
-	wi := &WarmInstance{
-		inst:      inst,
-		footprint: inst.FootprintBytes(),
-		cold:      cold,
-	}
+	wi.footprint = wi.inst.FootprintBytes()
 	p.mu.Lock()
 	p.syncSharedLocked()
 	p.addMemLocked(wi.footprint)

@@ -3,6 +3,7 @@ package exec
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"wasmcontainers/internal/wasm"
 )
@@ -73,23 +74,36 @@ type tablePatch struct {
 	entry int // entry within its jump table
 }
 
+// compiler is the scratch state of lowering a module's function bodies.
+// Precompile makes one per module and reuses its buffers from body to body;
+// a body keeps only an exact-size copy of its fused code.
 type compiler struct {
 	m        *wasm.Module
-	code     *wasm.Code
 	ft       wasm.FuncType
-	instrs   []instr
+	instrs   []instr // the body being compiled; fuse compacts it in place
 	brTables [][]brTableEntry
 	ctrl     []ctFrame
 	height   int
 	maxH     int
 	unrea    bool
+	targets  []uint32 // one br_table's depths
+	index    []int32  // fuse's branch-target flags and index map
 }
 
 // compileBody lowers a validated function body to compiledCode. The body is
 // assumed valid: compileBody panics on structural impossibilities rather than
 // returning rich errors.
-func compileBody(m *wasm.Module, ft wasm.FuncType, code *wasm.Code) (*compiledCode, error) {
-	c := &compiler{m: m, code: code, ft: ft}
+func (c *compiler) compileBody(ft wasm.FuncType, code *wasm.Code) (compiledCode, error) {
+	// Every instruction emitted takes at least one byte of the body.
+	if cap(c.instrs) < len(code.Body) {
+		c.instrs = make([]instr, 0, len(code.Body))
+	}
+	if c.ctrl == nil {
+		c.ctrl = make([]ctFrame, 0, 8)
+	}
+	c.ft = ft
+	c.instrs, c.brTables, c.ctrl = c.instrs[:0], c.brTables[:0], c.ctrl[:0]
+	c.height, c.maxH, c.unrea = 0, 0, false
 	c.pushCtrl(0, 0, len(ft.Results), -1)
 
 	buf := code.Body
@@ -152,8 +166,11 @@ func compileBody(m *wasm.Module, ft wasm.FuncType, code *wasm.Code) (*compiledCo
 			if len(c.ctrl) == 0 {
 				// Implicit function end: emit a return for the interpreter.
 				c.instrs[endPC] = instr{op: wasm.OpReturn, b: packDropKeep(0, len(c.ft.Results))}
-				cc := &compiledCode{instrs: c.instrs, brTables: c.brTables, maxHeight: c.maxH + 1}
-				fuse(cc)
+				c.fuse()
+				cc := compiledCode{instrs: slices.Clone(c.instrs), maxHeight: c.maxH + 1}
+				if len(c.brTables) > 0 {
+					cc.brTables = slices.Clone(c.brTables)
+				}
 				return cc, nil
 			}
 		case wasm.OpBr, wasm.OpBrIf:
@@ -168,23 +185,23 @@ func compileBody(m *wasm.Module, ft wasm.FuncType, code *wasm.Code) (*compiledCo
 				c.setUnreachable()
 			}
 		case wasm.OpBrTable:
+			// The n depths, then the default.
 			n := readU32()
-			targets := make([]uint32, n)
-			for i := range targets {
-				targets[i] = readU32()
+			c.targets = c.targets[:0]
+			for i := uint32(0); i <= n; i++ {
+				c.targets = append(c.targets, readU32())
 			}
-			def := readU32()
 			c.pop(1) // index
 			entries := make([]brTableEntry, 0, n+1)
 			patchIdx := len(c.instrs)
-			for _, t := range append(targets, def) {
+			for _, t := range c.targets {
 				pc, dk := c.branchTo(t)
 				entries = append(entries, brTableEntry{pc: pc, dropKeep: dk})
 			}
 			c.brTables = append(c.brTables, entries)
 			c.emit(instr{op: op, misc: uint32(len(c.brTables) - 1)})
 			// Register forward patches: entry i of table misc.
-			for i, t := range append(targets, def) {
+			for i, t := range c.targets {
 				c.patchTableIfForward(t, patchIdx, i)
 			}
 			c.setUnreachable()
@@ -195,7 +212,7 @@ func compileBody(m *wasm.Module, ft wasm.FuncType, code *wasm.Code) (*compiledCo
 			fi := readU32()
 			ft, err := c.m.FuncTypeAt(fi)
 			if err != nil {
-				return nil, err
+				return compiledCode{}, err
 			}
 			c.pop(len(ft.Params))
 			c.emit(instr{op: op, a: uint64(fi)})
@@ -292,7 +309,7 @@ func compileBody(m *wasm.Module, ft wasm.FuncType, code *wasm.Code) (*compiledCo
 			}
 		}
 	}
-	return nil, fmt.Errorf("exec: function body ended without end opcode")
+	return compiledCode{}, fmt.Errorf("exec: function body ended without end opcode")
 }
 
 func (c *compiler) emit(i instr) int {
@@ -319,11 +336,21 @@ func (c *compiler) pop(n int) {
 	}
 }
 
+// pushCtrl opens a control frame, reusing the patch lists a popped frame at
+// the same depth left behind.
 func (c *compiler) pushCtrl(op wasm.Opcode, nIn, nOut, startPC int) {
-	c.ctrl = append(c.ctrl, ctFrame{
+	n := len(c.ctrl)
+	if n < cap(c.ctrl) {
+		c.ctrl = c.ctrl[:n+1]
+	} else {
+		c.ctrl = append(c.ctrl, ctFrame{})
+	}
+	f := &c.ctrl[n]
+	*f = ctFrame{
 		op: op, base: c.height, nIn: nIn, nOut: nOut,
 		startPC: startPC, elsePC: -1, wasUnrea: c.unrea,
-	})
+		patches: f.patches[:0], tablePatches: f.tablePatches[:0],
+	}
 }
 
 func (c *compiler) setUnreachable() {

@@ -206,3 +206,74 @@ func TestAttachBaselineSharesOneImage(t *testing.T) {
 		t.Fatal("attach accepted a size-mismatched image")
 	}
 }
+
+// TestDirtyBitmapInlineEdge walks a memory across the 64-page edge where its
+// dirty bitmap leaves the word inside Memory for an allocated array: an
+// aliased 1-page memory grows to 64 pages, then 65, is written, reset,
+// grown across again and reset again. After every step its bytes, pages,
+// DirtyPages and PrivateBytes match the full-copy model.
+func TestDirtyBitmapInlineEdge(t *testing.T) {
+	base := bytes.Repeat([]byte{0x5a}, wasm.PageSize)
+	donor := newCowMemory(1)
+	donor.Write(0, base)
+	img := donor.CaptureBaseline()
+	m := new(Memory)
+	m.initAliased(wasm.MemoryType{Limits: wasm.Limits{Min: 1}}, cowMaxPages, img)
+	c := newCowModel(base)
+	inline := func() bool { return cap(m.dirty) > 0 && &m.dirty[:1][0] == &m.dirtyInline[0] }
+	check := func(step string, wantInline bool) {
+		t.Helper()
+		switch {
+		case !bytes.Equal(m.Bytes(), c.data):
+			t.Fatalf("%s: bytes differ from the model", step)
+		case int(m.Pages()) != len(c.data)/wasm.PageSize:
+			t.Fatalf("%s: %d pages, want %d", step, m.Pages(), len(c.data)/wasm.PageSize)
+		case m.DirtyPages() != len(c.dirty):
+			t.Fatalf("%s: %d dirty pages, want %d", step, m.DirtyPages(), len(c.dirty))
+		case m.PrivateBytes() != int64(len(c.dirty))*wasm.PageSize:
+			t.Fatalf("%s: private bytes %d, want %d pages", step, m.PrivateBytes(), len(c.dirty))
+		case m.aliased() == c.private:
+			t.Fatalf("%s: aliased=%v, the model says private=%v", step, m.aliased(), c.private)
+		case inline() != wantInline:
+			t.Fatalf("%s: bitmap inline=%v, want %v", step, inline(), wantInline)
+		}
+	}
+	grow := func(step string, delta uint32, wantInline bool) {
+		t.Helper()
+		if got, want := m.Grow(delta), c.grow(delta); got != want {
+			t.Fatalf("%s: Grow(%d) = %d, the model says %d", step, delta, got, want)
+		}
+		check(step, wantInline)
+	}
+	write := func(step string, ea uint32, wantInline bool) {
+		t.Helper()
+		b := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+		if got, want := m.Write(ea, b), c.write(uint64(ea), b); got != want {
+			t.Fatalf("%s: Write(%#x) = %v, the model says %v", step, ea, got, want)
+		}
+		check(step, wantInline)
+	}
+	reset := func(step string, wantInline bool) {
+		t.Helper()
+		if got, want := m.ResetToBaseline(), c.reset(); got != want {
+			t.Fatalf("%s: ResetToBaseline = %d, the model says %d", step, got, want)
+		}
+		check(step, wantInline)
+	}
+
+	check("aliased", true)
+	grow("grow to 63 pages", 62, true)
+	write("write page 62", 62*wasm.PageSize+4, true)
+	grow("grow to 64 pages", 1, true)
+	write("write page 63", 64*wasm.PageSize-8, true)
+	grow("grow to 65 pages", 1, false)
+	write("write page 64", 64*wasm.PageSize, false)
+	write("write across pages 0 and 1", wasm.PageSize-4, false)
+	reset("reset: every baseline page dirty, re-alias", false)
+	grow("grow again to 65 pages", 64, false)
+	write("write page 64 again", 64*wasm.PageSize+100, false)
+	reset("reset: no baseline page dirty, copy back", false)
+	write("write page 0", 8, false)
+	grow("grow to 2 pages", 1, false)
+	reset("reset: the baseline page dirty", false)
+}

@@ -21,10 +21,13 @@ import (
 // ways: straight through the Memory API, and through real guest stores /
 // memory.fill / memory.copy / memory.grow at tier 0 and at tier 1.
 
+// cowMaxPages lets a memory grow past 64 pages, where its dirty bitmap moves
+// from the word inside Memory to an allocated array.
 const (
-	cowMinPages = 2
-	cowMaxPages = 6
-	cowStepLen  = 8
+	cowMinPages  = 2
+	cowMaxPages  = 66
+	cowAddrPages = 8 // cowAddr reaches pages 0..7
+	cowStepLen   = 8
 )
 
 type cowOp byte
@@ -51,18 +54,22 @@ const (
 var cowLens = []uint32{0, 1, 2, 3, 4, 5, 8, 9, 16, 255, 4096, 65535, 65536, 65537,
 	2 * 65536, 3 * 65536, 0xffffffff, 0xfffffff0}
 
-// cowStep is one decoded step. Addresses are a page index (0..7, so the top
-// two never exist) plus a signed byte offset, which puts them on and around
-// page boundaries and — below page 0 — near 4 GiB.
+// cowStep is one decoded step. Addresses are a page index (0..7) plus a
+// signed byte offset, which puts them on and around page boundaries and —
+// below page 0 — near 4 GiB. A grow adds far (the last byte, mod 64) pages
+// to its small delta, so one step can cross the bitmap's 64-page edge.
 type cowStep struct {
 	op        cowOp
 	who       int
 	addr, src uint32
 	n         uint32
 	val       uint64
+	far       uint32
 }
 
-func cowAddr(page, off byte) uint32 { return uint32(int64(page%8)<<16 + int64(int8(off))) }
+func cowAddr(page, off byte) uint32 {
+	return uint32(int64(page%cowAddrPages)<<16 + int64(int8(off)))
+}
 
 func decodeCowProgram(data []byte) []cowStep {
 	var steps []cowStep
@@ -74,6 +81,7 @@ func decodeCowProgram(data []byte) []cowStep {
 			n:    cowLens[int(data[3])%len(cowLens)],
 			src:  cowAddr(data[4], data[5]),
 			val:  uint64(data[6])*0x0101010101010101 ^ uint64(data[7])<<20,
+			far:  uint32(data[7] % 64),
 		})
 	}
 	return steps
@@ -96,7 +104,7 @@ func cowLenIdx(n uint32) int {
 }
 
 // cowSeeds is the committed corpus, one program per rule of the design; under
-// plain go test FuzzMemoryCoW runs them as seed#0..5, in this order.
+// plain go test FuzzMemoryCoW runs them as seed#0..6, in this order.
 func cowSeeds() []cowProg {
 	n := cowLenIdx
 	return []cowProg{
@@ -133,7 +141,7 @@ func cowSeeds() []cowProg {
 		cowProg{}.
 			step(cowGrow, 0, 0, 0, 3, 0, 0, 0, 0).
 			step(cowStore64, 0, 4, 16, 0, 0, 0, 0xee, 1).
-			step(cowGrow, 0, 0, 0, 4, 0, 0, 0, 0).
+			step(cowGrow, 0, 0, 0, 4, 0, 0, 0, 63).
 			step(cowReset, 0, 0, 0, 0, 0, 0, 0, 0).
 			step(cowGrow, 0, 0, 0, 4, 0, 0, 0, 0).
 			step(cowStore64, 0, 2, 8, 0, 0, 0, 0xdd, 1).
@@ -166,6 +174,26 @@ func cowSeeds() []cowProg {
 			step(cowWriteString, 1, 0, 1, n(65536), 0, 0, 0x22, 0).
 			step(cowWrite, 1, 1, 0, n(65537), 0, 0, 0x33, 0).
 			step(cowReset, 0, 0, 0, 0, 0, 0, 0, 0).
+			step(cowReset, 1, 0, 0, 0, 0, 0, 0, 0),
+		// The dirty bitmap's edge: grow the aliased memory to exactly 64
+		// pages (one inline word), write, cross to 65 (the bitmap moves to an
+		// allocated array), write a baseline page and a grown one, reset
+		// (every baseline page dirty: re-alias), grow across again, dirty only
+		// grown pages, reset (copy-back path), over-grow, then grow within
+		// the kept buffer, write and reset once more.
+		cowProg{}.
+			step(cowGrow, 1, 0, 0, 4, 0, 0, 0, 58).
+			step(cowStore8, 1, 1, 3, 0, 0, 0, 0x71, 0).
+			step(cowGrow, 1, 0, 0, 1, 0, 0, 0, 0).
+			step(cowStore32, 1, 1, -2, 0, 0, 0, 0x72, 0).
+			step(cowWrite, 1, 7, -4, n(16), 0, 0, 0x73, 0).
+			step(cowReset, 1, 0, 0, 0, 0, 0, 0, 0).
+			step(cowGrow, 1, 0, 0, 4, 0, 0, 0, 60).
+			step(cowStore64, 1, 5, 8, 0, 0, 0, 0x74, 0).
+			step(cowReset, 1, 0, 0, 0, 0, 0, 0, 0).
+			step(cowGrow, 1, 0, 0, 2, 0, 0, 0, 63).
+			step(cowGrow, 1, 0, 0, 0, 0, 0, 0, 1).
+			step(cowStore8, 1, 1, 0, 0, 0, 0, 0x75, 0).
 			step(cowReset, 1, 0, 0, 0, 0, 0, 0, 0),
 	}
 }
@@ -281,7 +309,7 @@ func directGuests(t testing.TB) ([2]cowGuest, *BaselineImage) {
 
 const cowGuestWAT = `
 (module
-  (memory (export "memory") 2 6)
+  (memory (export "memory") 2 66)
   (func (export "st8") (param i32 i64) (i64.store8 (local.get 0) (local.get 1)))
   (func (export "st16") (param i32 i64) (i64.store16 (local.get 0) (local.get 1)))
   (func (export "st32") (param i32 i64) (i64.store32 (local.get 0) (local.get 1)))
@@ -371,9 +399,10 @@ func runCowProgram(t testing.TB, guests [2]cowGuest, img *BaselineImage, steps [
 		}
 		var le [8]byte
 		binary.LittleEndian.PutUint64(le[:], st.val)
-		// Host writes carry a buffer of n bytes; cap it (past the largest
-		// memory is out of bounds at any length).
-		hostN := min(st.n, cowMaxPages*wasm.PageSize+1)
+		// Host writes carry a buffer of n bytes; cap it past the addressable
+		// pages (out of bounds at any length until the memory has grown
+		// beyond them).
+		hostN := min(st.n, cowAddrPages*wasm.PageSize+1)
 		payload := bytes.Repeat([]byte{byte(st.val) | 1}, int(hostN))
 		var got, want any
 		switch st.op {
@@ -396,7 +425,7 @@ func runCowProgram(t testing.TB, guests [2]cowGuest, img *BaselineImage, steps [
 		case cowWriteUint64:
 			got, want = g.mem.WriteUint64(st.addr, st.val), c.write(uint64(st.addr), le[:])
 		case cowGrow:
-			delta := st.n % 5
+			delta := st.n%5 + st.far
 			got, want = g.grow(delta), c.grow(delta)
 		case cowFill:
 			ok := uint64(st.addr)+uint64(st.n) <= uint64(len(c.data))

@@ -54,75 +54,84 @@ func isFusableBinop(op wasm.Opcode) bool {
 	return false
 }
 
-// fuse rewrites a compiled body, merging dominant instruction sequences into
-// superinstructions. An instruction that is a branch target is never merged
-// into a predecessor (a jump must be able to land on it), and every branch
-// target is remapped to its post-fusion index. The interpreter credits each
-// superinstruction with its original instruction count, so
-// Store.InstructionCount — and all simulated timing derived from it — is
-// unchanged by fusion.
-func fuse(cc *compiledCode) {
-	instrs := cc.instrs
-	target := make([]bool, len(instrs))
+// fuse rewrites the body in c.instrs in place, merging dominant instruction
+// sequences into superinstructions. An instruction that is a branch target
+// is never merged into a predecessor (a jump must be able to land on it), and
+// every branch target — in the body and in c.brTables — is remapped to its
+// post-fusion index. The interpreter credits each superinstruction with its
+// original instruction count, so Store.InstructionCount — and all simulated
+// timing derived from it — is unchanged by fusion.
+func (c *compiler) fuse() {
+	instrs := c.instrs
+	// index[i] starts as -1 where pc i is a branch target and 0 elsewhere.
+	// The pass below looks only at entries ahead of i and, once it has
+	// consumed pc i, overwrites index[i] with where i went.
+	if cap(c.index) < len(instrs) {
+		c.index = make([]int32, len(instrs))
+	}
+	index := c.index[:len(instrs)]
+	clear(index)
 	for i := range instrs {
 		switch instrs[i].op {
 		case wasm.OpIf, wasm.OpElse, wasm.OpBr, wasm.OpBrIf:
-			target[instrs[i].a] = true
+			index[instrs[i].a] = -1
 		}
 	}
-	for _, table := range cc.brTables {
+	for _, table := range c.brTables {
 		for _, ent := range table {
-			target[ent.pc] = true
+			index[ent.pc] = -1
 		}
 	}
+	target := func(pc int) bool { return index[pc] < 0 }
 
-	out := make([]instr, 0, len(instrs))
-	newIndex := make([]int, len(instrs))
+	out := 0
 	i := 0
 	for i < len(instrs) {
 		in := instrs[i]
 		n := 1 // original instructions consumed by the emitted one
 		switch {
 		case in.op == wasm.OpLocalGet && i+2 < len(instrs) &&
-			instrs[i+1].op == wasm.OpLocalGet && !target[i+1] &&
-			!target[i+2] && isFusableBinop(instrs[i+2].op):
+			instrs[i+1].op == wasm.OpLocalGet && !target(i+1) &&
+			!target(i+2) && isFusableBinop(instrs[i+2].op):
 			in = instr{op: opLocalBinop, misc: uint32(instrs[i+2].op), a: in.a<<32 | instrs[i+1].a}
 			n = 3
 		case isCmpBinop(in.op) && i+1 < len(instrs) &&
-			instrs[i+1].op == wasm.OpBrIf && !target[i+1]:
+			instrs[i+1].op == wasm.OpBrIf && !target(i+1):
 			in = instr{op: opCmpBrIf, misc: uint32(in.op), a: instrs[i+1].a, b: instrs[i+1].b}
 			n = 2
 		case in.op == wasm.OpLocalGet && i+1 < len(instrs) &&
-			instrs[i+1].op == wasm.OpLocalGet && !target[i+1]:
+			instrs[i+1].op == wasm.OpLocalGet && !target(i+1):
 			in = instr{op: opLocalGetPair, a: in.a<<32 | instrs[i+1].a}
 			n = 2
 		case in.op == wasm.OpI32Const && i+1 < len(instrs) &&
-			instrs[i+1].op == wasm.OpI32Add && !target[i+1]:
+			instrs[i+1].op == wasm.OpI32Add && !target(i+1):
 			in = instr{op: opI32AddConst, a: in.a}
 			n = 2
 		case in.op == wasm.OpI64Const && i+1 < len(instrs) &&
-			instrs[i+1].op == wasm.OpI64Add && !target[i+1]:
+			instrs[i+1].op == wasm.OpI64Add && !target(i+1):
 			in = instr{op: opI64AddConst, a: in.a}
 			n = 2
 		}
-		idx := len(out)
-		out = append(out, in)
+		// out <= i: the slot written has been read already.
+		instrs[out] = in
 		for j := 0; j < n; j++ {
-			newIndex[i+j] = idx
+			index[i+j] = int32(out)
 		}
+		out++
 		i += n
 	}
 
-	for k := range out {
-		switch out[k].op {
+	instrs = instrs[:out]
+	for k := range instrs {
+		switch instrs[k].op {
 		case wasm.OpIf, wasm.OpElse, wasm.OpBr, wasm.OpBrIf, opCmpBrIf:
-			out[k].a = uint64(newIndex[out[k].a])
+			instrs[k].a = uint64(index[instrs[k].a])
 		}
 	}
-	for ti := range cc.brTables {
-		for ei := range cc.brTables[ti] {
-			cc.brTables[ti][ei].pc = uint64(newIndex[cc.brTables[ti][ei].pc])
+	for _, table := range c.brTables {
+		for ei := range table {
+			table[ei].pc = uint64(index[table[ei].pc])
 		}
 	}
-	cc.instrs = out
+	c.instrs = instrs
 }

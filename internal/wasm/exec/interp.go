@@ -221,7 +221,7 @@ func (inst *Instance) run(f *function, args []Value, res []Value) error {
 					return newTrap(TrapOutOfFuel)
 				}
 			}
-			callee := inst.funcs[in.a]
+			callee := &inst.funcs[in.a]
 			np := callee.numParams
 			nr := len(callee.typ.Results)
 			base := len(stack) - np

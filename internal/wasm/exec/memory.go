@@ -39,7 +39,10 @@ type Memory struct {
 	maxPages uint32
 	// dirty has one bit per 64 KiB page of data, set on first write since the
 	// last baseline capture/attach/reset. Always sized to cover len(data).
-	dirty []uint64
+	// Up to 64 pages it is dirtyInline; the first Grow past that moves it to
+	// an allocated array, which it keeps.
+	dirty       []uint64
+	dirtyInline [1]uint64
 	// baseline is the shared read-only image dirty pages diverge from; nil
 	// until captured or attached.
 	baseline *BaselineImage
@@ -61,28 +64,33 @@ func memoryMaxPages(t wasm.MemoryType, limitPages uint32) uint32 {
 // NewMemory allocates a memory instance for the given type. limitPages is an
 // engine-imposed cap applied on top of the type's own maximum.
 func NewMemory(t wasm.MemoryType, limitPages uint32) *Memory {
-	pages := uint64(t.Limits.Min)
-	buf := make([]byte, int(pages)*wasm.PageSize)
-	return &Memory{
-		Type:     t,
-		data:     buf,
-		wr:       buf,
-		maxPages: memoryMaxPages(t, limitPages),
-		dirty:    make([]uint64, (pages+63)/64),
-	}
+	m := new(Memory)
+	m.init(t, limitPages)
+	return m
 }
 
-// newAliasedMemory is NewMemory for a module whose baseline image is already
-// published and fully determines a fresh instance's memory: no buffer is
-// allocated, zeroed or initialised — the memory reads the image until its
-// first write.
-func newAliasedMemory(t wasm.MemoryType, limitPages uint32, b *BaselineImage) *Memory {
-	return &Memory{
-		Type:     t,
-		data:     b.data,
-		maxPages: memoryMaxPages(t, limitPages),
-		dirty:    make([]uint64, (uint64(b.Pages())+63)/64),
-		baseline: b,
+// init makes m a fresh zeroed memory of type t, as NewMemory returns.
+func (m *Memory) init(t wasm.MemoryType, limitPages uint32) {
+	buf := make([]byte, int(t.Limits.Min)*wasm.PageSize)
+	*m = Memory{Type: t, data: buf, wr: buf, maxPages: memoryMaxPages(t, limitPages)}
+	m.sizeDirty(uint64(t.Limits.Min))
+}
+
+// initAliased is init for a module whose baseline image is already published
+// and fully determines a fresh instance's memory: no buffer is allocated,
+// zeroed or initialised — the memory reads the image until its first write.
+func (m *Memory) initAliased(t wasm.MemoryType, limitPages uint32, b *BaselineImage) {
+	*m = Memory{Type: t, data: b.data, maxPages: memoryMaxPages(t, limitPages), baseline: b}
+	m.sizeDirty(uint64(b.Pages()))
+}
+
+// sizeDirty gives a fresh memory a clear bitmap covering pages, inline when
+// one word covers them.
+func (m *Memory) sizeDirty(pages uint64) {
+	if n := (pages + 63) / 64; n <= uint64(len(m.dirtyInline)) {
+		m.dirty = m.dirtyInline[:n]
+	} else {
+		m.dirty = make([]uint64, n)
 	}
 }
 

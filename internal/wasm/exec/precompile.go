@@ -23,8 +23,10 @@ import (
 // anyone holds the ModuleCode, so readers load them without locking.
 type ModuleCode struct {
 	m         *wasm.Module
-	codes     []*compiledCode // one per module-defined function
+	codes     []compiledCode // one per module-defined function
 	codeBytes int64
+	// nImported counts the module's function imports.
+	nImported int
 
 	baseMu   sync.Mutex // serializes capture and attach; readers load baseline without it
 	baseline atomic.Pointer[BaselineImage]
@@ -95,6 +97,9 @@ func DefaultTierPolicy() TierPolicy {
 
 // Precompile lowers every function body of a validated module. The module
 // must already have passed wasm.Validate; Precompile does not re-check.
+// What the module keeps is its ModuleCode, one compiledCode per function in
+// one block, and each body's fused instructions (and br_table jump tables)
+// at their exact size; the lowering scratch is reused from body to body.
 func Precompile(m *wasm.Module) (*ModuleCode, error) {
 	nImported := 0
 	for _, imp := range m.Imports {
@@ -104,7 +109,8 @@ func Precompile(m *wasm.Module) (*ModuleCode, error) {
 	}
 	mc := &ModuleCode{
 		m:             m,
-		codes:         make([]*compiledCode, len(m.Functions)),
+		codes:         make([]compiledCode, len(m.Functions)),
+		nImported:     nImported,
 		hot:           make([]hotCount, len(m.Functions)),
 		imageIsMemory: !m.StartSet && len(m.Memories) > 0,
 	}
@@ -113,9 +119,9 @@ func Precompile(m *wasm.Module) (*ModuleCode, error) {
 			mc.imageIsMemory = false
 		}
 	}
+	c := compiler{m: m}
 	for i, ti := range m.Functions {
-		ft := m.Types[ti]
-		cc, err := compileBody(m, ft, &m.Codes[i])
+		cc, err := c.compileBody(m.Types[ti], &m.Codes[i])
 		if err != nil {
 			return nil, fmt.Errorf("exec: compiling function %d: %w", nImported+i, err)
 		}

@@ -24,8 +24,16 @@ const DefaultMaxCallDepth = 2048
 
 // Store owns all runtime state: instances, host modules, and execution
 // accounting. A Store is not safe for concurrent use.
+//
+// A store is allocated together with room for its first instance and that
+// instance's memory (ownInst, ownMem), so an embedder that creates one store
+// per instance — engine.Instantiate, a one-shot WASI run — pays one
+// allocation for all three. Later instances in the same store are allocated
+// on their own.
 type Store struct {
-	cfg         Config
+	cfg Config
+	// The registries are made by the first named registration (NewHostModule,
+	// or an instantiation under a non-empty name); lookups read nil maps.
 	modules     map[string]*Instance
 	hostModules map[string]*HostModule
 	// instrCount counts executed instructions across all instances, used by
@@ -50,6 +58,13 @@ type Store struct {
 	// lastInvokeTier records which tier served the most recent top-level
 	// invoke (0 or 1), for engine-side per-tier telemetry.
 	lastInvokeTier int
+
+	// ownInst and ownMem are the first instance's storage; ownTaken is set
+	// once an instantiation has claimed them (a failed one too: its instance
+	// may be registered or referenced, so they are never handed out twice).
+	ownInst  Instance
+	ownMem   Memory
+	ownTaken bool
 }
 
 // minFrameSlots sizes freshly allocated frame buffers so small functions
@@ -94,11 +109,7 @@ func NewStore(cfg Config) *Store {
 	if cfg.MaxCallDepth == 0 {
 		cfg.MaxCallDepth = DefaultMaxCallDepth
 	}
-	s := &Store{
-		cfg:         cfg,
-		modules:     make(map[string]*Instance),
-		hostModules: make(map[string]*HostModule),
-	}
+	s := &Store{cfg: cfg}
 	if cfg.Fuel > 0 {
 		s.fueled = true
 		s.fuelLeft = cfg.Fuel
@@ -155,6 +166,9 @@ type HostModule struct {
 // NewHostModule creates an empty host module registered under name.
 func (s *Store) NewHostModule(name string) *HostModule {
 	hm := &HostModule{Name: name}
+	if s.hostModules == nil {
+		s.hostModules = make(map[string]*HostModule)
+	}
 	s.hostModules[name] = hm
 	return hm
 }
@@ -197,6 +211,9 @@ func (hm *HostModule) AddMemory(name string, m *Memory) *HostModule {
 }
 
 // function is the unified runtime representation of wasm and host functions.
+// An instance holds its whole function index space by value in one block;
+// an imported wasm function is a copy of its defining instance's entry, so
+// it runs in that instance exactly as the original does.
 type function struct {
 	typ       wasm.FuncType
 	inst      *Instance // owning instance; nil for host functions
@@ -205,11 +222,10 @@ type function struct {
 	numParams int
 	numLocals int // locals beyond parameters
 	idx       uint32
-	debugName string
 	// mc/mcIdx tie a module-defined function back to its shared ModuleCode
 	// so call sites can pick up the tier-1 body published there. Both stay
-	// zero/nil for host functions; imported wasm functions reference the
-	// *function of their defining instance and so carry its ModuleCode.
+	// zero/nil for host functions; imported wasm functions copy the entry
+	// of their defining instance and so carry its ModuleCode.
 	mc    *ModuleCode
 	mcIdx int32
 }
@@ -220,7 +236,7 @@ type Instance struct {
 	Name    string
 	store   *Store
 	code    *ModuleCode
-	funcs   []*function
+	funcs   []function // the function index space: imports, then definitions
 	mem     *Memory
 	table   *Table
 	globals []*GlobalVar
@@ -268,10 +284,16 @@ func (s *Store) Instantiate(m *wasm.Module, name string) (*Instance, error) {
 
 // InstantiateCompiled instantiates from a precompiled (and possibly shared)
 // ModuleCode: per-instance state is allocated fresh, but the compiled bodies
-// are referenced, not copied, so N instances share one artifact.
+// are referenced, not copied, so N instances share one artifact. The first
+// instance of a store lives in the store's own allocation, with its memory,
+// and the function index space takes one more.
 func (s *Store) InstantiateCompiled(mc *ModuleCode, name string) (*Instance, error) {
 	m := mc.m
-	inst := &Instance{Module: m, Name: name, store: s, code: mc}
+	inst, ownMem := s.claimOwn()
+	*inst = Instance{
+		Module: m, Name: name, store: s, code: mc,
+		funcs: make([]function, 0, mc.nImported+len(m.Functions)),
+	}
 
 	// Resolve imports in declaration order.
 	for _, imp := range m.Imports {
@@ -307,10 +329,10 @@ func (s *Store) InstantiateCompiled(mc *ModuleCode, name string) (*Instance, err
 	nImported := len(inst.funcs)
 	for i, ti := range m.Functions {
 		ft := m.Types[ti]
-		inst.funcs = append(inst.funcs, &function{
+		inst.funcs = append(inst.funcs, function{
 			typ:       ft,
 			inst:      inst,
-			code:      mc.codes[i],
+			code:      &mc.codes[i],
 			numParams: len(ft.Params),
 			numLocals: len(m.Codes[i].Locals),
 			idx:       uint32(nImported + i),
@@ -324,11 +346,16 @@ func (s *Store) InstantiateCompiled(mc *ModuleCode, name string) (*Instance, err
 	// instance aliases it: nothing to allocate, zero or replay.
 	img := mc.freshImage()
 	for _, mt := range m.Memories {
-		if img != nil {
-			inst.mem = newAliasedMemory(mt, s.cfg.MemoryLimitPages, img)
-		} else {
-			inst.mem = NewMemory(mt, s.cfg.MemoryLimitPages)
+		mem := ownMem
+		if mem == nil {
+			mem = new(Memory)
 		}
+		if img != nil {
+			mem.initAliased(mt, s.cfg.MemoryLimitPages, img)
+		} else {
+			mem.init(mt, s.cfg.MemoryLimitPages)
+		}
+		inst.mem, ownMem = mem, nil
 	}
 	for _, tt := range m.Tables {
 		inst.table = NewTable(tt)
@@ -381,7 +408,7 @@ func (s *Store) InstantiateCompiled(mc *ModuleCode, name string) (*Instance, err
 	}
 	for _, p := range elemPatches {
 		for j, fi := range p.indices {
-			inst.table.elems[p.off+uint32(j)] = inst.funcs[fi]
+			inst.table.elems[p.off+uint32(j)] = &inst.funcs[fi]
 		}
 	}
 	for _, p := range dataPatches {
@@ -389,28 +416,41 @@ func (s *Store) InstantiateCompiled(mc *ModuleCode, name string) (*Instance, err
 	}
 
 	if name != "" {
+		if s.modules == nil {
+			s.modules = make(map[string]*Instance)
+		}
 		s.modules[name] = inst
 	}
 
 	// Start function runs after initialization.
 	if m.StartSet {
-		if _, err := inst.invoke(inst.funcs[m.Start], nil); err != nil {
+		if _, err := inst.invoke(&inst.funcs[m.Start], nil); err != nil {
 			return nil, err
 		}
 	}
 	return inst, nil
 }
 
-func (s *Store) resolveFunc(imp wasm.Import) (*function, error) {
+// claimOwn hands out the store's inline instance and memory to its first
+// instantiation, and nil storage (the caller allocates) to every later one.
+func (s *Store) claimOwn() (*Instance, *Memory) {
+	if s.ownTaken {
+		return new(Instance), nil
+	}
+	s.ownTaken = true
+	return &s.ownInst, &s.ownMem
+}
+
+func (s *Store) resolveFunc(imp wasm.Import) (function, error) {
 	if hm, ok := s.hostModules[imp.Module]; ok {
 		hf := hm.funcs[imp.Name]
 		if hf == nil && hm.lookup != nil {
 			hf = hm.lookup(imp.Name)
 		}
 		if hf == nil {
-			return nil, fmt.Errorf("%w: %s.%s", ErrUnknownImport, imp.Module, imp.Name)
+			return function{}, fmt.Errorf("%w: %s.%s", ErrUnknownImport, imp.Module, imp.Name)
 		}
-		return &function{typ: hf.Type, host: hf, numParams: len(hf.Type.Params), debugName: imp.Module + "." + imp.Name}, nil
+		return function{typ: hf.Type, host: hf, numParams: len(hf.Type.Params)}, nil
 	}
 	if other, ok := s.modules[imp.Module]; ok {
 		for _, e := range other.Module.Exports {
@@ -419,7 +459,7 @@ func (s *Store) resolveFunc(imp wasm.Import) (*function, error) {
 			}
 		}
 	}
-	return nil, fmt.Errorf("%w: %s.%s", ErrUnknownImport, imp.Module, imp.Name)
+	return function{}, fmt.Errorf("%w: %s.%s", ErrUnknownImport, imp.Module, imp.Name)
 }
 
 func (s *Store) resolveMemory(imp wasm.Import) (*Memory, error) {
@@ -499,7 +539,7 @@ func (inst *Instance) Call(name string, args ...Value) ([]Value, error) {
 	if !ok {
 		return nil, fmt.Errorf("exec: no exported function %q", name)
 	}
-	f := inst.funcs[idx]
+	f := &inst.funcs[idx]
 	if len(args) != len(f.typ.Params) {
 		return nil, fmt.Errorf("exec: %q expects %d arguments, got %d", name, len(f.typ.Params), len(args))
 	}

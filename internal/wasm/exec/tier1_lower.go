@@ -16,17 +16,11 @@ const (
 // unreachable code corners) keep a nil slot and stay at tier 0 forever.
 func lowerTier1(mc *ModuleCode) *Tier1Code {
 	tc := &Tier1Code{funcs: make([]*t1func, len(mc.codes))}
-	nImported := 0
-	for _, imp := range mc.m.Imports {
-		if imp.Kind == wasm.ExternalFunc {
-			nImported++
-		}
-	}
-	for i, cc := range mc.codes {
+	for i := range mc.codes {
 		ft := mc.m.Types[mc.m.Functions[i]]
 		np := len(ft.Params)
 		nl := np + len(mc.m.Codes[i].Locals)
-		f := lowerFunc(mc.m, cc, np, nl, len(ft.Results), tc.funcs, nImported)
+		f := lowerFunc(mc.m, &mc.codes[i], np, nl, len(ft.Results), tc.funcs, mc.nImported)
 		tc.funcs[i] = f
 		if f != nil {
 			tc.lowered++
@@ -420,7 +414,7 @@ func (b *t1builder) build(pc int) t1op {
 					fr.err = newTrap(TrapOutOfFuel)
 					return t1Trapped
 				}
-				callee := fr.inst.funcs[fi]
+				callee := &fr.inst.funcs[fi]
 				var err error
 				if t1 := tcFuncs[lk]; t1 != nil {
 					var done bool
@@ -446,7 +440,7 @@ func (b *t1builder) build(pc int) t1op {
 				fr.err = newTrap(TrapOutOfFuel)
 				return t1Trapped
 			}
-			if err := fr.callFunc(self, fr.inst.funcs[fi], aslot); err != nil {
+			if err := fr.callFunc(self, &fr.inst.funcs[fi], aslot); err != nil {
 				fr.err = err
 				return t1Trapped
 			}

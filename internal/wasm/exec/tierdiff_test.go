@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -51,11 +52,25 @@ func newTierPair(t *testing.T, m *wasm.Module, cfg Config, setup func(s *Store))
 	return &tierPair{t: t, s0: s0, s1: s1, i0: i0, i1: i1}
 }
 
+// tierCallDeadline bounds one call on both tiers. Pairs at Config{} run
+// unfueled, so a tier that breaks a loop's exit would otherwise spin until
+// the test binary's timeout; the slowest pair call takes milliseconds.
+const tierCallDeadline = 10 * time.Second
+
 // call invokes the export on both tiers and cross-checks every observable.
+// A watchdog fails the run if the calls have not returned after
+// tierCallDeadline: the stuck call is the test goroutine itself, so the
+// watchdog panics, naming the call and the tier that did not return.
 func (p *tierPair) call(name string, args ...Value) ([]Value, error) {
 	p.t.Helper()
+	var tier atomic.Int32 // the tier whose call is running
+	watchdog := time.AfterFunc(tierCallDeadline, func() {
+		panic(fmt.Sprintf("%s: %s%v: tier %d did not return within %v", p.t.Name(), name, args, tier.Load(), tierCallDeadline))
+	})
 	r0, e0 := p.i0.Call(name, args...)
+	tier.Store(1)
 	r1, e1 := p.i1.Call(name, args...)
+	watchdog.Stop()
 	if (e0 == nil) != (e1 == nil) {
 		p.t.Fatalf("%s%v: tier0 err=%v, tier1 err=%v", name, args, e0, e1)
 	}
