@@ -14,10 +14,10 @@ import (
 // cheaper simulated invoke time at identical instruction counts, with the
 // artifact charged to pool memory exactly once.
 func TestWarmPoolPicksUpTier1(t *testing.T) {
-	pool := newTestPoolPolicy(t, engine.WAMR, Config{Size: 2},
-		exec.TierPolicy{Mode: exec.TierModeHotness, InvokeThreshold: 3})
+	pool := newTestPoolPolicy(t, engine.WAMR, Config{Size: 2}, exec.DefaultTierPolicy())
 	memBefore := pool.MemoryBytes()
 
+	// The hotness policy tiers the module up after its eighth invoke.
 	var t0Sim, t1Sim int64
 	var t0Instr, t1Instr uint64
 	for i := 0; i < 12; i++ {

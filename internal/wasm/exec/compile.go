@@ -75,34 +75,62 @@ type tablePatch struct {
 }
 
 // compiler is the scratch state of lowering a module's function bodies.
-// Precompile makes one per module and reuses its buffers from body to body;
-// a body keeps only an exact-size copy of its fused code.
+// Precompile and tier 1's lowering each make one per module and reuse its
+// buffers from body to body; a body keeps only an exact-size copy of its
+// fused code.
 type compiler struct {
 	m        *wasm.Module
 	ft       wasm.FuncType
 	instrs   []instr // the body being compiled; fuse compacts it in place
+	heights  []int32 // per emitted instruction: operand-stack height at entry, -1 where unreachable
 	brTables [][]brTableEntry
 	ctrl     []ctFrame
 	height   int
 	maxH     int
 	unrea    bool
+	entry    int32    // the height emit records for the instruction being read
 	targets  []uint32 // one br_table's depths
-	index    []int32  // fuse's branch-target flags and index map
+	// index is -1 where some branch lands on the emitted instruction and 0
+	// elsewhere; fuse then overwrites each entry with where its pc went.
+	index []int32
 }
 
-// compileBody lowers a validated function body to compiledCode. The body is
-// assumed valid: compileBody panics on structural impossibilities rather than
-// returning rich errors.
+// isTarget reports whether a branch lands on pc, until fuse has run.
+func (c *compiler) isTarget(pc int) bool { return c.index[pc] < 0 }
+
+// compileBody lowers a validated function body to compiledCode: the emit
+// pass, tier 0's fusion, and an exact-size copy.
 func (c *compiler) compileBody(ft wasm.FuncType, code *wasm.Code) (compiledCode, error) {
+	if err := c.emitBody(ft, code); err != nil {
+		return compiledCode{}, err
+	}
+	c.fuse()
+	cc := compiledCode{instrs: slices.Clone(c.instrs), maxHeight: c.maxH + 1}
+	if len(c.brTables) > 0 {
+		cc.brTables = slices.Clone(c.brTables)
+	}
+	return cc, nil
+}
+
+// emitBody lowers a validated function body to the plain instruction stream
+// in c.instrs and c.brTables, recording each instruction's entry height in
+// c.heights (-1 where typing makes it unreachable), the branch targets in
+// c.index and the height bound in c.maxH. The body is assumed valid:
+// emitBody panics on structural impossibilities rather than returning rich
+// errors.
+func (c *compiler) emitBody(ft wasm.FuncType, code *wasm.Code) error {
 	// Every instruction emitted takes at least one byte of the body.
-	if cap(c.instrs) < len(code.Body) {
-		c.instrs = make([]instr, 0, len(code.Body))
+	if n := len(code.Body); cap(c.instrs) < n {
+		c.instrs = make([]instr, 0, n)
+		buf := make([]int32, 2*n)
+		c.heights, c.index = buf[:0:n], buf[n:n]
 	}
 	if c.ctrl == nil {
 		c.ctrl = make([]ctFrame, 0, 8)
 	}
 	c.ft = ft
-	c.instrs, c.brTables, c.ctrl = c.instrs[:0], c.brTables[:0], c.ctrl[:0]
+	c.instrs, c.heights, c.index = c.instrs[:0], c.heights[:0], c.index[:0]
+	c.brTables, c.ctrl = c.brTables[:0], c.ctrl[:0]
 	c.height, c.maxH, c.unrea = 0, 0, false
 	c.pushCtrl(0, 0, len(ft.Results), -1)
 
@@ -116,6 +144,10 @@ func (c *compiler) compileBody(ft wasm.FuncType, code *wasm.Code) (compiledCode,
 	for pos < len(buf) {
 		op := wasm.Opcode(buf[pos])
 		pos++
+		c.entry = int32(c.height)
+		if c.unrea {
+			c.entry = -1
+		}
 		switch op {
 		case wasm.OpUnreachable:
 			c.emit(instr{op: op})
@@ -153,25 +185,26 @@ func (c *compiler) compileBody(ft wasm.FuncType, code *wasm.Code) (compiledCode,
 			for _, tp := range f.tablePatches {
 				c.brTables[c.instrs[tp.instr].misc][tp.entry].pc = uint64(endPC)
 			}
+			if len(f.patches)+len(f.tablePatches) > 0 {
+				c.index[endPC] = -1
+			}
 			if f.op == wasm.OpIf && f.elsePC == -1 {
 				// No else: the if jumps to end when false.
 				c.instrs[f.startPC].a = uint64(endPC)
+				c.index[endPC] = -1
 			} else if f.op == wasm.OpIf {
 				// With else: false jumps just past the else jump.
 				c.instrs[f.startPC].a = uint64(f.elsePC + 1)
+				c.index[f.elsePC+1] = -1
 			}
 			c.height = f.base + f.nOut
 			c.maxTrack()
+			c.heights[endPC] = int32(c.height) // reachable again, as typing says
 			c.unrea = f.wasUnrea
 			if len(c.ctrl) == 0 {
 				// Implicit function end: emit a return for the interpreter.
 				c.instrs[endPC] = instr{op: wasm.OpReturn, b: packDropKeep(0, len(c.ft.Results))}
-				c.fuse()
-				cc := compiledCode{instrs: slices.Clone(c.instrs), maxHeight: c.maxH + 1}
-				if len(c.brTables) > 0 {
-					cc.brTables = slices.Clone(c.brTables)
-				}
-				return cc, nil
+				return nil
 			}
 		case wasm.OpBr, wasm.OpBrIf:
 			depth := readU32()
@@ -212,7 +245,7 @@ func (c *compiler) compileBody(ft wasm.FuncType, code *wasm.Code) (compiledCode,
 			fi := readU32()
 			ft, err := c.m.FuncTypeAt(fi)
 			if err != nil {
-				return compiledCode{}, err
+				return err
 			}
 			c.pop(len(ft.Params))
 			c.emit(instr{op: op, a: uint64(fi)})
@@ -309,11 +342,13 @@ func (c *compiler) compileBody(ft wasm.FuncType, code *wasm.Code) (compiledCode,
 			}
 		}
 	}
-	return compiledCode{}, fmt.Errorf("exec: function body ended without end opcode")
+	return fmt.Errorf("exec: function body ended without end opcode")
 }
 
 func (c *compiler) emit(i instr) int {
 	c.instrs = append(c.instrs, i)
+	c.heights = append(c.heights, c.entry)
+	c.index = append(c.index, 0)
 	return len(c.instrs) - 1
 }
 
@@ -369,6 +404,7 @@ func (c *compiler) branchTo(depth uint32) (pc uint64, dropKeep uint64) {
 	}
 	drop := c.height - keep - f.base
 	if f.op == wasm.OpLoop {
+		c.index[f.startPC] = -1
 		return uint64(f.startPC), packDropKeep(drop, keep)
 	}
 	return 0, packDropKeep(drop, keep) // pc patched later

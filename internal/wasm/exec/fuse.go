@@ -63,26 +63,11 @@ func isFusableBinop(op wasm.Opcode) bool {
 // timing derived from it — is unchanged by fusion.
 func (c *compiler) fuse() {
 	instrs := c.instrs
-	// index[i] starts as -1 where pc i is a branch target and 0 elsewhere.
-	// The pass below looks only at entries ahead of i and, once it has
-	// consumed pc i, overwrites index[i] with where i went.
-	if cap(c.index) < len(instrs) {
-		c.index = make([]int32, len(instrs))
-	}
-	index := c.index[:len(instrs)]
-	clear(index)
-	for i := range instrs {
-		switch instrs[i].op {
-		case wasm.OpIf, wasm.OpElse, wasm.OpBr, wasm.OpBrIf:
-			index[instrs[i].a] = -1
-		}
-	}
-	for _, table := range c.brTables {
-		for _, ent := range table {
-			index[ent.pc] = -1
-		}
-	}
-	target := func(pc int) bool { return index[pc] < 0 }
+	// index[i] starts as -1 where pc i is a branch target and 0 elsewhere
+	// (emitBody). The pass below looks only at entries ahead of i and, once
+	// it has consumed pc i, overwrites index[i] with where i went.
+	index := c.index
+	target := c.isTarget
 
 	out := 0
 	i := 0

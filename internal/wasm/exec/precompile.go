@@ -76,23 +76,22 @@ const (
 	TierModeEager
 )
 
-// TierPolicy configures hotness-triggered tier-up. A zero threshold disables
-// that criterion; with both zero, the first tier-0 invoke triggers tier-up.
+// TierPolicy configures tier-up.
 type TierPolicy struct {
 	Mode TierMode
-	// InvokeThreshold tiers up once a function has served this many
-	// top-level invokes.
-	InvokeThreshold uint64
-	// InstrThreshold tiers up once a function's top-level invokes have
-	// executed this many instructions in total.
-	InstrThreshold uint64
 }
 
-// DefaultTierPolicy is the hotness policy engines use unless overridden:
-// tier up after 8 warm invokes or 256k executed instructions, whichever
-// comes first.
+// The hotness thresholds: a function tiers up its module once it has served
+// tierUpInvokes top-level invokes, or once those invokes have executed
+// tierUpInstrs instructions in total, whichever comes first.
+const (
+	tierUpInvokes = 8
+	tierUpInstrs  = 1 << 18
+)
+
+// DefaultTierPolicy is the hotness policy engines use unless overridden.
 func DefaultTierPolicy() TierPolicy {
-	return TierPolicy{Mode: TierModeHotness, InvokeThreshold: 8, InstrThreshold: 1 << 18}
+	return TierPolicy{Mode: TierModeHotness}
 }
 
 // Precompile lowers every function body of a validated module. The module
@@ -210,11 +209,7 @@ func (mc *ModuleCode) noteInvoke(i int32, instrs uint64) bool {
 	h := &mc.hot[i]
 	inv := h.invokes.Add(1)
 	tot := h.instrs.Add(instrs)
-	if p.InvokeThreshold == 0 && p.InstrThreshold == 0 {
-		return true
-	}
-	return (p.InvokeThreshold > 0 && inv >= p.InvokeThreshold) ||
-		(p.InstrThreshold > 0 && tot >= p.InstrThreshold)
+	return inv >= tierUpInvokes || tot >= tierUpInstrs
 }
 
 // EnsureTier1 publishes the tier-1 artifact for this module, lowering it on

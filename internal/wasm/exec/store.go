@@ -44,7 +44,10 @@ type Store struct {
 	depth      int
 	// frameFree is a LIFO freelist of frame buffers (locals + operand stack)
 	// recycled across calls so the interpreter does not allocate per call.
+	// It starts on frameOne, so putting back a first call's buffer does not
+	// grow it.
 	frameFree [][]Value
+	frameOne  [1][]Value
 
 	// Tier-1 execution state: one contiguous register window per call,
 	// carved from t1stack. The stack is reallocated only while empty
@@ -110,6 +113,7 @@ func NewStore(cfg Config) *Store {
 		cfg.MaxCallDepth = DefaultMaxCallDepth
 	}
 	s := &Store{cfg: cfg}
+	s.frameFree = s.frameOne[:0]
 	if cfg.Fuel > 0 {
 		s.fueled = true
 		s.fuelLeft = cfg.Fuel

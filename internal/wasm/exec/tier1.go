@@ -1,17 +1,19 @@
 package exec
 
-// Tier-1 execution: a direct-threaded, register-form lowering of the fused
-// tier-0 instruction stream.
+// Tier-1 execution: a direct-threaded, register-form lowering of the
+// compiler's plain instruction stream (tier 0's superinstructions are tier
+// 0's alone).
 //
-// Each instruction becomes one Go closure with its immediates, operand slots,
-// and successor indices captured at lowering time, so the hot loop is just
-// `pc = ops[pc](fr)`: no central switch, no per-step operand decoding, and no
-// operand-stack pointer — the dataflow pass in tier1_lower.go assigns every
-// stack position a fixed register slot. Structure markers (block/loop/end)
-// and drops vanish from the instruction stream entirely, with their
-// instruction counts folded into the surviving neighbors so
-// Store.InstructionCount and the block-granularity fuel schedule are
-// bit-identical to tier 0.
+// Each instruction that does work becomes one Go closure with its
+// immediates, operand slots, and successor indices captured at lowering
+// time, so the hot loop is just `pc = ops[pc](fr)`: no central switch, no
+// per-step operand decoding, and no operand-stack pointer — the compiler
+// records every instruction's entry height, so every stack position has a
+// fixed register slot. A local.get or a constant is folded into whatever
+// consumes it (tier1_fuse.go), and structure markers (block/loop/end) and
+// drops vanish from the instruction stream entirely; their instruction
+// counts go to the closures around them, so Store.InstructionCount and the
+// block-granularity fuel schedule are bit-identical to tier 0.
 //
 // Frames live in one contiguous per-store register stack: a call carves the
 // callee's window so its parameter slots alias the caller's argument slots,
@@ -46,7 +48,6 @@ type t1func struct {
 	nl     int     // parameters + declared locals
 	nr     int     // results
 	slots  int     // nl + operand-stack bound + len(consts): the register window
-	lead   uint64  // structure markers preceding the first real instruction
 	consts []Value // the constant operands, one per distinct value: the window's last slots
 }
 
@@ -60,8 +61,8 @@ func (f *t1func) fillConsts(regs []Value) {
 }
 
 // Tier1Code is the per-module tier-1 artifact published on ModuleCode.
-// A nil entry means that function could not be lowered (e.g. its heights
-// were not statically inferable) and permanently stays at tier 0.
+// A nil entry means that function could not be lowered (a branch or a
+// memory access the lowering cannot express) and permanently stays at tier 0.
 type Tier1Code struct {
 	funcs   []*t1func
 	bytes   int64
@@ -99,11 +100,12 @@ type t1frame struct {
 	err      error
 }
 
-// chargeFuel draws the current basic block's instruction count from the fuel
-// tank at a control transfer, exactly like the tier-0 charge points. Reports
-// false on exhaustion (the caller raises TrapOutOfFuel). Kept tiny so it
-// inlines into the branch closures.
-func (fr *t1frame) chargeFuel() bool {
+// charge retires n originals and then, at a control transfer, draws the
+// current basic block's instruction count from the fuel tank, exactly like
+// the tier-0 charge points. On exhaustion it parks TrapOutOfFuel and reports
+// false. Kept tiny so it inlines into the branch closures.
+func (fr *t1frame) charge(n uint64) bool {
+	fr.executed += n
 	s := fr.s
 	if !s.fueled {
 		return true
@@ -112,6 +114,7 @@ func (fr *t1frame) chargeFuel() bool {
 	fr.charged = fr.executed
 	if d > s.fuelLeft {
 		s.fuelLeft = 0
+		fr.err = newTrap(TrapOutOfFuel)
 		return false
 	}
 	s.fuelLeft -= d
@@ -219,7 +222,7 @@ func (s *Store) execT1(fr *t1frame, t1 *t1func) error {
 	if s.fueled && s.fuelLeft == 0 {
 		return newTrap(TrapOutOfFuel)
 	}
-	fr.executed = t1.lead
+	fr.executed = 0
 	fr.charged = 0
 	ops := t1.ops
 	pc := 0

@@ -7,16 +7,18 @@ import (
 	"wasmcontainers/internal/wasm"
 )
 
-// buildBinopSlots lowers a two-operand op reading slots x and y and writing
-// slot z. Plain binops use (x, x+1, x); the opLocalBinop superinstruction
-// reads two locals and pushes. own is the original instruction count (1, or
-// 3 for the fused form), fall the erased-successor credit. The hot integer
-// and float ops, the eight integer div/rem among them, get fully specialized
-// closures; a div/rem counts own before it traps, like the tier-0 loop. The
-// long tail goes through the shared binaryOp evaluator, which still beats
-// tier 0 by skipping the outer dispatch.
-func (b *t1builder) buildBinopSlots(op wasm.Opcode, x, y, z int, own, fall uint64, next int) t1op {
-	cnt := own + fall
+// buildBinopSlots lowers a two-operand op reading slots x and y (stack,
+// local or constant slots) and writing slot z: the pushed value's slot, a
+// local.set's local, or slot 0 before a return. The hot integer and float
+// ops, the eight integer div/rem among them, get fully specialized closures;
+// a div/rem retires s.own before it traps, like the tier-0 loop. The long
+// tail goes through the shared binaryOp evaluator, which still beats tier 0
+// by skipping the outer dispatch.
+func (b *t1builder) buildBinopSlots(op wasm.Opcode, x, y, z int, s t1span) t1op {
+	if b.dry {
+		return nil
+	}
+	own, cnt, next := s.own, s.cnt, s.next
 	if k, swap, sh, bias := cmpShape(op); k <= cmpLe {
 		if swap {
 			x, y = y, x
@@ -272,7 +274,7 @@ func (b *t1builder) buildBinopSlots(op wasm.Opcode, x, y, z int, own, fall uint6
 			return t1Trapped
 		}
 		fr.regs[z] = v
-		fr.executed += fall
+		fr.executed += cnt - own
 		return next
 	}
 }
@@ -377,12 +379,11 @@ type t1if struct {
 	cT, cF uint64
 }
 
-// ifExits resolves the exits of the if at pc, own counting the originals
-// the fused closure retires before it.
-func (b *t1builder) ifExits(pc int, own uint64) t1if {
-	in := &b.cc.instrs[pc]
-	nT, crT := b.fall(pc)
-	return t1if{nT: nT, nF: b.tgt(int(in.a)), cT: own + 1 + crT, cF: own + 1 + b.skipCnt[in.a]}
+// ifExits resolves the exits of the if at pc, whose closure retires s: into
+// the then-arm as it falls through, or to the if's false target.
+func (b *t1builder) ifExits(pc int, s t1span) t1if {
+	nF, cF := b.tgt(int(b.c.instrs[pc].a))
+	return t1if{nT: s.next, nF: nF, cT: s.cnt, cF: s.own + cF}
 }
 
 // to credits and returns the exit c selects.
@@ -399,6 +400,9 @@ func (j t1if) to(fr *t1frame, c bool) int {
 // (operand, local or constant slots) into one closure that branches on the
 // compare.
 func (b *t1builder) buildCmpIf(op wasm.Opcode, x, y int, j t1if) t1op {
+	if b.dry {
+		return nil
+	}
 	k, swap, sh, bias := cmpShape(op)
 	if swap {
 		x, y = y, x
@@ -431,16 +435,30 @@ func (b *t1builder) buildCmpIf(op wasm.Opcode, x, y int, j t1if) t1op {
 	}
 }
 
-// t1branch is a fused br_if's two exits: taken (kept values moved, then
-// t) or not (next), each with its erased-successor credit.
+// t1branch is a br_if's two exits: taken (kept values moved, then t) or not
+// (next), each with the originals it retires past the own retired before
+// the fuel charge.
 type t1branch struct {
 	t, next        int
-	crT, crF       uint64
+	own, crT, crF  uint64
 	dst, src, keep int
 }
 
-// take moves the kept values and credits the taken exit.
-func (e t1branch) take(fr *t1frame) int {
+// branch resolves the exits of the br_if at pc, whose closure retires s.
+func (b *t1builder) branch(pc int, s t1span) t1branch {
+	in := &b.c.instrs[pc]
+	t, crT := b.tgt(int(in.a))
+	dst, src, keep := b.moveFor(len(b.stk), in.b)
+	return t1branch{t: t, next: s.next, own: s.own, crT: crT, crF: s.cnt - s.own, dst: dst, src: src, keep: keep}
+}
+
+// to takes the exit c selects, once the closure has charged e.own at the
+// br_if, as tier 0 does.
+func (e t1branch) to(fr *t1frame, c bool) int {
+	if !c {
+		fr.executed += e.crF
+		return e.next
+	}
 	if e.keep > 0 && e.dst != e.src {
 		copy(fr.regs[e.dst:e.dst+e.keep], fr.regs[e.src:e.src+e.keep])
 	}
@@ -448,17 +466,14 @@ func (e t1branch) take(fr *t1frame) int {
 	return e.t
 }
 
-// buildCmpBrIf lowers the comparison op and the br_if (or fused cmp-br_if)
-// at pc into one closure comparing regs[x] and regs[y]: operand, local or
-// constant slots. ht is the operand height once the br_if has popped. own
-// is the original instruction count retired before the fuel charge. The
+// buildCmpBrIf lowers the comparison op and the br_if at pc into one closure
+// comparing regs[x] and regs[y]: operand, local or constant slots. The
 // integer comparisons, i32 and i64, get inline closures.
-func (b *t1builder) buildCmpBrIf(op wasm.Opcode, pc, ht, x, y int, own uint64) t1op {
-	in := &b.cc.instrs[pc]
-	next, crF := b.fall(pc)
-	dst, src, keep := b.moveFor(ht, in.b)
-	e := t1branch{t: b.tgt(int(in.a)), next: next, crT: b.skipCnt[in.a], crF: crF,
-		dst: dst, src: src, keep: keep}
+func (b *t1builder) buildCmpBrIf(op wasm.Opcode, pc, x, y int, s t1span) t1op {
+	if b.dry {
+		return nil
+	}
+	e := b.branch(pc, s)
 	k, swap, sh, bias := cmpShape(op)
 	if swap && k <= cmpLe {
 		x, y = y, x
@@ -466,114 +481,74 @@ func (b *t1builder) buildCmpBrIf(op wasm.Opcode, pc, ht, x, y int, own uint64) t
 	switch k {
 	case cmpEq:
 		return func(fr *t1frame) int {
-			fr.executed += own
-			if !fr.chargeFuel() {
-				fr.err = newTrap(TrapOutOfFuel)
+			if !fr.charge(e.own) {
 				return t1Trapped
 			}
-			if fr.regs[x]<<sh == fr.regs[y]<<sh {
-				return e.take(fr)
-			}
-			fr.executed += e.crF
-			return e.next
+			return e.to(fr, fr.regs[x]<<sh == fr.regs[y]<<sh)
 		}
 	case cmpNe:
 		return func(fr *t1frame) int {
-			fr.executed += own
-			if !fr.chargeFuel() {
-				fr.err = newTrap(TrapOutOfFuel)
+			if !fr.charge(e.own) {
 				return t1Trapped
 			}
-			if fr.regs[x]<<sh != fr.regs[y]<<sh {
-				return e.take(fr)
-			}
-			fr.executed += e.crF
-			return e.next
+			return e.to(fr, fr.regs[x]<<sh != fr.regs[y]<<sh)
 		}
 	case cmpLt:
 		return func(fr *t1frame) int {
-			fr.executed += own
-			if !fr.chargeFuel() {
-				fr.err = newTrap(TrapOutOfFuel)
+			if !fr.charge(e.own) {
 				return t1Trapped
 			}
-			if fr.regs[x]<<sh^bias < fr.regs[y]<<sh^bias {
-				return e.take(fr)
-			}
-			fr.executed += e.crF
-			return e.next
+			return e.to(fr, fr.regs[x]<<sh^bias < fr.regs[y]<<sh^bias)
 		}
 	case cmpLe:
 		return func(fr *t1frame) int {
-			fr.executed += own
-			if !fr.chargeFuel() {
-				fr.err = newTrap(TrapOutOfFuel)
+			if !fr.charge(e.own) {
 				return t1Trapped
 			}
-			if fr.regs[x]<<sh^bias <= fr.regs[y]<<sh^bias {
-				return e.take(fr)
-			}
-			fr.executed += e.crF
-			return e.next
+			return e.to(fr, fr.regs[x]<<sh^bias <= fr.regs[y]<<sh^bias)
 		}
 	}
 	// A float compare, rare in a loop header, evaluates through binaryOp (it
 	// cannot trap).
 	return func(fr *t1frame) int {
-		fr.executed += own
-		if !fr.chargeFuel() {
-			fr.err = newTrap(TrapOutOfFuel)
+		if !fr.charge(e.own) {
 			return t1Trapped
 		}
-		if v, _ := binaryOp(op, fr.regs[x], fr.regs[y]); v != 0 {
-			return e.take(fr)
-		}
-		fr.executed += e.crF
-		return e.next
+		v, _ := binaryOp(op, fr.regs[x], fr.regs[y])
+		return e.to(fr, v != 0)
 	}
 }
 
-// buildUnary lowers a one-operand fixed-shape op operating in place on the
-// top slot.
-func (b *t1builder) buildUnary(op wasm.Opcode, ht, pc int) t1op {
-	c := b.slot(ht, 1)
-	next, crF := b.fall(pc)
-	cnt := 1 + crF
+// buildUnary lowers a one-operand fixed-shape op (eqz aside) reading slot
+// c and writing slot d.
+func (b *t1builder) buildUnary(op wasm.Opcode, c, d int, s t1span) t1op {
+	if b.dry {
+		return nil
+	}
+	own, cnt, next := s.own, s.cnt, s.next
 	switch op {
-	case wasm.OpI32Eqz:
-		return func(fr *t1frame) int {
-			fr.regs[c] = boolVal(AsU32(fr.regs[c]) == 0)
-			fr.executed += cnt
-			return next
-		}
-	case wasm.OpI64Eqz:
-		return func(fr *t1frame) int {
-			fr.regs[c] = boolVal(fr.regs[c] == 0)
-			fr.executed += cnt
-			return next
-		}
 	case wasm.OpI32WrapI64:
 		return func(fr *t1frame) int {
-			fr.regs[c] = I32(int32(fr.regs[c]))
+			fr.regs[d] = I32(int32(fr.regs[c]))
 			fr.executed += cnt
 			return next
 		}
 	case wasm.OpI64ExtendI32S:
 		return func(fr *t1frame) int {
-			fr.regs[c] = I64(int64(AsI32(fr.regs[c])))
+			fr.regs[d] = I64(int64(AsI32(fr.regs[c])))
 			fr.executed += cnt
 			return next
 		}
 	case wasm.OpI64ExtendI32U:
 		return func(fr *t1frame) int {
-			fr.regs[c] = uint64(AsU32(fr.regs[c]))
+			fr.regs[d] = uint64(AsU32(fr.regs[c]))
 			fr.executed += cnt
 			return next
 		}
 	}
 	// Generic path: unaryOp covers the trapping float->int truncations.
 	return func(fr *t1frame) int {
-		fr.executed++
+		fr.executed += own
 		v, err, ok := unaryOp(op, fr.regs[c])
 		if !ok {
 			fr.err = newTrap(TrapUnreachable)
@@ -583,34 +558,30 @@ func (b *t1builder) buildUnary(op wasm.Opcode, ht, pc int) t1op {
 			fr.err = err
 			return t1Trapped
 		}
-		fr.regs[c] = v
-		fr.executed += crF
+		fr.regs[d] = v
+		fr.executed += cnt - own
 		return next
 	}
 }
 
-// buildLoad lowers a memory load: address in the top slot, replaced by the
-// value. The bounds check and zero/sign extension replicate Memory.load and
+// buildLoad lowers a memory load: address in slot c, value into slot d.
+// The bounds check and zero/sign extension replicate Memory.load and
 // loadSigned exactly.
-func (b *t1builder) buildLoad(in *instr, ht, pc int) t1op {
-	c := b.slot(ht, 1)
-	off := in.a
-	next, crF := b.fall(pc)
-	cnt := 1 + crF
-	oob := func(fr *t1frame) int {
-		fr.executed++
-		fr.err = newTrap(TrapMemoryOutOfBounds)
-		return t1Trapped
+func (b *t1builder) buildLoad(in *instr, c, d int, s t1span) t1op {
+	if b.dry {
+		return nil
 	}
+	off := in.a
+	own, cnt, next := s.own, s.cnt, s.next
 	switch in.op {
 	case wasm.OpI32Load, wasm.OpF32Load, wasm.OpI64Load32U:
 		return func(fr *t1frame) int {
 			m := fr.mem
 			ea := uint64(AsU32(fr.regs[c])) + off
 			if ea+4 > uint64(len(m.data)) {
-				return oob(fr)
+				return fr.trapAfter(own, TrapMemoryOutOfBounds)
 			}
-			fr.regs[c] = uint64(binary.LittleEndian.Uint32(m.data[ea:]))
+			fr.regs[d] = uint64(binary.LittleEndian.Uint32(m.data[ea:]))
 			fr.executed += cnt
 			return next
 		}
@@ -619,9 +590,9 @@ func (b *t1builder) buildLoad(in *instr, ht, pc int) t1op {
 			m := fr.mem
 			ea := uint64(AsU32(fr.regs[c])) + off
 			if ea+8 > uint64(len(m.data)) {
-				return oob(fr)
+				return fr.trapAfter(own, TrapMemoryOutOfBounds)
 			}
-			fr.regs[c] = binary.LittleEndian.Uint64(m.data[ea:])
+			fr.regs[d] = binary.LittleEndian.Uint64(m.data[ea:])
 			fr.executed += cnt
 			return next
 		}
@@ -630,9 +601,9 @@ func (b *t1builder) buildLoad(in *instr, ht, pc int) t1op {
 			m := fr.mem
 			ea := uint64(AsU32(fr.regs[c])) + off
 			if ea+1 > uint64(len(m.data)) {
-				return oob(fr)
+				return fr.trapAfter(own, TrapMemoryOutOfBounds)
 			}
-			fr.regs[c] = uint64(m.data[ea])
+			fr.regs[d] = uint64(m.data[ea])
 			fr.executed += cnt
 			return next
 		}
@@ -641,9 +612,9 @@ func (b *t1builder) buildLoad(in *instr, ht, pc int) t1op {
 			m := fr.mem
 			ea := uint64(AsU32(fr.regs[c])) + off
 			if ea+2 > uint64(len(m.data)) {
-				return oob(fr)
+				return fr.trapAfter(own, TrapMemoryOutOfBounds)
 			}
-			fr.regs[c] = uint64(binary.LittleEndian.Uint16(m.data[ea:]))
+			fr.regs[d] = uint64(binary.LittleEndian.Uint16(m.data[ea:]))
 			fr.executed += cnt
 			return next
 		}
@@ -652,9 +623,9 @@ func (b *t1builder) buildLoad(in *instr, ht, pc int) t1op {
 			m := fr.mem
 			ea := uint64(AsU32(fr.regs[c])) + off
 			if ea+1 > uint64(len(m.data)) {
-				return oob(fr)
+				return fr.trapAfter(own, TrapMemoryOutOfBounds)
 			}
-			fr.regs[c] = I32(int32(int8(m.data[ea])))
+			fr.regs[d] = I32(int32(int8(m.data[ea])))
 			fr.executed += cnt
 			return next
 		}
@@ -663,9 +634,9 @@ func (b *t1builder) buildLoad(in *instr, ht, pc int) t1op {
 			m := fr.mem
 			ea := uint64(AsU32(fr.regs[c])) + off
 			if ea+2 > uint64(len(m.data)) {
-				return oob(fr)
+				return fr.trapAfter(own, TrapMemoryOutOfBounds)
 			}
-			fr.regs[c] = I32(int32(int16(binary.LittleEndian.Uint16(m.data[ea:]))))
+			fr.regs[d] = I32(int32(int16(binary.LittleEndian.Uint16(m.data[ea:]))))
 			fr.executed += cnt
 			return next
 		}
@@ -674,9 +645,9 @@ func (b *t1builder) buildLoad(in *instr, ht, pc int) t1op {
 			m := fr.mem
 			ea := uint64(AsU32(fr.regs[c])) + off
 			if ea+1 > uint64(len(m.data)) {
-				return oob(fr)
+				return fr.trapAfter(own, TrapMemoryOutOfBounds)
 			}
-			fr.regs[c] = I64(int64(int8(m.data[ea])))
+			fr.regs[d] = I64(int64(int8(m.data[ea])))
 			fr.executed += cnt
 			return next
 		}
@@ -685,9 +656,9 @@ func (b *t1builder) buildLoad(in *instr, ht, pc int) t1op {
 			m := fr.mem
 			ea := uint64(AsU32(fr.regs[c])) + off
 			if ea+2 > uint64(len(m.data)) {
-				return oob(fr)
+				return fr.trapAfter(own, TrapMemoryOutOfBounds)
 			}
-			fr.regs[c] = I64(int64(int16(binary.LittleEndian.Uint16(m.data[ea:]))))
+			fr.regs[d] = I64(int64(int16(binary.LittleEndian.Uint16(m.data[ea:]))))
 			fr.executed += cnt
 			return next
 		}
@@ -696,9 +667,9 @@ func (b *t1builder) buildLoad(in *instr, ht, pc int) t1op {
 			m := fr.mem
 			ea := uint64(AsU32(fr.regs[c])) + off
 			if ea+4 > uint64(len(m.data)) {
-				return oob(fr)
+				return fr.trapAfter(own, TrapMemoryOutOfBounds)
 			}
-			fr.regs[c] = I64(int64(int32(binary.LittleEndian.Uint32(m.data[ea:]))))
+			fr.regs[d] = I64(int64(int32(binary.LittleEndian.Uint32(m.data[ea:]))))
 			fr.executed += cnt
 			return next
 		}
@@ -707,16 +678,17 @@ func (b *t1builder) buildLoad(in *instr, ht, pc int) t1op {
 	return nil
 }
 
-// buildStore lowers a memory store: value in regs[v] (the top slot, or a
-// local slot when fused with a preceding local.get), address in regs[c].
-// own is the original instruction count. The inline bounds check is against
-// the memory's writable slice and the dirty-page marking (first page plus the
+// buildStore lowers a memory store: value in regs[v], address in regs[c]
+// (stack, local or constant slots). The inline bounds check is against the
+// memory's writable slice and the dirty-page marking (first page plus the
 // rare straddle) is byte-for-byte the Memory.storeAt hot path.
-func (b *t1builder) buildStore(in *instr, v, c int, own uint64, pc int) t1op {
+func (b *t1builder) buildStore(in *instr, v, c int, s t1span) t1op {
+	if b.dry {
+		return nil
+	}
 	off := in.a
 	width := uint64(in.misc)
-	next, crF := b.fall(pc)
-	cnt := own + crF
+	own, cnt, next := s.own, s.cnt, s.next
 	// slow takes every store that fails the inline check against wr: the
 	// first write to an aliased memory (storeAt materialises and stores) or a
 	// genuine out-of-bounds access.
@@ -796,17 +768,16 @@ func (b *t1builder) buildStore(in *instr, v, c int, own uint64, pc int) t1op {
 	return nil
 }
 
-// buildMisc lowers the 0xFC-prefixed ops: the eight saturating truncations
-// (in-place on the top slot) and the bulk-memory copy/fill.
-func (b *t1builder) buildMisc(pc int, in *instr, ht int) t1op {
-	next, crF := b.fall(pc)
-	switch in.misc {
-	case wasm.MiscMemoryCopy:
-		c1 := b.slot(ht, 1) // n
-		c2 := b.slot(ht, 2) // src
-		c3 := b.slot(ht, 3) // dst
+// buildBulk lowers memory.copy and memory.fill: n in slot c1, the source
+// address or the fill byte in c2, the destination in c3.
+func (b *t1builder) buildBulk(in *instr, c1, c2, c3 int, s t1span) t1op {
+	if b.dry {
+		return nil
+	}
+	own, crF, next := s.own, s.cnt-s.own, s.next
+	if in.misc == wasm.MiscMemoryCopy {
 		return func(fr *t1frame) int {
-			fr.executed++
+			fr.executed += own
 			nn := AsU32(fr.regs[c1])
 			src := AsU32(fr.regs[c2])
 			dst := AsU32(fr.regs[c3])
@@ -817,72 +788,74 @@ func (b *t1builder) buildMisc(pc int, in *instr, ht int) t1op {
 			fr.executed += crF
 			return next
 		}
-	case wasm.MiscMemoryFill:
-		c1 := b.slot(ht, 1) // n
-		c2 := b.slot(ht, 2) // value
-		c3 := b.slot(ht, 3) // dst
-		return func(fr *t1frame) int {
-			fr.executed++
-			nn := AsU32(fr.regs[c1])
-			val := byte(fr.regs[c2])
-			dst := AsU32(fr.regs[c3])
-			if !fr.mem.fill(dst, val, nn) {
-				fr.err = newTrap(TrapMemoryOutOfBounds)
-				return t1Trapped
-			}
-			fr.executed += crF
-			return next
-		}
 	}
-	// Saturating truncations: in place on the top slot, cannot trap.
-	c := b.slot(ht, 1)
-	cnt := 1 + crF
+	return func(fr *t1frame) int {
+		fr.executed += own
+		nn := AsU32(fr.regs[c1])
+		val := byte(fr.regs[c2])
+		dst := AsU32(fr.regs[c3])
+		if !fr.mem.fill(dst, val, nn) {
+			fr.err = newTrap(TrapMemoryOutOfBounds)
+			return t1Trapped
+		}
+		fr.executed += crF
+		return next
+	}
+}
+
+// buildTruncSat lowers the eight saturating truncations, slot c into slot
+// d; they cannot trap.
+func (b *t1builder) buildTruncSat(in *instr, c, d int, s t1span) t1op {
+	if b.dry {
+		return nil
+	}
+	cnt, next := s.cnt, s.next
 	switch in.misc {
 	case wasm.MiscI32TruncSatF32S:
 		return func(fr *t1frame) int {
-			fr.regs[c] = I32(truncSatI32(float64(AsF32(fr.regs[c]))))
+			fr.regs[d] = I32(truncSatI32(float64(AsF32(fr.regs[c]))))
 			fr.executed += cnt
 			return next
 		}
 	case wasm.MiscI32TruncSatF32U:
 		return func(fr *t1frame) int {
-			fr.regs[c] = uint64(truncSatU32(float64(AsF32(fr.regs[c]))))
+			fr.regs[d] = uint64(truncSatU32(float64(AsF32(fr.regs[c]))))
 			fr.executed += cnt
 			return next
 		}
 	case wasm.MiscI32TruncSatF64S:
 		return func(fr *t1frame) int {
-			fr.regs[c] = I32(truncSatI32(AsF64(fr.regs[c])))
+			fr.regs[d] = I32(truncSatI32(AsF64(fr.regs[c])))
 			fr.executed += cnt
 			return next
 		}
 	case wasm.MiscI32TruncSatF64U:
 		return func(fr *t1frame) int {
-			fr.regs[c] = uint64(truncSatU32(AsF64(fr.regs[c])))
+			fr.regs[d] = uint64(truncSatU32(AsF64(fr.regs[c])))
 			fr.executed += cnt
 			return next
 		}
 	case wasm.MiscI64TruncSatF32S:
 		return func(fr *t1frame) int {
-			fr.regs[c] = I64(truncSatI64(float64(AsF32(fr.regs[c]))))
+			fr.regs[d] = I64(truncSatI64(float64(AsF32(fr.regs[c]))))
 			fr.executed += cnt
 			return next
 		}
 	case wasm.MiscI64TruncSatF32U:
 		return func(fr *t1frame) int {
-			fr.regs[c] = truncSatU64(float64(AsF32(fr.regs[c])))
+			fr.regs[d] = truncSatU64(float64(AsF32(fr.regs[c])))
 			fr.executed += cnt
 			return next
 		}
 	case wasm.MiscI64TruncSatF64S:
 		return func(fr *t1frame) int {
-			fr.regs[c] = I64(truncSatI64(AsF64(fr.regs[c])))
+			fr.regs[d] = I64(truncSatI64(AsF64(fr.regs[c])))
 			fr.executed += cnt
 			return next
 		}
 	case wasm.MiscI64TruncSatF64U:
 		return func(fr *t1frame) int {
-			fr.regs[c] = truncSatU64(AsF64(fr.regs[c]))
+			fr.regs[d] = truncSatU64(AsF64(fr.regs[c]))
 			fr.executed += cnt
 			return next
 		}

@@ -12,7 +12,9 @@ import (
 // by an if or a br_if, in every operand form the lowering tells apart, and
 // an integer binop whose value only feeds such a test (fused for i32.rem_u
 // and i32.mul) — run differentially against tier 0 here and in
-// FuzzTierDiffConditional.
+// FuzzTierDiffConditional. So do the points where folding an operand must
+// stop: a branch target, a drop, a block, a local.set or local.tee of the
+// folded local, and a call between a local.get and what consumes it.
 
 // condForm is where a comparison's operands come from.
 type condForm int
@@ -23,10 +25,19 @@ const (
 	formLocals                     // two locals: [local.get; local.get; <cmp>][if]
 	formStackConst                 // stack against a constant: [const][<cmp>][if]
 	formLocalConst                 // a local against a constant: [local.get][const][<cmp>][if]
+	// The forms below compare a with b across a point where folding stops;
+	// the first two test a value other than the comparison's.
+	formTarget // a against (n != 0 ? a : b), the else arm starting at b's local.get
+	formDrop   // the comparison dropped, the round counter n tested instead
+	formBlock  // the comparison inside a block, left early with 1 by br_if when n != 0
+	formSet    // tmp = a; tmp and b compared, the local.set of tmp to b in between
+	formTee    // the same with a local.tee of tmp to b as the right operand
+	formCall   // a and b passed to a function that compares them
 	numForms
 )
 
-var formNames = [numForms]string{"stack", "stack-local", "locals", "stack-const", "local-const"}
+var formNames = [numForms]string{"stack", "stack-local", "locals", "stack-const", "local-const",
+	"target", "drop", "block", "set", "tee", "call"}
 
 // condArms is what branches on the condition (or, for armsValue, the
 // unfused form the fused ones must agree with).
@@ -92,13 +103,14 @@ func isEqz(op wasm.Opcode) bool { return op == wasm.OpI32Eqz || op == wasm.OpI64
 // condForms lists the operand forms op can take: eqz has one operand, and a
 // constant operand is only fused for integers.
 func condForms(op wasm.Opcode) []condForm {
+	barriers := []condForm{formTarget, formDrop, formBlock, formSet, formTee, formCall}
 	switch vt := condOperand(op); {
 	case isEqz(op):
 		return []condForm{formStack}
 	case vt == f32t || vt == f64t:
-		return []condForm{formStack, formStackLocal, formLocals}
+		return append([]condForm{formStack, formStackLocal, formLocals}, barriers...)
 	}
-	return []condForm{formStack, formStackLocal, formLocals, formStackConst, formLocalConst}
+	return append([]condForm{formStack, formStackLocal, formLocals, formStackConst, formLocalConst}, barriers...)
 }
 
 // condModule builds f(a, b) -> i32 over the operand type: three rounds of a
@@ -157,9 +169,34 @@ func condModule(t testing.TB, c condShape) *wasm.Module {
 	case c.form == formLocalConst:
 		b.OpU32(wasm.OpLocalGet, 0)
 		konst(c.k)
+	case c.form == formTarget:
+		b.OpU32(wasm.OpLocalGet, 0).OpU32(wasm.OpLocalGet, n)
+		b.Block(wasm.OpIf, wasm.BlockTypeOf(vt)).OpU32(wasm.OpLocalGet, 0)
+		b.Op(wasm.OpElse).OpU32(wasm.OpLocalGet, 1).End()
+	case c.form == formDrop:
+		b.OpU32(wasm.OpLocalGet, n).OpU32(wasm.OpLocalGet, 0).OpU32(wasm.OpLocalGet, 1)
+	case c.form == formBlock:
+		b.Block(wasm.OpBlock, wasm.BlockTypeOf(i32)).I32Const(1).OpU32(wasm.OpLocalGet, n).OpU32(wasm.OpBrIf, 0)
+		b.Op(wasm.OpDrop).OpU32(wasm.OpLocalGet, 0).OpU32(wasm.OpLocalGet, 1)
+	case c.form == formSet || c.form == formTee:
+		b.OpU32(wasm.OpLocalGet, 0).OpU32(wasm.OpLocalSet, tmp)
+		b.OpU32(wasm.OpLocalGet, tmp).OpU32(wasm.OpLocalGet, 1)
+		if c.form == formSet {
+			b.OpU32(wasm.OpLocalSet, tmp).OpU32(wasm.OpLocalGet, 1)
+		} else {
+			b.OpU32(wasm.OpLocalTee, tmp)
+		}
+	case c.form == formCall:
+		b.OpU32(wasm.OpLocalGet, 0).OpU32(wasm.OpLocalGet, 1).OpU32(wasm.OpCall, 1)
 	}
-	if c.op != condNonZero {
+	if c.op != condNonZero && c.form != formCall {
 		b.Op(c.op)
+	}
+	switch c.form {
+	case formDrop:
+		b.Op(wasm.OpDrop)
+	case formBlock:
+		b.End()
 	}
 	switch c.arms {
 	case armsThen:
@@ -186,8 +223,17 @@ func condModule(t testing.TB, c condShape) *wasm.Module {
 	b.I32Const(3).Op(wasm.OpI32LtU).OpU32(wasm.OpBrIf, 0)
 	b.End()
 	b.OpU32(wasm.OpLocalGet, acc).End()
-	return buildModule(t, singleFunc([]wasm.ValueType{vt, vt}, []wasm.ValueType{i32},
-		[]wasm.ValueType{vt, i32, i32}, b))
+	m := singleFunc([]wasm.ValueType{vt, vt}, []wasm.ValueType{i32}, []wasm.ValueType{vt, i32, i32}, b)
+	// Function 1 compares its two parameters (formCall).
+	m.Functions = append(m.Functions, 0)
+	cmp := new(wasm.BodyBuilder).OpU32(wasm.OpLocalGet, 0).OpU32(wasm.OpLocalGet, 1)
+	if isCmpBinop(c.op) {
+		cmp.Op(c.op)
+	} else {
+		cmp.Op(wasm.OpDrop).Op(wasm.OpDrop).I32Const(0)
+	}
+	m.Codes = append(m.Codes, wasm.Code{Body: cmp.End().Bytes()})
+	return buildModule(t, m)
 }
 
 // condOps is every comparison plus the two eqz.
@@ -394,6 +440,14 @@ func FuzzTierDiffConditional(f *testing.F) {
 		prodSeed(wasm.OpI64DivS, prodLocalConst, 4, formStackConst, armsResult, I64(math.MinInt64), I64(-1), 3, 0),
 		prodSeed(wasm.OpI32Shl, prodLocalConst, 11, formStack, armsBrIf, 1, 32, 0, 0),
 		prodSeed(wasm.OpI64RemS, prodLocals, 8, formStackConst, armsThen, I64(math.MinInt64), I64(-1), 0, 13),
+		// Where folding stops: a branch target, a drop, a block, a set and
+		// a tee of the folded local, a call.
+		seed(wasm.OpI32LtS, formTarget, armsThen, 3, 5, 0),
+		seed(wasm.OpI64Eq, formDrop, armsBrIf, 7, 7, 0),
+		seed(wasm.OpI32GeU, formBlock, armsResult, 1, 2, 9),
+		seed(wasm.OpI32Ne, formSet, armsElse, 4, 9, 0),
+		seed(wasm.OpI64LtU, formTee, armsValue, 1, 1<<40, 0),
+		seed(wasm.OpI32GtS, formCall, armsThen, 5, 1, 0),
 	} {
 		f.Add(s)
 	}

@@ -717,8 +717,9 @@ func TestTierDiffBranchWithValues(t *testing.T) {
 
 // --- tier-up mechanics ------------------------------------------------------
 
-// The hotness policy must flip an instance to tier 1 mid-stream with no
-// observable change other than LastInvokeTier.
+// The hotness policy must flip an instance to tier 1 mid-stream, after
+// tierUpInvokes invokes at tier 0, with no observable change other than
+// LastInvokeTier.
 func TestTierUpHotnessPolicy(t *testing.T) {
 	m := factorialModule(t)
 	s := NewStore(Config{})
@@ -726,19 +727,16 @@ func TestTierUpHotnessPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst.Code().SetTierPolicy(TierPolicy{Mode: TierModeHotness, InvokeThreshold: 3})
+	inst.Code().SetTierPolicy(TierPolicy{Mode: TierModeHotness})
 	want := AsI32(mustCall(t, inst, "f", I32(10))[0])
-	for i := 0; i < 10; i++ {
+	for i := 1; i < 2*tierUpInvokes; i++ {
 		got := AsI32(mustCall(t, inst, "f", I32(10))[0])
 		if got != want {
 			t.Fatalf("invoke %d: %d, want %d", i, got, want)
 		}
-	}
-	if inst.Code().Tier1Bytes() == 0 {
-		t.Fatal("hotness policy never tiered up")
-	}
-	if s.LastInvokeTier() != 1 {
-		t.Fatal("warm instance still serving at tier 0 after tier-up")
+		if tier, hot := s.LastInvokeTier(), i >= tierUpInvokes; (tier == 1) != hot {
+			t.Fatalf("invoke %d served at tier %d", i, tier)
+		}
 	}
 }
 
@@ -760,7 +758,7 @@ func TestConcurrentTierUpSingleflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc.SetTierPolicy(TierPolicy{Mode: TierModeHotness, InvokeThreshold: 2})
+	mc.SetTierPolicy(TierPolicy{Mode: TierModeHotness})
 	var tierUps atomic.Int32
 	mc.SetTierUpListener(func(*Tier1Code, time.Duration) { tierUps.Add(1) })
 	const workers = 8
