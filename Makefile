@@ -49,7 +49,9 @@ race:
 # live 400-pod cluster holds at most 3.3 KiB of heap per pod (-count=1, so a
 # cached pass cannot hide a regression). The gateway heap leg is the daemon's
 # own bookkeeping: 2 000 warm invokes through ServeHTTP grow a warm server's
-# live heap by at most 300 KB, most of it the span log.
+# live heap by at most 300 KB, most of it the span log, and 512 lazy deploys
+# grow a cold-deploy server's by at most 12 KiB each (each deploy's four warm
+# instances alias one baseline image that stores only its non-zero bytes).
 obs-overhead:
 	@out=$$($(GO) test -run NONE -bench BenchmarkInvokeTelemetryDisabled \
 		-benchmem -benchtime 10000x ./internal/obs/); \
@@ -72,12 +74,13 @@ obs-overhead:
 	$(GO) test -count=1 -run 'TestInstantiateAllocs$$' ./internal/engine
 	$(GO) test -count=1 -run 'TestEngineScheduleAllocs$$' ./internal/des
 	$(GO) test -count=1 -run 'TestWarmInvokeAllocs$$' ./internal/gateway
-	$(GO) test -count=1 -run 'TestWarmServerLiveHeap$$' ./internal/gateway
+	$(GO) test -count=1 -run 'TestWarmServerLiveHeap$$|TestLazyDeployLiveHeap$$' ./internal/gateway
 	$(GO) test -count=1 -run 'TestDensityPodAllocBytes$$|TestDensityPodLiveHeap$$' .
 
-# Fuzz smoke: ten seconds of the copy-on-write memory oracle (random write /
-# grow / bulk-op / reset programs over two memories sharing one image, against
-# a full-copy model, through the Memory API and guest code at both tiers), then
+# Fuzz smoke: ten seconds of the copy-on-write memory oracle (random read /
+# write / grow / bulk-op / reset programs over two memories sharing one image
+# that stores none, part or all of its bytes, against a full-copy model,
+# through the Memory API and guest code at both tiers), then
 # five seconds of tier 1's fused conditionals (a comparison or eqz branched on
 # by if or br_if, in each operand form, optionally fed by an integer binop of
 # two locals or a local and a constant, div/rem traps included, on random

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"wasmcontainers/internal/wasm"
@@ -9,6 +10,14 @@ import (
 
 func newCowMemory(minPages uint32) *Memory {
 	return NewMemory(wasm.MemoryType{Limits: wasm.Limits{Min: minPages}}, 0)
+}
+
+// contents is the image's full contents: its stored bytes, then zeroes up to
+// its accounted size.
+func (b *BaselineImage) contents() []byte {
+	out := make([]byte, b.size())
+	copy(out, b.data)
+	return out
 }
 
 func TestDirtyTrackingMutationPaths(t *testing.T) {
@@ -88,7 +97,7 @@ func TestResetToBaselineCopiesOnlyDirtyPages(t *testing.T) {
 	if copied := m.ResetToBaseline(); copied != 2 {
 		t.Fatalf("reset copied %d pages, want 2", copied)
 	}
-	if !bytes.Equal(m.Bytes(), b.data) {
+	if !bytes.Equal(m.Bytes(), b.contents()) {
 		t.Fatal("memory does not match baseline after reset")
 	}
 	if n := m.DirtyPages(); n != 0 {
@@ -101,6 +110,121 @@ func TestResetToBaselineCopiesOnlyDirtyPages(t *testing.T) {
 	// A clean memory resets for free.
 	if copied := m.ResetToBaseline(); copied != 0 {
 		t.Fatalf("clean reset copied %d pages", copied)
+	}
+}
+
+// TestCaptureStoresOnlyThePrefix: an image stores the contents up to the last
+// non-zero byte and is accounted in whole pages; the donor's buffer goes to
+// the free-list, and the next fresh memory takes it back cleared.
+func TestCaptureStoresOnlyThePrefix(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		writes map[uint32]byte // address -> non-zero byte
+		stored int
+	}{
+		{"all zero", nil, 0},
+		{"mid-page", map[uint32]byte{10: 1, 999: 2}, 1000},
+		{"page boundary", map[uint32]byte{wasm.PageSize - 1: 3}, wasm.PageSize},
+		{"multi-page", map[uint32]byte{5: 4, 2*wasm.PageSize + 7: 5}, 2*wasm.PageSize + 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for takeBuffer(1) != nil { // a full free-list would refuse the donor
+			}
+			m := newCowMemory(4)
+			m.Write(0, make([]byte, 3*wasm.PageSize)) // zeroes: dirty, not stored
+			for addr, v := range tc.writes {
+				m.Write(addr, []byte{v})
+			}
+			want := m.Bytes()
+			donor := &m.wr[0]
+			b := m.CaptureBaseline()
+			if len(b.data) != tc.stored || b.Pages() != 4 || b.Bytes() != 4*wasm.PageSize {
+				t.Fatalf("image stores %d bytes of %d pages (%d B), want %d of 4", len(b.data), b.Pages(), b.Bytes(), tc.stored)
+			}
+			if !bytes.Equal(b.contents(), want) || !bytes.Equal(m.Bytes(), want) || !m.aliased() {
+				t.Fatal("capture changed the contents or did not alias the image")
+			}
+			fresh := newCowMemory(4)
+			if &fresh.wr[0] != donor {
+				t.Fatal("a fresh memory did not take the donor's parked buffer")
+			}
+			if !bytes.Equal(fresh.Bytes(), make([]byte, 4*wasm.PageSize)) {
+				t.Fatal("a recycled buffer was not cleared")
+			}
+		})
+	}
+}
+
+// TestTrimmedLen puts the last non-zero byte of a page at every offset
+// around trimmedLen's chunk edges.
+func TestTrimmedLen(t *testing.T) {
+	page := make([]byte, wasm.PageSize)
+	if n := trimmedLen(page); n != 0 {
+		t.Fatalf("all-zero page trims to %d", n)
+	}
+	for _, last := range []int{0, 1, 254, 255, 256, 257, 511, 512, 1000,
+		wasm.PageSize - 257, wasm.PageSize - 256, wasm.PageSize - 255, wasm.PageSize - 1} {
+		clear(page)
+		page[0], page[last] = 1, 2
+		if n := trimmedLen(page); n != last+1 {
+			t.Fatalf("last non-zero byte at %d: trimmed length %d", last, n)
+		}
+	}
+}
+
+// TestReadPastThePrefixMaterialises: every read path reads the zeroes past an
+// aliased memory's stored bytes by materialising first, while a read inside
+// them, an empty one, or an out-of-bounds one leaves the memory aliased.
+func TestReadPastThePrefixMaterialises(t *testing.T) {
+	donor := newCowMemory(2)
+	donor.Write(100, []byte("prefix"))
+	img := donor.CaptureBaseline()
+	reads := []struct {
+		name string
+		read func(m *Memory, addr uint32) (string, bool)
+	}{
+		{"Read", func(m *Memory, a uint32) (string, bool) { b, ok := m.Read(a, 8); return string(b), ok }},
+		{"View", func(m *Memory, a uint32) (string, bool) { b, ok := m.View(a, 8); return string(b), ok }},
+		{"ReadString", func(m *Memory, a uint32) (string, bool) { return m.ReadString(a, 8) }},
+		{"ReadUint64", func(m *Memory, a uint32) (string, bool) {
+			v, ok := m.ReadUint64(a)
+			return string(binary.LittleEndian.AppendUint64(nil, v)), ok
+		}},
+		{"load", func(m *Memory, a uint32) (string, bool) {
+			v, ok := m.load(a, 0, 8)
+			return string(binary.LittleEndian.AppendUint64(nil, v)), ok
+		}},
+	}
+	for _, r := range reads {
+		for _, tc := range []struct {
+			addr        uint32
+			want        string
+			ok, aliased bool
+		}{
+			{98, "\x00\x00prefix", true, true},
+			{102, "efix\x00\x00\x00\x00", true, false},
+			{2*wasm.PageSize - 8, "\x00\x00\x00\x00\x00\x00\x00\x00", true, false},
+			{2*wasm.PageSize - 7, "", false, true},
+		} {
+			m := new(Memory)
+			m.initAliased(wasm.MemoryType{Limits: wasm.Limits{Min: 2}}, 0, img)
+			got, ok := r.read(m, tc.addr)
+			if !ok {
+				got = ""
+			}
+			if got != tc.want || ok != tc.ok || m.aliased() != tc.aliased {
+				t.Errorf("%s(%d) = %q, %v, aliased %v; want %q, %v, aliased %v",
+					r.name, tc.addr, got, ok, m.aliased(), tc.want, tc.ok, tc.aliased)
+			}
+			if m.DirtyPages() != 0 {
+				t.Errorf("%s(%d) marked %d pages dirty", r.name, tc.addr, m.DirtyPages())
+			}
+		}
+	}
+	m := new(Memory)
+	m.initAliased(wasm.MemoryType{Limits: wasm.Limits{Min: 2}}, 0, img)
+	if v, ok := m.View(2*wasm.PageSize, 0); !ok || len(v) != 0 || !m.aliased() {
+		t.Fatal("an empty View at the end materialised or failed")
 	}
 }
 
@@ -204,6 +328,31 @@ func TestAttachBaselineSharesOneImage(t *testing.T) {
 	c := newCowMemory(3)
 	if c.AttachBaseline(img) {
 		t.Fatal("attach accepted a size-mismatched image")
+	}
+	// So does a non-zero byte past the bytes the image stores.
+	d := newCowMemory(2)
+	d.Write(10, []byte("baseline"))
+	d.Write(wasm.PageSize+3, []byte{1})
+	if d.AttachBaseline(img) {
+		t.Fatal("attach accepted a memory that differs past the image's stored bytes")
+	}
+}
+
+// TestRecaptureKeepsCleanImageBytes: capturing a memory that already has a
+// baseline must keep what its clean pages hold from that image, not only what
+// its dirty pages hold.
+func TestRecaptureKeepsCleanImageBytes(t *testing.T) {
+	m := newCowMemory(2)
+	m.Write(wasm.PageSize+5, []byte{9})
+	first := m.CaptureBaseline()
+	if again := m.CaptureBaseline(); !bytes.Equal(again.contents(), first.contents()) || len(again.data) != wasm.PageSize+6 {
+		t.Fatal("recapturing an aliased memory lost the image's bytes")
+	}
+	m.Write(3, []byte{7}) // dirties page 0 only
+	want := first.contents()
+	want[3] = 7
+	if second := m.CaptureBaseline(); !bytes.Equal(second.contents(), want) || len(second.data) != wasm.PageSize+6 {
+		t.Fatal("recapture lost the clean page's image bytes")
 	}
 }
 

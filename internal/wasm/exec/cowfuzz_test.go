@@ -11,15 +11,18 @@ import (
 	"wasmcontainers/internal/wat"
 )
 
-// The copy-on-write oracle. A fuzz input is a program of write steps over two
-// memories attached to one shared baseline image. Each memory is shadowed by
-// a cowModel — a plain private []byte with a full-copy reset, no aliasing, no
-// free-list — and after every step both memories must equal their models
-// (contents, Pages, DirtyPages, PrivateBytes, and whether they currently hold
-// a private buffer at all), the step's own result must match, and the image
-// must still be the bytes it was built from. The same programs run three
-// ways: straight through the Memory API, and through real guest stores /
-// memory.fill / memory.copy / memory.grow at tier 0 and at tier 1.
+// The copy-on-write oracle. A fuzz input picks how much of the image is
+// stored (its first byte: nothing, part of a page, one page, a page and a
+// half, or all of it — the contents are non-zero up to there and zero after)
+// and is then a program of read and write steps over two memories attached to
+// one shared baseline image. Each memory is shadowed by a cowModel — a plain
+// private []byte with a full-copy reset, no aliasing, no free-list — and
+// after every step both memories must equal their models (contents, Pages,
+// DirtyPages, PrivateBytes, and whether they currently hold a private buffer
+// at all), the step's own result must match, and the image must still be the
+// bytes it was built from. The same programs run three ways: straight
+// through the Memory API, and through real guest loads / stores / memory.fill
+// / memory.copy / memory.grow at tier 0 and at tier 1.
 
 // cowMaxPages lets a memory grow past 64 pages, where its dirty bitmap moves
 // from the word inside Memory to an allocated array.
@@ -46,8 +49,21 @@ const (
 	cowFill
 	cowCopy
 	cowReset
+	cowRead
+	cowView
+	cowReadString
+	cowReadUint32
+	cowReadUint64
+	cowLoad
 	cowNumOps
 )
+
+// cowPrefixes are the stored lengths an input's first byte chooses among:
+// empty, ending mid-page, ending on a page boundary, a multi-page image
+// ending mid-page, and the whole image.
+var cowPrefixes = []int{0, 1000, wasm.PageSize, wasm.PageSize + 40000, cowMinPages * wasm.PageSize}
+
+const cowWhole = 4 // index of the whole image in cowPrefixes
 
 // cowLens are the lengths a step can name: empty, access-width, page-sized
 // and page-straddling ones, and two that wrap dst+n in 32-bit arithmetic.
@@ -56,8 +72,10 @@ var cowLens = []uint32{0, 1, 2, 3, 4, 5, 8, 9, 16, 255, 4096, 65535, 65536, 6553
 
 // cowStep is one decoded step. Addresses are a page index (0..7) plus a
 // signed byte offset, which puts them on and around page boundaries and —
-// below page 0 — near 4 GiB. A grow adds far (the last byte, mod 64) pages
-// to its small delta, so one step can cross the bitmap's 64-page edge.
+// below page 0 — near 4 GiB; a page byte with bit 3 set instead offsets from
+// the end of the image's stored bytes. A grow adds far (the last byte, mod
+// 64) pages to its small delta, so one step can cross the bitmap's 64-page
+// edge.
 type cowStep struct {
 	op        cowOp
 	who       int
@@ -67,28 +85,47 @@ type cowStep struct {
 	far       uint32
 }
 
-func cowAddr(page, off byte) uint32 {
-	return uint32(int64(page%cowAddrPages)<<16 + int64(int8(off)))
+// cowAtPrefix is the page byte that addresses relative to the end of the
+// stored bytes.
+const cowAtPrefix = 8
+
+func cowAddr(prefix int, page, off byte) uint32 {
+	base := int64(page%cowAddrPages) << 16
+	if page&cowAtPrefix != 0 {
+		base = int64(prefix)
+	}
+	return uint32(base + int64(int8(off)))
 }
 
-func decodeCowProgram(data []byte) []cowStep {
+// decodeCowProgram returns the stored length of the image and the steps.
+func decodeCowProgram(data []byte) (int, []cowStep) {
+	if len(data) == 0 {
+		return cowPrefixes[cowWhole], nil
+	}
+	prefix := cowPrefixes[int(data[0])%len(cowPrefixes)]
 	var steps []cowStep
-	for ; len(data) >= cowStepLen && len(steps) < 64; data = data[cowStepLen:] {
+	for data = data[1:]; len(data) >= cowStepLen && len(steps) < 64; data = data[cowStepLen:] {
 		steps = append(steps, cowStep{
 			op:   cowOp(data[0]&0x7f) % cowNumOps,
 			who:  int(data[0] >> 7),
-			addr: cowAddr(data[1], data[2]),
+			addr: cowAddr(prefix, data[1], data[2]),
 			n:    cowLens[int(data[3])%len(cowLens)],
-			src:  cowAddr(data[4], data[5]),
+			src:  cowAddr(prefix, data[4], data[5]),
 			val:  uint64(data[6])*0x0101010101010101 ^ uint64(data[7])<<20,
 			far:  uint32(data[7] % 64),
 		})
 	}
-	return steps
+	return prefix, steps
 }
 
-// cowProg assembles seed programs in the encoding decodeCowProgram reads.
+// cowProg assembles seed programs in the encoding decodeCowProgram reads:
+// the index of the prefix, then the steps.
 type cowProg []byte
+
+// withPrefix is the same program over another stored length.
+func (p cowProg) withPrefix(i int) cowProg {
+	return append(cowProg{byte(i)}, p[1:]...)
+}
 
 func (p cowProg) step(op cowOp, who int, page byte, off int8, lenIdx int, srcPage byte, srcOff int8, v0, v1 byte) cowProg {
 	return append(p, byte(op)|byte(who)<<7, page, byte(off), byte(lenIdx), srcPage, byte(srcOff), v0, v1)
@@ -103,13 +140,16 @@ func cowLenIdx(n uint32) int {
 	panic(fmt.Sprintf("length %d is not in cowLens", n))
 }
 
-// cowSeeds is the committed corpus, one program per rule of the design; under
-// plain go test FuzzMemoryCoW runs them as seed#0..6, in this order.
+// cowSeeds is the committed corpus, one program per rule of the design, over
+// the whole image; under plain go test FuzzMemoryCoW runs them as
+// seed#0..6, in this order, then the short-prefix seeds from
+// cowPrefixSeeds.
 func cowSeeds() []cowProg {
 	n := cowLenIdx
+	p := cowProg{cowWhole}
 	return []cowProg{
 		// Every width at a page-straddling address, on both memories.
-		cowProg{}.
+		p.
 			step(cowStore8, 0, 1, -1, 0, 0, 0, 0xa1, 1).
 			step(cowStore16, 0, 1, -1, 0, 0, 0, 0xa2, 2).
 			step(cowStore32, 1, 1, -2, 0, 0, 0, 0xa3, 3).
@@ -120,7 +160,7 @@ func cowSeeds() []cowProg {
 			step(cowReset, 1, 0, 0, 0, 0, 0, 0, 0),
 		// Dirty every baseline page, reset (re-alias), write again: the
 		// buffer cycles through the free-list between the two memories.
-		cowProg{}.
+		p.
 			step(cowWrite, 0, 0, 100, n(65536), 0, 0, 7, 0).
 			step(cowReset, 0, 0, 0, 0, 0, 0, 0, 0).
 			step(cowStore32, 1, 0, 4, 0, 0, 0, 9, 0).
@@ -129,7 +169,7 @@ func cowSeeds() []cowProg {
 			step(cowStore8, 0, 1, 0, 0, 0, 0, 3, 0).
 			step(cowStore8, 1, 0, 0, 0, 0, 0, 4, 0),
 		// One of two pages dirty: the reset copies back and stays private.
-		cowProg{}.
+		p.
 			step(cowWriteUint64, 0, 1, 8, 0, 0, 0, 1, 2).
 			step(cowReset, 0, 0, 0, 0, 0, 0, 0, 0).
 			step(cowWriteUint32, 0, 0, 8, 0, 0, 0, 3, 4).
@@ -138,7 +178,7 @@ func cowSeeds() []cowProg {
 		// Grow while aliased, touch grown and baseline pages, over-grow,
 		// reset, grow again — within capacity, then into the sibling's parked
 		// buffer: either way stale bytes must read as zero.
-		cowProg{}.
+		p.
 			step(cowGrow, 0, 0, 0, 3, 0, 0, 0, 0).
 			step(cowStore64, 0, 4, 16, 0, 0, 0, 0xee, 1).
 			step(cowGrow, 0, 0, 0, 4, 0, 0, 0, 63).
@@ -152,7 +192,7 @@ func cowSeeds() []cowProg {
 			step(cowGrow, 1, 0, 0, 0, 0, 0, 0, 0),
 		// Bulk ops: overlapping copies both ways, empty ones at and past the
 		// end, lengths that wrap 32-bit sums, a fill across a page boundary.
-		cowProg{}.
+		p.
 			step(cowFill, 0, 1, -3, n(9), 0, 0, 0x5a, 0).
 			step(cowCopy, 0, 1, 0, n(255), 1, -3, 0, 0).
 			step(cowCopy, 0, 1, -3, n(255), 1, 0, 0, 0).
@@ -166,7 +206,7 @@ func cowSeeds() []cowProg {
 			step(cowFill, 1, 0, 0, n(2*65536), 0, 0, 0, 0).
 			step(cowReset, 1, 0, 0, 0, 0, 0, 0, 0),
 		// Host write paths, including empty writes that must not materialise.
-		cowProg{}.
+		p.
 			step(cowWrite, 0, 1, 0, n(0), 0, 0, 1, 0).
 			step(cowWritableView, 0, 2, 0, n(0), 0, 0, 1, 0).
 			step(cowWriteString, 0, 2, 1, n(0), 0, 0, 1, 0).
@@ -181,7 +221,7 @@ func cowSeeds() []cowProg {
 		// (every baseline page dirty: re-alias), grow across again, dirty only
 		// grown pages, reset (copy-back path), over-grow, then grow within
 		// the kept buffer, write and reset once more.
-		cowProg{}.
+		p.
 			step(cowGrow, 1, 0, 0, 4, 0, 0, 0, 58).
 			step(cowStore8, 1, 1, 3, 0, 0, 0, 0x71, 0).
 			step(cowGrow, 1, 0, 0, 1, 0, 0, 0, 0).
@@ -198,16 +238,95 @@ func cowSeeds() []cowProg {
 	}
 }
 
+// cowPrefixSeeds runs every whole-image seed over each shorter stored length,
+// then adds programs that read, view and store across the end of the stored
+// bytes, in each short length.
+func cowPrefixSeeds() []cowProg {
+	n := cowLenIdx
+	var out []cowProg
+	for i := range cowPrefixes[:cowWhole] {
+		for _, prog := range cowSeeds() {
+			out = append(out, prog.withPrefix(i))
+		}
+	}
+	for i := range cowPrefixes[:cowWhole] {
+		p := cowProg{byte(i)}
+		out = append(out,
+			// Reads inside the stored bytes keep the memory aliased; one
+			// that straddles their end materialises it, and so does a read
+			// wholly past them. A reset with no page dirty keeps the buffer.
+			p.
+				step(cowLoad, 0, cowAtPrefix, -8, 0, 0, 0, 3, 0).
+				step(cowReadUint32, 0, cowAtPrefix, -4, 0, 0, 0, 0, 0).
+				step(cowView, 0, cowAtPrefix, -4, n(0), 0, 0, 0, 0).
+				step(cowView, 0, cowAtPrefix, -2, n(4), 0, 0, 0, 0).
+				step(cowLoad, 1, cowAtPrefix, 5, 0, 0, 0, 2, 0).
+				step(cowReset, 0, 0, 0, 0, 0, 0, 0, 0).
+				step(cowReset, 1, 0, 0, 0, 0, 0, 0, 0).
+				step(cowRead, 0, cowAtPrefix, -1, n(2), 0, 0, 0, 0).
+				step(cowReadString, 1, 1, 0, n(65536), 0, 0, 0, 0),
+			// Stores across the end of the stored bytes, then reads of them
+			// and of the zeroes after, a reset that copies back, and loads
+			// at the end of the memory and past it.
+			p.
+				step(cowStore32, 0, cowAtPrefix, -2, 0, 0, 0, 0x81, 0).
+				step(cowLoad, 0, cowAtPrefix, -4, 0, 0, 0, 3, 0).
+				step(cowReadUint64, 0, cowAtPrefix, -3, 0, 0, 0, 0, 0).
+				step(cowReset, 0, 0, 0, 0, 0, 0, 0, 0).
+				step(cowReadUint64, 0, cowAtPrefix, -3, 0, 0, 0, 0, 0).
+				step(cowStore8, 1, cowAtPrefix, 0, 0, 0, 0, 0x82, 0).
+				step(cowCopy, 1, 1, 8, n(16), cowAtPrefix, -8, 0, 0).
+				step(cowLoad, 1, 2, -8, 0, 0, 0, 3, 0).
+				step(cowLoad, 0, 2, -4, 0, 0, 0, 3, 0).
+				step(cowView, 0, 2, -1, n(2), 0, 0, 0, 0).
+				step(cowReset, 1, 0, 0, 0, 0, 0, 0, 0),
+			// A grow while aliased, a fill past the stored bytes, and an
+			// empty copy from past them, which must not materialise.
+			p.
+				step(cowCopy, 1, 0, 0, n(0), cowAtPrefix, 16, 0, 0).
+				step(cowGrow, 0, 0, 0, 1, 0, 0, 0, 0).
+				step(cowLoad, 0, 2, 8, 0, 0, 0, 3, 0).
+				step(cowFill, 1, cowAtPrefix, 1, n(9), 0, 0, 0x5a, 0).
+				step(cowReset, 0, 0, 0, 0, 0, 0, 0, 0).
+				step(cowReset, 1, 0, 0, 0, 0, 0, 0, 0),
+		)
+	}
+	return out
+}
+
 // cowModel is the reference: private bytes, a dirty set, reset by full copy.
 type cowModel struct {
 	base    []byte
 	data    []byte
 	dirty   map[uint64]bool
 	private bool // the design's rule for when a Memory holds its own buffer
+	// prefix is the image's stored length: a read past it materialises an
+	// aliased memory.
+	prefix int
 }
 
 func newCowModel(base []byte) *cowModel {
-	return &cowModel{base: base, data: bytes.Clone(base), dirty: map[uint64]bool{}}
+	return &cowModel{base: base, data: bytes.Clone(base), dirty: map[uint64]bool{},
+		prefix: len(bytes.TrimRight(base, "\x00"))}
+}
+
+// read returns [ea, ea+n) as a result string, or false out of bounds.
+func (c *cowModel) read(ea, n uint64) string {
+	if ea+n > uint64(len(c.data)) {
+		return cowReadResult(nil, false)
+	}
+	if n > 0 && ea+n > uint64(c.prefix) {
+		c.private = true
+	}
+	return cowReadResult(c.data[ea:ea+n], true)
+}
+
+// cowReadResult renders a read's result for comparison.
+func cowReadResult(b []byte, ok bool) string {
+	if !ok {
+		return "out of bounds"
+	}
+	return fmt.Sprintf("%x", b)
 }
 
 // write applies b at ea, reporting false (and changing nothing) out of bounds.
@@ -263,6 +382,7 @@ func (c *cowModel) reset() int {
 // the Memory, or through an instance's exports.
 type cowGuest struct {
 	mem   *Memory
+	load  func(width int, ea uint32) (uint64, bool)
 	store func(width int, ea uint32, v uint64) bool
 	fill  func(dst uint32, val byte, n uint32) bool
 	copy  func(dst, src, n uint32) bool
@@ -272,6 +392,7 @@ type cowGuest struct {
 func directGuest(m *Memory) cowGuest {
 	return cowGuest{
 		mem:   m,
+		load:  func(width int, ea uint32) (uint64, bool) { return m.load(ea, 0, width) },
 		store: func(width int, ea uint32, v uint64) bool { return m.storeAt(uint64(ea), width, v) },
 		fill:  m.fill,
 		copy:  m.copyWithin,
@@ -279,11 +400,12 @@ func directGuest(m *Memory) cowGuest {
 	}
 }
 
-// cowBaseContents is the image every run starts from: no zero byte, so a
-// missed copy-back or a stale recycled buffer shows.
-func cowBaseContents() []byte {
+// cowBaseContents is the image every run starts from: no zero byte up to
+// prefix, so a missed copy-back or a stale recycled buffer shows there, and
+// zeroes after it.
+func cowBaseContents(prefix int) []byte {
 	b := make([]byte, cowMinPages*wasm.PageSize)
-	for i := range b {
+	for i := range b[:prefix] {
 		b[i] = byte(i*7+i>>8) | 1
 	}
 	return b
@@ -294,8 +416,8 @@ var cowMemType = wasm.MemoryType{Limits: wasm.Limits{Min: cowMinPages, Max: cowM
 // directGuests builds the pair from the Memory API alone: the first memory
 // donates its buffer as the image, the second arrives through the replay path
 // (own bytes, verified equal) and attaches.
-func directGuests(t testing.TB) ([2]cowGuest, *BaselineImage) {
-	base := cowBaseContents()
+func directGuests(t testing.TB, prefix int) ([2]cowGuest, *BaselineImage) {
+	base := cowBaseContents(prefix)
 	a := NewMemory(cowMemType, 0)
 	a.Write(0, base)
 	img := a.CaptureBaseline()
@@ -310,6 +432,10 @@ func directGuests(t testing.TB) ([2]cowGuest, *BaselineImage) {
 const cowGuestWAT = `
 (module
   (memory (export "memory") 2 66)
+  (func (export "ld8") (param i32) (result i64) (i64.load8_u (local.get 0)))
+  (func (export "ld16") (param i32) (result i64) (i64.load16_u (local.get 0)))
+  (func (export "ld32") (param i32) (result i64) (i64.load32_u (local.get 0)))
+  (func (export "ld64") (param i32) (result i64) (i64.load (local.get 0)))
   (func (export "st8") (param i32 i64) (i64.store8 (local.get 0) (local.get 1)))
   (func (export "st16") (param i32 i64) (i64.store16 (local.get 0) (local.get 1)))
   (func (export "st32") (param i32 i64) (i64.store32 (local.get 0) (local.get 1)))
@@ -322,7 +448,7 @@ const cowGuestWAT = `
 // instanceGuests builds the pair from two instances of one ModuleCode at the
 // given tier: the first instance's memory becomes the image, the second is
 // born aliased by InstantiateCompiled's fast path.
-func instanceGuests(t testing.TB, tier int) ([2]cowGuest, *BaselineImage) {
+func instanceGuests(t testing.TB, tier, prefix int) ([2]cowGuest, *BaselineImage) {
 	m, err := wat.Compile(cowGuestWAT)
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +470,7 @@ func instanceGuests(t testing.TB, tier int) ([2]cowGuest, *BaselineImage) {
 		}
 		mem := inst.Memory()
 		if i == 0 {
-			mem.Write(0, cowBaseContents())
+			mem.Write(0, cowBaseContents(prefix))
 		} else if !mem.aliased() {
 			t.Fatal("second instance was not instantiated aliased to the published image")
 		}
@@ -358,9 +484,17 @@ func instanceGuests(t testing.TB, tier int) ([2]cowGuest, *BaselineImage) {
 			}
 			return vals, err == nil
 		}
+		loads := map[int]string{1: "ld8", 2: "ld16", 4: "ld32", 8: "ld64"}
 		stores := map[int]string{1: "st8", 2: "st16", 4: "st32", 8: "st64"}
 		guests[i] = cowGuest{
 			mem: mem,
+			load: func(width int, ea uint32) (uint64, bool) {
+				vals, ok := call(loads[width], uint64(ea))
+				if !ok {
+					return 0, false
+				}
+				return vals[0], true
+			},
 			store: func(width int, ea uint32, v uint64) bool {
 				_, ok := call(stores[width], uint64(ea), v)
 				return ok
@@ -384,11 +518,11 @@ func instanceGuests(t testing.TB, tier int) ([2]cowGuest, *BaselineImage) {
 
 // runCowProgram executes steps against the guests and their models, checking
 // every observable after every step.
-func runCowProgram(t testing.TB, guests [2]cowGuest, img *BaselineImage, steps []cowStep) {
-	base := cowBaseContents()
+func runCowProgram(t testing.TB, guests [2]cowGuest, img *BaselineImage, prefix int, steps []cowStep) {
+	base := cowBaseContents(prefix)
 	imgSum := sha256.Sum256(img.data)
-	if !bytes.Equal(img.data, base) {
-		t.Fatal("image does not start as the base contents")
+	if !bytes.Equal(img.contents(), base) || len(img.data) != prefix {
+		t.Fatalf("image stores %d bytes, not the %d non-zero bytes of the base contents", len(img.data), prefix)
 	}
 	models := [2]*cowModel{newCowModel(base), newCowModel(base)}
 	for i, st := range steps {
@@ -442,6 +576,26 @@ func runCowProgram(t testing.TB, guests [2]cowGuest, img *BaselineImage, steps [
 			got, want = g.copy(st.addr, st.src, st.n), ok
 		case cowReset:
 			got, want = g.mem.ResetToBaseline(), c.reset()
+		case cowRead:
+			b, ok := g.mem.Read(st.addr, hostN)
+			got, want = cowReadResult(b, ok), c.read(uint64(st.addr), uint64(hostN))
+		case cowView:
+			b, ok := g.mem.View(st.addr, hostN)
+			got, want = cowReadResult(b, ok), c.read(uint64(st.addr), uint64(hostN))
+		case cowReadString:
+			s, ok := g.mem.ReadString(st.addr, hostN)
+			got, want = cowReadResult([]byte(s), ok), c.read(uint64(st.addr), uint64(hostN))
+		case cowReadUint32:
+			v, ok := g.mem.ReadUint32(st.addr)
+			got, want = cowReadResult(binary.LittleEndian.AppendUint32(nil, v), ok), c.read(uint64(st.addr), 4)
+		case cowReadUint64:
+			v, ok := g.mem.ReadUint64(st.addr)
+			got, want = cowReadResult(binary.LittleEndian.AppendUint64(nil, v), ok), c.read(uint64(st.addr), 8)
+		case cowLoad:
+			width := 1 << (st.val & 3)
+			v, ok := g.load(width, st.addr)
+			got = cowReadResult(binary.LittleEndian.AppendUint64(nil, v)[:width], ok)
+			want = c.read(uint64(st.addr), uint64(width))
 		}
 		if got != want {
 			fail("returned %v, the model says %v", got, want)
@@ -468,7 +622,7 @@ func runCowProgram(t testing.TB, guests [2]cowGuest, img *BaselineImage, steps [
 				}
 			}
 		}
-		if !bytes.Equal(img.data, base) {
+		if !bytes.Equal(img.contents(), base) || len(img.data) != prefix {
 			fail("the shared image changed")
 		}
 	}
@@ -480,17 +634,17 @@ func runCowProgram(t testing.TB, guests [2]cowGuest, img *BaselineImage, steps [
 // runCowProgramEverywhere runs one program through the Memory API and
 // through guest code at both tiers.
 func runCowProgramEverywhere(t testing.TB, prog []byte) {
-	steps := decodeCowProgram(prog)
-	guests, img := directGuests(t)
-	runCowProgram(t, guests, img, steps)
+	prefix, steps := decodeCowProgram(prog)
+	guests, img := directGuests(t, prefix)
+	runCowProgram(t, guests, img, prefix, steps)
 	for tier := 0; tier <= 1; tier++ {
-		guests, img := instanceGuests(t, tier)
-		runCowProgram(t, guests, img, steps)
+		guests, img := instanceGuests(t, tier, prefix)
+		runCowProgram(t, guests, img, prefix, steps)
 	}
 }
 
 func FuzzMemoryCoW(f *testing.F) {
-	for _, prog := range cowSeeds() {
+	for _, prog := range append(cowSeeds(), cowPrefixSeeds()...) {
 		f.Add([]byte(prog))
 	}
 	f.Fuzz(func(t *testing.T, prog []byte) {

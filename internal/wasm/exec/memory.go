@@ -16,29 +16,34 @@ import (
 // post-instantiation contents, held by the module's ModuleCode and shared by
 // every instance of that digest on the node). While no page has been written
 // since the image was attached the memory is *aliased*: data is the image's
-// own bytes and wr is empty, so the instance holds no linear memory at all.
-// The first write materialises a private buffer (data and wr then name the
-// same bytes), every mutation path sets a bit in a per-page dirty bitmap, and
-// ResetToBaseline rewinds either by copying the dirty pages back or — when
-// that would be every baseline page — by dropping back to the alias.
+// stored bytes — its contents up to the last non-zero byte, the rest being
+// implied zeroes up to size — and wr is empty, so the instance holds no
+// linear memory at all. The first write, or the first read past the stored
+// bytes, materialises a private buffer of size bytes (data and wr then name
+// the same bytes), every mutation path sets a bit in a per-page dirty bitmap,
+// and ResetToBaseline rewinds either by copying the dirty pages back or —
+// when that would be every baseline page — by dropping back to the alias.
 //
 // Every write goes through wr, which never names image bytes, so the shared
 // image is structurally unreachable from a store; reads go through data. A
-// slice obtained from View, Bytes or WritableView is invalidated by the next
-// write, Grow or reset: no view may be held across one.
+// slice obtained from View or WritableView is invalidated by the next write,
+// Grow or reset: no view may be held across one.
 type Memory struct {
 	Type wasm.MemoryType
-	// data is what loads see: the image's bytes while aliased, the private
-	// buffer once materialised.
+	// data is what loads see: the image's stored bytes while aliased (often
+	// fewer than size, so a load past them falls into the out-of-bounds slow
+	// path, which materialises), the private buffer once materialised.
 	data []byte
 	// wr is what stores bounds-check against and write through: empty while
 	// aliased (so every store falls into its out-of-bounds slow path, which is
 	// where materialisation happens), identical to data otherwise.
 	wr []byte
+	// size is the memory's length in bytes; len(data) == size unless aliased.
+	size int
 	// maxPages caps growth; defaults to the type's max or the engine limit.
 	maxPages uint32
-	// dirty has one bit per 64 KiB page of data, set on first write since the
-	// last baseline capture/attach/reset. Always sized to cover len(data).
+	// dirty has one bit per 64 KiB page, set on first write since the last
+	// baseline capture/attach/reset. Always sized to cover size.
 	// Up to 64 pages it is dirtyInline; the first Grow past that moves it to
 	// an allocated array, which it keeps.
 	dirty       []uint64
@@ -69,10 +74,12 @@ func NewMemory(t wasm.MemoryType, limitPages uint32) *Memory {
 	return m
 }
 
-// init makes m a fresh zeroed memory of type t, as NewMemory returns.
+// init makes m a fresh zeroed memory of type t, as NewMemory returns. Its
+// buffer is a parked one, cleared, when the free-list has one that fits.
 func (m *Memory) init(t wasm.MemoryType, limitPages uint32) {
-	buf := make([]byte, int(t.Limits.Min)*wasm.PageSize)
-	*m = Memory{Type: t, data: buf, wr: buf, maxPages: memoryMaxPages(t, limitPages)}
+	n := int(t.Limits.Min) * wasm.PageSize
+	*m = Memory{Type: t, maxPages: memoryMaxPages(t, limitPages)}
+	m.privatise(n, n)
 	m.sizeDirty(uint64(t.Limits.Min))
 }
 
@@ -80,8 +87,8 @@ func (m *Memory) init(t wasm.MemoryType, limitPages uint32) {
 // and fully determines a fresh instance's memory: no buffer is allocated,
 // zeroed or initialised — the memory reads the image until its first write.
 func (m *Memory) initAliased(t wasm.MemoryType, limitPages uint32, b *BaselineImage) {
-	*m = Memory{Type: t, data: b.data, maxPages: memoryMaxPages(t, limitPages), baseline: b}
-	m.sizeDirty(uint64(b.Pages()))
+	*m = Memory{Type: t, data: b.data, size: b.size(), maxPages: memoryMaxPages(t, limitPages), baseline: b}
+	m.sizeDirty(uint64(b.pages))
 }
 
 // sizeDirty gives a fresh memory a clear bitmap covering pages, inline when
@@ -95,22 +102,24 @@ func (m *Memory) sizeDirty(pages uint64) {
 }
 
 // Pages returns the current size in 64 KiB pages.
-func (m *Memory) Pages() uint32 { return uint32(len(m.data) / wasm.PageSize) }
+func (m *Memory) Pages() uint32 { return uint32(m.size / wasm.PageSize) }
 
 // Size returns the current size in bytes.
-func (m *Memory) Size() int { return len(m.data) }
+func (m *Memory) Size() int { return m.size }
 
 // aliased reports whether the memory currently reads the shared image and
 // holds no private buffer.
-func (m *Memory) aliased() bool { return len(m.wr) < len(m.data) }
+func (m *Memory) aliased() bool { return len(m.wr) < m.size }
 
 // freeBuffers is the package's one free-list of private page buffers.
-// ResetToBaseline parks a buffer here when it re-aliases, and the next first
-// write anywhere in the process takes it back, so a steady request stream
-// recycles a handful of buffers instead of allocating one per request.
-// Nothing else parks: a run-to-completion instance never resets, and its
-// buffer goes to the collector with it. Parked bytes are stale guest data;
-// takers overwrite or clear every byte they expose.
+// ResetToBaseline parks a buffer here when it re-aliases, as do
+// CaptureBaseline and AttachBaseline when a memory gives up the buffer it was
+// instantiated into; the next first write or fresh memory anywhere in the
+// process takes it back, so a steady request or deploy stream recycles a
+// handful of buffers instead of allocating one each time. A
+// run-to-completion instance never resets: the private buffer its first
+// write took goes to the collector with it. Parked bytes are stale guest
+// data; takers overwrite or clear every byte they expose.
 var freeBuffers struct {
 	sync.Mutex
 	bufs  [][]byte
@@ -133,9 +142,12 @@ func parkBuffer(buf []byte) {
 	freeBuffers.Unlock()
 }
 
-// takeBuffer returns the most recently parked buffer with capacity for n
+// takeBuffer returns the most recently parked buffer with capacity for n > 0
 // bytes, or nil.
 func takeBuffer(n int) []byte {
+	if n == 0 {
+		return nil
+	}
 	freeBuffers.Lock()
 	defer freeBuffers.Unlock()
 	bufs := freeBuffers.bufs
@@ -153,8 +165,8 @@ func takeBuffer(n int) []byte {
 }
 
 // privatise replaces the backing store with a private buffer of n >= Size()
-// bytes holding the current contents followed by zeroes. A recycled buffer is
-// preferred; a fresh one gets capacity capHint.
+// bytes holding the current contents — the bytes data holds — followed by
+// zeroes. A recycled buffer is preferred; a fresh one gets capacity capHint.
 func (m *Memory) privatise(n, capHint int) {
 	buf := takeBuffer(n)
 	if buf == nil {
@@ -164,19 +176,36 @@ func (m *Memory) privatise(n, capHint int) {
 		clear(buf[len(m.data):])
 	}
 	copy(buf, m.data)
-	m.data, m.wr = buf, buf
+	m.data, m.wr, m.size = buf, buf, n
 }
 
-// materialise is the slow path behind every failed bounds check against wr:
-// if the memory is aliased and a write ending at end would be in bounds, it
-// takes a private copy of the image and reports true; otherwise the access is
+// materialise is the slow path behind every failed bounds check — a write
+// against wr, a read against data: if the memory is aliased and an access
+// ending at end would be in bounds, it takes a private copy of the image (its
+// stored bytes, then zeroes) and reports true; otherwise the access is
 // genuinely out of bounds.
 func (m *Memory) materialise(end uint64) bool {
-	if end > uint64(len(m.data)) || !m.aliased() {
+	if end > uint64(m.size) || !m.aliased() {
 		return false
 	}
-	m.privatise(len(m.data), len(m.data))
+	m.privatise(m.size, m.size)
 	return true
+}
+
+// readable returns the bytes [ea, ea+n) for a host or bulk read,
+// materialising an aliased memory whose image does not store them all. A
+// zero-length read leaves an aliased memory aliased.
+func (m *Memory) readable(ea, n uint64) ([]byte, bool) {
+	end := ea + n
+	if end > uint64(len(m.data)) {
+		if n == 0 {
+			return nil, end <= uint64(m.size)
+		}
+		if !m.materialise(end) {
+			return nil, false
+		}
+	}
+	return m.data[ea:end:end], true
 }
 
 // writable returns the private bytes [ea, ea+n) for a host or bulk write,
@@ -185,7 +214,7 @@ func (m *Memory) materialise(end uint64) bool {
 func (m *Memory) writable(ea, n uint64) ([]byte, bool) {
 	end := ea + n
 	if end > uint64(len(m.wr)) {
-		if end > uint64(len(m.data)) {
+		if end > uint64(m.size) {
 			return nil, false
 		}
 		if n == 0 {
@@ -232,9 +261,9 @@ func (m *Memory) Grow(delta uint32) int32 {
 		oldLen := len(m.wr)
 		m.wr = m.wr[:newLen]
 		clear(m.wr[oldLen:])
-		m.data = m.wr
+		m.data, m.size = m.wr, newLen
 	} else {
-		newCap := max(2*cap(m.wr), 2*len(m.data), newLen)
+		newCap := max(2*cap(m.wr), 2*m.size, newLen)
 		if maxLen := int(m.maxPages) * wasm.PageSize; newCap > maxLen {
 			newCap = maxLen
 		}
@@ -249,40 +278,89 @@ func (m *Memory) Grow(delta uint32) int32 {
 	return int32(cur)
 }
 
-// Bytes exposes the current contents for reading. Callers must not resize the
-// slice or write through it: while the memory is aliased these are the shared
-// image's bytes (use Write or WritableView to mutate).
-func (m *Memory) Bytes() []byte { return m.data }
+// Bytes returns a copy of the full contents: the bytes held, then the zeroes
+// an aliased memory's image does not store. Unlike View it never
+// materialises, so a test can read an aliased memory without changing it.
+func (m *Memory) Bytes() []byte {
+	out := make([]byte, m.size)
+	copy(out, m.data)
+	return out
+}
 
 // BaselineImage is the immutable post-instantiation contents of a module's
 // memory, shared by reference between every instance of a module digest:
 // idle instances read these very bytes, written ones diverge from them page
 // by page. It is the memory-side twin of the shared compiled-code artifact:
 // accounted once per node, with instances charged only their private dirty
-// pages. Nothing writes data after the image is built.
+// pages. Accounting is in whole pages, but data stores only the contents up
+// to the last non-zero byte (nothing for an all-zero image); the remaining
+// bytes up to pages*PageSize are zero. Nothing writes data after the image is
+// built.
 type BaselineImage struct {
-	data []byte
+	data  []byte
+	pages uint32
 }
 
 // Bytes returns the accounted size of the image.
-func (b *BaselineImage) Bytes() int64 { return int64(len(b.data)) }
+func (b *BaselineImage) Bytes() int64 { return int64(b.size()) }
 
 // Pages returns the image size in 64 KiB pages.
-func (b *BaselineImage) Pages() uint32 { return uint32(len(b.data) / wasm.PageSize) }
+func (b *BaselineImage) Pages() uint32 { return b.pages }
+
+// size is the length in bytes of the memory the image stands for.
+func (b *BaselineImage) size() int { return int(b.pages) * wasm.PageSize }
 
 // CaptureBaseline makes the current contents a new shared baseline and
-// attaches it: the memory donates its buffer as the image (no copy), drops
-// back to aliasing it, and clears the dirty bitmap — from here on its private
+// attaches it: the image stores a copy of the contents up to the last
+// non-zero byte, the memory parks its buffer on the free-list, drops back to
+// aliasing the image, and clears the dirty bitmap — from here on its private
 // cost is the pages it diverges by.
 func (m *Memory) CaptureBaseline() *BaselineImage {
-	b := &BaselineImage{data: m.data[:len(m.data):len(m.data)]}
+	b := &BaselineImage{data: bytes.Clone(m.data[:m.storedLen()]), pages: m.Pages()}
+	parkBuffer(m.wr)
 	m.baseline = b
 	m.data, m.wr = b.data, nil
 	clear(m.dirty)
 	return b
 }
 
-// AttachBaseline adopts an existing shared baseline: the memory drops its own
+// storedLen is the length of the contents up to the last non-zero byte. A
+// page the dirty bitmap does not mark still holds what it held at the last
+// capture, attach or reset — zero in a memory that never had a baseline — so
+// the scan starts at the end of the highest marked page, or of the attached
+// image's stored bytes if that is further.
+func (m *Memory) storedLen() int {
+	end := 0
+	if m.baseline != nil {
+		end = len(m.baseline.data)
+	}
+	for wi := len(m.dirty) - 1; wi >= 0; wi-- {
+		if w := m.dirty[wi]; w != 0 {
+			end = max(end, (wi*64+64-bits.LeadingZeros64(w))*wasm.PageSize)
+			break
+		}
+	}
+	return trimmedLen(m.data[:min(end, len(m.data))])
+}
+
+// zeroes is what trimmedLen compares against a chunk at a time: a vectorised
+// bytes.Equal per chunk scans a zero page about ten times faster than a loop
+// over its bytes.
+var zeroes [256]byte
+
+// trimmedLen is the length of b without its trailing zero bytes.
+func trimmedLen(b []byte) int {
+	end := len(b)
+	for end >= len(zeroes) && bytes.Equal(b[end-len(zeroes):end], zeroes[:]) {
+		end -= len(zeroes)
+	}
+	for end > 0 && b[end-1] == 0 {
+		end--
+	}
+	return end
+}
+
+// AttachBaseline adopts an existing shared baseline: the memory parks its own
 // buffer and aliases the image. A memory that already aliases b (the
 // instantiation fast path) is left as it is. One that arrives with its own
 // bytes — instantiated by replaying data segments and the start function —
@@ -298,13 +376,23 @@ func (m *Memory) AttachBaseline(b *BaselineImage) bool {
 	if m.baseline == b {
 		return true
 	}
-	if !bytes.Equal(m.data, b.data) {
+	if m.size != b.size() || !sameContents(m.data, b.data) {
 		return false
 	}
+	parkBuffer(m.wr)
 	m.baseline = b
 	m.data, m.wr = b.data, nil
 	clear(m.dirty)
 	return true
+}
+
+// sameContents reports whether two stored prefixes of equally sized memories
+// stand for the same contents: the shorter one's bytes, then zeroes.
+func sameContents(x, y []byte) bool {
+	if len(x) < len(y) {
+		x, y = y, x
+	}
+	return bytes.Equal(x[:len(y)], y) && trimmedLen(x[len(y):]) == 0
 }
 
 // Baseline returns the attached shared image, or nil.
@@ -339,7 +427,7 @@ func (m *Memory) dirtyBelow(pages uint64) int {
 // a baseline is attached, the whole memory otherwise.
 func (m *Memory) PrivateBytes() int64 {
 	if m.baseline == nil {
-		return int64(len(m.data))
+		return int64(m.size)
 	}
 	return int64(m.DirtyPages()) * wasm.PageSize
 }
@@ -362,18 +450,18 @@ func (m *Memory) ResetToBaseline() int {
 	if m.aliased() {
 		return 0
 	}
-	basePages := uint64(len(b.data)) / wasm.PageSize
+	basePages := uint64(b.pages)
 	if n := m.dirtyBelow(basePages); uint64(n) == basePages {
 		parkBuffer(m.wr)
-		m.data, m.wr = b.data, nil
+		m.data, m.wr, m.size = b.data, nil, b.size()
 		m.dirty = m.dirty[:(basePages+63)/64]
 		clear(m.dirty)
 		return n
 	}
-	if len(m.wr) > len(b.data) {
+	if m.size > b.size() {
 		// Drop grown pages: their dirty bits are discarded with them.
-		m.wr = m.wr[:len(b.data)]
-		m.data = m.wr
+		m.wr = m.wr[:b.size()]
+		m.data, m.size = m.wr, b.size()
 	}
 	copied := 0
 	for wi, w := range m.dirty {
@@ -384,8 +472,9 @@ func (m *Memory) ResetToBaseline() int {
 			if p >= basePages {
 				continue
 			}
-			off := p * wasm.PageSize
-			copy(m.wr[off:off+wasm.PageSize], b.data[off:off+wasm.PageSize])
+			off := int(p) * wasm.PageSize
+			page := m.wr[off : off+wasm.PageSize]
+			clear(page[copy(page, b.data[min(off, len(b.data)):min(off+wasm.PageSize, len(b.data))]):])
 			copied++
 		}
 		m.dirty[wi] = 0
@@ -396,21 +485,14 @@ func (m *Memory) ResetToBaseline() int {
 	return copied
 }
 
-// inBounds reports whether [addr, addr+n) lies within the memory. n must be
-// small (access width); the arithmetic is done in uint64 to avoid overflow.
-func (m *Memory) inBounds(addr uint32, offset uint32, n int) (uint64, bool) {
-	ea := uint64(addr) + uint64(offset)
-	return ea, ea+uint64(n) <= uint64(len(m.data))
-}
-
 // Read copies n bytes at addr into a fresh slice, returning false on OOB.
 func (m *Memory) Read(addr, n uint32) ([]byte, bool) {
-	ea := uint64(addr)
-	if ea+uint64(n) > uint64(len(m.data)) {
+	r, ok := m.readable(uint64(addr), uint64(n))
+	if !ok {
 		return nil, false
 	}
 	out := make([]byte, n)
-	copy(out, m.data[ea:])
+	copy(out, r)
 	return out, true
 }
 
@@ -418,11 +500,7 @@ func (m *Memory) Read(addr, n uint32) ([]byte, bool) {
 // The view is for reading only — it may be the shared image's bytes — and is
 // invalidated by the next write to the memory (use WritableView to mutate).
 func (m *Memory) View(addr, n uint32) ([]byte, bool) {
-	ea, end := uint64(addr), uint64(addr)+uint64(n)
-	if end > uint64(len(m.data)) {
-		return nil, false
-	}
-	return m.data[ea:end:end], true
+	return m.readable(uint64(addr), uint64(n))
 }
 
 // WritableView is View for host functions that fill guest memory in place
@@ -450,8 +528,8 @@ func (m *Memory) WriteString(addr uint32, s string) bool {
 
 // ReadUint32 reads a little-endian u32, returning false on OOB.
 func (m *Memory) ReadUint32(addr uint32) (uint32, bool) {
-	if ea, ok := m.inBounds(addr, 0, 4); ok {
-		return binary.LittleEndian.Uint32(m.data[ea:]), true
+	if r, ok := m.readable(uint64(addr), 4); ok {
+		return binary.LittleEndian.Uint32(r), true
 	}
 	return 0, false
 }
@@ -463,8 +541,8 @@ func (m *Memory) WriteUint32(addr uint32, v uint32) bool {
 
 // ReadUint64 reads a little-endian u64, returning false on OOB.
 func (m *Memory) ReadUint64(addr uint32) (uint64, bool) {
-	if ea, ok := m.inBounds(addr, 0, 8); ok {
-		return binary.LittleEndian.Uint64(m.data[ea:]), true
+	if r, ok := m.readable(uint64(addr), 8); ok {
+		return binary.LittleEndian.Uint64(r), true
 	}
 	return 0, false
 }
@@ -476,18 +554,16 @@ func (m *Memory) WriteUint64(addr uint32, v uint64) bool {
 
 // ReadString reads n bytes at addr as a string, returning false on OOB.
 func (m *Memory) ReadString(addr, n uint32) (string, bool) {
-	ea := uint64(addr)
-	if ea+uint64(n) > uint64(len(m.data)) {
-		return "", false
-	}
-	return string(m.data[ea : ea+uint64(n)]), true
+	r, ok := m.readable(uint64(addr), uint64(n))
+	return string(r), ok
 }
 
 // load fetches width bytes for the interpreter; returns the zero-extended
-// little-endian value.
+// little-endian value. An access past data lands in materialise, as tier 1's
+// inlined loads do.
 func (m *Memory) load(addr, offset uint32, width int) (uint64, bool) {
-	ea, ok := m.inBounds(addr, offset, width)
-	if !ok {
+	ea := uint64(addr) + uint64(offset)
+	if ea+uint64(width) > uint64(len(m.data)) && !m.materialise(ea+uint64(width)) {
 		return 0, false
 	}
 	switch width {
@@ -550,13 +626,17 @@ func (m *Memory) fill(dst uint32, val byte, n uint32) bool {
 // ranges may overlap), false if either range is out of bounds.
 func (m *Memory) copyWithin(dst, src, n uint32) bool {
 	from, end := uint64(src), uint64(src)+uint64(n)
-	if end > uint64(len(m.data)) {
+	if end > uint64(m.size) {
 		return false
 	}
 	w, ok := m.writable(uint64(dst), uint64(n))
-	// writable may have materialised: read the source from the current data.
+	if !ok || n == 0 {
+		return ok
+	}
+	// writable has materialised if needed: read the source from the private
+	// buffer.
 	copy(w, m.data[from:end])
-	return ok
+	return true
 }
 
 // Table is a table instance holding function references.

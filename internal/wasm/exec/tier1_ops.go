@@ -26,25 +26,25 @@ func (b *t1builder) buildBinopSlots(op wasm.Opcode, x, y, z int, s t1span) t1op 
 		switch k {
 		case cmpEq:
 			return func(fr *t1frame) int {
-				fr.regs[z] = boolVal(fr.regs[x]<<sh == fr.regs[y]<<sh)
+				fr.regs[z] = boolVal(fr.regs[x]<<(sh&63) == fr.regs[y]<<(sh&63))
 				fr.executed += cnt
 				return next
 			}
 		case cmpNe:
 			return func(fr *t1frame) int {
-				fr.regs[z] = boolVal(fr.regs[x]<<sh != fr.regs[y]<<sh)
+				fr.regs[z] = boolVal(fr.regs[x]<<(sh&63) != fr.regs[y]<<(sh&63))
 				fr.executed += cnt
 				return next
 			}
 		case cmpLt:
 			return func(fr *t1frame) int {
-				fr.regs[z] = boolVal(fr.regs[x]<<sh^bias < fr.regs[y]<<sh^bias)
+				fr.regs[z] = boolVal(fr.regs[x]<<(sh&63)^bias < fr.regs[y]<<(sh&63)^bias)
 				fr.executed += cnt
 				return next
 			}
 		default: // cmpLe
 			return func(fr *t1frame) int {
-				fr.regs[z] = boolVal(fr.regs[x]<<sh^bias <= fr.regs[y]<<sh^bias)
+				fr.regs[z] = boolVal(fr.regs[x]<<(sh&63)^bias <= fr.regs[y]<<(sh&63)^bias)
 				fr.executed += cnt
 				return next
 			}
@@ -327,6 +327,8 @@ var (
 // every tier-1 comparison lowering — to a value, an if or a br_if — reads.
 // An integer operand v compares as v<<sh ^ bias as a uint64; an i32 shifts
 // into the high word, which drops the register bits above it as AsU32 does.
+// sh is 0 or 32, and the closures shift by sh&63: a captured count the
+// compiler cannot bound otherwise costs each shift an over-width guard.
 func cmpShape(op wasm.Opcode) (k cmpKind, swap bool, sh, bias uint64) {
 	var r cmpRow
 	switch {
@@ -409,13 +411,13 @@ func (b *t1builder) buildCmpIf(op wasm.Opcode, x, y int, j t1if) t1op {
 	}
 	switch k {
 	case cmpEq:
-		return func(fr *t1frame) int { return j.to(fr, fr.regs[x]<<sh == fr.regs[y]<<sh) }
+		return func(fr *t1frame) int { return j.to(fr, fr.regs[x]<<(sh&63) == fr.regs[y]<<(sh&63)) }
 	case cmpNe:
-		return func(fr *t1frame) int { return j.to(fr, fr.regs[x]<<sh != fr.regs[y]<<sh) }
+		return func(fr *t1frame) int { return j.to(fr, fr.regs[x]<<(sh&63) != fr.regs[y]<<(sh&63)) }
 	case cmpLt:
-		return func(fr *t1frame) int { return j.to(fr, fr.regs[x]<<sh^bias < fr.regs[y]<<sh^bias) }
+		return func(fr *t1frame) int { return j.to(fr, fr.regs[x]<<(sh&63)^bias < fr.regs[y]<<(sh&63)^bias) }
 	case cmpLe:
-		return func(fr *t1frame) int { return j.to(fr, fr.regs[x]<<sh^bias <= fr.regs[y]<<sh^bias) }
+		return func(fr *t1frame) int { return j.to(fr, fr.regs[x]<<(sh&63)^bias <= fr.regs[y]<<(sh&63)^bias) }
 	case cmpF32Eq:
 		return func(fr *t1frame) int { return j.to(fr, AsF32(fr.regs[x]) == AsF32(fr.regs[y])) }
 	case cmpF32Ne:
@@ -484,28 +486,28 @@ func (b *t1builder) buildCmpBrIf(op wasm.Opcode, pc, x, y int, s t1span) t1op {
 			if !fr.charge(e.own) {
 				return t1Trapped
 			}
-			return e.to(fr, fr.regs[x]<<sh == fr.regs[y]<<sh)
+			return e.to(fr, fr.regs[x]<<(sh&63) == fr.regs[y]<<(sh&63))
 		}
 	case cmpNe:
 		return func(fr *t1frame) int {
 			if !fr.charge(e.own) {
 				return t1Trapped
 			}
-			return e.to(fr, fr.regs[x]<<sh != fr.regs[y]<<sh)
+			return e.to(fr, fr.regs[x]<<(sh&63) != fr.regs[y]<<(sh&63))
 		}
 	case cmpLt:
 		return func(fr *t1frame) int {
 			if !fr.charge(e.own) {
 				return t1Trapped
 			}
-			return e.to(fr, fr.regs[x]<<sh^bias < fr.regs[y]<<sh^bias)
+			return e.to(fr, fr.regs[x]<<(sh&63)^bias < fr.regs[y]<<(sh&63)^bias)
 		}
 	case cmpLe:
 		return func(fr *t1frame) int {
 			if !fr.charge(e.own) {
 				return t1Trapped
 			}
-			return e.to(fr, fr.regs[x]<<sh^bias <= fr.regs[y]<<sh^bias)
+			return e.to(fr, fr.regs[x]<<(sh&63)^bias <= fr.regs[y]<<(sh&63)^bias)
 		}
 	}
 	// A float compare, rare in a loop header, evaluates through binaryOp (it
@@ -566,7 +568,9 @@ func (b *t1builder) buildUnary(op wasm.Opcode, c, d int, s t1span) t1op {
 
 // buildLoad lowers a memory load: address in slot c, value into slot d.
 // The bounds check and zero/sign extension replicate Memory.load and
-// loadSigned exactly.
+// loadSigned exactly: an access past data (an aliased memory whose image does
+// not store those bytes, or a genuine out-of-bounds one) goes through
+// materialise before it loads or traps.
 func (b *t1builder) buildLoad(in *instr, c, d int, s t1span) t1op {
 	if b.dry {
 		return nil
@@ -578,7 +582,7 @@ func (b *t1builder) buildLoad(in *instr, c, d int, s t1span) t1op {
 		return func(fr *t1frame) int {
 			m := fr.mem
 			ea := uint64(AsU32(fr.regs[c])) + off
-			if ea+4 > uint64(len(m.data)) {
+			if ea+4 > uint64(len(m.data)) && !m.materialise(ea+4) {
 				return fr.trapAfter(own, TrapMemoryOutOfBounds)
 			}
 			fr.regs[d] = uint64(binary.LittleEndian.Uint32(m.data[ea:]))
@@ -589,7 +593,7 @@ func (b *t1builder) buildLoad(in *instr, c, d int, s t1span) t1op {
 		return func(fr *t1frame) int {
 			m := fr.mem
 			ea := uint64(AsU32(fr.regs[c])) + off
-			if ea+8 > uint64(len(m.data)) {
+			if ea+8 > uint64(len(m.data)) && !m.materialise(ea+8) {
 				return fr.trapAfter(own, TrapMemoryOutOfBounds)
 			}
 			fr.regs[d] = binary.LittleEndian.Uint64(m.data[ea:])
@@ -600,7 +604,7 @@ func (b *t1builder) buildLoad(in *instr, c, d int, s t1span) t1op {
 		return func(fr *t1frame) int {
 			m := fr.mem
 			ea := uint64(AsU32(fr.regs[c])) + off
-			if ea+1 > uint64(len(m.data)) {
+			if ea+1 > uint64(len(m.data)) && !m.materialise(ea+1) {
 				return fr.trapAfter(own, TrapMemoryOutOfBounds)
 			}
 			fr.regs[d] = uint64(m.data[ea])
@@ -611,7 +615,7 @@ func (b *t1builder) buildLoad(in *instr, c, d int, s t1span) t1op {
 		return func(fr *t1frame) int {
 			m := fr.mem
 			ea := uint64(AsU32(fr.regs[c])) + off
-			if ea+2 > uint64(len(m.data)) {
+			if ea+2 > uint64(len(m.data)) && !m.materialise(ea+2) {
 				return fr.trapAfter(own, TrapMemoryOutOfBounds)
 			}
 			fr.regs[d] = uint64(binary.LittleEndian.Uint16(m.data[ea:]))
@@ -622,7 +626,7 @@ func (b *t1builder) buildLoad(in *instr, c, d int, s t1span) t1op {
 		return func(fr *t1frame) int {
 			m := fr.mem
 			ea := uint64(AsU32(fr.regs[c])) + off
-			if ea+1 > uint64(len(m.data)) {
+			if ea+1 > uint64(len(m.data)) && !m.materialise(ea+1) {
 				return fr.trapAfter(own, TrapMemoryOutOfBounds)
 			}
 			fr.regs[d] = I32(int32(int8(m.data[ea])))
@@ -633,7 +637,7 @@ func (b *t1builder) buildLoad(in *instr, c, d int, s t1span) t1op {
 		return func(fr *t1frame) int {
 			m := fr.mem
 			ea := uint64(AsU32(fr.regs[c])) + off
-			if ea+2 > uint64(len(m.data)) {
+			if ea+2 > uint64(len(m.data)) && !m.materialise(ea+2) {
 				return fr.trapAfter(own, TrapMemoryOutOfBounds)
 			}
 			fr.regs[d] = I32(int32(int16(binary.LittleEndian.Uint16(m.data[ea:]))))
@@ -644,7 +648,7 @@ func (b *t1builder) buildLoad(in *instr, c, d int, s t1span) t1op {
 		return func(fr *t1frame) int {
 			m := fr.mem
 			ea := uint64(AsU32(fr.regs[c])) + off
-			if ea+1 > uint64(len(m.data)) {
+			if ea+1 > uint64(len(m.data)) && !m.materialise(ea+1) {
 				return fr.trapAfter(own, TrapMemoryOutOfBounds)
 			}
 			fr.regs[d] = I64(int64(int8(m.data[ea])))
@@ -655,7 +659,7 @@ func (b *t1builder) buildLoad(in *instr, c, d int, s t1span) t1op {
 		return func(fr *t1frame) int {
 			m := fr.mem
 			ea := uint64(AsU32(fr.regs[c])) + off
-			if ea+2 > uint64(len(m.data)) {
+			if ea+2 > uint64(len(m.data)) && !m.materialise(ea+2) {
 				return fr.trapAfter(own, TrapMemoryOutOfBounds)
 			}
 			fr.regs[d] = I64(int64(int16(binary.LittleEndian.Uint16(m.data[ea:]))))
@@ -666,7 +670,7 @@ func (b *t1builder) buildLoad(in *instr, c, d int, s t1span) t1op {
 		return func(fr *t1frame) int {
 			m := fr.mem
 			ea := uint64(AsU32(fr.regs[c])) + off
-			if ea+4 > uint64(len(m.data)) {
+			if ea+4 > uint64(len(m.data)) && !m.materialise(ea+4) {
 				return fr.trapAfter(own, TrapMemoryOutOfBounds)
 			}
 			fr.regs[d] = I64(int64(int32(binary.LittleEndian.Uint32(m.data[ea:]))))

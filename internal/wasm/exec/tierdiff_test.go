@@ -2,14 +2,17 @@ package exec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"wasmcontainers/internal/wasm"
+	"wasmcontainers/internal/wat"
 	"wasmcontainers/internal/workloads"
 )
 
@@ -291,6 +294,99 @@ func TestTierDiffMemoryTraps(t *testing.T) {
 	p.call("f", I32(65533), I32(1))      // straddles the end: trap
 	p.call("f", I32(-4), I32(9))         // huge unsigned address: trap
 	p.call("f", I32(65536-4), I32(0x5a)) // boundary store
+}
+
+// TestTierDiffLoadPastImagePrefix runs every load at both tiers on fresh
+// instances aliasing an image that stores only its first 1 008 bytes of two
+// pages: a load inside them leaves the memory aliased, one across or past
+// their end materialises it and reads zeroes, and one past the memory's size
+// traps and leaves it aliased.
+func TestTierDiffLoadPastImagePrefix(t *testing.T) {
+	const prefix, size = 1008, 2 * wasm.PageSize
+	loads := []struct {
+		op, result string
+		width      int
+		signed     bool
+	}{
+		{"i32.load", "i32", 4, false}, {"i64.load", "i64", 8, false},
+		{"f32.load", "f32", 4, false}, {"f64.load", "f64", 8, false},
+		{"i32.load8_s", "i32", 1, true}, {"i32.load8_u", "i32", 1, false},
+		{"i32.load16_s", "i32", 2, true}, {"i32.load16_u", "i32", 2, false},
+		{"i64.load8_s", "i64", 1, true}, {"i64.load8_u", "i64", 1, false},
+		{"i64.load16_s", "i64", 2, true}, {"i64.load16_u", "i64", 2, false},
+		{"i64.load32_s", "i64", 4, true}, {"i64.load32_u", "i64", 4, false},
+	}
+	src := `(module (memory 2) (data (i32.const 1000) "\01\82\03\84\05\86\07\88")`
+	for _, l := range loads {
+		src += fmt.Sprintf(`(func (export %q) (param i32) (result %s) (%s (local.get 0)))`, l.op, l.result, l.op)
+	}
+	m, err := wat.Compile(src + ")")
+	if err != nil {
+		t.Fatal(err)
+	}
+	contents := make([]byte, size)
+	copy(contents[1000:], "\x01\x82\x03\x84\x05\x86\x07\x88")
+	var codes [2]*ModuleCode
+	for tier := range codes {
+		mc, err := Precompile(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tier == 1 {
+			mc.SetTierPolicy(TierPolicy{Mode: TierModeEager})
+			mc.EnsureTier1()
+		}
+		inst, err := NewStore(Config{}).InstantiateCompiled(mc, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if img := mc.EnsureBaseline(inst.Memory()); img == nil || len(img.data) != prefix {
+			t.Fatalf("tier %d: the image does not store exactly its %d-byte prefix", tier, prefix)
+		}
+		codes[tier] = mc
+	}
+	for _, l := range loads {
+		w := uint32(l.width)
+		for _, addr := range []uint32{1000, prefix - w, prefix - 1, prefix, 5000, wasm.PageSize - 1,
+			size - w, size - w + 1, size, 0xffffffff} {
+			trap := uint64(addr)+uint64(w) > size
+			var want Value
+			if !trap {
+				var raw [8]byte
+				copy(raw[:], contents[addr:addr+w])
+				v := binary.LittleEndian.Uint64(raw[:])
+				if l.signed {
+					v = uint64(int64(v<<(64-8*w)) >> (64 - 8*w))
+				}
+				if l.result == "i32" {
+					v = I32(int32(v))
+				}
+				want = v
+			}
+			for tier, mc := range codes {
+				store := NewStore(Config{})
+				inst, err := store.InstantiateCompiled(mc, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !inst.Memory().aliased() {
+					t.Fatalf("tier %d: a fresh instance does not alias the image", tier)
+				}
+				res, err := inst.Call(l.op, I32(int32(addr)))
+				if got := store.LastInvokeTier(); got != tier {
+					t.Fatalf("%s ran at tier %d, want %d", l.op, got, tier)
+				}
+				switch {
+				case trap && (err == nil || !strings.Contains(err.Error(), "out of bounds")):
+					t.Fatalf("tier %d %s(%d): err %v, want an out-of-bounds trap", tier, l.op, addr, err)
+				case !trap && (err != nil || res[0] != want):
+					t.Fatalf("tier %d %s(%d) = %v, %v; want %#x", tier, l.op, addr, res, err, want)
+				case inst.Memory().aliased() != (trap || addr+w <= prefix):
+					t.Fatalf("tier %d %s(%d): aliased %v after the load", tier, l.op, addr, inst.Memory().aliased())
+				}
+			}
+		}
+	}
 }
 
 // The eight integer div/rem ops, local by local and local by constant, at
