@@ -446,6 +446,211 @@ const ledgerSieveWAT = `
     local.get $count))
 `
 
+// ledgerMatmulWAT multiplies two n×n i32 matrices it first fills itself (A
+// at 0, B and C after it, row-major, so n ≤ 73 in one page) and returns the
+// sum of C's elements: nested loops, i32 loads and stores.
+const ledgerMatmulWAT = `
+(module
+  (memory 1)
+  (func (export "matmul") (param $n i32) (result i32)
+    (local $i i32) (local $j i32) (local $k i32) (local $nn i32)
+    (local $b i32) (local $c i32) (local $acc i32) (local $sum i32)
+    (local.set $nn (i32.mul (local.get $n) (local.get $n)))
+    (local.set $b (i32.shl (local.get $nn) (i32.const 2)))
+    (local.set $c (i32.shl (local.get $nn) (i32.const 3)))
+    block $filled
+      loop $fill
+        local.get $i
+        local.get $nn
+        i32.ge_u
+        br_if $filled
+        (i32.store (i32.shl (local.get $i) (i32.const 2))
+          (i32.add (i32.rem_u (local.get $i) (i32.const 7)) (i32.const 1)))
+        (i32.store (i32.add (local.get $b) (i32.shl (local.get $i) (i32.const 2)))
+          (i32.sub (i32.const 3) (i32.rem_u (local.get $i) (i32.const 5))))
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        br $fill
+      end
+    end
+    (local.set $i (i32.const 0))
+    block $rowsdone
+      loop $rows
+        local.get $i
+        local.get $n
+        i32.ge_u
+        br_if $rowsdone
+        (local.set $j (i32.const 0))
+        block $colsdone
+          loop $cols
+            local.get $j
+            local.get $n
+            i32.ge_u
+            br_if $colsdone
+            (local.set $acc (i32.const 0))
+            (local.set $k (i32.const 0))
+            block $dotdone
+              loop $dot
+                local.get $k
+                local.get $n
+                i32.ge_u
+                br_if $dotdone
+                (local.set $acc (i32.add (local.get $acc)
+                  (i32.mul
+                    (i32.load (i32.shl (i32.add (i32.mul (local.get $i) (local.get $n)) (local.get $k)) (i32.const 2)))
+                    (i32.load (i32.add (local.get $b)
+                      (i32.shl (i32.add (i32.mul (local.get $k) (local.get $n)) (local.get $j)) (i32.const 2)))))))
+                (local.set $k (i32.add (local.get $k) (i32.const 1)))
+                br $dot
+              end
+            end
+            (i32.store (i32.add (local.get $c)
+              (i32.shl (i32.add (i32.mul (local.get $i) (local.get $n)) (local.get $j)) (i32.const 2)))
+              (local.get $acc))
+            (local.set $j (i32.add (local.get $j) (i32.const 1)))
+            br $cols
+          end
+        end
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        br $rows
+      end
+    end
+    (local.set $i (i32.const 0))
+    block $summed
+      loop $sum
+        local.get $i
+        local.get $nn
+        i32.ge_u
+        br_if $summed
+        (local.set $sum (i32.add (local.get $sum)
+          (i32.load (i32.add (local.get $c) (i32.shl (local.get $i) (i32.const 2))))))
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        br $sum
+      end
+    end
+    local.get $sum))
+`
+
+// ledgerIsortWAT fills n i64 slots from a 64-bit linear congruential
+// generator, insertion-sorts them as signed values and returns the high
+// word of the median: i64 loads, stores and compares, and an i64 multiply
+// and add per element filled.
+const ledgerIsortWAT = `
+(module
+  (memory 1)
+  (func (export "isort") (param $n i32) (result i32)
+    (local $i i32) (local $j i32) (local $x i64) (local $key i64) (local $v i64)
+    (local.set $x (i64.const 42))
+    block $filled
+      loop $fill
+        local.get $i
+        local.get $n
+        i32.ge_u
+        br_if $filled
+        (local.set $x (i64.add (i64.mul (local.get $x) (i64.const 6364136223846793005))
+          (i64.const 1442695040888963407)))
+        (i64.store (i32.shl (local.get $i) (i32.const 3)) (local.get $x))
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        br $fill
+      end
+    end
+    (local.set $i (i32.const 1))
+    block $sorted
+      loop $outer
+        local.get $i
+        local.get $n
+        i32.ge_u
+        br_if $sorted
+        (local.set $key (i64.load (i32.shl (local.get $i) (i32.const 3))))
+        (local.set $j (i32.sub (local.get $i) (i32.const 1)))
+        block $placed
+          loop $shift
+            local.get $j
+            i32.const 0
+            i32.lt_s
+            br_if $placed
+            (local.set $v (i64.load (i32.shl (local.get $j) (i32.const 3))))
+            local.get $v
+            local.get $key
+            i64.le_s
+            br_if $placed
+            (i64.store (i32.shl (i32.add (local.get $j) (i32.const 1)) (i32.const 3)) (local.get $v))
+            (local.set $j (i32.sub (local.get $j) (i32.const 1)))
+            br $shift
+          end
+        end
+        (i64.store (i32.shl (i32.add (local.get $j) (i32.const 1)) (i32.const 3)) (local.get $key))
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        br $outer
+      end
+    end
+    (i32.wrap_i64 (i64.shr_u
+      (i64.load (i32.shl (i32.shr_u (local.get $n) (i32.const 1)) (i32.const 3)))
+      (i64.const 32)))))
+`
+
+// ledgerMandelWAT counts the points of an n×n grid over [-2, 0.5] ×
+// [-1.25, 1.25] still bounded after 50 Mandelbrot iterations: f64 compares,
+// multiplies and adds.
+const ledgerMandelWAT = `
+(module
+  (func (export "mandel") (param $n i32) (result i32)
+    (local $px i32) (local $py i32) (local $it i32) (local $inside i32)
+    (local $step f64) (local $cr f64) (local $ci f64)
+    (local $zr f64) (local $zi f64) (local $zr2 f64) (local $zi2 f64)
+    (local.set $step (f64.div (f64.const 2.5) (f64.convert_i32_s (local.get $n))))
+    block $rowsdone
+      loop $rows
+        local.get $py
+        local.get $n
+        i32.ge_s
+        br_if $rowsdone
+        (local.set $ci (f64.sub (f64.mul (f64.convert_i32_s (local.get $py)) (local.get $step))
+          (f64.const 1.25)))
+        (local.set $px (i32.const 0))
+        block $colsdone
+          loop $cols
+            local.get $px
+            local.get $n
+            i32.ge_s
+            br_if $colsdone
+            (local.set $cr (f64.sub (f64.mul (f64.convert_i32_s (local.get $px)) (local.get $step))
+              (f64.const 2)))
+            (local.set $zr (f64.const 0))
+            (local.set $zi (f64.const 0))
+            (local.set $it (i32.const 0))
+            block $escaped
+              loop $iter
+                local.get $it
+                i32.const 50
+                i32.eq
+                if
+                  (local.set $inside (i32.add (local.get $inside) (i32.const 1)))
+                  br $escaped
+                end
+                (local.set $zr2 (f64.mul (local.get $zr) (local.get $zr)))
+                (local.set $zi2 (f64.mul (local.get $zi) (local.get $zi)))
+                (f64.add (local.get $zr2) (local.get $zi2))
+                f64.const 4
+                f64.gt
+                br_if $escaped
+                (local.set $zi (f64.add (f64.mul (f64.mul (f64.const 2) (local.get $zr)) (local.get $zi))
+                  (local.get $ci)))
+                (local.set $zr (f64.add (f64.sub (local.get $zr2) (local.get $zi2)) (local.get $cr)))
+                (local.set $it (i32.add (local.get $it) (i32.const 1)))
+                br $iter
+              end
+            end
+            (local.set $px (i32.add (local.get $px) (i32.const 1)))
+            br $cols
+          end
+        end
+        (local.set $py (i32.add (local.get $py) (i32.const 1)))
+        br $rows
+      end
+    end
+    local.get $inside))
+`
+
 // ledgerRow is one kernel of the tier-1 dispatch ledger: its module, the
 // export and argument the ledger runs, the small argument its fuel sweep
 // runs, and what the ledger pins. regrow marks a recursive kernel whose
@@ -468,6 +673,10 @@ var ledgerRows = []ledgerRow{
 	{"crc32", ledgerCRC32WAT, "crc32", 1000, 6, 988615292, 206081, 68006, 1504, false},
 	{"sieve", ledgerSieveWAT, "sieve", 20000, 60, 2262, 1053218, 249479, 1336, false},
 	{"fib", benchFibWAT, "fib", 20, 8, 6765, 251743, 109454, 664, true},
+	{"matmul", ledgerMatmulWAT, "matmul", 20, 3, 31940, 288819, 106489, 2736, false},
+	{"isort", ledgerIsortWAT, "isort", 200, 7, -57152540, 289615, 110544, 2008, false},
+	{"mandel", ledgerMandelWAT, "mandel", 24, 3, 148, 401272, 113322, 1784, false},
+	{"grow_touch", workloads.MemoryBoundWAT, "grow_touch", 63, 2, 64, 964, 323, 776, false},
 }
 
 // TestTier1DispatchLedger pins how each kernel runs at tier 1: each closure
@@ -477,6 +686,8 @@ var ledgerRows = []ledgerRow{
 // guest-compute kernel: is_prime's loop runs three closures per iteration
 // ([d*d][n][gt_u][if], [n%d][eqz][if], the counter step and backedge). fib
 // is the call-heavy row: recursive calls and an lt_s feeding an if.
+// handle and grow_touch(63) are the warm-steady and guest-churn exports;
+// matmul, isort and mandel the i32, i64 and f64 rows of the kernel corpus.
 // Unlike wall time the counts do not move with code placement, and a
 // refactor that un-fuses a shape raises one.
 func TestTier1DispatchLedger(t *testing.T) {
