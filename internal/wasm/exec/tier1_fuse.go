@@ -33,6 +33,17 @@ import (
 // are a loop's step: a counter's add and the backedge, after an
 // accumulator's add or not.
 //
+// Each builder inlines an operator only where a kernel of the dispatch
+// ledger (TestTier1DispatchLedger) runs it; `make tier1-shapes` prints the
+// calls each closure body takes per kernel. Every other operator — the long
+// tail of binops and unops, the float, ne and le compares an if tests, the
+// 16-bit and sign-extending loads, the 16-bit stores, the saturating
+// truncations — is one closure that calls the evaluator tier 0 runs
+// (binaryOp, unaryOp, Memory.load with extendLoad, Memory.storeAt,
+// truncSat), so its semantics live in one place. Inlining one more costs
+// nothing in the ledger's closure counts or Tier1Code.Bytes: it replaces
+// that closure in place.
+//
 // A folded entry is put in its slot (flush, one closure for all the entries
 // that move) before a branch target, a structure marker (block, loop, if,
 // else, end), a call or a branch, and before a local.set or local.tee of

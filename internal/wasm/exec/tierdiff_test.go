@@ -776,20 +776,22 @@ func constOperandModule(t *testing.T, vt, out wasm.ValueType, op wasm.Opcode, k 
 	return buildModule(t, m)
 }
 
+// TestTierDiffTruncSat runs all eight saturating truncations at both tiers.
 func TestTierDiffTruncSat(t *testing.T) {
-	for _, misc := range []uint32{
-		wasm.MiscI32TruncSatF64S, wasm.MiscI32TruncSatF64U,
-		wasm.MiscI64TruncSatF64S, wasm.MiscI64TruncSatF64U,
-	} {
+	for misc := wasm.MiscI32TruncSatF32S; misc <= wasm.MiscI64TruncSatF64U; misc++ {
 		out := i32
 		if misc >= wasm.MiscI64TruncSatF32S {
 			out = i64t
 		}
+		in, arg := f64t, F64
+		if misc%4 < 2 {
+			in, arg = f32t, func(v float64) Value { return F32(float32(v)) }
+		}
 		b := new(wasm.BodyBuilder).OpU32(wasm.OpLocalGet, 0).Misc(misc).End()
-		m := buildModule(t, singleFunc([]wasm.ValueType{f64t}, []wasm.ValueType{out}, nil, b))
+		m := buildModule(t, singleFunc([]wasm.ValueType{in}, []wasm.ValueType{out}, nil, b))
 		p := newTierPair(t, m, Config{}, nil)
 		for _, v := range []float64{0, 1.7, -1.7, 1e30, -1e30, math.NaN(), math.Inf(-1)} {
-			p.call("f", F64(v))
+			p.call("f", arg(v))
 		}
 	}
 }
