@@ -228,6 +228,33 @@ func TestReadPastThePrefixMaterialises(t *testing.T) {
 	}
 }
 
+// TestResetAfterReadOnlyReAliases: a memory that only a read past its
+// image's stored bytes materialised holds a buffer with no page dirty, which
+// PrivateBytes charges nothing for; a reset re-aliases the image and parks
+// that buffer.
+func TestResetAfterReadOnlyReAliases(t *testing.T) {
+	donor := newCowMemory(2)
+	donor.Write(100, []byte("prefix"))
+	img := donor.CaptureBaseline()
+	m := new(Memory)
+	m.initAliased(wasm.MemoryType{Limits: wasm.Limits{Min: 2}}, 0, img)
+	if v, ok := m.load(wasm.PageSize, 0, 8); !ok || v != 0 || m.aliased() {
+		t.Fatalf("load past the stored bytes = %d, %v, aliased %v; want 0, true, false", v, ok, m.aliased())
+	}
+	if n := m.ResetToBaseline(); n != 0 {
+		t.Fatalf("reset rewound %d pages, want 0", n)
+	}
+	if !m.aliased() || cap(m.wr) != 0 || m.PrivateBytes() != 0 {
+		t.Fatalf("after reset: aliased %v, buffer cap %d, private %d; want aliased, no buffer, 0",
+			m.aliased(), cap(m.wr), m.PrivateBytes())
+	}
+	want := make([]byte, 2*wasm.PageSize)
+	copy(want[100:], "prefix")
+	if !bytes.Equal(m.Bytes(), want) {
+		t.Fatal("contents after reset differ from the image")
+	}
+}
+
 func TestGrowThenResetShrinksToBaseline(t *testing.T) {
 	m := newCowMemory(1)
 	m.CaptureBaseline()

@@ -254,7 +254,7 @@ func cowPrefixSeeds() []cowProg {
 		out = append(out,
 			// Reads inside the stored bytes keep the memory aliased; one
 			// that straddles their end materialises it, and so does a read
-			// wholly past them. A reset with no page dirty keeps the buffer.
+			// wholly past them. A reset with no page dirty re-aliases.
 			p.
 				step(cowLoad, 0, cowAtPrefix, -8, 0, 0, 0, 3, 0).
 				step(cowReadUint32, 0, cowAtPrefix, -4, 0, 0, 0, 0, 0).
@@ -370,7 +370,7 @@ func (c *cowModel) reset() int {
 			n++
 		}
 	}
-	if uint64(n) == basePages {
+	if n == 0 || uint64(n) == basePages {
 		c.private = false
 	}
 	c.data = bytes.Clone(c.base)

@@ -437,11 +437,13 @@ func (m *Memory) PrivateBytes() int64 {
 // back only the dirty pages, so cost is proportional to pages touched since
 // the last reset, not memory size, and a large lightly-dirtied memory keeps
 // its buffer. When every baseline page is dirty the copy-back would rewrite
-// the whole buffer anyway: the memory re-aliases the image instead and parks
-// the buffer on the free-list, deferring that copy to the next first write —
-// and skipping it if the instance idles. Returns the number of baseline pages
-// rewound either way, or -1 if no baseline is attached (the memory is left
-// unchanged).
+// the whole buffer anyway, and when none is (a read past the image's stored
+// bytes materialised it, or only grown pages were written) the buffer holds
+// nothing the image does not: either way the memory re-aliases the image and
+// parks the buffer on the free-list, deferring the copy to the next first
+// write — and skipping it if the instance idles. Returns the number of
+// baseline pages rewound, or -1 if no baseline is attached (the memory is
+// left unchanged).
 func (m *Memory) ResetToBaseline() int {
 	b := m.baseline
 	if b == nil {
@@ -451,7 +453,7 @@ func (m *Memory) ResetToBaseline() int {
 		return 0
 	}
 	basePages := uint64(b.pages)
-	if n := m.dirtyBelow(basePages); uint64(n) == basePages {
+	if n := m.dirtyBelow(basePages); n == 0 || uint64(n) == basePages {
 		parkBuffer(m.wr)
 		m.data, m.wr, m.size = b.data, nil, b.size()
 		m.dirty = m.dirty[:(basePages+63)/64]
