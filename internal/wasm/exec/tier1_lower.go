@@ -498,13 +498,7 @@ func (b *t1builder) buildControl(pc int, s t1span) t1op {
 	case wasm.OpReturn:
 		_, keep := unpackDropKeep(in.b)
 		own := s.own
-		switch keep {
-		case 0:
-			return func(fr *t1frame) int {
-				fr.executed += own
-				return t1Return
-			}
-		case 1:
+		if keep == 1 {
 			r := b.stk[ht-1]
 			return func(fr *t1frame) int {
 				fr.executed += own
