@@ -11,12 +11,13 @@ import (
 var instSink *Instance
 
 // TestInstantiateAllocs pins what one warm instance of a cached module costs
-// the engine: the store carries the instance and its memory in one
-// allocation, the functions take one block, and the engine's Instance is the
-// third. A memory that aliases the module's baseline image allocates nothing
+// the engine: the engine's Instance holds the store, which carries the
+// instance and its memory, in one allocation, and the functions take one
+// block. A memory that aliases the module's baseline image allocates nothing
 // for its bytes. Before co-allocation it was nine: the store, its two empty
 // maps, the instance, a one-element function slice and its function, the
-// memory, its dirty bitmap and the engine's Instance.
+// memory, its dirty bitmap and the engine's Instance; with the store apart
+// from the Instance it was three.
 //
 // The second row adds the fresh instance's first call at tier 0: the
 // argument and result slices, the interpreter's 64-slot frame buffer, and
@@ -33,8 +34,8 @@ func TestInstantiateAllocs(t *testing.T) {
 		call bool
 		max  float64
 	}{
-		{"instantiate", false, 3},
-		{"instantiate+first-call", true, 7},
+		{"instantiate", false, 2},
+		{"instantiate+first-call", true, 6},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			eng := New(WAMR)

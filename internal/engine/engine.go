@@ -486,14 +486,15 @@ func (e *Engine) ColdStartCost() time.Duration {
 // serving path). Each Instance owns a private store, so distinct Instances
 // may be used from different goroutines; a single Instance must not.
 //
-// A warm instance is three allocations: the Instance (or the embedder's
-// record holding one, see InstantiateInto), the store — which carries the
-// exec.Instance and its linear memory inline, the memory aliasing the
-// module's baseline image — and the function index space.
+// A warm instance is two allocations: the Instance (or the embedder's record
+// holding one, see InstantiateInto), which holds its store, the store in
+// turn the exec.Instance and its linear memory (the memory aliasing the
+// module's baseline image); and the function index space. An Instance holds
+// pointers into itself, so it must not be copied.
 type Instance struct {
 	e     *Engine
-	store *exec.Store
 	inst  *exec.Instance
+	store exec.Store
 }
 
 // Instantiate allocates a fresh store and instantiates cm in it — the same
@@ -510,7 +511,7 @@ func (e *Engine) Instantiate(cm *CompiledModule) (*Instance, error) {
 
 // InstantiateInto is Instantiate into an Instance the caller keeps inside a
 // record of its own (serve.WarmInstance), so the two share one allocation.
-// dst is overwritten; on error it is left zero.
+// dst is initialised in place; on error it is left zero.
 func (e *Engine) InstantiateInto(dst *Instance, cm *CompiledModule) error {
 	*dst = Instance{}
 	if err := e.faults.InstantiateError(); err != nil {
@@ -522,9 +523,10 @@ func (e *Engine) InstantiateInto(dst *Instance, cm *CompiledModule) error {
 		spanStart = e.obsTracer.Now()
 		wallStart = time.Now()
 	}
-	store := exec.NewStore(exec.Config{})
-	inst, err := store.InstantiateCompiled(cm.Code, "")
+	dst.store.Init(exec.Config{})
+	inst, err := dst.store.InstantiateCompiled(cm.Code, "")
 	if err != nil {
+		*dst = Instance{}
 		return fmt.Errorf("%s: %w", e.Profile.Name, err)
 	}
 	e.obsInstantiates.Inc()
@@ -549,7 +551,7 @@ func (e *Engine) InstantiateInto(dst *Instance, cm *CompiledModule) error {
 	if m := inst.Memory(); m != nil && cm.Code.EnsureBaseline(m) == nil {
 		m.CaptureBaseline()
 	}
-	*dst = Instance{e: e, store: store, inst: inst}
+	dst.e, dst.inst = e, inst
 	return nil
 }
 

@@ -279,25 +279,26 @@ func trackDefaultSeries(db *tsdb.DB, tele *obs.Telemetry) {
 	}
 }
 
-// addFunction resolves the function's workload module (once, before building
-// anything: an unknown name is the common failure — a typo in a lazy URL —
-// and must stay a cheap *workloads.UnknownWorkloadError), builds the
-// function, registers its dispatcher as a router shard keyed by module
-// digest, and inserts it in fns.
+// addFunction returns the function already registered under the module's
+// name, or resolves the workload module (before building anything: an
+// unknown name is the common failure — a typo in a lazy URL — and must stay
+// a cheap *workloads.UnknownWorkloadError), builds the function, registers
+// its dispatcher as a router shard keyed by module digest, and inserts it in
+// fns. A shard key the router refuses retires the replica just built.
 // Serialized under regMu. With live set (lazy creation on a running
 // server), the engine/pool/attachment construction runs on the bridge loop
 // goroutine via Do, because pool pre-instantiation syncs node memory
 // accounting that in-flight requests of co-located pools are mutating on
 // that goroutine.
 func (s *Server) addFunction(ctx context.Context, fc FunctionConfig, live bool) (*Function, error) {
-	bin, err := workloads.Binary(fc.Module)
-	if err != nil {
-		return nil, fmt.Errorf("gateway: %w", err)
-	}
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
 	if fn, ok := s.Function(fc.Module); ok {
 		return fn, nil
+	}
+	bin, err := workloads.Binary(fc.Module)
+	if err != nil {
+		return nil, fmt.Errorf("gateway: %w", err)
 	}
 	var fn *Function
 	build := func() { fn, err = s.newFunction(fc, bin) }
@@ -312,6 +313,13 @@ func (s *Server) addFunction(ctx context.Context, fc FunctionConfig, live bool) 
 		return nil, err
 	}
 	if err := s.router.Register(fn.key, fc.Module, fn.Dispatcher()); err != nil {
+		// Nothing will reach the replica: take its pool and charge off the
+		// node, on the loop like the build, and whatever ctx says by now.
+		if live {
+			_ = s.bridge.Do(context.WithoutCancel(ctx), fn.rep.Retire)
+		} else {
+			fn.rep.Retire()
+		}
 		return nil, err
 	}
 	s.fnsMu.Lock()

@@ -56,8 +56,8 @@ type Stats struct {
 // Acquire/ColdStart and Release. Instances hold no private reset snapshot:
 // all instances of the pool's module alias one shared baseline image, and
 // Release copies back only the pages a request dirtied. The engine Instance
-// is held inline: a warm instance is this record, its store and its function
-// block.
+// is held inline, and holds its store: a warm instance is this record and
+// its function block.
 type WarmInstance struct {
 	inst engine.Instance
 	// footprint is the accounted bytes while idle (engine per-instance state;

@@ -7,119 +7,237 @@ import (
 
 // Encode serializes the module to the WebAssembly binary format. The module
 // is assumed to be structurally well-formed (Encode does not validate);
-// Decode(Encode(m)) reproduces an equivalent module.
+// Decode(Encode(m)) reproduces an equivalent module. The encoding is written
+// into one buffer sized up front (encodedBound), each length-prefixed part —
+// a section, a function body — straight after room for its widest prefix,
+// which closeLen then shrinks to the minimal one.
 func Encode(m *Module) []byte {
-	out := make([]byte, 0, 1024)
+	out := make([]byte, 0, encodedBound(m))
 	out = append(out, magic...)
 	out = append(out, version...)
 
 	if len(m.Types) > 0 {
-		out = appendSection(out, SectionType, encodeTypeSection(m))
+		var at int
+		out, at = openSection(out, SectionType, len(m.Types))
+		for _, t := range m.Types {
+			out = append(out, 0x60)
+			out = appendU32(out, uint32(len(t.Params)))
+			for _, p := range t.Params {
+				out = append(out, byte(p))
+			}
+			out = appendU32(out, uint32(len(t.Results)))
+			for _, r := range t.Results {
+				out = append(out, byte(r))
+			}
+		}
+		out = closeLen(out, at)
 	}
 	if len(m.Imports) > 0 {
-		out = appendSection(out, SectionImport, encodeImportSection(m))
+		var at int
+		out, at = openSection(out, SectionImport, len(m.Imports))
+		for _, imp := range m.Imports {
+			out = appendName(out, imp.Module)
+			out = appendName(out, imp.Name)
+			out = append(out, byte(imp.Kind))
+			switch imp.Kind {
+			case ExternalFunc:
+				out = appendU32(out, imp.Func)
+			case ExternalTable:
+				out = append(out, byte(imp.Table.ElemType))
+				out = appendLimits(out, imp.Table.Limits)
+			case ExternalMemory:
+				out = appendLimits(out, imp.Memory.Limits)
+			case ExternalGlobal:
+				out = appendGlobalType(out, imp.Global)
+			}
+		}
+		out = closeLen(out, at)
 	}
 	if len(m.Functions) > 0 {
-		var b []byte
-		b = appendU32(b, uint32(len(m.Functions)))
+		var at int
+		out, at = openSection(out, SectionFunction, len(m.Functions))
 		for _, ti := range m.Functions {
-			b = appendU32(b, ti)
+			out = appendU32(out, ti)
 		}
-		out = appendSection(out, SectionFunction, b)
+		out = closeLen(out, at)
 	}
 	if len(m.Tables) > 0 {
-		var b []byte
-		b = appendU32(b, uint32(len(m.Tables)))
+		var at int
+		out, at = openSection(out, SectionTable, len(m.Tables))
 		for _, t := range m.Tables {
-			b = append(b, byte(t.ElemType))
-			b = appendLimits(b, t.Limits)
+			out = append(out, byte(t.ElemType))
+			out = appendLimits(out, t.Limits)
 		}
-		out = appendSection(out, SectionTable, b)
+		out = closeLen(out, at)
 	}
 	if len(m.Memories) > 0 {
-		var b []byte
-		b = appendU32(b, uint32(len(m.Memories)))
+		var at int
+		out, at = openSection(out, SectionMemory, len(m.Memories))
 		for _, mem := range m.Memories {
-			b = appendLimits(b, mem.Limits)
+			out = appendLimits(out, mem.Limits)
 		}
-		out = appendSection(out, SectionMemory, b)
+		out = closeLen(out, at)
 	}
 	if len(m.Globals) > 0 {
-		var b []byte
-		b = appendU32(b, uint32(len(m.Globals)))
+		var at int
+		out, at = openSection(out, SectionGlobal, len(m.Globals))
 		for _, g := range m.Globals {
-			b = append(b, byte(g.Type.ValType))
-			if g.Type.Mutable {
-				b = append(b, 1)
-			} else {
-				b = append(b, 0)
-			}
-			b = appendConstExpr(b, g.Init)
+			out = appendGlobalType(out, g.Type)
+			out = appendConstExpr(out, g.Init)
 		}
-		out = appendSection(out, SectionGlobal, b)
+		out = closeLen(out, at)
 	}
 	if len(m.Exports) > 0 {
-		var b []byte
-		b = appendU32(b, uint32(len(m.Exports)))
+		var at int
+		out, at = openSection(out, SectionExport, len(m.Exports))
 		for _, e := range m.Exports {
-			b = appendName(b, e.Name)
-			b = append(b, byte(e.Kind))
-			b = appendU32(b, e.Index)
+			out = appendName(out, e.Name)
+			out = append(out, byte(e.Kind))
+			out = appendU32(out, e.Index)
 		}
-		out = appendSection(out, SectionExport, b)
+		out = closeLen(out, at)
 	}
 	if m.StartSet {
-		var b []byte
-		b = appendU32(b, m.Start)
-		out = appendSection(out, SectionStart, b)
+		var at int
+		out, at = openLen(append(out, byte(SectionStart)))
+		out = appendU32(out, m.Start)
+		out = closeLen(out, at)
 	}
 	if len(m.Elements) > 0 {
-		var b []byte
-		b = appendU32(b, uint32(len(m.Elements)))
+		var at int
+		out, at = openSection(out, SectionElement, len(m.Elements))
 		for _, seg := range m.Elements {
-			b = appendU32(b, seg.TableIndex)
-			b = appendConstExpr(b, seg.Offset)
-			b = appendU32(b, uint32(len(seg.Indices)))
+			out = appendU32(out, seg.TableIndex)
+			out = appendConstExpr(out, seg.Offset)
+			out = appendU32(out, uint32(len(seg.Indices)))
 			for _, fi := range seg.Indices {
-				b = appendU32(b, fi)
+				out = appendU32(out, fi)
 			}
 		}
-		out = appendSection(out, SectionElement, b)
+		out = closeLen(out, at)
 	}
 	if len(m.Codes) > 0 {
-		var b []byte
-		b = appendU32(b, uint32(len(m.Codes)))
+		var at, body int
+		out, at = openSection(out, SectionCode, len(m.Codes))
 		for _, c := range m.Codes {
-			body := encodeCode(c)
-			b = appendU32(b, uint32(len(body)))
-			b = append(b, body...)
+			out, body = openLen(out)
+			out = appendCode(out, c)
+			out = closeLen(out, body)
 		}
-		out = appendSection(out, SectionCode, b)
+		out = closeLen(out, at)
 	}
 	if len(m.Data) > 0 {
-		var b []byte
-		b = appendU32(b, uint32(len(m.Data)))
+		var at int
+		out, at = openSection(out, SectionData, len(m.Data))
 		for _, seg := range m.Data {
-			b = appendU32(b, seg.MemoryIndex)
-			b = appendConstExpr(b, seg.Offset)
-			b = appendU32(b, uint32(len(seg.Data)))
-			b = append(b, seg.Data...)
+			out = appendU32(out, seg.MemoryIndex)
+			out = appendConstExpr(out, seg.Offset)
+			out = appendU32(out, uint32(len(seg.Data)))
+			out = append(out, seg.Data...)
 		}
-		out = appendSection(out, SectionData, b)
+		out = closeLen(out, at)
 	}
 	for _, cs := range m.Customs {
-		var b []byte
-		b = appendName(b, cs.Name)
-		b = append(b, cs.Data...)
-		out = appendSection(out, SectionCustom, b)
+		var at int
+		out, at = openLen(append(out, byte(SectionCustom)))
+		out = appendName(out, cs.Name)
+		out = append(out, cs.Data...)
+		out = closeLen(out, at)
 	}
 	return out
 }
 
-func appendSection(out []byte, id SectionID, payload []byte) []byte {
-	out = append(out, byte(id))
-	out = appendU32(out, uint32(len(payload)))
-	return append(out, payload...)
+// maxU32Len is the widest LEB128 encoding of a u32, and maxConstExprLen the
+// widest constant expression: its opcode, a ten-byte s64 and end.
+const (
+	maxU32Len       = 5
+	maxConstExprLen = 12
+)
+
+// encodedBound is an upper bound on len(Encode(m)), with every LEB128
+// integer counted at its widest, so Encode's buffer never grows.
+func encodedBound(m *Module) int {
+	const u = maxU32Len
+	// sec is a present section's id, size and entry count.
+	sec := func(count int) int {
+		if count == 0 {
+			return 0
+		}
+		return 1 + 2*u
+	}
+	n := len(magic) + len(version)
+	n += sec(len(m.Types))
+	for _, t := range m.Types {
+		n += 1 + 2*u + len(t.Params) + len(t.Results)
+	}
+	n += sec(len(m.Imports))
+	for _, imp := range m.Imports {
+		// Two names and a kind, then the widest descriptor: a table's.
+		n += 2*u + len(imp.Module) + len(imp.Name) + 1 + 2 + 2*u
+	}
+	n += sec(len(m.Functions)) + u*len(m.Functions)
+	n += sec(len(m.Tables)) + (2+2*u)*len(m.Tables)
+	n += sec(len(m.Memories)) + (1+2*u)*len(m.Memories)
+	n += sec(len(m.Globals)) + (2+maxConstExprLen)*len(m.Globals)
+	n += sec(len(m.Exports))
+	for _, e := range m.Exports {
+		n += 2*u + len(e.Name) + 1
+	}
+	if m.StartSet {
+		n += 1 + 2*u
+	}
+	n += sec(len(m.Elements))
+	for _, seg := range m.Elements {
+		n += 2*u + maxConstExprLen + u*len(seg.Indices)
+	}
+	n += sec(len(m.Codes))
+	for _, c := range m.Codes {
+		// Size, group count, at most one (count, type) group per local.
+		n += 2*u + (u+1)*len(c.Locals) + len(c.Body)
+	}
+	n += sec(len(m.Data))
+	for _, seg := range m.Data {
+		n += 2*u + maxConstExprLen + len(seg.Data)
+	}
+	for _, cs := range m.Customs {
+		n += 1 + 2*u + len(cs.Name) + len(cs.Data)
+	}
+	return n
+}
+
+// openSection appends a section's id, room for its size and its entry
+// count; closeLen(out, at) fills in the size.
+func openSection(out []byte, id SectionID, count int) ([]byte, int) {
+	out, at := openLen(append(out, byte(id)))
+	return appendU32(out, uint32(count)), at
+}
+
+// openLen appends room for the widest length prefix and returns where the
+// prefixed payload starts.
+func openLen(b []byte) ([]byte, int) {
+	b = append(b, 0, 0, 0, 0, 0)
+	return b, len(b)
+}
+
+// closeLen writes the length of what was appended since openLen returned at
+// as a minimal LEB128 prefix, moving the payload down over the room the
+// prefix did not use.
+func closeLen(b []byte, at int) []byte {
+	n := len(b) - at
+	var pfx [maxU32Len]byte
+	p := appendU32(pfx[:0], uint32(n))
+	dst := at - maxU32Len
+	copy(b[dst:], p)
+	copy(b[dst+len(p):], b[at:])
+	return b[:dst+len(p)+n]
+}
+
+func appendGlobalType(b []byte, g GlobalType) []byte {
+	b = append(b, byte(g.ValType))
+	if g.Mutable {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }
 
 func appendName(b []byte, s string) []byte {
@@ -162,27 +280,24 @@ func appendConstExpr(b []byte, ce ConstExpr) []byte {
 	return append(b, byte(OpEnd))
 }
 
-func encodeCode(c Code) []byte {
-	// Compress runs of equal local types into (count, type) groups.
-	var groups []struct {
-		count uint32
-		vt    ValueType
-	}
-	for _, vt := range c.Locals {
-		if n := len(groups); n > 0 && groups[n-1].vt == vt {
-			groups[n-1].count++
-		} else {
-			groups = append(groups, struct {
-				count uint32
-				vt    ValueType
-			}{1, vt})
+// appendCode appends a function body: its locals as runs of one type, each a
+// (count, type) group, then its instructions.
+func appendCode(b []byte, c Code) []byte {
+	groups := 0
+	for i, vt := range c.Locals {
+		if i == 0 || c.Locals[i-1] != vt {
+			groups++
 		}
 	}
-	var b []byte
-	b = appendU32(b, uint32(len(groups)))
-	for _, g := range groups {
-		b = appendU32(b, g.count)
-		b = append(b, byte(g.vt))
+	b = appendU32(b, uint32(groups))
+	for i := 0; i < len(c.Locals); {
+		j := i + 1
+		for j < len(c.Locals) && c.Locals[j] == c.Locals[i] {
+			j++
+		}
+		b = appendU32(b, uint32(j-i))
+		b = append(b, byte(c.Locals[i]))
+		i = j
 	}
 	return append(b, c.Body...)
 }
@@ -301,47 +416,3 @@ func (b *BodyBuilder) Misc(sub uint32) *BodyBuilder {
 
 // End appends the end opcode.
 func (b *BodyBuilder) End() *BodyBuilder { return b.Op(OpEnd) }
-
-func encodeTypeSection(m *Module) []byte {
-	var b []byte
-	b = appendU32(b, uint32(len(m.Types)))
-	for _, t := range m.Types {
-		b = append(b, 0x60)
-		b = appendU32(b, uint32(len(t.Params)))
-		for _, p := range t.Params {
-			b = append(b, byte(p))
-		}
-		b = appendU32(b, uint32(len(t.Results)))
-		for _, r := range t.Results {
-			b = append(b, byte(r))
-		}
-	}
-	return b
-}
-
-func encodeImportSection(m *Module) []byte {
-	var b []byte
-	b = appendU32(b, uint32(len(m.Imports)))
-	for _, imp := range m.Imports {
-		b = appendName(b, imp.Module)
-		b = appendName(b, imp.Name)
-		b = append(b, byte(imp.Kind))
-		switch imp.Kind {
-		case ExternalFunc:
-			b = appendU32(b, imp.Func)
-		case ExternalTable:
-			b = append(b, byte(imp.Table.ElemType))
-			b = appendLimits(b, imp.Table.Limits)
-		case ExternalMemory:
-			b = appendLimits(b, imp.Memory.Limits)
-		case ExternalGlobal:
-			b = append(b, byte(imp.Global.ValType))
-			if imp.Global.Mutable {
-				b = append(b, 1)
-			} else {
-				b = append(b, 0)
-			}
-		}
-	}
-	return b
-}

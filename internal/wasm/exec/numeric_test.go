@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"errors"
 	"math"
+	"math/bits"
 	"testing"
 
 	"wasmcontainers/internal/wasm"
@@ -222,5 +224,92 @@ func TestIndirectCallTypeMismatchTrap(t *testing.T) {
 	inst := instantiate(t, buildModule(t, m))
 	if _, err := inst.Call("f", I32(0)); !IsTrap(err, TrapIndirectCallTypeMismatch) {
 		t.Fatalf("expected type-mismatch trap, got %v", err)
+	}
+}
+
+// TestOperatorsAgainstGo checks operators that no other exec test checked
+// against an independent reference: each runs as a one-instruction function
+// on a tier pair (tier 0 and tier 1 must agree), and the result or trap must
+// equal what Go's math and math/bits give, written from the spec's numeric
+// definitions rather than from interp.go.
+func TestOperatorsAgainstGo(t *testing.T) {
+	const signBit = 1 << 63
+	cases := []struct {
+		op      wasm.Opcode
+		in, out wasm.ValueType
+		args    []Value
+		// ref returns the expected result, or the trap when trap is set.
+		ref func(x Value) (want Value, trap TrapCode, trapped bool)
+		nan bool // a NaN result may be any NaN
+	}{
+		{
+			op: wasm.OpI32TruncF32S, in: f32t, out: i32,
+			args: []Value{F32(0), F32(float32(math.Copysign(0, -1))), F32(1.9), F32(-1.9),
+				F32(2147483520), F32(-2147483648), F32(2147483648), F32(-2147483904),
+				F32(math.SmallestNonzeroFloat32), F32(float32(math.Inf(1))), F32(float32(math.Inf(-1))),
+				0x7fc00000, 0xffa00001},
+			ref: func(x Value) (Value, TrapCode, bool) {
+				f := float64(AsF32(x))
+				if math.IsNaN(f) {
+					return 0, TrapInvalidConversion, true
+				}
+				if tr := math.Trunc(f); tr >= -(1<<31) && tr < 1<<31 {
+					return I32(int32(tr)), 0, false
+				}
+				return 0, TrapIntegerOverflow, true
+			},
+		},
+		{
+			op: wasm.OpF32ConvertI64U, in: i64t, out: f32t,
+			// 2^24+1 and 2^24+3 are ties, and 2^63+2^39+1 rounds up
+			// directly but to even through a float64.
+			args: []Value{0, 1, 0xffffff, 0x1000001, 0x1000003, 1 << 63,
+				0x8000008000000001, math.MaxUint64, math.MaxInt64},
+			ref: func(x Value) (Value, TrapCode, bool) { return F32(float32(x)), 0, false },
+		},
+		{
+			op: wasm.OpI64Popcnt, in: i64t, out: i64t,
+			args: []Value{0, 1, math.MaxUint64, signBit, 0x5555555555555555, 0x0123456789abcdef, math.MaxUint32},
+			ref:  func(x Value) (Value, TrapCode, bool) { return Value(bits.OnesCount64(x)), 0, false },
+		},
+		{
+			op: wasm.OpF64Floor, in: f64t, out: f64t, nan: true,
+			args: []Value{F64(math.Copysign(0, -1)), F64(0.5), F64(-0.5), F64(-1.5), F64(1e300), F64(-1e-300),
+				F64(math.SmallestNonzeroFloat64), F64(4503599627370495.5), F64(math.Inf(1)), F64(math.Inf(-1)),
+				F64(math.NaN())},
+			ref: func(x Value) (Value, TrapCode, bool) { return F64(math.Floor(AsF64(x))), 0, false },
+		},
+		{
+			op: wasm.OpF64Neg, in: f64t, out: f64t,
+			// neg flips the sign bit of any input, a NaN's payload kept.
+			args: []Value{F64(0), F64(math.Copysign(0, -1)), F64(1.5), F64(math.Inf(-1)),
+				0x7ff8000000000001, 0xfff0000000000001},
+			ref: func(x Value) (Value, TrapCode, bool) { return x ^ signBit, 0, false },
+		},
+	}
+	for _, c := range cases {
+		name := wasm.OpcodeName(c.op)
+		b := new(wasm.BodyBuilder).OpU32(wasm.OpLocalGet, 0).Op(c.op).End()
+		m := buildModule(t, singleFunc([]wasm.ValueType{c.in}, []wasm.ValueType{c.out}, nil, b))
+		p := newTierPair(t, m, Config{}, nil)
+		for _, x := range c.args {
+			res, err := p.call("f", x)
+			want, code, trapped := c.ref(x)
+			var tr *Trap
+			switch {
+			case trapped:
+				if !errors.As(err, &tr) || tr.Code != code {
+					t.Errorf("%s(%#x): got %v, %v; want trap %q", name, x, res, err, trapMessages[code])
+				}
+			case err != nil:
+				t.Errorf("%s(%#x): %v, want %#x", name, x, err, want)
+			case c.nan && math.IsNaN(AsF64(want)):
+				if !math.IsNaN(AsF64(res[0])) {
+					t.Errorf("%s(%#x) = %#x, want a NaN", name, x, res[0])
+				}
+			case res[0] != want:
+				t.Errorf("%s(%#x) = %#x, want %#x", name, x, res[0], want)
+			}
+		}
 	}
 }

@@ -23,7 +23,7 @@ import (
 // anyone holds the ModuleCode, so readers load them without locking.
 type ModuleCode struct {
 	m         *wasm.Module
-	codes     []compiledCode // one per module-defined function
+	codes     []compiledCode // one per module-defined function, with its hotness
 	codeBytes int64
 	// nImported counts the module's function imports.
 	nImported int
@@ -51,7 +51,6 @@ type ModuleCode struct {
 	tier1    atomic.Pointer[Tier1Code]
 	tierMu   sync.Mutex
 	onTierUp func(tc *Tier1Code, lowered time.Duration) // guarded by tierMu
-	hot      []hotCount
 }
 
 // hotCount tracks one function's top-level invoke count and the instructions
@@ -98,7 +97,8 @@ func DefaultTierPolicy() TierPolicy {
 // must already have passed wasm.Validate; Precompile does not re-check.
 // What the module keeps is its ModuleCode, one compiledCode per function in
 // one block, and each body's fused instructions (and br_table jump tables)
-// at their exact size; the lowering scratch is reused from body to body.
+// at their exact size; the lowering scratch is sized once, for the longest
+// body, and reused from body to body.
 func Precompile(m *wasm.Module) (*ModuleCode, error) {
 	nImported := 0
 	for _, imp := range m.Imports {
@@ -110,7 +110,6 @@ func Precompile(m *wasm.Module) (*ModuleCode, error) {
 		m:             m,
 		codes:         make([]compiledCode, len(m.Functions)),
 		nImported:     nImported,
-		hot:           make([]hotCount, len(m.Functions)),
 		imageIsMemory: !m.StartSet && len(m.Memories) > 0,
 	}
 	for _, seg := range m.Data {
@@ -119,12 +118,12 @@ func Precompile(m *wasm.Module) (*ModuleCode, error) {
 		}
 	}
 	c := compiler{m: m}
+	c.reserveFor(m)
 	for i, ti := range m.Functions {
-		cc, err := c.compileBody(m.Types[ti], &m.Codes[i])
-		if err != nil {
+		cc := &mc.codes[i]
+		if err := c.compileBody(m.Types[ti], &m.Codes[i], cc); err != nil {
 			return nil, fmt.Errorf("exec: compiling function %d: %w", nImported+i, err)
 		}
-		mc.codes[i] = cc
 		mc.codeBytes += cc.sizeBytes()
 	}
 	return mc, nil
@@ -206,7 +205,7 @@ func (mc *ModuleCode) noteInvoke(i int32, instrs uint64) bool {
 	if p == nil || p.Mode != TierModeHotness {
 		return false
 	}
-	h := &mc.hot[i]
+	h := &mc.codes[i].hot
 	inv := h.invokes.Add(1)
 	tot := h.instrs.Add(instrs)
 	return inv >= tierUpInvokes || tot >= tierUpInstrs

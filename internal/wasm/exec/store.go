@@ -28,8 +28,8 @@ const DefaultMaxCallDepth = 2048
 // A store is allocated together with room for its first instance and that
 // instance's memory (ownInst, ownMem), so an embedder that creates one store
 // per instance — engine.Instantiate, a one-shot WASI run — pays one
-// allocation for all three. Later instances in the same store are allocated
-// on their own.
+// allocation for all three, or none when the store lives in a record of its
+// own (Init). Later instances in the same store are allocated on their own.
 type Store struct {
 	cfg Config
 	// The registries are made by the first named registration (NewHostModule,
@@ -109,16 +109,25 @@ func (s *Store) spendFuel(delta uint64) bool {
 
 // NewStore creates an empty store with the given configuration.
 func NewStore(cfg Config) *Store {
+	s := new(Store)
+	s.Init(cfg)
+	return s
+}
+
+// Init makes s an empty store with the given configuration, in place: the
+// form of NewStore for an embedder that keeps its store inside a record of
+// its own (engine.Instance), so the two share one allocation. A store holds
+// pointers into itself, so it must not be copied once initialised.
+func (s *Store) Init(cfg Config) {
 	if cfg.MaxCallDepth == 0 {
 		cfg.MaxCallDepth = DefaultMaxCallDepth
 	}
-	s := &Store{cfg: cfg}
+	*s = Store{cfg: cfg}
 	s.frameFree = s.frameOne[:0]
 	if cfg.Fuel > 0 {
 		s.fueled = true
 		s.fuelLeft = cfg.Fuel
 	}
-	return s
 }
 
 // InstructionCount returns the number of wasm instructions executed so far.

@@ -21,6 +21,7 @@ func lowerTier1(mc *ModuleCode) *Tier1Code {
 	m := mc.m
 	tc := &Tier1Code{funcs: make([]*t1func, len(m.Functions))}
 	c := &compiler{m: m}
+	c.reserveFor(m)
 	b := &t1builder{m: m, c: c, tcFuncs: tc.funcs, nImported: mc.nImported}
 	for i, ti := range m.Functions {
 		ft := m.Types[ti]

@@ -143,11 +143,21 @@ func Validate(m *Module) error {
 	if len(m.Codes) != len(m.Functions) {
 		return fmt.Errorf("wasm: function and code counts differ (%d vs %d)", len(m.Functions), len(m.Codes))
 	}
+	// One validator checks every body, its stacks reset for each: one
+	// allocation, its stacks' first arrays included.
+	v := &bodyValidator{
+		m:       m,
+		hasMem:  numMems > 0,
+		hasTbl:  numTables > 0,
+		numFunc: numFuncs,
+		numGlob: numGlobals,
+	}
+	v.stack, v.ctrl = v.stackBuf[:0], v.ctrlBuf[:0]
+	nImported := m.NumImportedFuncs()
 	for i := range m.Codes {
-		fidx := uint32(m.NumImportedFuncs() + i)
 		ft := m.Types[m.Functions[i]]
-		if err := validateBody(m, ft, &m.Codes[i]); err != nil {
-			return fmt.Errorf("wasm: function %d %s: %w", fidx, ft, err)
+		if err := v.validateBody(ft, &m.Codes[i]); err != nil {
+			return fmt.Errorf("wasm: function %d %s: %w", nImported+i, ft, err)
 		}
 	}
 	return nil
@@ -173,15 +183,33 @@ func (f *ctrlFrame) labelTypes() []ValueType {
 	return f.endTypes
 }
 
+// bodyValidator type-checks function bodies. Validate makes one per module
+// and resets its stacks for each body; they start in the validator's own
+// arrays, and a body that outgrows them grows them for the bodies after it.
 type bodyValidator struct {
 	m       *Module
-	locals  []ValueType
+	params  []ValueType // the body's locals: its function's parameters,
+	locals  []ValueType // then the locals it declares
 	stack   []ValueType
 	ctrl    []ctrlFrame
 	hasMem  bool
 	hasTbl  bool
 	numFunc int
 	numGlob int
+
+	stackBuf [32]ValueType
+	ctrlBuf  [8]ctrlFrame
+}
+
+// local returns the type of local li.
+func (v *bodyValidator) local(li uint32) (ValueType, bool) {
+	if int(li) < len(v.params) {
+		return v.params[li], true
+	}
+	if i := int(li) - len(v.params); i < len(v.locals) {
+		return v.locals[i], true
+	}
+	return 0, false
 }
 
 func (v *bodyValidator) push(t ValueType) { v.stack = append(v.stack, t) }
@@ -274,18 +302,16 @@ func (v *bodyValidator) blockTypeSignature(bt int64) (in, out []ValueType, err e
 	if !vt.IsNumeric() {
 		return nil, nil, fmt.Errorf("invalid block type 0x%x", uint8(bt&0x7f))
 	}
-	return nil, []ValueType{vt}, nil
+	i := ValueTypeI32 - vt // the numeric types are 0x7f down to 0x7c
+	return nil, numericTypes[i : i+1 : i+1], nil
 }
 
-func validateBody(m *Module, ft FuncType, code *Code) error {
-	v := &bodyValidator{
-		m:       m,
-		locals:  append(append([]ValueType(nil), ft.Params...), code.Locals...),
-		hasMem:  m.NumImportedMemories()+len(m.Memories) > 0,
-		hasTbl:  m.NumImportedTables()+len(m.Tables) > 0,
-		numFunc: m.NumImportedFuncs() + len(m.Functions),
-		numGlob: m.NumImportedGlobals() + len(m.Globals),
-	}
+// numericTypes backs the one-result signatures of value-typed blocks.
+var numericTypes = [...]ValueType{ValueTypeI32, ValueTypeI64, ValueTypeF32, ValueTypeF64}
+
+func (v *bodyValidator) validateBody(ft FuncType, code *Code) error {
+	v.params, v.locals = ft.Params, code.Locals
+	v.stack, v.ctrl = v.stack[:0], v.ctrl[:0]
 	v.pushCtrl(0, nil, ft.Results)
 
 	r := &reader{buf: code.Body}
@@ -403,9 +429,10 @@ func (v *bodyValidator) step(op Opcode, r *reader) error {
 		if err != nil {
 			return err
 		}
-		targets := make([]uint32, n)
-		for i := range targets {
-			if targets[i], err = r.u32(); err != nil {
+		// Skip the n depths to the default, then read them again.
+		targets := r.off
+		for range n {
+			if _, err := r.u32(); err != nil {
 				return err
 			}
 		}
@@ -421,7 +448,9 @@ func (v *bodyValidator) step(op Opcode, r *reader) error {
 			return err
 		}
 		arity := defFrame.labelTypes()
-		for _, t := range targets {
+		tr := reader{buf: r.buf, off: targets}
+		for range n {
+			t, _ := tr.u32()
 			f, err := v.frameAt(t)
 			if err != nil {
 				return err
@@ -510,10 +539,10 @@ func (v *bodyValidator) step(op Opcode, r *reader) error {
 		if err != nil {
 			return err
 		}
-		if int(li) >= len(v.locals) {
+		lt, ok := v.local(li)
+		if !ok {
 			return fmt.Errorf("unknown local %d", li)
 		}
-		lt := v.locals[li]
 		switch op {
 		case OpLocalGet:
 			v.push(lt)
