@@ -7,7 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"wasmcontainers/internal/cluster"
+	"wasmcontainers/internal/des"
 	"wasmcontainers/internal/engine"
+	"wasmcontainers/internal/k8s"
+	"wasmcontainers/internal/obs"
 	"wasmcontainers/internal/serve"
 	"wasmcontainers/internal/wasm"
 	"wasmcontainers/internal/wasm/exec"
@@ -27,10 +31,16 @@ var (
 // whole deploy through ServeHTTP with the benchmark's function shape (pool 4,
 // concurrency 4). A row's max is its pinned reading; a layer that starts
 // allocating more fails here, named, before it shows in the end-to-end row.
+// The registration rows are AttachWarmPool plus the attachment's
+// SetObserver; NewReplica around an empty pool (the pool record is one of
+// its allocations, the attach row's are in it too, and new-pool-4 prices the
+// fill); and Router.Register plus the first scrape that names the shard's
+// series (one registry Read, whose emit closure is one of the row's).
 // The layer rows run on the test goroutine and are pinned at their readings;
 // the lazy-deploy row also runs the bridge goroutine and sync.Pool, so it is
 // pinned, like TestLazyDeployAllocs, at its reading (109) + 3. Before each
-// layer was trimmed the rows read 3, 14, 15, 5, 8, 36, 3, 14 and 138.
+// build and compile layer was trimmed the rows read 3, 14, 15, 5, 8, 36, 3,
+// 14 and 138.
 func TestDeployAllocLedger(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool items at random, so the count varies")
@@ -67,6 +77,28 @@ func TestDeployAllocLedger(t *testing.T) {
 	}
 	missEng := engine.New(engine.WAMR)
 
+	// The registration rows place on one node of their own cluster and
+	// observe into telemetry of their own, as newFunction does.
+	kc, err := k8s.NewCluster(k8s.DefaultClusterConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := kc.Nodes[0]
+	regTele := obs.New(obs.Config{})
+	sim := des.NewEngine()
+	fc := DefaultFunction()
+	dcfg := serve.DispatcherConfig{
+		MaxConcurrency: fc.MaxConcurrency, QueueDepth: fc.QueueDepth, Policy: serve.PolicyQueue,
+		QueueDeadline: fc.QueueDeadline, Export: fc.Export, Arg: fc.Arg,
+	}
+	shardPool, err := serve.NewPool(eng, cm, serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardDisp := serve.NewDispatcher(sim, shardPool, dcfg)
+	rt := serve.NewRouter(sim, serve.RouterConfig{})
+	rt.SetObserver(regTele)
+
 	tmpl := DefaultFunction()
 	tmpl.PoolSize, tmpl.MaxConcurrency = 4, 4
 	gw, err := New(Config{
@@ -99,6 +131,18 @@ func TestDeployAllocLedger(t *testing.T) {
 		{"compile-miss", 24, func(i int) { must(missEng.Compile(bins[i])) }},
 		{"instantiate", 2, func(int) { must(eng.Instantiate(cm)) }},
 		{"new-pool-4", 10, func(int) { must(serve.NewPool(eng, cm, serve.Config{Size: 4})) }},
+		{"attach-warm-pool", 10, func(i int) {
+			att, err := node.AttachWarmPool("a" + names[i])
+			must(att, err)
+			att.SetObserver(regTele)
+		}},
+		{"new-replica", 19, func(i int) {
+			must(cluster.NewReplica(sim, eng, cm, node, "r"+names[i], serve.Config{}, dcfg, regTele))
+		}},
+		{"router-register", 9, func(i int) {
+			must(nil, rt.Register(names[i], names[i], shardDisp))
+			regTele.Metrics().Read(nil, nil)
+		}},
 		{"lazy-deploy", 112, func(i int) {
 			req := httptest.NewRequest(http.MethodPost, "/v1/functions/"+names[i], strings.NewReader("x"))
 			rec := httptest.NewRecorder()
@@ -114,7 +158,7 @@ func TestDeployAllocLedger(t *testing.T) {
 			row.run(i)
 			i++
 		})
-		t.Logf("%-12s %4.0f allocs (max %.0f)", row.name, allocs, row.max)
+		t.Logf("%-16s %4.0f allocs (max %.0f)", row.name, allocs, row.max)
 		if allocs > row.max {
 			t.Errorf("%s allocates %.0f times, want at most %.0f", row.name, allocs, row.max)
 		}
