@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race obs-overhead fuzz-smoke fuzz-long tier1-shapes http-smoke results-check product-cover bench benchmark figures results examples clean
+.PHONY: all build vet test race obs-overhead fuzz-smoke fuzz-long tier1-shapes deploy-ledger http-smoke results-check product-cover bench benchmark figures results examples clean
 
 all: build vet test race obs-overhead fuzz-smoke http-smoke results-check
 
@@ -46,17 +46,19 @@ race:
 # request-handler takes at most 2 allocations, and NewPool of four such
 # instances at most 10. A cold deploy is pinned as a whole and layer by
 # layer: a never-seen handler variant through ServeHTTP allocates at most
-# 107 times, and TestDeployAllocLedger pins the variant build, encode,
-# decode, validate, precompile, compile, instantiate and pool fill each at
-# its reading, and the whole deploy at its reading + 3. Both skip under -race, so this is the
-# run that holds them. The last leg is the
+# 82 times, and TestDeployAllocLedger pins the variant build, encode,
+# decode, validate, precompile, compile, instantiate, pool fill, node
+# attachment, replica and router registration each at its reading, and the
+# whole deploy at its reading + 3 (make deploy-ledger prints the rows). Both
+# skip under -race, so this is the run that holds them. The last leg is the
 # one-shot container path: a crun-wamr pod allocates at most 98 times, and a
 # live 400-pod cluster holds at most 3.3 KiB of heap per pod (-count=1, so a
 # cached pass cannot hide a regression). The gateway heap leg is the daemon's
 # own bookkeeping: 2 000 warm invokes through ServeHTTP grow a warm server's
 # live heap by at most 300 KB, most of it the span log, and 512 lazy deploys
-# grow a cold-deploy server's by at most 12 KiB each (each deploy's four warm
-# instances alias one baseline image that stores only its non-zero bytes).
+# grow a cold-deploy server's by at most 8.3 KiB each, about 7.3 plus 1 (each
+# deploy's four warm instances alias one baseline image that stores only its
+# non-zero bytes).
 obs-overhead:
 	@out=$$($(GO) test -run NONE -bench BenchmarkInvokeTelemetryDisabled \
 		-benchmem -benchtime 10000x ./internal/obs/); \
@@ -137,6 +139,16 @@ fuzz-long:
 tier1-shapes:
 	@GO=$(GO) $(GO) run ./internal/wasm/exec/testdata/tier1shapes
 
+# Deploy ledger: runs TestDeployAllocLedger once and prints its rows — the
+# allocations of each cold-deploy layer for a fresh handler variant, then
+# the whole lazy deploy — as a markdown table with each row's pinned max:
+# the readings EXPERIMENTS.md keeps under "Cold deploy allocations by
+# layer". A failing row fails the target. About 2 s; not part of `all`.
+deploy-ledger:
+	@out=$$($(GO) test -count=1 -run 'TestDeployAllocLedger$$' -v ./internal/gateway) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | awk 'BEGIN { print "| row | allocs | max |"; print "|---|---:|---:|" } \
+		/ allocs \(max / { sub(/\)$$/, "", $$6); print "| " $$2 " | " $$3 " | " $$6 " |" }'
+
 # HTTP smoke: the daemon's stories over a real socket, fresh (-count=1), in
 # one go test line.
 #   TestServeUntilSignal: run continuumd's real serve loop on a random
@@ -169,7 +181,7 @@ tier1-shapes:
 #   TestRouterRequestAllocsTelemetryParity: a request through an observed
 #     router allocates what one through an unobserved router does.
 #   TestLazyDeployAllocs: a request naming a never-seen handler variant,
-#     through ServeHTTP, allocates at most 107 times (variant copied from the
+#     through ServeHTTP, allocates at most 82 times (variant copied from the
 #     assembled handler, registration in place).
 #   TestHandlerVariantEncodingMatchesAssembler: every variant encodes byte
 #     for byte as the assembled spliced handler text, and mutating variants

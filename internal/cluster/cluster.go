@@ -182,15 +182,15 @@ func New(cfg Config) (*Serving, error) {
 		n.eng.SetObserver(tele)
 		s.nodes = append(s.nodes, n)
 	}
-	tele.Metrics().SetSource(s, s.collect)
+	tele.Metrics().AddSource(s)
 	return s, nil
 }
 
-// collect is the serving tier's metric source: routed totals (retired
+// Collect is the serving tier's metric source (obs.Source): routed totals (retired
 // replicas included), live replicas and liveness per node, and ScaleStats.
 // Like every read of Serving it belongs on the goroutine driving the DES
 // engine, or after Run returns.
-func (s *Serving) collect(counter, gauge func(string, int64)) {
+func (s *Serving) Collect(counter, gauge func(string, int64)) {
 	routed := s.RoutedByNode()
 	for i, n := range s.nodes {
 		alive := int64(0)

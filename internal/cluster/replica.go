@@ -44,7 +44,7 @@ func NewReplica(sim *des.Engine, eng *engine.Engine, cm *engine.CompiledModule, 
 	if err := r.attach(node); err != nil {
 		return nil, err
 	}
-	pool.SetMemoryListener(r.syncCharge)
+	pool.Listen(r)
 	r.disp = serve.NewDispatcher(sim, pool, dcfg)
 	r.disp.SetObserver(tele)
 	return r, nil
@@ -57,19 +57,19 @@ func (r *Replica) attach(node *k8s.WorkerNode) error {
 		return err
 	}
 	att.SetObserver(r.tele)
-	att.SetDrainer(r.drainIdle)
+	att.SetDrainer(r)
 	r.node, r.att, r.mapped = node, att, 0
 	return nil
 }
 
-// syncCharge is the pool's memory listener: it splits the pool's accounted
-// bytes into node-shared artifacts (mapped once per node however many pools
-// share them) and the per-instance private remainder on the current
-// attachment. Artifacts are write-once, so the shared mappings are touched
+// PoolMemory is the pool's memory listener (serve.MemoryListener): it splits
+// the pool's accounted bytes into node-shared artifacts (mapped once per node
+// however many pools share them) and the per-instance private remainder on
+// the current attachment. Artifacts are write-once, so the shared mappings are touched
 // only when their sum grew or the attachment is new. It runs with the pool
 // lock held on every accounted-memory change, so it must not call back into
 // the locked pool surface.
-func (r *Replica) syncCharge(total int64) {
+func (r *Replica) PoolMemory(total int64) {
 	arts := r.pool.SharedArtifacts()
 	shared := sumBytes(arts)
 	if shared != r.mapped {
@@ -85,8 +85,9 @@ func sumBytes(arts [3]engine.SharedArtifact) int64 {
 	return arts[0].Bytes + arts[1].Bytes + arts[2].Bytes
 }
 
-// drainIdle is the attachment's memory-pressure response.
-func (r *Replica) drainIdle() int { return r.pool.DrainIdle(r.sim.Now()) }
+// DrainIdle is the attachment's memory-pressure response (k8s.Drainer): the
+// pool gives up its idle instances.
+func (r *Replica) DrainIdle() int { return r.pool.DrainIdle(r.sim.Now()) }
 
 // Rehome moves the replica's memory charge to node and detaches it from the
 // node it was on. Pool, dispatcher and any router shard are untouched, so
@@ -99,7 +100,7 @@ func (r *Replica) Rehome(node *k8s.WorkerNode) error {
 	}
 	old.SetDrainer(nil)
 	old.Detach()
-	r.syncCharge(r.pool.MemoryBytes())
+	r.PoolMemory(r.pool.MemoryBytes())
 	return nil
 }
 
@@ -113,7 +114,7 @@ func (r *Replica) Retire() {
 	r.disp.SetDraining(true)
 	finish := func() {
 		_, _ = r.pool.Resize(0) // shrinking never instantiates, so it cannot fail
-		r.pool.SetMemoryListener(nil)
+		r.pool.Listen(nil)
 		r.att.SetDrainer(nil)
 		r.att.Detach()
 	}

@@ -305,6 +305,10 @@ type CompiledModule struct {
 
 	// names are the module's shared-artifact names in SharedArtifacts order.
 	names [3]string
+	// eng and ent are what the module's tier-up reports to (TierUp): the
+	// engine that compiled it and its cache entry.
+	eng *Engine
+	ent *cache.Entry
 }
 
 // SharedArtifact is one node-shared, content-addressed read-only artifact of
@@ -354,45 +358,48 @@ func (cm *CompiledModule) SharedArtifacts() [3]SharedArtifact {
 // Compile decodes, validates, and lowers a binary module through the
 // engine's content-addressed cache: recompiling a binary the engine (or a
 // cache-sharing peer) has seen before is a cache hit and costs no work.
-// The engine's tier policy is installed on the compiled code, with a tier-up
-// listener that adds the tier-1 artifact to the module's cache charge. Under
-// the eager policy the tier-1 body is lowered right here rather than on
-// hotness.
+// The engine's tier policy is installed on the compiled code, with the
+// compiled module as its tier-up listener (TierUp), which adds the tier-1
+// artifact to the module's cache charge. Under the eager policy the tier-1
+// body is lowered right here rather than on hotness.
 func (e *Engine) Compile(bin []byte) (*CompiledModule, error) {
 	ent, err := e.modCache.Load(bin)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", e.Profile.Name, err)
 	}
-	e.installTierHooks(ent)
-	return &CompiledModule{
+	cm := &CompiledModule{
 		Module:  ent.Module,
 		BinSize: int(ent.BinSize),
 		Digest:  ent.Digest,
 		Code:    ent.Code,
 		names:   artifactNames(ent.Digest),
-	}, nil
+		eng:     e,
+		ent:     ent,
+	}
+	// The engine's tier policy goes on the code, and the newest compile of a
+	// digest is its tier-up listener.
+	cm.Code.SetTierPolicy(e.tierPolicy)
+	cm.Code.SetTierUpListener(cm)
+	if e.tierPolicy.Mode == exec.TierModeEager {
+		cm.Code.EnsureTier1()
+	}
+	return cm, nil
 }
 
-// installTierHooks applies the engine's tier policy to a freshly loaded cache
-// entry and hooks tier-up into cache accounting and telemetry.
-func (e *Engine) installTierHooks(ent *cache.Entry) {
-	mc := ent.Code
-	mc.SetTierPolicy(e.tierPolicy)
-	c := e.modCache
-	mc.SetTierUpListener(func(tc *exec.Tier1Code, lowered time.Duration) {
-		c.NoteTier1(ent)
-		e.obsTierUps.Inc()
-		if e.obsTracer != nil {
-			now := e.obsTracer.Now()
-			e.obsTracer.Span("tier-up", "engine", 0, now, now,
-				obs.Str("engine", e.Profile.Name),
-				obs.I64("lowered_funcs", int64(tc.Lowered())),
-				obs.I64("tier1_bytes", tc.Bytes()),
-				obs.I64("lower_wall_ns", lowered.Nanoseconds()))
-		}
-	})
-	if e.tierPolicy.Mode == exec.TierModeEager {
-		mc.EnsureTier1()
+// TierUp is the module code's tier-up listener (exec.TierUpListener): it adds
+// the tier-1 artifact to the cache entry's charge and reports the tier-up to
+// the compiling engine's telemetry.
+func (cm *CompiledModule) TierUp(tc *exec.Tier1Code, lowered time.Duration) {
+	e := cm.eng
+	e.modCache.NoteTier1(cm.ent)
+	e.obsTierUps.Inc()
+	if e.obsTracer != nil {
+		now := e.obsTracer.Now()
+		e.obsTracer.Span("tier-up", "engine", 0, now, now,
+			obs.Str("engine", e.Profile.Name),
+			obs.I64("lowered_funcs", int64(tc.Lowered())),
+			obs.I64("tier1_bytes", tc.Bytes()),
+			obs.I64("lower_wall_ns", lowered.Nanoseconds()))
 	}
 }
 

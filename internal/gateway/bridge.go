@@ -64,11 +64,20 @@ type BridgeConfig struct {
 }
 
 // submission is one handler-goroutine request waiting to enter the DES,
-// or (when run is set) a closure to execute on the loop goroutine.
+// or (when work is set) work to run on the loop goroutine.
 type submission struct {
-	req *request
-	run func() // non-nil: a Do closure, not a request
+	req  *request
+	work work          // non-nil: Do's work, not a request
+	done chan struct{} // closed once work has run
 }
+
+// work is what Do runs on the loop goroutine.
+type work interface{ run() }
+
+// workFunc adapts a plain function to work.
+type workFunc func()
+
+func (f workFunc) run() { f() }
 
 // request is one routed submission. Requests are pooled: the DES event that
 // submits to the router (enter) and the callback that hands the result back
@@ -220,13 +229,16 @@ func (b *Bridge) SubmitRouted(ctx context.Context, rt *serve.Router, key string,
 // exited, fn runs directly in the caller — the loop goroutine is gone, so
 // the caller is the only one left touching the engine. Unlike SubmitRouted, Do
 // bypasses the draining gate: introspection stays available during a drain.
-func (b *Bridge) Do(ctx context.Context, fn func()) error {
+func (b *Bridge) Do(ctx context.Context, fn func()) error { return b.do(ctx, workFunc(fn)) }
+
+// do is Do for any work: a caller whose work is a record of its own submits
+// that, not a closure around it.
+func (b *Bridge) do(ctx context.Context, w work) error {
 	done := make(chan struct{})
-	sub := submission{run: func() { fn(); close(done) }}
 	select {
-	case b.subCh <- sub:
+	case b.subCh <- submission{work: w, done: done}:
 	case <-b.doneCh:
-		fn()
+		w.run()
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -235,14 +247,14 @@ func (b *Bridge) Do(ctx context.Context, fn func()) error {
 	case <-done:
 		return nil
 	case <-b.doneCh:
-		// The loop exited with our closure possibly still queued. It is gone
+		// The loop exited with our work possibly still queued. It is gone
 		// for good (the loop never drains subCh after stopping), and no other
 		// goroutine touches the engine now, so run it here — unless the loop
 		// got to it just before exiting.
 		select {
 		case <-done:
 		default:
-			fn()
+			w.run()
 		}
 		return nil
 	case <-ctx.Done():
@@ -410,12 +422,13 @@ func (b *Bridge) stepDue(wallStart time.Time) time.Duration {
 // mapping: the request enters at the engine's current time, which is what
 // makes a sequential request script deterministic.
 func (b *Bridge) inject(sub submission, wallStart time.Time) {
-	if sub.run != nil {
-		// A Do closure: run between events, not as one, once every due
+	if sub.work != nil {
+		// Do's work: run between events, not as one, once every due
 		// event — those of submissions the greedy drain injected ahead of
 		// it too — has stepped, so it sees the current virtual time.
 		b.stepDue(wallStart)
-		sub.run()
+		sub.work.run()
+		close(sub.done)
 		return
 	}
 	at := b.eng.Now()

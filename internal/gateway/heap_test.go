@@ -67,9 +67,11 @@ func TestWarmServerLiveHeap(t *testing.T) {
 // benchmark's cold-deploy gateway (a lazy template of request-handler, wamr,
 // pool 4, one node, a discarded access log, one-second tsdb windows) takes
 // 512 requests each naming a never-seen variant, and its live heap may grow
-// by at most 12 KiB per deploy (it grows by about 7.6). Each deploy keeps
-// four warm instances aliasing one baseline image that stores only the
-// variant's non-zero bytes; an image of whole 64 KiB pages kept about 71.5.
+// by at most 8.3 KiB per deploy: its reading, about 7.3, plus 1 KiB (the
+// bound was 12 while it read 7.4, before the registration layers were
+// trimmed). Each deploy keeps four warm instances aliasing one baseline
+// image that stores only the variant's non-zero bytes; an image of whole
+// 64 KiB pages kept about 71.5.
 func TestLazyDeployLiveHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow state changes heap figures")
@@ -108,7 +110,7 @@ func TestLazyDeployLiveHeap(t *testing.T) {
 	perDeploy := float64(int64(liveHeap())-int64(before)) / deploys / 1024
 	runtime.KeepAlive(gw)
 	t.Logf("%d lazy deploys grew the live heap by %.1f KiB each", deploys, perDeploy)
-	if perDeploy > 12 {
-		t.Fatalf("%d lazy deploys grew the live heap by %.1f KiB each, want at most 12", deploys, perDeploy)
+	if perDeploy > 8.3 {
+		t.Fatalf("%d lazy deploys grew the live heap by %.1f KiB each, want at most 8.3", deploys, perDeploy)
 	}
 }

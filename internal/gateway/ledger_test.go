@@ -38,9 +38,10 @@ var (
 // series (one registry Read, whose emit closure is one of the row's).
 // The layer rows run on the test goroutine and are pinned at their readings;
 // the lazy-deploy row also runs the bridge goroutine and sync.Pool, so it is
-// pinned, like TestLazyDeployAllocs, at its reading (109) + 3. Before each
-// build and compile layer was trimmed the rows read 3, 14, 15, 5, 8, 36, 3,
-// 14 and 138.
+// pinned, like TestLazyDeployAllocs, at its reading (84) + 3. Before the
+// build and compile layers were trimmed the rows read 3, 14, 15, 5, 8, 36,
+// 3, 14 and 138; before the registration layers were, 3, 1, 9, 1, 6, 24, 2,
+// 10, 10, 19, 9 and 109.
 func TestDeployAllocLedger(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool items at random, so the count varies")
@@ -123,27 +124,27 @@ func TestDeployAllocLedger(t *testing.T) {
 		max  float64
 		run  func(i int)
 	}{
-		{"variant", 3, func(i int) { must(workloads.Module(names[i])) }},
+		{"variant", 1, func(i int) { must(workloads.Module(names[i])) }},
 		{"encode", 1, func(int) { binSink = wasm.Encode(variant) }},
 		{"decode", 9, func(int) { must(wasm.Decode(bin)) }},
 		{"validate", 1, func(int) { must(nil, wasm.Validate(decoded)) }},
 		{"precompile", 6, func(int) { must(exec.Precompile(decoded)) }},
-		{"compile-miss", 24, func(i int) { must(missEng.Compile(bins[i])) }},
+		{"compile-miss", 20, func(i int) { must(missEng.Compile(bins[i])) }},
 		{"instantiate", 2, func(int) { must(eng.Instantiate(cm)) }},
 		{"new-pool-4", 10, func(int) { must(serve.NewPool(eng, cm, serve.Config{Size: 4})) }},
-		{"attach-warm-pool", 10, func(i int) {
+		{"attach-warm-pool", 7, func(i int) {
 			att, err := node.AttachWarmPool("a" + names[i])
 			must(att, err)
 			att.SetObserver(regTele)
 		}},
-		{"new-replica", 19, func(i int) {
+		{"new-replica", 10, func(i int) {
 			must(cluster.NewReplica(sim, eng, cm, node, "r"+names[i], serve.Config{}, dcfg, regTele))
 		}},
-		{"router-register", 9, func(i int) {
+		{"router-register", 3, func(i int) {
 			must(nil, rt.Register(names[i], names[i], shardDisp))
 			regTele.Metrics().Read(nil, nil)
 		}},
-		{"lazy-deploy", 112, func(i int) {
+		{"lazy-deploy", 87, func(i int) {
 			req := httptest.NewRequest(http.MethodPost, "/v1/functions/"+names[i], strings.NewReader("x"))
 			rec := httptest.NewRecorder()
 			gw.ServeHTTP(rec, req)

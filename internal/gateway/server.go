@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -239,10 +240,8 @@ func New(cfg Config) (*Server, error) {
 		obsBridgeBusy: tele.Counter("gateway_bridge_busy_total"),
 	}
 	s.router.SetObserver(tele)
-	// The sampler's own count is its Stats (0 with sampling off).
-	tele.Metrics().SetSource(s, func(counter, _ func(string, int64)) {
-		counter("tsdb_windows_total", db.Stats().Published)
-	})
+	// The sampler's own count is its Stats: a nil db (sampling off) reports 0.
+	tele.Metrics().AddSource(db)
 	if cfg.AccessLog != nil {
 		s.logger = log.New(cfg.AccessLog, "", 0)
 	}
@@ -300,17 +299,17 @@ func (s *Server) addFunction(ctx context.Context, fc FunctionConfig, live bool) 
 	if err != nil {
 		return nil, fmt.Errorf("gateway: %w", err)
 	}
-	var fn *Function
-	build := func() { fn, err = s.newFunction(fc, bin) }
+	b := &build{s: s, fc: fc, bin: bin}
 	if live {
-		if doErr := s.bridge.Do(ctx, build); doErr != nil {
+		if doErr := s.bridge.do(ctx, b); doErr != nil {
 			return nil, doErr
 		}
 	} else {
-		build()
+		b.run()
 	}
-	if err != nil {
-		return nil, err
+	fn := b.fn
+	if b.err != nil {
+		return nil, b.err
 	}
 	if err := s.router.Register(fn.key, fc.Module, fn.Dispatcher()); err != nil {
 		// Nothing will reach the replica: take its pool and charge off the
@@ -327,6 +326,18 @@ func (s *Server) addFunction(ctx context.Context, fc FunctionConfig, live bool) 
 	s.fnsMu.Unlock()
 	return fn, nil
 }
+
+// build is one function's construction, as addFunction hands it to the
+// bridge loop: newFunction's inputs and what it returned.
+type build struct {
+	s   *Server
+	fc  FunctionConfig
+	bin []byte
+	fn  *Function
+	err error
+}
+
+func (b *build) run() { b.fn, b.err = b.s.newFunction(b.fc, b.bin) }
 
 // engineFor returns the server's engine for a profile, building and observing
 // it on first use. Callers hold regMu.
@@ -367,8 +378,7 @@ func (s *Server) newFunction(fc FunctionConfig, bin []byte) (*Function, error) {
 	if node < 0 {
 		return nil, fmt.Errorf("gateway: place %s: %w", fc.Module, cluster.ErrNoLiveNode)
 	}
-	rep, err := cluster.NewReplica(s.sim, eng, cm, s.cluster.Nodes[node],
-		fmt.Sprintf("%s-%s", fc.Module, fc.Profile),
+	rep, err := cluster.NewReplica(s.sim, eng, cm, s.cluster.Nodes[node], fc.Module+"-"+fc.Profile,
 		serve.Config{Size: fc.PoolSize},
 		serve.DispatcherConfig{
 			MaxConcurrency: fc.MaxConcurrency,
@@ -383,7 +393,9 @@ func (s *Server) newFunction(fc FunctionConfig, bin []byte) (*Function, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gateway: %s: %w", fc.Module, err)
 	}
-	return &Function{cfg: fc, key: fmt.Sprintf("%x", cm.Digest), rep: rep}, nil
+	var key [2 * len(cm.Digest)]byte
+	hex.Encode(key[:], cm.Digest[:])
+	return &Function{cfg: fc, key: string(key[:]), rep: rep}, nil
 }
 
 // Start launches the bridge event loop; the server is ready to serve once
@@ -669,8 +681,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	fn, ok := s.Function(module)
 	if !ok && s.cfg.LazyTemplate != nil {
 		var err error
-		var unknown *workloads.UnknownWorkloadError
-		if fn, err = s.lazyFunction(r.Context(), module); err != nil && !errors.As(err, &unknown) {
+		if fn, err = s.lazyFunction(r.Context(), module); err != nil && !isUnknownWorkload(err) {
 			writeError(w, MapError(err, 0), err)
 			return
 		}
@@ -750,6 +761,13 @@ func (s *Server) lazyFunction(ctx context.Context, module string) (*Function, er
 	fc := *s.cfg.LazyTemplate
 	fc.Module = module
 	return s.addFunction(ctx, fc, true)
+}
+
+// isUnknownWorkload reports whether err names no workload module. Its target
+// lives here, not in handleInvoke, so only a failed lazy deploy allocates it.
+func isUnknownWorkload(err error) bool {
+	var unknown *workloads.UnknownWorkloadError
+	return errors.As(err, &unknown)
 }
 
 // handleHealthz reports liveness; a draining server answers 503 so load

@@ -1,9 +1,13 @@
 package k8s
 
 import (
+	"sort"
+	"strings"
 	"testing"
 
+	"wasmcontainers/internal/des"
 	"wasmcontainers/internal/obs"
+	"wasmcontainers/internal/serve"
 	"wasmcontainers/internal/simos"
 )
 
@@ -79,6 +83,58 @@ func TestWarmPoolAttachmentTelemetry(t *testing.T) {
 	att.Detach()
 	if got := charged(); got != 0 {
 		t.Fatalf("gauge = %d after detach, want 0", got)
+	}
+}
+
+// TestSeriesNamesMatchLabeled: a router shard's five series and an
+// attachment's two are carved from one string per owner, and each must
+// still be exactly obs.Labeled(base, key, name) — also for names the label
+// escaper rewrites, which only the router ever sees in practice (a handler
+// variant name has none of these bytes), and on a second scrape, which reads
+// the kept names.
+func TestSeriesNamesMatchLabeled(t *testing.T) {
+	names := []string{"request-handler", `quo"te`, `back\slash`, "new\nline", `all"\` + "\n"}
+	tele := obs.New(obs.Config{})
+	sim := des.NewEngine()
+	rt := serve.NewRouter(sim, serve.RouterConfig{})
+	rt.SetObserver(tele)
+	node := newTestCluster(t).Nodes[0]
+	want := map[string]bool{}
+	for i, name := range names {
+		// The dispatchers are only read for their counters, so they need no pool.
+		if err := rt.Register(string(rune('a'+i)), name, serve.NewDispatcher(sim, nil, serve.DispatcherConfig{})); err != nil {
+			t.Fatal(err)
+		}
+		for _, base := range []string{
+			"router_submitted_total", "router_completed_total", "router_rejected_total",
+			"router_expired_total", "router_failed_total",
+		} {
+			want[obs.Labeled(base, "module", name)] = true
+		}
+		att, err := node.AttachWarmPool(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		att.SetObserver(tele)
+		want[obs.Labeled("warmpool_charged_bytes", "pool", name)] = true
+		want[obs.Labeled("warmpool_pressure_evictions_total", "pool", name)] = true
+	}
+	for scrape := 1; scrape <= 2; scrape++ {
+		var got []string
+		for name := range scraped(tele) {
+			if strings.Contains(name, "{") {
+				got = append(got, name)
+			}
+		}
+		sort.Strings(got)
+		for _, name := range got {
+			if !want[name] {
+				t.Errorf("scrape %d: unexpected series %q", scrape, name)
+			}
+		}
+		if len(got) != len(want) {
+			t.Errorf("scrape %d: %d labeled series, want %d: %q", scrape, len(got), len(want), got)
+		}
 	}
 }
 

@@ -26,27 +26,35 @@ type WarmPoolAttachment struct {
 	pressureEvicted atomic.Int64
 
 	// drain is the pool's memory-pressure response; nil until SetDrainer.
-	drain func() int
+	drain Drainer
 
 	tele *obs.Telemetry
-	// chargedName and evictedName are the two series names, labeled with the
-	// pool's name once.
-	chargedName, evictedName string
+	// names are attachmentSeries labeled with the pool's name, carved from
+	// one string.
+	names [len(attachmentSeries)]string
+}
+
+// attachmentSeries are the attachment's two series, in Collect's order.
+var attachmentSeries = [...]string{"warmpool_charged_bytes", "warmpool_pressure_evictions_total"}
+
+// Drainer is a pool's memory-pressure response: DrainIdle gives up the
+// pool's idle instances and reports how many it gave up.
+type Drainer interface {
+	DrainIdle() int
 }
 
 // AttachWarmPool spawns the gateway process that will carry the pool's
 // memory charge on this node. name distinguishes multiple pools; the process
 // lands in cgroup /kubepods/warmpool-<name>.
 func (n *WorkerNode) AttachWarmPool(name string) (*WarmPoolAttachment, error) {
-	proc, err := n.OS.Spawn("warmpool-"+name, "/kubepods/warmpool-"+name)
+	const parent = "/kubepods/"
+	cgroup := parent + "warmpool-" + name // the process name is its last element
+	proc, err := n.OS.Spawn(cgroup[len(parent):], cgroup)
 	if err != nil {
 		return nil, fmt.Errorf("k8s: attach warm pool %s: %w", name, err)
 	}
-	a := &WarmPoolAttachment{
-		node: n, proc: proc,
-		chargedName: obs.Labeled("warmpool_charged_bytes", "pool", name),
-		evictedName: obs.Labeled("warmpool_pressure_evictions_total", "pool", name),
-	}
+	a := &WarmPoolAttachment{node: n, proc: proc}
+	obs.LabeledNames(a.names[:], attachmentSeries[:], "pool", name)
 	n.attachments = append(n.attachments, a)
 	return a, nil
 }
@@ -59,15 +67,15 @@ func (n *WorkerNode) AttachWarmPool(name string) (*WarmPoolAttachment, error) {
 // pool's counter under the same name never steps back. A second call moves
 // the source; nil removes it (the default).
 func (a *WarmPoolAttachment) SetObserver(t *obs.Telemetry) {
-	a.tele.Metrics().SetSource(a, nil)
+	a.tele.Metrics().RemoveSource(a)
 	a.tele = t
-	t.Metrics().SetSource(a, a.collect)
+	t.Metrics().AddSource(a)
 }
 
-// collect is the attachment's metric source.
-func (a *WarmPoolAttachment) collect(counter, gauge func(string, int64)) {
-	gauge(a.chargedName, a.charged.Load())
-	counter(a.evictedName, a.pressureEvicted.Load())
+// Collect is the attachment's metric source (obs.Source).
+func (a *WarmPoolAttachment) Collect(counter, gauge func(string, int64)) {
+	gauge(a.names[0], a.charged.Load())
+	counter(a.names[1], a.pressureEvicted.Load())
 }
 
 // Sync sets the attachment's charge to the pool's current accounted bytes,
@@ -109,11 +117,11 @@ func (a *WarmPoolAttachment) SyncShared(name string, bytes int64) {
 // here).
 func (a *WarmPoolAttachment) ChargedBytes() int64 { return a.charged.Load() }
 
-// SetDrainer registers the pool's memory-pressure response — typically a
-// closure over serve.Pool.DrainIdle — so node-level pressure episodes can
-// reclaim the pool's idle instances through the attachment. Pass nil to
-// unregister.
-func (a *WarmPoolAttachment) SetDrainer(fn func() int) { a.drain = fn }
+// SetDrainer registers the pool's memory-pressure response — the owner of
+// the pool, draining it through serve.Pool.DrainIdle — so node-level
+// pressure episodes can reclaim the pool's idle instances through the
+// attachment. Pass nil to unregister.
+func (a *WarmPoolAttachment) SetDrainer(d Drainer) { a.drain = d }
 
 // Drain invokes the registered drainer (no-op without one) and returns how
 // many instances the pool gave up. The freed bytes flow back through the
@@ -123,7 +131,7 @@ func (a *WarmPoolAttachment) Drain() int {
 	if a.drain == nil {
 		return 0
 	}
-	n := a.drain()
+	n := a.drain.DrainIdle()
 	a.pressureEvicted.Add(int64(n))
 	return n
 }

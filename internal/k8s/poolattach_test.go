@@ -216,7 +216,7 @@ func TestMemoryPressureDrainsWarmPools(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool.SetMemoryListener(att.Sync)
-	att.SetDrainer(func() int { return pool.DrainIdle(0) })
+	att.SetDrainer(drainFunc(func() int { return pool.DrainIdle(0) }))
 
 	full := c.Metrics.TotalWorkloadBytes()
 	if full == 0 || pool.Idle() != 4 {
@@ -237,7 +237,7 @@ func TestMemoryPressureDrainsWarmPools(t *testing.T) {
 		t.Fatalf("second pressure episode evicted %d", n)
 	}
 	// Detached pools no longer answer pressure.
-	att.SetDrainer(func() int { t.Error("detached pool drained"); return 0 })
+	att.SetDrainer(drainFunc(func() int { t.Error("detached pool drained"); return 0 }))
 	pool.SetMemoryListener(nil)
 	att.Detach()
 	node.MemoryPressure()
@@ -293,7 +293,7 @@ func TestObserverHandlesFollowTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer att.Detach()
-	att.SetDrainer(func() int { return 3 })
+	att.SetDrainer(drainFunc(func() int { return 3 }))
 	pool.SetMemoryListener(att.Sync)
 	wire := func(tele *obs.Telemetry) {
 		eng.SetObserver(tele) // the engine wires its cache
@@ -345,3 +345,8 @@ func TestObserverHandlesFollowTelemetry(t *testing.T) {
 	wire(nil)
 	check("unwired", second, false)
 }
+
+// drainFunc adapts a function to Drainer.
+type drainFunc func() int
+
+func (f drainFunc) DrainIdle() int { return f() }

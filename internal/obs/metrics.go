@@ -289,23 +289,29 @@ type Snapshot struct {
 // Registry holds named metrics of two kinds. Stored metrics are handles a
 // component resolves once (get-or-create under a mutex) and then writes with
 // atomics: histograms, and the counters and gauges of components that keep no
-// books of their own. A component whose Stats() already counts registers a
-// source instead: one function reporting those numbers when someone looks. A
+// books of their own. A component whose Stats() already counts registers
+// itself as a Source instead, reporting those numbers when someone looks. A
 // nil registry returns nil handles, which in turn no-op — the disabled path.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	sources  map[any]source
-	// sourceList is sources' values for readers to range over after they
-	// unlock: dropped by SetSource, rebuilt (never edited) by the next reader,
-	// so registering stays O(1) however many sources there are.
-	sourceList []source
+	sources  map[Source]struct{}
+	// sourceList is sources' keys for readers to range over after they
+	// unlock: dropped by AddSource and RemoveSource, rebuilt (never edited)
+	// by the next reader, so registering stays O(1) however many sources
+	// there are.
+	sourceList []Source
 }
 
-// source reports one component's counters and gauges through two callbacks.
-type source = func(counter, gauge func(name string, v int64))
+// Source is a component that keeps its own books and reports them as
+// counters and gauges when the registry is read: Collect emits each value
+// once through counter or gauge. The owner itself is the Source, so
+// registering one allocates nothing beyond the registry's own map.
+type Source interface {
+	Collect(counter, gauge func(name string, v int64))
+}
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
@@ -313,36 +319,47 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		sources:  make(map[any]source),
+		sources:  make(map[Source]struct{}),
 	}
 }
 
-// SetSource registers collect as owner's metric source, replacing whatever
-// owner registered before; a nil collect removes it. Every Snapshot and Read
-// calls each source once, outside the registry's mutex (so collect may take
-// its component's locks, including one held around this call), and adds up
-// emissions that share a name: an unlabeled series is the sum over every
-// live instance that emits it, and a source may emit labeled names
-// (Labeled). collect runs on the reading goroutine and must only read what
-// is safe to read from there. No-op on a nil registry.
-func (r *Registry) SetSource(owner any, collect func(counter, gauge func(name string, v int64))) {
+// AddSource registers src; registering it again changes nothing. Every
+// Snapshot and Read calls each source's Collect once, outside the registry's
+// mutex (so Collect may take its component's locks, including one held
+// around this call), and adds up emissions that share a name: an unlabeled
+// series is the sum over every live instance that emits it, and a source may
+// emit labeled names (Labeled). Collect runs on the reading goroutine and
+// must only read what is safe to read from there. No-op on a nil registry.
+func (r *Registry) AddSource(src Source) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	delete(r.sources, owner)
-	if collect != nil {
-		r.sources[owner] = collect
+	if _, ok := r.sources[src]; !ok {
+		r.sources[src] = struct{}{}
+		r.sourceList = nil
 	}
-	r.sourceList = nil
+}
+
+// RemoveSource unregisters src, if registered. No-op on a nil registry.
+func (r *Registry) RemoveSource(src Source) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.sources[src]; ok {
+		delete(r.sources, src)
+		r.sourceList = nil
+	}
 }
 
 // sourcesLocked returns the registered sources; callers hold r.mu.
-func (r *Registry) sourcesLocked() []source {
+func (r *Registry) sourcesLocked() []Source {
 	if r.sourceList == nil {
-		r.sourceList = make([]source, 0, len(r.sources))
-		for _, src := range r.sources {
+		r.sourceList = make([]Source, 0, len(r.sources))
+		for src := range r.sources {
 			r.sourceList = append(r.sourceList, src)
 		}
 	}
@@ -372,7 +389,7 @@ func (r *Registry) Read(names []string, out []int64) {
 		}
 	}
 	for _, src := range sources {
-		src(add, add)
+		src.Collect(add, add)
 	}
 }
 
@@ -468,7 +485,7 @@ func (r *Registry) Snapshot() Snapshot {
 	counter := func(name string, v int64) { s.Counters = append(s.Counters, NamedValue{Name: name, Value: v}) }
 	gauge := func(name string, v int64) { s.Gauges = append(s.Gauges, NamedValue{Name: name, Value: v}) }
 	for _, src := range sources {
-		src(counter, gauge)
+		src.Collect(counter, gauge)
 	}
 	s.Counters = sumByName(s.Counters)
 	s.Gauges = sumByName(s.Gauges)

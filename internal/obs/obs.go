@@ -14,8 +14,8 @@
 // a bounded table of its own; the collector never scans span data.
 //
 // A component that already counts in a Stats() struct does not count again
-// here: it registers one source (Registry.SetSource) reporting those numbers
-// when a snapshot is taken, and same-name reports add up. Stored handles
+// here: it registers itself as a Source (Registry.AddSource) reporting those
+// numbers when a snapshot is taken, and same-name reports add up. Stored handles
 // remain for histograms and for components with no books of their own.
 //
 // The disabled path is free by construction: every instrumented component
@@ -88,6 +88,48 @@ func Labeled(name, key, value string) string {
 		return name[:i] + `,` + key + `="` + value + `"}`
 	}
 	return name + `{` + key + `="` + value + `"}`
+}
+
+// LabeledNames sets out[i] to Labeled(names[i], key, value) for every name,
+// carving all of them from one string: a component that keeps a labeled name
+// per series pays one allocation for the set (two when value needs
+// escaping). out must be at least as long as names.
+func LabeledNames(out, names []string, key, value string) {
+	value = labelEscaper.Replace(value)
+	pair := len(key) + len(`="`) + len(value) + len(`"}`)
+	n := 0
+	for _, name := range names {
+		n += labelCut(name) + 1 + pair
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, name := range names {
+		cut := labelCut(name)
+		b.WriteString(name[:cut])
+		if cut < len(name) {
+			b.WriteByte(',')
+		} else {
+			b.WriteByte('{')
+		}
+		b.WriteString(key)
+		b.WriteString(`="`)
+		b.WriteString(value)
+		b.WriteString(`"}`)
+	}
+	s := b.String()
+	for i, name := range names {
+		k := labelCut(name) + 1 + pair
+		out[i], s = s[:k], s[k:]
+	}
+}
+
+// labelCut is where a label pair goes into name: before the `}` closing its
+// labels, or at its end.
+func labelCut(name string) int {
+	if strings.HasSuffix(name, "}") {
+		return len(name) - 1
+	}
+	return len(name)
 }
 
 // Labeled2 renders a metric name with two label pairs, in argument order:

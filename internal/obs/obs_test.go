@@ -62,18 +62,14 @@ func TestCounterGaugeRegistry(t *testing.T) {
 	}
 
 	// Sources are read per snapshot and same-name values add up — with each
-	// other and with a stored handle; re-registering replaces, nil removes.
-	a, b := new(int), new(int)
-	emit := func(n int64) func(counter, gauge func(string, int64)) {
-		return func(counter, gauge func(string, int64)) {
-			counter("requests_total", n)
-			gauge("idle", n)
-		}
-	}
+	// other and with a stored handle; registering twice counts once, and a
+	// removed source stops reporting.
+	a, b := &countingSource{n: 1}, &countingSource{n: 2}
 	reg := tele.Metrics()
-	reg.SetSource(a, emit(1))
-	reg.SetSource(b, emit(2))
-	reg.SetSource(b, emit(5))
+	reg.AddSource(a)
+	reg.AddSource(b)
+	reg.AddSource(b)
+	b.n = 5
 	snap = tele.Snapshot()
 	if len(snap.Counters) != 1 || snap.Counters[0].Value != 16 {
 		t.Fatalf("counters with sources = %+v, want requests_total 16", snap.Counters)
@@ -81,12 +77,22 @@ func TestCounterGaugeRegistry(t *testing.T) {
 	if len(snap.Gauges) != 2 || snap.Gauges[1].Name != "idle" || snap.Gauges[1].Value != 6 {
 		t.Fatalf("gauges with sources = %+v, want depth 3, idle 6", snap.Gauges)
 	}
-	reg.SetSource(a, nil)
-	reg.SetSource(b, nil)
+	reg.RemoveSource(a)
+	reg.RemoveSource(b)
+	reg.RemoveSource(b)
 	if snap = tele.Snapshot(); snap.Counters[0].Value != 10 || len(snap.Gauges) != 1 {
 		t.Fatalf("after removing the sources: %+v", snap)
 	}
-	(*Registry)(nil).SetSource(a, emit(1)) // disabled: no-op
+	(*Registry)(nil).AddSource(a) // disabled: no-op
+	(*Registry)(nil).RemoveSource(a)
+}
+
+// countingSource reports n as a counter and a gauge.
+type countingSource struct{ n int64 }
+
+func (s *countingSource) Collect(counter, gauge func(string, int64)) {
+	counter("requests_total", s.n)
+	gauge("idle", s.n)
 }
 
 func TestHistogramBucketLayout(t *testing.T) {
@@ -182,6 +188,25 @@ func TestLabeled(t *testing.T) {
 	}
 	if got := Labeled2("cluster_routed_total", "module", "m1", "node", "worker-0"); got != `cluster_routed_total{module="m1",node="worker-0"}` {
 		t.Fatalf("Labeled2 = %s", got)
+	}
+}
+
+// TestLabeledNames: each carved name is the one Labeled builds, for bare and
+// already-labeled names and values that need escaping, and the whole set is
+// one allocation when the value needs none.
+func TestLabeledNames(t *testing.T) {
+	names := []string{"hits_total", `m{a="1"}`, ""}
+	out := make([]string, len(names))
+	for _, value := range []string{"wamr", "", `va"l\` + "\n"} {
+		LabeledNames(out, names, "engine", value)
+		for i, name := range names {
+			if want := Labeled(name, "engine", value); out[i] != want {
+				t.Errorf("LabeledNames(%q, %q) = %q, want %q", name, value, out[i], want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { LabeledNames(out, names, "engine", "wamr") }); allocs != 1 {
+		t.Errorf("LabeledNames allocates %.0f times, want 1", allocs)
 	}
 }
 

@@ -368,3 +368,10 @@ func (db *DB) Stats() Stats {
 	}
 	return Stats{Published: h, Skipped: db.skipped.Load(), Retained: int(ret)}
 }
+
+// Collect is the sampler's metric source (obs.Source): the windows it
+// published, as tsdb_windows_total (0 when disabled, so a nil DB reports
+// the series too).
+func (db *DB) Collect(counter, _ func(string, int64)) {
+	counter("tsdb_windows_total", db.Stats().Published)
+}

@@ -206,7 +206,7 @@ type Dispatcher struct {
 	eng  *des.Engine
 	pool *Pool
 	cfg  DispatcherConfig
-	args []exec.Value // cfg.Arg as the invoke's argument list, built once
+	args [1]exec.Value // cfg.Arg as the invoke's argument list, set once
 
 	// mu guards queue and reqSeq on the dispatch path, and every write of
 	// busy. done callbacks and pool calls run outside it. Observers do not
@@ -249,7 +249,7 @@ func NewDispatcher(eng *des.Engine, pool *Pool, cfg DispatcherConfig) *Dispatche
 	if cfg.MaxConcurrency <= 0 {
 		cfg.MaxConcurrency = 1
 	}
-	return &Dispatcher{eng: eng, pool: pool, cfg: cfg, args: []exec.Value{exec.I32(cfg.Arg)}}
+	return &Dispatcher{eng: eng, pool: pool, cfg: cfg, args: [1]exec.Value{exec.I32(cfg.Arg)}}
 }
 
 // SetObserver wires telemetry into the dispatcher: a metric source reporting
@@ -263,9 +263,9 @@ func NewDispatcher(eng *des.Engine, pool *Pool, cfg DispatcherConfig) *Dispatche
 // and the disabled path costs a nil check per event and no allocations.
 func (d *Dispatcher) SetObserver(t *obs.Telemetry) {
 	d.mu.Lock()
-	d.tele.Metrics().SetSource(d, nil)
+	d.tele.Metrics().RemoveSource(d)
 	d.tele = t
-	t.Metrics().SetSource(d, d.collect)
+	t.Metrics().AddSource(d)
 	d.obsLatencyNs = t.Histogram("dispatch_latency_ns")
 	d.obsQueueWaitNs = t.Histogram("dispatch_queue_wait_ns")
 	d.obsTracer = t.Tracer()
@@ -273,8 +273,8 @@ func (d *Dispatcher) SetObserver(t *obs.Telemetry) {
 	d.pool.SetObserver(t)
 }
 
-// collect is the dispatcher's metric source.
-func (d *Dispatcher) collect(counter, gauge func(string, int64)) {
+// Collect is the dispatcher's metric source (obs.Source).
+func (d *Dispatcher) Collect(counter, gauge func(string, int64)) {
 	st := d.Stats()
 	counter("dispatch_submitted_total", st.Submitted)
 	counter("dispatch_completed_total", st.Completed)
@@ -483,7 +483,7 @@ func (d *Dispatcher) attempt(r *inflight, tracer *obs.Tracer) {
 		tracer.Span("acquire", "serve", r.tid, int64(now), acqEnd,
 			obs.I64("cold", coldAttr))
 	}
-	res, err := wi.Invoke(d.cfg.Export, d.args...)
+	res, err := wi.Invoke(d.cfg.Export, d.args[:]...)
 	// The slot is occupied for overhead plus the instructions that actually
 	// executed — also when the invoke trapped: res carries the partial
 	// execution, so the invoke span, the completion event, and the reported

@@ -96,7 +96,7 @@ type Pool struct {
 
 	memBytes  int64
 	highWater int64
-	onMem     func(int64)
+	onMem     MemoryListener
 	// shared is the pool's charged view of cm.SharedArtifacts(): the bytes
 	// of each write-once artifact already in memBytes (code from the start,
 	// the baseline image once a first instance captured it — a cold-only
@@ -126,15 +126,16 @@ type Pool struct {
 func (p *Pool) SetObserver(t *obs.Telemetry) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.tele.Metrics().SetSource(p, nil)
+	p.tele.Metrics().RemoveSource(p)
 	p.tele = t
-	t.Metrics().SetSource(p, p.collect)
+	t.Metrics().AddSource(p)
 	p.obsResetPages = t.Histogram("pool_reset_dirty_pages")
 	p.obsTracer = t.Tracer()
 }
 
-// collect is the pool's metric source: one consistent read under the lock.
-func (p *Pool) collect(counter, gauge func(string, int64)) {
+// Collect is the pool's metric source (obs.Source): one consistent read
+// under the lock.
+func (p *Pool) Collect(counter, gauge func(string, int64)) {
 	p.mu.Lock()
 	st, idle, leased, mem := p.stats, len(p.idle), p.leased, p.memBytes
 	p.mu.Unlock()
@@ -254,22 +255,41 @@ func (p *Pool) addMemLocked(delta int64) {
 		p.highWater = p.memBytes
 	}
 	if p.onMem != nil {
-		p.onMem(p.memBytes)
+		p.onMem.PoolMemory(p.memBytes)
 	}
 }
 
-// SetMemoryListener registers fn to observe every accounted-memory change
-// (and immediately with the current figure). internal/k8s uses this to
-// mirror pool bytes into a node's cgroup hierarchy so pooled instances are
-// kubelet-visible. fn runs with the pool lock held and must not call back
-// into the pool.
-func (p *Pool) SetMemoryListener(fn func(int64)) {
+// MemoryListener observes a pool's accounted memory: PoolMemory gets the new
+// total on every change. It runs with the pool lock held and must not call
+// back into the pool. internal/cluster's Replica is one, mirroring pool bytes
+// into a node's cgroup hierarchy so pooled instances are kubelet-visible.
+type MemoryListener interface {
+	PoolMemory(total int64)
+}
+
+// memoryFunc adapts a plain function to MemoryListener.
+type memoryFunc func(int64)
+
+func (f memoryFunc) PoolMemory(total int64) { f(total) }
+
+// Listen registers l to observe every accounted-memory change (and
+// immediately with the current figure); nil unregisters.
+func (p *Pool) Listen(l MemoryListener) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.onMem = fn
-	if fn != nil {
-		fn(p.memBytes)
+	p.onMem = l
+	if l != nil {
+		l.PoolMemory(p.memBytes)
 	}
+}
+
+// SetMemoryListener is Listen for a plain function; nil unregisters.
+func (p *Pool) SetMemoryListener(fn func(int64)) {
+	if fn == nil {
+		p.Listen(nil)
+		return
+	}
+	p.Listen(memoryFunc(fn))
 }
 
 // Acquire pops a warm instance, most-recently-used first (so the least

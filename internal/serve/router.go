@@ -29,17 +29,18 @@ type shard struct {
 
 	pending []BatchItem
 	spare   []BatchItem // the other batch buffer: flush swaps the two
-	armed   bool
-	// flushEv is the shard's flush event, built once at registration so
-	// arming a batch allocates nothing.
-	flushEv func()
-	// names are shardSeries labeled with the module: formatted by the first
-	// scrape, not per function at registration, then kept, so a tsdb window
-	// close allocates nothing per shard.
-	names atomic.Pointer[[len(shardSeries)]string]
+	// batchInline backs both buffers, one item each, until a batch of more
+	// than one request grows its buffer onto the heap.
+	batchInline [2]BatchItem
+	armed       bool
+	// names are shardSeries labeled with the module, carved from one string
+	// by the first scrape (named), not per function at registration, then
+	// kept, so a tsdb window close allocates nothing per shard.
+	named sync.Once
+	names [len(shardSeries)]string
 }
 
-// shardSeries are the per-module counters, in the order Router.collect
+// shardSeries are the per-module counters, in the order Router.Collect
 // reports them.
 var shardSeries = [...]string{
 	"router_submitted_total", "router_completed_total", "router_rejected_total",
@@ -66,6 +67,16 @@ type Router struct {
 	mu     sync.RWMutex
 	shards map[string]*shard
 
+	// armedQ holds the shards with a flush event pending, in arming order,
+	// from armedHead on. Every flush event is scheduled at the current
+	// instant and same-instant events run in schedule order, so flush events
+	// run in the order they were scheduled: the next one to run belongs to
+	// the shard at the head, and one event closure (flushNext, built once)
+	// serves every shard. Touched only on the DES goroutine.
+	armedQ    []*shard
+	armedHead int
+	flushNext func()
+
 	// Batch accounting (atomic: scraped by observers mid-run).
 	batches  atomic.Int64
 	batched  atomic.Int64
@@ -76,7 +87,9 @@ type Router struct {
 
 // NewRouter builds an empty router on eng.
 func NewRouter(eng *des.Engine, _ RouterConfig) *Router {
-	return &Router{eng: eng, shards: map[string]*shard{}}
+	r := &Router{eng: eng, shards: map[string]*shard{}}
+	r.flushNext = r.flushHead
+	return r
 }
 
 // SetObserver wires telemetry: a metric source reporting the batch counters,
@@ -87,32 +100,25 @@ func NewRouter(eng *des.Engine, _ RouterConfig) *Router {
 func (r *Router) SetObserver(t *obs.Telemetry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.tele.Metrics().SetSource(r, nil)
+	r.tele.Metrics().RemoveSource(r)
 	r.tele = t
-	t.Metrics().SetSource(r, r.collect)
+	t.Metrics().AddSource(r)
 }
 
-// collect is the router's metric source. Shards sharing a module name add
-// up, like every same-name emission. It walks the map under the read lock,
-// not a copy, so a tsdb window close allocates nothing.
-func (r *Router) collect(counter, gauge func(string, int64)) {
+// Collect is the router's metric source (obs.Source). Shards sharing a
+// module name add up, like every same-name emission. It walks the map under
+// the read lock, not a copy, so a tsdb window close allocates nothing.
+func (r *Router) Collect(counter, gauge func(string, int64)) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	counter("router_batches_total", r.batches.Load())
 	counter("router_batched_requests_total", r.batched.Load())
 	gauge("router_shards", int64(len(r.shards)))
 	for _, sh := range r.shards {
-		names := sh.names.Load()
-		if names == nil { // racing first scrapes format the same strings twice
-			names = new([len(shardSeries)]string)
-			for i, base := range shardSeries {
-				names[i] = obs.Labeled(base, "module", sh.module)
-			}
-			sh.names.Store(names)
-		}
+		sh.named.Do(func() { obs.LabeledNames(sh.names[:], shardSeries[:], "module", sh.module) })
 		st := sh.d.Stats()
 		for i, v := range [...]int64{st.Submitted, st.Completed, st.Rejected, st.Expired, st.Failed} {
-			counter(names[i], v)
+			counter(sh.names[i], v)
 		}
 	}
 }
@@ -128,7 +134,7 @@ func (r *Router) Register(key, module string, d *Dispatcher) error {
 		return errors.New("serve: duplicate router key " + key)
 	}
 	sh := &shard{key: key, module: module, d: d}
-	sh.flushEv = func() { r.flush(sh) }
+	sh.pending, sh.spare = sh.batchInline[0:0:1], sh.batchInline[1:1:2]
 	r.shards[key] = sh
 	return nil
 }
@@ -175,9 +181,21 @@ func (r *Router) Submit(key string, tid int64, done func(RequestResult)) error {
 		// Same-instant events run in schedule order, so every submission
 		// injected during the current event lands before this flush and
 		// coalesces into one batch.
-		r.eng.At(r.eng.Now(), sh.flushEv)
+		r.armedQ = append(r.armedQ, sh)
+		r.eng.At(r.eng.Now(), r.flushNext)
 	}
 	return nil
+}
+
+// flushHead is the flush event: it pops the shard at the head of the armed
+// queue and flushes it.
+func (r *Router) flushHead() {
+	sh := r.armedQ[r.armedHead]
+	r.armedQ[r.armedHead] = nil
+	if r.armedHead++; r.armedHead == len(r.armedQ) {
+		r.armedQ, r.armedHead = r.armedQ[:0], 0
+	}
+	r.flush(sh)
 }
 
 // flush admits a shard's pending batch. It detaches the batch before

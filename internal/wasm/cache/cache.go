@@ -15,7 +15,6 @@
 package cache
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"sync"
 	"time"
@@ -40,6 +39,9 @@ type Entry struct {
 	// t1 is the tier-1 bytes this entry charges, 0 until NoteTier1; guarded
 	// by the owning cache's mutex so charge and discharge always match.
 	t1 int64
+	// prev and next link the entry into its cache's LRU ring while it is
+	// resident (nil once evicted), under the cache's mutex.
+	prev, next *Entry
 }
 
 // Cost is the bytes a freshly compiled entry charges against the cache
@@ -63,9 +65,10 @@ type Stats struct {
 	MaxBytes   int64
 }
 
-// slot is an in-flight compile other loaders can wait on.
+// slot is an in-flight compile other loaders can wait on: done is released
+// once entry and err are set.
 type slot struct {
-	done  chan struct{}
+	done  sync.WaitGroup
 	entry *Entry
 	err   error
 }
@@ -76,9 +79,11 @@ type Cache struct {
 	maxBytes int64
 	bytes    int64
 	t1bytes  int64
-	entries  map[Digest]*list.Element // value: *Entry
-	lru      *list.List               // front = most recently used
-	slots    map[Digest]*slot
+	entries  map[Digest]*Entry
+	// lru is the sentinel of the resident entries' ring: lru.next is the
+	// most recently used, lru.prev the least.
+	lru   Entry
+	slots map[Digest]*slot
 
 	hits, misses, evictions uint64
 
@@ -94,12 +99,31 @@ type Cache struct {
 // New creates a cache bounded to maxBytes of entry cost. maxBytes <= 0 means
 // unbounded.
 func New(maxBytes int64) *Cache {
-	return &Cache{
+	c := &Cache{
 		maxBytes: maxBytes,
-		entries:  make(map[Digest]*list.Element),
-		lru:      list.New(),
+		entries:  make(map[Digest]*Entry),
 		slots:    make(map[Digest]*slot),
 	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
+}
+
+// pushFrontLocked links e in as the most recently used entry.
+func (c *Cache) pushFrontLocked(e *Entry) {
+	e.prev, e.next = &c.lru, c.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// unlinkLocked takes e out of the ring.
+func (c *Cache) unlinkLocked(e *Entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+}
+
+// touchLocked makes e the most recently used entry.
+func (c *Cache) touchLocked(e *Entry) {
+	c.unlinkLocked(e)
+	c.pushFrontLocked(e)
 }
 
 // SetObserver wires telemetry into the cache: a metric source reporting
@@ -111,15 +135,15 @@ func New(maxBytes int64) *Cache {
 func (c *Cache) SetObserver(t *obs.Telemetry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tele.Metrics().SetSource(c, nil)
+	c.tele.Metrics().RemoveSource(c)
 	c.tele = t
-	t.Metrics().SetSource(c, c.collect)
+	t.Metrics().AddSource(c)
 	c.obsCompileNs = t.Histogram("modcache_compile_wall_ns")
 	c.obsTracer = t.Tracer()
 }
 
-// collect is the cache's metric source.
-func (c *Cache) collect(counter, gauge func(string, int64)) {
+// Collect is the cache's metric source (obs.Source).
+func (c *Cache) Collect(counter, gauge func(string, int64)) {
 	st := c.Stats()
 	counter("modcache_hits_total", int64(st.Hits))
 	counter("modcache_misses_total", int64(st.Misses))
@@ -134,10 +158,9 @@ func (c *Cache) collect(counter, gauge func(string, int64)) {
 func (c *Cache) Load(bin []byte) (*Entry, error) {
 	digest := sha256.Sum256(bin)
 	c.mu.Lock()
-	if el, ok := c.entries[digest]; ok {
-		c.lru.MoveToFront(el)
+	if e, ok := c.entries[digest]; ok {
+		c.touchLocked(e)
 		c.hits++
-		e := el.Value.(*Entry)
 		hitTracer := c.obsTracer
 		c.mu.Unlock()
 		if hitTracer != nil {
@@ -150,10 +173,11 @@ func (c *Cache) Load(bin []byte) (*Entry, error) {
 		// Someone is compiling this binary right now: wait for their result.
 		c.hits++
 		c.mu.Unlock()
-		<-sl.done
+		sl.done.Wait()
 		return sl.entry, sl.err
 	}
-	sl := &slot{done: make(chan struct{})}
+	sl := &slot{}
+	sl.done.Add(1)
 	c.slots[digest] = sl
 	c.misses++
 	tracer := c.obsTracer
@@ -184,12 +208,13 @@ func (c *Cache) Load(bin []byte) (*Entry, error) {
 	delete(c.slots, digest)
 	sl.entry, sl.err = e, err
 	if err == nil {
-		c.entries[digest] = c.lru.PushFront(e)
+		c.entries[digest] = e
+		c.pushFrontLocked(e)
 		c.bytes += e.Cost()
 		c.evictLocked()
 	}
 	c.mu.Unlock()
-	close(sl.done)
+	sl.done.Done()
 	return e, err
 }
 
@@ -202,14 +227,13 @@ func (c *Cache) NoteTier1(e *Entry) {
 	t1 := e.Code.Tier1Bytes()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[e.Digest]
-	if !ok || el.Value.(*Entry) != e {
+	if c.entries[e.Digest] != e {
 		return
 	}
 	c.bytes += t1 - e.t1
 	c.t1bytes += t1 - e.t1
 	e.t1 = t1
-	c.lru.MoveToFront(el)
+	c.touchLocked(e)
 	c.evictLocked()
 }
 
@@ -244,8 +268,9 @@ func compile(bin []byte, digest Digest) (*Entry, phases, error) {
 // — but never the most recently used one, so an oversized module still
 // caches.
 func (c *Cache) evictLocked() {
-	for c.maxBytes > 0 && c.bytes > c.maxBytes && c.lru.Len() > 1 {
-		e := c.lru.Remove(c.lru.Back()).(*Entry)
+	for c.maxBytes > 0 && c.bytes > c.maxBytes && len(c.entries) > 1 {
+		e := c.lru.prev
+		c.unlinkLocked(e)
 		delete(c.entries, e.Digest)
 		c.bytes -= e.Cost() + e.t1
 		c.t1bytes -= e.t1
@@ -261,7 +286,7 @@ func (c *Cache) Stats() Stats {
 		Hits:       c.hits,
 		Misses:     c.misses,
 		Evictions:  c.evictions,
-		Entries:    c.lru.Len(),
+		Entries:    len(c.entries),
 		Bytes:      c.bytes,
 		Tier1Bytes: c.t1bytes,
 		MaxBytes:   c.maxBytes,

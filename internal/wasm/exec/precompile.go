@@ -47,10 +47,17 @@ type ModuleCode struct {
 	// locking on the invoke path; lowering itself is singleflighted under
 	// tierMu. Hotness counters are per module-defined function and are
 	// only touched by top-level invokes running at tier 0.
-	policy   atomic.Pointer[TierPolicy]
+	policy   atomic.Int32 // the TierPolicy's Mode; TierModeOff until SetTierPolicy
 	tier1    atomic.Pointer[Tier1Code]
 	tierMu   sync.Mutex
-	onTierUp func(tc *Tier1Code, lowered time.Duration) // guarded by tierMu
+	onTierUp TierUpListener // guarded by tierMu
+}
+
+// TierUpListener observes a module's tier-up: TierUp runs once, outside the
+// tier mutex, when the tier-1 artifact is published, with the lowering wall
+// time.
+type TierUpListener interface {
+	TierUp(tc *Tier1Code, lowered time.Duration)
 }
 
 // hotCount tracks one function's top-level invoke count and the instructions
@@ -195,14 +202,13 @@ func (mc *ModuleCode) BaselineBytes() int64 {
 }
 
 // SetTierPolicy installs the tier-up policy consulted by top-level invokes.
-func (mc *ModuleCode) SetTierPolicy(p TierPolicy) { mc.policy.Store(&p) }
+func (mc *ModuleCode) SetTierPolicy(p TierPolicy) { mc.policy.Store(int32(p.Mode)) }
 
 // noteInvoke records one top-level tier-0 invoke of function i that executed
 // instrs instructions (callees included), and reports whether the hotness
 // policy says the module should tier up now.
 func (mc *ModuleCode) noteInvoke(i int32, instrs uint64) bool {
-	p := mc.policy.Load()
-	if p == nil || p.Mode != TierModeHotness {
+	if TierMode(mc.policy.Load()) != TierModeHotness {
 		return false
 	}
 	h := &mc.codes[i].hot
@@ -230,7 +236,7 @@ func (mc *ModuleCode) EnsureTier1() (*Tier1Code, bool) {
 	cb := mc.onTierUp
 	mc.tierMu.Unlock()
 	if cb != nil {
-		cb(tc, time.Since(start))
+		cb.TierUp(tc, time.Since(start))
 	}
 	return tc, true
 }
@@ -244,11 +250,10 @@ func (mc *ModuleCode) Tier1Bytes() int64 {
 	return 0
 }
 
-// SetTierUpListener registers a callback fired once, outside the tier mutex,
-// when the artifact is published (with the lowering wall time). Pass nil to
-// unregister.
-func (mc *ModuleCode) SetTierUpListener(onUp func(tc *Tier1Code, lowered time.Duration)) {
+// SetTierUpListener registers l to observe the tier-up; it replaces any
+// earlier listener, and nil unregisters.
+func (mc *ModuleCode) SetTierUpListener(l TierUpListener) {
 	mc.tierMu.Lock()
 	defer mc.tierMu.Unlock()
-	mc.onTierUp = onUp
+	mc.onTierUp = l
 }

@@ -847,6 +847,11 @@ func mustCall(t *testing.T, inst *Instance, name string, args ...Value) []Value 
 	return res
 }
 
+// tierUpCount is a TierUpListener counting the tier-ups it sees.
+type tierUpCount struct{ atomic.Int32 }
+
+func (c *tierUpCount) TierUp(*Tier1Code, time.Duration) { c.Add(1) }
+
 // Concurrent tier-up on a shared ModuleCode: the lowering is singleflighted
 // (the listener fires exactly once) and every store then serves tier 1. Run
 // with -race.
@@ -857,8 +862,8 @@ func TestConcurrentTierUpSingleflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	mc.SetTierPolicy(TierPolicy{Mode: TierModeHotness})
-	var tierUps atomic.Int32
-	mc.SetTierUpListener(func(*Tier1Code, time.Duration) { tierUps.Add(1) })
+	var tierUps tierUpCount
+	mc.SetTierUpListener(&tierUps)
 	const workers = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)

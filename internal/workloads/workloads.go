@@ -381,8 +381,10 @@ func handlerVariant(name string) (*wasm.Module, error) {
 	// A shallow copy of the assembled handler plus (data (i32.const 40)
 	// "<suffix>"): handle() never touches 40..55, so behaviour is identical;
 	// only the encoded bytes (and the digest) differ. Shared slices are
-	// clipped so an append on a variant never writes into the handler's.
-	m := *compiled["request-handler"]
+	// clipped so an append on a variant never writes into the handler's. The
+	// module, its data segment and the suffix bytes are one block.
+	v := &variant{Module: *compiled["request-handler"]}
+	m := &v.Module
 	m.Types = slices.Clip(m.Types)
 	m.Imports = slices.Clip(m.Imports)
 	m.Functions = slices.Clip(m.Functions)
@@ -393,9 +395,19 @@ func handlerVariant(name string) (*wasm.Module, error) {
 	m.Elements = slices.Clip(m.Elements)
 	m.Codes = slices.Clip(m.Codes)
 	m.Customs = slices.Clip(m.Customs)
-	m.Data = []wasm.DataSegment{{Offset: wasm.I32Const(40), Data: []byte(suffix)}}
+	n := copy(v.suffix[:], suffix)
+	v.data[0] = wasm.DataSegment{Offset: wasm.I32Const(40), Data: v.suffix[:n:n]}
+	m.Data = v.data[:]
 	m.Name = name
-	return &m, nil
+	return m, nil
+}
+
+// variant is a handler variant's one allocation: the module, its one data
+// segment and the segment's bytes (the suffix, at most 16 bytes).
+type variant struct {
+	wasm.Module
+	data   [1]wasm.DataSegment
+	suffix [16]byte
 }
 
 // Binary returns the wasm binary encoding of the named workload.
