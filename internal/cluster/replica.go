@@ -65,10 +65,10 @@ func (r *Replica) attach(node *k8s.WorkerNode) error {
 // PoolMemory is the pool's memory listener (serve.MemoryListener): it splits
 // the pool's accounted bytes into node-shared artifacts (mapped once per node
 // however many pools share them) and the per-instance private remainder on
-// the current attachment. Artifacts are write-once, so the shared mappings are touched
-// only when their sum grew or the attachment is new. It runs with the pool
-// lock held on every accounted-memory change, so it must not call back into
-// the locked pool surface.
+// the current attachment. Artifacts are write-once, so the shared mappings
+// are touched only when their sum grew or the attachment is new. It runs
+// with the pool lock held on every accounted-memory change, so it must not
+// call back into the locked pool surface.
 func (r *Replica) PoolMemory(total int64) {
 	arts := r.pool.SharedArtifacts()
 	shared := sumBytes(arts)

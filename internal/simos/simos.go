@@ -342,7 +342,7 @@ func (p *Process) Exit() {
 			p.node.libBytes -= lib.Bytes
 		}
 	}
-	clear(p.libs)
+	clear(p.libs) // the inline refs would keep the libraries alive
 	p.libs = nil
 	delete(p.node.procs, p.PID)
 	procs := p.cg.procs[:0]
