@@ -64,11 +64,18 @@ type BridgeConfig struct {
 }
 
 // submission is one handler-goroutine request waiting to enter the DES,
-// or (when work is set) work to run on the loop goroutine.
+// or (when call is set) Do's work to run on the loop goroutine. It is two
+// pointers, the size of every slot of the submission channel's buffer.
 type submission struct {
 	req  *request
-	work work          // non-nil: Do's work, not a request
-	done chan struct{} // closed once work has run
+	call *call // non-nil: a Do, not a request
+}
+
+// call is one Do: the work to run on the loop goroutine and the channel
+// closed once it has run.
+type call struct {
+	work work
+	done chan struct{}
 }
 
 // work is what Do runs on the loop goroutine.
@@ -229,22 +236,24 @@ func (b *Bridge) SubmitRouted(ctx context.Context, rt *serve.Router, key string,
 // exited, fn runs directly in the caller — the loop goroutine is gone, so
 // the caller is the only one left touching the engine. Unlike SubmitRouted, Do
 // bypasses the draining gate: introspection stays available during a drain.
-func (b *Bridge) Do(ctx context.Context, fn func()) error { return b.do(ctx, workFunc(fn)) }
+func (b *Bridge) Do(ctx context.Context, fn func()) error {
+	return b.do(ctx, &call{work: workFunc(fn), done: make(chan struct{})})
+}
 
-// do is Do for any work: a caller whose work is a record of its own submits
-// that, not a closure around it.
-func (b *Bridge) do(ctx context.Context, w work) error {
-	done := make(chan struct{})
+// do is Do for a call its caller built: a caller whose work is a record of
+// its own keeps the call inside that record (addFunction's build), so the
+// call costs no object of its own.
+func (b *Bridge) do(ctx context.Context, c *call) error {
 	select {
-	case b.subCh <- submission{work: w, done: done}:
+	case b.subCh <- submission{call: c}:
 	case <-b.doneCh:
-		w.run()
+		c.work.run()
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 	select {
-	case <-done:
+	case <-c.done:
 		return nil
 	case <-b.doneCh:
 		// The loop exited with our work possibly still queued. It is gone
@@ -252,9 +261,9 @@ func (b *Bridge) do(ctx context.Context, w work) error {
 		// goroutine touches the engine now, so run it here — unless the loop
 		// got to it just before exiting.
 		select {
-		case <-done:
+		case <-c.done:
 		default:
-			w.run()
+			c.work.run()
 		}
 		return nil
 	case <-ctx.Done():
@@ -422,13 +431,13 @@ func (b *Bridge) stepDue(wallStart time.Time) time.Duration {
 // mapping: the request enters at the engine's current time, which is what
 // makes a sequential request script deterministic.
 func (b *Bridge) inject(sub submission, wallStart time.Time) {
-	if sub.work != nil {
+	if c := sub.call; c != nil {
 		// Do's work: run between events, not as one, once every due
 		// event — those of submissions the greedy drain injected ahead of
 		// it too — has stepped, so it sees the current virtual time.
 		b.stepDue(wallStart)
-		sub.work.run()
-		close(sub.done)
+		c.work.run()
+		close(c.done)
 		return
 	}
 	at := b.eng.Now()

@@ -301,7 +301,8 @@ func (s *Server) addFunction(ctx context.Context, fc FunctionConfig, live bool) 
 	}
 	b := &build{s: s, fc: fc, bin: bin}
 	if live {
-		if doErr := s.bridge.do(ctx, b); doErr != nil {
+		b.call = call{work: b, done: make(chan struct{})}
+		if doErr := s.bridge.do(ctx, &b.call); doErr != nil {
 			return nil, doErr
 		}
 	} else {
@@ -328,8 +329,9 @@ func (s *Server) addFunction(ctx context.Context, fc FunctionConfig, live bool) 
 }
 
 // build is one function's construction, as addFunction hands it to the
-// bridge loop: newFunction's inputs and what it returned.
+// bridge loop (its call): newFunction's inputs and what it returned.
 type build struct {
+	call
 	s   *Server
 	fc  FunctionConfig
 	bin []byte
