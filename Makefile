@@ -46,7 +46,7 @@ race:
 # request-handler takes at most 2 allocations, and NewPool of four such
 # instances at most 10. A cold deploy is pinned as a whole and layer by
 # layer: a never-seen handler variant through ServeHTTP allocates at most
-# 82 times, and TestDeployAllocLedger pins the variant build, encode,
+# 83 times, and TestDeployAllocLedger pins the variant build, encode,
 # decode, validate, precompile, compile, instantiate, pool fill, node
 # attachment, replica and router registration each at its reading, and the
 # whole deploy at its reading + 3 (make deploy-ledger prints the rows). Both
@@ -181,7 +181,7 @@ deploy-ledger:
 #   TestRouterRequestAllocsTelemetryParity: a request through an observed
 #     router allocates what one through an unobserved router does.
 #   TestLazyDeployAllocs: a request naming a never-seen handler variant,
-#     through ServeHTTP, allocates at most 82 times (variant copied from the
+#     through ServeHTTP, allocates at most 83 times (variant copied from the
 #     assembled handler, registration in place).
 #   TestHandlerVariantEncodingMatchesAssembler: every variant encodes byte
 #     for byte as the assembled spliced handler text, and mutating variants

@@ -38,7 +38,7 @@ var (
 // series (one registry Read, whose emit closure is one of the row's).
 // The layer rows run on the test goroutine and are pinned at their readings;
 // the lazy-deploy row also runs the bridge goroutine and sync.Pool, so it is
-// pinned, like TestLazyDeployAllocs, at its reading (84) + 3. Before the
+// pinned, like TestLazyDeployAllocs, at its reading (85) + 3. Before the
 // build and compile layers were trimmed the rows read 3, 14, 15, 5, 8, 36,
 // 3, 14 and 138; before the registration layers were, 3, 1, 9, 1, 6, 24, 2,
 // 10, 10, 19, 9 and 109.
@@ -137,14 +137,14 @@ func TestDeployAllocLedger(t *testing.T) {
 			must(att, err)
 			att.SetObserver(regTele)
 		}},
-		{"new-replica", 10, func(i int) {
+		{"new-replica", 11, func(i int) {
 			must(cluster.NewReplica(sim, eng, cm, node, "r"+names[i], serve.Config{}, dcfg, regTele))
 		}},
 		{"router-register", 3, func(i int) {
 			must(nil, rt.Register(names[i], names[i], shardDisp))
 			regTele.Metrics().Read(nil, nil)
 		}},
-		{"lazy-deploy", 87, func(i int) {
+		{"lazy-deploy", 88, func(i int) {
 			req := httptest.NewRequest(http.MethodPost, "/v1/functions/"+names[i], strings.NewReader("x"))
 			rec := httptest.NewRecorder()
 			gw.ServeHTTP(rec, req)

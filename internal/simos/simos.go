@@ -120,11 +120,10 @@ type Process struct {
 	// cacheBytes is page cache attributed to this process's cgroup (e.g.
 	// its container layer files), charged cgroup-style to the first toucher.
 	cacheBytes int64
-	// libs holds one ref per mapped library: a process maps a handful, so a
-	// scan beats a map, and the first few live in libsInline.
-	libs       []*SharedLib
-	libsInline [4]*SharedLib
-	exited     bool
+	// libs holds one ref per mapped library, allocated on the first
+	// MapShared: a process maps a handful, so a scan beats a map.
+	libs   []*SharedLib
+	exited bool
 }
 
 // Cgroup is a node in the cgroup-v2 hierarchy.
@@ -283,7 +282,7 @@ func (p *Process) MapShared(name string, bytes int64) {
 		}
 	}
 	if p.libs == nil {
-		p.libs = p.libsInline[:0]
+		p.libs = make([]*SharedLib, 0, 4)
 	}
 	lib.refs++
 	p.libs = append(p.libs, lib)
@@ -342,7 +341,6 @@ func (p *Process) Exit() {
 			p.node.libBytes -= lib.Bytes
 		}
 	}
-	clear(p.libs) // the inline refs would keep the libraries alive
 	p.libs = nil
 	delete(p.node.procs, p.PID)
 	procs := p.cg.procs[:0]
