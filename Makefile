@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race obs-overhead fuzz-smoke fuzz-long tier1-shapes deploy-ledger http-smoke results-check product-cover bench benchmark figures results examples clean
+.PHONY: all build vet test race obs-overhead fuzz-smoke fuzz-long tier1-shapes deploy-ledger warm-ledger http-smoke results-check product-cover bench benchmark figures results examples clean
 
 all: build vet test race obs-overhead fuzz-smoke http-smoke results-check
 
@@ -146,6 +146,17 @@ tier1-shapes:
 # layer". A failing row fails the target. About 2 s; not part of `all`.
 deploy-ledger:
 	@out=$$($(GO) test -count=1 -run 'TestDeployAllocLedger$$' -v ./internal/gateway) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | awk 'BEGIN { print "| row | allocs | max |"; print "|---|---:|---:|" } \
+		/ allocs \(max / { sub(/\)$$/, "", $$6); print "| " $$2 " | " $$3 " | " $$6 " |" }'
+
+# Warm ledger: runs TestWarmRequestAllocLedger once and prints its rows — the
+# allocations of a warm invoke at each layer, from the whole ServeHTTP down
+# to the guest invoke, each row including the ones below it — as a markdown
+# table with each row's pinned max: the readings EXPERIMENTS.md keeps under
+# "Warm request host path". A failing row fails the target. About 2 s; not
+# part of `all`.
+warm-ledger:
+	@out=$$($(GO) test -count=1 -run 'TestWarmRequestAllocLedger$$' -v ./internal/gateway) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | awk 'BEGIN { print "| row | allocs | max |"; print "|---|---:|---:|" } \
 		/ allocs \(max / { sub(/\)$$/, "", $$6); print "| " $$2 " | " $$3 " | " $$6 " |" }'
 

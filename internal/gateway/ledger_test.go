@@ -1,7 +1,10 @@
 package gateway
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -162,6 +165,151 @@ func TestDeployAllocLedger(t *testing.T) {
 		t.Logf("%-16s %4.0f allocs (max %.0f)", row.name, allocs, row.max)
 		if allocs > row.max {
 			t.Errorf("%s allocates %.0f times, want at most %.0f", row.name, allocs, row.max)
+		}
+	}
+}
+
+// TestWarmRequestAllocLedger prices a warm invoke layer by layer, from the
+// outside in; each row includes the rows below it. handler is one request
+// through ServeHTTP with a text access line written to a buffer (the
+// request and recorder are built before the count); headers-and-body is
+// what the handler does for a completed invoke around the submission: count
+// the request body, then write the headers and the JSON body through the
+// response writer; bridge is one SubmitRouted through the running bridge
+// loop, its router shard, dispatcher and guest; dispatcher is one Submit
+// and Run on a DES engine of its own; guest-invoke is one Acquire, Invoke
+// and Release of a warm instance. A layer that starts allocating more fails
+// here by name. Rows that run on the test goroutine are pinned at their
+// readings; handler and bridge also run the bridge goroutine and sync.Pool,
+// so they are pinned at their readings + 2.
+func TestWarmRequestAllocLedger(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items at random, so the count varies")
+	}
+	const runs = 200
+	var logBuf bytes.Buffer
+	gw, err := New(Config{
+		Functions: []FunctionConfig{DefaultFunction()},
+		Bridge:    BridgeConfig{Dilation: 0},
+		AccessLog: &logBuf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw.Start()
+	t.Cleanup(func() { gw.Bridge().Stop() })
+	fn, _ := gw.Function("request-handler")
+	const path = "/v1/functions/request-handler"
+	// AllocsPerRun calls each row runs+1 times; the rows that consume a
+	// request and a recorder index these, built before the count.
+	reqs := make([]*http.Request, runs+1)
+	recs := make([]*httptest.ResponseRecorder, runs+1)
+	fresh := func() {
+		for i := range reqs {
+			reqs[i] = httptest.NewRequest(http.MethodPost, path, strings.NewReader("payload"))
+			recs[i] = httptest.NewRecorder()
+		}
+	}
+	for i := 0; i < 300; i++ { // past the tier-up, with tids past the small-integer cache
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader("payload"))
+		gw.ServeHTTP(httptest.NewRecorder(), req)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	// The dispatcher and guest rows run the default function's shape on a
+	// pool, dispatcher and telemetry of their own.
+	fc := DefaultFunction()
+	bin, err := workloads.Binary(fc.Module)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(engine.WAMR)
+	cm, err := eng.Compile(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := serve.NewPool(eng, cm, serve.Config{Size: fc.PoolSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := des.NewEngine()
+	disp := serve.NewDispatcher(sim, pool, serve.DispatcherConfig{
+		MaxConcurrency: fc.MaxConcurrency, QueueDepth: fc.QueueDepth, Policy: serve.PolicyQueue,
+		QueueDeadline: fc.QueueDeadline, Export: fc.Export, Arg: fc.Arg,
+	})
+	disp.SetObserver(obs.New(obs.Config{}))
+	var dispErr error
+	done := func(res serve.RequestResult) { dispErr = res.Err }
+	args := []exec.Value{exec.I32(fc.Arg)}
+	invokeWarm := func() {
+		wi, ok := pool.Acquire(0)
+		if !ok {
+			t.Fatal("warm pool empty")
+		}
+		_, err := wi.Invoke(fc.Export, args...)
+		pool.Release(wi, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		invokeWarm()
+		disp.Submit(done)
+		sim.Run()
+	}
+
+	completed := invokeRecord{stage: invokeCompleted, reqID: "req-00000301", tid: 301,
+		res: serve.RequestResult{Admitted: true, Attempts: 1, Latency: 1234567}}
+	sw := &statusWriter{}
+	rows := []struct {
+		name string
+		max  float64
+		run  func(i int)
+	}{
+		{"handler", 20, func(i int) {
+			logBuf.Reset()
+			gw.ServeHTTP(recs[i], reqs[i])
+			if recs[i].Code != http.StatusOK || logBuf.Len() == 0 {
+				t.Fatalf("warm invoke: status %d body %s", recs[i].Code, recs[i].Body)
+			}
+		}},
+		{"headers-and-body", 11, func(i int) {
+			*sw = statusWriter{ResponseWriter: recs[i], status: http.StatusOK, invoke: completed}
+			n, err := io.Copy(io.Discard, http.MaxBytesReader(sw, reqs[i].Body, maxPayloadBytes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeJSON(sw, http.StatusOK, InvokeResponse{
+				Module: fc.Module, RequestID: completed.reqID, Attempts: 1,
+				LatencyMs: 1.234567, PayloadBytes: n,
+			})
+		}},
+		{"bridge", 5, func(i int) {
+			res, err := gw.Bridge().SubmitRouted(ctx, gw.Router(), fn.key, int64(1000+i))
+			if err != nil || res.Err != nil {
+				t.Fatalf("bridge submit: %v, %v", err, res.Err)
+			}
+		}},
+		{"dispatcher", 3, func(int) {
+			disp.Submit(done)
+			sim.Run()
+			if dispErr != nil {
+				t.Fatal(dispErr)
+			}
+		}},
+		{"guest-invoke", 1, func(int) { invokeWarm() }},
+	}
+	for _, row := range rows {
+		fresh()
+		i := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			row.run(i)
+			i++
+		})
+		t.Logf("%-16s %4.1f allocs (max %.0f)", row.name, allocs, row.max)
+		if allocs > row.max {
+			t.Errorf("%s allocates %.1f times, want at most %.0f", row.name, allocs, row.max)
 		}
 	}
 }
