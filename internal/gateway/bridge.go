@@ -237,13 +237,15 @@ func (b *Bridge) SubmitRouted(ctx context.Context, rt *serve.Router, key string,
 // the caller is the only one left touching the engine. Unlike SubmitRouted, Do
 // bypasses the draining gate: introspection stays available during a drain.
 func (b *Bridge) Do(ctx context.Context, fn func()) error {
-	return b.do(ctx, &call{work: workFunc(fn), done: make(chan struct{})})
+	return b.do(ctx, &call{work: workFunc(fn), done: make(chan struct{})}, false)
 }
 
 // do is Do for a call its caller built: a caller whose work is a record of
 // its own keeps the call inside that record (addFunction's build), so the
-// call costs no object of its own.
-func (b *Bridge) do(ctx context.Context, c *call) error {
+// call costs no object of its own. With owned set, the caller owns what the
+// work makes: ctx can refuse the call only before it is queued, and once it
+// is, do waits for it to run, so nothing the work builds goes unseen.
+func (b *Bridge) do(ctx context.Context, c *call, owned bool) error {
 	select {
 	case b.subCh <- submission{call: c}:
 	case <-b.doneCh:
@@ -251,6 +253,10 @@ func (b *Bridge) do(ctx context.Context, c *call) error {
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
+	}
+	cancelled := ctx.Done()
+	if owned {
+		cancelled = nil
 	}
 	select {
 	case <-c.done:
@@ -266,7 +272,7 @@ func (b *Bridge) do(ctx context.Context, c *call) error {
 			c.work.run()
 		}
 		return nil
-	case <-ctx.Done():
+	case <-cancelled:
 		return ctx.Err()
 	}
 }

@@ -412,3 +412,78 @@ func TestLazyDeployRefusedKeyRetiresReplica(t *testing.T) {
 			used, procs, usedBefore, procsBefore)
 	}
 }
+
+// TestCancelledLazyDeployRegistersItsBuild: a lazy deploy whose client gives
+// up after its build was queued on the bridge loop still registers what the
+// build made. The node ends up charged for exactly one more replica, as for
+// any deploy, and a retry finds the function instead of building another.
+// The loop is held inside a Do while the build waits behind it, so the
+// cancel lands after the build is queued and before it runs.
+func TestCancelledLazyDeployRegistersItsBuild(t *testing.T) {
+	gw, _ := newLazyGateway(t)
+	node := gw.cluster.Nodes[0].OS
+	read := func() (used int64, procs int) {
+		if err := gw.Bridge().Do(context.Background(), func() {
+			used, procs = node.UsedBeyondIdle(), node.NumProcesses()
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return used, procs
+	}
+	deploy := func(name string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		gw.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/functions/"+name, strings.NewReader("x")))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("deploy of %s: status %d body %s", name, rec.Code, rec.Body)
+		}
+	}
+	// What one deploy charges, read off a reference variant of the same
+	// name length.
+	used0, procs0 := read()
+	deploy(workloads.HandlerVariantPrefix + "ref")
+	used1, procs1 := read()
+	wantUsed, wantProcs := 2*used1-used0, 2*procs1-procs0
+
+	held, release := make(chan struct{}), make(chan struct{})
+	go func() {
+		_ = gw.Bridge().Do(context.Background(), func() {
+			close(held)
+			<-release
+		})
+	}()
+	<-held
+	name := workloads.HandlerVariantPrefix + "cnc"
+	ctx, cancel := context.WithCancel(context.Background())
+	deployed := make(chan error, 1)
+	go func() {
+		_, err := gw.lazyFunction(ctx, name)
+		deployed <- err
+	}()
+	for len(gw.bridge.subCh) == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	cancel()
+	select {
+	case err := <-deployed:
+		close(release)
+		t.Fatalf("deploy returned (%v) before its queued build ran", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if err := <-deployed; err != nil {
+		t.Fatalf("deploy with a build already queued: %v, want it registered", err)
+	}
+	if _, ok := gw.Function(name); !ok {
+		t.Fatalf("%s is not registered after its build ran", name)
+	}
+	if used, procs := read(); used != wantUsed || procs != wantProcs {
+		t.Fatalf("after the cancelled deploy the node uses %d bytes in %d processes, want %d in %d",
+			used, procs, wantUsed, wantProcs)
+	}
+	deploy(name) // the retry
+	if used, procs := read(); used != wantUsed || procs != wantProcs {
+		t.Fatalf("after the retry the node uses %d bytes in %d processes, want %d in %d",
+			used, procs, wantUsed, wantProcs)
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"wasmcontainers/internal/cluster"
 	"wasmcontainers/internal/des"
@@ -288,7 +289,10 @@ func trackDefaultSeries(db *tsdb.DB, tele *obs.Telemetry) {
 // server), the engine/pool/attachment construction runs on the bridge loop
 // goroutine via Do, because pool pre-instantiation syncs node memory
 // accounting that in-flight requests of co-located pools are mutating on
-// that goroutine.
+// that goroutine; ctx can refuse the build only before it is queued there,
+// and once it is, the build is waited for and registered whatever ctx says,
+// so a client that gives up leaves a function a retry finds, not a replica
+// charged to the node that nothing serves.
 func (s *Server) addFunction(ctx context.Context, fc FunctionConfig, live bool) (*Function, error) {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
@@ -302,7 +306,7 @@ func (s *Server) addFunction(ctx context.Context, fc FunctionConfig, live bool) 
 	b := &build{s: s, fc: fc, bin: bin}
 	if live {
 		b.call = call{work: b, done: make(chan struct{})}
-		if doErr := s.bridge.do(ctx, &b.call); doErr != nil {
+		if doErr := s.bridge.do(ctx, &b.call, true); doErr != nil {
 			return nil, doErr
 		}
 	} else {
@@ -500,6 +504,8 @@ func (s *Server) handleUnmatched(w http.ResponseWriter, r *http.Request) {
 // are rendered from it.
 type invokeRecord struct {
 	stage int
+	// reqID is the client's X-Request-Id; when the client sent none, it is
+	// empty until setHeaders renders req-%08d from tid.
 	reqID string
 	tid   int64
 	// Shard pressure as sampled at admission (lock-free accessors).
@@ -509,53 +515,89 @@ type invokeRecord struct {
 
 // How far an invoke got; each stage adds fields to the record.
 const (
-	invokeIdentified = iota + 1 // reqID, tid, queueLen, inFlight
+	invokeIdentified = iota + 1 // tid, queueLen, inFlight (and a client reqID)
 	invokeSettled               // res: the bridge returned a result
 	invokeCompleted             // res is a success
 )
 
-// simLatencyMs renders the simulated latency the way the X-Sim-Latency-Ms
-// header carries it: milliseconds to three decimals.
-func (r *invokeRecord) simLatencyMs() string {
-	var buf [24]byte
-	return string(strconv.AppendFloat(buf[:0], float64(r.res.Latency)/1e6, 'f', 3, 64))
+// appendSimLatencyMs appends the simulated latency the way the
+// X-Sim-Latency-Ms header carries it: milliseconds to three decimals.
+func (r *invokeRecord) appendSimLatencyMs(b []byte) []byte {
+	return strconv.AppendFloat(b, float64(r.res.Latency)/1e6, 'f', 3, 64)
 }
 
-// setHeaders renders the record as the invoke response headers. The values
-// share one slice, each header a capped one-element window of it, and the
-// keys are already canonical, so Header.Set's per-call slice is not needed.
+// setHeaders renders the record as the invoke response headers, with the
+// Content-Type every identified invoke answers with (JSON, a result or an
+// error envelope). The generated request id and the numbers are rendered
+// into one string, each value a substring of it; the values share one
+// slice, each header a capped one-element window of it; and the keys are
+// already canonical, so Header.Set's per-call slice is not needed.
 func (r *invokeRecord) setHeaders(h http.Header) {
 	if r.stage < invokeIdentified {
 		return
 	}
-	vals := make([]string, 0, 7)
-	set := func(key, val string) {
-		vals = append(vals, val)
-		h[key] = vals[len(vals)-1 : len(vals) : len(vals)]
+	var buf [96]byte
+	var ends [5]int // generated id, tid, queue length, in flight, latency
+	b := buf[:0]
+	if r.reqID == "" {
+		// req-%08d, built without fmt.
+		b = append(b, "req-"...)
+		for n := int64(10_000_000); n > 1 && r.tid < n; n /= 10 {
+			b = append(b, '0')
+		}
+		b = strconv.AppendInt(b, r.tid, 10)
 	}
+	ends[0] = len(b)
+	b = strconv.AppendInt(b, r.tid, 10)
+	ends[1] = len(b)
+	b = strconv.AppendInt(b, int64(r.queueLen), 10)
+	ends[2] = len(b)
+	b = strconv.AppendInt(b, int64(r.inFlight), 10)
+	ends[3] = len(b)
+	if r.stage >= invokeCompleted {
+		b = r.appendSimLatencyMs(b)
+	}
+	ends[4] = len(b)
+	text := string(b)
+	if r.reqID == "" {
+		r.reqID = text[:ends[0]]
+	}
+
+	vals := append(make([]string, 0, 8), "application/json",
+		r.reqID, text[ends[0]:ends[1]], text[ends[1]:ends[2]], text[ends[2]:ends[3]])
 	switch r.stage {
 	case invokeCompleted:
-		set("X-Cold", strconv.FormatBool(r.res.Cold))
-		set("X-Sim-Latency-Ms", r.simLatencyMs())
-		fallthrough
+		vals = append(vals, strconv.FormatBool(r.res.TraceSampled),
+			strconv.FormatBool(r.res.Cold), text[ends[3]:ends[4]])
 	case invokeSettled:
-		set("X-Trace-Sampled", strconv.FormatBool(r.res.TraceSampled))
-		fallthrough
-	case invokeIdentified:
-		set("X-Request-Id", r.reqID)
-		set("X-Trace-Tid", strconv.FormatInt(r.tid, 10))
-		set("X-Queue-Len", strconv.Itoa(r.queueLen))
-		set("X-In-Flight", strconv.Itoa(r.inFlight))
+		vals = append(vals, strconv.FormatBool(r.res.TraceSampled))
+	}
+	for i := range vals {
+		h[invokeHeaders[i]] = vals[i : i+1 : i+1]
 	}
 }
 
+// invokeHeaders are the keys setHeaders fills, in the order of its values:
+// those of every identified invoke, then a settled one's, then a completed
+// one's.
+var invokeHeaders = [...]string{
+	"Content-Type", "X-Request-Id", "X-Trace-Tid", "X-Queue-Len", "X-In-Flight",
+	"X-Trace-Sampled", "X-Cold", "X-Sim-Latency-Ms",
+}
+
 // statusWriter captures the response code for the access log and carries the
-// invoke record; the record's headers go out with the status line.
+// invoke record; the record's headers go out with the status line. Writers
+// are pooled: one is a request's from ServeHTTP's Get to its Put, and
+// scratch is its buffer for counting the request body, rendering the JSON
+// result and then the access line, in that order.
 type statusWriter struct {
 	http.ResponseWriter
-	status int
-	invoke invokeRecord
+	status  int
+	invoke  invokeRecord
+	scratch [512]byte
 }
+
+var statusWriterPool = sync.Pool{New: func() any { return new(statusWriter) }}
 
 func (sw *statusWriter) WriteHeader(code int) {
 	sw.status = code
@@ -567,7 +609,8 @@ func (sw *statusWriter) WriteHeader(code int) {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.obsHTTPReqs.Inc()
-	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+	sw := statusWriterPool.Get().(*statusWriter)
+	sw.ResponseWriter, sw.status = w, http.StatusOK
 	s.mux.ServeHTTP(sw, r)
 	wall := time.Since(start)
 	s.obsWallNs.Record(int64(wall))
@@ -579,9 +622,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case s.cfg.AccessLogFormat == "json":
 		s.logger.Print(jsonAccessLine(r, sw, wall))
 	default:
-		var buf [256]byte
-		_ = s.logger.Output(2, string(textAccessLine(buf[:0], r, sw, wall)))
+		// Output copies the line into the logger's own buffer before
+		// returning, so the string may alias the scratch buffer.
+		line := textAccessLine(sw.scratch[:0], r, sw, wall)
+		_ = s.logger.Output(2, unsafe.String(unsafe.SliceData(line), len(line)))
 	}
+	sw.ResponseWriter, sw.invoke = nil, invokeRecord{}
+	statusWriterPool.Put(sw)
 }
 
 // textAccessLine appends one request's text access line to b:
@@ -643,7 +690,8 @@ func jsonAccessLine(r *http.Request, sw *statusWriter, wall time.Duration) strin
 	}
 	if inv.stage >= invokeCompleted {
 		// The log carries the header's three decimals, not the full latency.
-		ms, _ := strconv.ParseFloat(inv.simLatencyMs(), 64)
+		var buf [24]byte
+		ms, _ := strconv.ParseFloat(string(inv.appendSimLatencyMs(buf[:0])), 64)
 		rec.SimLatencyMs, rec.Cold = &ms, &inv.res.Cold
 	}
 	b, err := json.Marshal(rec)
@@ -668,6 +716,27 @@ type InvokeResponse struct {
 
 // maxPayloadBytes bounds an invoke request body.
 const maxPayloadBytes = 1 << 20
+
+// countBody reads body to its end through buf and returns its length. A
+// body longer than maxPayloadBytes stops the read with *http.MaxBytesError,
+// the error http.MaxBytesReader would return; any other read error is
+// returned as it came.
+func countBody(body io.Reader, buf []byte) (int64, error) {
+	var n int64
+	for {
+		m, err := body.Read(buf)
+		if n += int64(m); n > maxPayloadBytes {
+			return n, &http.MaxBytesError{Limit: maxPayloadBytes}
+		}
+		switch err {
+		case nil:
+		case io.EOF:
+			return n, nil
+		default:
+			return n, err
+		}
+	}
+}
 
 // handleInvoke is the data path: payload in, routed bridge submission,
 // simulated execution, result + timing out. The module resolves through
@@ -695,7 +764,8 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The body is only counted: payload_bytes is all the invoke reports.
-	payloadBytes, err := io.Copy(io.Discard, http.MaxBytesReader(w, r.Body, maxPayloadBytes))
+	sw := w.(*statusWriter)
+	payloadBytes, err := countBody(r.Body, sw.scratch[:])
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -705,18 +775,12 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	inv := &w.(*statusWriter).invoke
+	// Read to EOF and closed, the body needs no discard pass from net/http
+	// once the response starts.
+	_ = r.Body.Close()
+	inv := &sw.invoke
 	inv.tid = s.reqSeq.Add(1)
 	inv.reqID = r.Header.Get("X-Request-Id")
-	if inv.reqID == "" {
-		// req-%08d, built without fmt.
-		var buf [24]byte
-		b := append(buf[:0], "req-"...)
-		for n := int64(10_000_000); n > 1 && inv.tid < n; n /= 10 {
-			b = append(b, '0')
-		}
-		inv.reqID = string(strconv.AppendInt(b, inv.tid, 10))
-	}
 	// Shard introspection for the access log: lock-free atomic reads, so
 	// sampling them per request cannot stall a dispatch burst.
 	disp := fn.Dispatcher()
@@ -740,16 +804,24 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	inv.stage = invokeCompleted
-	writeJSON(w, http.StatusOK, InvokeResponse{
+	writeInvoke(sw, module, payloadBytes)
+}
+
+// writeInvoke answers a completed invoke: 200, the record's headers (which
+// render the generated request id), then the InvokeResponse body.
+func writeInvoke(sw *statusWriter, module string, payloadBytes int64) {
+	sw.WriteHeader(http.StatusOK)
+	inv := &sw.invoke
+	writeInvokeBody(sw, sw.scratch[:], &InvokeResponse{
 		Module:       module,
 		RequestID:    inv.reqID,
-		Cold:         res.Cold,
-		Attempts:     res.Attempts,
-		LatencyMs:    float64(res.Latency) / 1e6,
-		QueueWaitMs:  float64(res.QueueWait) / 1e6,
-		RetryWaitMs:  float64(res.RetryWait) / 1e6,
+		Cold:         inv.res.Cold,
+		Attempts:     inv.res.Attempts,
+		LatencyMs:    float64(inv.res.Latency) / 1e6,
+		QueueWaitMs:  float64(inv.res.QueueWait) / 1e6,
+		RetryWaitMs:  float64(inv.res.RetryWait) / 1e6,
 		PayloadBytes: payloadBytes,
-		TraceSampled: res.TraceSampled,
+		TraceSampled: inv.res.TraceSampled,
 	})
 }
 

@@ -303,6 +303,27 @@ type Registry struct {
 	// by the next reader, so registering stays O(1) however many sources
 	// there are.
 	sourceList []Source
+
+	// readMu serializes Read, whose sources emit into read through an emit
+	// function bound once in NewRegistry, so a read allocates nothing.
+	readMu sync.Mutex
+	read   seriesRead
+}
+
+// seriesRead is one Read in progress: the names asked for and their sums.
+type seriesRead struct {
+	names []string
+	out   []int64
+	add   func(string, int64) // the emit method, bound once
+}
+
+// emit adds v to the sum of every requested series named name.
+func (rd *seriesRead) emit(name string, v int64) {
+	for i, n := range rd.names {
+		if n == name {
+			rd.out[i] += v
+		}
+	}
 }
 
 // Source is a component that keeps its own books and reports them as
@@ -315,12 +336,14 @@ type Source interface {
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
+	r := &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		sources:  make(map[Source]struct{}),
 	}
+	r.read.add = r.read.emit
+	return r
 }
 
 // AddSource registers src; registering it again changes nothing. Every
@@ -375,22 +398,20 @@ func (r *Registry) Read(names []string, out []int64) {
 		clear(out)
 		return
 	}
+	r.readMu.Lock()
+	defer r.readMu.Unlock()
 	r.mu.Lock()
 	for i, name := range names {
 		out[i] = r.counters[name].Value() + r.gauges[name].Value()
 	}
 	sources := r.sourcesLocked()
 	r.mu.Unlock()
-	add := func(name string, v int64) {
-		for i, n := range names {
-			if n == name {
-				out[i] += v
-			}
-		}
-	}
+	rd := &r.read
+	rd.names, rd.out = names, out
 	for _, src := range sources {
-		src.Collect(add, add)
+		src.Collect(rd.add, rd.add)
 	}
+	rd.names, rd.out = nil, nil
 }
 
 // Counter returns the named counter, creating it on first use.

@@ -180,8 +180,13 @@ type RequestResult struct {
 }
 
 // inflight tracks one admitted request across its attempts. It is touched
-// only from DES callbacks (single goroutine), never concurrently.
+// only from DES callbacks (single goroutine), never concurrently. Records are
+// recycled through the dispatcher's free list, so the DES events that end an
+// attempt (complete) and start a retry (retry) are bound once, when the
+// record is first built, and a request allocates neither. At most
+// MaxConcurrency records are ever out at once: one per claimed slot.
 type inflight struct {
+	d         *Dispatcher
 	tid       int64
 	done      func(RequestResult)
 	queueWait time.Duration
@@ -191,6 +196,15 @@ type inflight struct {
 	deadline  des.Time // 0 = no timeout
 	timedOut  bool
 	cold      bool
+
+	// The attempt whose completion event is pending: its leased instance
+	// and the invoke's error.
+	wi  *WarmInstance
+	err error
+
+	complete func() // r.completeAttempt
+	retry    func() // r.retryAttempt
+	next     *inflight
 }
 
 // Dispatcher routes requests to a warm pool under a concurrency limit with
@@ -208,12 +222,13 @@ type Dispatcher struct {
 	cfg  DispatcherConfig
 	args [1]exec.Value // cfg.Arg as the invoke's argument list, set once
 
-	// mu guards queue and reqSeq on the dispatch path, and every write of
-	// busy. done callbacks and pool calls run outside it. Observers do not
-	// take it: every value they read is atomic.
+	// mu guards queue, reqSeq and free on the dispatch path, and every write
+	// of busy. done callbacks and pool calls run outside it. Observers do
+	// not take it: every value they read is atomic.
 	mu     sync.Mutex
 	queue  []queuedRequest
 	reqSeq int64
+	free   *inflight // settled records, linked through next
 
 	// stats counters are written with atomic adds (always under mu, so the
 	// single-writer DES ordering is preserved) and read lock-free by Stats.
@@ -429,15 +444,25 @@ func (d *Dispatcher) tracer() *obs.Tracer {
 }
 
 // run launches the first attempt of an already-admitted request (slot
-// claimed, TID assigned).
+// claimed, TID assigned) on a record from the free list, or a new one.
 func (d *Dispatcher) run(done func(RequestResult), queueWait time.Duration, tid int64) {
-	tracer := d.tracer()
+	d.mu.Lock()
+	tracer := d.obsTracer
+	r := d.free
+	if r != nil {
+		d.free = r.next
+	}
+	d.mu.Unlock()
+	if r == nil {
+		r = &inflight{d: d}
+		r.complete, r.retry = r.completeAttempt, r.retryAttempt
+	}
 	now := d.eng.Now()
 	d.obsQueueWaitNs.Record(int64(queueWait))
 	if tracer != nil && queueWait > 0 {
 		tracer.Span("queue-wait", "serve", tid, int64(now-des.Time(queueWait)), int64(now))
 	}
-	r := &inflight{tid: tid, done: done, queueWait: queueWait, started: now}
+	r.tid, r.done, r.queueWait, r.started = tid, done, queueWait, now
 	if d.cfg.RequestTimeout > 0 {
 		r.deadline = now + des.Time(d.cfg.RequestTimeout)
 	}
@@ -498,14 +523,24 @@ func (d *Dispatcher) attempt(r *inflight, tracer *obs.Tracer) {
 			obs.I64("instructions", int64(res.Instructions)),
 			obs.I64("error", errAttr))
 	}
-	d.eng.After(overhead+res.SimulatedExecTime, func() {
-		d.pool.Release(wi, d.eng.Now())
-		if err != nil && d.scheduleRetry(r, err) {
-			return
-		}
-		d.finish(r, err)
-	})
+	r.wi, r.err = wi, err
+	d.eng.After(overhead+res.SimulatedExecTime, r.complete)
 }
+
+// completeAttempt is an attempt's completion event: release the instance,
+// then retry or settle the request.
+func (r *inflight) completeAttempt() {
+	d, wi, err := r.d, r.wi, r.err
+	r.wi, r.err = nil, nil
+	d.pool.Release(wi, d.eng.Now())
+	if err != nil && d.scheduleRetry(r, err) {
+		return
+	}
+	d.finish(r, err)
+}
+
+// retryAttempt is a retry's event: the next attempt, once the backoff ends.
+func (r *inflight) retryAttempt() { r.d.attempt(r, r.d.tracer()) }
 
 // scheduleRetry arms the next attempt after a capped-exponential backoff on
 // the DES clock. It reports false — leaving the caller to finish the request
@@ -537,18 +572,31 @@ func (d *Dispatcher) scheduleRetry(r *inflight, cause error) bool {
 		tracer.Span("retry-wait", "serve", r.tid, int64(now), int64(now)+int64(backoff),
 			obs.I64("attempt", int64(r.attempts)))
 	}
-	d.eng.After(backoff, func() { d.attempt(r, d.tracer()) })
+	d.eng.After(backoff, r.retry)
 	return true
 }
 
 // finish settles a request's final outcome: it releases the concurrency
 // slot, lands the terminal counter, records latency (success or failure),
-// invokes the callback, and drains freed capacity into the queue.
+// returns the record to the free list, invokes the callback, and drains
+// freed capacity into the queue. The record is free before the callback
+// runs, so a callback that submits again may reuse it: nothing reads r
+// after that.
 func (d *Dispatcher) finish(r *inflight, err error) {
 	now := d.eng.Now()
 	latency := r.queueWait + time.Duration(now-r.started)
 	if r.timedOut {
 		err = fmt.Errorf("%w after %d attempts: %w", ErrRequestTimeout, r.attempts, err)
+	}
+	done, tid := r.done, r.tid
+	res := RequestResult{
+		Admitted:  true,
+		Cold:      r.cold,
+		Latency:   latency,
+		QueueWait: r.queueWait,
+		RetryWait: r.retryWait,
+		Attempts:  r.attempts,
+		Err:       err,
 	}
 	d.mu.Lock()
 	d.busy.Add(-1)
@@ -561,25 +609,17 @@ func (d *Dispatcher) finish(r *inflight, err error) {
 		atomic.AddInt64(&d.stats.Completed, 1)
 	}
 	tracer := d.obsTracer
+	*r = inflight{d: d, complete: r.complete, retry: r.retry, next: d.free}
+	d.free = r
 	d.mu.Unlock()
 	d.obsLatencyNs.Record(int64(latency))
-	sampled := false
 	if tracer != nil {
-		sampled = tracer.FinishTrack(r.tid, obs.TrackOutcome{
+		res.TraceSampled = tracer.FinishTrack(tid, obs.TrackOutcome{
 			Err:       err != nil,
 			LatencyNs: int64(latency),
 		})
 	}
-	r.done(RequestResult{
-		Admitted:     true,
-		Cold:         r.cold,
-		Latency:      latency,
-		QueueWait:    r.queueWait,
-		RetryWait:    r.retryWait,
-		Attempts:     r.attempts,
-		Err:          err,
-		TraceSampled: sampled,
-	})
+	done(res)
 	d.drainQueue()
 	d.notifyQuiesced()
 }
