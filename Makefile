@@ -29,8 +29,9 @@ race:
 # allocate, with telemetry disabled or enabled (span attributes are encoded
 # into the tracer's chunked span log, never retained). The anchored grep
 # keeps "240 allocs/op" from matching "0 allocs/op". The tsdb leg covers the
-# disabled and the same-window sample path; a window close may allocate, for
-# its one registry read. The last leg pins the accounting side of the same
+# disabled and the same-window sample path; a window close's one registry
+# read allocates nothing either (TestRegistryReadAllocatesNothing, a unit
+# test of internal/obs). The last leg pins the accounting side of the same
 # request: splitting a replica's charge into shared and private on every
 # memory event allocates nothing, and observing a router or a dispatcher
 # costs a request no allocation (the router's series are read from the
@@ -41,12 +42,15 @@ race:
 # allocations). The host side of a warm request is pinned too: a DES
 # At + Step with a prebuilt closure allocates nothing (events are values),
 # and one warm invoke through the gateway's ServeHTTP, with a real text
-# access-log writer, stays at or under 37 allocations. A warm instance is
+# access-log writer, stays at or under 26 allocations (it reads 23: net/http's
+# and the test recorder's, the header values' string and slice, and the
+# guest's result slice); TestWarmRequestAllocLedger pins the same invoke
+# layer by layer (make warm-ledger prints the rows). A warm instance is
 # pinned at the engine and at pool fill: Instantiate of a cached
 # request-handler takes at most 2 allocations, and NewPool of four such
 # instances at most 10. A cold deploy is pinned as a whole and layer by
 # layer: a never-seen handler variant through ServeHTTP allocates at most
-# 83 times, and TestDeployAllocLedger pins the variant build, encode,
+# 77 times, and TestDeployAllocLedger pins the variant build, encode,
 # decode, validate, precompile, compile, instantiate, pool fill, node
 # attachment, replica and router registration each at its reading, and the
 # whole deploy at its reading + 3 (make deploy-ledger prints the rows). Both
@@ -80,7 +84,7 @@ obs-overhead:
 	$(GO) test -count=1 -run 'TestRouterRequestAllocsTelemetryParity$$|TestDispatcherRequestAllocsTelemetryParity$$|TestIdleInstancesHoldNoPrivatePages$$|TestNewPoolAllocs$$' ./internal/serve
 	$(GO) test -count=1 -run 'TestInstantiateAllocs$$' ./internal/engine
 	$(GO) test -count=1 -run 'TestEngineScheduleAllocs$$' ./internal/des
-	$(GO) test -count=1 -run 'TestWarmInvokeAllocs$$|TestLazyDeployAllocs$$|TestDeployAllocLedger$$' ./internal/gateway
+	$(GO) test -count=1 -run 'TestWarmInvokeAllocs$$|TestWarmRequestAllocLedger$$|TestLazyDeployAllocs$$|TestDeployAllocLedger$$' ./internal/gateway
 	$(GO) test -count=1 -run 'TestWarmServerLiveHeap$$|TestLazyDeployLiveHeap$$' ./internal/gateway
 	$(GO) test -count=1 -run 'TestDensityPodAllocBytes$$|TestDensityPodLiveHeap$$' .
 
@@ -192,7 +196,7 @@ warm-ledger:
 #   TestRouterRequestAllocsTelemetryParity: a request through an observed
 #     router allocates what one through an unobserved router does.
 #   TestLazyDeployAllocs: a request naming a never-seen handler variant,
-#     through ServeHTTP, allocates at most 83 times (variant copied from the
+#     through ServeHTTP, allocates at most 77 times (variant copied from the
 #     assembled handler, registration in place).
 #   TestHandlerVariantEncodingMatchesAssembler: every variant encodes byte
 #     for byte as the assembled spliced handler text, and mutating variants

@@ -40,7 +40,7 @@ var (
 // series (one registry Read, which allocates nothing of its own).
 // The layer rows run on the test goroutine and are pinned at their readings;
 // the lazy-deploy row also runs the bridge goroutine and sync.Pool, so it is
-// pinned, like TestLazyDeployAllocs, at its reading (81) + 3. Before the
+// pinned, like TestLazyDeployAllocs, at its reading (78) + 3. Before the
 // build and compile layers were trimmed the rows read 3, 14, 15, 5, 8, 36,
 // 3, 14 and 138; before the registration layers were, 3, 1, 9, 1, 6, 24, 2,
 // 10, 10, 19, 9 and 109; before Read bound its emit function once and the
@@ -147,7 +147,7 @@ func TestDeployAllocLedger(t *testing.T) {
 			must(nil, rt.Register(names[i], names[i], shardDisp))
 			regTele.Metrics().Read(nil, nil)
 		}},
-		{"lazy-deploy", 84, func(i int) {
+		{"lazy-deploy", 81, func(i int) {
 			req := httptest.NewRequest(http.MethodPost, "/v1/functions/"+names[i], strings.NewReader("x"))
 			rec := httptest.NewRecorder()
 			gw.ServeHTTP(rec, req)
@@ -184,11 +184,11 @@ func TestDeployAllocLedger(t *testing.T) {
 // so they are pinned at their readings + 2. What is left is net/http's and
 // the recorder's (the route match, the header snapshot, the body buffer),
 // the header values' slice and their one string, and the exec result slice.
-// Before the invoke path was trimmed the rows read 18, 11, 3, 3 and 1: an
-// encoder and a boxed InvokeResponse, MaxBytesReader, Content-Type's
-// Header.Set slice, the tid, latency and request-id strings, the
-// statusWriter, the access line's string, and the dispatcher's inflight
-// record and completion closure.
+// Before the invoke path was trimmed the rows read 18, 11, 3, 3 and 1: a
+// boxed InvokeResponse, MaxBytesReader, Content-Type's Header.Set slice,
+// the tid, latency and request-id strings, the statusWriter, the access
+// line's string, and the dispatcher's inflight record and completion
+// closure.
 func TestWarmRequestAllocLedger(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool items at random, so the count varies")

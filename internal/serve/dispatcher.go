@@ -181,10 +181,12 @@ type RequestResult struct {
 
 // inflight tracks one admitted request across its attempts. It is touched
 // only from DES callbacks (single goroutine), never concurrently. Records are
-// recycled through the dispatcher's free list, so the DES events that end an
-// attempt (complete) and start a retry (retry) are bound once, when the
-// record is first built, and a request allocates neither. At most
-// MaxConcurrency records are ever out at once: one per claimed slot.
+// recycled through inflightPool, so the DES events that end an attempt
+// (complete) and start a retry (retry) are bound once, when the record is
+// first built, and a request allocates neither. The pool is shared by every
+// dispatcher rather than kept per dispatcher, so an idle function holds no
+// record: a per-dispatcher free list kept one for each function that had
+// ever served, about 170 bytes of live heap per lazy deploy.
 type inflight struct {
 	d         *Dispatcher
 	tid       int64
@@ -204,8 +206,9 @@ type inflight struct {
 
 	complete func() // r.completeAttempt
 	retry    func() // r.retryAttempt
-	next     *inflight
 }
+
+var inflightPool sync.Pool
 
 // Dispatcher routes requests to a warm pool under a concurrency limit with
 // bounded queueing, capped-exponential retries and per-request timeouts. Its
@@ -222,13 +225,12 @@ type Dispatcher struct {
 	cfg  DispatcherConfig
 	args [1]exec.Value // cfg.Arg as the invoke's argument list, set once
 
-	// mu guards queue, reqSeq and free on the dispatch path, and every write
-	// of busy. done callbacks and pool calls run outside it. Observers do
-	// not take it: every value they read is atomic.
+	// mu guards queue and reqSeq on the dispatch path, and every write of
+	// busy. done callbacks and pool calls run outside it. Observers do not
+	// take it: every value they read is atomic.
 	mu     sync.Mutex
 	queue  []queuedRequest
 	reqSeq int64
-	free   *inflight // settled records, linked through next
 
 	// stats counters are written with atomic adds (always under mu, so the
 	// single-writer DES ordering is preserved) and read lock-free by Stats.
@@ -444,19 +446,15 @@ func (d *Dispatcher) tracer() *obs.Tracer {
 }
 
 // run launches the first attempt of an already-admitted request (slot
-// claimed, TID assigned) on a record from the free list, or a new one.
+// claimed, TID assigned) on a pooled record.
 func (d *Dispatcher) run(done func(RequestResult), queueWait time.Duration, tid int64) {
-	d.mu.Lock()
-	tracer := d.obsTracer
-	r := d.free
-	if r != nil {
-		d.free = r.next
-	}
-	d.mu.Unlock()
+	tracer := d.tracer()
+	r, _ := inflightPool.Get().(*inflight)
 	if r == nil {
-		r = &inflight{d: d}
+		r = new(inflight)
 		r.complete, r.retry = r.completeAttempt, r.retryAttempt
 	}
+	r.d = d
 	now := d.eng.Now()
 	d.obsQueueWaitNs.Record(int64(queueWait))
 	if tracer != nil && queueWait > 0 {
@@ -578,10 +576,10 @@ func (d *Dispatcher) scheduleRetry(r *inflight, cause error) bool {
 
 // finish settles a request's final outcome: it releases the concurrency
 // slot, lands the terminal counter, records latency (success or failure),
-// returns the record to the free list, invokes the callback, and drains
-// freed capacity into the queue. The record is free before the callback
-// runs, so a callback that submits again may reuse it: nothing reads r
-// after that.
+// returns the record to the pool, invokes the callback, and drains freed
+// capacity into the queue. The record is back in the pool before the
+// callback runs, so a callback that submits again may reuse it: nothing
+// reads r after that.
 func (d *Dispatcher) finish(r *inflight, err error) {
 	now := d.eng.Now()
 	latency := r.queueWait + time.Duration(now-r.started)
@@ -609,9 +607,9 @@ func (d *Dispatcher) finish(r *inflight, err error) {
 		atomic.AddInt64(&d.stats.Completed, 1)
 	}
 	tracer := d.obsTracer
-	*r = inflight{d: d, complete: r.complete, retry: r.retry, next: d.free}
-	d.free = r
 	d.mu.Unlock()
+	*r = inflight{complete: r.complete, retry: r.retry}
+	inflightPool.Put(r)
 	d.obsLatencyNs.Record(int64(latency))
 	if tracer != nil {
 		res.TraceSampled = tracer.FinishTrack(tid, obs.TrackOutcome{
