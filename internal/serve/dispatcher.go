@@ -184,9 +184,8 @@ type RequestResult struct {
 // recycled through inflightPool, so the DES events that end an attempt
 // (complete) and start a retry (retry) are bound once, when the record is
 // first built, and a request allocates neither. The pool is shared by every
-// dispatcher rather than kept per dispatcher, so an idle function holds no
-// record: a per-dispatcher free list kept one for each function that had
-// ever served, about 170 bytes of live heap per lazy deploy.
+// dispatcher, so an idle function holds no record: a free list per
+// dispatcher would keep one for every function that has ever served.
 type inflight struct {
 	d         *Dispatcher
 	tid       int64
