@@ -143,24 +143,21 @@ fuzz-long:
 tier1-shapes:
 	@GO=$(GO) $(GO) run ./internal/wasm/exec/testdata/tier1shapes
 
-# Deploy ledger: runs TestDeployAllocLedger once and prints its rows — the
-# allocations of each cold-deploy layer for a fresh handler variant, then
-# the whole lazy deploy — as a markdown table with each row's pinned max:
-# the readings EXPERIMENTS.md keeps under "Cold deploy allocations by
-# layer". A failing row fails the target. About 2 s; not part of `all`.
-deploy-ledger:
-	@out=$$($(GO) test -count=1 -run 'TestDeployAllocLedger$$' -v ./internal/gateway) || { echo "$$out"; exit 1; }; \
-	echo "$$out" | awk 'BEGIN { print "| row | allocs | max |"; print "|---|---:|---:|" } \
-		/ allocs \(max / { sub(/\)$$/, "", $$6); print "| " $$2 " | " $$3 " | " $$6 " |" }'
-
-# Warm ledger: runs TestWarmRequestAllocLedger once and prints its rows — the
-# allocations of a warm invoke at each layer, from the whole ServeHTTP down
-# to the guest invoke, each row including the ones below it — as a markdown
-# table with each row's pinned max: the readings EXPERIMENTS.md keeps under
-# "Warm request host path". A failing row fails the target. About 2 s; not
-# part of `all`.
-warm-ledger:
-	@out=$$($(GO) test -count=1 -run 'TestWarmRequestAllocLedger$$' -v ./internal/gateway) || { echo "$$out"; exit 1; }; \
+# Allocation ledgers: each runs one internal/gateway ledger test once and
+# prints its rows as a markdown table with each row's pinned max. A failing
+# row fails the target. About 2 s each; not part of `all`.
+#   deploy-ledger: TestDeployAllocLedger — the allocations of each
+#     cold-deploy layer for a fresh handler variant, then the whole lazy
+#     deploy: the readings EXPERIMENTS.md keeps under "Cold deploy
+#     allocations by layer".
+#   warm-ledger: TestWarmRequestAllocLedger — the allocations of a warm
+#     invoke at each layer, from the whole ServeHTTP down to the guest
+#     invoke, each row including the ones below it: the readings
+#     EXPERIMENTS.md keeps under "Warm request host path".
+LEDGER_TEST_deploy-ledger = TestDeployAllocLedger
+LEDGER_TEST_warm-ledger = TestWarmRequestAllocLedger
+deploy-ledger warm-ledger:
+	@out=$$($(GO) test -count=1 -run '$(LEDGER_TEST_$@)$$' -v ./internal/gateway) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | awk 'BEGIN { print "| row | allocs | max |"; print "|---|---:|---:|" } \
 		/ allocs \(max / { sub(/\)$$/, "", $$6); print "| " $$2 " | " $$3 " | " $$6 " |" }'
 

@@ -587,13 +587,15 @@ var invokeHeaders = [...]string{
 
 // statusWriter captures the response code for the access log and carries the
 // invoke record; the record's headers go out with the status line. Writers
-// are pooled: one is a request's from ServeHTTP's Get to its Put, and
-// scratch is its buffer for counting the request body, rendering the JSON
-// result and then the access line, in that order.
+// are pooled: one is a request's from ServeHTTP's Get to its Put. resp is
+// the invoke's result body, encoded from the writer so that boxing it
+// allocates nothing, and scratch is the buffer for counting the request
+// body and then rendering the access line.
 type statusWriter struct {
 	http.ResponseWriter
 	status  int
 	invoke  invokeRecord
+	resp    InvokeResponse
 	scratch [512]byte
 }
 
@@ -627,7 +629,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		line := textAccessLine(sw.scratch[:0], r, sw, wall)
 		_ = s.logger.Output(2, unsafe.String(unsafe.SliceData(line), len(line)))
 	}
-	sw.ResponseWriter, sw.invoke = nil, invokeRecord{}
+	sw.ResponseWriter, sw.invoke, sw.resp = nil, invokeRecord{}, InvokeResponse{}
 	statusWriterPool.Put(sw)
 }
 
@@ -812,7 +814,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 func writeInvoke(sw *statusWriter, module string, payloadBytes int64) {
 	sw.WriteHeader(http.StatusOK)
 	inv := &sw.invoke
-	writeInvokeBody(sw, sw.scratch[:], &InvokeResponse{
+	sw.resp = InvokeResponse{
 		Module:       module,
 		RequestID:    inv.reqID,
 		Cold:         inv.res.Cold,
@@ -822,7 +824,8 @@ func writeInvoke(sw *statusWriter, module string, payloadBytes int64) {
 		RetryWaitMs:  float64(inv.res.RetryWait) / 1e6,
 		PayloadBytes: payloadBytes,
 		TraceSampled: inv.res.TraceSampled,
-	})
+	}
+	_ = json.NewEncoder(sw).Encode(&sw.resp)
 }
 
 // lazyFunction creates module's function from the lazy template. Unknown
